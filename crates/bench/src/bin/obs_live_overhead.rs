@@ -5,8 +5,8 @@
 //! Two sections:
 //!
 //! 1. **Workload** — TPC-H Q1/Q6/Q12, engine-level, serial, interleaved
-//!    A/B: every round runs each query once *without* a hub (the plain
-//!    `scheduler::run` path: no observer composition at all) and once
+//!    A/B: every round runs each query once *without* a hub (the observer
+//!    stack's hub layer left empty) and once
 //!    *with* one shared hub installed via `EngineConfig::with_hub`
 //!    (counters + log-bucketed histograms updated on every scheduler
 //!    event). Interleaving makes the comparison robust against machine
@@ -163,8 +163,8 @@ fn main() {
         let report = format!(
             "## Always-on MetricsHub overhead (engine, serial, interleaved A/B)\n\n\
              TPC-H SF {sf}, {rounds} interleaved rounds per arm, mean of best 3.\n\
-             \"off\" = no hub installed: the engine takes the plain scheduler::run\n\
-             path with no observer composition. \"on\" = EngineConfig::with_hub: the\n\
+             \"off\" = no hub installed: the observer stack's hub layer stays\n\
+             empty. \"on\" = EngineConfig::with_hub: the\n\
              HubObserver accumulates counters and log-bucketed histograms locally\n\
              and batch-flushes to the sharded hub every 64 events and on drop.\n\n{}\n\
              Mix-total delta: {mix_delta:+.2}% (gate: <= {:.1}%).\n\n\

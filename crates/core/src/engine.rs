@@ -5,22 +5,19 @@ use crate::error::EngineError;
 use crate::exec_options::ExecOptions;
 use crate::fault::FaultPlan;
 use crate::fusion::FusionPolicy;
-use crate::metrics::{Degradation, QueryMetrics};
-use crate::obs::hub::{HubCounter, HubHistogram, HubObserver, MaybeHubObserver, MetricsHub};
-use crate::obs::observer::MaybeTracingObserver;
-use crate::obs::{CompositeObserver, ExplainAnalyze, TracingObserver};
-use crate::plan::{OperatorKind, QueryPlan};
-use crate::scheduler::{run_query, MetricsObserver, SchedulerConfig};
-use crate::state::ExecContext;
-use crate::trace::{Trace, TraceEvent, TraceEventKind, TraceSink, DEFAULT_TRACE_CAPACITY};
+use crate::lifecycle::{self, Prepared};
+use crate::metrics::QueryMetrics;
+use crate::obs::{ExplainAnalyze, MetricsHub};
+use crate::plan::QueryPlan;
+use crate::query_id::QueryId;
+use crate::scheduler::{drive, QueryRun};
+use crate::trace::{Trace, DEFAULT_TRACE_CAPACITY};
 use crate::uot::Uot;
 use crate::Result;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use uot_sql::{CacheStats, PlanCache};
-use uot_storage::{
-    BlockFormat, BlockPool, Catalog, MemoryTracker, Schema, StorageBlock, StorageError, Value,
-};
+use uot_storage::{BlockFormat, Catalog, Schema, StorageBlock, Value};
 
 pub use crate::scheduler::ExecMode;
 
@@ -36,8 +33,9 @@ pub enum DegradePolicy {
     /// Surface [`EngineError::BudgetExceeded`] to the caller (default).
     #[default]
     Off,
-    /// Retry once with the default UoT halved toward [`Uot::LOW`]; the
-    /// degradation is recorded in [`QueryMetrics::degradations`].
+    /// Retry once with the default UoT halved toward [`Uot::LOW`] and
+    /// fusion off, at either front end; the degradation is recorded in
+    /// [`QueryMetrics::degradations`].
     LowerUot,
     /// Arm the disk spill tier: cold staged edge blocks evict to temp files
     /// under pressure (faulting back in at transfer time), joins whose build
@@ -98,7 +96,7 @@ pub struct EngineConfig {
     pub deadline: Option<Duration>,
     /// Structured tracing: `Some` records every scheduler/work-order event
     /// into a per-query [`Trace`] returned on [`QueryResult::trace`]. `None`
-    /// (the default) leaves the untraced fast path untouched.
+    /// (the default) records no trace.
     pub trace: Option<TraceConfig>,
     /// Fused-pipeline policy: whether eligible select/probe/aggregate chains
     /// run as single push-based loops (UoT -> 0) instead of staging blocks
@@ -108,7 +106,7 @@ pub struct EngineConfig {
     /// Always-on live metrics: when set, every execution streams its
     /// scheduler events into this [`MetricsHub`] (counters + log-bucketed
     /// histograms) in addition to the per-query [`QueryMetrics`]. `None`
-    /// (the default) keeps the untraced fast path observer-free.
+    /// (the default) leaves the observer stack's hub layer empty.
     pub hub: Option<Arc<MetricsHub>>,
 }
 
@@ -249,6 +247,16 @@ impl QueryResult {
         rows.sort_by(|a, b| crate::ops::aggregate::cmp_value_rows(a, b));
         rows
     }
+
+    /// Replace the rows with the rendered `EXPLAIN ANALYZE` tree, as an
+    /// `EXPLAIN ANALYZE <stmt>` submission returns at either front end. The
+    /// measured metrics, trace and [`QueryResult::explain`] stay attached.
+    pub(crate) fn into_explain_rows(mut self) -> Self {
+        if let Some(ex) = &self.explain {
+            (self.schema, self.blocks) = ex.result_blocks();
+        }
+        self
+    }
 }
 
 /// The query engine: executes plans under an [`EngineConfig`].
@@ -295,67 +303,6 @@ impl Engine {
         self.plan_cache.stats()
     }
 
-    /// Validate the configuration against `plan` before running anything.
-    /// Catches mistakes that would otherwise surface as confusing mid-query
-    /// failures: a worker pool of zero threads, or temporary blocks too
-    /// small to hold even one output tuple of some operator.
-    fn validate(&self, plan: &QueryPlan) -> Result<()> {
-        if let ExecMode::Parallel { workers: 0 } = self.config.mode {
-            return Err(EngineError::Config(
-                "parallel mode requires at least 1 worker (got workers=0)".into(),
-            ));
-        }
-        if let Some(0) = self.config.max_dop_per_op {
-            return Err(EngineError::Config(
-                "max_dop_per_op=0 would make every operator unschedulable".into(),
-            ));
-        }
-        for (id, op) in plan.ops().iter().enumerate() {
-            // Builds materialize into hash tables, not pool blocks; every
-            // other operator writes output tuples into `block_bytes`-sized
-            // temporaries and needs room for at least one tuple.
-            if matches!(op.kind, OperatorKind::BuildHash { .. }) {
-                continue;
-            }
-            let width = op.out_schema.tuple_width();
-            if width > self.config.block_bytes {
-                return Err(EngineError::Config(format!(
-                    "block_bytes={} cannot hold one {}-byte tuple of op{} ({})",
-                    self.config.block_bytes, width, id, op.name
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Layer per-run [`ExecOptions`] over this engine's configuration: the
-    /// single place every execution entry point funnels through, so a knob
-    /// behaves identically no matter which method set it.
-    fn apply_options(&self, plan: QueryPlan, opts: &ExecOptions) -> (EngineConfig, QueryPlan) {
-        let mut cfg = self.config.clone();
-        let mut plan = plan;
-        if let Some(uot) = opts.uot {
-            cfg.default_uot = uot;
-            plan = plan.with_uniform_uot(uot);
-        }
-        if let Some(deadline) = opts.deadline {
-            cfg.deadline = Some(deadline);
-        }
-        if let Some(reservation) = opts.reservation {
-            cfg.memory_budget = Some(reservation);
-        }
-        if opts.trace && cfg.trace.is_none() {
-            cfg.trace = Some(TraceConfig::default());
-        }
-        if let Some(fusion) = opts.fusion {
-            cfg.fusion = fusion;
-        }
-        if let Some(degrade) = opts.degrade {
-            cfg.degrade = degrade;
-        }
-        (cfg, plan)
-    }
-
     /// Execute `plan` and return the materialized result.
     pub fn execute(&self, plan: QueryPlan) -> Result<QueryResult> {
         self.execute_with(plan, ExecOptions::default())
@@ -365,22 +312,8 @@ impl Engine {
     /// configuration — the unified entry every other `execute_*` routes
     /// through.
     pub fn execute_with(&self, plan: QueryPlan, opts: ExecOptions) -> Result<QueryResult> {
-        let faults = opts
-            .faults
-            .clone()
-            .unwrap_or_else(|| Arc::new(FaultPlan::empty()));
-        let (cfg, plan) = self.apply_options(plan, &opts);
-        Engine::new(cfg).execute_governed(plan, CancellationToken::new(), faults)
-    }
-
-    /// Execute `plan` with a deterministic [`FaultPlan`] active (test-only
-    /// harness; an empty plan is a no-op and the default for [`Self::execute`]).
-    pub fn execute_with_faults(
-        &self,
-        plan: QueryPlan,
-        faults: Arc<FaultPlan>,
-    ) -> Result<QueryResult> {
-        self.execute_with(plan, ExecOptions::default().with_faults(faults))
+        let (cfg, plan) = opts.apply(self.config.clone(), plan);
+        run_standalone(&cfg, plan, &CancellationToken::new(), opts.faults.as_ref())
     }
 
     /// Execute `plan` on a background thread and hand back the
@@ -407,22 +340,13 @@ impl Engine {
         CancellationToken,
         std::thread::JoinHandle<Result<QueryResult>>,
     ) {
-        let faults = opts
-            .faults
-            .clone()
-            .unwrap_or_else(|| Arc::new(FaultPlan::empty()));
-        let (cfg, plan) = self.apply_options(plan, &opts);
+        let (cfg, plan) = opts.apply(self.config.clone(), plan);
         let token = CancellationToken::new();
         let worker_token = token.clone();
         let handle = std::thread::spawn(move || {
-            Engine::new(cfg).execute_governed(plan, worker_token, faults)
+            run_standalone(&cfg, plan, &worker_token, opts.faults.as_ref())
         });
         (token, handle)
-    }
-
-    /// Execute `plan` with a one-off UoT override on every edge.
-    pub fn execute_with_uot(&self, plan: QueryPlan, uot: Uot) -> Result<QueryResult> {
-        self.execute_with(plan, ExecOptions::default().with_uot(uot))
     }
 
     /// Compile and execute a SQL statement against the attached catalog.
@@ -441,16 +365,10 @@ impl Engine {
     /// replaced by the rendered [`ExplainAnalyze`] tree. The real metrics,
     /// trace and [`QueryResult::explain`] stay attached.
     pub fn execute_sql_with(&self, sql: &str, opts: ExecOptions) -> Result<QueryResult> {
-        if let Some(inner) = uot_sql::strip_explain_analyze(sql) {
-            let mut result = self.execute_sql_plain(inner, opts)?;
-            if let Some(ex) = &result.explain {
-                let (schema, blocks) = ex.result_blocks();
-                result.schema = schema;
-                result.blocks = blocks;
-            }
-            return Ok(result);
+        match uot_sql::strip_explain_analyze(sql) {
+            Some(inner) => Ok(self.execute_sql_plain(inner, opts)?.into_explain_rows()),
+            None => self.execute_sql_plain(sql, opts),
         }
-        self.execute_sql_plain(sql, opts)
     }
 
     fn execute_sql_plain(&self, sql: &str, opts: ExecOptions) -> Result<QueryResult> {
@@ -466,208 +384,51 @@ impl Engine {
         result.metrics.plan_cache = Some(outcome);
         Ok(result)
     }
-
-    /// Execution with resource governance: one attempt at the configured UoT
-    /// and, if that trips the memory budget under [`DegradePolicy::LowerUot`],
-    /// exactly one retry at a degraded (halved-toward-[`Uot::LOW`]) UoT with
-    /// the degradation recorded in the metrics.
-    fn execute_governed(
-        &self,
-        plan: QueryPlan,
-        token: CancellationToken,
-        faults: Arc<FaultPlan>,
-    ) -> Result<QueryResult> {
-        let result = self.execute_governed_inner(plan, token, faults);
-        if let Some(hub) = &self.config.hub {
-            hub.add(HubCounter::QueriesSubmitted, 1);
-            match &result {
-                Ok(r) => {
-                    hub.add(HubCounter::QueriesCompleted, 1);
-                    hub.record(
-                        HubHistogram::QueryLatencyUs,
-                        r.metrics.wall_time.as_micros() as u64,
-                    );
-                }
-                Err(EngineError::Cancelled { .. }) => hub.add(HubCounter::QueriesCancelled, 1),
-                Err(_) => hub.add(HubCounter::QueriesFailed, 1),
-            }
-        }
-        result
-    }
-
-    fn execute_governed_inner(
-        &self,
-        plan: QueryPlan,
-        token: CancellationToken,
-        faults: Arc<FaultPlan>,
-    ) -> Result<QueryResult> {
-        let from = self.config.default_uot.normalized();
-        match self.execute_once(
-            plan.clone(),
-            from,
-            self.config.fusion,
-            token.clone(),
-            faults.clone(),
-        ) {
-            Err(e)
-                if is_budget_error(&e)
-                    && matches!(
-                        self.config.degrade,
-                        DegradePolicy::LowerUot | DegradePolicy::Spill
-                    ) =>
-            {
-                let Some(to) = from.degrade() else {
-                    // Already at the lowest UoT: nothing left to shed.
-                    return Err(e);
-                };
-                // The retry runs under memory pressure: re-plan with fusion
-                // off so the degraded UoT actually governs every edge and no
-                // fused loop allocates gather scratch on the hot path.
-                let mut result = self.execute_once(
-                    plan.with_uniform_uot(to),
-                    to,
-                    FusionPolicy::Never,
-                    token,
-                    faults,
-                )?;
-                result.metrics.degradations.push(Degradation { from, to });
-                // The retry's trace starts fresh; prepend the degradation so
-                // a trace reader sees why this attempt ran at a lower UoT.
-                if let Some(trace) = &mut result.trace {
-                    trace.events.insert(
-                        0,
-                        TraceEvent {
-                            t: Duration::ZERO,
-                            kind: TraceEventKind::Degraded { from, to },
-                        },
-                    );
-                }
-                Ok(result)
-            }
-            other => other,
-        }
-    }
-
-    /// One execution attempt: fresh tracker + (budgeted) pool, the query's
-    /// cancellation token and fault plan installed on the [`ExecContext`].
-    fn execute_once(
-        &self,
-        plan: QueryPlan,
-        uot: Uot,
-        fusion: FusionPolicy,
-        token: CancellationToken,
-        faults: Arc<FaultPlan>,
-    ) -> Result<QueryResult> {
-        self.validate(&plan)?;
-        let tracker = MemoryTracker::new();
-        let pool = BlockPool::with_budget(
-            tracker.clone(),
-            self.config.memory_budget.unwrap_or(usize::MAX),
-        );
-        pool.set_reuse_enabled(self.config.pool_reuse);
-        let plan = Arc::new(plan);
-        let schema = plan.result_schema().clone();
-        let sink = self
-            .config
-            .trace
-            .as_ref()
-            .map(|tc| TraceSink::new(tc.capacity));
-        // Spill only makes sense against a finite budget: with no budget the
-        // pool never feels pressure and the tier would just be dead weight.
-        let spill_enabled =
-            self.config.degrade == DegradePolicy::Spill && self.config.memory_budget.is_some();
-        if spill_enabled {
-            let store = uot_storage::SpillStore::new(None, tracker.clone())?;
-            store.set_observer(crate::spill::EngineSpillHook::with_telemetry(
-                Some(faults.clone()),
-                sink.clone(),
-                tracker.clone(),
-                self.config.hub.clone(),
-                None,
-            ));
-            pool.enable_spill(store);
-        }
-        let mut ctx = ExecContext::new(
-            plan,
-            pool,
-            self.config.temp_format,
-            self.config.block_bytes,
-            self.config.hash_table_shards,
-        )?
-        .with_cancellation(token)
-        .with_faults(faults);
-        if let Some(sink) = &sink {
-            ctx = ctx.with_trace(sink.clone());
-        }
-        if spill_enabled {
-            ctx.plan_grace(self.config.memory_budget.unwrap_or(usize::MAX));
-        }
-        // With the spill tier armed, fused chains would pin their interior
-        // blocks and hash tables resident (nothing stages, nothing evicts);
-        // fall back to staged execution so every edge stays evictable.
-        let fusion = if spill_enabled {
-            FusionPolicy::Never
-        } else {
-            fusion
-        };
-        let fusion_state = crate::fusion::plan_fusion(
-            &ctx.plan,
-            fusion,
-            self.config.mode.workers(),
-            self.config.block_bytes,
-            uot.normalized(),
-        );
-        let ctx = Arc::new(ctx.with_fusion(fusion_state));
-        let sched = SchedulerConfig {
-            mode: self.config.mode,
-            default_uot: uot.normalized(),
-            max_dop_per_op: self.config.max_dop_per_op,
-            deadline: self.config.deadline,
-        };
-        let (blocks, metrics) = if sink.is_none() && self.config.hub.is_none() {
-            // Untraced, no hub: the default metrics observer, no composition.
-            crate::scheduler::run(ctx.clone(), sched)?
-        } else {
-            // Metrics + hub + tracing fan out through one observer stack;
-            // absent layers are `None` and cost a branch per event.
-            let hub = self
-                .config
-                .hub
-                .as_ref()
-                .map(|hub| HubObserver::new(hub.clone(), tracker.clone()));
-            let observer = CompositeObserver::new(
-                MetricsObserver::new(&ctx.plan),
-                CompositeObserver::new(
-                    MaybeHubObserver(hub),
-                    MaybeTracingObserver(sink.clone().map(TracingObserver::new)),
-                ),
-            );
-            run_query(ctx.clone(), sched, observer).map_err(|f| f.error)?
-        };
-        let trace =
-            sink.map(|s| s.finish(ctx.plan.ops().iter().map(|op| op.name.clone()).collect()));
-        let explain = Some(ExplainAnalyze::build(&ctx.plan, &metrics));
-        Ok(QueryResult {
-            schema,
-            blocks,
-            metrics,
-            trace,
-            explain,
-        })
-    }
 }
 
-/// Does `e` mean the memory budget was hit? (Either the operator-attributed
-/// engine variant or a raw storage error that escaped attribution.)
-fn is_budget_error(e: &EngineError) -> bool {
-    matches!(e, EngineError::BudgetExceeded { .. })
-        || matches!(e, EngineError::Storage(StorageError::BudgetExceeded { .. }))
+/// Run one standalone query on the calling thread through the shared
+/// lifecycle: prepare, drive under `cfg.mode`, and apply the budget-retry
+/// rule at most once.
+fn run_standalone(
+    cfg: &EngineConfig,
+    plan: QueryPlan,
+    token: &CancellationToken,
+    faults: Option<&Arc<FaultPlan>>,
+) -> Result<QueryResult> {
+    let started = Instant::now();
+    if let Some(hub) = &cfg.hub {
+        lifecycle::hub_submitted(hub);
+    }
+    let attempt = |cfg: &EngineConfig, plan: Arc<QueryPlan>| -> Result<QueryResult> {
+        let Prepared { core, sink, .. } =
+            lifecycle::prepare(cfg, plan.clone(), QueryId::SOLO, token, faults, None)?;
+        let (blocks, metrics) = drive(QueryRun::new(core, ())).map_err(|f| f.error)?;
+        Ok(lifecycle::query_result(&plan, sink, blocks, metrics))
+    };
+    let plan = Arc::new(plan);
+    let mut result = attempt(cfg, plan.clone());
+    let retry = match &result {
+        Err(e) => lifecycle::budget_retry(cfg, &plan, e, started.elapsed()),
+        Ok(_) => None,
+    };
+    if let Some(retry) = retry {
+        result = attempt(&retry.config, retry.plan).map(|mut r| {
+            lifecycle::record_degradation(&mut r, retry.degradation);
+            r
+        });
+    }
+    if let Some(hub) = &cfg.hub {
+        lifecycle::hub_finished(hub, &result, started.elapsed());
+    }
+    result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Degradation;
     use crate::plan::{JoinType, PlanBuilder, SortKey, Source};
+    use crate::trace::TraceEventKind;
     use uot_expr::{cmp, col, lit, AggSpec, CmpOp};
     use uot_storage::{DataType, Table, TableBuilder};
 
@@ -754,7 +515,9 @@ mod tests {
     #[test]
     fn execute_with_uot_overrides() {
         let engine = Engine::new(EngineConfig::serial());
-        let r = engine.execute_with_uot(plan(), Uot::Table).unwrap();
+        let r = engine
+            .execute_with(plan(), ExecOptions::default().with_uot(Uot::Table))
+            .unwrap();
         assert_eq!(r.rows().len(), 1);
     }
 
@@ -1064,7 +827,10 @@ mod tests {
             nth: 1,
         }]));
         let r = Engine::new(cfg.clone())
-            .execute_with_faults(wide_then_narrow_plan(), faults)
+            .execute_with(
+                wide_then_narrow_plan(),
+                ExecOptions::default().with_faults(faults),
+            )
             .unwrap();
         assert_eq!(r.rows(), vec![vec![Value::I64(200)]]);
         assert_eq!(r.metrics.degradations.len(), 1);
@@ -1117,7 +883,9 @@ mod tests {
                 kind: FaultKind::Panic,
                 nth: 3,
             }]));
-            let err = engine.execute_with_faults(plan(), faults).unwrap_err();
+            let err = engine
+                .execute_with(plan(), ExecOptions::default().with_faults(faults))
+                .unwrap_err();
             match err {
                 crate::EngineError::WorkOrderPanic { op, kind, payload } => {
                     assert!(!op.is_empty(), "{cfg:?}");

@@ -1,14 +1,12 @@
-//! Per-submission execution knobs, shared by both drivers.
+//! Per-submission execution knobs, shared by both front ends.
 //!
-//! [`Engine`](crate::engine::Engine) and [`QueryService`](crate::service::QueryService)
-//! used to carry near-duplicate knob sets ([`EngineConfig`](crate::engine::EngineConfig)
-//! fields vs. the service's former `QueryOptions`). [`ExecOptions`] is the
-//! deduplicated form: one struct of per-query overrides that
+//! [`ExecOptions`] is one struct of per-query overrides that
 //! [`Engine::execute_with`](crate::engine::Engine::execute_with) and
 //! [`QueryService::submit_with`](crate::service::QueryService::submit_with)
-//! both accept, layered over their owner's defaults.
+//! both accept, layered over their owner's defaults by the same
+//! [`ExecOptions::apply`].
 //!
-//! Field semantics per driver:
+//! Field semantics per front end:
 //!
 //! | field | `Engine` | `QueryService` |
 //! |---|---|---|
@@ -19,10 +17,16 @@
 //! | `faults` | deterministic fault plan | deterministic fault plan |
 //! | `fusion` | overrides `EngineConfig::fusion` | overrides `ServiceConfig::fusion` |
 //! | `degrade` | overrides `EngineConfig::degrade` | overrides `ServiceConfig::degrade` |
+//!
+//! `degrade` means the same at both: under `LowerUot`, and as `Spill`'s
+//! fallback, a query that trips its budget is retried once at a degraded UoT
+//! with fusion off (the service re-runs it in place, under the same id,
+//! reservation and cancellation token).
 
-use crate::engine::DegradePolicy;
+use crate::engine::{DegradePolicy, EngineConfig, TraceConfig};
 use crate::fault::FaultPlan;
 use crate::fusion::FusionPolicy;
+use crate::plan::QueryPlan;
 use crate::uot::Uot;
 use std::sync::Arc;
 use std::time::Duration;
@@ -98,14 +102,37 @@ impl ExecOptions {
         self.degrade = Some(degrade);
         self
     }
-}
 
-/// Former name of [`ExecOptions`], kept for source compatibility.
-#[deprecated(
-    since = "0.1.0",
-    note = "renamed to ExecOptions; the same knobs now drive both Engine and QueryService"
-)]
-pub type QueryOptions = ExecOptions;
+    /// Layer these options over a front end's per-query defaults: the one
+    /// place every submission of either front end resolves its knobs, so a
+    /// knob behaves the same whichever method or front end set it.
+    pub(crate) fn apply(
+        &self,
+        mut cfg: EngineConfig,
+        mut plan: QueryPlan,
+    ) -> (EngineConfig, QueryPlan) {
+        if let Some(uot) = self.uot {
+            cfg.default_uot = uot;
+            plan = plan.with_uniform_uot(uot);
+        }
+        if let Some(deadline) = self.deadline {
+            cfg.deadline = Some(deadline);
+        }
+        if let Some(reservation) = self.reservation {
+            cfg.memory_budget = Some(reservation);
+        }
+        if self.trace && cfg.trace.is_none() {
+            cfg.trace = Some(TraceConfig::default());
+        }
+        if let Some(fusion) = self.fusion {
+            cfg.fusion = fusion;
+        }
+        if let Some(degrade) = self.degrade {
+            cfg.degrade = degrade;
+        }
+        (cfg, plan)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -128,12 +155,5 @@ mod tests {
         assert!(o.faults.is_some());
         assert_eq!(o.fusion, Some(FusionPolicy::Never));
         assert_eq!(o.degrade, Some(DegradePolicy::Spill));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_alias_still_works() {
-        let o = QueryOptions::default().with_uot(Uot::Blocks(2));
-        assert_eq!(o.uot, Some(Uot::Blocks(2)));
     }
 }

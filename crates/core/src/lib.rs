@@ -40,6 +40,7 @@ pub mod exec_options;
 pub mod fault;
 pub mod fusion;
 pub mod hash_table;
+mod lifecycle;
 pub mod metrics;
 pub mod obs;
 pub mod ops;
@@ -62,8 +63,6 @@ pub use edge::{EdgeDest, TransferAction, TransferEdge};
 pub use engine::{DegradePolicy, Engine, EngineConfig, ExecMode, QueryResult, TraceConfig};
 pub use error::EngineError;
 pub use exec_options::ExecOptions;
-#[allow(deprecated)]
-pub use exec_options::QueryOptions;
 pub use fault::{FaultKind, FaultPlan, FaultSite, Injection};
 pub use fusion::{FusedChain, FusionPolicy, FusionState};
 pub use hash_table::{JoinHashTable, PayloadRef, ProbeMatch, ProbeSession};

@@ -618,9 +618,9 @@ impl SchedulerObserver for HubObserver {
 }
 
 /// A hub layer that may be absent, mirroring
-/// [`MaybeTracingObserver`](crate::obs::MaybeTracingObserver): the engine
-/// composes one concrete observer stack whether or not a hub is installed,
-/// and an absent layer costs one branch per event.
+/// [`MaybeTracingObserver`](crate::obs::MaybeTracingObserver): every query
+/// runs under one concrete observer stack whether or not a hub is
+/// installed, and an absent layer costs one branch per event.
 #[derive(Debug, Default)]
 pub struct MaybeHubObserver(pub Option<HubObserver>);
 

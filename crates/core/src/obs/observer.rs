@@ -157,11 +157,11 @@ impl<A: MetricsCarrier, B> MetricsCarrier for CompositeObserver<A, B> {
     }
 }
 
-/// A tracing layer that may be absent. The query service composes one
-/// observer stack per query — `CompositeObserver<MetricsObserver,
-/// MaybeTracingObserver>` — so traced and untraced queries share a single
-/// concrete [`SchedulerCore`](crate::scheduler::SchedulerCore) type; an
-/// absent layer costs one branch per event.
+/// A tracing layer that may be absent. Every query, at either front end,
+/// runs under one observer stack with this layer in it, so traced and
+/// untraced queries share a single concrete
+/// [`SchedulerCore`](crate::scheduler::SchedulerCore) type; an absent layer
+/// costs one branch per event.
 #[derive(Debug, Default)]
 pub struct MaybeTracingObserver(pub Option<TracingObserver>);
 

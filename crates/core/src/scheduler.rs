@@ -24,8 +24,11 @@
 //!   the paper's figures are made of; [`NoopObserver`] runs the machine bare.
 //! * [`run_query`] — the one driver, parameterized over the observer stack
 //!   and [`ExecMode`]: inline execution for determinism, or a scheduler
-//!   thread with a worker pool (Quickstep's two thread kinds). [`run`] is
-//!   the convenience wrapper with default metrics and a plain error.
+//!   (the calling thread) with a worker pool (Quickstep's two thread
+//!   kinds). Its parallel loop — per-query in-flight bookkeeping,
+//!   round-robin dispatch, the worker body — is the one the query service
+//!   multiplexes its queries through. [`run`] is the convenience wrapper
+//!   with default metrics and a plain error.
 
 use crate::edge::{TransferAction, TransferEdge};
 use crate::error::EngineError;
@@ -33,14 +36,16 @@ use crate::fault::{FaultKind, FaultSite};
 use crate::metrics::{EdgeMetrics, OperatorMetrics, QueryMetrics, TaskRecord};
 use crate::ops::execute_work_order_contained;
 use crate::plan::{OpId, OperatorKind, QueryPlan};
+use crate::query_id::QueryId;
 use crate::state::ExecContext;
 use crate::topology::Dependent;
 use crate::uot::Uot;
 use crate::work_order::{WorkKind, WorkOrder};
 use crate::Result;
+use crossbeam::channel::{Receiver, Sender};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use uot_storage::{SpillSlot, StorageBlock};
 
 /// How work orders are driven.
@@ -353,6 +358,7 @@ struct OpState {
 /// The synchronous scheduling state machine.
 pub struct SchedulerCore<O: SchedulerObserver = MetricsObserver> {
     ctx: Arc<ExecContext>,
+    config: SchedulerConfig,
     states: Vec<OpState>,
     /// Outgoing data edge of each operator, indexed by producer id.
     edges: Vec<TransferEdge>,
@@ -460,6 +466,7 @@ impl<O: SchedulerObserver> SchedulerCore<O> {
         let queue = ReadyQueue::new(topo.critical_flags().to_vec(), config.max_dop_per_op);
         let mut core = SchedulerCore {
             ctx,
+            config,
             states,
             edges,
             queue,
@@ -1039,7 +1046,7 @@ pub struct FailedQuery {
 /// Rewrite a propagated `Cancelled` placeholder (raised inside an operator,
 /// which cannot see driver-level counters) with the authoritative wall time
 /// and completed-work-order count.
-pub(crate) fn finalize_error(e: EngineError, wall: Duration, completed: usize) -> EngineError {
+fn finalize_error(e: EngineError, wall: Duration, completed: usize) -> EngineError {
     match e {
         EngineError::Cancelled { .. } => EngineError::Cancelled {
             after: wall,
@@ -1051,7 +1058,7 @@ pub(crate) fn finalize_error(e: EngineError, wall: Duration, completed: usize) -
 
 /// Execute `ctx`'s plan under `config.mode` with the default metrics
 /// observer, surfacing only the error on failure — the common path for
-/// engine internals, tests and examples.
+/// tests, benches and examples driving a hand-built context.
 pub fn run(
     ctx: Arc<ExecContext>,
     config: SchedulerConfig,
@@ -1060,11 +1067,17 @@ pub fn run(
     run_query(ctx, config, observer).map_err(|f| f.error)
 }
 
-/// The one query driver. Executes `ctx`'s plan under [`SchedulerConfig::mode`]
-/// with a caller-supplied observer stack — any composition that still carries
-/// a [`MetricsObserver`], e.g.
+/// What driving a query yields: its result blocks and metrics, or the
+/// failure with the metrics accumulated before it.
+pub(crate) type Outcome =
+    std::result::Result<(Vec<Arc<StorageBlock>>, QueryMetrics), Box<FailedQuery>>;
+
+/// Drive a hand-built context's plan under [`SchedulerConfig::mode`] with a
+/// caller-supplied observer stack — any composition that still carries a
+/// [`MetricsObserver`], e.g.
 /// [`CompositeObserver`](crate::obs::CompositeObserver) layering a
-/// [`TracingObserver`](crate::obs::TracingObserver) on top.
+/// [`TracingObserver`](crate::obs::TracingObserver) on top. `Engine` and
+/// `QueryService` drive the contexts they prepare through the same loop.
 ///
 /// On failure the partial metrics survive as [`FailedQuery::partial_metrics`]:
 /// after the first error, dispatch stops but every in-flight completion is
@@ -1077,89 +1090,73 @@ pub fn run_query<O: SchedulerObserver + MetricsCarrier>(
     config: SchedulerConfig,
     observer: O,
 ) -> std::result::Result<(Vec<Arc<StorageBlock>>, QueryMetrics), Box<FailedQuery>> {
-    let start = Instant::now();
     if let Err(e) = config.validate() {
         return Err(Box::new(FailedQuery {
             error: e,
             partial_metrics: QueryMetrics::default(),
         }));
     }
-    let mut core = SchedulerCore::with_observer(ctx.clone(), config, observer);
-    let (completed, mut error) = match config.mode {
-        ExecMode::Serial => drive_serial(&ctx, &config, start, &mut core),
-        ExecMode::Parallel { .. } => drive_parallel(&ctx, &config, start, &mut core),
-    };
-    // A token tripped without an attributable work-order error (deadline at
-    // the last dispatch, external cancel) still cancels the query; the
-    // placeholder counters are rewritten by `finalize_error` below.
-    if error.is_none() && ctx.cancel.is_cancelled() {
-        error = Some(EngineError::Cancelled {
-            after: Duration::ZERO,
-            completed_work_orders: 0,
-        });
-    }
-    if error.is_none() && !core.all_finished() {
-        error = Some(core.stall_error());
-    }
-    let wall = start.elapsed();
-    let (blocks, metrics) = core.into_results(wall, config.mode.workers());
-    match error {
-        None => Ok((blocks, metrics)),
-        Some(e) => Err(Box::new(FailedQuery {
-            error: finalize_error(e, wall, completed),
-            partial_metrics: metrics,
-        })),
-    }
+    let core = SchedulerCore::with_observer(ctx, config, observer);
+    drive(QueryRun::new(core, ()))
 }
 
-/// Inline loop body: one work order at a time on the calling thread.
-/// Deterministic; [`ExecMode::Serial`].
-fn drive_serial<O: SchedulerObserver + MetricsCarrier>(
-    ctx: &Arc<ExecContext>,
-    config: &SchedulerConfig,
-    start: Instant,
-    core: &mut SchedulerCore<O>,
-) -> (usize, Option<EngineError>) {
-    let mut completed = 0usize;
-    while let Some(wo) = core.next_work_order() {
-        // Dispatch-time deadline check: past it, flip the token so this and
-        // every subsequent work order fails fast with `Cancelled`.
-        if let Some(d) = config.deadline {
-            if start.elapsed() >= d {
-                ctx.cancel.cancel();
-            }
+/// Drive one query to completion on the calling thread.
+/// [`ExecMode::Serial`] executes each work order inline, in a deterministic
+/// order; [`ExecMode::Parallel`] runs the query service's dispatch loop for
+/// this one query, the calling thread scheduling for worker threads of its
+/// own (Quickstep's two thread kinds).
+pub(crate) fn drive<O: SchedulerObserver + MetricsCarrier>(mut run: QueryRun<O>) -> Outcome {
+    if run.core.config.mode == ExecMode::Serial {
+        let ctx = run.core.ctx.clone();
+        loop {
+            run.check_deadline();
+            let Some(wo) = run.next_work_order() else {
+                break;
+            };
+            run.on_done(Completion::execute(&ctx, wo, 0));
         }
-        let t0 = start.elapsed();
-        match execute_work_order_contained(ctx, &wo) {
-            Ok(produced) => {
-                let t1 = start.elapsed();
-                let record = TaskRecord {
-                    op: wo.op,
-                    worker: 0,
-                    start: t0,
-                    end: t1,
-                };
-                completed += 1;
-                if let Err(e) = core.on_complete(&wo, produced, record) {
-                    return (completed, Some(e));
+        return run.finish().1;
+    }
+    let workers = run.core.config.mode.workers();
+    let id = run.core.ctx.query;
+    let (jobs, job_rx) = crossbeam::channel::unbounded::<Job>();
+    let (done_tx, done_rx) = crossbeam::channel::unbounded::<Completion>();
+    let run = std::thread::scope(|scope| {
+        for worker in 0..workers {
+            let (job_rx, done_tx) = (job_rx.clone(), done_tx.clone());
+            scope.spawn(move || worker_loop(worker, &job_rx, |c| done_tx.send(c).is_ok()));
+        }
+        drop(done_tx); // the scheduler holds only the receiver
+        let mut dispatcher = Dispatcher::new(jobs, workers);
+        dispatcher.admit(run);
+        loop {
+            dispatcher.runs().for_each(|run| run.check_deadline());
+            dispatcher.dispatch();
+            if dispatcher.runs().all(|run| run.is_done()) {
+                break;
+            }
+            match done_rx.recv() {
+                Ok(c) => dispatcher.on_done(c),
+                // Every worker exited with work still in flight.
+                Err(_) => {
+                    if let Some(run) = dispatcher.get_mut(id) {
+                        run.abandon_in_flight();
+                    }
+                    break;
                 }
             }
-            Err(e) => {
-                core.on_error(&wo);
-                return (completed, Some(e));
-            }
         }
-    }
-    (completed, None)
+        // Dropping the dispatcher hangs up the job channel: the workers exit
+        // and the scope joins them before teardown.
+        dispatcher.remove(id)
+    });
+    run.expect("a query stays admitted until its loop ends")
+        .finish()
+        .1
 }
 
-/// Message from the scheduler to a worker.
-enum ToWorker {
-    Run(WorkOrder),
-}
-
-/// Message from a worker back to the scheduler.
-struct Completion {
+/// A worker's report: one executed work order, timed on its query's clock.
+pub(crate) struct Completion {
     wo: WorkOrder,
     worker: usize,
     start: Duration,
@@ -1167,147 +1164,310 @@ struct Completion {
     produced: Result<Vec<StorageBlock>>,
 }
 
-/// Worker-pool loop body: a scheduler (the calling thread) plus
-/// `mode.workers()` worker threads — the Quickstep threading model.
-/// [`ExecMode::Parallel`].
-fn drive_parallel<O: SchedulerObserver + MetricsCarrier>(
-    ctx: &Arc<ExecContext>,
-    config: &SchedulerConfig,
-    start: Instant,
-    core: &mut SchedulerCore<O>,
-) -> (usize, Option<EngineError>) {
-    let workers = config.mode.workers();
-    let (work_tx, work_rx) = crossbeam::channel::unbounded::<ToWorker>();
-    let (done_tx, done_rx) = crossbeam::channel::unbounded::<Completion>();
+impl Completion {
+    /// Execute `wo` on the calling thread. Contained: a panicking work order
+    /// becomes a `WorkOrderPanic` completion instead of unwinding the worker
+    /// (and with it the pool).
+    fn execute(ctx: &ExecContext, wo: WorkOrder, worker: usize) -> Self {
+        let start = ctx.elapsed();
+        let produced = execute_work_order_contained(ctx, &wo);
+        Completion {
+            wo,
+            worker,
+            start,
+            end: ctx.elapsed(),
+            produced,
+        }
+    }
+}
 
-    std::thread::scope(|scope| {
-        for worker_id in 0..workers {
-            let work_rx = work_rx.clone();
-            let done_tx = done_tx.clone();
-            let ctx = ctx.clone();
-            scope.spawn(move || {
-                while let Ok(ToWorker::Run(wo)) = work_rx.recv() {
-                    let t0 = start.elapsed();
-                    // Contained execution: a panicking work order becomes a
-                    // `WorkOrderPanic` completion instead of killing the
-                    // worker (and with it the whole pool).
-                    let produced = execute_work_order_contained(&ctx, &wo);
-                    let t1 = start.elapsed();
-                    if done_tx
-                        .send(Completion {
-                            wo,
-                            worker: worker_id,
-                            start: t0,
-                            end: t1,
-                            produced,
-                        })
-                        .is_err()
-                    {
-                        break;
-                    }
+/// Work handed to a worker: the owning query's context travels with the
+/// order, so one worker can execute for many queries back to back.
+pub(crate) type Job = (Arc<ExecContext>, WorkOrder);
+
+/// The body of every worker thread, standalone or in the query service:
+/// execute jobs until the job channel hangs up or `done` refuses a
+/// completion.
+pub(crate) fn worker_loop(
+    worker: usize,
+    jobs: &Receiver<Job>,
+    mut done: impl FnMut(Completion) -> bool,
+) {
+    while let Ok((ctx, wo)) = jobs.recv() {
+        if !done(Completion::execute(&ctx, wo, worker)) {
+            break;
+        }
+    }
+}
+
+/// One query inside a dispatch loop: its scheduling core, the work orders it
+/// has out on workers and the first error it hit. The front end's own
+/// per-query state rides along as `meta`.
+pub(crate) struct QueryRun<O: SchedulerObserver, M = ()> {
+    pub(crate) core: SchedulerCore<O>,
+    pub(crate) meta: M,
+    /// `(seq, op, bytes its stream input charged)` of each work order out on
+    /// a worker: enough to release resources and name operators even if the
+    /// work order itself is lost.
+    in_flight: Vec<(usize, OpId, usize)>,
+    completed: usize,
+    first_error: Option<EngineError>,
+}
+
+impl<O: SchedulerObserver + MetricsCarrier, M> QueryRun<O, M> {
+    pub(crate) fn new(core: SchedulerCore<O>, meta: M) -> Self {
+        QueryRun {
+            core,
+            meta,
+            in_flight: Vec::new(),
+            completed: 0,
+            first_error: None,
+        }
+    }
+
+    /// The query's execution context.
+    pub(crate) fn ctx(&self) -> &Arc<ExecContext> {
+        &self.core.ctx
+    }
+
+    /// Cancel the query once its deadline has passed.
+    pub(crate) fn check_deadline(&self) {
+        if let Some(d) = self.core.config.deadline {
+            if self.core.ctx.elapsed() >= d {
+                self.core.ctx.cancel.cancel();
+            }
+        }
+    }
+
+    /// Time left before the deadline: `None` without one, or once cancelled.
+    pub(crate) fn until_deadline(&self) -> Option<Duration> {
+        let ctx = &self.core.ctx;
+        let d = self
+            .core
+            .config
+            .deadline
+            .filter(|_| !ctx.cancel.is_cancelled())?;
+        Some(d.saturating_sub(ctx.elapsed()))
+    }
+
+    /// The next work order to hand out, recorded as in flight. `None` when
+    /// nothing is ready, and for good once the query failed or was cancelled
+    /// (its in-flight completions still drain).
+    fn next_work_order(&mut self) -> Option<WorkOrder> {
+        if self.first_error.is_some() || self.core.ctx.cancel.is_cancelled() {
+            return None;
+        }
+        let wo = self.core.next_work_order()?;
+        let charged = match &wo.kind {
+            WorkKind::Stream { block }
+                if self.core.plan().topology().stream_parent(wo.op).is_some() =>
+            {
+                block.allocated_bytes()
+            }
+            _ => 0,
+        };
+        self.in_flight.push((wo.seq, wo.op, charged));
+        Some(wo)
+    }
+
+    fn fail(&mut self, e: EngineError) {
+        if self.first_error.is_none() {
+            self.first_error = Some(e);
+        }
+    }
+
+    fn take_in_flight(&mut self, seq: usize) -> Option<(usize, OpId, usize)> {
+        let i = self.in_flight.iter().position(|&(s, ..)| s == seq)?;
+        Some(self.in_flight.swap_remove(i))
+    }
+
+    /// Book a finished work order: route its output through the core, or
+    /// record its error.
+    fn on_done(&mut self, c: Completion) {
+        self.take_in_flight(c.wo.seq);
+        match c.produced {
+            Ok(produced) => {
+                self.completed += 1;
+                let record = TaskRecord {
+                    op: c.wo.op,
+                    worker: c.worker,
+                    start: c.start,
+                    end: c.end,
+                };
+                if let Err(e) = self.core.on_complete(&c.wo, produced, record) {
+                    self.fail(e);
                 }
+            }
+            Err(e) => {
+                self.core.on_error(&c.wo);
+                self.fail(e);
+            }
+        }
+    }
+
+    /// A work order that never reached a worker: the pool hung up.
+    fn lost(&mut self, seq: usize) {
+        if let Some((_, op, charged)) = self.take_in_flight(seq) {
+            self.core.fail_in_flight(op, charged);
+        }
+        self.fail(EngineError::Internal(
+            "worker pool hung up unexpectedly".into(),
+        ));
+    }
+
+    /// Every worker exited with work still in flight: release what the
+    /// stranded work orders charged and name their operators.
+    fn abandon_in_flight(&mut self) {
+        let mut ops: Vec<String> = self
+            .in_flight
+            .iter()
+            .map(|&(_, op, _)| format!("op{} ({})", op, self.core.plan().op(op).name))
+            .collect();
+        ops.sort();
+        ops.dedup();
+        let detail = EngineError::Internal(format!(
+            "all workers exited early with {} work orders in flight on {}",
+            self.in_flight.len(),
+            ops.join(", "),
+        ));
+        for (_, op, bytes) in std::mem::take(&mut self.in_flight) {
+            self.core.fail_in_flight(op, bytes);
+        }
+        self.fail(detail);
+    }
+
+    /// Nothing in flight and nothing more will dispatch: the query finished,
+    /// failed, was cancelled or stalled.
+    pub(crate) fn is_done(&self) -> bool {
+        self.in_flight.is_empty()
+            && (self.first_error.is_some()
+                || self.core.ctx.cancel.is_cancelled()
+                || self.core.all_finished()
+                || self.core.ready_len() == 0)
+    }
+
+    /// Tear down into the query's outcome and hand back the front end's
+    /// state. Error precedence: the first work-order error, else a tripped
+    /// token (deadline or external cancel), else a stall diagnostic. Every
+    /// byte the query charged is released either way.
+    pub(crate) fn finish(self) -> (M, Outcome) {
+        let QueryRun {
+            core,
+            meta,
+            completed,
+            mut first_error,
+            ..
+        } = self;
+        let ctx = core.ctx.clone();
+        if first_error.is_none() && ctx.cancel.is_cancelled() {
+            // Placeholder counters, rewritten by `finalize_error`.
+            first_error = Some(EngineError::Cancelled {
+                after: Duration::ZERO,
+                completed_work_orders: 0,
             });
         }
-        drop(done_tx); // scheduler holds only the receiver
+        if first_error.is_none() && !core.all_finished() {
+            first_error = Some(core.stall_error());
+        }
+        let wall = ctx.elapsed();
+        let workers = core.config.mode.workers();
+        let (blocks, metrics) = core.into_results(wall, workers);
+        let outcome = match first_error {
+            None => Ok((blocks, metrics)),
+            Some(e) => Err(Box::new(FailedQuery {
+                error: finalize_error(e, wall, completed),
+                partial_metrics: metrics,
+            })),
+        };
+        (meta, outcome)
+    }
+}
 
-        let mut free_slots = workers;
-        // seq -> (op, bytes its stream input charged): enough to release
-        // resources and name operators even if the work order body is lost.
-        let mut in_flight: HashMap<usize, (OpId, usize)> = HashMap::new();
-        let mut first_error: Option<EngineError> = None;
-        let mut completed = 0usize;
+/// The parallel dispatch loop's state: the active queries, a round-robin
+/// ring over them and the free worker slots. The query service runs one over
+/// its shared pool; a standalone parallel run, one per query.
+pub(crate) struct Dispatcher<O: SchedulerObserver, M> {
+    jobs: Sender<Job>,
+    free_slots: usize,
+    ring: VecDeque<QueryId>,
+    runs: HashMap<QueryId, QueryRun<O, M>>,
+}
 
-        loop {
-            if let Some(d) = config.deadline {
-                if start.elapsed() >= d {
-                    ctx.cancel.cancel();
-                }
-            }
-            // Dispatch as much ready work as workers can take — unless the
-            // query already failed or was cancelled.
-            if first_error.is_none() && !ctx.cancel.is_cancelled() {
-                while free_slots > 0 {
-                    match core.next_work_order() {
-                        Some(wo) => {
-                            free_slots -= 1;
-                            let charged = match &wo.kind {
-                                WorkKind::Stream { block }
-                                    if ctx.plan.topology().stream_parent(wo.op).is_some() =>
-                                {
-                                    block.allocated_bytes()
-                                }
-                                _ => 0,
-                            };
-                            in_flight.insert(wo.seq, (wo.op, charged));
-                            if work_tx.send(ToWorker::Run(wo)).is_err() {
-                                if first_error.is_none() {
-                                    first_error = Some(EngineError::Internal(
-                                        "worker pool hung up unexpectedly".into(),
-                                    ));
-                                }
-                                break;
-                            }
-                        }
-                        None => break,
-                    }
-                }
-            }
-            if in_flight.is_empty() {
-                break;
-            }
-            let comp = match done_rx.recv() {
-                Ok(c) => c,
-                Err(_) => {
-                    // All workers exited with work still in flight. Name the
-                    // stranded operators (mirrors the stall diagnostic).
-                    let mut ops: Vec<String> = in_flight
-                        .values()
-                        .map(|&(op, _)| format!("op{} ({})", op, ctx.plan.op(op).name))
-                        .collect();
-                    ops.sort();
-                    ops.dedup();
-                    let detail = EngineError::Internal(format!(
-                        "all workers exited early with {} work orders in flight on {}",
-                        in_flight.len(),
-                        ops.join(", "),
-                    ));
-                    for (_, (op, bytes)) in in_flight.drain() {
-                        core.fail_in_flight(op, bytes);
-                    }
-                    if first_error.is_none() {
-                        first_error = Some(detail);
-                    }
+impl<O: SchedulerObserver + MetricsCarrier, M> Dispatcher<O, M> {
+    pub(crate) fn new(jobs: Sender<Job>, workers: usize) -> Self {
+        Dispatcher {
+            jobs,
+            free_slots: workers,
+            ring: VecDeque::new(),
+            runs: HashMap::new(),
+        }
+    }
+
+    /// The active queries.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = &QueryRun<O, M>> {
+        self.runs.values()
+    }
+
+    pub(crate) fn get_mut(&mut self, id: QueryId) -> Option<&mut QueryRun<O, M>> {
+        self.runs.get_mut(&id)
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.runs.is_empty()
+    }
+
+    /// Put a query on the ring.
+    pub(crate) fn admit(&mut self, run: QueryRun<O, M>) {
+        let id = run.core.ctx.query;
+        self.ring.push_back(id);
+        self.runs.insert(id, run);
+    }
+
+    /// Take a query off the ring.
+    pub(crate) fn remove(&mut self, id: QueryId) -> Option<QueryRun<O, M>> {
+        self.ring.retain(|&x| x != id);
+        self.runs.remove(&id)
+    }
+
+    /// Fill free worker slots round-robin: one work order per query per
+    /// pass, so every active query makes progress each turn.
+    pub(crate) fn dispatch(&mut self) {
+        while self.free_slots > 0 && !self.ring.is_empty() {
+            let mut dispatched_any = false;
+            for _ in 0..self.ring.len() {
+                if self.free_slots == 0 {
                     break;
                 }
-            };
-            free_slots += 1;
-            in_flight.remove(&comp.wo.seq);
-            match comp.produced {
-                Ok(produced) => {
-                    completed += 1;
-                    let record = TaskRecord {
-                        op: comp.wo.op,
-                        worker: comp.worker,
-                        start: comp.start,
-                        end: comp.end,
-                    };
-                    if let Err(e) = core.on_complete(&comp.wo, produced, record) {
-                        if first_error.is_none() {
-                            first_error = Some(e);
-                        }
-                    }
+                let id = self.ring.pop_front().expect("ring is non-empty");
+                self.ring.push_back(id);
+                let Some(run) = self.runs.get_mut(&id) else {
+                    continue;
+                };
+                let Some(wo) = run.next_work_order() else {
+                    continue;
+                };
+                let seq = wo.seq;
+                if self.jobs.send((run.core.ctx.clone(), wo)).is_err() {
+                    run.lost(seq);
+                    continue;
                 }
-                Err(e) => {
-                    core.on_error(&comp.wo);
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
-                }
+                self.free_slots -= 1;
+                dispatched_any = true;
+            }
+            if !dispatched_any {
+                break;
             }
         }
-        drop(work_tx); // stop workers
-        (completed, first_error)
-    })
+    }
+
+    /// A worker reported back: free its slot and book the completion on its
+    /// query, which stays admitted until its in-flight work drains.
+    pub(crate) fn on_done(&mut self, c: Completion) {
+        self.free_slots += 1;
+        if let Some(run) = self.runs.get_mut(&c.wo.query) {
+            run.on_done(c);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,13 +1,16 @@
 //! The multi-query service: one worker pool, one memory budget, many
 //! concurrent queries.
 //!
-//! The [`Engine`](crate::engine::Engine) spins up a fresh scheduler and
-//! worker pool per query — the right shape for studying one query's UoT
+//! The [`Engine`](crate::engine::Engine) runs one query at a time on the
+//! caller's thread — the right shape for studying one query's UoT
 //! behaviour, the wrong shape for a server. [`QueryService`] is the
 //! long-lived form: a single scheduler thread multiplexes one
-//! [`SchedulerCore`] per admitted query over a shared pool of worker
-//! threads, and every dispatched [`WorkOrder`], pool allocation, metric and
-//! trace event carries the query's [`QueryId`].
+//! [`SchedulerCore`](crate::scheduler::SchedulerCore) per admitted query
+//! over a shared pool of worker threads, and every dispatched work order,
+//! pool allocation, metric and trace event carries the query's [`QueryId`].
+//! Everything else about a query's life — its preparation, the budget-retry
+//! rule, teardown and the dispatch loop itself — is the code a standalone
+//! `Engine` run uses.
 //!
 //! Three mechanisms keep tenants honest:
 //!
@@ -18,10 +21,10 @@
 //!   never fit is rejected immediately with
 //!   [`EngineError::AdmissionRejected`].
 //! * **Per-query budgets** — an admitted query allocates from its own
-//!   [`BlockPool`] whose [`MemoryTracker`] is parented on the service-wide
-//!   tracker, so a query that outgrows its reservation fails alone with
-//!   [`EngineError::BudgetExceeded`] (naming its [`QueryId`]) while the
-//!   global gauge stays exact.
+//!   [`BlockPool`](uot_storage::BlockPool) whose [`MemoryTracker`] is
+//!   parented on the service-wide tracker, so a query that outgrows its
+//!   reservation fails alone with [`EngineError::BudgetExceeded`] (naming its
+//!   [`QueryId`]) while the global gauge stays exact.
 //! * **Fair dispatch** — ready work is drawn round-robin across active
 //!   queries, one work order per query per turn, so a block-rich scan
 //!   cannot starve a short probe. Within one query the per-operator
@@ -32,38 +35,30 @@
 //! drain back to the global tracker — while sibling queries keep running.
 
 use crate::cancel::CancellationToken;
-use crate::engine::QueryResult;
+use crate::engine::{EngineConfig, ExecMode, QueryResult, TraceConfig};
 use crate::error::EngineError;
 use crate::exec_options::ExecOptions;
-use crate::metrics::TaskRecord;
-use crate::obs::hub::{HubCounter, HubHistogram, HubObserver};
-use crate::obs::observer::MaybeTracingObserver;
+use crate::fault::FaultPlan;
+use crate::lifecycle::{self, Prepared, QueryObserver};
+use crate::metrics::Degradation;
+use crate::obs::hub::{HubCounter, HubHistogram};
 use crate::obs::{
-    CompositeObserver, ExplainAnalyze, HubSnapshot, IntrospectionServer, LiveQuery, LiveRegistry,
-    MetricsHub, ServerState, TracingObserver, WatchdogConfig,
+    HubSnapshot, IntrospectionServer, LiveQuery, LiveRegistry, MetricsHub, ServerState,
+    WatchdogConfig,
 };
-use crate::ops::execute_work_order_contained;
-use crate::plan::{OpId, OperatorKind, QueryPlan};
+use crate::plan::QueryPlan;
 use crate::query_id::QueryId;
-use crate::scheduler::{ExecMode, MetricsObserver, SchedulerConfig, SchedulerCore};
-use crate::state::ExecContext;
+use crate::scheduler::{worker_loop, Completion, Dispatcher, Job, QueryRun, SchedulerConfig};
 use crate::trace::{TraceSink, DEFAULT_TRACE_CAPACITY};
 use crate::uot::Uot;
-use crate::work_order::{WorkKind, WorkOrder};
 use crate::Result;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use uot_sql::{CacheStats, PlanCache, PlanCacheOutcome};
-use uot_storage::{BlockFormat, BlockPool, Catalog, MemoryTracker, Schema, StorageBlock};
-
-/// The per-query observer stack: metrics always, the live hub always,
-/// tracing when enabled. One concrete type so every query's
-/// [`SchedulerCore`] is the same type.
-type ServiceObserver =
-    CompositeObserver<MetricsObserver, CompositeObserver<HubObserver, MaybeTracingObserver>>;
+use uot_storage::{BlockFormat, Catalog, MemoryTracker};
 
 /// Service-wide configuration: the shared worker pool, the global memory
 /// budget admission control carves reservations from, and the per-query
@@ -163,14 +158,36 @@ impl ServiceConfig {
                 self.default_reservation, self.memory_budget
             )));
         }
-        if self.max_dop_per_op == Some(0) {
-            return Err(EngineError::Config(
-                "max_dop_per_op must be at least 1 (Some(0) would make every \
-                 operator unschedulable)"
-                    .into(),
-            ));
+        SchedulerConfig {
+            max_dop_per_op: self.max_dop_per_op,
+            ..Default::default()
         }
-        Ok(())
+        .validate()
+    }
+
+    /// The configuration a query runs under before its own [`ExecOptions`]
+    /// are layered on: the service's per-query defaults, the shared pool's
+    /// width, the default reservation as its budget and the service's hub.
+    fn query_defaults(&self, trace: bool, hub: &Arc<MetricsHub>) -> EngineConfig {
+        EngineConfig {
+            block_bytes: self.block_bytes,
+            temp_format: self.temp_format,
+            default_uot: self.default_uot,
+            mode: ExecMode::Parallel {
+                workers: self.workers,
+            },
+            max_dop_per_op: self.max_dop_per_op,
+            hash_table_shards: self.hash_table_shards,
+            pool_reuse: self.pool_reuse,
+            memory_budget: Some(self.default_reservation),
+            degrade: self.degrade,
+            deadline: None,
+            trace: trace.then_some(TraceConfig {
+                capacity: self.trace_capacity,
+            }),
+            fusion: self.fusion,
+            hub: Some(hub.clone()),
+        }
     }
 }
 
@@ -211,11 +228,14 @@ impl QueryHandle {
     }
 }
 
-/// One query as submitted, before admission.
-struct Submission {
+/// The service's record of one submitted query, from submission to reply.
+/// It outlives a budget retry, which re-runs the query under the same id,
+/// reservation and token.
+struct Ticket {
     id: QueryId,
-    plan: QueryPlan,
-    opts: ExecOptions,
+    /// The service defaults with the query's options layered on.
+    cfg: EngineConfig,
+    faults: Option<Arc<FaultPlan>>,
     token: CancellationToken,
     reply: Sender<Result<QueryResult>>,
     reservation: usize,
@@ -228,15 +248,18 @@ struct Submission {
     /// `EXPLAIN ANALYZE` submission: deliver the rendered plan tree as the
     /// result rows instead of the statement's own output.
     explain: bool,
+    /// The running attempt's trace sink and live-registry record.
+    sink: Option<Arc<TraceSink>>,
+    live: Option<Arc<LiveQuery>>,
+    /// Set once the budget-retry rule fired: the retry's result records it,
+    /// and no second retry follows.
+    degraded: Option<Degradation>,
 }
 
-/// A finished work order reported back by a worker.
-struct Completion {
-    wo: WorkOrder,
-    worker: usize,
-    start: Duration,
-    end: Duration,
-    produced: Result<Vec<StorageBlock>>,
+/// One query as submitted, before admission.
+struct Submission {
+    plan: QueryPlan,
+    ticket: Ticket,
 }
 
 /// Everything the scheduler thread multiplexes over one channel — no
@@ -245,12 +268,6 @@ enum ToService {
     Submit(Box<Submission>),
     Done(Box<Completion>),
     Shutdown,
-}
-
-/// Work handed to a shared worker: the owning query's context travels with
-/// the order, so one worker executes for many queries back to back.
-enum ToWorker {
-    Run(Arc<ExecContext>, WorkOrder),
 }
 
 /// A long-lived, multi-query execution service (see the module docs).
@@ -288,40 +305,21 @@ impl QueryService {
         let hub = Arc::new(MetricsHub::new());
         let registry = Arc::new(LiveRegistry::new());
         let (to_service, service_rx) = crossbeam::channel::unbounded::<ToService>();
-        let (work_tx, work_rx) = crossbeam::channel::unbounded::<ToWorker>();
-        let mut workers = Vec::with_capacity(config.workers);
-        for worker_id in 0..config.workers {
-            let work_rx = work_rx.clone();
-            let done_tx = to_service.clone();
-            workers.push(std::thread::spawn(move || {
-                while let Ok(ToWorker::Run(ctx, wo)) = work_rx.recv() {
-                    let t0 = ctx.elapsed();
-                    // Contained execution: a panicking work order becomes an
-                    // error completion instead of killing a shared worker.
-                    let produced = execute_work_order_contained(&ctx, &wo);
-                    let t1 = ctx.elapsed();
-                    if done_tx
-                        .send(ToService::Done(Box::new(Completion {
-                            wo,
-                            worker: worker_id,
-                            start: t0,
-                            end: t1,
-                            produced,
-                        })))
-                        .is_err()
-                    {
-                        break;
-                    }
-                }
-            }));
-        }
+        let (jobs, job_rx) = crossbeam::channel::unbounded::<Job>();
+        let workers = (0..config.workers)
+            .map(|worker| {
+                let (job_rx, done) = (job_rx.clone(), to_service.clone());
+                std::thread::spawn(move || {
+                    worker_loop(worker, &job_rx, |c| {
+                        done.send(ToService::Done(Box::new(c))).is_ok()
+                    })
+                })
+            })
+            .collect();
         let loop_state = SchedulerLoop {
             config: config.clone(),
             tracker: tracker.clone(),
-            work_tx,
-            free_slots: config.workers,
-            active: HashMap::new(),
-            order: VecDeque::new(),
+            queries: Dispatcher::new(jobs, config.workers),
             pending: VecDeque::new(),
             reserved: 0,
             draining: false,
@@ -482,21 +480,27 @@ impl QueryService {
         let id = QueryId::new(self.next_id.fetch_add(1, Ordering::Relaxed));
         let token = CancellationToken::new();
         let (reply_tx, reply_rx) = crossbeam::channel::unbounded();
-        let reservation = opts.reservation.unwrap_or(self.config.default_reservation);
-        self.hub.add(HubCounter::QueriesSubmitted, 1);
-        let sub = Submission {
+        let defaults = self
+            .config
+            .query_defaults(self.config.trace || opts.trace, &self.hub);
+        let (cfg, plan) = opts.apply(defaults, plan);
+        lifecycle::hub_submitted(&self.hub);
+        let ticket = Ticket {
             id,
-            plan,
-            opts,
+            reservation: cfg.memory_budget.unwrap_or(self.config.default_reservation),
+            cfg,
+            faults: opts.faults,
             token: token.clone(),
             reply: reply_tx,
-            reservation,
             cache,
             submitted: Instant::now(),
             explain,
+            sink: None,
+            live: None,
+            degraded: None,
         };
         self.to_service
-            .send(ToService::Submit(Box::new(sub)))
+            .send(ToService::Submit(Box::new(Submission { plan, ticket })))
             .map_err(|_| EngineError::ServiceShutdown)?;
         Ok(QueryHandle {
             id,
@@ -535,40 +539,12 @@ impl Drop for QueryService {
     }
 }
 
-/// Scheduler-thread state of one admitted query.
-struct ActiveQuery {
-    ctx: Arc<ExecContext>,
-    core: SchedulerCore<ServiceObserver>,
-    reply: Sender<Result<QueryResult>>,
-    schema: Arc<Schema>,
-    sink: Option<Arc<TraceSink>>,
-    reservation: usize,
-    /// Plan-cache outcome for SQL submissions, stamped onto the metrics.
-    cache: Option<PlanCacheOutcome>,
-    /// Deadline relative to admission (the context's start).
-    deadline: Option<Duration>,
-    /// Submission time (the hub's end-to-end latency histogram).
-    submitted: Instant,
-    /// Deliver the rendered `EXPLAIN ANALYZE` tree as the result rows.
-    explain: bool,
-    /// This query's live-registry record.
-    live: Arc<LiveQuery>,
-    /// seq -> (op, bytes its stream input charged): enough to release
-    /// resources and attribute losses even if a work order body is lost.
-    in_flight: HashMap<usize, (OpId, usize)>,
-    completed: usize,
-    first_error: Option<EngineError>,
-}
-
 /// The scheduler thread's event loop.
 struct SchedulerLoop {
     config: ServiceConfig,
     tracker: Arc<MemoryTracker>,
-    work_tx: Sender<ToWorker>,
-    free_slots: usize,
-    active: HashMap<QueryId, ActiveQuery>,
-    /// Round-robin dispatch ring over active queries.
-    order: VecDeque<QueryId>,
+    /// Admitted queries, dispatched round-robin over the shared workers.
+    queries: Dispatcher<QueryObserver, Ticket>,
     /// FIFO admission queue (reservations that do not currently fit).
     pending: VecDeque<Box<Submission>>,
     /// Sum of active reservations, ≤ `config.memory_budget`.
@@ -587,8 +563,8 @@ impl SchedulerLoop {
             // Sweep before dispatching: finalizing a drained query may admit
             // a queued one, whose first work orders dispatch this same turn.
             self.sweep_finished();
-            self.dispatch();
-            if self.draining && self.active.is_empty() {
+            self.queries.dispatch();
+            if self.draining && self.queries.is_empty() {
                 self.admit_pending(); // draining: rejects everything queued
                 break;
             }
@@ -605,156 +581,68 @@ impl SchedulerLoop {
             };
             match msg {
                 ToService::Submit(sub) => self.handle_submit(sub),
-                ToService::Done(c) => self.handle_done(*c),
+                ToService::Done(c) => self.queries.on_done(*c),
                 ToService::Shutdown => self.draining = true,
             }
         }
-        // `work_tx` drops here; idle workers see the hangup and exit.
+        // The job channel hangs up with the dispatcher; idle workers exit.
     }
 
     /// Nearest deadline among active, not-yet-cancelled queries — the recv
     /// timeout that guarantees deadlines fire while the service is idle.
     fn next_deadline(&self) -> Option<Duration> {
-        self.active
-            .values()
-            .filter(|q| !q.ctx.cancel.is_cancelled())
-            .filter_map(|q| q.deadline.map(|d| d.saturating_sub(q.ctx.elapsed())))
-            .min()
+        self.queries.runs().filter_map(|q| q.until_deadline()).min()
     }
 
     fn check_deadlines(&self) {
-        for q in self.active.values() {
-            if let Some(d) = q.deadline {
-                if q.ctx.elapsed() >= d {
-                    q.ctx.cancel.cancel();
+        for q in self.queries.runs() {
+            q.check_deadline();
+            if q.ctx().cancel.is_cancelled() {
+                if let Some(live) = &q.meta.live {
+                    live.set_cancelling();
                 }
-            }
-            if q.ctx.cancel.is_cancelled() {
-                q.live.set_cancelling();
             }
         }
     }
 
-    /// Fill free worker slots round-robin: one work order per query per
-    /// pass, so every active query makes progress each turn.
-    fn dispatch(&mut self) {
-        while self.free_slots > 0 && !self.order.is_empty() {
-            let mut dispatched_any = false;
-            for _ in 0..self.order.len() {
-                if self.free_slots == 0 {
-                    break;
-                }
-                let id = self.order.pop_front().expect("ring is non-empty");
-                self.order.push_back(id);
-                let Some(q) = self.active.get_mut(&id) else {
-                    continue;
-                };
-                // A failed or cancelled query stops dispatching; its
-                // in-flight completions still drain through `handle_done`.
-                if q.first_error.is_some() || q.ctx.cancel.is_cancelled() {
-                    continue;
-                }
-                let Some(wo) = q.core.next_work_order() else {
-                    continue;
-                };
-                let charged = match &wo.kind {
-                    WorkKind::Stream { block }
-                        if q.ctx.plan.topology().stream_parent(wo.op).is_some() =>
-                    {
-                        block.allocated_bytes()
-                    }
-                    _ => 0,
-                };
-                let (seq, op) = (wo.seq, wo.op);
-                q.in_flight.insert(seq, (op, charged));
-                if self.work_tx.send(ToWorker::Run(q.ctx.clone(), wo)).is_err() {
-                    q.in_flight.remove(&seq);
-                    q.core.fail_in_flight(op, charged);
-                    if q.first_error.is_none() {
-                        q.first_error = Some(EngineError::Internal(
-                            "worker pool hung up unexpectedly".into(),
-                        ));
-                    }
-                    continue;
-                }
-                self.free_slots -= 1;
-                dispatched_any = true;
-            }
-            if !dispatched_any {
-                break;
-            }
-        }
-    }
-
-    fn handle_done(&mut self, c: Completion) {
-        self.free_slots += 1;
-        // The query must still be active: finalization requires in-flight
-        // work to have drained. Defensive skip if it somehow is not.
-        let Some(q) = self.active.get_mut(&c.wo.query) else {
-            return;
-        };
-        q.in_flight.remove(&c.wo.seq);
-        match c.produced {
-            Ok(produced) => {
-                q.completed += 1;
-                let record = TaskRecord {
-                    op: c.wo.op,
-                    worker: c.worker,
-                    start: c.start,
-                    end: c.end,
-                };
-                if let Err(e) = q.core.on_complete(&c.wo, produced, record) {
-                    if q.first_error.is_none() {
-                        q.first_error = Some(e);
-                    }
-                }
-            }
-            Err(e) => {
-                q.core.on_error(&c.wo);
-                if q.first_error.is_none() {
-                    q.first_error = Some(e);
-                }
-            }
-        }
+    /// Whether `reservation` fits beside the active ones. Checked: a sum
+    /// past `usize::MAX` fits no budget.
+    fn fits(&self, reservation: usize) -> bool {
+        self.reserved
+            .checked_add(reservation)
+            .is_some_and(|total| total <= self.config.memory_budget)
     }
 
     fn handle_submit(&mut self, sub: Box<Submission>) {
+        let (query, reservation) = (sub.ticket.id, sub.ticket.reservation);
+        let budget = self.config.memory_budget;
+        let rejected = |reason: String| EngineError::AdmissionRejected {
+            query,
+            reservation,
+            budget,
+            reason,
+        };
         if self.draining {
-            self.hub.add(HubCounter::QueriesFailed, 1);
-            let _ = sub.reply.send(Err(EngineError::ServiceShutdown));
-            return;
-        }
-        if let Err(e) = validate_plan(&sub.plan, &self.config) {
-            self.hub.add(HubCounter::QueriesFailed, 1);
-            let _ = sub.reply.send(Err(e));
-            return;
-        }
-        if sub.reservation == 0 || sub.reservation > self.config.memory_budget {
+            self.reply(sub.ticket, Err(EngineError::ServiceShutdown));
+        } else if reservation == 0 || reservation > budget {
             self.hub.add(HubCounter::AdmissionRejected, 1);
-            let _ = sub.reply.send(Err(EngineError::AdmissionRejected {
-                query: sub.id,
-                reservation: sub.reservation,
-                budget: self.config.memory_budget,
-                reason: "reservation can never fit the global budget".into(),
-            }));
-            return;
-        }
-        // FIFO admission: no queue-jumping past an earlier waiter even if
-        // this reservation would fit right now.
-        if self.pending.is_empty() && self.reserved + sub.reservation <= self.config.memory_budget {
+            let e = rejected("reservation can never fit the global budget".into());
+            self.reply(sub.ticket, Err(e));
+        } else if self.pending.is_empty() && self.fits(reservation) {
+            // FIFO admission: no queue-jumping past an earlier waiter even
+            // if this reservation would fit right now.
             self.activate(*sub);
         } else if self.pending.len() < self.config.max_queued {
             self.hub.add(HubCounter::AdmissionQueued, 1);
-            self.registry.enqueue(sub.id, sub.reservation);
+            self.registry.enqueue(query, reservation);
             self.pending.push_back(sub);
         } else {
             self.hub.add(HubCounter::AdmissionRejected, 1);
-            let _ = sub.reply.send(Err(EngineError::AdmissionRejected {
-                query: sub.id,
-                reservation: sub.reservation,
-                budget: self.config.memory_budget,
-                reason: format!("admission queue full ({} queued)", self.pending.len()),
-            }));
+            let e = rejected(format!(
+                "admission queue full ({} queued)",
+                self.pending.len()
+            ));
+            self.reply(sub.ticket, Err(e));
         }
     }
 
@@ -762,181 +650,63 @@ impl SchedulerLoop {
     /// (on draining: reject them all).
     fn admit_pending(&mut self) {
         while let Some(front) = self.pending.front() {
-            if self.draining {
-                let sub = self.pending.pop_front().expect("front exists");
-                self.registry.remove(sub.id);
-                let _ = sub.reply.send(Err(EngineError::ServiceShutdown));
-                continue;
-            }
-            if self.reserved + front.reservation > self.config.memory_budget {
+            if !self.draining && !self.fits(front.ticket.reservation) {
                 break;
             }
             let sub = self.pending.pop_front().expect("front exists");
-            self.activate(*sub);
+            if self.draining {
+                self.reply(sub.ticket, Err(EngineError::ServiceShutdown));
+            } else {
+                self.activate(*sub);
+            }
         }
     }
 
-    /// Carve the query's reservation out of the global budget and set up its
-    /// context, observer stack and scheduling core.
+    /// Carve the query's reservation out of the global budget and start its
+    /// first attempt.
     fn activate(&mut self, sub: Submission) {
-        let Submission {
-            id,
-            plan,
-            opts,
-            token,
-            reply,
-            reservation,
-            cache,
-            submitted,
-            explain,
-        } = sub;
+        let Submission { plan, ticket } = sub;
         self.hub.record(
             HubHistogram::AdmissionWaitUs,
-            submitted.elapsed().as_micros() as u64,
+            ticket.submitted.elapsed().as_micros() as u64,
         );
-        // The per-query tracker mirrors into the service tracker (charged
-        // against the *global* budget first), and the per-query pool caps
-        // this query at its own reservation.
-        let tracker = MemoryTracker::with_parent(self.tracker.clone(), self.config.memory_budget);
-        let pool = BlockPool::with_budget(tracker.clone(), reservation);
-        pool.set_reuse_enabled(self.config.pool_reuse);
-        let plan = Arc::new(plan);
-        let schema = plan.result_schema().clone();
-        let sink = (self.config.trace || opts.trace)
-            .then(|| TraceSink::for_query(self.config.trace_capacity, id));
-        // The query's live record: progress, occupancy and spill activity
-        // stream into it from the observer stack and the spill hook, and the
-        // HTTP endpoint and watchdog read it concurrently.
-        let live = LiveQuery::new(
-            id,
-            plan.ops()[plan.sink()].name.clone(),
-            reservation,
-            opts.deadline,
-            tracker.clone(),
-            sink.clone(),
-            plan.len(),
-        );
-        // Spill mode gives this query a private disk tier charged against its
-        // own tracker: evicted bytes come off the reservation (and thus the
-        // global budget), so only resident bytes count toward admission.
-        let degrade = opts.degrade.unwrap_or(self.config.degrade);
-        let spill_enabled = degrade == crate::engine::DegradePolicy::Spill;
-        if spill_enabled {
-            match uot_storage::SpillStore::new(None, tracker.clone()) {
-                Ok(store) => {
-                    store.set_observer(crate::spill::EngineSpillHook::with_telemetry(
-                        opts.faults.clone(),
-                        sink.clone(),
-                        tracker.clone(),
-                        Some(self.hub.clone()),
-                        Some(live.clone()),
-                    ));
-                    pool.enable_spill(store);
-                }
-                Err(e) => {
-                    self.registry.remove(id);
-                    self.hub.add(HubCounter::QueriesFailed, 1);
-                    let _ = reply.send(Err(e.into()));
-                    return;
-                }
-            }
-        }
-        let ctx = match ExecContext::new(
+        self.reserved += ticket.reservation;
+        self.start_attempt(Arc::new(plan), ticket);
+    }
+
+    /// Prepare an attempt of an admitted query, its tracker parented on the
+    /// service's, and put it on the dispatch ring. A query that cannot be
+    /// prepared (invalid plan, spill tier unavailable) is answered at once.
+    fn start_attempt(&mut self, plan: Arc<QueryPlan>, mut ticket: Ticket) {
+        let prepared = lifecycle::prepare(
+            &ticket.cfg,
             plan,
-            pool,
-            self.config.temp_format,
-            self.config.block_bytes,
-            self.config.hash_table_shards,
-        ) {
-            Ok(c) => c,
-            Err(e) => {
-                self.registry.remove(id);
-                self.hub.add(HubCounter::QueriesFailed, 1);
-                let _ = reply.send(Err(e));
-                return;
+            ticket.id,
+            &ticket.token,
+            ticket.faults.as_ref(),
+            Some((&self.tracker, self.config.memory_budget)),
+        );
+        match prepared {
+            Ok(Prepared { core, sink, live }) => {
+                if let Some(live) = &live {
+                    self.registry.admit(live.clone());
+                }
+                ticket.sink = sink;
+                ticket.live = live;
+                self.queries.admit(QueryRun::new(core, ticket));
             }
-        };
-        let mut ctx = ctx.with_query(id).with_cancellation(token);
-        if let Some(faults) = opts.faults {
-            ctx = ctx.with_faults(faults);
+            Err(e) => self.release(ticket, Err(e)),
         }
-        if let Some(sink) = &sink {
-            ctx = ctx.with_trace(sink.clone());
-        }
-        if spill_enabled {
-            ctx.plan_grace(reservation);
-        }
-        let uot = opts.uot.unwrap_or(self.config.default_uot).normalized();
-        // Fused chains hold their intermediate state in registers and stack —
-        // nothing the pool can evict — so spill mode pins every edge to the
-        // staged path.
-        let fusion_policy = if spill_enabled {
-            crate::fusion::FusionPolicy::Never
-        } else {
-            opts.fusion.unwrap_or(self.config.fusion)
-        };
-        let fusion_state = crate::fusion::plan_fusion(
-            &ctx.plan,
-            fusion_policy,
-            self.config.workers,
-            self.config.block_bytes,
-            uot,
-        );
-        let ctx = Arc::new(ctx.with_fusion(fusion_state));
-        let sched = SchedulerConfig {
-            mode: ExecMode::Parallel {
-                workers: self.config.workers,
-            },
-            default_uot: uot,
-            max_dop_per_op: self.config.max_dop_per_op,
-            deadline: opts.deadline,
-        };
-        let observer = CompositeObserver::new(
-            MetricsObserver::new(&ctx.plan),
-            CompositeObserver::new(
-                HubObserver::new(self.hub.clone(), tracker).with_live(live.clone()),
-                MaybeTracingObserver(sink.clone().map(TracingObserver::new)),
-            ),
-        );
-        let core = SchedulerCore::with_observer(ctx.clone(), sched, observer);
-        self.reserved += reservation;
-        self.order.push_back(id);
-        self.registry.admit(live.clone());
-        self.active.insert(
-            id,
-            ActiveQuery {
-                ctx,
-                core,
-                reply,
-                schema,
-                sink,
-                reservation,
-                cache,
-                deadline: opts.deadline,
-                submitted,
-                explain,
-                live,
-                in_flight: HashMap::new(),
-                completed: 0,
-                first_error: None,
-            },
-        );
     }
 
     /// Finalize every query whose in-flight work has drained and that is
     /// finished, failed, cancelled or stalled.
     fn sweep_finished(&mut self) {
         let done: Vec<QueryId> = self
-            .active
-            .iter()
-            .filter(|(_, q)| {
-                q.in_flight.is_empty()
-                    && (q.first_error.is_some()
-                        || q.ctx.cancel.is_cancelled()
-                        || q.core.all_finished()
-                        || q.core.ready_len() == 0)
-            })
-            .map(|(&id, _)| id)
+            .queries
+            .runs()
+            .filter(|q| q.is_done())
+            .map(|q| q.meta.id)
             .collect();
         for id in done {
             self.finalize(id);
@@ -946,83 +716,61 @@ impl SchedulerLoop {
     /// Tear down one query — the same contract as a standalone run: metrics
     /// are captured, then every byte it charged drains back through its
     /// parented tracker to the service tracker, on success and error paths
-    /// alike. Its reservation is released and queued admissions retried.
+    /// alike. A budget failure the retry rule covers re-runs the query in
+    /// place, keeping its id, reservation, token and what is left of its
+    /// deadline; any other outcome is delivered, the reservation released and
+    /// queued admissions retried.
     fn finalize(&mut self, id: QueryId) {
-        let Some(mut q) = self.active.remove(&id) else {
+        let Some(run) = self.queries.remove(id) else {
             return;
         };
-        self.order.retain(|&x| x != id);
-        // Error precedence mirrors the standalone driver: first work-order
-        // error, else a tripped token, else a stall diagnostic.
-        let mut error = q.first_error.take();
-        if error.is_none() && q.ctx.cancel.is_cancelled() {
-            error = Some(EngineError::Cancelled {
-                after: Duration::ZERO,
-                completed_work_orders: 0,
-            });
-        }
-        if error.is_none() && !q.core.all_finished() {
-            error = Some(q.core.stall_error());
-        }
-        let wall = q.ctx.elapsed();
-        let (blocks, mut metrics) = q.core.into_results(wall, self.config.workers);
-        metrics.plan_cache = q.cache;
-        self.registry.remove(id);
-        match &error {
-            None => self.hub.add(HubCounter::QueriesCompleted, 1),
-            Some(EngineError::Cancelled { .. }) => self.hub.add(HubCounter::QueriesCancelled, 1),
-            Some(_) => self.hub.add(HubCounter::QueriesFailed, 1),
-        }
-        self.hub.record(
-            HubHistogram::QueryLatencyUs,
-            q.submitted.elapsed().as_micros() as u64,
-        );
-        let result = match error {
-            None => {
-                let trace = q
-                    .sink
-                    .map(|s| s.finish(q.ctx.plan.ops().iter().map(|op| op.name.clone()).collect()));
-                let explain = ExplainAnalyze::build(&q.ctx.plan, &metrics);
-                // An EXPLAIN ANALYZE submission delivers the rendered tree
-                // as its rows; everything measured stays attached.
-                let (schema, blocks) = if q.explain {
-                    explain.result_blocks()
-                } else {
-                    (q.schema, blocks)
-                };
-                Ok(QueryResult {
-                    schema,
-                    blocks,
-                    metrics,
-                    trace,
-                    explain: Some(explain),
-                })
+        let plan = run.ctx().plan.clone();
+        let elapsed = run.ctx().elapsed();
+        let (mut ticket, outcome) = run.finish();
+        match outcome {
+            Ok((blocks, mut metrics)) => {
+                metrics.plan_cache = ticket.cache;
+                let mut result =
+                    lifecycle::query_result(&plan, ticket.sink.take(), blocks, metrics);
+                if let Some(d) = ticket.degraded {
+                    lifecycle::record_degradation(&mut result, d);
+                }
+                if ticket.explain {
+                    result = result.into_explain_rows();
+                }
+                self.release(ticket, Ok(result));
             }
-            Some(e) => Err(crate::scheduler::finalize_error(e, wall, q.completed)),
-        };
-        let _ = q.reply.send(result);
-        self.reserved -= q.reservation;
+            Err(failed) => {
+                let retry = match ticket.degraded {
+                    None => lifecycle::budget_retry(&ticket.cfg, &plan, &failed.error, elapsed),
+                    Some(_) => None,
+                };
+                match retry {
+                    Some(retry) => {
+                        ticket.cfg = retry.config;
+                        ticket.degraded = Some(retry.degradation);
+                        self.start_attempt(retry.plan, ticket);
+                    }
+                    None => self.release(ticket, Err(failed.error)),
+                }
+            }
+        }
         self.admit_pending();
     }
-}
 
-/// The per-plan half of [`crate::engine::Engine`]'s config validation:
-/// temporary blocks must hold at least one output tuple of every
-/// block-producing operator.
-fn validate_plan(plan: &QueryPlan, config: &ServiceConfig) -> Result<()> {
-    for (id, op) in plan.ops().iter().enumerate() {
-        if matches!(op.kind, OperatorKind::BuildHash { .. }) {
-            continue;
-        }
-        let width = op.out_schema.tuple_width();
-        if width > config.block_bytes {
-            return Err(EngineError::Config(format!(
-                "block_bytes={} cannot hold one {}-byte tuple of op{} ({})",
-                config.block_bytes, width, id, op.name
-            )));
-        }
+    /// Answer an admitted query and give its reservation back.
+    fn release(&mut self, ticket: Ticket, outcome: Result<QueryResult>) {
+        self.reserved -= ticket.reservation;
+        self.reply(ticket, outcome);
     }
-    Ok(())
+
+    /// Deliver a submission's one outcome. Every submission leaves the
+    /// service through here, so the hub counts each exactly once.
+    fn reply(&self, ticket: Ticket, outcome: Result<QueryResult>) {
+        self.registry.remove(ticket.id);
+        lifecycle::hub_finished(&self.hub, &outcome, ticket.submitted.elapsed());
+        let _ = ticket.reply.send(outcome);
+    }
 }
 
 #[cfg(test)]
@@ -1030,7 +778,7 @@ mod tests {
     use super::*;
     use crate::plan::{JoinType, PlanBuilder, Source};
     use uot_expr::{cmp, col, lit, AggSpec, CmpOp};
-    use uot_storage::{DataType, Table, TableBuilder, Value};
+    use uot_storage::{DataType, Schema, Table, TableBuilder, Value};
 
     fn table(name: &str, n: i32) -> Arc<Table> {
         let s = Schema::from_pairs(&[("k", DataType::Int32), ("v", DataType::Float64)]);
@@ -1336,5 +1084,24 @@ mod tests {
         .unwrap();
         let err = svc.submit(join_agg_plan(10)).unwrap().wait().unwrap_err();
         assert!(matches!(err, EngineError::Config(_)), "{err}");
+    }
+
+    #[test]
+    fn unbounded_budget_admission_does_not_overflow() {
+        // Two usize::MAX reservations against a usize::MAX budget: their sum
+        // overflows, so the second must queue behind the first and run once
+        // the first gives its reservation back.
+        let svc = QueryService::start(ServiceConfig {
+            workers: 1,
+            memory_budget: usize::MAX,
+            ..Default::default()
+        })
+        .unwrap();
+        let opts = ExecOptions::default().with_reservation(usize::MAX);
+        let h1 = svc.submit_with(join_agg_plan(200), opts.clone()).unwrap();
+        let h2 = svc.submit_with(join_agg_plan(200), opts).unwrap();
+        assert_eq!(h1.wait().unwrap().rows()[0][0], Value::I64(20));
+        assert_eq!(h2.wait().unwrap().rows()[0][0], Value::I64(20));
+        assert_eq!(svc.memory_in_use(), 0);
     }
 }

@@ -5,7 +5,8 @@
 //! UoT overrides must produce identical `sorted_rows()` under every
 //! combination of execution mode (serial, 2 and 4 workers), default UoT
 //! (block-level pipelining, grouped, full materialization) and temporary
-//! block format (row, column). This is the paper's premise — the UoT spans a
+//! block format (row, column), and through a `QueryService` as well as the
+//! `Engine`. This is the paper's premise — the UoT spans a
 //! performance spectrum while answers stay fixed — enforced as a property.
 //!
 //! The fact table carries a float column on purpose: `SUM`/`AVG` over
@@ -24,8 +25,8 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use uot_core::trace::TraceEventKind;
 use uot_core::{
-    Engine, EngineConfig, ExecMode, FusionPolicy, JoinType, PlanBuilder, QueryPlan, Source,
-    TraceConfig, Uot,
+    Engine, EngineConfig, ExecMode, FusionPolicy, JoinType, PlanBuilder, QueryPlan, QueryService,
+    ServiceConfig, Source, TraceConfig, Uot,
 };
 use uot_expr::{cmp, col, lit, AggSpec, CmpOp};
 use uot_storage::{BlockFormat, Catalog, DataType, Schema, Table, TableBuilder, Value};
@@ -227,6 +228,15 @@ proptest! {
                 }
             }
         }
+        // The query service (two shared workers) must agree with the engine.
+        let service = QueryService::start(ServiceConfig {
+            workers: 2,
+            block_bytes: 128,
+            ..Default::default()
+        })
+        .unwrap();
+        let rows = service.submit(build_plan(&spec)).unwrap().wait().unwrap().sorted_rows();
+        prop_assert_eq!(&rows, reference.as_ref().unwrap(), "divergence through QueryService");
         // Sanity-check the reference against a direct computation of the
         // expected row count, so the property can't pass vacuously.
         let selected: Vec<(i32, i32)> = spec

@@ -96,7 +96,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {})); // silence the expected panic print
     let err = engine
-        .execute_with_faults(wide_then_narrow(200)?, faults)
+        .execute_with(
+            wide_then_narrow(200)?,
+            ExecOptions::default().with_faults(faults),
+        )
         .unwrap_err();
     std::panic::set_hook(prev);
     println!("injected panic: {err}");
