@@ -163,10 +163,10 @@ fn main() {
         let report = format!(
             "## Always-on MetricsHub overhead (engine, serial, interleaved A/B)\n\n\
              TPC-H SF {sf}, {rounds} interleaved rounds per arm, mean of best 3.\n\
-             \"off\" = no hub installed: the observer stack's hub layer stays\n\
-             empty. \"on\" = EngineConfig::with_hub: the\n\
-             HubObserver accumulates counters and log-bucketed histograms locally\n\
-             and batch-flushes to the sharded hub every 64 events and on drop.\n\n{}\n\
+             \"off\" = no hub installed: the query observer's hub layer stays\n\
+             empty. \"on\" = EngineConfig::with_hub: the observer's hub layer\n\
+             accumulates counters and log-bucketed histograms locally and\n\
+             batch-flushes to the sharded hub every 64 events and on drop.\n\n{}\n\
              Mix-total delta: {mix_delta:+.2}% (gate: <= {:.1}%).\n\n\
              Worst-case bound, tiny-block dispatch stress (informational):\n{}\n\
              The stress rows overstate real cost: with 64-byte blocks the hub's\n\

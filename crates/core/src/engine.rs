@@ -106,7 +106,7 @@ pub struct EngineConfig {
     /// Always-on live metrics: when set, every execution streams its
     /// scheduler events into this [`MetricsHub`] (counters + log-bucketed
     /// histograms) in addition to the per-query [`QueryMetrics`]. `None`
-    /// (the default) leaves the observer stack's hub layer empty.
+    /// (the default) leaves the query observer's hub layer empty.
     pub hub: Option<Arc<MetricsHub>>,
 }
 

@@ -68,19 +68,15 @@ pub use fusion::{FusedChain, FusionPolicy, FusionState};
 pub use hash_table::{JoinHashTable, PayloadRef, ProbeMatch, ProbeSession};
 pub use metrics::{Degradation, EdgeMetrics, OperatorMetrics, QueryMetrics, TaskRecord};
 pub use obs::{
-    prometheus_from_hub, prometheus_snapshot, prometheus_snapshot_merged, CompositeObserver,
-    ExplainAnalyze, HistogramSnapshot, HubCounter, HubHistogram, HubObserver, HubSnapshot,
-    IntrospectionServer, LiveQuery, LiveRegistry, MetricsHub, ServerState, TracingObserver,
+    prometheus_from_hub, ExplainAnalyze, HistogramSnapshot, HubCounter, HubHistogram, HubSnapshot,
+    IntrospectionServer, LiveQuery, LiveRegistry, MetricsHub, QueryObserver, ServerState,
     WatchdogConfig,
 };
 pub use plan::{
     JoinType, LipFilter, OpId, Operator, OperatorKind, PlanBuilder, QueryPlan, SortKey, Source,
 };
 pub use query_id::QueryId;
-pub use scheduler::{run, run_query, MetricsCarrier};
-pub use scheduler::{
-    FailedQuery, MetricsObserver, NoopObserver, SchedulerConfig, SchedulerCore, SchedulerObserver,
-};
+pub use scheduler::{run, run_query, FailedQuery, SchedulerConfig, SchedulerCore};
 pub use service::{QueryHandle, QueryService, ServiceConfig};
 pub use spill::EngineSpillHook;
 pub use sql::{compile, lower};

@@ -5,7 +5,7 @@
 //! into one dispatch loop. Everything between "a plan and its resolved
 //! [`EngineConfig`]" and "a [`QueryResult`]" is the same code for both:
 //! [`prepare`] (validation, tracker and budgeted pool, spill tier,
-//! [`ExecContext`], grace plan, fusion decision, observer stack and
+//! [`ExecContext`], grace plan, fusion decision, observer and
 //! [`SchedulerCore`]), the budget-retry rule ([`budget_retry`] +
 //! [`record_degradation`]), result assembly ([`query_result`]) and the hub's
 //! per-query counters ([`hub_submitted`] / [`hub_finished`]).
@@ -16,13 +16,12 @@ use crate::error::EngineError;
 use crate::fault::FaultPlan;
 use crate::fusion::FusionPolicy;
 use crate::metrics::{Degradation, QueryMetrics};
-use crate::obs::hub::{HubCounter, HubHistogram, HubObserver, MaybeHubObserver, MetricsHub};
+use crate::obs::hub::{HubCounter, HubHistogram, MetricsHub};
 use crate::obs::live::LiveQuery;
-use crate::obs::observer::MaybeTracingObserver;
-use crate::obs::{CompositeObserver, ExplainAnalyze, TracingObserver};
+use crate::obs::{ExplainAnalyze, QueryObserver};
 use crate::plan::{OperatorKind, QueryPlan};
 use crate::query_id::QueryId;
-use crate::scheduler::{MetricsObserver, SchedulerConfig, SchedulerCore};
+use crate::scheduler::{SchedulerConfig, SchedulerCore};
 use crate::state::ExecContext;
 use crate::trace::{TraceEvent, TraceEventKind, TraceSink};
 use crate::Result;
@@ -30,15 +29,9 @@ use std::sync::Arc;
 use std::time::Duration;
 use uot_storage::{BlockPool, MemoryTracker, StorageBlock, StorageError};
 
-/// The observer stack every query runs under: metrics always, the live hub
-/// and tracing when configured. One concrete type for both front ends; an
-/// absent layer costs one branch per event.
-pub(crate) type QueryObserver =
-    CompositeObserver<MetricsObserver, CompositeObserver<MaybeHubObserver, MaybeTracingObserver>>;
-
 /// A prepared attempt, ready to drive.
 pub(crate) struct Prepared {
-    pub core: SchedulerCore<QueryObserver>,
+    pub core: SchedulerCore,
     pub sink: Option<Arc<TraceSink>>,
     /// The live-registry record (service attempts only).
     pub live: Option<Arc<LiveQuery>>,
@@ -116,7 +109,7 @@ pub(crate) fn prepare(
     let spill = cfg.degrade == DegradePolicy::Spill && cfg.memory_budget.is_some();
     if spill {
         let store = uot_storage::SpillStore::new(None, tracker.clone())?;
-        store.set_observer(crate::spill::EngineSpillHook::with_telemetry(
+        store.set_observer(crate::spill::EngineSpillHook::new(
             faults.cloned(),
             sink.clone(),
             tracker.clone(),
@@ -155,20 +148,16 @@ pub(crate) fn prepare(
     let fusion =
         crate::fusion::plan_fusion(&ctx.plan, fusion, cfg.mode.workers(), cfg.block_bytes, uot);
     let ctx = Arc::new(ctx.with_fusion(fusion));
-    let hub = cfg.hub.as_ref().map(|hub| {
-        let observer = HubObserver::new(hub.clone(), tracker);
-        match &live {
-            Some(live) => observer.with_live(live.clone()),
-            None => observer,
-        }
-    });
-    let observer = CompositeObserver::new(
-        MetricsObserver::new(&ctx.plan),
-        CompositeObserver::new(
-            MaybeHubObserver(hub),
-            MaybeTracingObserver(sink.clone().map(TracingObserver::new)),
-        ),
-    );
+    let mut observer = QueryObserver::new(&ctx.plan);
+    if let Some(hub) = &cfg.hub {
+        observer = observer.with_hub(hub.clone(), tracker);
+    }
+    if let Some(sink) = &sink {
+        observer = observer.with_trace(sink.clone());
+    }
+    if let Some(live) = &live {
+        observer = observer.with_live(live.clone());
+    }
     let sched = SchedulerConfig {
         mode: cfg.mode,
         default_uot: uot,

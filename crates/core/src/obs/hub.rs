@@ -4,7 +4,7 @@
 //! — it buffers events and folds them post-hoc. The [`MetricsHub`] is the
 //! complementary *live* surface: a set of sharded, lock-free counters and
 //! log-bucketed (HDR-style) histograms updated **online** from
-//! [`SchedulerObserver`](crate::scheduler::SchedulerObserver) and
+//! [`QueryObserver`](crate::obs::QueryObserver) and
 //! [`SpillObserver`](uot_storage::SpillObserver) events, cheap enough to
 //! leave on for every query. The `/metrics` endpoint and the adaptive-UoT
 //! roadmap both read the same snapshot.
@@ -17,13 +17,9 @@
 //! range. Recording is three relaxed atomic adds on a shard picked by the
 //! calling thread's id; a snapshot folds the shards.
 
-use crate::metrics::TaskRecord;
-use crate::plan::OpId;
-use crate::scheduler::SchedulerObserver;
-use crate::work_order::WorkOrder;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use uot_storage::{MemoryTracker, StorageBlock};
+use uot_storage::MemoryTracker;
 
 /// Monotonic event counters the hub maintains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,6 +186,30 @@ pub fn bucket_bounds(i: usize) -> (u64, u64) {
     }
 }
 
+/// A hash of the calling thread's id — the key sharded recorders (the hub,
+/// [`TraceSink`](crate::trace::TraceSink)) pick a shard by. Computed once per
+/// thread and cached in a TLS cell, because `thread::current()` clones an
+/// `Arc` and hashing it on every event would dominate the cost of recording
+/// the event itself.
+pub(crate) fn thread_shard_key() -> usize {
+    thread_local! {
+        static SHARD_KEY: std::cell::Cell<usize> =
+            const { std::cell::Cell::new(usize::MAX) };
+    }
+    SHARD_KEY.with(|c| {
+        let v = c.get();
+        if v != usize::MAX {
+            return v;
+        }
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        std::thread::current().id().hash(&mut h);
+        let v = h.finish() as usize;
+        c.set(v);
+        v
+    })
+}
+
 /// One shard's histogram: relaxed atomic bucket counts plus count and sum.
 #[derive(Debug)]
 struct ShardHistogram {
@@ -256,27 +276,7 @@ impl MetricsHub {
     }
 
     fn shard(&self) -> &HubShard {
-        // The shard key is a hash of the thread id — computed once per
-        // thread and cached in a TLS cell, because `thread::current()`
-        // clones an `Arc` and hashing it on every counter bump would
-        // dominate the cost of the bump itself.
-        thread_local! {
-            static SHARD_KEY: std::cell::Cell<usize> =
-                const { std::cell::Cell::new(usize::MAX) };
-        }
-        let key = SHARD_KEY.with(|c| {
-            let v = c.get();
-            if v != usize::MAX {
-                return v;
-            }
-            use std::hash::{Hash, Hasher};
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            std::thread::current().id().hash(&mut h);
-            let v = h.finish() as usize;
-            c.set(v);
-            v
-        });
-        &self.shards[key % self.shards.len()]
+        &self.shards[thread_shard_key() % self.shards.len()]
     }
 
     /// Add `delta` to a counter.
@@ -290,8 +290,8 @@ impl MetricsHub {
     }
 
     /// Bulk-merge locally accumulated deltas into the calling thread's
-    /// shard, draining them to zero. The batched path behind
-    /// [`HubObserver`]: one pass over the non-zero entries instead of an
+    /// shard, draining them to zero. The batched path behind a query
+    /// observer's hub layer: one pass over the non-zero entries instead of an
     /// atomic RMW per event. Keeps the snapshot ordering invariant — every
     /// histogram's buckets and sum land before its count (`Release`), so a
     /// concurrent [`snapshot`](Self::snapshot) never sees a count the
@@ -463,23 +463,19 @@ impl HistogramSnapshot {
     }
 }
 
-/// [`SchedulerObserver`] layer feeding a [`MetricsHub`] (and, inside the
-/// service, the live per-query registry) online — no trace replay.
+/// The hub layer of a [`QueryObserver`](crate::obs::QueryObserver): deltas
+/// for a [`MetricsHub`], accumulated online — no trace replay.
 ///
-/// Events are accumulated in plain (non-atomic) local counters — the
-/// observer is owned by one scheduler loop — and pushed to the shared hub
-/// every [`FLUSH_EVERY`] events and on drop. The batching keeps the hub's
+/// Events land in plain (non-atomic) local counters — the observer is owned
+/// by one scheduler loop — and are pushed to the shared hub every
+/// [`FLUSH_EVERY`] events and on drop. The batching keeps the hub's
 /// per-event cost off the dispatch hot path entirely; a `/metrics` scrape
 /// can lag the newest handful of events of an in-flight query by design.
 #[derive(Debug)]
-pub struct HubObserver {
+pub(crate) struct HubObserver {
     hub: Arc<MetricsHub>,
     /// The query's memory tracker, sampled for pool-residency observations.
     tracker: Arc<MemoryTracker>,
-    /// Live per-query status updated alongside the hub (service runs only).
-    /// Live updates are *not* batched: they are a handful of relaxed stores
-    /// the watchdog and `/queries` need promptly.
-    live: Option<Arc<crate::obs::live::LiveQuery>>,
     /// Locally accumulated counter deltas, flushed in bulk.
     local_counters: [u64; NUM_COUNTERS],
     /// Locally accumulated histogram observations, flushed in bulk.
@@ -492,14 +488,11 @@ pub struct HubObserver {
 const FLUSH_EVERY: u32 = 64;
 
 impl HubObserver {
-    /// Observer recording into `hub`; `tracker` is the query's own memory
-    /// tracker (pool residency is sampled from it at each work-order
-    /// completion).
-    pub fn new(hub: Arc<MetricsHub>, tracker: Arc<MemoryTracker>) -> Self {
+    /// Deltas for `hub`; `tracker` is the query's own memory tracker.
+    pub(crate) fn new(hub: Arc<MetricsHub>, tracker: Arc<MemoryTracker>) -> Self {
         HubObserver {
             hub,
             tracker,
-            live: None,
             local_counters: [0; NUM_COUNTERS],
             local_hists: (0..NUM_HISTOGRAMS)
                 .map(|_| HistogramSnapshot::empty())
@@ -508,33 +501,34 @@ impl HubObserver {
         }
     }
 
-    /// Also mirror progress into a live registry entry.
-    pub fn with_live(mut self, live: Arc<crate::obs::live::LiveQuery>) -> Self {
-        self.live = Some(live);
-        self
-    }
-
     #[inline]
-    fn bump(&mut self, c: HubCounter, delta: u64) {
+    pub(crate) fn bump(&mut self, c: HubCounter, delta: u64) {
         self.local_counters[c as usize] += delta;
     }
 
     #[inline]
-    fn note(&mut self, h: HubHistogram, v: u64) {
+    pub(crate) fn note(&mut self, h: HubHistogram, v: u64) {
         self.local_hists[h as usize].record(v);
     }
 
+    /// Sample the query's pool-resident bytes.
     #[inline]
-    fn tick(&mut self) {
+    pub(crate) fn sample_residency(&mut self) {
+        let bytes = self.tracker.current_bytes() as u64;
+        self.note(HubHistogram::PoolResidencyBytes, bytes);
+    }
+
+    /// Count one event; every [`FLUSH_EVERY`] events, push the deltas.
+    #[inline]
+    pub(crate) fn tick(&mut self) {
         self.pending += 1;
         if self.pending >= FLUSH_EVERY {
             self.flush();
         }
     }
 
-    /// Push the locally accumulated deltas to the shared hub now. Called
-    /// automatically every [`FLUSH_EVERY`] events and on drop.
-    pub fn flush(&mut self) {
+    /// Push the locally accumulated deltas to the shared hub now.
+    fn flush(&mut self) {
         if self.pending == 0 {
             return;
         }
@@ -547,130 +541,6 @@ impl HubObserver {
 impl Drop for HubObserver {
     fn drop(&mut self) {
         self.flush();
-    }
-}
-
-impl SchedulerObserver for HubObserver {
-    fn work_order_dispatched(&mut self, _wo: &WorkOrder) {
-        if let Some(live) = &self.live {
-            live.on_dispatched();
-        }
-    }
-
-    fn work_order_completed(&mut self, _wo: &WorkOrder, record: TaskRecord) {
-        self.bump(HubCounter::WorkOrders, 1);
-        self.note(
-            HubHistogram::WorkOrderServiceUs,
-            record.duration().as_micros() as u64,
-        );
-        self.note(
-            HubHistogram::PoolResidencyBytes,
-            self.tracker.current_bytes() as u64,
-        );
-        if let Some(live) = &self.live {
-            live.on_completed();
-        }
-        self.tick();
-    }
-
-    fn blocks_produced(&mut self, _op: OpId, blocks: usize, rows: usize, _bytes: usize) {
-        self.bump(HubCounter::BlocksProduced, blocks as u64);
-        self.bump(HubCounter::RowsProduced, rows as u64);
-        if let Some(live) = &self.live {
-            live.on_rows(rows);
-        }
-        self.tick();
-    }
-
-    fn edge_staged(&mut self, producer: OpId, consumer: OpId, staged: usize, threshold: usize) {
-        self.note(HubHistogram::EdgeOccupancyBlocks, staged as u64);
-        if let Some(live) = &self.live {
-            live.on_edge_staged(producer, consumer, staged, threshold);
-        }
-        self.tick();
-    }
-
-    fn transfer_flushed(
-        &mut self,
-        producer: OpId,
-        _consumer: OpId,
-        blocks: &[Arc<StorageBlock>],
-        partial: bool,
-    ) {
-        self.bump(
-            if partial {
-                HubCounter::PartialTransfers
-            } else {
-                HubCounter::Transfers
-            },
-            1,
-        );
-        self.bump(HubCounter::TransferBlocks, blocks.len() as u64);
-        self.bump(
-            HubCounter::TransferBytes,
-            blocks.iter().map(|b| b.allocated_bytes() as u64).sum(),
-        );
-        if let Some(live) = &self.live {
-            live.on_edge_flushed(producer);
-        }
-        self.tick();
-    }
-}
-
-/// A hub layer that may be absent, mirroring
-/// [`MaybeTracingObserver`](crate::obs::MaybeTracingObserver): every query
-/// runs under one concrete observer stack whether or not a hub is
-/// installed, and an absent layer costs one branch per event.
-#[derive(Debug, Default)]
-pub struct MaybeHubObserver(pub Option<HubObserver>);
-
-impl SchedulerObserver for MaybeHubObserver {
-    fn work_order_dispatched(&mut self, wo: &WorkOrder) {
-        if let Some(h) = &mut self.0 {
-            h.work_order_dispatched(wo);
-        }
-    }
-
-    fn work_order_completed(&mut self, wo: &WorkOrder, record: TaskRecord) {
-        if let Some(h) = &mut self.0 {
-            h.work_order_completed(wo, record);
-        }
-    }
-
-    fn blocks_produced(&mut self, op: OpId, blocks: usize, rows: usize, bytes: usize) {
-        if let Some(h) = &mut self.0 {
-            h.blocks_produced(op, blocks, rows, bytes);
-        }
-    }
-
-    fn blocks_transferred(&mut self, op: OpId, blocks: &[Arc<StorageBlock>]) {
-        if let Some(h) = &mut self.0 {
-            h.blocks_transferred(op, blocks);
-        }
-    }
-
-    fn edge_staged(&mut self, producer: OpId, consumer: OpId, staged: usize, threshold: usize) {
-        if let Some(h) = &mut self.0 {
-            h.edge_staged(producer, consumer, staged, threshold);
-        }
-    }
-
-    fn transfer_flushed(
-        &mut self,
-        producer: OpId,
-        consumer: OpId,
-        blocks: &[Arc<StorageBlock>],
-        partial: bool,
-    ) {
-        if let Some(h) = &mut self.0 {
-            h.transfer_flushed(producer, consumer, blocks, partial);
-        }
-    }
-
-    fn operator_finished(&mut self, op: OpId) {
-        if let Some(h) = &mut self.0 {
-            h.operator_finished(op);
-        }
     }
 }
 

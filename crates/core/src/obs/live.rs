@@ -2,7 +2,7 @@
 //!
 //! Each admitted query gets a [`LiveQuery`] record of lock-free atomics,
 //! updated from the scheduler thread by
-//! [`HubObserver`](crate::obs::hub::HubObserver) and read concurrently by
+//! [`QueryObserver`](crate::obs::QueryObserver) and read concurrently by
 //! the HTTP endpoint and the watchdog thread. Queued submissions appear as
 //! lightweight [`QueuedEntry`]s so `/queries` shows the admission queue too.
 

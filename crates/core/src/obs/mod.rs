@@ -1,25 +1,22 @@
-//! Observability: trace-recording observers and exporters.
+//! Observability: the per-query observer, the live hub and the exporters.
 //!
-//! This module turns the [`SchedulerObserver`](crate::scheduler::SchedulerObserver)
-//! seam plus the raw event capture in [`crate::trace`] into the instrument
-//! the paper's methodology assumes:
-//!
-//! * [`TracingObserver`] — records every scheduler event into a
-//!   [`TraceSink`](crate::trace::TraceSink).
-//! * [`CompositeObserver`] — fans events out to two observers, so tracing
-//!   composes with the default
-//!   [`MetricsObserver`](crate::scheduler::MetricsObserver) without giving up
-//!   [`QueryMetrics`](crate::metrics::QueryMetrics).
+//! * [`QueryObserver`] — the one observer every query runs under: it records
+//!   each scheduler event once into the query's metrics and, when
+//!   installed, the live hub, a [`TraceSink`](crate::trace::TraceSink) and
+//!   the service's live registry.
+//! * [`hub`] — the always-on [`MetricsHub`]: sharded counters and
+//!   log-bucketed histograms across every query a service or engine runs.
+//! * [`live`] / [`http`] — the live per-query registry, its watchdog, and
+//!   the HTTP introspection endpoint (`/metrics`, `/queries`).
+//! * [`prometheus`] — Prometheus text exposition of a hub snapshot.
+//! * [`explain`] — `EXPLAIN ANALYZE`, a fold of plan + metrics.
 //! * [`chrome`] — Chrome `trace_event` JSON for `chrome://tracing` /
-//!   [Perfetto](https://ui.perfetto.dev) flamegraph-style timelines.
-//! * [`prometheus`] — a Prometheus text-exposition snapshot of the counters
-//!   and gauges a finished trace implies (work orders, transfers, bytes,
-//!   pool occupancy, worker busy time, faults).
-//! * [`timeline`] — per-edge UoT-occupancy timelines and per-operator task
-//!   time distributions: the Fig. 3 / Fig. 5-shaped data of the paper.
+//!   [Perfetto](https://ui.perfetto.dev) timelines.
+//! * [`timeline`] — per-edge UoT-occupancy timelines.
 //!
-//! All exporters are pure functions over a frozen [`Trace`](crate::trace::Trace);
-//! nothing here runs on the execution fast path.
+//! The observer, hub, live registry and HTTP endpoint run while queries
+//! execute; [`chrome`] and [`timeline`] are pure functions over a frozen
+//! [`Trace`](crate::trace::Trace).
 
 pub mod chrome;
 pub mod explain;
@@ -33,11 +30,8 @@ pub mod timeline;
 pub use chrome::{chrome_trace_json, merged_chrome_trace_json};
 pub use explain::ExplainAnalyze;
 pub use http::{IntrospectionServer, ServerState};
-pub use hub::{
-    HistogramSnapshot, HubCounter, HubHistogram, HubObserver, HubSnapshot, MaybeHubObserver,
-    MetricsHub,
-};
+pub use hub::{HistogramSnapshot, HubCounter, HubHistogram, HubSnapshot, MetricsHub};
 pub use live::{LiveQuery, LiveRegistry, WatchdogConfig};
-pub use observer::{CompositeObserver, MaybeTracingObserver, TracingObserver};
-pub use prometheus::{prometheus_from_hub, prometheus_snapshot, prometheus_snapshot_merged};
-pub use timeline::{operator_task_times, operator_time_shares, uot_timelines, EdgeTimeline};
+pub use observer::QueryObserver;
+pub use prometheus::prometheus_from_hub;
+pub use timeline::{uot_timelines, EdgeTimeline};

@@ -1,293 +1,317 @@
-//! Trace-recording and fan-out observers.
+//! The one per-query scheduler observer.
 
-use crate::metrics::TaskRecord;
-use crate::plan::OpId;
-use crate::scheduler::{MetricsCarrier, MetricsObserver, SchedulerObserver};
+use crate::metrics::{EdgeMetrics, OperatorMetrics, TaskRecord};
+use crate::obs::hub::{HubCounter, HubHistogram, HubObserver, MetricsHub};
+use crate::obs::live::LiveQuery;
+use crate::plan::{OpId, QueryPlan};
 use crate::trace::{TraceEventKind, TraceSink};
 use crate::work_order::WorkOrder;
 use std::sync::Arc;
-use uot_storage::StorageBlock;
+use uot_storage::MemoryTracker;
 
-/// Observer that records every scheduler event into a [`TraceSink`].
+/// Records one query's scheduler events — dispatch, completion, block
+/// production, staging, flushes, operator completion — into every place
+/// they are read from.
 ///
-/// It runs on the scheduler thread, so recording costs one uncontended lock
-/// per event; byte sums over flushed block slices are computed here — the
-/// [`NoopObserver`](crate::scheduler::NoopObserver) path never pays them.
-#[derive(Debug, Clone)]
-pub struct TracingObserver {
-    sink: Arc<TraceSink>,
+/// The metrics layer is always on: it accumulates the per-operator, per-edge
+/// and per-task [`QueryMetrics`](crate::metrics::QueryMetrics) the paper's
+/// figures are made of. Three layers are optional: the live
+/// [`MetricsHub`] (batched, see [`QueryObserver::with_hub`]), a
+/// [`TraceSink`] and the service's live-registry record. Every query, at
+/// either front end, runs under this one type; an absent layer costs one
+/// branch per event. Each event's numbers are computed once, by the
+/// scheduler, and handed to every layer.
+#[derive(Debug)]
+pub struct QueryObserver {
+    pub(crate) ops: Vec<OperatorMetrics>,
+    pub(crate) edges: Vec<EdgeMetrics>,
+    pub(crate) tasks: Vec<TaskRecord>,
+    hub: Option<HubObserver>,
+    trace: Option<Arc<TraceSink>>,
+    live: Option<Arc<LiveQuery>>,
 }
 
-impl TracingObserver {
-    /// Observer recording into `sink`.
-    pub fn new(sink: Arc<TraceSink>) -> Self {
-        TracingObserver { sink }
+impl QueryObserver {
+    /// Metrics storage shaped for `plan`, with no optional layer.
+    pub fn new(plan: &QueryPlan) -> Self {
+        QueryObserver {
+            ops: plan
+                .ops()
+                .iter()
+                .map(|op| OperatorMetrics {
+                    name: op.name.clone(),
+                    kind: op.kind.kind_label().to_string(),
+                    ..Default::default()
+                })
+                .collect(),
+            edges: vec![EdgeMetrics::default(); plan.len()],
+            tasks: Vec::new(),
+            hub: None,
+            trace: None,
+            live: None,
+        }
     }
 
-    /// The sink this observer records into.
-    pub fn sink(&self) -> &Arc<TraceSink> {
-        &self.sink
+    /// Also feed `hub`. Deltas accumulate locally and reach the shared hub
+    /// every few dozen events and when the observer drops, so a scrape can
+    /// lag an in-flight query by a handful of events. `tracker` is the
+    /// query's own memory tracker, sampled for pool residency at each
+    /// work-order completion.
+    pub fn with_hub(mut self, hub: Arc<MetricsHub>, tracker: Arc<MemoryTracker>) -> Self {
+        self.hub = Some(HubObserver::new(hub, tracker));
+        self
     }
-}
 
-impl SchedulerObserver for TracingObserver {
-    fn work_order_dispatched(&mut self, wo: &WorkOrder) {
-        self.sink.record(TraceEventKind::WorkOrderDispatched {
+    /// Also record every event into `sink`.
+    pub fn with_trace(mut self, sink: Arc<TraceSink>) -> Self {
+        self.trace = Some(sink);
+        self
+    }
+
+    /// Also mirror progress into a live-registry record. These updates are
+    /// not batched: they are a handful of relaxed stores the watchdog and
+    /// `/queries` need promptly.
+    pub fn with_live(mut self, live: Arc<LiveQuery>) -> Self {
+        self.live = Some(live);
+        self
+    }
+
+    fn trace(&self, kind: TraceEventKind) {
+        if let Some(sink) = &self.trace {
+            sink.record(kind);
+        }
+    }
+
+    /// A work order was handed to a worker.
+    pub(crate) fn work_order_dispatched(&mut self, wo: &WorkOrder) {
+        self.trace(TraceEventKind::WorkOrderDispatched {
             seq: wo.seq,
             op: wo.op,
         });
+        if let Some(live) = &self.live {
+            live.on_dispatched();
+        }
     }
 
-    fn work_order_completed(&mut self, wo: &WorkOrder, record: TaskRecord) {
-        self.sink.record(TraceEventKind::WorkOrderFinished {
-            seq: wo.seq,
-            op: wo.op,
+    /// Work order `seq` finished executing.
+    pub(crate) fn work_order_completed(&mut self, seq: usize, record: TaskRecord) {
+        let d = record.duration();
+        let m = &mut self.ops[record.op];
+        m.work_orders += 1;
+        m.total_task_time += d;
+        m.task_times.push(d);
+        self.tasks.push(record);
+        if let Some(hub) = &mut self.hub {
+            hub.bump(HubCounter::WorkOrders, 1);
+            hub.note(HubHistogram::WorkOrderServiceUs, d.as_micros() as u64);
+            hub.sample_residency();
+            hub.tick();
+        }
+        self.trace(TraceEventKind::WorkOrderFinished {
+            seq,
+            op: record.op,
             worker: record.worker,
             start: record.start,
             end: record.end,
         });
+        if let Some(live) = &self.live {
+            live.on_completed();
+        }
     }
 
-    fn blocks_produced(&mut self, op: OpId, blocks: usize, rows: usize, _bytes: usize) {
-        self.sink
-            .record(TraceEventKind::BlocksProduced { op, blocks, rows });
+    /// `op` produced output blocks (completed or flushed partials).
+    pub(crate) fn blocks_produced(&mut self, op: OpId, blocks: usize, rows: usize, bytes: usize) {
+        let m = &mut self.ops[op];
+        m.produced_blocks += blocks;
+        m.produced_rows += rows;
+        m.produced_bytes += bytes;
+        if let Some(hub) = &mut self.hub {
+            hub.bump(HubCounter::BlocksProduced, blocks as u64);
+            hub.bump(HubCounter::RowsProduced, rows as u64);
+            hub.tick();
+        }
+        self.trace(TraceEventKind::BlocksProduced { op, blocks, rows });
+        if let Some(live) = &self.live {
+            live.on_rows(rows);
+        }
     }
 
-    fn edge_staged(&mut self, producer: OpId, consumer: OpId, staged: usize, threshold: usize) {
-        self.sink.record(TraceEventKind::EdgeStaged {
+    /// Blocks were transferred to `op`'s input.
+    pub(crate) fn blocks_transferred(&mut self, op: OpId, blocks: usize, rows: usize) {
+        self.ops[op].input_blocks += blocks;
+        self.ops[op].input_rows += rows;
+    }
+
+    /// A transfer edge accumulated output below its UoT threshold; `staged`
+    /// is the occupancy after staging.
+    pub(crate) fn edge_staged(
+        &mut self,
+        producer: OpId,
+        consumer: OpId,
+        staged: usize,
+        threshold: usize,
+    ) {
+        let e = &mut self.edges[producer];
+        e.consumer = Some(consumer);
+        e.threshold = threshold;
+        e.stalls += 1;
+        e.max_staged = e.max_staged.max(staged);
+        e.sum_staged += staged;
+        if let Some(hub) = &mut self.hub {
+            hub.note(HubHistogram::EdgeOccupancyBlocks, staged as u64);
+            hub.tick();
+        }
+        self.trace(TraceEventKind::EdgeStaged {
             producer,
             consumer,
             staged,
             threshold,
         });
+        if let Some(live) = &self.live {
+            live.on_edge_staged(producer, consumer, staged, threshold);
+        }
     }
 
-    fn transfer_flushed(
+    /// A transfer edge moved `blocks` blocks (`rows` rows, `bytes` allocated
+    /// bytes) to its consumer — a threshold-triggered transfer
+    /// (`partial == false`) or the end-of-producer flush of a partial
+    /// accumulation. The sizes are the **actual** transferred set, measured
+    /// after any injected fault at the flush site ran.
+    pub(crate) fn transfer_flushed(
         &mut self,
         producer: OpId,
         consumer: OpId,
-        blocks: &[Arc<StorageBlock>],
+        blocks: usize,
+        rows: usize,
+        bytes: usize,
         partial: bool,
     ) {
-        self.sink.record(TraceEventKind::TransferFlushed {
+        let e = &mut self.edges[producer];
+        e.consumer = Some(consumer);
+        if partial {
+            e.partial_flushes += 1;
+        } else {
+            e.flushes += 1;
+        }
+        e.blocks += blocks;
+        e.rows += rows;
+        e.bytes += bytes;
+        if let Some(hub) = &mut self.hub {
+            hub.bump(
+                if partial {
+                    HubCounter::PartialTransfers
+                } else {
+                    HubCounter::Transfers
+                },
+                1,
+            );
+            hub.bump(HubCounter::TransferBlocks, blocks as u64);
+            hub.bump(HubCounter::TransferBytes, bytes as u64);
+            hub.tick();
+        }
+        self.trace(TraceEventKind::TransferFlushed {
             producer,
             consumer,
-            blocks: blocks.len(),
-            bytes: blocks.iter().map(|b| b.allocated_bytes()).sum(),
+            blocks,
+            bytes,
             partial,
         });
-    }
-
-    fn operator_finished(&mut self, op: OpId) {
-        self.sink.record(TraceEventKind::OperatorFinished { op });
-    }
-}
-
-/// Fan-out observer: every event goes to `first`, then to `second`.
-///
-/// The canonical stack is `CompositeObserver<MetricsObserver, TracingObserver>`
-/// — metrics keep accumulating exactly as on the untraced path (the drivers
-/// reach them through [`MetricsCarrier`]) while the tracing layer records the
-/// same events into its sink.
-#[derive(Debug)]
-pub struct CompositeObserver<A, B> {
-    /// The first (inner) observer; carries the metrics in the canonical stack.
-    pub first: A,
-    /// The second (outer) observer.
-    pub second: B,
-}
-
-impl<A, B> CompositeObserver<A, B> {
-    /// Compose two observers.
-    pub fn new(first: A, second: B) -> Self {
-        CompositeObserver { first, second }
-    }
-}
-
-impl<A: SchedulerObserver, B: SchedulerObserver> SchedulerObserver for CompositeObserver<A, B> {
-    fn work_order_dispatched(&mut self, wo: &WorkOrder) {
-        self.first.work_order_dispatched(wo);
-        self.second.work_order_dispatched(wo);
-    }
-
-    fn work_order_completed(&mut self, wo: &WorkOrder, record: TaskRecord) {
-        self.first.work_order_completed(wo, record);
-        self.second.work_order_completed(wo, record);
-    }
-
-    fn blocks_produced(&mut self, op: OpId, blocks: usize, rows: usize, bytes: usize) {
-        self.first.blocks_produced(op, blocks, rows, bytes);
-        self.second.blocks_produced(op, blocks, rows, bytes);
-    }
-
-    fn blocks_transferred(&mut self, op: OpId, blocks: &[Arc<StorageBlock>]) {
-        self.first.blocks_transferred(op, blocks);
-        self.second.blocks_transferred(op, blocks);
-    }
-
-    fn edge_staged(&mut self, producer: OpId, consumer: OpId, staged: usize, threshold: usize) {
-        self.first
-            .edge_staged(producer, consumer, staged, threshold);
-        self.second
-            .edge_staged(producer, consumer, staged, threshold);
-    }
-
-    fn transfer_flushed(
-        &mut self,
-        producer: OpId,
-        consumer: OpId,
-        blocks: &[Arc<StorageBlock>],
-        partial: bool,
-    ) {
-        self.first
-            .transfer_flushed(producer, consumer, blocks, partial);
-        self.second
-            .transfer_flushed(producer, consumer, blocks, partial);
-    }
-
-    fn operator_finished(&mut self, op: OpId) {
-        self.first.operator_finished(op);
-        self.second.operator_finished(op);
-    }
-}
-
-impl<A: MetricsCarrier, B> MetricsCarrier for CompositeObserver<A, B> {
-    fn metrics(&mut self) -> &mut MetricsObserver {
-        self.first.metrics()
-    }
-}
-
-/// A tracing layer that may be absent. Every query, at either front end,
-/// runs under one observer stack with this layer in it, so traced and
-/// untraced queries share a single concrete
-/// [`SchedulerCore`](crate::scheduler::SchedulerCore) type; an absent layer
-/// costs one branch per event.
-#[derive(Debug, Default)]
-pub struct MaybeTracingObserver(pub Option<TracingObserver>);
-
-impl SchedulerObserver for MaybeTracingObserver {
-    fn work_order_dispatched(&mut self, wo: &WorkOrder) {
-        if let Some(t) = &mut self.0 {
-            t.work_order_dispatched(wo);
+        if let Some(live) = &self.live {
+            live.on_edge_flushed(producer);
         }
     }
 
-    fn work_order_completed(&mut self, wo: &WorkOrder, record: TaskRecord) {
-        if let Some(t) = &mut self.0 {
-            t.work_order_completed(wo, record);
-        }
-    }
-
-    fn blocks_produced(&mut self, op: OpId, blocks: usize, rows: usize, bytes: usize) {
-        if let Some(t) = &mut self.0 {
-            t.blocks_produced(op, blocks, rows, bytes);
-        }
-    }
-
-    fn blocks_transferred(&mut self, op: OpId, blocks: &[Arc<StorageBlock>]) {
-        if let Some(t) = &mut self.0 {
-            t.blocks_transferred(op, blocks);
-        }
-    }
-
-    fn edge_staged(&mut self, producer: OpId, consumer: OpId, staged: usize, threshold: usize) {
-        if let Some(t) = &mut self.0 {
-            t.edge_staged(producer, consumer, staged, threshold);
-        }
-    }
-
-    fn transfer_flushed(
-        &mut self,
-        producer: OpId,
-        consumer: OpId,
-        blocks: &[Arc<StorageBlock>],
-        partial: bool,
-    ) {
-        if let Some(t) = &mut self.0 {
-            t.transfer_flushed(producer, consumer, blocks, partial);
-        }
-    }
-
-    fn operator_finished(&mut self, op: OpId) {
-        if let Some(t) = &mut self.0 {
-            t.operator_finished(op);
-        }
+    /// `op` finished completely.
+    pub(crate) fn operator_finished(&mut self, op: OpId) {
+        self.trace(TraceEventKind::OperatorFinished { op });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{PlanBuilder, Source};
     use crate::work_order::WorkKind;
     use std::time::Duration;
+    use uot_expr::{cmp, col, lit, CmpOp};
+    use uot_storage::{BlockFormat, DataType, Schema, TableBuilder};
 
-    #[derive(Default)]
-    struct Counting {
-        events: usize,
+    fn plan() -> QueryPlan {
+        let schema = Schema::from_pairs(&[("k", DataType::Int32)]);
+        let t = Arc::new(TableBuilder::new("t", schema, BlockFormat::Row, 256).finish());
+        let mut pb = PlanBuilder::new();
+        let s = pb
+            .filter(Source::Table(t), cmp(col(0), CmpOp::Lt, lit(1i32)))
+            .unwrap();
+        pb.build(s).unwrap()
     }
 
-    impl SchedulerObserver for Counting {
-        fn work_order_dispatched(&mut self, _wo: &WorkOrder) {
-            self.events += 1;
-        }
-        fn operator_finished(&mut self, _op: OpId) {
-            self.events += 1;
-        }
-    }
-
-    #[test]
-    fn composite_fans_out_to_both() {
-        let mut c = CompositeObserver::new(Counting::default(), Counting::default());
+    fn finished(op: OpId, seq: usize) -> (WorkOrder, TaskRecord) {
         let wo = WorkOrder {
             query: crate::query_id::QueryId::SOLO,
-            op: 0,
+            op,
             kind: WorkKind::FinalizeAggregate,
-            seq: 0,
+            seq,
         };
-        c.work_order_dispatched(&wo);
-        c.operator_finished(0);
-        assert_eq!(c.first.events, 2);
-        assert_eq!(c.second.events, 2);
+        let record = TaskRecord {
+            op,
+            worker: 1,
+            start: Duration::from_micros(10),
+            end: Duration::from_micros(30),
+        };
+        (wo, record)
     }
 
     #[test]
-    fn tracing_observer_records_dispatch_and_finish() {
+    fn every_layer_sees_each_event() {
+        let plan = plan();
         let sink = TraceSink::new(1024);
-        let mut obs = TracingObserver::new(sink.clone());
-        let wo = WorkOrder {
-            query: crate::query_id::QueryId::SOLO,
-            op: 2,
-            kind: WorkKind::FinalizeAggregate,
-            seq: 7,
-        };
+        let hub = Arc::new(MetricsHub::new());
+        let mut obs = QueryObserver::new(&plan)
+            .with_trace(sink.clone())
+            .with_hub(hub.clone(), MemoryTracker::new());
+        let (wo, record) = finished(0, 7);
         obs.work_order_dispatched(&wo);
-        obs.work_order_completed(
-            &wo,
-            TaskRecord {
-                op: 2,
-                worker: 1,
-                start: Duration::from_micros(10),
-                end: Duration::from_micros(30),
-            },
-        );
-        obs.edge_staged(1, 2, 3, 4);
-        obs.operator_finished(2);
-        let trace = obs.sink().finish(vec![]);
+        obs.work_order_completed(wo.seq, record);
+        obs.transfer_flushed(0, 1, 2, 10, 512, true);
+        obs.operator_finished(0);
+        assert_eq!(obs.ops[0].work_orders, 1);
+        assert_eq!(obs.ops[0].task_times, vec![Duration::from_micros(20)]);
+        assert_eq!((obs.edges[0].partial_flushes, obs.edges[0].bytes), (1, 512));
+        drop(obs); // flushes the hub's batched deltas
+        let snap = hub.snapshot();
+        assert_eq!(snap.counter(HubCounter::WorkOrders), 1);
+        assert_eq!(snap.counter(HubCounter::PartialTransfers), 1);
+        assert_eq!(snap.counter(HubCounter::TransferBytes), 512);
+        let trace = sink.finish(vec![]);
         assert_eq!(trace.len(), 4);
         assert!(trace.events.iter().any(|e| matches!(
             e.kind,
             TraceEventKind::WorkOrderFinished {
                 seq: 7,
-                op: 2,
+                op: 0,
                 worker: 1,
                 ..
             }
         )));
+    }
+
+    #[test]
+    fn trace_records_dispatch_staging_and_finish() {
+        let sink = TraceSink::new(1024);
+        let mut obs = QueryObserver::new(&plan()).with_trace(sink.clone());
+        let (wo, _) = finished(0, 3);
+        obs.work_order_dispatched(&wo);
+        obs.edge_staged(0, 1, 3, 4);
+        obs.operator_finished(0);
+        assert_eq!(obs.edges[0].max_staged, 3);
+        let trace = sink.finish(vec![]);
+        assert_eq!(trace.len(), 3);
         assert!(trace.events.iter().any(|e| matches!(
             e.kind,
             TraceEventKind::EdgeStaged {
-                producer: 1,
-                consumer: 2,
+                producer: 0,
+                consumer: 1,
                 staged: 3,
                 threshold: 4,
             }

@@ -1,435 +1,14 @@
-//! Prometheus text-exposition snapshots.
+//! Prometheus text exposition of the live [`MetricsHub`](crate::obs::hub::MetricsHub).
 //!
-//! A [`Trace`] is a timeline; monitoring wants totals and last-known gauges.
-//! [`prometheus_snapshot`] folds the timeline into the standard text format
-//! (`# HELP` / `# TYPE` / `name{labels} value`): work-order and transfer
-//! counters, pool-occupancy gauges, per-worker busy time, fault counts.
-//! [`prometheus_snapshot_merged`] does the same over the traces of many
-//! queries at once, emitting each `# TYPE`/`# HELP` header exactly once per
-//! family and attributing samples with a `query` label — concatenating
-//! per-query snapshots would duplicate the headers, which the exposition
-//! format forbids. Both are produced offline from frozen traces.
-//!
-//! [`prometheus_from_hub`] is the *live* counterpart: it renders a
+//! [`prometheus_from_hub`] renders a
 //! [`HubSnapshot`](crate::obs::hub::HubSnapshot) — counters plus real
-//! Prometheus histograms (`_bucket{le=...}`/`_sum`/`_count`) — and backs the
-//! service's `/metrics` endpoint.
+//! Prometheus histograms (`_bucket{le=...}`/`_sum`/`_count`). It backs the
+//! service's `/metrics` endpoint; per-query exposition renders a hub
+//! installed for that one query with
+//! [`EngineConfig::with_hub`](crate::engine::EngineConfig::with_hub).
 
 use crate::obs::hub::{bucket_bounds, HubSnapshot};
-use crate::trace::{Trace, TraceEventKind, WatchdogKind};
-use std::collections::BTreeMap;
 use std::fmt::Write;
-
-/// Escape a Prometheus label value (`\` then `"` then newline).
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-}
-
-/// One metric family: help text, type, and labeled samples in insertion
-/// order (BTreeMap keys keep the output deterministic).
-struct Family {
-    help: &'static str,
-    kind: &'static str,
-    samples: BTreeMap<String, f64>,
-}
-
-type Families = BTreeMap<&'static str, Family>;
-
-/// Add `delta` to (counter) or overwrite (gauge) one labeled sample.
-#[allow(clippy::too_many_arguments)]
-fn add(
-    families: &mut Families,
-    name: &'static str,
-    help: &'static str,
-    kind: &'static str,
-    labels: String,
-    delta: f64,
-    gauge_set: bool,
-) {
-    let fam = families.entry(name).or_insert_with(|| Family {
-        help,
-        kind,
-        samples: BTreeMap::new(),
-    });
-    let v = fam.samples.entry(labels).or_insert(0.0);
-    if gauge_set {
-        *v = delta;
-    } else {
-        *v += delta;
-    }
-}
-
-/// Fold `trace` into a Prometheus text-exposition snapshot.
-pub fn prometheus_snapshot(trace: &Trace) -> String {
-    render(fold(trace))
-}
-
-/// Fold many traces (one per query) into **one** snapshot: every
-/// `# TYPE`/`# HELP` header appears exactly once per metric family, and each
-/// sample carries a `query="qN"` label attributing it to its source trace.
-pub fn prometheus_snapshot_merged(traces: &[&Trace]) -> String {
-    let mut merged: Families = BTreeMap::new();
-    for trace in traces {
-        let query = trace.query.to_string();
-        for (name, fam) in fold(trace) {
-            let target = merged.entry(name).or_insert_with(|| Family {
-                help: fam.help,
-                kind: fam.kind,
-                samples: BTreeMap::new(),
-            });
-            for (labels, v) in fam.samples {
-                let labels = if labels.is_empty() {
-                    format!("query=\"{}\"", esc(&query))
-                } else {
-                    format!("query=\"{}\",{labels}", esc(&query))
-                };
-                // Labels are disjoint across queries, so counter-add vs.
-                // gauge-set is moot here; add keeps it total-preserving.
-                *target.samples.entry(labels).or_insert(0.0) += v;
-            }
-        }
-    }
-    render(merged)
-}
-
-fn fold(trace: &Trace) -> Families {
-    let mut families: Families = BTreeMap::new();
-
-    for e in &trace.events {
-        match e.kind {
-            // Dispatches pair with a finish/panic/fail/cancel event; the
-            // snapshot counts outcomes, not handoffs.
-            TraceEventKind::WorkOrderDispatched { .. } => {}
-            TraceEventKind::WorkOrderFinished {
-                op,
-                worker,
-                start,
-                end,
-                ..
-            } => {
-                let op_label = format!("op=\"{}\"", esc(&trace.op_name(op)));
-                add(
-                    &mut families,
-                    "uot_work_orders_total",
-                    "Work orders completed, by operator.",
-                    "counter",
-                    op_label.clone(),
-                    1.0,
-                    false,
-                );
-                add(
-                    &mut families,
-                    "uot_work_order_seconds_total",
-                    "Summed work-order execution time, by operator.",
-                    "counter",
-                    op_label,
-                    end.saturating_sub(start).as_secs_f64(),
-                    false,
-                );
-                add(
-                    &mut families,
-                    "uot_worker_busy_seconds_total",
-                    "Time each worker spent executing work orders.",
-                    "counter",
-                    format!("worker=\"{worker}\""),
-                    end.saturating_sub(start).as_secs_f64(),
-                    false,
-                );
-            }
-            TraceEventKind::WorkOrderPanicked { op, .. } => add(
-                &mut families,
-                "uot_work_order_panics_total",
-                "Contained work-order panics, by operator.",
-                "counter",
-                format!("op=\"{}\"", esc(&trace.op_name(op))),
-                1.0,
-                false,
-            ),
-            TraceEventKind::WorkOrderFailed { op, .. } => add(
-                &mut families,
-                "uot_work_order_failures_total",
-                "Work orders that returned an error, by operator.",
-                "counter",
-                format!("op=\"{}\"", esc(&trace.op_name(op))),
-                1.0,
-                false,
-            ),
-            TraceEventKind::WorkOrderCancelled { op, .. } => add(
-                &mut families,
-                "uot_work_order_cancellations_total",
-                "Work orders stopped by cancellation, by operator.",
-                "counter",
-                format!("op=\"{}\"", esc(&trace.op_name(op))),
-                1.0,
-                false,
-            ),
-            TraceEventKind::BlocksProduced { op, blocks, rows } => {
-                let op_label = format!("op=\"{}\"", esc(&trace.op_name(op)));
-                add(
-                    &mut families,
-                    "uot_blocks_produced_total",
-                    "Output blocks produced, by operator.",
-                    "counter",
-                    op_label.clone(),
-                    blocks as f64,
-                    false,
-                );
-                add(
-                    &mut families,
-                    "uot_rows_produced_total",
-                    "Output rows produced, by operator.",
-                    "counter",
-                    op_label,
-                    rows as f64,
-                    false,
-                );
-            }
-            TraceEventKind::EdgeStaged {
-                producer,
-                consumer,
-                staged,
-                ..
-            } => add(
-                &mut families,
-                "uot_edge_staged_blocks",
-                "Blocks currently staged on a transfer edge (last observed).",
-                "gauge",
-                format!(
-                    "producer=\"{}\",consumer=\"{}\"",
-                    esc(&trace.op_name(producer)),
-                    esc(&trace.op_name(consumer))
-                ),
-                staged as f64,
-                true,
-            ),
-            TraceEventKind::TransferFlushed {
-                producer,
-                consumer,
-                blocks,
-                bytes,
-                partial,
-            } => {
-                let edge = format!(
-                    "producer=\"{}\",consumer=\"{}\"",
-                    esc(&trace.op_name(producer)),
-                    esc(&trace.op_name(consumer))
-                );
-                add(
-                    &mut families,
-                    "uot_transfers_total",
-                    "Transfer-edge flushes, by edge and kind.",
-                    "counter",
-                    format!("{edge},partial=\"{partial}\""),
-                    1.0,
-                    false,
-                );
-                add(
-                    &mut families,
-                    "uot_transfer_blocks_total",
-                    "Blocks moved over transfer edges.",
-                    "counter",
-                    edge.clone(),
-                    blocks as f64,
-                    false,
-                );
-                add(
-                    &mut families,
-                    "uot_transfer_bytes_total",
-                    "Bytes moved over transfer edges.",
-                    "counter",
-                    edge.clone(),
-                    bytes as f64,
-                    false,
-                );
-                // An edge is empty right after its flush.
-                add(
-                    &mut families,
-                    "uot_edge_staged_blocks",
-                    "Blocks currently staged on a transfer edge (last observed).",
-                    "gauge",
-                    edge,
-                    0.0,
-                    true,
-                );
-            }
-            TraceEventKind::OperatorFinished { op } => add(
-                &mut families,
-                "uot_operators_finished_total",
-                "Operators that ran to completion.",
-                "counter",
-                format!("op=\"{}\"", esc(&trace.op_name(op))),
-                1.0,
-                false,
-            ),
-            TraceEventKind::PoolAlloc { in_use, .. } => {
-                add(
-                    &mut families,
-                    "uot_pool_in_use_bytes",
-                    "Tracked temporary bytes in use (last observed).",
-                    "gauge",
-                    String::new(),
-                    in_use as f64,
-                    true,
-                );
-                add(
-                    &mut families,
-                    "uot_pool_peak_observed_bytes",
-                    "Highest tracked in-use bytes seen in the trace.",
-                    "gauge",
-                    String::new(),
-                    0.0, // placeholder; max-folded below via samples map
-                    false,
-                );
-                let fam = families.get_mut("uot_pool_peak_observed_bytes").unwrap();
-                let v = fam.samples.get_mut("").unwrap();
-                *v = v.max(in_use as f64);
-            }
-            TraceEventKind::PoolFree { in_use, .. } => add(
-                &mut families,
-                "uot_pool_in_use_bytes",
-                "Tracked temporary bytes in use (last observed).",
-                "gauge",
-                String::new(),
-                in_use as f64,
-                true,
-            ),
-            TraceEventKind::Degraded { .. } => add(
-                &mut families,
-                "uot_degradations_total",
-                "UoT degradations taken after tripped memory budgets.",
-                "counter",
-                String::new(),
-                1.0,
-                false,
-            ),
-            TraceEventKind::PipelineFused {
-                head, rows, ops, ..
-            } => {
-                let label = format!("head=\"{}\"", esc(&trace.op_name(head)));
-                add(
-                    &mut families,
-                    "uot_fused_pipelines_total",
-                    "Pipelines executed as fused push-based loops, by head operator.",
-                    "counter",
-                    label.clone(),
-                    1.0,
-                    false,
-                );
-                add(
-                    &mut families,
-                    "uot_fused_rows_total",
-                    "Rows pushed through fused pipeline loops, by head operator.",
-                    "counter",
-                    label,
-                    rows as f64,
-                    false,
-                );
-                let _ = ops;
-            }
-            TraceEventKind::SpillOut { op, bytes, .. } => {
-                let op_label = format!("op=\"{}\"", esc(&trace.op_name(op)));
-                add(
-                    &mut families,
-                    "uot_spill_events_total",
-                    "Blocks evicted to the disk spill tier, by operator.",
-                    "counter",
-                    op_label.clone(),
-                    1.0,
-                    false,
-                );
-                add(
-                    &mut families,
-                    "uot_spilled_bytes_total",
-                    "Bytes written to the disk spill tier, by operator.",
-                    "counter",
-                    op_label,
-                    bytes as f64,
-                    false,
-                );
-            }
-            TraceEventKind::SpillIn { op, bytes, .. } => add(
-                &mut families,
-                "uot_spill_restored_bytes_total",
-                "Bytes faulted back in from the disk spill tier, by operator.",
-                "counter",
-                format!("op=\"{}\"", esc(&trace.op_name(op))),
-                bytes as f64,
-                false,
-            ),
-            TraceEventKind::FaultInjected { site, kind, .. } => add(
-                &mut families,
-                "uot_faults_injected_total",
-                "Deterministic faults fired, by site and kind.",
-                "counter",
-                format!(
-                    "site=\"{}\",kind=\"{}\"",
-                    esc(&format!("{site:?}")),
-                    esc(&format!("{kind:?}"))
-                ),
-                1.0,
-                false,
-            ),
-            TraceEventKind::Watchdog { kind, producer, .. } => {
-                let labels = match kind {
-                    WatchdogKind::StalledEdge => format!(
-                        "kind=\"stalled_edge\",producer=\"{}\"",
-                        esc(&trace.op_name(producer))
-                    ),
-                    WatchdogKind::DeadlineNear => "kind=\"deadline_near\"".to_string(),
-                };
-                add(
-                    &mut families,
-                    "uot_watchdog_flags_total",
-                    "Anomalies flagged by the service watchdog, by kind.",
-                    "counter",
-                    labels,
-                    1.0,
-                    false,
-                );
-            }
-        }
-    }
-
-    // Proper counters (added, never set): a merged export must sum them
-    // across traces instead of keeping the last query's value.
-    add(
-        &mut families,
-        "uot_trace_events_total",
-        "Events retained in the trace.",
-        "counter",
-        String::new(),
-        trace.len() as f64,
-        false,
-    );
-    add(
-        &mut families,
-        "uot_trace_dropped_events_total",
-        "Events dropped at the trace capacity bound.",
-        "counter",
-        String::new(),
-        trace.dropped as f64,
-        false,
-    );
-    families
-}
-
-fn render(families: Families) -> String {
-    let mut out = String::new();
-    for (name, fam) in &families {
-        let _ = writeln!(out, "# HELP {name} {}", fam.help);
-        let _ = writeln!(out, "# TYPE {name} {}", fam.kind);
-        for (labels, value) in &fam.samples {
-            if labels.is_empty() {
-                let _ = writeln!(out, "{name} {value}");
-            } else {
-                let _ = writeln!(out, "{name}{{{labels}}} {value}");
-            }
-        }
-    }
-    out
-}
 
 /// Render a live [`HubSnapshot`] in Prometheus text-exposition format:
 /// every hub counter as a `counter` family (all carry the `_total` suffix),
@@ -470,156 +49,6 @@ pub fn prometheus_from_hub(snap: &HubSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceEvent;
-    use std::time::Duration;
-
-    #[test]
-    fn snapshot_folds_counters_and_gauges() {
-        let trace = Trace {
-            events: vec![
-                TraceEvent {
-                    t: Duration::from_micros(5),
-                    kind: TraceEventKind::WorkOrderFinished {
-                        seq: 0,
-                        op: 0,
-                        worker: 0,
-                        start: Duration::ZERO,
-                        end: Duration::from_micros(5),
-                    },
-                },
-                TraceEvent {
-                    t: Duration::from_micros(6),
-                    kind: TraceEventKind::WorkOrderFinished {
-                        seq: 1,
-                        op: 0,
-                        worker: 1,
-                        start: Duration::from_micros(1),
-                        end: Duration::from_micros(6),
-                    },
-                },
-                TraceEvent {
-                    t: Duration::from_micros(7),
-                    kind: TraceEventKind::EdgeStaged {
-                        producer: 0,
-                        consumer: 1,
-                        staged: 2,
-                        threshold: 4,
-                    },
-                },
-            ],
-            query: crate::query_id::QueryId::SOLO,
-            op_names: vec!["select(t)".into(), "probe(t)".into()],
-            dropped: 1,
-        };
-        let text = prometheus_snapshot(&trace);
-        assert!(text.contains("# TYPE uot_work_orders_total counter"));
-        assert!(text.contains(r#"uot_work_orders_total{op="select(t)"} 2"#));
-        assert!(
-            text.contains(r#"uot_edge_staged_blocks{producer="select(t)",consumer="probe(t)"} 2"#)
-        );
-        assert!(text.contains("uot_trace_dropped_events_total 1"));
-        assert!(text.contains("uot_trace_events_total 3"));
-    }
-
-    #[test]
-    fn empty_trace_yields_only_totals() {
-        let text = prometheus_snapshot(&Trace::default());
-        assert!(text.contains("uot_trace_events_total 0"));
-        assert!(!text.contains("uot_work_orders_total{"));
-    }
-
-    #[test]
-    fn label_values_are_escaped() {
-        let trace = Trace {
-            events: vec![TraceEvent {
-                t: Duration::ZERO,
-                kind: TraceEventKind::OperatorFinished { op: 0 },
-            }],
-            op_names: vec!["weird\"name\\with\nnewline".into()],
-            dropped: 0,
-            query: crate::query_id::QueryId::SOLO,
-        };
-        let text = prometheus_snapshot(&trace);
-        assert!(
-            text.contains(r#"op="weird\"name\\with\nnewline""#),
-            "{text}"
-        );
-        assert!(
-            !text.contains("with\nnewline"),
-            "raw newline leaked into a label value"
-        );
-    }
-
-    #[test]
-    fn merged_export_emits_each_header_once_with_query_labels() {
-        let mk = |q: u64| Trace {
-            events: vec![TraceEvent {
-                t: Duration::ZERO,
-                kind: TraceEventKind::WorkOrderFinished {
-                    seq: 0,
-                    op: 0,
-                    worker: 0,
-                    start: Duration::ZERO,
-                    end: Duration::from_micros(3),
-                },
-            }],
-            op_names: vec!["select(t)".into()],
-            dropped: 0,
-            query: crate::query_id::QueryId::new(q),
-        };
-        let (a, b) = (mk(1), mk(2));
-        let text = prometheus_snapshot_merged(&[&a, &b]);
-        assert_eq!(
-            text.matches("# TYPE uot_work_orders_total counter").count(),
-            1,
-            "{text}"
-        );
-        assert_eq!(
-            text.matches("# HELP uot_work_orders_total").count(),
-            1,
-            "{text}"
-        );
-        assert!(text.contains(r#"uot_work_orders_total{query="q1",op="select(t)"} 1"#));
-        assert!(text.contains(r#"uot_work_orders_total{query="q2",op="select(t)"} 1"#));
-        // The per-trace totals are proper counters: one sample per query,
-        // not one last-writer-wins value.
-        assert!(text.contains(r#"uot_trace_events_total{query="q1"} 1"#));
-        assert!(text.contains(r#"uot_trace_events_total{query="q2"} 1"#));
-    }
-
-    #[test]
-    fn watchdog_events_fold_into_flag_counters() {
-        let trace = Trace {
-            events: vec![
-                TraceEvent {
-                    t: Duration::ZERO,
-                    kind: TraceEventKind::Watchdog {
-                        kind: WatchdogKind::StalledEdge,
-                        producer: 0,
-                        consumer: 1,
-                        waited_us: 1000,
-                    },
-                },
-                TraceEvent {
-                    t: Duration::ZERO,
-                    kind: TraceEventKind::Watchdog {
-                        kind: WatchdogKind::DeadlineNear,
-                        producer: 0,
-                        consumer: 0,
-                        waited_us: 5000,
-                    },
-                },
-            ],
-            op_names: vec!["select(t)".into(), "agg".into()],
-            dropped: 0,
-            query: crate::query_id::QueryId::SOLO,
-        };
-        let text = prometheus_snapshot(&trace);
-        assert!(text.contains("# TYPE uot_watchdog_flags_total counter"));
-        assert!(text
-            .contains(r#"uot_watchdog_flags_total{kind="stalled_edge",producer="select(t)"} 1"#));
-        assert!(text.contains(r#"uot_watchdog_flags_total{kind="deadline_near"} 1"#));
-    }
 
     #[test]
     fn hub_snapshot_renders_counters_and_histograms() {

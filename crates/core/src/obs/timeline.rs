@@ -1,7 +1,8 @@
-//! Per-edge UoT-occupancy timelines and per-operator task-time
-//! distributions — the data behind the paper's Fig. 3 (operator time
-//! shares) and Fig. 5 (per-task execution times), regenerated from a
-//! [`Trace`] instead of ad-hoc instrumentation.
+//! Per-edge UoT-occupancy timelines: how many blocks each transfer edge
+//! held over time, a signal only the [`Trace`] keeps. (The paper's Fig. 3
+//! operator time shares and Fig. 5 task-time distributions are
+//! [`QueryMetrics::dominant_operators`](crate::metrics::QueryMetrics::dominant_operators)
+//! and [`OperatorMetrics::task_times`](crate::metrics::OperatorMetrics::task_times).)
 
 use crate::plan::OpId;
 use crate::trace::{Trace, TraceEventKind};
@@ -109,45 +110,6 @@ pub fn uot_timelines(trace: &Trace) -> Vec<EdgeTimeline> {
     edges.into_values().collect()
 }
 
-/// Per-operator task-time samples (the paper's Fig. 5 distribution data),
-/// indexed by [`OpId`]. Operators that ran no work orders get empty vectors.
-pub fn operator_task_times(trace: &Trace) -> Vec<Vec<Duration>> {
-    let n = trace
-        .events
-        .iter()
-        .filter_map(|e| e.kind.op())
-        .max()
-        .map_or(trace.op_names.len(), |m| (m + 1).max(trace.op_names.len()));
-    let mut times = vec![Vec::new(); n];
-    for e in &trace.events {
-        if let TraceEventKind::WorkOrderFinished { op, start, end, .. } = e.kind {
-            times[op].push(end.saturating_sub(start));
-        }
-    }
-    times
-}
-
-/// Each operator's share of the summed task time (the paper's Fig. 3),
-/// as `(op, name, fraction)` sorted by descending share.
-pub fn operator_time_shares(trace: &Trace) -> Vec<(OpId, String, f64)> {
-    let times = operator_task_times(trace);
-    let totals: Vec<f64> = times
-        .iter()
-        .map(|ts| ts.iter().map(|d| d.as_secs_f64()).sum())
-        .collect();
-    let sum: f64 = totals.iter().sum();
-    let mut shares: Vec<(OpId, String, f64)> = totals
-        .iter()
-        .enumerate()
-        .map(|(op, &t)| {
-            let frac = if sum > 0.0 { t / sum } else { 0.0 };
-            (op, trace.op_name(op), frac)
-        })
-        .collect();
-    shares.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
-    shares
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,37 +179,8 @@ mod tests {
     }
 
     #[test]
-    fn task_times_and_shares() {
-        let fin = |op: OpId, start: u64, end: u64| TraceEvent {
-            t: us(end),
-            kind: TraceEventKind::WorkOrderFinished {
-                seq: 0,
-                op,
-                worker: 0,
-                start: us(start),
-                end: us(end),
-            },
-        };
-        let trace = Trace {
-            events: vec![fin(0, 0, 30), fin(0, 30, 60), fin(1, 60, 100)],
-            query: crate::query_id::QueryId::SOLO,
-            op_names: vec!["select".into(), "probe".into()],
-            dropped: 0,
-        };
-        let times = operator_task_times(&trace);
-        assert_eq!(times[0].len(), 2);
-        assert_eq!(times[1], vec![us(40)]);
-        let shares = operator_time_shares(&trace);
-        assert_eq!(shares[0].0, 0);
-        assert!((shares[0].2 - 0.6).abs() < 1e-9);
-        assert!((shares[1].2 - 0.4).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_trace_gives_empty_views() {
         let trace = Trace::default();
         assert!(uot_timelines(&trace).is_empty());
-        assert!(operator_task_times(&trace).is_empty());
-        assert!(operator_time_shares(&trace).is_empty());
     }
 }

@@ -19,11 +19,12 @@
 //!   ordered index of dispatchable operators). Topology questions ("who
 //!   depends on this operator?") are answered by the plan's precomputed
 //!   [`PlanTopology`] instead of rescanning operator definitions.
-//! * [`SchedulerObserver`] — a hook receiving dispatch/completion/transfer
-//!   events. [`MetricsObserver`] (the default) records the `QueryMetrics`
-//!   the paper's figures are made of; [`NoopObserver`] runs the machine bare.
-//! * [`run_query`] — the one driver, parameterized over the observer stack
-//!   and [`ExecMode`]: inline execution for determinism, or a scheduler
+//! * [`QueryObserver`] — receives each dispatch/completion/transfer event
+//!   once, with its sizes computed here, and records it into the
+//!   `QueryMetrics` the paper's figures are made of (plus the live hub and
+//!   trace sink when installed).
+//! * [`run_query`] — the one driver, parameterized over [`ExecMode`]:
+//!   inline execution for determinism, or a scheduler
 //!   (the calling thread) with a worker pool (Quickstep's two thread
 //!   kinds). Its parallel loop — per-query in-flight bookkeeping,
 //!   round-robin dispatch, the worker body — is the one the query service
@@ -33,7 +34,8 @@
 use crate::edge::{TransferAction, TransferEdge};
 use crate::error::EngineError;
 use crate::fault::{FaultKind, FaultSite};
-use crate::metrics::{EdgeMetrics, OperatorMetrics, QueryMetrics, TaskRecord};
+use crate::metrics::{QueryMetrics, TaskRecord};
+use crate::obs::QueryObserver;
 use crate::ops::execute_work_order_contained;
 use crate::plan::{OpId, OperatorKind, QueryPlan};
 use crate::query_id::QueryId;
@@ -111,147 +113,6 @@ impl SchedulerConfig {
             ));
         }
         Ok(())
-    }
-}
-
-/// Observer of scheduler events. All methods default to no-ops; implement
-/// the ones you care about. The default engine path records metrics through
-/// [`MetricsObserver`]; benchmarks can run the bare machine with
-/// [`NoopObserver`]; the tracing path composes
-/// [`TracingObserver`](crate::obs::TracingObserver) on top via
-/// [`CompositeObserver`](crate::obs::CompositeObserver).
-///
-/// Events that would cost something to summarize (flush sizes in bytes)
-/// hand the observer the block slice itself, so [`NoopObserver`] pays
-/// nothing: an observer that wants bytes sums them, one that doesn't never
-/// looks.
-pub trait SchedulerObserver {
-    /// A work order was handed to a worker.
-    fn work_order_dispatched(&mut self, _wo: &WorkOrder) {}
-    /// A work order finished executing.
-    fn work_order_completed(&mut self, _wo: &WorkOrder, _record: TaskRecord) {}
-    /// An operator produced output blocks (completed or flushed). `bytes`
-    /// is their summed allocated size.
-    fn blocks_produced(&mut self, _op: OpId, _blocks: usize, _rows: usize, _bytes: usize) {}
-    /// Blocks were transferred to an operator's input. The observer gets the
-    /// block slice itself so it can sum rows/bytes only if it wants them.
-    fn blocks_transferred(&mut self, _op: OpId, _blocks: &[Arc<StorageBlock>]) {}
-    /// A transfer edge accumulated output below its UoT threshold; `staged`
-    /// is the occupancy after staging.
-    fn edge_staged(&mut self, _producer: OpId, _consumer: OpId, _staged: usize, _threshold: usize) {
-    }
-    /// A transfer edge moved blocks to its consumer — a threshold-triggered
-    /// transfer (`partial == false`) or the end-of-producer flush of a
-    /// partial accumulation (`partial == true`). `blocks` is the **actual**
-    /// transferred set, observed after any injected fault at the flush site
-    /// ran, never the pre-fault staging level.
-    fn transfer_flushed(
-        &mut self,
-        _producer: OpId,
-        _consumer: OpId,
-        _blocks: &[Arc<StorageBlock>],
-        _partial: bool,
-    ) {
-    }
-    /// An operator finished completely.
-    fn operator_finished(&mut self, _op: OpId) {}
-}
-
-/// Access to the [`MetricsObserver`] inside an observer stack — what the
-/// drivers need to assemble [`QueryMetrics`] no matter how many tracing or
-/// custom layers are composed around it.
-pub trait MetricsCarrier {
-    /// The metrics-accumulating layer.
-    fn metrics(&mut self) -> &mut MetricsObserver;
-}
-
-/// Observer that ignores every event (bare scheduling, e.g. microbenchmarks).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopObserver;
-
-impl SchedulerObserver for NoopObserver {}
-
-/// The default observer: accumulates the per-operator and per-task metrics
-/// that [`QueryMetrics`] reports.
-#[derive(Debug)]
-pub struct MetricsObserver {
-    op_metrics: Vec<OperatorMetrics>,
-    edge_metrics: Vec<EdgeMetrics>,
-    tasks: Vec<TaskRecord>,
-}
-
-impl MetricsObserver {
-    /// Metrics storage shaped for `plan`.
-    pub fn new(plan: &QueryPlan) -> Self {
-        MetricsObserver {
-            op_metrics: plan
-                .ops()
-                .iter()
-                .map(|op| OperatorMetrics {
-                    name: op.name.clone(),
-                    kind: op.kind.kind_label().to_string(),
-                    ..Default::default()
-                })
-                .collect(),
-            edge_metrics: vec![EdgeMetrics::default(); plan.len()],
-            tasks: Vec::new(),
-        }
-    }
-}
-
-impl MetricsCarrier for MetricsObserver {
-    fn metrics(&mut self) -> &mut MetricsObserver {
-        self
-    }
-}
-
-impl SchedulerObserver for MetricsObserver {
-    fn work_order_completed(&mut self, wo: &WorkOrder, record: TaskRecord) {
-        let m = &mut self.op_metrics[wo.op];
-        m.work_orders += 1;
-        let d = record.duration();
-        m.total_task_time += d;
-        m.task_times.push(d);
-        self.tasks.push(record);
-    }
-
-    fn blocks_produced(&mut self, op: OpId, blocks: usize, rows: usize, bytes: usize) {
-        self.op_metrics[op].produced_blocks += blocks;
-        self.op_metrics[op].produced_rows += rows;
-        self.op_metrics[op].produced_bytes += bytes;
-    }
-
-    fn blocks_transferred(&mut self, op: OpId, blocks: &[Arc<StorageBlock>]) {
-        self.op_metrics[op].input_blocks += blocks.len();
-        self.op_metrics[op].input_rows += blocks.iter().map(|b| b.num_rows()).sum::<usize>();
-    }
-
-    fn edge_staged(&mut self, producer: OpId, consumer: OpId, staged: usize, threshold: usize) {
-        let e = &mut self.edge_metrics[producer];
-        e.consumer = Some(consumer);
-        e.threshold = threshold;
-        e.stalls += 1;
-        e.max_staged = e.max_staged.max(staged);
-        e.sum_staged += staged;
-    }
-
-    fn transfer_flushed(
-        &mut self,
-        producer: OpId,
-        consumer: OpId,
-        blocks: &[Arc<StorageBlock>],
-        partial: bool,
-    ) {
-        let e = &mut self.edge_metrics[producer];
-        e.consumer = Some(consumer);
-        if partial {
-            e.partial_flushes += 1;
-        } else {
-            e.flushes += 1;
-        }
-        e.blocks += blocks.len();
-        e.rows += blocks.iter().map(|b| b.num_rows()).sum::<usize>();
-        e.bytes += blocks.iter().map(|b| b.allocated_bytes()).sum::<usize>();
     }
 }
 
@@ -356,7 +217,7 @@ struct OpState {
 }
 
 /// The synchronous scheduling state machine.
-pub struct SchedulerCore<O: SchedulerObserver = MetricsObserver> {
+pub struct SchedulerCore {
     ctx: Arc<ExecContext>,
     config: SchedulerConfig,
     states: Vec<OpState>,
@@ -364,21 +225,19 @@ pub struct SchedulerCore<O: SchedulerObserver = MetricsObserver> {
     edges: Vec<TransferEdge>,
     queue: ReadyQueue,
     result_blocks: Vec<Arc<StorageBlock>>,
-    observer: O,
+    observer: QueryObserver,
     seq: usize,
     unfinished: usize,
 }
 
-impl SchedulerCore<MetricsObserver> {
-    /// Set up scheduling state with metrics recording and enqueue the
+impl SchedulerCore {
+    /// Set up scheduling state with metrics recording only and enqueue the
     /// initial work (base-table blocks are all available at query start).
     pub fn new(ctx: Arc<ExecContext>, config: SchedulerConfig) -> Self {
-        let observer = MetricsObserver::new(&ctx.plan);
+        let observer = QueryObserver::new(&ctx.plan);
         SchedulerCore::with_observer(ctx, config, observer)
     }
-}
 
-impl<O: SchedulerObserver + MetricsCarrier> SchedulerCore<O> {
     /// Tear down into results + metrics. Runs on the success *and* error
     /// paths (the error path discards the blocks and keeps the metrics as
     /// [`FailedQuery::partial_metrics`]); either way, every byte the query
@@ -389,10 +248,10 @@ impl<O: SchedulerObserver + MetricsCarrier> SchedulerCore<O> {
         wall_time: Duration,
         workers: usize,
     ) -> (Vec<Arc<StorageBlock>>, QueryMetrics) {
-        let mut tasks = std::mem::take(&mut self.observer.metrics().tasks);
+        let mut tasks = std::mem::take(&mut self.observer.tasks);
         tasks.sort_by_key(|t| t.start);
-        let mut op_metrics = std::mem::take(&mut self.observer.metrics().op_metrics);
-        let edge_metrics = std::mem::take(&mut self.observer.metrics().edge_metrics);
+        let mut op_metrics = std::mem::take(&mut self.observer.ops);
+        let edge_metrics = std::mem::take(&mut self.observer.edges);
         for (m, rt) in op_metrics.iter_mut().zip(&self.ctx.runtimes) {
             m.lip_pruned_rows = rt.lip_pruned.load(std::sync::atomic::Ordering::Relaxed);
         }
@@ -434,11 +293,13 @@ impl<O: SchedulerObserver + MetricsCarrier> SchedulerCore<O> {
         self.release_resources();
         (self.result_blocks, metrics)
     }
-}
 
-impl<O: SchedulerObserver> SchedulerCore<O> {
-    /// Set up scheduling state with a custom observer.
-    pub fn with_observer(ctx: Arc<ExecContext>, config: SchedulerConfig, observer: O) -> Self {
+    /// Set up scheduling state recording into `observer`.
+    pub fn with_observer(
+        ctx: Arc<ExecContext>,
+        config: SchedulerConfig,
+        observer: QueryObserver,
+    ) -> Self {
         let plan = ctx.plan.clone();
         let topo = plan.topology();
         let n = plan.len();
@@ -478,8 +339,7 @@ impl<O: SchedulerObserver> SchedulerCore<O> {
         // Feed base-table blocks.
         for id in 0..n {
             if let crate::plan::Source::Table(t) = plan.op(id).kind.stream_source() {
-                let blocks: Vec<Arc<StorageBlock>> = t.blocks().to_vec();
-                core.transfer_in(id, blocks);
+                core.transfer_in(id, t.blocks().to_vec(), t.num_rows(), t.allocated_bytes());
             }
         }
         // Operators with no input at all may already be completable.
@@ -604,7 +464,7 @@ impl<O: SchedulerObserver> SchedulerCore<O> {
                     });
             }
         }
-        self.observer.work_order_completed(wo, record);
+        self.observer.work_order_completed(wo.seq, record);
         // A fused chain's output leaves from its *tail*: the blocks skip every
         // interior edge and land directly on the tail's outgoing edge.
         let route = match (&wo.kind, self.ctx.fusion.chain_for_head(wo.op)) {
@@ -680,9 +540,7 @@ impl<O: SchedulerObserver> SchedulerCore<O> {
             TransferAction::Transfer(slots) => {
                 let consumer = self.edges[producer].consumer().expect("stream edge");
                 let blocks = self.resolve_slots(slots)?;
-                self.observer
-                    .transfer_flushed(producer, consumer, &blocks, false);
-                self.transfer_in(consumer, blocks);
+                self.deliver(producer, consumer, blocks, false);
             }
             TransferAction::Materialize(blocks) => {
                 // The NLJ reads the inner relation from its producing
@@ -721,19 +579,35 @@ impl<O: SchedulerObserver> SchedulerCore<O> {
         Ok(blocks)
     }
 
-    /// Deliver transferred blocks to `op`: collected for sorts, queued for
-    /// non-startable operators, otherwise one stream work order per block.
-    fn transfer_in(&mut self, op: OpId, blocks: Vec<Arc<StorageBlock>>) {
+    /// Move a flushed set over `producer`'s edge into `consumer`, observed
+    /// once with its actual sizes.
+    fn deliver(
+        &mut self,
+        producer: OpId,
+        consumer: OpId,
+        blocks: Vec<Arc<StorageBlock>>,
+        partial: bool,
+    ) {
+        let rows = blocks.iter().map(|b| b.num_rows()).sum();
+        let bytes = blocks.iter().map(|b| b.allocated_bytes()).sum();
+        self.observer
+            .transfer_flushed(producer, consumer, blocks.len(), rows, bytes, partial);
+        self.transfer_in(consumer, blocks, rows, bytes);
+    }
+
+    /// Deliver transferred blocks (`rows` rows, `bytes` allocated bytes in
+    /// all) to `op`: collected for sorts, queued for non-startable
+    /// operators, otherwise one stream work order per block.
+    fn transfer_in(&mut self, op: OpId, blocks: Vec<Arc<StorageBlock>>, rows: usize, bytes: usize) {
         if blocks.is_empty() {
             return;
         }
-        self.observer.blocks_transferred(op, &blocks);
+        self.observer.blocks_transferred(op, blocks.len(), rows);
         if matches!(self.plan().op(op).kind, OperatorKind::Sort { .. }) {
             // Sort input parks in bulk; intermediate (tracked) blocks are
             // charged to the incoming edge until the sort finishes.
             if let Some(parent) = self.plan().topology().stream_parent(op) {
-                self.edges[parent]
-                    .add_collected(blocks.iter().map(|b| b.allocated_bytes()).sum::<usize>());
+                self.edges[parent].add_collected(bytes);
             }
             self.ctx.runtimes[op].collected.lock().extend(blocks);
             return;
@@ -890,9 +764,7 @@ impl<O: SchedulerObserver> SchedulerCore<O> {
             // block count/bytes that actually moved (a delayed flush still
             // transfers everything; an erroring one never reaches here), not
             // the pre-fault staging level.
-            self.observer
-                .transfer_flushed(producer, consumer, &blocks, true);
-            self.transfer_in(consumer, blocks);
+            self.deliver(producer, consumer, blocks, true);
         }
 
         // Stream edge: mark the consumer's producer done.
@@ -1056,14 +928,14 @@ fn finalize_error(e: EngineError, wall: Duration, completed: usize) -> EngineErr
     }
 }
 
-/// Execute `ctx`'s plan under `config.mode` with the default metrics
-/// observer, surfacing only the error on failure — the common path for
-/// tests, benches and examples driving a hand-built context.
+/// Execute `ctx`'s plan under `config.mode`, recording metrics only and
+/// surfacing only the error on failure — the common path for tests, benches
+/// and examples driving a hand-built context.
 pub fn run(
     ctx: Arc<ExecContext>,
     config: SchedulerConfig,
 ) -> Result<(Vec<Arc<StorageBlock>>, QueryMetrics)> {
-    let observer = MetricsObserver::new(&ctx.plan);
+    let observer = QueryObserver::new(&ctx.plan);
     run_query(ctx, config, observer).map_err(|f| f.error)
 }
 
@@ -1072,12 +944,10 @@ pub fn run(
 pub(crate) type Outcome =
     std::result::Result<(Vec<Arc<StorageBlock>>, QueryMetrics), Box<FailedQuery>>;
 
-/// Drive a hand-built context's plan under [`SchedulerConfig::mode`] with a
-/// caller-supplied observer stack — any composition that still carries a
-/// [`MetricsObserver`], e.g.
-/// [`CompositeObserver`](crate::obs::CompositeObserver) layering a
-/// [`TracingObserver`](crate::obs::TracingObserver) on top. `Engine` and
-/// `QueryService` drive the contexts they prepare through the same loop.
+/// Drive a hand-built context's plan under [`SchedulerConfig::mode`],
+/// recording into `observer` — e.g. a [`QueryObserver`] with a trace sink
+/// installed. `Engine` and `QueryService` drive the contexts they prepare
+/// through the same loop.
 ///
 /// On failure the partial metrics survive as [`FailedQuery::partial_metrics`]:
 /// after the first error, dispatch stops but every in-flight completion is
@@ -1085,10 +955,10 @@ pub(crate) type Outcome =
 /// released. Error precedence: the first work-order error, else a tripped
 /// cancellation token (deadline or external cancel), else a stall diagnostic
 /// naming every unfinished operator.
-pub fn run_query<O: SchedulerObserver + MetricsCarrier>(
+pub fn run_query(
     ctx: Arc<ExecContext>,
     config: SchedulerConfig,
-    observer: O,
+    observer: QueryObserver,
 ) -> std::result::Result<(Vec<Arc<StorageBlock>>, QueryMetrics), Box<FailedQuery>> {
     if let Err(e) = config.validate() {
         return Err(Box::new(FailedQuery {
@@ -1105,7 +975,7 @@ pub fn run_query<O: SchedulerObserver + MetricsCarrier>(
 /// order; [`ExecMode::Parallel`] runs the query service's dispatch loop for
 /// this one query, the calling thread scheduling for worker threads of its
 /// own (Quickstep's two thread kinds).
-pub(crate) fn drive<O: SchedulerObserver + MetricsCarrier>(mut run: QueryRun<O>) -> Outcome {
+pub(crate) fn drive(mut run: QueryRun) -> Outcome {
     if run.core.config.mode == ExecMode::Serial {
         let ctx = run.core.ctx.clone();
         loop {
@@ -1203,8 +1073,8 @@ pub(crate) fn worker_loop(
 /// One query inside a dispatch loop: its scheduling core, the work orders it
 /// has out on workers and the first error it hit. The front end's own
 /// per-query state rides along as `meta`.
-pub(crate) struct QueryRun<O: SchedulerObserver, M = ()> {
-    pub(crate) core: SchedulerCore<O>,
+pub(crate) struct QueryRun<M = ()> {
+    pub(crate) core: SchedulerCore,
     pub(crate) meta: M,
     /// `(seq, op, bytes its stream input charged)` of each work order out on
     /// a worker: enough to release resources and name operators even if the
@@ -1214,8 +1084,8 @@ pub(crate) struct QueryRun<O: SchedulerObserver, M = ()> {
     first_error: Option<EngineError>,
 }
 
-impl<O: SchedulerObserver + MetricsCarrier, M> QueryRun<O, M> {
-    pub(crate) fn new(core: SchedulerCore<O>, meta: M) -> Self {
+impl<M> QueryRun<M> {
+    pub(crate) fn new(core: SchedulerCore, meta: M) -> Self {
         QueryRun {
             core,
             meta,
@@ -1386,14 +1256,14 @@ impl<O: SchedulerObserver + MetricsCarrier, M> QueryRun<O, M> {
 /// The parallel dispatch loop's state: the active queries, a round-robin
 /// ring over them and the free worker slots. The query service runs one over
 /// its shared pool; a standalone parallel run, one per query.
-pub(crate) struct Dispatcher<O: SchedulerObserver, M> {
+pub(crate) struct Dispatcher<M> {
     jobs: Sender<Job>,
     free_slots: usize,
     ring: VecDeque<QueryId>,
-    runs: HashMap<QueryId, QueryRun<O, M>>,
+    runs: HashMap<QueryId, QueryRun<M>>,
 }
 
-impl<O: SchedulerObserver + MetricsCarrier, M> Dispatcher<O, M> {
+impl<M> Dispatcher<M> {
     pub(crate) fn new(jobs: Sender<Job>, workers: usize) -> Self {
         Dispatcher {
             jobs,
@@ -1404,11 +1274,11 @@ impl<O: SchedulerObserver + MetricsCarrier, M> Dispatcher<O, M> {
     }
 
     /// The active queries.
-    pub(crate) fn runs(&self) -> impl Iterator<Item = &QueryRun<O, M>> {
+    pub(crate) fn runs(&self) -> impl Iterator<Item = &QueryRun<M>> {
         self.runs.values()
     }
 
-    pub(crate) fn get_mut(&mut self, id: QueryId) -> Option<&mut QueryRun<O, M>> {
+    pub(crate) fn get_mut(&mut self, id: QueryId) -> Option<&mut QueryRun<M>> {
         self.runs.get_mut(&id)
     }
 
@@ -1417,14 +1287,14 @@ impl<O: SchedulerObserver + MetricsCarrier, M> Dispatcher<O, M> {
     }
 
     /// Put a query on the ring.
-    pub(crate) fn admit(&mut self, run: QueryRun<O, M>) {
+    pub(crate) fn admit(&mut self, run: QueryRun<M>) {
         let id = run.core.ctx.query;
         self.ring.push_back(id);
         self.runs.insert(id, run);
     }
 
     /// Take a query off the ring.
-    pub(crate) fn remove(&mut self, id: QueryId) -> Option<QueryRun<O, M>> {
+    pub(crate) fn remove(&mut self, id: QueryId) -> Option<QueryRun<M>> {
         self.ring.retain(|&x| x != id);
         self.runs.remove(&id)
     }
@@ -1553,7 +1423,7 @@ mod tests {
         ctx: Arc<ExecContext>,
         config: SchedulerConfig,
     ) -> std::result::Result<(Vec<Arc<StorageBlock>>, QueryMetrics), Box<FailedQuery>> {
-        let observer = MetricsObserver::new(&ctx.plan);
+        let observer = QueryObserver::new(&ctx.plan);
         run_query(
             ctx,
             SchedulerConfig {
@@ -1887,14 +1757,12 @@ mod tests {
         assert_eq!(q.pop().map(|w| w.seq), Some(1), "slot freed, FIFO resumes");
     }
 
-    #[test]
-    fn noop_observer_drives_bare_machine() {
-        let ctx = ctx_for(select_probe_plan(Uot::Blocks(1)));
-        let mut core =
-            SchedulerCore::with_observer(ctx.clone(), SchedulerConfig::default(), NoopObserver);
+    /// Drive `core` by hand on the calling thread; returns the number of
+    /// work orders executed.
+    fn drive_by_hand(core: &mut SchedulerCore, ctx: &ExecContext) -> usize {
         let mut executed = 0usize;
         while let Some(wo) = core.next_work_order() {
-            let produced = execute_work_order(&ctx, &wo).unwrap();
+            let produced = execute_work_order(ctx, &wo).unwrap();
             executed += 1;
             core.on_complete(
                 &wo,
@@ -1908,52 +1776,42 @@ mod tests {
             )
             .unwrap();
         }
-        assert!(core.all_finished());
-        assert!(executed >= 16, "3 build + 13 select + probes");
+        executed
     }
 
     #[test]
-    fn custom_observer_sees_dispatch_and_finish_events() {
-        #[derive(Default)]
-        struct Counting {
-            dispatched: usize,
-            completed: usize,
-            finished_ops: Vec<OpId>,
-        }
-        impl SchedulerObserver for Counting {
-            fn work_order_dispatched(&mut self, _wo: &WorkOrder) {
-                self.dispatched += 1;
-            }
-            fn work_order_completed(&mut self, _wo: &WorkOrder, _r: TaskRecord) {
-                self.completed += 1;
-            }
-            fn operator_finished(&mut self, op: OpId) {
-                self.finished_ops.push(op);
-            }
-        }
+    fn metrics_only_observer_drives_bare_machine() {
         let ctx = ctx_for(select_probe_plan(Uot::Blocks(1)));
-        let mut core = SchedulerCore::with_observer(
-            ctx.clone(),
-            SchedulerConfig::default(),
-            Counting::default(),
-        );
-        while let Some(wo) = core.next_work_order() {
-            let produced = execute_work_order(&ctx, &wo).unwrap();
-            core.on_complete(
-                &wo,
-                produced,
-                TaskRecord {
-                    op: wo.op,
-                    worker: 0,
-                    start: Duration::ZERO,
-                    end: Duration::ZERO,
-                },
-            )
-            .unwrap();
-        }
+        let mut core = SchedulerCore::new(ctx.clone(), SchedulerConfig::default());
+        let executed = drive_by_hand(&mut core, &ctx);
         assert!(core.all_finished());
-        assert_eq!(core.observer.dispatched, core.observer.completed);
-        assert_eq!(core.observer.finished_ops, vec![0, 1, 2]);
+        assert!(executed >= 16, "3 build + 13 select + probes");
+        assert_eq!(core.observer.tasks.len(), executed);
+    }
+
+    #[test]
+    fn observer_sees_dispatch_and_finish_events() {
+        let ctx = ctx_for(select_probe_plan(Uot::Blocks(1)));
+        let sink = crate::trace::TraceSink::new(1 << 12);
+        let observer = QueryObserver::new(&ctx.plan).with_trace(sink.clone());
+        let mut core =
+            SchedulerCore::with_observer(ctx.clone(), SchedulerConfig::default(), observer);
+        drive_by_hand(&mut core, &ctx);
+        assert!(core.all_finished());
+        let trace = sink.finish(vec![]);
+        use crate::trace::TraceEventKind as K;
+        let dispatched = trace.count(|k| matches!(k, K::WorkOrderDispatched { .. }));
+        let completed = trace.count(|k| matches!(k, K::WorkOrderFinished { .. }));
+        assert_eq!(dispatched, completed);
+        let finished_ops: Vec<OpId> = trace
+            .events
+            .iter()
+            .filter_map(|e| match e.kind {
+                K::OperatorFinished { op } => Some(op),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(finished_ops, vec![0, 1, 2]);
     }
 
     #[test]

@@ -39,7 +39,7 @@ use crate::engine::{EngineConfig, ExecMode, QueryResult, TraceConfig};
 use crate::error::EngineError;
 use crate::exec_options::ExecOptions;
 use crate::fault::FaultPlan;
-use crate::lifecycle::{self, Prepared, QueryObserver};
+use crate::lifecycle::{self, Prepared};
 use crate::metrics::Degradation;
 use crate::obs::hub::{HubCounter, HubHistogram};
 use crate::obs::{
@@ -286,7 +286,7 @@ pub struct QueryService {
     /// Compiled plans shared by every [`QueryService::submit_sql`] client,
     /// keyed by normalized SQL text.
     plan_cache: PlanCache<QueryPlan>,
-    /// Always-on live metrics, shared with every query's observer stack.
+    /// Always-on live metrics, shared with every query's observer.
     hub: Arc<MetricsHub>,
     /// Live registry behind `/queries` and the watchdog.
     registry: Arc<LiveRegistry>,
@@ -544,7 +544,7 @@ struct SchedulerLoop {
     config: ServiceConfig,
     tracker: Arc<MemoryTracker>,
     /// Admitted queries, dispatched round-robin over the shared workers.
-    queries: Dispatcher<QueryObserver, Ticket>,
+    queries: Dispatcher<Ticket>,
     /// FIFO admission queue (reservations that do not currently fit).
     pending: VecDeque<Box<Submission>>,
     /// Sum of active reservations, ≤ `config.memory_budget`.

@@ -27,25 +27,10 @@ pub struct EngineSpillHook {
 
 impl EngineSpillHook {
     /// Build the hook for one query execution. `tracker` is the query's
-    /// tracker (read for the `in_use` field of spill trace events).
+    /// tracker (read for the `in_use` field of spill trace events); spill
+    /// I/O also updates `hub` counters/histograms and the query's `live`
+    /// registry entry as it happens, when given.
     pub fn new(
-        faults: Option<Arc<FaultPlan>>,
-        trace: Option<Arc<TraceSink>>,
-        tracker: Arc<MemoryTracker>,
-    ) -> Arc<Self> {
-        Arc::new(EngineSpillHook {
-            faults,
-            trace,
-            tracker,
-            hub: None,
-            live: None,
-        })
-    }
-
-    /// Build the hook with live-telemetry mirrors: spill I/O updates `hub`
-    /// counters/histograms and the query's live registry entry as it
-    /// happens, in addition to the trace.
-    pub fn with_telemetry(
         faults: Option<Arc<FaultPlan>>,
         trace: Option<Arc<TraceSink>>,
         tracker: Arc<MemoryTracker>,
@@ -161,6 +146,8 @@ mod tests {
             Some(faults),
             Some(sink.clone()),
             tracker.clone(),
+            None,
+            None,
         ));
 
         let b = block();
@@ -208,7 +195,13 @@ mod tests {
         let b = block();
         tracker.alloc(b.allocated_bytes());
         let h = store.spill_block(&b, 0).unwrap();
-        store.set_observer(EngineSpillHook::new(Some(faults), None, tracker.clone()));
+        store.set_observer(EngineSpillHook::new(
+            Some(faults),
+            None,
+            tracker.clone(),
+            None,
+            None,
+        ));
         let err = store.restore(h).unwrap_err();
         assert!(err.to_string().contains("injected fault at SpillRead"));
         assert_eq!(tracker.current_bytes(), 0, "no leak on injected read fault");

@@ -7,15 +7,12 @@
 //! [`TraceEvent`]s that worker threads and the scheduler append to with one
 //! short uncontended lock acquisition per event. Tracing is **opt-in** — the
 //! sink only exists when the engine was configured with
-//! [`EngineConfig::tracing`](crate::engine::EngineConfig::tracing), and the
-//! [`NoopObserver`](crate::scheduler::NoopObserver) fast path never touches
-//! it (event payloads are built inside closures that are not even evaluated
-//! when no sink is installed).
+//! [`EngineConfig::tracing`](crate::engine::EngineConfig::tracing); without
+//! one, event payloads are built inside closures that are never evaluated.
 //!
 //! A finished capture is frozen into a [`Trace`] — events sorted by
 //! timestamp plus operator names — which the exporters under [`crate::obs`]
-//! turn into Chrome `trace_event` JSON, Prometheus-style counter snapshots,
-//! and per-edge UoT-occupancy timelines.
+//! turn into Chrome `trace_event` JSON and per-edge UoT-occupancy timelines.
 
 use crate::fault::{FaultKind, FaultSite};
 use crate::plan::OpId;
@@ -237,7 +234,7 @@ impl TraceEventKind {
         }
     }
 
-    /// Short category label (Chrome trace `cat`, Prometheus label).
+    /// Short category label (the Chrome trace `cat`).
     pub fn label(&self) -> &'static str {
         match self {
             TraceEventKind::WorkOrderDispatched { .. } => "dispatch",
@@ -279,16 +276,19 @@ const SHARDS: usize = 8;
 /// worker.
 ///
 /// Recording takes one uncontended `parking_lot` lock on a shard picked by
-/// the calling thread's id, so concurrent workers rarely collide. Each shard
-/// holds at most `capacity / SHARDS` events; past that, events are counted
-/// as dropped instead of growing without bound — a trace is a diagnostic,
-/// not a ledger, and a runaway query must not OOM through its own telemetry.
+/// the calling thread's id, so concurrent workers rarely collide. The sink
+/// holds at most `capacity` events in total, however they spread over the
+/// shards; past that, events are counted as dropped instead of growing
+/// without bound — a trace is a diagnostic, not a ledger, and a runaway
+/// query must not OOM through its own telemetry.
 #[derive(Debug)]
 pub struct TraceSink {
     started: Instant,
     shards: Vec<Mutex<Vec<TraceEvent>>>,
-    shard_capacity: usize,
-    dropped: AtomicUsize,
+    capacity: usize,
+    /// Events offered so far, kept or not; the excess over `capacity` was
+    /// dropped.
+    offered: AtomicUsize,
     query: crate::query_id::QueryId,
 }
 
@@ -302,12 +302,11 @@ impl TraceSink {
     /// A sink attributed to `query` — the service gives each admitted query
     /// its own sink so frozen traces can be merged without ambiguity.
     pub fn for_query(capacity: usize, query: crate::query_id::QueryId) -> Arc<Self> {
-        let shard_capacity = (capacity / SHARDS).max(1);
         Arc::new(TraceSink {
             started: Instant::now(),
             shards: (0..SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
-            shard_capacity,
-            dropped: AtomicUsize::new(0),
+            capacity,
+            offered: AtomicUsize::new(0),
             query,
         })
     }
@@ -317,23 +316,14 @@ impl TraceSink {
         self.query
     }
 
-    fn shard_index(&self) -> usize {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        std::thread::current().id().hash(&mut h);
-        (h.finish() as usize) % self.shards.len()
-    }
-
     /// Append one event, stamped with the elapsed time since sink creation.
     pub fn record(&self, kind: TraceEventKind) {
         let t = self.started.elapsed();
-        let mut shard = self.shards[self.shard_index()].lock();
-        if shard.len() >= self.shard_capacity {
-            drop(shard);
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+        if self.offered.fetch_add(1, Ordering::Relaxed) >= self.capacity {
             return;
         }
-        shard.push(TraceEvent { t, kind });
+        let shard = crate::obs::hub::thread_shard_key() % self.shards.len();
+        self.shards[shard].lock().push(TraceEvent { t, kind });
     }
 
     /// Time elapsed since the sink was created (query start).
@@ -353,7 +343,9 @@ impl TraceSink {
 
     /// Events dropped because the capacity was reached.
     pub fn dropped(&self) -> usize {
-        self.dropped.load(Ordering::Relaxed)
+        self.offered
+            .load(Ordering::Relaxed)
+            .saturating_sub(self.capacity)
     }
 
     /// Drain every shard into a time-sorted [`Trace`]. `op_names` gives the
@@ -450,17 +442,36 @@ mod tests {
     }
 
     #[test]
-    fn capacity_bounds_and_counts_drops() {
-        // Tiny capacity: 8 shards of 1 event each. The calling thread always
-        // lands in the same shard, so the second record from here drops.
-        let sink = TraceSink::new(8);
-        for _ in 0..5 {
+    fn capacity_is_a_total_across_shards() {
+        // One thread lands every event in one shard; the cap still counts
+        // all of them against the sink's total, not a per-shard slice.
+        let sink = TraceSink::new(80);
+        for _ in 0..20 {
             sink.record(TraceEventKind::OperatorFinished { op: 0 });
         }
-        assert_eq!(sink.len(), 1);
-        assert_eq!(sink.dropped(), 4);
+        assert_eq!((sink.len(), sink.dropped()), (20, 0));
+        for _ in 0..70 {
+            sink.record(TraceEventKind::OperatorFinished { op: 0 });
+        }
+        assert_eq!((sink.len(), sink.dropped()), (80, 10));
         let trace = sink.finish(vec![]);
-        assert_eq!(trace.dropped, 4);
+        assert_eq!((trace.len(), trace.dropped), (80, 10));
+    }
+
+    #[test]
+    fn capacity_holds_under_concurrent_recording() {
+        let sink = TraceSink::new(100);
+        std::thread::scope(|s| {
+            for op in 0..4 {
+                let sink = &sink;
+                s.spawn(move || {
+                    for _ in 0..50 {
+                        sink.record(TraceEventKind::OperatorFinished { op });
+                    }
+                });
+            }
+        });
+        assert_eq!((sink.len(), sink.dropped()), (100, 100));
     }
 
     #[test]

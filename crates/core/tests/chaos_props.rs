@@ -16,12 +16,11 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
-use uot_core::scheduler::{run, run_query, ExecMode, MetricsObserver};
+use uot_core::scheduler::{run, run_query, ExecMode};
 use uot_core::state::ExecContext;
 use uot_core::{
-    CompositeObserver, EngineError, FaultKind, FaultPlan, FaultSite, Injection, JoinType,
-    PlanBuilder, QueryPlan, SchedulerConfig, Source, TraceEventKind, TraceSink, TracingObserver,
-    Uot, DEFAULT_TRACE_CAPACITY,
+    EngineError, FaultKind, FaultPlan, FaultSite, Injection, JoinType, PlanBuilder, QueryObserver,
+    QueryPlan, SchedulerConfig, Source, TraceEventKind, TraceSink, Uot, DEFAULT_TRACE_CAPACITY,
 };
 use uot_expr::{cmp, col, lit, AggSpec, CmpOp};
 use uot_storage::{
@@ -178,7 +177,7 @@ proptest! {
         };
 
         let outcome = run_with_watchdog(move || {
-            let observer = MetricsObserver::new(&ctx.plan);
+            let observer = QueryObserver::new(&ctx.plan);
             match run_query(ctx, config, observer) {
                 Ok((blocks, _metrics)) => Ok(blocks.len()),
                 Err(failed) => Err(failed.error),
@@ -239,6 +238,8 @@ proptest! {
             Some(faults.clone()),
             None,
             tracker.clone(),
+            None,
+            None,
         ));
         pool.enable_spill(store.clone());
         // Table UoT + one hash-table shard: staging must outgrow the budget
@@ -265,7 +266,7 @@ proptest! {
         };
 
         let outcome = run_with_watchdog(move || {
-            let observer = MetricsObserver::new(&ctx.plan);
+            let observer = QueryObserver::new(&ctx.plan);
             match run_query(ctx, config, observer) {
                 Ok((blocks, _metrics)) => Ok(blocks.len()),
                 Err(failed) => Err(failed.error),
@@ -381,10 +382,7 @@ proptest! {
 
         let run_sink = sink.clone();
         let outcome = run_with_watchdog(move || {
-            let observer = CompositeObserver::new(
-                MetricsObserver::new(&ctx.plan),
-                TracingObserver::new(run_sink),
-            );
+            let observer = QueryObserver::new(&ctx.plan).with_trace(run_sink);
             match run_query(ctx, config, observer) {
                 Ok((blocks, _metrics)) => Ok(blocks.len()),
                 Err(failed) => Err(failed.error),

@@ -209,6 +209,8 @@ proptest! {
             Some(faults.clone()),
             None,
             tracker.clone(),
+            None,
+            None,
         ));
         pool.enable_spill(store.clone());
         let spill_dir = store.dir().to_path_buf();

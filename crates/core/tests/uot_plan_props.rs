@@ -298,10 +298,9 @@ proptest! {
         }
     }
 
-    /// Observability must be a pure observer: layering a `TracingObserver`
-    /// onto the `MetricsObserver` (via `CompositeObserver`, which is what
-    /// `EngineConfig::tracing` installs) may not change results or any
-    /// schedule-deterministic metric. And the trace itself must be
+    /// Observability must be a pure observer: installing a trace sink on the
+    /// query's observer (what `EngineConfig::tracing` does) may not change
+    /// results or any schedule-deterministic metric. And the trace itself must be
     /// internally consistent: every dispatched work order reaches exactly
     /// one terminal event (finish, panic, failure, or cancellation).
     #[test]

@@ -2,11 +2,16 @@
 //! [`QueryResult`](uot_core::QueryResult) must agree *exactly* with the other
 //! two sources of truth about the same execution — the per-operator
 //! [`QueryMetrics`] aggregates and the structured trace — across TPC-H
-//! queries, execution modes and UoTs. Explain is a pure fold of plan +
-//! metrics, so any disagreement means double counting or dropped events
-//! somewhere in the scheduler's accounting.
+//! queries, execution modes and UoTs, and the query's live [`MetricsHub`]
+//! must hold the same totals as its metrics. Explain is a pure fold of
+//! plan + metrics, so any disagreement means double counting or dropped
+//! events somewhere in the scheduler's accounting.
 
-use uot_core::{Engine, EngineConfig, ExecMode, Source, TraceConfig, TraceEventKind, Uot};
+use std::sync::Arc;
+use uot_core::{
+    Engine, EngineConfig, ExecMode, HubCounter, MetricsHub, Source, TraceConfig, TraceEventKind,
+    Uot,
+};
 use uot_storage::BlockFormat;
 use uot_tpch::{build_query, sql_text, QueryId, TpchConfig, TpchDb};
 
@@ -20,10 +25,14 @@ fn db() -> TpchDb {
 }
 
 /// Cross-check one executed query: explain vs metrics (field-exact), explain
-/// vs trace (work-order counts), and edge flow vs consumer input accounting.
+/// vs trace (work-order counts), hub vs metrics (totals), and edge flow vs
+/// consumer input accounting.
 fn reconcile(db: &TpchDb, q: QueryId, cfg: EngineConfig, label: &str) {
     let plan = build_query(q, db).expect("plan builds");
-    let r = Engine::new(cfg).execute(plan.clone()).expect("query runs");
+    let hub = Arc::new(MetricsHub::new());
+    let r = Engine::new(cfg.with_hub(hub.clone()))
+        .execute(plan.clone())
+        .expect("query runs");
     let m = &r.metrics;
     let ex = r.explain.as_ref().expect("explain is always attached");
 
@@ -76,6 +85,26 @@ fn reconcile(db: &TpchDb, q: QueryId, cfg: EngineConfig, label: &str) {
         trace.count(|k| matches!(k, TraceEventKind::WorkOrderFinished { .. })),
         "{label}: trace work-order total"
     );
+
+    // The hub, fed online by the same observer, holds the metrics' totals.
+    let snap = hub.snapshot();
+    let ops = |f: fn(&uot_core::OperatorMetrics) -> usize| m.ops.iter().map(f).sum::<usize>();
+    let edges = |f: fn(&uot_core::EdgeMetrics) -> usize| m.edges.iter().map(f).sum::<usize>();
+    for (counter, expected) in [
+        (HubCounter::WorkOrders, ops(|o| o.work_orders)),
+        (HubCounter::BlocksProduced, ops(|o| o.produced_blocks)),
+        (HubCounter::RowsProduced, ops(|o| o.produced_rows)),
+        (HubCounter::Transfers, edges(|e| e.flushes)),
+        (HubCounter::PartialTransfers, edges(|e| e.partial_flushes)),
+        (HubCounter::TransferBlocks, edges(|e| e.blocks)),
+        (HubCounter::TransferBytes, edges(|e| e.bytes)),
+    ] {
+        assert_eq!(
+            snap.counter(counter),
+            expected as u64,
+            "{label}: hub {counter:?} vs metrics"
+        );
+    }
 
     // Flow conservation: everything a consumer reports as input arrived
     // over the transfer edges that name it as their consumer. Operators
@@ -138,7 +167,7 @@ fn sql_explain_analyze_returns_the_annotated_tree() {
         .with_catalog(db.catalog().clone());
 
     let sql = sql_text(QueryId::Q6);
-    let plain = engine.execute_sql(&sql).expect("plain run");
+    let plain = engine.execute_sql(sql).expect("plain run");
     let explained = engine
         .execute_sql(&format!("EXPLAIN ANALYZE {sql}"))
         .expect("explain analyze run");

@@ -9,15 +9,16 @@
 //!
 //! * `trace_<uot>.json` — Chrome `trace_event` JSON; open in
 //!   `chrome://tracing` or <https://ui.perfetto.dev>.
-//! * `counters_<uot>.txt` — Prometheus text-exposition snapshot.
-//! * `uot_timeline_<uot>.csv` — per-edge staged-block occupancy over time
-//!   (the paper's Fig. 3/Fig. 5-shaped data come from this plus the task
-//!   time distributions printed below).
+//! * `counters_<uot>.txt` — Prometheus text exposition of a hub installed
+//!   for that one run.
+//! * `uot_timeline_<uot>.csv` — per-edge staged-block occupancy over time.
+//!
+//! It also prints each run's operator time shares (the paper's Fig. 3 view)
+//! from the query's metrics.
 
-use uot::engine::obs::{
-    chrome_trace_json, operator_time_shares, prometheus_snapshot, uot_timelines,
-};
-use uot::engine::{Engine, EngineConfig, TraceConfig, Uot};
+use std::sync::Arc;
+use uot::engine::obs::{chrome_trace_json, prometheus_from_hub, uot_timelines};
+use uot::engine::{Engine, EngineConfig, MetricsHub, TraceConfig, Uot};
 use uot::storage::BlockFormat;
 use uot::tpch::{build_query, QueryId, TpchConfig, TpchDb};
 
@@ -40,11 +41,13 @@ fn main() {
         // Q5: the deepest join chain in the suite — six tables, a fan of
         // build/probe edges, and an aggregation sink.
         let plan = build_query(QueryId::Q5, &db).expect("Q5 builds");
+        let hub = Arc::new(MetricsHub::new());
         let engine = Engine::new(
             EngineConfig::parallel(4)
                 .with_block_bytes(16 * 1024)
                 .with_uot(uot)
-                .tracing(TraceConfig::default()),
+                .tracing(TraceConfig::default())
+                .with_hub(hub.clone()),
         );
         let result = engine.execute(plan).expect("Q5 runs");
         let trace = result.trace.as_ref().expect("tracing was enabled");
@@ -61,7 +64,7 @@ fn main() {
         std::fs::write(&chrome_path, &chrome).expect("write chrome trace");
         println!("  chrome trace  -> {}", chrome_path.display());
 
-        let counters = prometheus_snapshot(trace);
+        let counters = prometheus_from_hub(&hub.snapshot());
         let counters_path = out_dir.join(format!("counters_{slug}.txt"));
         std::fs::write(&counters_path, &counters).expect("write counters");
         println!("  counters      -> {}", counters_path.display());
@@ -76,7 +79,7 @@ fn main() {
         println!("  uot timeline  -> {}", csv_path.display());
 
         println!("  operator time shares (Fig. 3 view):");
-        for (op, name, frac) in operator_time_shares(trace).into_iter().take(5) {
+        for (op, name, frac) in result.metrics.dominant_operators().into_iter().take(5) {
             if frac > 0.0 {
                 println!("    {frac:>6.1}%  op{op:<3} {name}", frac = frac * 100.0);
             }

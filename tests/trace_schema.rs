@@ -1,14 +1,16 @@
 //! Schema check for exported query profiles: the Chrome `trace_event` JSON
 //! must actually be JSON (a hand-rolled recursive-descent parser below — the
 //! workspace deliberately has no serde), the trace must be non-empty for a
-//! real query, and the Prometheus snapshot must follow the text exposition
-//! format. CI runs this plus `examples/trace_profile.rs` and uploads the
+//! real query, and the Prometheus exposition of the query's hub must follow
+//! the text exposition format. CI runs this plus `examples/trace_profile.rs` and uploads the
 //! emitted files as an artifact.
 
 use std::collections::HashMap;
 
-use uot::engine::obs::{chrome_trace_json, prometheus_snapshot};
-use uot::engine::{Engine, EngineConfig, TraceConfig, Uot};
+use std::sync::Arc;
+
+use uot::engine::obs::{chrome_trace_json, prometheus_from_hub};
+use uot::engine::{Engine, EngineConfig, MetricsHub, QueryResult, TraceConfig, Uot};
 use uot::storage::BlockFormat;
 use uot::tpch::{build_query, QueryId, TpchConfig, TpchDb};
 
@@ -238,26 +240,30 @@ impl<'a> Parser<'a> {
 
 // ---------------------------------------------------------------------------
 
-fn traced_q3() -> uot::engine::QueryResult {
+/// A traced Q3 run with a hub installed for that one query.
+fn traced_q3() -> (QueryResult, Arc<MetricsHub>) {
     let db = TpchDb::generate(
         TpchConfig::scale(0.003)
             .with_block_bytes(8 * 1024)
             .with_format(BlockFormat::Column),
     );
     let plan = build_query(QueryId::Q3, &db).expect("Q3 builds");
-    Engine::new(
+    let hub = Arc::new(MetricsHub::new());
+    let result = Engine::new(
         EngineConfig::parallel(2)
             .with_block_bytes(8 * 1024)
             .with_uot(Uot::LOW)
-            .tracing(TraceConfig::default()),
+            .tracing(TraceConfig::default())
+            .with_hub(hub.clone()),
     )
     .execute(plan)
-    .expect("Q3 runs")
+    .expect("Q3 runs");
+    (result, hub)
 }
 
 #[test]
 fn chrome_trace_is_valid_nonempty_json() {
-    let result = traced_q3();
+    let (result, _) = traced_q3();
     let trace = result.trace.as_ref().expect("tracing was enabled");
     assert!(!trace.is_empty(), "a real query must produce events");
 
@@ -305,31 +311,79 @@ fn chrome_trace_is_valid_nonempty_json() {
     }
 }
 
+/// The metric name of a sample line: everything before its labels or value.
+fn sample_name(line: &str) -> &str {
+    let end = line.find(['{', ' ']).unwrap_or(line.len());
+    &line[..end]
+}
+
 #[test]
-fn prometheus_snapshot_follows_exposition_format() {
-    let result = traced_q3();
-    let text = prometheus_snapshot(result.trace.as_ref().unwrap());
-    assert!(text.contains("# TYPE uot_work_orders_total counter"));
-    assert!(text.contains("uot_trace_events_total"));
-    let mut typed: Option<String> = None;
+fn prometheus_from_hub_follows_exposition_format() {
+    let (result, hub) = traced_q3();
+    let text = prometheus_from_hub(&hub.snapshot());
+    assert!(text.contains("# TYPE uot_hub_work_orders_total counter"));
+    assert!(text.contains("# TYPE uot_hub_work_order_service_us histogram"));
+    assert!(
+        text.contains(&format!(
+            "uot_hub_work_orders_total {}\n",
+            result.metrics.tasks.len()
+        )),
+        "the query's hub counts every work order its metrics do"
+    );
+    // (family name, type) of the family most recently declared, and the
+    // running cumulative count of its `_bucket` samples.
+    let mut typed: Option<(String, String)> = None;
+    let mut buckets: Option<f64> = None;
     for line in text.lines() {
         if let Some(rest) = line.strip_prefix("# TYPE ") {
             let mut parts = rest.split_whitespace();
-            typed = parts.next().map(str::to_string);
+            let name = parts.next().expect("TYPE names a family").to_string();
+            let kind = parts.next().unwrap_or_default().to_string();
             assert!(
-                matches!(parts.next(), Some("counter" | "gauge")),
+                matches!(kind.as_str(), "counter" | "gauge" | "histogram"),
                 "bad TYPE line: {line}"
             );
+            assert!(parts.next().is_none(), "trailing tokens: {line}");
+            typed = Some((name, kind));
+            buckets = None;
         } else if !line.starts_with('#') && !line.is_empty() {
             // Sample lines belong to the family most recently declared and
             // end in a finite number.
-            let name = typed.as_deref().expect("sample before any # TYPE");
-            assert!(line.starts_with(name), "stray sample {line:?}");
+            let (family, kind) = typed.as_ref().expect("sample before any # TYPE");
             let value = line.rsplit(' ').next().unwrap();
-            assert!(
-                value.parse::<f64>().is_ok_and(f64::is_finite),
-                "bad value in {line:?}"
-            );
+            let v = value
+                .parse::<f64>()
+                .ok()
+                .filter(|v| v.is_finite())
+                .unwrap_or_else(|| panic!("bad value in {line:?}"));
+            let name = sample_name(line);
+            if kind == "histogram" {
+                let suffix = name
+                    .strip_prefix(family.as_str())
+                    .unwrap_or_else(|| panic!("stray sample {line:?}"));
+                match suffix {
+                    "_bucket" => {
+                        assert!(
+                            line[name.len()..].starts_with("{le=\""),
+                            "bucket without an le label: {line:?}"
+                        );
+                        assert!(
+                            buckets.is_none_or(|prev| v >= prev),
+                            "buckets must be cumulative: {line:?}"
+                        );
+                        buckets = Some(v);
+                    }
+                    "_sum" => {}
+                    "_count" => assert_eq!(
+                        buckets,
+                        Some(v),
+                        "+Inf bucket must equal the count: {line:?}"
+                    ),
+                    _ => panic!("stray histogram sample {line:?}"),
+                }
+            } else {
+                assert_eq!(name, family, "stray sample {line:?}");
+            }
         }
     }
 }
