@@ -1,21 +1,24 @@
-//! Hash aggregation: streamed partials plus a finalize merge.
+//! Hash aggregation: pooled partials plus a finalize merge.
 //!
-//! Each stream work order aggregates its block into a private partial (one
-//! hash map of group → accumulators) — no synchronization on the hot path —
-//! then appends the partial to the operator's list. The single finalize work
-//! order merges all partials and emits result blocks. This is the standard
+//! Each stream work order checks a partial out of the operator's pool (or
+//! creates one), folds its block in column-at-a-time and returns it — no
+//! synchronization on the hot path beyond the checkout. A block is folded in
+//! three passes: every distinct argument expression is evaluated once, one
+//! pass over the key hashes assigns dense group ids, and one scatter pass per
+//! aggregate updates the states by group id. The single finalize work order
+//! merges the pooled partials (at most one per concurrent work order) and
+//! emits the groups in group-value order. This is the standard
 //! parallel-aggregation shape of block-based engines like Quickstep.
 
 use crate::error::EngineError;
 use crate::plan::OperatorKind;
-use crate::state::{AggPartial, ExecContext, GroupEntry};
+use crate::state::{AggPartial, ExecContext};
 use crate::Result;
-use std::collections::HashMap;
 use std::sync::Arc;
-use uot_expr::{gather_from, AggFunc, AggSpec};
-use uot_storage::{hash_key::FxBuildHasher, HashKey, StorageBlock, Value};
+use uot_expr::{AggFunc, AggSpec, AggState, ScalarExpr};
+use uot_storage::{ColumnData, StorageBlock, Value};
 
-/// Aggregate one input block into a new partial.
+/// Fold one input block into a pooled partial.
 pub fn execute_block(
     ctx: &ExecContext,
     op: usize,
@@ -34,98 +37,76 @@ pub fn execute_block(
     if n == 0 {
         return Ok(Vec::new());
     }
-    let in_schema = block.schema().clone();
 
-    // Evaluate every aggregate argument once over the whole block.
-    let arg_cols: Vec<Option<uot_storage::ColumnData>> = aggs
-        .iter()
-        .map(|a| {
-            a.arg
-                .as_ref()
-                .map(|e| e.eval_all(block))
-                .transpose()
-                .map_err(EngineError::from)
-        })
-        .collect::<Result<_>>()?;
-
-    let mut partial = AggPartial::default();
-
-    if group_by.is_empty() {
-        // Scalar aggregation: a single implicit group.
-        let entry = partial
-            .groups
-            .entry(HashKey::from_i64(0))
-            .or_insert_with(|| GroupEntry {
-                group_vals: Vec::new(),
-                states: aggs
-                    .iter()
-                    .map(|a| a.init_state(&in_schema).expect("validated by planner"))
-                    .collect(),
-            });
-        update_entry(entry, aggs, &arg_cols, None, n)?;
-    } else {
-        // Bucket rows by group key, extracting all keys for the block in one
-        // batched pass (the map stays keyed by `HashKey` — equality, not just
-        // hash equality, defines a group).
-        let mut scratch = ctx.take_scratch();
-        ctx.key_extractor(op)
-            .extract_block(block, &mut scratch.keys);
-        let mut rows_by_group: HashMap<HashKey, Vec<usize>, FxBuildHasher> = HashMap::default();
-        for row in 0..n {
-            rows_by_group
-                .entry(scratch.keys.key_at(row))
-                .or_default()
-                .push(row);
-        }
-        ctx.put_scratch(scratch);
-        for (key, rows) in rows_by_group {
-            let entry = partial.groups.entry(key).or_insert_with(|| GroupEntry {
-                group_vals: group_by
-                    .iter()
-                    .map(|&g| block.value_at(rows[0], g).expect("in bounds"))
-                    .collect(),
-                states: aggs
-                    .iter()
-                    .map(|a| a.init_state(&in_schema).expect("validated by planner"))
-                    .collect(),
-            });
-            update_entry(entry, aggs, &arg_cols, Some(&rows), rows.len())?;
-        }
-    }
-
-    ctx.runtimes[op].agg_partials.lock().push(partial);
-    Ok(Vec::new())
-}
-
-fn update_entry(
-    entry: &mut GroupEntry,
-    aggs: &[AggSpec],
-    arg_cols: &[Option<uot_storage::ColumnData>],
-    rows: Option<&[usize]>,
-    row_count: usize,
-) -> Result<()> {
-    for ((state, spec), arg) in entry.states.iter_mut().zip(aggs).zip(arg_cols) {
-        match (spec.func, arg) {
-            (AggFunc::CountStar, _) => state.update_count(row_count),
-            (_, Some(col)) => {
-                match rows {
-                    Some(rows) => state
-                        .update_column(&gather_from(col, rows))
-                        .map_err(EngineError::from)?,
-                    None => state.update_column(col).map_err(EngineError::from)?,
-                };
-            }
+    // Evaluate each distinct argument expression once over the whole block
+    // (Q1's seven aggregate arguments are five distinct expressions).
+    let mut exprs: Vec<&ScalarExpr> = Vec::new();
+    let mut cols: Vec<ColumnData> = Vec::new();
+    let mut arg_of: Vec<Option<usize>> = Vec::with_capacity(aggs.len());
+    for spec in aggs {
+        arg_of.push(match (spec.func, &spec.arg) {
+            (AggFunc::CountStar, _) => None,
+            (_, Some(e)) => Some(match exprs.iter().position(|x| *x == e) {
+                Some(i) => i,
+                None => {
+                    cols.push(e.eval_all(block)?);
+                    exprs.push(e);
+                    cols.len() - 1
+                }
+            }),
             (_, None) => {
                 return Err(EngineError::Internal(
                     "non-COUNT(*) aggregate without argument".into(),
                 ))
             }
-        }
+        });
     }
-    Ok(())
+
+    let pooled = ctx.runtimes[op].agg_partials.lock().pop();
+    let mut partial =
+        pooled.unwrap_or_else(|| AggPartial::new(group_by.len(), init_states(ctx, op, aggs)));
+    if group_by.is_empty() {
+        // Scalar aggregation: a single implicit group.
+        let gid = partial.scalar_group() as usize;
+        for (i, arg) in arg_of.iter().enumerate() {
+            let state = &mut partial.states_mut(i)[gid];
+            match arg {
+                None => state.update_count(n),
+                Some(c) => state.update_column(&cols[*c])?,
+            }
+        }
+    } else {
+        let mut scratch = ctx.take_scratch();
+        ctx.key_extractor(op)
+            .extract_block(block, &mut scratch.keys);
+        partial.assign_gids(&scratch.keys, block, group_by, &mut scratch.gids);
+        let gids = &scratch.gids;
+        let updated = arg_of
+            .iter()
+            .enumerate()
+            .try_for_each(|(i, arg)| match arg {
+                None => {
+                    AggState::count_scatter(partial.states_mut(i), gids);
+                    Ok(())
+                }
+                Some(c) => AggState::update_scatter(partial.states_mut(i), gids, &cols[*c]),
+            });
+        ctx.put_scratch(scratch);
+        updated?;
+    }
+    ctx.runtimes[op].agg_partials.lock().push(partial);
+    Ok(Vec::new())
 }
 
-/// Merge all partials and emit the result blocks.
+/// Each aggregate's initial state over operator `op`'s input.
+fn init_states(ctx: &ExecContext, op: usize, aggs: &[AggSpec]) -> Vec<AggState> {
+    let in_schema = ctx.plan.input_schema(op);
+    aggs.iter()
+        .map(|a| a.init_state(&in_schema).expect("validated by planner"))
+        .collect()
+}
+
+/// Merge the pooled partials and emit the result blocks.
 pub fn execute_finalize(ctx: &ExecContext, op: usize) -> Result<Vec<StorageBlock>> {
     let (group_by, aggs) = match &ctx.plan.op(op).kind {
         OperatorKind::Aggregate { group_by, aggs, .. } => (group_by, aggs),
@@ -136,55 +117,23 @@ pub fn execute_finalize(ctx: &ExecContext, op: usize) -> Result<Vec<StorageBlock
             )))
         }
     };
-    let partials: Vec<AggPartial> = std::mem::take(&mut *ctx.runtimes[op].agg_partials.lock());
-    let mut merged: HashMap<HashKey, GroupEntry, FxBuildHasher> = HashMap::default();
+    let mut partials: Vec<AggPartial> = std::mem::take(&mut *ctx.runtimes[op].agg_partials.lock());
+    // Merge into the largest partial, so the fewest groups move.
+    let largest = (0..partials.len()).max_by_key(|&i| partials[i].group_count());
+    let mut merged = match largest {
+        Some(i) => partials.swap_remove(i),
+        None => AggPartial::new(group_by.len(), init_states(ctx, op, aggs)),
+    };
     for partial in partials {
-        // The single finalize merges every partial: honor cancellation
-        // between partials.
+        // Honor cancellation between partials.
         ctx.check_cancelled()?;
-        for (key, entry) in partial.groups {
-            match merged.entry(key) {
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(entry);
-                }
-                std::collections::hash_map::Entry::Occupied(mut o) => {
-                    let target = o.get_mut();
-                    for (a, b) in target.states.iter_mut().zip(&entry.states) {
-                        a.merge(b);
-                    }
-                }
-            }
-        }
+        merged.merge(partial);
     }
-
     // SQL semantics: a scalar aggregate over zero rows still yields one row.
-    if merged.is_empty() && group_by.is_empty() {
-        // We need the input schema to init default states; use the stream
-        // source schema recorded in the plan via any agg's requirements. The
-        // simplest correct source: re-init from the operator's own input.
-        let in_schema = ctx.plan.input_schema(op);
-        merged.insert(
-            HashKey::from_i64(0),
-            GroupEntry {
-                group_vals: Vec::new(),
-                states: aggs
-                    .iter()
-                    .map(|a| a.init_state(&in_schema).expect("validated by planner"))
-                    .collect(),
-            },
-        );
+    if group_by.is_empty() {
+        merged.scalar_group();
     }
-
-    // Deterministic output order: sort groups by their value tuple.
-    let mut entries: Vec<GroupEntry> = merged.into_values().collect();
-    entries.sort_by(|a, b| cmp_value_rows(&a.group_vals, &b.group_vals));
-
-    let rows = entries.into_iter().map(|e| {
-        let mut row = e.group_vals;
-        row.extend(e.states.iter().map(|s| s.finalize()));
-        row
-    });
-    crate::ops::emit_value_rows(ctx, op, rows)
+    crate::ops::emit_value_rows(ctx, op, merged.into_sorted_rows().into_iter())
 }
 
 /// Total order over value rows (used for deterministic group output).
@@ -324,6 +273,195 @@ mod tests {
         let mut sorted = keys.clone();
         sorted.sort_unstable();
         assert_eq!(keys, sorted);
+    }
+
+    /// Row `i` of a table with `groups` scrambled group ids: (g Int32,
+    /// d Date, x Float64, q Int32, w Char(20) — a 20-byte label of g).
+    fn mixed_row(i: usize, groups: usize) -> Vec<Value> {
+        let g = (i * 7919 % groups) as i32;
+        vec![
+            Value::I32(g),
+            Value::Date(9000 + (i * 31 % 1000) as i32),
+            Value::F64((i as f64 * 0.37).sin() * 1000.0),
+            Value::I32((i * 13 % 101) as i32 - 50),
+            Value::Str(format!("wide-group-{g:09}")),
+        ]
+    }
+
+    fn mixed_table(rows: usize, groups: usize) -> Arc<Table> {
+        let s = Schema::from_pairs(&[
+            ("g", DataType::Int32),
+            ("d", DataType::Date),
+            ("x", DataType::Float64),
+            ("q", DataType::Int32),
+            ("w", DataType::Char(20)),
+        ]);
+        let mut tb = TableBuilder::new("m", s, BlockFormat::Column, 1024);
+        for i in 0..rows {
+            tb.append(&mixed_row(i, groups)).unwrap();
+        }
+        Arc::new(tb.finish())
+    }
+
+    /// Per group id g: (rows, sum q, min/max q, min/max d, min/max x).
+    #[allow(clippy::type_complexity)]
+    fn mixed_reference(
+        rows: usize,
+        groups: usize,
+    ) -> std::collections::BTreeMap<i32, (i64, i64, i32, i32, i32, i32, f64, f64)> {
+        let mut m = std::collections::BTreeMap::new();
+        for i in 0..rows {
+            let r = mixed_row(i, groups);
+            let (g, d, x, q) = (r[0].as_i32(), r[1].as_date(), r[2].as_f64(), r[3].as_i32());
+            let e = m.entry(g).or_insert((0, 0, q, q, d, d, x, x));
+            e.0 += 1;
+            e.1 += q as i64;
+            e.2 = e.2.min(q);
+            e.3 = e.3.max(q);
+            e.4 = e.4.min(d);
+            e.5 = e.5.max(d);
+            e.6 = e.6.min(x);
+            e.7 = e.7.max(x);
+        }
+        m
+    }
+
+    #[test]
+    fn wide_group_keys_take_the_var_key_path() {
+        let (n, groups) = (600, 37);
+        let t = mixed_table(n, groups);
+        let want = mixed_reference(n, groups);
+        // Char(20) alone, and Int32 + Char(20): 20 and 24 key bytes, both
+        // past the 16-byte packed limit.
+        for group_by in [vec![4], vec![0, 4]] {
+            let width = group_by.len();
+            let rows = run_agg(
+                &t,
+                group_by,
+                vec![AggSpec::count_star(), AggSpec::sum(col(3))],
+                &["n", "s"],
+            );
+            assert_eq!(rows.len(), groups);
+            // The 9-digit zero-padded label sorts like g itself.
+            for (row, (g, e)) in rows.iter().zip(&want) {
+                assert_eq!(row[width - 1], Value::Str(format!("wide-group-{g:09}")));
+                assert_eq!(row[width], Value::I64(e.0));
+                assert_eq!(row[width + 1], Value::I64(e.1));
+            }
+        }
+    }
+
+    #[test]
+    fn thousands_of_groups_grow_the_slot_array_many_times() {
+        // 3000 groups from 16 initial slots at load ≤ 1/2: nine doublings.
+        let (n, groups) = (9000, 3000);
+        let t = mixed_table(n, groups);
+        let want = mixed_reference(n, groups);
+        let rows = run_agg(
+            &t,
+            vec![0],
+            vec![AggSpec::count_star(), AggSpec::sum(col(3))],
+            &["n", "s"],
+        );
+        assert_eq!(rows.len(), groups);
+        for (row, (g, e)) in rows.iter().zip(&want) {
+            assert_eq!(row, &vec![Value::I32(*g), Value::I64(e.0), Value::I64(e.1)]);
+        }
+    }
+
+    #[test]
+    fn partials_checked_out_together_merge_at_finalize() {
+        let (n, groups) = (400, 23);
+        let t = mixed_table(n, groups);
+        assert!(t.num_blocks() >= 4);
+        let aggs = vec![
+            AggSpec::count_star(),
+            AggSpec::sum(col(2)),
+            AggSpec::min(col(1)),
+            AggSpec::avg(col(3)),
+        ];
+        let names = ["n", "sx", "md", "aq"];
+        let serial = run_agg(&t, vec![0], aggs.clone(), &names);
+
+        let mut pb = PlanBuilder::new();
+        let a = pb
+            .aggregate(Source::Table(t.clone()), vec![0], aggs, &names)
+            .unwrap();
+        let plan = Arc::new(pb.build(a).unwrap());
+        let ctx = ExecContext::new(
+            plan,
+            BlockPool::new(MemoryTracker::new()),
+            BlockFormat::Row,
+            1 << 12,
+            4,
+        )
+        .unwrap();
+        let pool = &ctx.runtimes[a].agg_partials;
+        // Even blocks go to the partial a first work order created; odd
+        // blocks run while that partial is checked out (as by a concurrent
+        // work order), so they build a second one. Groups land in both.
+        let blocks = t.blocks();
+        execute_block(&ctx, a, &blocks[0].clone()).unwrap();
+        let held = pool.lock().pop().expect("first partial pooled");
+        for blk in blocks.iter().skip(1).step_by(2) {
+            execute_block(&ctx, a, &blk.clone()).unwrap();
+        }
+        let second = pool.lock().pop().expect("second partial pooled");
+        pool.lock().push(held);
+        for blk in blocks.iter().skip(2).step_by(2) {
+            execute_block(&ctx, a, &blk.clone()).unwrap();
+        }
+        let first = pool.lock().pop().expect("first partial back in the pool");
+        assert!(first.group_count() > 0 && second.group_count() > 0);
+        assert!(
+            first.group_count() + second.group_count() > groups,
+            "groups overlap"
+        );
+        pool.lock().extend([first, second]);
+
+        let mut rows = Vec::new();
+        for b in execute_finalize(&ctx, a).unwrap() {
+            rows.extend(b.all_rows());
+        }
+        rows.extend(ctx.output(a).flush().iter().flat_map(|b| b.all_rows()));
+        assert!(pool.lock().is_empty(), "finalize consumes the pool");
+        assert_eq!(rows.len(), groups);
+        assert_eq!(rows, serial, "two merged partials equal one");
+    }
+
+    #[test]
+    fn grouped_min_max_over_int_date_and_float() {
+        let (n, groups) = (500, 7);
+        let t = mixed_table(n, groups);
+        let want = mixed_reference(n, groups);
+        let rows = run_agg(
+            &t,
+            vec![0],
+            vec![
+                AggSpec::min(col(3)),
+                AggSpec::max(col(3)),
+                AggSpec::min(col(1)),
+                AggSpec::max(col(1)),
+                AggSpec::min(col(2)),
+                AggSpec::max(col(2)),
+            ],
+            &["mnq", "mxq", "mnd", "mxd", "mnx", "mxx"],
+        );
+        assert_eq!(rows.len(), groups);
+        for (row, (g, e)) in rows.iter().zip(&want) {
+            assert_eq!(
+                row,
+                &vec![
+                    Value::I32(*g),
+                    Value::I32(e.2),
+                    Value::I32(e.3),
+                    Value::Date(e.4),
+                    Value::Date(e.5),
+                    Value::F64(e.6),
+                    Value::F64(e.7),
+                ]
+            );
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Work orders run on worker threads and only touch this state plus their
 //! input block; all scheduling decisions stay in the scheduler thread. The
 //! state is therefore limited to thread-safe structures: output buffers,
-//! shared join hash tables, aggregate partial lists, collected block lists
+//! shared join hash tables, pooled aggregate partials, collected block lists
 //! (sort input / nested-loops inner side) and the limit counter.
 
 use crate::bloom::BloomFilter;
@@ -21,8 +21,8 @@ use std::sync::Arc;
 use std::time::Instant;
 use uot_expr::AggState;
 use uot_storage::{
-    hash_key::FxBuildHasher, BlockFormat, BlockPool, HashKey, KeyBatch, KeyExtractor,
-    SpilledHandle, StorageBlock, Value,
+    hash_key::hash_of, BlockFormat, BlockPool, HashKey, KeyBatch, KeyExtractor, SpilledHandle,
+    StorageBlock, Value,
 };
 
 /// One side (build or probe) of a grace hash join, partitioned by hash radix.
@@ -81,20 +81,210 @@ impl GraceJoinState {
     }
 }
 
-/// One group's accumulated state in a hash aggregation.
-#[derive(Debug, Clone)]
-pub struct GroupEntry {
-    /// The grouping-column values (materialized once per group).
-    pub group_vals: Vec<Value>,
-    /// One accumulator per aggregate.
-    pub states: Vec<AggState>,
+/// A partial hash aggregation: dense group ids assigned by an
+/// open-addressing table, and one state vector per aggregate indexed by
+/// group id.
+///
+/// Slots are placed by the top bits of the key hash the [`KeyExtractor`]
+/// already computed, so a block's group ids cost one probe per row and no
+/// second hash; a group's key and group-by values are stored once, when the
+/// group is created. Partials are pooled per operator
+/// ([`OpRuntime::agg_partials`]): a work order checks one out, folds its
+/// block in and returns it, so at most one partial exists per concurrent
+/// aggregate work order.
+#[derive(Debug)]
+pub struct AggPartial {
+    /// Linear-probing slots holding `gid + 1` (0 = empty); the length is
+    /// `1 << bits` and stays at least twice the group count.
+    slots: Vec<u32>,
+    bits: u32,
+    /// Per group: key hash and key.
+    hashes: Vec<u64>,
+    keys: Vec<HashKey>,
+    /// Group-by values, `width` per group, in group-id order.
+    group_vals: Vec<Value>,
+    width: usize,
+    /// Per aggregate: one state per group.
+    states: Vec<Vec<AggState>>,
+    /// Per aggregate: the state a new group starts from.
+    init: Vec<AggState>,
 }
 
-/// A per-work-order partial aggregation result.
-#[derive(Debug, Default)]
-pub struct AggPartial {
-    /// Group key → accumulated entry.
-    pub groups: HashMap<HashKey, GroupEntry, FxBuildHasher>,
+impl AggPartial {
+    const MIN_BITS: u32 = 4;
+
+    /// An empty partial over `width` group-by columns whose groups start
+    /// from the states `init` (one per aggregate).
+    pub fn new(width: usize, init: Vec<AggState>) -> Self {
+        AggPartial {
+            slots: vec![0; 1 << Self::MIN_BITS],
+            bits: Self::MIN_BITS,
+            hashes: Vec::new(),
+            keys: Vec::new(),
+            group_vals: Vec::new(),
+            width,
+            states: init.iter().map(|_| Vec::new()).collect(),
+            init,
+        }
+    }
+
+    /// Number of groups.
+    pub fn group_count(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// The states of aggregate `agg`, indexed by group id.
+    pub fn states_mut(&mut self, agg: usize) -> &mut [AggState] {
+        &mut self.states[agg]
+    }
+
+    /// Write into `gids` the group id of every key in `keys` (extracted from
+    /// the group-by columns `group_by` of `block`, `width` of them), creating
+    /// groups for unseen keys.
+    pub fn assign_gids(
+        &mut self,
+        keys: &KeyBatch,
+        block: &StorageBlock,
+        group_by: &[usize],
+        gids: &mut Vec<u32>,
+    ) {
+        debug_assert_eq!(group_by.len(), self.width);
+        gids.clear();
+        gids.reserve(keys.len());
+        for (row, &hash) in keys.hashes().iter().enumerate() {
+            let gid = match self.find(hash, |k| keys.key_eq(row, k)) {
+                Ok(gid) => gid,
+                Err(slot) => {
+                    self.group_vals.extend(
+                        group_by
+                            .iter()
+                            .map(|&c| block.value_at(row, c).expect("group-by column in bounds")),
+                    );
+                    self.insert(slot, hash, keys.key_at(row))
+                }
+            };
+            gids.push(gid);
+        }
+    }
+
+    /// The id of the one group of an ungrouped (scalar) aggregate, created on
+    /// first use.
+    pub fn scalar_group(&mut self) -> u32 {
+        let key = HashKey::from_i64(0);
+        let hash = hash_of(&key);
+        match self.find(hash, |k| *k == key) {
+            Ok(gid) => gid,
+            Err(slot) => self.insert(slot, hash, key),
+        }
+    }
+
+    /// Fold `other` in: shared groups merge their states, the rest move over.
+    pub fn merge(&mut self, other: AggPartial) {
+        let mut other_states: Vec<_> = other.states.into_iter().map(Vec::into_iter).collect();
+        let mut other_vals = other.group_vals.into_iter();
+        for (hash, key) in other.hashes.into_iter().zip(other.keys) {
+            let vals = other_vals.by_ref().take(other.width);
+            let states = other_states
+                .iter_mut()
+                .map(|col| col.next().expect("one state per group"));
+            match self.find(hash, |k| *k == key) {
+                Ok(gid) => {
+                    vals.for_each(drop); // already stored here
+                    for (col, st) in self.states.iter_mut().zip(states) {
+                        col[gid as usize].merge(&st);
+                    }
+                }
+                Err(slot) => {
+                    self.group_vals.extend(vals);
+                    for (col, st) in self.states.iter_mut().zip(states) {
+                        col.push(st);
+                    }
+                    self.place(slot, hash, key);
+                }
+            }
+        }
+    }
+
+    /// One row per group — its group-by values then each aggregate's final
+    /// value — in group-value order. Consumes the partial: values move into
+    /// the rows and float sums round in place.
+    pub fn into_sorted_rows(self) -> Vec<Vec<Value>> {
+        let AggPartial {
+            keys,
+            group_vals,
+            mut states,
+            width,
+            ..
+        } = self;
+        let mut vals = group_vals.into_iter();
+        let mut rows: Vec<Vec<Value>> = (0..keys.len())
+            .map(|gid| {
+                let mut row = Vec::with_capacity(width + states.len());
+                row.extend(vals.by_ref().take(width));
+                row.extend(states.iter_mut().map(|col| col[gid].finish()));
+                row
+            })
+            .collect();
+        rows.sort_by(|a, b| crate::ops::aggregate::cmp_value_rows(&a[..width], &b[..width]));
+        rows
+    }
+
+    /// The group id of the key with `hash` for which `eq` holds, or the empty
+    /// slot where it belongs.
+    #[inline]
+    fn find(&self, hash: u64, eq: impl Fn(&HashKey) -> bool) -> std::result::Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = (hash >> (64 - self.bits)) as usize;
+        loop {
+            match self.slots[slot] {
+                0 => return Err(slot),
+                s => {
+                    let gid = s - 1;
+                    if self.hashes[gid as usize] == hash && eq(&self.keys[gid as usize]) {
+                        return Ok(gid);
+                    }
+                }
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Create a group in empty `slot` (as returned by [`find`](Self::find))
+    /// starting from the initial states, once its group-by values are pushed,
+    /// and return its id.
+    fn insert(&mut self, slot: usize, hash: u64, key: HashKey) -> u32 {
+        for (col, st) in self.states.iter_mut().zip(&self.init) {
+            col.push(st.clone());
+        }
+        self.place(slot, hash, key)
+    }
+
+    /// Record a group's slot, hash and key once its values and states are
+    /// pushed.
+    fn place(&mut self, slot: usize, hash: u64, key: HashKey) -> u32 {
+        let gid = u32::try_from(self.keys.len()).expect("fewer than 2^32 groups");
+        self.slots[slot] = gid + 1;
+        self.hashes.push(hash);
+        self.keys.push(key);
+        if self.keys.len() * 2 > self.slots.len() {
+            self.grow();
+        }
+        gid
+    }
+
+    /// Double the slot array and re-place every group by its stored hash.
+    fn grow(&mut self) {
+        self.bits += 1;
+        self.slots = vec![0; 1 << self.bits];
+        let mask = self.slots.len() - 1;
+        for (gid, &hash) in self.hashes.iter().enumerate() {
+            let mut slot = (hash >> (64 - self.bits)) as usize;
+            while self.slots[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = gid as u32 + 1;
+        }
+    }
 }
 
 /// Runtime state attached to one operator.
@@ -109,7 +299,8 @@ pub struct OpRuntime {
     pub bloom: Option<Arc<BloomFilter>>,
     /// Rows dropped by LIP filters at this select (metrics).
     pub lip_pruned: std::sync::atomic::AtomicUsize,
-    /// Partial aggregates awaiting the finalize step (only for `Aggregate`).
+    /// Pooled partial aggregates (only for `Aggregate`): checked out and
+    /// returned by each stream work order, merged by the finalize step.
     pub agg_partials: Mutex<Vec<AggPartial>>,
     /// Collected input blocks: the sort input, or the materialized inner
     /// side of a nested-loops join.
@@ -132,6 +323,8 @@ pub struct Scratch {
     pub exists: Vec<bool>,
     /// Selected row indices (semi/anti output, LIP survivors).
     pub rows: Vec<u32>,
+    /// Per-row group ids (grouped aggregation).
+    pub gids: Vec<u32>,
 }
 
 /// One group of LIP filters sharing a key-column set: keys are extracted and

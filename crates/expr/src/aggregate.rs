@@ -1,8 +1,11 @@
 //! Aggregate functions and their accumulators.
 //!
 //! The engine's aggregation operators evaluate each aggregate's argument
-//! expression into a [`ColumnData`] vector for the relevant rows, then feed
-//! it to an [`AggState`]. States support `merge` so per-work-order partial
+//! expression into a [`ColumnData`] vector once per block. A scalar
+//! aggregate folds the whole vector into one [`AggState`]
+//! ([`AggState::update_column`]); a grouped aggregate keeps one state per
+//! group and scatters the vector into them by group id
+//! ([`AggState::update_scatter`]). States support `merge` so partial
 //! aggregates can be combined by the finalize step — the parallel aggregation
 //! pattern Quickstep uses.
 
@@ -265,6 +268,73 @@ impl AggState {
         Ok(())
     }
 
+    /// Fold argument column `col` into per-group accumulators: row `i`
+    /// updates `states[gids[i]]`. Every state must come from the same
+    /// [`AggSpec`]. The column type is matched once per call, then each
+    /// function runs one loop over the (group id, value) pairs — the
+    /// column-at-a-time equivalent of gathering each group's rows and calling
+    /// [`update_column`](Self::update_column), with identical results.
+    pub fn update_scatter(states: &mut [AggState], gids: &[u32], col: &ColumnData) -> Result<()> {
+        assert_eq!(gids.len(), col.len(), "one group id per argument row");
+        let Some(first) = states.first() else {
+            debug_assert!(gids.is_empty(), "group ids without states");
+            return Ok(());
+        };
+        match (&first.kind, col) {
+            (StateKind::Count(_), _) => Self::count_scatter(states, gids),
+            (StateKind::SumI(_), ColumnData::I32(v)) => scatter(states, gids, v, |k, x| {
+                let StateKind::SumI(acc) = k else { mixed() };
+                *acc += x as i64;
+            }),
+            (StateKind::SumI(_), ColumnData::I64(v)) => scatter(states, gids, v, |k, x| {
+                let StateKind::SumI(acc) = k else { mixed() };
+                *acc += x;
+            }),
+            (StateKind::SumI(_), other) => return Err(bad("SUM(int)", other)),
+            (StateKind::SumF(_), ColumnData::F64(v)) => scatter(states, gids, v, |k, x| {
+                let StateKind::SumF(acc) = k else { mixed() };
+                acc.add(x);
+            }),
+            (StateKind::SumF(_), other) => return Err(bad("SUM(float)", other)),
+            (StateKind::Avg { .. }, ColumnData::F64(v)) => scatter(states, gids, v, avg_add),
+            (StateKind::Avg { .. }, ColumnData::I32(v)) => {
+                scatter(states, gids, v, |k, x| avg_add(k, x as f64))
+            }
+            (StateKind::Avg { .. }, ColumnData::I64(v)) => {
+                scatter(states, gids, v, |k, x| avg_add(k, x as f64))
+            }
+            (StateKind::Avg { .. }, other) => return Err(bad("AVG", other)),
+            (StateKind::ExtremeI { .. }, ColumnData::I32(v) | ColumnData::Date(v)) => {
+                scatter(states, gids, v, |k, x| extreme_i(k, x as i64))
+            }
+            (StateKind::ExtremeI { .. }, ColumnData::I64(v)) => scatter(states, gids, v, extreme_i),
+            (StateKind::ExtremeI { .. }, other) => return Err(bad("MIN/MAX(int)", other)),
+            (StateKind::ExtremeF { .. }, ColumnData::F64(v)) => scatter(states, gids, v, |k, x| {
+                let StateKind::ExtremeF { value, is_min } = k else {
+                    mixed()
+                };
+                *value = Some(match *value {
+                    None => x,
+                    Some(cur) if *is_min => cur.min(x),
+                    Some(cur) => cur.max(x),
+                });
+            }),
+            (StateKind::ExtremeF { .. }, other) => return Err(bad("MIN/MAX(float)", other)),
+        }
+        Ok(())
+    }
+
+    /// Count one row into `states[g]` for every `g` in `gids` (`COUNT(*)`,
+    /// and `COUNT(expr)` — the engine has no NULLs).
+    pub fn count_scatter(states: &mut [AggState], gids: &[u32]) {
+        for &g in gids {
+            let StateKind::Count(c) = &mut states[g as usize].kind else {
+                mixed()
+            };
+            *c += 1;
+        }
+    }
+
     /// Fold `n` rows into a count-style accumulator (`COUNT(*)`).
     pub fn update_count(&mut self, n: usize) {
         if let StateKind::Count(c) = &mut self.kind {
@@ -320,15 +390,21 @@ impl AggState {
     /// `AVG` → 0.0, `MIN`/`MAX` → the type's zero (engine-level queries guard
     /// against empty groups; groups only exist once a row mapped to them).
     pub fn finalize(&self) -> Value {
-        match &self.kind {
+        self.clone().finish()
+    }
+
+    /// [`finalize`](Self::finalize) without copying the state: float sums
+    /// round in place ([`ExactF64Sum::finish`]). The state keeps its value.
+    pub fn finish(&mut self) -> Value {
+        match &mut self.kind {
             StateKind::Count(c) => Value::I64(*c as i64),
             StateKind::SumI(s) => Value::I64(*s),
-            StateKind::SumF(s) => Value::F64(s.value()),
+            StateKind::SumF(s) => Value::F64(s.finish()),
             StateKind::Avg { sum, count } => {
                 if *count == 0 {
                     Value::F64(0.0)
                 } else {
-                    Value::F64(sum.value() / *count as f64)
+                    Value::F64(sum.finish() / *count as f64)
                 }
             }
             StateKind::ExtremeI { value, .. } => {
@@ -342,6 +418,47 @@ impl AggState {
             StateKind::ExtremeF { value, .. } => Value::F64(value.unwrap_or(0.0)),
         }
     }
+}
+
+/// One pass over (group id, value) pairs applying `f` to each row's state.
+#[inline(always)]
+fn scatter<T: Copy>(
+    states: &mut [AggState],
+    gids: &[u32],
+    vals: &[T],
+    mut f: impl FnMut(&mut StateKind, T),
+) {
+    for (&g, &x) in gids.iter().zip(vals) {
+        f(&mut states[g as usize].kind, x);
+    }
+}
+
+#[inline(always)]
+fn avg_add(k: &mut StateKind, x: f64) {
+    let StateKind::Avg { sum, count } = k else {
+        mixed()
+    };
+    sum.add(x);
+    *count += 1;
+}
+
+#[inline(always)]
+fn extreme_i(k: &mut StateKind, x: i64) {
+    let StateKind::ExtremeI { value, is_min } = k else {
+        mixed()
+    };
+    *value = Some(match *value {
+        None => x,
+        Some(cur) if *is_min => cur.min(x),
+        Some(cur) => cur.max(x),
+    });
+}
+
+/// The states handed to one scatter call come from different specs: a bug
+/// in the caller, never a property of the data.
+#[cold]
+fn mixed() -> ! {
+    panic!("scatter over states of different aggregates")
 }
 
 fn bad(context: &'static str, col: &ColumnData) -> ExprError {
@@ -508,6 +625,149 @@ mod tests {
         assert!(st.update_column(&ColumnData::I32(vec![1])).is_err());
         let mut st = AggSpec::min(col(0)).init_state(&s).unwrap();
         assert!(st.update_column(&ColumnData::F64(vec![1.0])).is_err());
+    }
+
+    /// One column of every type, matching `scatter_schema` position by
+    /// position, with negative, zero, repeated and large values.
+    fn scatter_columns() -> Vec<ColumnData> {
+        let ints = [5, -3, 0, 9, 9, -7, 2, 1 << 30, 4, -1, 6];
+        vec![
+            ColumnData::I32(ints.to_vec()),
+            ColumnData::I64(ints.iter().map(|&x| x as i64 * 1_000_003).collect()),
+            ColumnData::F64(ints.iter().map(|&x| x as f64 * 0.1 - 1e16).collect()),
+            ColumnData::Date(ints.iter().map(|&x| 8000 + x % 1000).collect()),
+            ColumnData::Char {
+                width: 2,
+                data: b"aabbccddeeffgghhiijjkk".to_vec(),
+            },
+        ]
+    }
+
+    fn scatter_schema() -> std::sync::Arc<Schema> {
+        Schema::from_pairs(&[
+            ("i", DataType::Int32),
+            ("l", DataType::Int64),
+            ("f", DataType::Float64),
+            ("d", DataType::Date),
+            ("c", DataType::Char(2)),
+        ])
+    }
+
+    /// Every (function, argument type) spec the planner accepts.
+    fn scatter_specs(s: &Schema) -> Vec<AggSpec> {
+        let mut specs = vec![AggSpec::count_star()];
+        for c in 0..s.len() {
+            for spec in [
+                AggSpec::count(col(c)),
+                AggSpec::sum(col(c)),
+                AggSpec::avg(col(c)),
+                AggSpec::min(col(c)),
+                AggSpec::max(col(c)),
+            ] {
+                if spec.init_state(s).is_ok() {
+                    specs.push(spec);
+                }
+            }
+        }
+        specs
+    }
+
+    const GIDS: [u32; 11] = [2, 0, 2, 1, 2, 0, 3, 2, 0, 0, 2];
+
+    /// Reference: gather each group's rows, then `update_column`/`update_count`.
+    fn gathered(spec: &AggSpec, s: &Schema, col: &ColumnData) -> Result<Vec<AggState>> {
+        let groups = *GIDS.iter().max().unwrap() as usize + 1;
+        let mut states = vec![spec.init_state(s).unwrap(); groups];
+        for (g, st) in states.iter_mut().enumerate() {
+            let rows: Vec<usize> = (0..GIDS.len()).filter(|&r| GIDS[r] as usize == g).collect();
+            match spec.func {
+                AggFunc::CountStar => st.update_count(rows.len()),
+                _ => st.update_column(&crate::gather_from(col, &rows))?,
+            }
+        }
+        Ok(states)
+    }
+
+    fn scattered(spec: &AggSpec, s: &Schema, col: &ColumnData) -> Result<Vec<AggState>> {
+        let groups = *GIDS.iter().max().unwrap() as usize + 1;
+        let mut states = vec![spec.init_state(s).unwrap(); groups];
+        match spec.func {
+            AggFunc::CountStar => AggState::count_scatter(&mut states, &GIDS),
+            _ => AggState::update_scatter(&mut states, &GIDS, col)?,
+        }
+        Ok(states)
+    }
+
+    #[test]
+    fn update_scatter_equals_per_group_gather_for_every_spec_and_type() {
+        let s = scatter_schema();
+        let cols = scatter_columns();
+        let mut checked = 0;
+        for spec in scatter_specs(&s) {
+            // The column the spec was typed for, and also every other column
+            // type (to cover the mismatch arm of each function).
+            for col in &cols {
+                let want = gathered(&spec, &s, col);
+                let got = scattered(&spec, &s, col);
+                match (want, got) {
+                    (Ok(want), Ok(got)) => {
+                        assert_eq!(got, want, "{spec:?} over {col:?}");
+                        let fin =
+                            |v: &[AggState]| v.iter().map(|x| x.finalize()).collect::<Vec<_>>();
+                        assert_eq!(fin(&got), fin(&want), "{spec:?} over {col:?}");
+                        checked += 1;
+                    }
+                    (Err(want), Err(got)) => {
+                        assert!(matches!(got, ExprError::InvalidType { .. }), "{got:?}");
+                        assert_eq!(got, want, "{spec:?} over {col:?}");
+                    }
+                    (want, got) => {
+                        panic!("{spec:?} over {col:?}: gather {want:?}, scatter {got:?}")
+                    }
+                }
+            }
+        }
+        // Specs × the columns their state accepts: COUNT(*) and 5 COUNTs × 5
+        // types, SUM(int) 2 × 2 + SUM(float) 1, 5 AVGs × 3 numeric types,
+        // 6 int MIN/MAX × 3 + 2 float MIN/MAX × 1.
+        assert_eq!(checked, 30 + 5 + 15 + 20);
+    }
+
+    #[test]
+    fn update_scatter_rejects_a_mistyped_column() {
+        let s = schema();
+        let mut states = vec![AggSpec::sum(col(1)).init_state(&s).unwrap(); 2];
+        let err = AggState::update_scatter(&mut states, &[0, 1], &ColumnData::I32(vec![1, 2]))
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            ExprError::InvalidType {
+                context: "SUM(float)",
+                ..
+            }
+        ));
+        // Nothing was folded in.
+        assert_eq!(states[0].finalize(), Value::F64(0.0));
+        let mut states = vec![AggSpec::max(col(2)).init_state(&s).unwrap()];
+        assert!(AggState::update_scatter(&mut states, &[0], &ColumnData::F64(vec![1.0])).is_err());
+    }
+
+    #[test]
+    fn finish_in_place_equals_finalize() {
+        let s = scatter_schema();
+        let cols = scatter_columns();
+        for spec in scatter_specs(&s) {
+            for col in &cols {
+                let Ok(states) = gathered(&spec, &s, col) else {
+                    continue;
+                };
+                for mut st in states {
+                    let v = st.finalize();
+                    assert_eq!(st.finish(), v);
+                    assert_eq!(st.finalize(), v, "finish keeps the state's value");
+                }
+            }
+        }
     }
 
     #[test]

@@ -170,25 +170,31 @@ impl ExactF64Sum {
 
     /// The correctly rounded (nearest, ties to even) value of the sum.
     pub fn value(&self) -> f64 {
+        self.clone().finish()
+    }
+
+    /// [`value`](Self::value) without the copy: carry-normalizes the register
+    /// in place (the represented sum is unchanged, so the accumulator stays
+    /// usable) and rounds once.
+    pub fn finish(&mut self) -> f64 {
         if let Some(nf) = self.non_finite {
             return nf;
         }
-        let mut acc = self.clone();
-        acc.normalize();
+        self.normalize();
         // Detect sign: after normalization all limbs are in [0, 2^32) except
         // a possible negative top limb marking a negative total.
-        let negative = acc.limbs[LIMBS - 1] < 0;
+        let negative = self.limbs[LIMBS - 1] < 0;
         let mut mag: [u64; LIMBS] = [0; LIMBS];
         if negative {
             // Two's-complement negate to get the magnitude.
             let mut carry: u64 = 1;
-            for (m, &l) in mag.iter_mut().zip(&acc.limbs) {
+            for (m, &l) in mag.iter_mut().zip(&self.limbs) {
                 let t = (!(l as u64) & LIMB_MASK) + carry;
                 *m = t & LIMB_MASK;
                 carry = t >> LIMB_BITS;
             }
         } else {
-            for (m, &l) in mag.iter_mut().zip(&acc.limbs) {
+            for (m, &l) in mag.iter_mut().zip(&self.limbs) {
                 *m = l as u64;
             }
         }
@@ -200,18 +206,12 @@ impl ExactF64Sum {
         // Take the 53-bit window [lsb, top]; positions below 0 don't exist
         // (the register's unit is exactly the smallest subnormal).
         let lsb = (top - 52).max(0);
-        let mut mantissa: u64 = 0;
-        for p in (lsb..=top).rev() {
-            mantissa = (mantissa << 1) | bit(&mag, p);
-        }
+        let mut mantissa = bits(&mag, lsb, top - lsb + 1);
         // Round to nearest, ties to even.
-        if lsb > 0 {
-            let guard = bit(&mag, lsb - 1) != 0;
-            if guard {
-                let sticky = (0..lsb - 1).any(|p| bit(&mag, p) != 0);
-                if sticky || (mantissa & 1) == 1 {
-                    mantissa += 1;
-                }
+        if lsb > 0 && bits(&mag, lsb - 1, 1) == 1 {
+            let sticky = any_below(&mag, lsb - 1);
+            if sticky || (mantissa & 1) == 1 {
+                mantissa += 1;
             }
         }
         let mut exp = lsb - 1074; // weight of the mantissa's LSB
@@ -243,9 +243,23 @@ impl ExactF64Sum {
     }
 }
 
+/// The `len` (1..=53) register bits starting at position `p`, read from the
+/// at most three limbs they span.
 #[inline]
-fn bit(mag: &[u64; LIMBS], p: i64) -> u64 {
-    (mag[(p >> 5) as usize] >> (p & 31)) & 1
+fn bits(mag: &[u64; LIMBS], p: i64, len: i64) -> u64 {
+    let limb = (p >> 5) as usize;
+    let mut window: u128 = 0;
+    for (k, &m) in mag[limb..].iter().take(3).enumerate() {
+        window |= (m as u128) << (32 * k);
+    }
+    (window >> (p & 31)) as u64 & ((1u64 << len) - 1)
+}
+
+/// Whether any register bit below position `p` is set.
+#[inline]
+fn any_below(mag: &[u64; LIMBS], p: i64) -> bool {
+    let limb = (p >> 5) as usize;
+    mag[..limb].iter().any(|&m| m != 0) || mag[limb] & ((1u64 << (p & 31)) - 1) != 0
 }
 
 /// `2^e` for `e` in the normal exponent range, constructed exactly.
@@ -385,6 +399,54 @@ mod tests {
             }
         }
         assert_eq!(s.value().to_bits(), rev.value().to_bits());
+    }
+
+    #[test]
+    fn finish_in_place_matches_value_and_keeps_the_sum() {
+        let mut s = ExactF64Sum::new();
+        for v in [1e16, 1.0, -3.25, 1.0, 7e-300] {
+            s.add(v);
+        }
+        let expect = s.value();
+        assert_eq!(s.finish().to_bits(), expect.to_bits());
+        // Still a valid accumulator of the same sum afterwards.
+        assert_eq!(s.finish().to_bits(), expect.to_bits());
+        s.add(2.0);
+        assert_eq!(s.value(), sum(&[1e16, 1.0, -3.25, 1.0, 7e-300, 2.0]));
+        let mut nf = ExactF64Sum::new();
+        nf.add(f64::INFINITY);
+        assert_eq!(nf.finish(), f64::INFINITY);
+    }
+
+    /// IEEE addition of two doubles is correctly rounded, so it is an
+    /// independent oracle for the register's rounding: every exponent gap,
+    /// guard/sticky pattern and subnormal boundary a pair can produce.
+    #[test]
+    fn pairs_round_like_ieee_addition() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let make = |sign: u64, exp: u64, frac: u64| {
+            f64::from_bits(sign << 63 | exp << 52 | frac & ((1 << 52) - 1))
+        };
+        for _ in 0..200_000 {
+            let (a, b, c, d) = (next(), next(), next(), next());
+            // Any finite x (subnormals included), and y up to 63 binades
+            // below it with either sign, so rounding — not just absorption —
+            // happens.
+            let ex = a % 2047;
+            let x = make(a >> 63, ex, b);
+            let y = make(c >> 63, ex.saturating_sub(c % 64), d);
+            if !(x + y).is_finite() {
+                continue;
+            }
+            assert_eq!(sum(&[x, y]).to_bits(), (x + y).to_bits(), "{x:e} + {y:e}");
+            assert_eq!(sum(&[x]).to_bits(), (x + 0.0).to_bits(), "{x:e}");
+        }
     }
 
     #[test]
