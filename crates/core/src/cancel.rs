@@ -4,7 +4,7 @@
 //! at every dispatch decision and block-loop operators check it between
 //! blocks, so a tripped token stops the query at the next safe point — no
 //! thread is ever interrupted mid-block. Deadlines
-//! ([`SchedulerConfig::deadline`](crate::scheduler::SchedulerConfig)) are
+//! ([`ExecContext::deadline`](crate::state::ExecContext::deadline)) are
 //! implemented on top of the same flag: the driver trips its own token once
 //! the deadline elapses.
 

@@ -78,10 +78,6 @@ pub struct EngineConfig {
     pub default_uot: Uot,
     /// Execution mode.
     pub mode: ExecMode,
-    /// Optional per-operator concurrency cap.
-    pub max_dop_per_op: Option<usize>,
-    /// Shards per join hash table (lock granularity of concurrent builds).
-    pub hash_table_shards: usize,
     /// Whether the block pool reuses returned blocks (the `ablation_pool`
     /// knob; `true` matches Quickstep).
     pub pool_reuse: bool,
@@ -121,8 +117,6 @@ impl Default for EngineConfig {
                     .map(|n| n.get())
                     .unwrap_or(4),
             },
-            max_dop_per_op: None,
-            hash_table_shards: 64,
             pool_reuse: true,
             memory_budget: None,
             degrade: DegradePolicy::Off,
@@ -160,12 +154,6 @@ impl EngineConfig {
     /// Builder-style setter for the default UoT.
     pub fn with_uot(mut self, uot: Uot) -> Self {
         self.default_uot = uot;
-        self
-    }
-
-    /// Builder-style setter for the temporary-block format.
-    pub fn with_temp_format(mut self, format: BlockFormat) -> Self {
-        self.temp_format = format;
         self
     }
 
@@ -503,9 +491,11 @@ mod tests {
             .sorted_rows();
         for fmt in [BlockFormat::Row, BlockFormat::Column] {
             for bytes in [256usize, 1024, 1 << 20] {
-                let cfg = EngineConfig::serial()
-                    .with_temp_format(fmt)
-                    .with_block_bytes(bytes);
+                let cfg = EngineConfig {
+                    temp_format: fmt,
+                    ..EngineConfig::serial()
+                }
+                .with_block_bytes(bytes);
                 let rows = Engine::new(cfg).execute(plan()).unwrap().sorted_rows();
                 assert_eq!(rows, reference, "{fmt:?} {bytes}");
             }
@@ -572,17 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_dop_cap_is_a_config_error() {
-        let cfg = EngineConfig {
-            max_dop_per_op: Some(0),
-            mode: ExecMode::Serial,
-            ..Default::default()
-        };
-        let err = Engine::new(cfg).execute(plan()).unwrap_err();
-        assert!(matches!(err, crate::EngineError::Config(_)), "{err:?}");
-    }
-
-    #[test]
     fn undersized_blocks_are_a_config_error() {
         // The plan's widest tuple is 12 bytes (Int32 + Float64); 8-byte
         // temporary blocks cannot hold a single output tuple.
@@ -610,14 +589,12 @@ mod tests {
         let c = EngineConfig::serial()
             .with_block_bytes(512)
             .with_uot(Uot::Table)
-            .with_temp_format(BlockFormat::Column)
             .with_memory_budget(Some(4096))
             .with_degrade(DegradePolicy::LowerUot)
             .with_deadline(Some(Duration::from_secs(5)))
             .with_fusion(FusionPolicy::Always);
         assert_eq!(c.block_bytes, 512);
         assert_eq!(c.default_uot, Uot::Table);
-        assert_eq!(c.temp_format, BlockFormat::Column);
         assert_eq!(c.mode, ExecMode::Serial);
         assert_eq!(c.memory_budget, Some(4096));
         assert_eq!(c.degrade, DegradePolicy::LowerUot);

@@ -76,7 +76,7 @@ pub use plan::{
     JoinType, LipFilter, OpId, Operator, OperatorKind, PlanBuilder, QueryPlan, SortKey, Source,
 };
 pub use query_id::QueryId;
-pub use scheduler::{run, run_query, FailedQuery, SchedulerConfig, SchedulerCore};
+pub use scheduler::{run, run_query, FailedQuery};
 pub use service::{QueryHandle, QueryService, ServiceConfig};
 pub use spill::EngineSpillHook;
 pub use sql::{compile, lower};

@@ -21,7 +21,7 @@ use crate::obs::live::LiveQuery;
 use crate::obs::{ExplainAnalyze, QueryObserver};
 use crate::plan::{OperatorKind, QueryPlan};
 use crate::query_id::QueryId;
-use crate::scheduler::{SchedulerConfig, SchedulerCore};
+use crate::scheduler::SchedulerCore;
 use crate::state::ExecContext;
 use crate::trace::{TraceEvent, TraceEventKind, TraceSink};
 use crate::Result;
@@ -37,21 +37,19 @@ pub(crate) struct Prepared {
     pub live: Option<Arc<LiveQuery>>,
 }
 
+/// Shards per join hash table (the lock granularity of concurrent builds;
+/// grace partitions build their per-partition tables with the same count).
+const HASH_TABLE_SHARDS: usize = 64;
+
 /// Catch configuration mistakes that would otherwise surface as confusing
-/// mid-query failures: a worker pool of zero threads, an operator DOP cap of
-/// zero, or temporary blocks too small to hold one output tuple of some
-/// operator.
+/// mid-query failures: a worker pool of zero threads, or temporary blocks too
+/// small to hold one output tuple of some operator.
 fn validate(cfg: &EngineConfig, plan: &QueryPlan) -> Result<()> {
     if let ExecMode::Parallel { workers: 0 } = cfg.mode {
         return Err(EngineError::Config(
             "parallel mode requires at least 1 worker (got workers=0)".into(),
         ));
     }
-    SchedulerConfig {
-        max_dop_per_op: cfg.max_dop_per_op,
-        ..Default::default()
-    }
-    .validate()?;
     for (id, op) in plan.ops().iter().enumerate() {
         // Builds materialize into hash tables, not pool blocks; every other
         // operator writes output tuples into `block_bytes`-sized temporaries.
@@ -123,10 +121,11 @@ pub(crate) fn prepare(
         pool,
         cfg.temp_format,
         cfg.block_bytes,
-        cfg.hash_table_shards,
+        HASH_TABLE_SHARDS,
     )?
     .with_query(query)
-    .with_cancellation(token.clone());
+    .with_cancellation(token.clone())
+    .with_deadline(cfg.deadline);
     if let Some(faults) = faults {
         ctx = ctx.with_faults(faults.clone());
     }
@@ -158,14 +157,8 @@ pub(crate) fn prepare(
     if let Some(live) = &live {
         observer = observer.with_live(live.clone());
     }
-    let sched = SchedulerConfig {
-        mode: cfg.mode,
-        default_uot: uot,
-        max_dop_per_op: cfg.max_dop_per_op,
-        deadline: cfg.deadline,
-    };
     Ok(Prepared {
-        core: SchedulerCore::with_observer(ctx, sched, observer),
+        core: SchedulerCore::new(ctx, cfg.mode, uot, observer),
         sink,
         live,
     })

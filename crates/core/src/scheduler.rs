@@ -13,8 +13,8 @@
 //!
 //! Three layers:
 //!
-//! * [`SchedulerCore`] — the synchronous state machine: per-operator state,
-//!   transfer edges, and an indexed [`ReadyQueue`] that picks the next work
+//! * `SchedulerCore` — the synchronous state machine: per-operator state,
+//!   transfer edges, and an indexed `ReadyQueue` that picks the next work
 //!   order in O(log #ops) without scanning (per-operator FIFOs plus an
 //!   ordered index of dispatchable operators). Topology questions ("who
 //!   depends on this operator?") are answered by the plan's precomputed
@@ -73,93 +73,31 @@ impl ExecMode {
     }
 }
 
-/// Scheduler knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct SchedulerConfig {
-    /// Execution mode: inline on the caller, or a worker pool.
-    pub mode: ExecMode,
-    /// UoT for edges without a per-operator override.
-    pub default_uot: Uot,
-    /// Optional cap on concurrent work orders per operator (a Quickstep-style
-    /// scheduling policy; `None` = unbounded).
-    pub max_dop_per_op: Option<usize>,
-    /// Optional wall-clock deadline. When it passes, the scheduler cancels
-    /// the query's [`crate::cancel::CancellationToken`] at the next dispatch
-    /// and the query yields [`EngineError::Cancelled`].
-    pub deadline: Option<Duration>,
-}
-
-impl Default for SchedulerConfig {
-    fn default() -> Self {
-        SchedulerConfig {
-            mode: ExecMode::Serial,
-            default_uot: Uot::LOW,
-            max_dop_per_op: None,
-            deadline: None,
-        }
-    }
-}
-
-impl SchedulerConfig {
-    /// Up-front validation run by both drivers. `max_dop_per_op = Some(0)`
-    /// would make every operator unschedulable; historically it was silently
-    /// clamped to 1 — now it is rejected loudly.
-    pub fn validate(&self) -> Result<()> {
-        if self.max_dop_per_op == Some(0) {
-            return Err(EngineError::Config(
-                "max_dop_per_op must be at least 1 (Some(0) would make every \
-                 operator unschedulable)"
-                    .into(),
-            ));
-        }
-        Ok(())
-    }
-}
-
 /// Indexed dispatch: per-operator FIFO queues plus an ordered set of
-/// operators that currently have dispatchable work.
+/// operators that currently have queued work.
 ///
 /// Policy (identical to the historical full-scan implementation): among
-/// operators with queued work and spare per-operator DOP, pick the
-/// **critical** ones first (blocking prerequisites and their stream
-/// feeders), then the most **downstream** (highest id; plans are built
-/// bottom-up so id order is topological), FIFO within an operator. The
-/// `BTreeSet<(bool, OpId)>` makes that `last()`, so a pop costs O(log #ops)
-/// instead of a scan of every ready work order.
+/// operators with queued work, pick the **critical** ones first (blocking
+/// prerequisites and their stream feeders), then the most **downstream**
+/// (highest id; plans are built bottom-up so id order is topological), FIFO
+/// within an operator. The `BTreeSet<(bool, OpId)>` makes that `last()`, so
+/// a pop costs O(log #ops) instead of a scan of every ready work order.
 #[derive(Debug)]
 struct ReadyQueue {
     per_op: Vec<VecDeque<WorkOrder>>,
-    /// `(critical, op)` for every op with queued work below its DOP cap.
+    /// `(critical, op)` for every op with queued work.
     dispatchable: BTreeSet<(bool, OpId)>,
     critical: Vec<bool>,
-    in_flight: Vec<usize>,
-    cap: usize,
     len: usize,
 }
 
 impl ReadyQueue {
-    fn new(critical: Vec<bool>, max_dop_per_op: Option<usize>) -> Self {
-        let n = critical.len();
+    fn new(critical: Vec<bool>) -> Self {
         ReadyQueue {
-            per_op: (0..n).map(|_| VecDeque::new()).collect(),
+            per_op: (0..critical.len()).map(|_| VecDeque::new()).collect(),
             dispatchable: BTreeSet::new(),
             critical,
-            in_flight: vec![0; n],
-            // Some(0) is rejected by `SchedulerConfig::validate`; no clamp
-            // here, so a cap of 0 smuggled past validation stalls loudly
-            // instead of silently running with a different setting.
-            cap: max_dop_per_op.unwrap_or(usize::MAX),
             len: 0,
-        }
-    }
-
-    /// Re-derive `op`'s membership in the dispatchable index.
-    fn refresh(&mut self, op: OpId) {
-        let key = (self.critical[op], op);
-        if !self.per_op[op].is_empty() && self.in_flight[op] < self.cap {
-            self.dispatchable.insert(key);
-        } else {
-            self.dispatchable.remove(&key);
         }
     }
 
@@ -167,22 +105,17 @@ impl ReadyQueue {
         let op = wo.op;
         self.per_op[op].push_back(wo);
         self.len += 1;
-        self.refresh(op);
+        self.dispatchable.insert((self.critical[op], op));
     }
 
     fn pop(&mut self) -> Option<WorkOrder> {
-        let &(_, op) = self.dispatchable.last()?;
+        let &(critical, op) = self.dispatchable.last()?;
         let wo = self.per_op[op].pop_front().expect("indexed op has work");
         self.len -= 1;
-        self.in_flight[op] += 1;
-        self.refresh(op);
+        if self.per_op[op].is_empty() {
+            self.dispatchable.remove(&(critical, op));
+        }
         Some(wo)
-    }
-
-    /// A work order of `op` completed: release its DOP slot.
-    fn complete(&mut self, op: OpId) {
-        self.in_flight[op] = self.in_flight[op].saturating_sub(1);
-        self.refresh(op);
     }
 
     fn len(&self) -> usize {
@@ -217,9 +150,10 @@ struct OpState {
 }
 
 /// The synchronous scheduling state machine.
-pub struct SchedulerCore {
+pub(crate) struct SchedulerCore {
     ctx: Arc<ExecContext>,
-    config: SchedulerConfig,
+    /// How the driver executes this query's work orders.
+    mode: ExecMode,
     states: Vec<OpState>,
     /// Outgoing data edge of each operator, indexed by producer id.
     edges: Vec<TransferEdge>,
@@ -231,13 +165,6 @@ pub struct SchedulerCore {
 }
 
 impl SchedulerCore {
-    /// Set up scheduling state with metrics recording only and enqueue the
-    /// initial work (base-table blocks are all available at query start).
-    pub fn new(ctx: Arc<ExecContext>, config: SchedulerConfig) -> Self {
-        let observer = QueryObserver::new(&ctx.plan);
-        SchedulerCore::with_observer(ctx, config, observer)
-    }
-
     /// Tear down into results + metrics. Runs on the success *and* error
     /// paths (the error path discards the blocks and keeps the metrics as
     /// [`FailedQuery::partial_metrics`]); either way, every byte the query
@@ -294,16 +221,20 @@ impl SchedulerCore {
         (self.result_blocks, metrics)
     }
 
-    /// Set up scheduling state recording into `observer`.
-    pub fn with_observer(
+    /// Set up scheduling state for a run under `mode`, recording into
+    /// `observer`, and enqueue the initial work (base-table blocks are all
+    /// available at query start). `default_uot` applies to every edge whose
+    /// consumer has no UoT override.
+    pub fn new(
         ctx: Arc<ExecContext>,
-        config: SchedulerConfig,
+        mode: ExecMode,
+        default_uot: Uot,
         observer: QueryObserver,
     ) -> Self {
         let plan = ctx.plan.clone();
         let topo = plan.topology();
         let n = plan.len();
-        let default_uot = config.default_uot.normalized();
+        let default_uot = default_uot.normalized();
         let uot_of = |id: OpId| -> Uot { plan.op(id).uot.unwrap_or(default_uot) };
         let edges = (0..n)
             .map(|p| {
@@ -324,10 +255,10 @@ impl SchedulerCore {
                 ..Default::default()
             })
             .collect();
-        let queue = ReadyQueue::new(topo.critical_flags().to_vec(), config.max_dop_per_op);
+        let queue = ReadyQueue::new(topo.critical_flags().to_vec());
         let mut core = SchedulerCore {
             ctx,
-            config,
+            mode,
             states,
             edges,
             queue,
@@ -423,8 +354,7 @@ impl SchedulerCore {
         ))
     }
 
-    /// Pop the next dispatchable work order, honoring the per-operator DOP
-    /// cap if configured.
+    /// Pop the next dispatchable work order.
     ///
     /// Policy: **downstream-first** — among eligible work orders, prefer the
     /// operator furthest down the plan (highest id; plans are built bottom-
@@ -447,7 +377,6 @@ impl SchedulerCore {
         produced: Vec<StorageBlock>,
         record: TaskRecord,
     ) -> Result<()> {
-        self.queue.complete(wo.op);
         self.states[wo.op].outstanding -= 1;
         // A consumed intermediate block dies here (each block feeds exactly
         // one stream work order): release its bytes so `peak_temp_bytes`
@@ -475,8 +404,8 @@ impl SchedulerCore {
         self.check_completion(wo.op)
     }
 
-    /// Handle a *failed* (or cancelled) work order: release its DOP slot and
-    /// the bytes charged to its input block, without routing any output. The
+    /// Handle a *failed* (or cancelled) work order: release the bytes
+    /// charged to its input block, without routing any output. The
     /// operator stays unfinished; teardown via [`Self::release_resources`]
     /// reclaims everything else.
     pub fn on_error(&mut self, wo: &WorkOrder) {
@@ -493,7 +422,6 @@ impl SchedulerCore {
     /// worker died holding it); `input_bytes` is what its stream input block
     /// had charged to the tracker (0 for base-table input).
     pub fn fail_in_flight(&mut self, op: OpId, input_bytes: usize) {
-        self.queue.complete(op);
         self.states[op].outstanding -= 1;
         if input_bytes > 0 {
             self.ctx.pool.tracker().free(input_bytes);
@@ -928,15 +856,15 @@ fn finalize_error(e: EngineError, wall: Duration, completed: usize) -> EngineErr
     }
 }
 
-/// Execute `ctx`'s plan under `config.mode`, recording metrics only and
-/// surfacing only the error on failure — the common path for tests, benches
-/// and examples driving a hand-built context.
+/// Execute `ctx`'s plan under `mode`, recording metrics only and surfacing
+/// only the error on failure — the common path for tests, benches and
+/// examples driving a hand-built context.
 pub fn run(
     ctx: Arc<ExecContext>,
-    config: SchedulerConfig,
+    mode: ExecMode,
 ) -> Result<(Vec<Arc<StorageBlock>>, QueryMetrics)> {
     let observer = QueryObserver::new(&ctx.plan);
-    run_query(ctx, config, observer).map_err(|f| f.error)
+    run_query(ctx, mode, observer).map_err(|f| f.error)
 }
 
 /// What driving a query yields: its result blocks and metrics, or the
@@ -944,10 +872,11 @@ pub fn run(
 pub(crate) type Outcome =
     std::result::Result<(Vec<Arc<StorageBlock>>, QueryMetrics), Box<FailedQuery>>;
 
-/// Drive a hand-built context's plan under [`SchedulerConfig::mode`],
-/// recording into `observer` — e.g. a [`QueryObserver`] with a trace sink
-/// installed. `Engine` and `QueryService` drive the contexts they prepare
-/// through the same loop.
+/// Drive a hand-built context's plan under `mode`, recording into
+/// `observer` — e.g. a [`QueryObserver`] with a trace sink installed. Edges
+/// without a UoT override run at [`Uot::LOW`]; the deadline, if any, is the
+/// context's own ([`ExecContext::with_deadline`]). `Engine` and
+/// `QueryService` drive the contexts they prepare through the same loop.
 ///
 /// On failure the partial metrics survive as [`FailedQuery::partial_metrics`]:
 /// after the first error, dispatch stops but every in-flight completion is
@@ -957,17 +886,13 @@ pub(crate) type Outcome =
 /// naming every unfinished operator.
 pub fn run_query(
     ctx: Arc<ExecContext>,
-    config: SchedulerConfig,
+    mode: ExecMode,
     observer: QueryObserver,
 ) -> std::result::Result<(Vec<Arc<StorageBlock>>, QueryMetrics), Box<FailedQuery>> {
-    if let Err(e) = config.validate() {
-        return Err(Box::new(FailedQuery {
-            error: e,
-            partial_metrics: QueryMetrics::default(),
-        }));
-    }
-    let core = SchedulerCore::with_observer(ctx, config, observer);
-    drive(QueryRun::new(core, ()))
+    drive(QueryRun::new(
+        SchedulerCore::new(ctx, mode, Uot::LOW, observer),
+        (),
+    ))
 }
 
 /// Drive one query to completion on the calling thread.
@@ -976,10 +901,10 @@ pub fn run_query(
 /// this one query, the calling thread scheduling for worker threads of its
 /// own (Quickstep's two thread kinds).
 pub(crate) fn drive(mut run: QueryRun) -> Outcome {
-    if run.core.config.mode == ExecMode::Serial {
+    if run.core.mode == ExecMode::Serial {
         let ctx = run.core.ctx.clone();
         loop {
-            run.check_deadline();
+            ctx.check_deadline();
             let Some(wo) = run.next_work_order() else {
                 break;
             };
@@ -987,7 +912,7 @@ pub(crate) fn drive(mut run: QueryRun) -> Outcome {
         }
         return run.finish().1;
     }
-    let workers = run.core.config.mode.workers();
+    let workers = run.core.mode.workers();
     let id = run.core.ctx.query;
     let (jobs, job_rx) = crossbeam::channel::unbounded::<Job>();
     let (done_tx, done_rx) = crossbeam::channel::unbounded::<Completion>();
@@ -1000,7 +925,7 @@ pub(crate) fn drive(mut run: QueryRun) -> Outcome {
         let mut dispatcher = Dispatcher::new(jobs, workers);
         dispatcher.admit(run);
         loop {
-            dispatcher.runs().for_each(|run| run.check_deadline());
+            dispatcher.runs().for_each(|run| run.ctx().check_deadline());
             dispatcher.dispatch();
             if dispatcher.runs().all(|run| run.is_done()) {
                 break;
@@ -1098,26 +1023,6 @@ impl<M> QueryRun<M> {
     /// The query's execution context.
     pub(crate) fn ctx(&self) -> &Arc<ExecContext> {
         &self.core.ctx
-    }
-
-    /// Cancel the query once its deadline has passed.
-    pub(crate) fn check_deadline(&self) {
-        if let Some(d) = self.core.config.deadline {
-            if self.core.ctx.elapsed() >= d {
-                self.core.ctx.cancel.cancel();
-            }
-        }
-    }
-
-    /// Time left before the deadline: `None` without one, or once cancelled.
-    pub(crate) fn until_deadline(&self) -> Option<Duration> {
-        let ctx = &self.core.ctx;
-        let d = self
-            .core
-            .config
-            .deadline
-            .filter(|_| !ctx.cancel.is_cancelled())?;
-        Some(d.saturating_sub(ctx.elapsed()))
     }
 
     /// The next work order to hand out, recorded as in flight. `None` when
@@ -1240,7 +1145,7 @@ impl<M> QueryRun<M> {
             first_error = Some(core.stall_error());
         }
         let wall = ctx.elapsed();
-        let workers = core.config.mode.workers();
+        let workers = core.mode.workers();
         let (blocks, metrics) = core.into_results(wall, workers);
         let outcome = match first_error {
             None => Ok((blocks, metrics)),
@@ -1402,47 +1307,31 @@ mod tests {
         rows
     }
 
-    // Thin shims over the collapsed driver, keeping the historical test
-    // bodies readable: `run_serial` forces inline mode, `run_parallel`
-    // keeps the configured pool (defaulting to two workers).
+    // Thin shims over the one driver, keeping the test bodies readable:
+    // `run_serial` runs inline with `default_uot` on every edge without an
+    // override, `run_parallel` on a pool of `workers` threads.
+
+    fn core_for(ctx: &Arc<ExecContext>, default_uot: Uot) -> SchedulerCore {
+        let observer = QueryObserver::new(&ctx.plan);
+        SchedulerCore::new(ctx.clone(), ExecMode::Serial, default_uot, observer)
+    }
+
+    fn run_serial_detailed(ctx: Arc<ExecContext>, default_uot: Uot) -> Outcome {
+        drive(QueryRun::new(core_for(&ctx, default_uot), ()))
+    }
 
     fn run_serial(
         ctx: Arc<ExecContext>,
-        config: SchedulerConfig,
+        default_uot: Uot,
     ) -> Result<(Vec<Arc<StorageBlock>>, QueryMetrics)> {
-        run(
-            ctx,
-            SchedulerConfig {
-                mode: ExecMode::Serial,
-                ..config
-            },
-        )
-    }
-
-    fn run_serial_detailed(
-        ctx: Arc<ExecContext>,
-        config: SchedulerConfig,
-    ) -> std::result::Result<(Vec<Arc<StorageBlock>>, QueryMetrics), Box<FailedQuery>> {
-        let observer = QueryObserver::new(&ctx.plan);
-        run_query(
-            ctx,
-            SchedulerConfig {
-                mode: ExecMode::Serial,
-                ..config
-            },
-            observer,
-        )
+        run_serial_detailed(ctx, default_uot).map_err(|f| f.error)
     }
 
     fn run_parallel(
         ctx: Arc<ExecContext>,
-        config: SchedulerConfig,
+        workers: usize,
     ) -> Result<(Vec<Arc<StorageBlock>>, QueryMetrics)> {
-        let mode = match config.mode {
-            ExecMode::Parallel { .. } => config.mode,
-            ExecMode::Serial => ExecMode::Parallel { workers: 2 },
-        };
-        run(ctx, SchedulerConfig { mode, ..config })
+        run(ctx, ExecMode::Parallel { workers })
     }
 
     #[test]
@@ -1450,14 +1339,7 @@ mod tests {
         let mut reference: Option<Vec<Vec<Value>>> = None;
         for uot in [Uot::Blocks(1), Uot::Blocks(2), Uot::Blocks(4), Uot::Table] {
             let ctx = ctx_for(select_probe_plan(uot));
-            let (blocks, metrics) = run_serial(
-                ctx,
-                SchedulerConfig {
-                    default_uot: uot,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+            let (blocks, metrics) = run_serial(ctx, uot).unwrap();
             let rows = rows_of(&blocks);
             // fact keys < 50 that match dim keys 0..10: 10 rows
             assert_eq!(rows.len(), 10, "{uot}");
@@ -1472,17 +1354,10 @@ mod tests {
     #[test]
     fn parallel_matches_serial() {
         let ctx = ctx_for(select_probe_plan(Uot::Blocks(1)));
-        let (blocks_s, _) = run_serial(ctx, SchedulerConfig::default()).unwrap();
+        let (blocks_s, _) = run_serial(ctx, Uot::LOW).unwrap();
         for workers in [2, 4] {
             let ctx = ctx_for(select_probe_plan(Uot::Blocks(1)));
-            let (blocks_p, metrics) = run_parallel(
-                ctx,
-                SchedulerConfig {
-                    mode: ExecMode::Parallel { workers },
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+            let (blocks_p, metrics) = run_parallel(ctx, workers).unwrap();
             assert_eq!(rows_of(&blocks_p), rows_of(&blocks_s));
             assert_eq!(metrics.workers, workers);
         }
@@ -1494,14 +1369,7 @@ mod tests {
         // sequence numbers); with UoT=Table every select task precedes every
         // probe task.
         let ctx = ctx_for(select_probe_plan(Uot::Table));
-        let (_, m) = run_serial(
-            ctx,
-            SchedulerConfig {
-                default_uot: Uot::Table,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let (_, m) = run_serial(ctx, Uot::Table).unwrap();
         // task log is chronological; find op ids: 0=build,1=select,2=probe
         let order: Vec<usize> = m.tasks.iter().map(|t| t.op).collect();
         let last_select = order.iter().rposition(|&o| o == 1).unwrap();
@@ -1512,14 +1380,7 @@ mod tests {
         );
 
         let ctx = ctx_for(select_probe_plan(Uot::Blocks(1)));
-        let (_, m) = run_serial(
-            ctx,
-            SchedulerConfig {
-                default_uot: Uot::Blocks(1),
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let (_, m) = run_serial(ctx, Uot::Blocks(1)).unwrap();
         let order: Vec<usize> = m.tasks.iter().map(|t| t.op).collect();
         let last_select = order.iter().rposition(|&o| o == 1).unwrap();
         let first_probe = order.iter().position(|&o| o == 2).unwrap();
@@ -1547,7 +1408,7 @@ mod tests {
         let plan = pb.build(a).unwrap();
         for uot in [Uot::Blocks(1), Uot::Table] {
             let ctx = ctx_for(plan.clone().with_uniform_uot(uot));
-            let (blocks, _) = run_serial(ctx, SchedulerConfig::default()).unwrap();
+            let (blocks, _) = run_serial(ctx, Uot::LOW).unwrap();
             let rows = rows_of(&blocks);
             assert_eq!(rows.len(), 1);
             assert_eq!(rows[0][0], Value::I64(40));
@@ -1568,14 +1429,7 @@ mod tests {
             .unwrap();
         let plan = pb.build(so).unwrap();
         let ctx = ctx_for(plan);
-        let (blocks, _) = run_parallel(
-            ctx,
-            SchedulerConfig {
-                mode: ExecMode::Parallel { workers: 3 },
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let (blocks, _) = run_parallel(ctx, 3).unwrap();
         let rows: Vec<Vec<Value>> = blocks.iter().flat_map(|b| b.all_rows()).collect();
         let ks: Vec<i32> = rows.iter().map(|r| r[0].as_i32()).collect();
         assert_eq!(ks, vec![9, 8, 7]);
@@ -1593,7 +1447,7 @@ mod tests {
             .unwrap();
         let plan = pb.build(a).unwrap();
         let ctx = ctx_for(plan);
-        let (blocks, _) = run_serial(ctx, SchedulerConfig::default()).unwrap();
+        let (blocks, _) = run_serial(ctx, Uot::LOW).unwrap();
         let rows = rows_of(&blocks);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0][0], Value::I64(0));
@@ -1605,28 +1459,11 @@ mod tests {
         // scheduler must hold those blocks. Validated by correctness (all
         // matches found) plus the task log (no probe before last build).
         let ctx = ctx_for(select_probe_plan(Uot::Blocks(1)));
-        let (_, m) = run_serial(ctx, SchedulerConfig::default()).unwrap();
+        let (_, m) = run_serial(ctx, Uot::LOW).unwrap();
         let order: Vec<usize> = m.tasks.iter().map(|t| t.op).collect();
         let last_build = order.iter().rposition(|&o| o == 0).unwrap();
         let first_probe = order.iter().position(|&o| o == 2).unwrap();
         assert!(last_build < first_probe, "{order:?}");
-    }
-
-    #[test]
-    fn dop_cap_limits_concurrency() {
-        let ctx = ctx_for(select_probe_plan(Uot::Blocks(1)));
-        let (_, m) = run_parallel(
-            ctx,
-            SchedulerConfig {
-                mode: ExecMode::Parallel { workers: 8 },
-                max_dop_per_op: Some(1),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        for op in 0..3 {
-            assert!(m.max_dop(op) <= 1, "op {op} exceeded DOP cap");
-        }
     }
 
     #[test]
@@ -1647,14 +1484,7 @@ mod tests {
             .unwrap();
         let plan = pb.build(j).unwrap();
         let ctx = ctx_for(plan);
-        let (blocks, _) = run_parallel(
-            ctx,
-            SchedulerConfig {
-                mode: ExecMode::Parallel { workers: 2 },
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let (blocks, _) = run_parallel(ctx, 2).unwrap();
         let rows = rows_of(&blocks);
         assert_eq!(rows.len(), 3);
         for (i, r) in rows.iter().enumerate() {
@@ -1671,7 +1501,7 @@ mod tests {
         let l = pb.limit(Source::Op(s), 11).unwrap();
         let plan = pb.build(l).unwrap();
         let ctx = ctx_for(plan);
-        let (blocks, m) = run_serial(ctx, SchedulerConfig::default()).unwrap();
+        let (blocks, m) = run_serial(ctx, Uot::LOW).unwrap();
         assert_eq!(m.result_rows, 11);
         assert_eq!(rows_of(&blocks).len(), 11);
     }
@@ -1679,7 +1509,7 @@ mod tests {
     #[test]
     fn metrics_account_for_all_work() {
         let ctx = ctx_for(select_probe_plan(Uot::Blocks(1)));
-        let (_, m) = run_serial(ctx, SchedulerConfig::default()).unwrap();
+        let (_, m) = run_serial(ctx, Uot::LOW).unwrap();
         // fact2: 100 rows, 8 per block -> 13 select work orders;
         // dim2: 10 rows, 4 per block -> 3 build work orders.
         assert_eq!(m.ops[1].work_orders, 13);
@@ -1701,14 +1531,7 @@ mod tests {
         // plus a final flush. All rows must still arrive.
         let plan = select_probe_plan(Uot::Blocks(4));
         let ctx = ctx_for(plan);
-        let (blocks, m) = run_serial(
-            ctx,
-            SchedulerConfig {
-                default_uot: Uot::Blocks(4),
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let (blocks, m) = run_serial(ctx, Uot::Blocks(4)).unwrap();
         assert_eq!(rows_of(&blocks).len(), 10);
         assert!(m.ops[2].input_blocks >= 1);
     }
@@ -1729,7 +1552,7 @@ mod tests {
     #[test]
     fn ready_queue_prefers_critical_then_downstream_then_fifo() {
         // ops: 0 critical, 1 and 2 ordinary.
-        let mut q = ReadyQueue::new(vec![true, false, false], None);
+        let mut q = ReadyQueue::new(vec![true, false, false]);
         q.push(stream_wo(1, 0));
         q.push(stream_wo(2, 1));
         q.push(stream_wo(0, 2));
@@ -1741,20 +1564,6 @@ mod tests {
             .collect();
         assert_eq!(order, vec![(0, 2), (2, 1), (2, 3), (1, 0)]);
         assert_eq!(q.len(), 0);
-    }
-
-    #[test]
-    fn ready_queue_honors_dop_cap() {
-        let mut q = ReadyQueue::new(vec![false, false], Some(1));
-        q.push(stream_wo(1, 0));
-        q.push(stream_wo(1, 1));
-        q.push(stream_wo(0, 2));
-        // op 1 is preferred but capped after one in-flight order.
-        assert_eq!(q.pop().map(|w| w.op), Some(1));
-        assert_eq!(q.pop().map(|w| w.op), Some(0), "op 1 at cap, fall back");
-        assert_eq!(q.pop().map(|w| w.op), None, "everything at cap");
-        q.complete(1);
-        assert_eq!(q.pop().map(|w| w.seq), Some(1), "slot freed, FIFO resumes");
     }
 
     /// Drive `core` by hand on the calling thread; returns the number of
@@ -1782,7 +1591,7 @@ mod tests {
     #[test]
     fn metrics_only_observer_drives_bare_machine() {
         let ctx = ctx_for(select_probe_plan(Uot::Blocks(1)));
-        let mut core = SchedulerCore::new(ctx.clone(), SchedulerConfig::default());
+        let mut core = core_for(&ctx, Uot::LOW);
         let executed = drive_by_hand(&mut core, &ctx);
         assert!(core.all_finished());
         assert!(executed >= 16, "3 build + 13 select + probes");
@@ -1794,8 +1603,7 @@ mod tests {
         let ctx = ctx_for(select_probe_plan(Uot::Blocks(1)));
         let sink = crate::trace::TraceSink::new(1 << 12);
         let observer = QueryObserver::new(&ctx.plan).with_trace(sink.clone());
-        let mut core =
-            SchedulerCore::with_observer(ctx.clone(), SchedulerConfig::default(), observer);
+        let mut core = SchedulerCore::new(ctx.clone(), ExecMode::Serial, Uot::LOW, observer);
         drive_by_hand(&mut core, &ctx);
         assert!(core.all_finished());
         let trace = sink.finish(vec![]);
@@ -1819,7 +1627,7 @@ mod tests {
         // Freshly constructed: the build has queued work (outstanding > 0)
         // and the probe waits on it.
         let ctx = ctx_for(select_probe_plan(Uot::Blocks(1)));
-        let core = SchedulerCore::new(ctx, SchedulerConfig::default());
+        let core = core_for(&ctx, Uot::LOW);
         let report = core.stall_report();
         assert!(report.contains("op0"), "{report}");
         assert!(report.contains("op2"), "{report}");
@@ -1835,43 +1643,21 @@ mod tests {
     fn dropping_work_orders_stalls_with_diagnostics() {
         // Simulate a lost work order: pop everything without completing.
         let ctx = ctx_for(select_probe_plan(Uot::Blocks(1)));
-        let mut core = SchedulerCore::new(ctx, SchedulerConfig::default());
+        let mut core = core_for(&ctx, Uot::LOW);
         while core.next_work_order().is_some() {}
         assert!(!core.all_finished());
         let report = core.stall_report();
         assert!(report.contains("outstanding="), "{report}");
     }
 
-    // --- hardening: validation, cancellation, teardown accounting ---
-
-    #[test]
-    fn zero_dop_cap_is_rejected_by_both_drivers() {
-        let bad = SchedulerConfig {
-            max_dop_per_op: Some(0),
-            ..Default::default()
-        };
-        assert!(matches!(bad.validate(), Err(EngineError::Config(_))));
-        let ctx = ctx_for(select_probe_plan(Uot::Blocks(1)));
-        let err = run_serial(ctx, bad).unwrap_err();
-        assert!(matches!(err, EngineError::Config(_)), "{err}");
-        let ctx = ctx_for(select_probe_plan(Uot::Blocks(1)));
-        let err = run_parallel(ctx, bad).unwrap_err();
-        assert!(matches!(err, EngineError::Config(_)), "{err}");
-    }
+    // --- hardening: cancellation, teardown accounting ---
 
     #[test]
     fn tracker_returns_to_baseline_after_success() {
         for uot in [Uot::Blocks(1), Uot::Blocks(4), Uot::Table] {
             let ctx = ctx_for(select_probe_plan(uot));
             let tracker = ctx.pool.tracker().clone();
-            let (blocks, _) = run_serial(
-                ctx,
-                SchedulerConfig {
-                    default_uot: uot,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+            let (blocks, _) = run_serial(ctx, uot).unwrap();
             assert!(!blocks.is_empty());
             assert_eq!(tracker.current_bytes(), 0, "{uot}");
         }
@@ -1882,7 +1668,7 @@ mod tests {
         let ctx = ctx_for(select_probe_plan(Uot::Blocks(1)));
         let tracker = ctx.pool.tracker().clone();
         ctx.cancel.cancel();
-        let failed = run_serial_detailed(ctx, SchedulerConfig::default()).unwrap_err();
+        let failed = run_serial_detailed(ctx, Uot::LOW).unwrap_err();
         match failed.error {
             EngineError::Cancelled {
                 completed_work_orders,
@@ -1897,17 +1683,18 @@ mod tests {
     fn expired_deadline_cancels_both_drivers() {
         for parallel in [false, true] {
             let ctx = ctx_for(select_probe_plan(Uot::Blocks(1)));
+            let ctx = Arc::new(
+                Arc::try_unwrap(ctx)
+                    .unwrap_or_else(|_| panic!("sole owner"))
+                    .with_deadline(Some(Duration::ZERO)),
+            );
             let tracker = ctx.pool.tracker().clone();
-            let config = SchedulerConfig {
-                mode: if parallel {
-                    ExecMode::Parallel { workers: 2 }
-                } else {
-                    ExecMode::Serial
-                },
-                deadline: Some(Duration::ZERO),
-                ..Default::default()
+            let mode = if parallel {
+                ExecMode::Parallel { workers: 2 }
+            } else {
+                ExecMode::Serial
             };
-            let err = run(ctx, config).unwrap_err();
+            let err = run(ctx, mode).unwrap_err();
             assert!(
                 matches!(err, EngineError::Cancelled { .. }),
                 "parallel={parallel}: {err}"
@@ -1933,7 +1720,7 @@ mod tests {
                 ]))),
         );
         let tracker = ctx.pool.tracker().clone();
-        let failed = run_serial_detailed(ctx, SchedulerConfig::default()).unwrap_err();
+        let failed = run_serial_detailed(ctx, Uot::LOW).unwrap_err();
         assert!(
             matches!(failed.error, EngineError::WorkOrderPanic { .. }),
             "{}",

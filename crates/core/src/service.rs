@@ -5,9 +5,9 @@
 //! caller's thread — the right shape for studying one query's UoT
 //! behaviour, the wrong shape for a server. [`QueryService`] is the
 //! long-lived form: a single scheduler thread multiplexes one
-//! [`SchedulerCore`](crate::scheduler::SchedulerCore) per admitted query
-//! over a shared pool of worker threads, and every dispatched work order,
-//! pool allocation, metric and trace event carries the query's [`QueryId`].
+//! `SchedulerCore` per admitted query over a shared pool of worker threads,
+//! and every dispatched work order, pool allocation, metric and trace event
+//! carries the query's [`QueryId`].
 //! Everything else about a query's life — its preparation, the budget-retry
 //! rule, teardown and the dispatch loop itself — is the code a standalone
 //! `Engine` run uses.
@@ -48,7 +48,7 @@ use crate::obs::{
 };
 use crate::plan::QueryPlan;
 use crate::query_id::QueryId;
-use crate::scheduler::{worker_loop, Completion, Dispatcher, Job, QueryRun, SchedulerConfig};
+use crate::scheduler::{worker_loop, Completion, Dispatcher, Job, QueryRun};
 use crate::trace::{TraceSink, DEFAULT_TRACE_CAPACITY};
 use crate::uot::Uot;
 use crate::Result;
@@ -62,7 +62,9 @@ use uot_storage::{BlockFormat, Catalog, MemoryTracker};
 
 /// Service-wide configuration: the shared worker pool, the global memory
 /// budget admission control carves reservations from, and the per-query
-/// execution defaults (block size, temporary format, UoT).
+/// execution defaults (block size, UoT, fusion, degradation). Temporaries
+/// are row-format blocks from a reusing pool, as under a default
+/// [`EngineConfig`]; tracing is per query ([`ExecOptions::traced`]).
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Worker threads shared by every admitted query.
@@ -77,8 +79,6 @@ pub struct ServiceConfig {
     pub max_queued: usize,
     /// Size of temporary storage blocks in bytes.
     pub block_bytes: usize,
-    /// Format of temporary blocks.
-    pub temp_format: BlockFormat,
     /// Default unit of transfer for every edge without an override.
     pub default_uot: Uot,
     /// Default fused-pipeline policy (per-query override via
@@ -91,15 +91,7 @@ pub struct ServiceConfig {
     /// query that outgrows it degrades to out-of-core execution instead of
     /// failing with [`EngineError::BudgetExceeded`].
     pub degrade: crate::engine::DegradePolicy,
-    /// Optional per-operator concurrency cap (applies within each query).
-    pub max_dop_per_op: Option<usize>,
-    /// Shards per join hash table.
-    pub hash_table_shards: usize,
-    /// Whether per-query block pools reuse returned blocks.
-    pub pool_reuse: bool,
-    /// Trace every query (per-query opt-in via [`ExecOptions::trace`]).
-    pub trace: bool,
-    /// Event capacity of each per-query trace sink.
+    /// Event capacity of each traced query's trace sink.
     pub trace_capacity: usize,
     /// Catalog [`QueryService::submit_sql`] resolves table names against
     /// (empty by default; plan-based submissions never consult it).
@@ -124,14 +116,9 @@ impl Default for ServiceConfig {
             default_reservation: 16 << 20,
             max_queued: 64,
             block_bytes: 128 * 1024,
-            temp_format: BlockFormat::Row,
             default_uot: Uot::LOW,
             fusion: crate::fusion::FusionPolicy::Auto,
             degrade: crate::engine::DegradePolicy::Off,
-            max_dop_per_op: None,
-            hash_table_shards: 64,
-            pool_reuse: true,
-            trace: false,
             trace_capacity: DEFAULT_TRACE_CAPACITY,
             catalog: Catalog::new(),
             http_port: None,
@@ -158,11 +145,7 @@ impl ServiceConfig {
                 self.default_reservation, self.memory_budget
             )));
         }
-        SchedulerConfig {
-            max_dop_per_op: self.max_dop_per_op,
-            ..Default::default()
-        }
-        .validate()
+        Ok(())
     }
 
     /// The configuration a query runs under before its own [`ExecOptions`]
@@ -171,14 +154,12 @@ impl ServiceConfig {
     fn query_defaults(&self, trace: bool, hub: &Arc<MetricsHub>) -> EngineConfig {
         EngineConfig {
             block_bytes: self.block_bytes,
-            temp_format: self.temp_format,
+            temp_format: BlockFormat::Row,
             default_uot: self.default_uot,
             mode: ExecMode::Parallel {
                 workers: self.workers,
             },
-            max_dop_per_op: self.max_dop_per_op,
-            hash_table_shards: self.hash_table_shards,
-            pool_reuse: self.pool_reuse,
+            pool_reuse: true,
             memory_budget: Some(self.default_reservation),
             degrade: self.degrade,
             deadline: None,
@@ -215,11 +196,6 @@ impl QueryHandle {
     /// The cancellation token governing this query.
     pub fn token(&self) -> CancellationToken {
         self.token.clone()
-    }
-
-    /// The result if the query already finished (`None` while running).
-    pub fn try_wait(&self) -> Option<Result<QueryResult>> {
-        self.rx.try_recv()
     }
 
     /// Block until the query finishes.
@@ -480,9 +456,7 @@ impl QueryService {
         let id = QueryId::new(self.next_id.fetch_add(1, Ordering::Relaxed));
         let token = CancellationToken::new();
         let (reply_tx, reply_rx) = crossbeam::channel::unbounded();
-        let defaults = self
-            .config
-            .query_defaults(self.config.trace || opts.trace, &self.hub);
+        let defaults = self.config.query_defaults(opts.trace, &self.hub);
         let (cfg, plan) = opts.apply(defaults, plan);
         lifecycle::hub_submitted(&self.hub);
         let ticket = Ticket {
@@ -591,12 +565,15 @@ impl SchedulerLoop {
     /// Nearest deadline among active, not-yet-cancelled queries — the recv
     /// timeout that guarantees deadlines fire while the service is idle.
     fn next_deadline(&self) -> Option<Duration> {
-        self.queries.runs().filter_map(|q| q.until_deadline()).min()
+        self.queries
+            .runs()
+            .filter_map(|q| q.ctx().until_deadline())
+            .min()
     }
 
     fn check_deadlines(&self) {
         for q in self.queries.runs() {
-            q.check_deadline();
+            q.ctx().check_deadline();
             if q.ctx().cancel.is_cancelled() {
                 if let Some(live) = &q.meta.live {
                     live.set_cancelling();
@@ -1037,6 +1014,25 @@ mod tests {
     }
 
     #[test]
+    fn traced_query_is_bounded_by_the_service_trace_capacity() {
+        let capacity = 8;
+        let svc = QueryService::start(ServiceConfig {
+            workers: 2,
+            trace_capacity: capacity,
+            ..Default::default()
+        })
+        .unwrap();
+        let r = svc
+            .submit_with(join_agg_plan(400), ExecOptions::default().traced())
+            .unwrap()
+            .wait()
+            .unwrap();
+        let trace = r.trace.expect("tracing was requested");
+        assert!(trace.len() <= capacity, "{} events", trace.len());
+        assert!(trace.dropped > 0, "a full sink must count what it drops");
+    }
+
+    #[test]
     fn shutdown_rejects_queued_and_later_submissions() {
         let svc = QueryService::start(ServiceConfig {
             workers: 1,
@@ -1064,11 +1060,6 @@ mod tests {
         .is_err());
         assert!(QueryService::start(ServiceConfig {
             default_reservation: 0,
-            ..Default::default()
-        })
-        .is_err());
-        assert!(QueryService::start(ServiceConfig {
-            max_dop_per_op: Some(0),
             ..Default::default()
         })
         .is_err());

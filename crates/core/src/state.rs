@@ -18,7 +18,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::AtomicI64;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use uot_expr::AggState;
 use uot_storage::{
     hash_key::hash_of, BlockFormat, BlockPool, HashKey, KeyBatch, KeyExtractor, SpilledHandle,
@@ -366,6 +366,10 @@ pub struct ExecContext {
     /// Cooperative cancellation flag, checked between blocks by loop
     /// operators and at every scheduler dispatch.
     pub cancel: CancellationToken,
+    /// Optional wall-clock deadline from query start. Once it passes, the
+    /// driver cancels [`Self::cancel`] at its next dispatch and the query
+    /// yields [`EngineError::Cancelled`].
+    pub deadline: Option<Duration>,
     /// Fault-injection registry (empty outside chaos tests).
     pub faults: Arc<FaultPlan>,
     /// Trace sink, when structured tracing is enabled for this query.
@@ -495,6 +499,7 @@ impl ExecContext {
             lip_groups,
             scratch: Mutex::new(Vec::new()),
             cancel: CancellationToken::new(),
+            deadline: None,
             faults: Arc::new(FaultPlan::empty()),
             trace: None,
             query: crate::query_id::QueryId::SOLO,
@@ -563,6 +568,12 @@ impl ExecContext {
         self
     }
 
+    /// Set the wall-clock deadline (builder-style).
+    pub fn with_deadline(mut self, deadline: Option<Duration>) -> Self {
+        self.deadline = deadline;
+        self
+    }
+
     /// Attach a fault-injection plan (builder-style; chaos tests only).
     pub fn with_faults(mut self, faults: Arc<FaultPlan>) -> Self {
         self.faults = faults;
@@ -609,8 +620,21 @@ impl ExecContext {
     }
 
     /// Wall time since this context was created (query start).
-    pub fn elapsed(&self) -> std::time::Duration {
+    pub fn elapsed(&self) -> Duration {
         self.started.elapsed()
+    }
+
+    /// Cancel the query once its deadline has passed.
+    pub(crate) fn check_deadline(&self) {
+        if self.deadline.is_some_and(|d| self.elapsed() >= d) {
+            self.cancel.cancel();
+        }
+    }
+
+    /// Time left before the deadline: `None` without one, or once cancelled.
+    pub(crate) fn until_deadline(&self) -> Option<Duration> {
+        let d = self.deadline.filter(|_| !self.cancel.is_cancelled())?;
+        Some(d.saturating_sub(self.elapsed()))
     }
 
     /// The compiled key extractor for operator `id` (panics when `id` has no

@@ -20,7 +20,7 @@ use uot_core::scheduler::{run, run_query, ExecMode};
 use uot_core::state::ExecContext;
 use uot_core::{
     EngineError, FaultKind, FaultPlan, FaultSite, Injection, JoinType, PlanBuilder, QueryObserver,
-    QueryPlan, SchedulerConfig, Source, TraceEventKind, TraceSink, Uot, DEFAULT_TRACE_CAPACITY,
+    QueryPlan, Source, TraceEventKind, TraceSink, Uot, DEFAULT_TRACE_CAPACITY,
 };
 use uot_expr::{cmp, col, lit, AggSpec, CmpOp};
 use uot_storage::{
@@ -166,19 +166,15 @@ proptest! {
         let tracker = MemoryTracker::new();
         let pool = BlockPool::new(tracker.clone());
         let ctx = ctx_with(join_agg_plan(fact, dim, uot), pool, faults);
-        let config = SchedulerConfig {
-            mode: if parallel {
-                ExecMode::Parallel { workers }
-            } else {
-                ExecMode::Serial
-            },
-            default_uot: uot,
-            ..Default::default()
+        let mode = if parallel {
+            ExecMode::Parallel { workers }
+        } else {
+            ExecMode::Serial
         };
 
         let outcome = run_with_watchdog(move || {
             let observer = QueryObserver::new(&ctx.plan);
-            match run_query(ctx, config, observer) {
+            match run_query(ctx, mode, observer) {
                 Ok((blocks, _metrics)) => Ok(blocks.len()),
                 Err(failed) => Err(failed.error),
             }
@@ -255,19 +251,15 @@ proptest! {
         .with_faults(faults);
         ctx.plan_grace(budget);
         let ctx = Arc::new(ctx);
-        let config = SchedulerConfig {
-            mode: if parallel {
-                ExecMode::Parallel { workers: 2 }
-            } else {
-                ExecMode::Serial
-            },
-            default_uot: Uot::Table,
-            ..Default::default()
+        let mode = if parallel {
+            ExecMode::Parallel { workers: 2 }
+        } else {
+            ExecMode::Serial
         };
 
         let outcome = run_with_watchdog(move || {
             let observer = QueryObserver::new(&ctx.plan);
-            match run_query(ctx, config, observer) {
+            match run_query(ctx, mode, observer) {
                 Ok((blocks, _metrics)) => Ok(blocks.len()),
                 Err(failed) => Err(failed.error),
             }
@@ -324,12 +316,8 @@ proptest! {
                 nth: usize::MAX, // registered but unreachable
             }])),
         );
-        let config = SchedulerConfig {
-            default_uot: uot,
-            ..Default::default()
-        };
-        let (a, _) = run(plain_ctx, config).unwrap();
-        let (b, _) = run(instrumented_ctx, config).unwrap();
+        let (a, _) = run(plain_ctx, ExecMode::Serial).unwrap();
+        let (b, _) = run(instrumented_ctx, ExecMode::Serial).unwrap();
         let rows_a: Vec<Vec<Value>> = a.iter().flat_map(|blk| blk.all_rows()).collect();
         let rows_b: Vec<Vec<Value>> = b.iter().flat_map(|blk| blk.all_rows()).collect();
         prop_assert_eq!(rows_a, rows_b);
@@ -370,20 +358,16 @@ proptest! {
                 .with_faults(faults)
                 .with_trace(sink.clone()),
         );
-        let config = SchedulerConfig {
-            mode: if parallel {
-                ExecMode::Parallel { workers: 2 }
-            } else {
-                ExecMode::Serial
-            },
-            default_uot: uot,
-            ..Default::default()
+        let mode = if parallel {
+            ExecMode::Parallel { workers: 2 }
+        } else {
+            ExecMode::Serial
         };
 
         let run_sink = sink.clone();
         let outcome = run_with_watchdog(move || {
             let observer = QueryObserver::new(&ctx.plan).with_trace(run_sink);
-            match run_query(ctx, config, observer) {
+            match run_query(ctx, mode, observer) {
                 Ok((blocks, _metrics)) => Ok(blocks.len()),
                 Err(failed) => Err(failed.error),
             }
@@ -495,7 +479,7 @@ fn fused_pipeline_panic_names_the_chain() {
             .with_faults(faults)
             .with_fusion(fusion),
     );
-    let err = run(ctx, SchedulerConfig::default()).unwrap_err();
+    let err = run(ctx, ExecMode::Serial).unwrap_err();
     match err {
         EngineError::WorkOrderPanic { op, kind, payload } => {
             assert_eq!(kind, "fused-pipeline");
@@ -538,7 +522,7 @@ fn same_pool_survives_contained_panics() {
             pool.clone(),
             faults,
         );
-        let err = run(ctx, SchedulerConfig::default()).unwrap_err();
+        let err = run(ctx, ExecMode::Serial).unwrap_err();
         assert!(
             matches!(err, EngineError::WorkOrderPanic { .. }),
             "nth={nth}: {err}"
@@ -551,7 +535,7 @@ fn same_pool_survives_contained_panics() {
             pool.clone(),
             Arc::new(FaultPlan::empty()),
         );
-        let (blocks, metrics) = run(ctx, SchedulerConfig::default()).unwrap();
+        let (blocks, metrics) = run(ctx, ExecMode::Serial).unwrap();
         assert!(metrics.result_rows > 0);
         drop(blocks);
         assert_eq!(tracker.current_bytes(), 0, "nth={nth} post-recovery");

@@ -11,7 +11,7 @@ use uot_core::scheduler::{run, ExecMode};
 use uot_core::state::ExecContext;
 use uot_core::{
     CancellationToken, FaultKind, FaultPlan, FaultSite, Injection, JoinType, PlanBuilder,
-    QueryPlan, SchedulerConfig, SortKey, Source, Uot,
+    QueryPlan, SortKey, Source, Uot,
 };
 use uot_expr::{cmp, col, lit, AggSpec, CmpOp, Predicate};
 use uot_storage::{
@@ -146,16 +146,12 @@ proptest! {
         let ctx = Arc::new(
             ExecContext::new(Arc::new(plan), pool, fmt, block_bytes, 4).unwrap(),
         );
-        let config = SchedulerConfig {
-            mode: if parallel {
-                ExecMode::Parallel { workers }
-            } else {
-                ExecMode::Serial
-            },
-            default_uot: uot,
-            ..Default::default()
+        let mode = if parallel {
+            ExecMode::Parallel { workers }
+        } else {
+            ExecMode::Serial
         };
-        let (blocks, metrics) = run(ctx, config).unwrap();
+        let (blocks, metrics) = run(ctx, mode).unwrap();
         // Result rows survive the teardown (blocks are still readable) ...
         let _rows: Vec<Vec<Value>> = blocks.iter().flat_map(|b| b.all_rows()).collect();
         prop_assert!(metrics.peak_temp_bytes > 0 || blocks.is_empty());
@@ -224,21 +220,19 @@ proptest! {
         if exit == 1 {
             token.cancel();
         }
-        let ctx = Arc::new(ctx.with_cancellation(token));
-        let config = SchedulerConfig {
-            mode: if parallel {
-                ExecMode::Parallel { workers: 2 }
-            } else {
-                ExecMode::Serial
-            },
-            default_uot: Uot::Table,
-            deadline: (exit == 2).then_some(Duration::ZERO),
-            ..Default::default()
+        let ctx = Arc::new(
+            ctx.with_cancellation(token)
+                .with_deadline((exit == 2).then_some(Duration::ZERO)),
+        );
+        let mode = if parallel {
+            ExecMode::Parallel { workers: 2 }
+        } else {
+            ExecMode::Serial
         };
 
         // Any outcome is legal (a tight budget may fail even the no-fault
         // paths); the invariants under test are purely about teardown.
-        let outcome = run(ctx, config);
+        let outcome = run(ctx, mode);
         let blocks = outcome.ok().map(|(blocks, _)| blocks);
         drop(blocks);
 

@@ -63,7 +63,7 @@ fn main() {
     println!("\nsubmitting {} queries...", 2 * mix.len());
     let handles: Vec<_> = (0..2)
         .flat_map(|_| mix.iter())
-        .map(|&q| service.submit_sql(&sql_text(q)).expect("service accepts"))
+        .map(|&q| service.submit_sql(sql_text(q)).expect("service accepts"))
         .collect();
     for h in handles {
         h.wait().expect("query runs");
