@@ -27,7 +27,7 @@ use uot_core::{DegradePolicy, EngineError, ExecOptions, QueryService, ServiceCon
 use uot_storage::{BlockFormat, Value};
 use uot_tpch::{sql_text, QueryId as TpchQuery, TpchConfig, TpchDb};
 
-/// Same mix as `concurrent_clients`: one of each plan shape.
+/// The mix perfbench's `service-mix` workload runs: one of each plan shape.
 const MIX: [TpchQuery; 5] = [
     TpchQuery::Q1,
     TpchQuery::Q3,

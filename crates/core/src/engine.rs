@@ -301,40 +301,7 @@ impl Engine {
     /// through.
     pub fn execute_with(&self, plan: QueryPlan, opts: ExecOptions) -> Result<QueryResult> {
         let (cfg, plan) = opts.apply(self.config.clone(), plan);
-        run_standalone(&cfg, plan, &CancellationToken::new(), opts.faults.as_ref())
-    }
-
-    /// Execute `plan` on a background thread and hand back the
-    /// [`CancellationToken`] governing it. Calling `cancel()` stops the query
-    /// at its next cancellation point; the join handle then yields
-    /// [`EngineError::Cancelled`] with the authoritative elapsed time and
-    /// completed-work-order count.
-    pub fn run_cancellable(
-        &self,
-        plan: QueryPlan,
-    ) -> (
-        CancellationToken,
-        std::thread::JoinHandle<Result<QueryResult>>,
-    ) {
-        self.run_cancellable_with(plan, ExecOptions::default())
-    }
-
-    /// [`Self::run_cancellable`] with per-run [`ExecOptions`].
-    pub fn run_cancellable_with(
-        &self,
-        plan: QueryPlan,
-        opts: ExecOptions,
-    ) -> (
-        CancellationToken,
-        std::thread::JoinHandle<Result<QueryResult>>,
-    ) {
-        let (cfg, plan) = opts.apply(self.config.clone(), plan);
-        let token = CancellationToken::new();
-        let worker_token = token.clone();
-        let handle = std::thread::spawn(move || {
-            run_standalone(&cfg, plan, &worker_token, opts.faults.as_ref())
-        });
-        (token, handle)
+        run_standalone(&cfg, plan, opts.faults.as_ref())
     }
 
     /// Compile and execute a SQL statement against the attached catalog.
@@ -380,10 +347,12 @@ impl Engine {
 fn run_standalone(
     cfg: &EngineConfig,
     plan: QueryPlan,
-    token: &CancellationToken,
     faults: Option<&Arc<FaultPlan>>,
 ) -> Result<QueryResult> {
     let started = Instant::now();
+    // Nothing outside this call holds the token: only the query's own
+    // deadline fires it.
+    let token = &CancellationToken::new();
     if let Some(hub) = &cfg.hub {
         lifecycle::hub_submitted(hub);
     }
@@ -820,34 +789,6 @@ mod tests {
         let r = Engine::new(cfg).execute(wide_then_narrow_plan()).unwrap();
         assert_eq!(r.rows(), vec![vec![Value::I64(200)]]);
         assert!(r.metrics.fused_pipelines > 0, "auto policy should fuse");
-    }
-
-    #[test]
-    fn run_cancellable_stops_mid_query() {
-        // A 400x400 nested-loops cross product: long enough that the cancel
-        // below always lands before the join finishes.
-        let t = table("cancel_t", 400);
-        let mut pb = PlanBuilder::new();
-        let inner = pb
-            .filter(Source::Table(t.clone()), cmp(col(0), CmpOp::Ge, lit(0i32)))
-            .unwrap();
-        let j = pb
-            .nested_loops(Source::Table(t), inner, vec![], vec![0], vec![0])
-            .unwrap();
-        let plan = pb.build(j).unwrap();
-        let engine = Engine::new(EngineConfig::serial());
-        let (token, handle) = engine.run_cancellable(plan);
-        token.cancel();
-        match handle.join().unwrap() {
-            Err(crate::EngineError::Cancelled { after, .. }) => {
-                assert!(after > Duration::ZERO);
-            }
-            Err(other) => panic!("expected Cancelled, got {other}"),
-            Ok(r) => panic!(
-                "query finished despite cancellation ({} rows)",
-                r.num_rows()
-            ),
-        }
     }
 
     #[test]

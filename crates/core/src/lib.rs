@@ -70,7 +70,6 @@ pub use metrics::{Degradation, EdgeMetrics, OperatorMetrics, QueryMetrics, TaskR
 pub use obs::{
     prometheus_from_hub, ExplainAnalyze, HistogramSnapshot, HubCounter, HubHistogram, HubSnapshot,
     IntrospectionServer, LiveQuery, LiveRegistry, MetricsHub, QueryObserver, ServerState,
-    WatchdogConfig,
 };
 pub use plan::{
     JoinType, LipFilter, OpId, Operator, OperatorKind, PlanBuilder, QueryPlan, SortKey, Source,
@@ -81,9 +80,7 @@ pub use service::{QueryHandle, QueryService, ServiceConfig};
 pub use spill::EngineSpillHook;
 pub use sql::{compile, lower};
 pub use topology::{Dependent, PlanTopology};
-pub use trace::{
-    Trace, TraceEvent, TraceEventKind, TraceSink, WatchdogKind, DEFAULT_TRACE_CAPACITY,
-};
+pub use trace::{Trace, TraceEvent, TraceEventKind, TraceSink, DEFAULT_TRACE_CAPACITY};
 pub use uot::Uot;
 // Frontend types callers of the SQL entry points interact with directly.
 pub use uot_sql::{CacheStats, PlanCacheOutcome, PlanError, PlanErrorKind};

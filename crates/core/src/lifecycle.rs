@@ -88,19 +88,9 @@ pub(crate) fn prepare(
     let pool = BlockPool::with_budget(tracker.clone(), budget);
     pool.set_reuse_enabled(cfg.pool_reuse);
     let sink = cfg.trace.map(|tc| TraceSink::for_query(tc.capacity, query));
-    // Progress, occupancy and spill activity stream into the live record
-    // while the service's HTTP endpoint and watchdog read it.
-    let live = service.map(|_| {
-        LiveQuery::new(
-            query,
-            plan.ops()[plan.sink()].name.clone(),
-            budget,
-            cfg.deadline,
-            tracker.clone(),
-            sink.clone(),
-            plan.len(),
-        )
-    });
+    // Progress and spill activity stream into the live record while the
+    // service's HTTP endpoint reads it.
+    let live = service.map(|_| LiveQuery::new(query, budget, tracker.clone()));
     // Spill only makes sense against a finite budget: with none the pool
     // never feels pressure. Evicted bytes come off the query's tracker, so
     // only resident bytes count toward a service's admission budget.

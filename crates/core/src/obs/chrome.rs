@@ -276,21 +276,6 @@ fn emit_trace(trace: &Trace, offset: Duration, out: &mut Vec<String>) {
                     format!(r#"{{"kind":"{:?}","op":{}}}"#, kind, op),
                 ));
             }
-            TraceEventKind::Watchdog {
-                kind,
-                producer,
-                consumer,
-                waited_us,
-            } => {
-                out.push(instant(
-                    &format!("watchdog {kind:?}"),
-                    label,
-                    e.t,
-                    format!(
-                        r#"{{"producer":{producer},"consumer":{consumer},"waited_us":{waited_us}}}"#
-                    ),
-                ));
-            }
         }
     }
 }

@@ -194,12 +194,8 @@ mod tests {
         let registry = Arc::new(LiveRegistry::new());
         registry.admit(LiveQuery::new(
             QueryId::new(1),
-            "agg".into(),
             1 << 20,
-            None,
             MemoryTracker::new(),
-            None,
-            2,
         ));
         Arc::new(ServerState {
             hub: Arc::new(MetricsHub::new()),

@@ -57,10 +57,6 @@ pub enum HubCounter {
     SpilledBytes,
     /// Bytes faulted back in from the spill tier.
     SpillRestoredBytes,
-    /// Watchdog flags raised for stalled transfer edges.
-    WatchdogStalledEdges,
-    /// Watchdog flags raised for queries near their deadline.
-    WatchdogDeadline,
 }
 
 /// Names and help strings, indexed by `HubCounter as usize`. Counter names
@@ -103,14 +99,6 @@ pub(crate) const COUNTERS: &[(&str, &str)] = &[
     (
         "uot_hub_spill_restored_bytes_total",
         "Bytes restored from disk",
-    ),
-    (
-        "uot_hub_watchdog_stalled_edges_total",
-        "Watchdog flags for stalled transfer edges",
-    ),
-    (
-        "uot_hub_watchdog_deadline_total",
-        "Watchdog flags for queries near their deadline",
     ),
 ];
 

@@ -6,8 +6,8 @@
 //!   the service's live registry.
 //! * [`hub`] — the always-on [`MetricsHub`]: sharded counters and
 //!   log-bucketed histograms across every query a service or engine runs.
-//! * [`live`] / [`http`] — the live per-query registry, its watchdog, and
-//!   the HTTP introspection endpoint (`/metrics`, `/queries`).
+//! * [`live`] / [`http`] — the live per-query registry and the HTTP
+//!   introspection endpoint (`/metrics`, `/queries`).
 //! * [`prometheus`] — Prometheus text exposition of a hub snapshot.
 //! * [`explain`] — `EXPLAIN ANALYZE`, a fold of plan + metrics.
 //! * [`chrome`] — Chrome `trace_event` JSON for `chrome://tracing` /
@@ -31,7 +31,7 @@ pub use chrome::{chrome_trace_json, merged_chrome_trace_json};
 pub use explain::ExplainAnalyze;
 pub use http::{IntrospectionServer, ServerState};
 pub use hub::{HistogramSnapshot, HubCounter, HubHistogram, HubSnapshot, MetricsHub};
-pub use live::{LiveQuery, LiveRegistry, WatchdogConfig};
+pub use live::{LiveQuery, LiveRegistry};
 pub use observer::QueryObserver;
 pub use prometheus::prometheus_from_hub;
 pub use timeline::{uot_timelines, EdgeTimeline};

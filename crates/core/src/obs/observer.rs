@@ -68,9 +68,9 @@ impl QueryObserver {
         self
     }
 
-    /// Also mirror progress into a live-registry record. These updates are
-    /// not batched: they are a handful of relaxed stores the watchdog and
-    /// `/queries` need promptly.
+    /// Also count dispatched and completed work orders into a live-registry
+    /// record. These updates are not batched: they are one relaxed add each,
+    /// and `/queries` reads them promptly.
     pub fn with_live(mut self, live: Arc<LiveQuery>) -> Self {
         self.live = Some(live);
         self
@@ -131,9 +131,6 @@ impl QueryObserver {
             hub.tick();
         }
         self.trace(TraceEventKind::BlocksProduced { op, blocks, rows });
-        if let Some(live) = &self.live {
-            live.on_rows(rows);
-        }
     }
 
     /// Blocks were transferred to `op`'s input.
@@ -167,9 +164,6 @@ impl QueryObserver {
             staged,
             threshold,
         });
-        if let Some(live) = &self.live {
-            live.on_edge_staged(producer, consumer, staged, threshold);
-        }
     }
 
     /// A transfer edge moved `blocks` blocks (`rows` rows, `bytes` allocated
@@ -216,9 +210,6 @@ impl QueryObserver {
             bytes,
             partial,
         });
-        if let Some(live) = &self.live {
-            live.on_edge_flushed(producer);
-        }
     }
 
     /// `op` finished completely.

@@ -44,7 +44,6 @@ use crate::metrics::Degradation;
 use crate::obs::hub::{HubCounter, HubHistogram};
 use crate::obs::{
     HubSnapshot, IntrospectionServer, LiveQuery, LiveRegistry, MetricsHub, ServerState,
-    WatchdogConfig,
 };
 use crate::plan::QueryPlan;
 use crate::query_id::QueryId;
@@ -54,7 +53,7 @@ use crate::uot::Uot;
 use crate::Result;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use uot_sql::{CacheStats, PlanCache, PlanCacheOutcome};
@@ -100,10 +99,6 @@ pub struct ServiceConfig {
     /// (0 = ephemeral, see [`QueryService::http_addr`]) serving `/metrics`,
     /// `/queries` and `/healthz`. `None` (the default) runs no server.
     pub http_port: Option<u16>,
-    /// The watchdog thread flagging stalled edges and deadline-threatened
-    /// queries (enabled by default; it costs one registry scan per
-    /// [`WatchdogConfig::poll_interval`]).
-    pub watchdog: WatchdogConfig,
 }
 
 impl Default for ServiceConfig {
@@ -122,7 +117,6 @@ impl Default for ServiceConfig {
             trace_capacity: DEFAULT_TRACE_CAPACITY,
             catalog: Catalog::new(),
             http_port: None,
-            watchdog: WatchdogConfig::default(),
         }
     }
 }
@@ -193,11 +187,6 @@ impl QueryHandle {
         self.token.cancel();
     }
 
-    /// The cancellation token governing this query.
-    pub fn token(&self) -> CancellationToken {
-        self.token.clone()
-    }
-
     /// Block until the query finishes.
     pub fn wait(self) -> Result<QueryResult> {
         self.rx.recv().unwrap_or(Err(EngineError::ServiceShutdown))
@@ -264,12 +253,8 @@ pub struct QueryService {
     plan_cache: PlanCache<QueryPlan>,
     /// Always-on live metrics, shared with every query's observer.
     hub: Arc<MetricsHub>,
-    /// Live registry behind `/queries` and the watchdog.
-    registry: Arc<LiveRegistry>,
     /// The HTTP introspection endpoint, when configured.
     http: Option<IntrospectionServer>,
-    watchdog: Option<std::thread::JoinHandle<()>>,
-    watchdog_stop: Arc<AtomicBool>,
 }
 
 impl QueryService {
@@ -310,7 +295,7 @@ impl QueryService {
                     port,
                     Arc::new(ServerState {
                         hub: hub.clone(),
-                        registry: registry.clone(),
+                        registry,
                         tracker: tracker.clone(),
                         started: Instant::now(),
                     }),
@@ -319,28 +304,6 @@ impl QueryService {
                     EngineError::Config(format!("introspection endpoint bind failed: {e}"))
                 })?,
             ),
-        };
-        let watchdog_stop = Arc::new(AtomicBool::new(false));
-        let watchdog = if config.watchdog.enabled {
-            let (stop, hub, registry, wd) = (
-                watchdog_stop.clone(),
-                hub.clone(),
-                registry.clone(),
-                config.watchdog,
-            );
-            Some(
-                std::thread::Builder::new()
-                    .name("uot-watchdog".into())
-                    .spawn(move || {
-                        while !stop.load(Ordering::Relaxed) {
-                            std::thread::sleep(wd.poll_interval);
-                            registry.watchdog_pass(&hub, wd.stall_timeout, wd.deadline_fraction);
-                        }
-                    })
-                    .expect("spawn watchdog thread"),
-            )
-        } else {
-            None
         };
         Ok(QueryService {
             to_service,
@@ -351,10 +314,7 @@ impl QueryService {
             config,
             plan_cache: PlanCache::new(),
             hub,
-            registry,
             http,
-            watchdog,
-            watchdog_stop,
         })
     }
 
@@ -385,11 +345,6 @@ impl QueryService {
     /// [`MetricsHub::snapshot`]).
     pub fn hub_snapshot(&self) -> HubSnapshot {
         self.hub.snapshot()
-    }
-
-    /// The live query registry (`/queries` reads it; tests can too).
-    pub fn registry(&self) -> &Arc<LiveRegistry> {
-        &self.registry
     }
 
     /// Bound address of the HTTP introspection endpoint — the actual port
@@ -495,10 +450,6 @@ impl QueryService {
             let _ = h.join();
         }
         for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        self.watchdog_stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.watchdog.take() {
             let _ = h.join();
         }
         if let Some(mut server) = self.http.take() {
@@ -890,6 +841,32 @@ mod tests {
             Ok(r) => assert_eq!(r.rows()[0][0], Value::I64(20)),
         }
         assert_eq!(svc.memory_in_use(), 0, "teardown must drain the victim");
+    }
+
+    #[test]
+    fn cancel_stops_a_query_mid_run() {
+        // A 400x400 nested-loops cross product: long enough that the cancel
+        // below always lands before the join finishes.
+        let t = table("cancel_t", 400);
+        let mut pb = PlanBuilder::new();
+        let inner = pb
+            .filter(Source::Table(t.clone()), cmp(col(0), CmpOp::Ge, lit(0i32)))
+            .unwrap();
+        let j = pb
+            .nested_loops(Source::Table(t), inner, vec![], vec![0], vec![0])
+            .unwrap();
+        let svc = small_service(1);
+        let handle = svc.submit(pb.build(j).unwrap()).unwrap();
+        handle.cancel();
+        match handle.wait() {
+            Err(EngineError::Cancelled { after, .. }) => assert!(after > Duration::ZERO),
+            Err(other) => panic!("expected Cancelled, got {other}"),
+            Ok(r) => panic!(
+                "query finished despite cancellation ({} rows)",
+                r.num_rows()
+            ),
+        }
+        assert_eq!(svc.memory_in_use(), 0, "teardown must drain the query");
     }
 
     #[test]

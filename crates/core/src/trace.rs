@@ -180,29 +180,6 @@ pub enum TraceEventKind {
         /// pool-allocation sites, the flushing producer for transfer sites.
         op: OpId,
     },
-    /// The service watchdog flagged an anomaly on a live query.
-    Watchdog {
-        /// What was flagged.
-        kind: WatchdogKind,
-        /// Edge producer for stalled-edge flags (0 for deadline flags).
-        producer: OpId,
-        /// Edge consumer for stalled-edge flags (0 for deadline flags).
-        consumer: OpId,
-        /// How long the edge had been stalled, or the query's elapsed time
-        /// for deadline flags — microseconds.
-        waited_us: u64,
-    },
-}
-
-/// What the service watchdog flagged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WatchdogKind {
-    /// A transfer edge has held staged blocks unchanged past the stall
-    /// timeout — the consumer is not draining it.
-    StalledEdge,
-    /// A query's elapsed time crossed the configured fraction of its
-    /// deadline and is likely to be cancelled soon.
-    DeadlineNear,
 }
 
 impl TraceEventKind {
@@ -223,14 +200,7 @@ impl TraceEventKind {
             TraceEventKind::PipelineFused { head, .. } => Some(head),
             TraceEventKind::EdgeStaged { producer, .. }
             | TraceEventKind::TransferFlushed { producer, .. } => Some(producer),
-            TraceEventKind::Watchdog {
-                kind: WatchdogKind::StalledEdge,
-                producer,
-                ..
-            } => Some(producer),
-            TraceEventKind::PoolFree { .. }
-            | TraceEventKind::Degraded { .. }
-            | TraceEventKind::Watchdog { .. } => None,
+            TraceEventKind::PoolFree { .. } | TraceEventKind::Degraded { .. } => None,
         }
     }
 
@@ -253,7 +223,6 @@ impl TraceEventKind {
             TraceEventKind::SpillOut { .. } => "spill_out",
             TraceEventKind::SpillIn { .. } => "spill_in",
             TraceEventKind::FaultInjected { .. } => "fault",
-            TraceEventKind::Watchdog { .. } => "watchdog",
         }
     }
 }
@@ -547,21 +516,6 @@ mod tests {
         };
         assert_eq!(back.op(), Some(2));
         assert_eq!(back.label(), "spill_in");
-        let stalled = TraceEventKind::Watchdog {
-            kind: WatchdogKind::StalledEdge,
-            producer: 4,
-            consumer: 5,
-            waited_us: 1_000_000,
-        };
-        assert_eq!(stalled.op(), Some(4), "stalled edge attributed to producer");
-        assert_eq!(stalled.label(), "watchdog");
-        let near = TraceEventKind::Watchdog {
-            kind: WatchdogKind::DeadlineNear,
-            producer: 0,
-            consumer: 0,
-            waited_us: 800_000,
-        };
-        assert_eq!(near.op(), None, "deadline flags are query-level");
     }
 
     #[test]

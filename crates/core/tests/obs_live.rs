@@ -1,16 +1,15 @@
 //! Live service telemetry, end to end: a [`QueryService`] with the HTTP
 //! introspection endpoint enabled serves real Prometheus text and a live
 //! query table *while queries are in flight*, the always-on hub counters
-//! reconcile with what was submitted, the watchdog flags deadline-threatened
-//! queries, and `EXPLAIN ANALYZE` works through the service front door.
+//! reconcile with what was submitted, and `EXPLAIN ANALYZE` works through
+//! the service front door.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use uot_core::{
-    ExecOptions, FaultKind, FaultPlan, FaultSite, HubCounter, Injection, QueryService,
-    ServiceConfig, TraceEventKind, Uot, WatchdogConfig,
+    ExecOptions, FaultKind, FaultPlan, FaultSite, Injection, QueryService, ServiceConfig,
 };
 use uot_storage::{BlockFormat, Catalog, DataType, Schema, TableBuilder, Value};
 
@@ -176,113 +175,6 @@ fn introspection_endpoint_serves_live_data_midflight() {
     // The drained registry renders an empty live table.
     let (_, queries) = get(addr, "/queries");
     assert!(!queries.contains("running"), "{queries}");
-
-    service.shutdown();
-}
-
-#[test]
-fn watchdog_flags_deadline_threatened_queries() {
-    let service = QueryService::start(ServiceConfig {
-        workers: 1,
-        catalog: catalog(),
-        watchdog: WatchdogConfig {
-            enabled: true,
-            poll_interval: Duration::from_millis(5),
-            // Effectively disable stall detection; this test pins the
-            // deadline side.
-            stall_timeout: Duration::from_secs(3600),
-            deadline_fraction: 0.01,
-        },
-        ..Default::default()
-    })
-    .unwrap();
-
-    // A generous deadline the query will comfortably meet, but whose 1%
-    // threshold (20 ms) the injected 300 ms delay sails past — the watchdog
-    // must flag it without the deadline enforcement cancelling it.
-    let faults = FaultPlan::new(vec![Injection {
-        site: FaultSite::WorkOrderExec,
-        kind: FaultKind::Delay(Duration::from_millis(300)),
-        nth: 1,
-    }]);
-    let result = service
-        .submit_sql_with(
-            QUERY,
-            ExecOptions {
-                deadline: Some(Duration::from_secs(2)),
-                faults: Some(Arc::new(faults)),
-                trace: true,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-        .wait()
-        .expect("query completes despite the watchdog flag");
-
-    assert_eq!(
-        service.hub_snapshot().counter(HubCounter::WatchdogDeadline),
-        1,
-        "exactly one deadline flag for one threatened query"
-    );
-    let trace = result.trace.expect("tracing was requested");
-    let flags = trace.count(|k| matches!(k, TraceEventKind::Watchdog { .. }));
-    assert_eq!(flags, 1, "the flag is also a structured trace event");
-
-    service.shutdown();
-}
-
-#[test]
-fn watchdog_flags_stalled_edges() {
-    let service = QueryService::start(ServiceConfig {
-        workers: 1,
-        catalog: catalog(),
-        // Small temporaries: the select emits a block per work order, so the
-        // edge really holds occupancy while the worker is frozen.
-        block_bytes: 2 * 1024,
-        watchdog: WatchdogConfig {
-            enabled: true,
-            poll_interval: Duration::from_millis(5),
-            stall_timeout: Duration::from_millis(50),
-            deadline_fraction: 0.8,
-        },
-        ..Default::default()
-    })
-    .unwrap();
-
-    // A streaming select feeding a sort, with a huge UoT so the edge keeps
-    // staging (never reaching the threshold), while the injected delay
-    // freezes the single worker for 400 ms with blocks already held on the
-    // edge. The watchdog must notice the untouched occupancy. (An aggregate
-    // would not do: it is blocking, so its only block stages right before
-    // the partial flush and there is no held-occupancy window.)
-    let faults = FaultPlan::new(vec![Injection {
-        site: FaultSite::WorkOrderExec,
-        kind: FaultKind::Delay(Duration::from_millis(400)),
-        nth: 4,
-    }]);
-    service
-        .submit_sql_with(
-            "SELECT k, v FROM fact WHERE k < 40 ORDER BY k",
-            ExecOptions {
-                uot: Some(Uot::Blocks(10_000)),
-                // Keep the chain on the staged path: a fused pipeline has no
-                // edge occupancy for the watchdog to watch.
-                fusion: Some(uot_core::FusionPolicy::Never),
-                faults: Some(Arc::new(faults)),
-                ..Default::default()
-            },
-        )
-        .unwrap()
-        .wait()
-        .unwrap();
-
-    assert!(
-        service
-            .hub_snapshot()
-            .counter(HubCounter::WatchdogStalledEdges)
-            >= 1,
-        "the frozen staged edge was never flagged"
-    );
 
     service.shutdown();
 }

@@ -6,18 +6,23 @@
 //!    injected faults and a sibling cancelled mid-run.
 //! 2. The shared pool tracker returns to exactly 0 after all queries drain,
 //!    on every teardown path (success, fault, cancellation).
+//! 3. Concurrent SQL clients share one plan cache, and the hub's latency
+//!    histogram accounts for every submission.
 //!
 //! Timing-dependent metrics (wall time, task durations, peak bytes, pool
 //! counters) are legitimately perturbed by contention and are not compared.
 
 use proptest::prelude::*;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
+use uot_core::obs::hub::bucket_index;
 use uot_core::{
-    EngineError, ExecOptions, FaultKind, FaultPlan, FaultSite, FusionPolicy, Injection, JoinType,
-    PlanBuilder, QueryPlan, QueryService, ServiceConfig, Source, Uot,
+    DegradePolicy, EngineError, ExecOptions, FaultKind, FaultPlan, FaultSite, FusionPolicy,
+    HubHistogram, Injection, JoinType, PlanBuilder, QueryHandle, QueryPlan, QueryResult,
+    QueryService, ServiceConfig, Source, Uot,
 };
 use uot_expr::{cmp, col, lit, AggSpec, CmpOp};
-use uot_storage::{BlockFormat, DataType, Schema, Table, TableBuilder, Value};
+use uot_storage::{BlockFormat, Catalog, DataType, Schema, Table, TableBuilder, Value};
 
 /// Silence the default panic hook for *injected* panics only (they are
 /// expected and contained); anything else still prints normally.
@@ -191,6 +196,165 @@ fn transfer_flush_budget_error_carries_full_attribution() {
         other => panic!("expected BudgetExceeded from transfer flush, got {other}"),
     }
     assert_eq!(svc.memory_in_use(), 0, "failed flush must not leak");
+}
+
+/// The SQL client mix: a grouped aggregation, a filtered scalar aggregate, a
+/// join and a sort with a limit — one of each plan shape.
+const MIX: [&str; 4] = [
+    "SELECT k, COUNT(*) AS n, SUM(v) AS s FROM fact GROUP BY k ORDER BY k",
+    "SELECT SUM(v) AS s FROM fact WHERE k < 5",
+    "SELECT dk, COUNT(*) AS n, SUM(w) AS sw FROM fact, dim WHERE k = dk GROUP BY dk",
+    "SELECT k, v FROM fact WHERE k = 3 ORDER BY v DESC LIMIT 10",
+];
+
+fn mix_catalog() -> Arc<Catalog> {
+    let c = Catalog::new();
+    let s = Schema::from_pairs(&[("k", DataType::Int32), ("v", DataType::Int64)]);
+    let mut fact = TableBuilder::new("fact", s, BlockFormat::Column, 1024);
+    for i in 0..3000 {
+        fact.append(&[Value::I32(i % 25), Value::I64(i as i64)])
+            .unwrap();
+    }
+    c.register(fact.finish()).unwrap();
+    let s = Schema::from_pairs(&[("dk", DataType::Int32), ("w", DataType::Int64)]);
+    let mut dim = TableBuilder::new("dim", s, BlockFormat::Column, 1024);
+    for i in 0..20 {
+        dim.append(&[Value::I32(i), Value::I64(i as i64 * 3)])
+            .unwrap();
+    }
+    c.register(dim.finish()).unwrap();
+    c
+}
+
+/// Rank `round((n-1)·p)` of `sorted`, the rule the hub's quantiles use.
+fn percentile(sorted: &[Duration], p: f64) -> Duration {
+    sorted[((sorted.len() - 1) as f64 * p).round() as usize]
+}
+
+/// Wait for every handle, failing instead of hanging if admission stalls.
+fn wait_all(handles: Vec<QueryHandle>) -> Vec<uot_core::Result<QueryResult>> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(handles.into_iter().map(QueryHandle::wait).collect());
+    });
+    rx.recv_timeout(Duration::from_secs(60))
+        .expect("admission stalled: queued queries never ran")
+}
+
+/// Closed-loop SQL clients against one service: client `c` submits
+/// `MIX[(c + r) % MIX.len()]` in round `r`, so distinct statements are in
+/// flight together and each client revisits its own first statement (a
+/// guaranteed plan-cache hit). The plan cache counts every submission once,
+/// the hub's latency histogram sees every query and never reads above the
+/// clients' own clocks, and the shared tracker drains to 0 — under each UoT
+/// extreme, under the spill tier, and with admission serialized.
+#[test]
+fn sql_clients_share_the_plan_cache_and_drain_the_tracker() {
+    const CLIENTS: usize = 3;
+    const ROUNDS: usize = MIX.len() + 1;
+    let catalog = mix_catalog();
+    for (uot, reservation, degrade) in [
+        (Uot::LOW, 16usize << 20, DegradePolicy::Off),
+        (Uot::Table, 16 << 20, DegradePolicy::Off),
+        (Uot::LOW, 1 << 20, DegradePolicy::Spill),
+    ] {
+        let label = format!("{uot:?}/{degrade:?}");
+        let service = QueryService::start(ServiceConfig {
+            workers: 2,
+            block_bytes: 4096,
+            default_uot: uot,
+            memory_budget: 256 << 20,
+            default_reservation: reservation,
+            degrade,
+            catalog: catalog.clone(),
+            ..Default::default()
+        })
+        .expect("service starts");
+        let mut latencies: Vec<Duration> = std::thread::scope(|s| {
+            let clients: Vec<_> = (0..CLIENTS)
+                .map(|c| {
+                    let service = &service;
+                    s.spawn(move || {
+                        (0..ROUNDS)
+                            .map(|r| {
+                                let sql = MIX[(c + r) % MIX.len()];
+                                let t0 = Instant::now();
+                                let result = service
+                                    .submit_sql(sql)
+                                    .expect("service accepts")
+                                    .wait()
+                                    .unwrap_or_else(|e| panic!("client {c}: {sql}: {e}"));
+                                let latency = t0.elapsed();
+                                assert!(result.num_rows() > 0, "{sql} returned no rows");
+                                latency
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            clients
+                .into_iter()
+                .flat_map(|h| h.join().expect("client thread"))
+                .collect()
+        });
+        latencies.sort_unstable();
+        let submissions = (CLIENTS * ROUNDS) as u64;
+
+        let cache = service.plan_cache_stats();
+        assert_eq!(
+            cache.entries,
+            MIX.len().min(CLIENTS + ROUNDS - 1),
+            "{label}"
+        );
+        assert!(cache.hits > 0, "{label}: no plan-cache hits");
+        assert_eq!(cache.hits + cache.misses, submissions, "{label}");
+
+        // The hub stamps each latency before the reply is sent and counts
+        // from after the client's clock started, so at every rank the hub's
+        // bucket cannot lie above the client's.
+        let snap = service.hub_snapshot();
+        let hub = snap.histogram(HubHistogram::QueryLatencyUs);
+        assert_eq!(hub.count, submissions, "{label}");
+        for p in [0.50, 0.99] {
+            let client_us = percentile(&latencies, p).as_micros() as u64;
+            let (h, c) = (bucket_index(hub.quantile(p)), bucket_index(client_us));
+            assert!(
+                h <= c,
+                "{label} p{p}: hub bucket {h} above client bucket {c}"
+            );
+        }
+
+        let in_use = service.memory_in_use();
+        assert_eq!(
+            in_use, 0,
+            "{label}: {in_use} bytes still charged after the drain"
+        );
+        service.shutdown();
+    }
+
+    // Admission serialized: the budget fits exactly one reservation, so the
+    // whole mix queues up front and runs one query at a time.
+    let serialized = QueryService::start(ServiceConfig {
+        workers: 2,
+        block_bytes: 4096,
+        memory_budget: 16 << 20,
+        default_reservation: 16 << 20,
+        catalog,
+        ..Default::default()
+    })
+    .expect("service starts");
+    let handles = (0..CLIENTS * ROUNDS)
+        .map(|i| {
+            serialized
+                .submit_sql(MIX[i % MIX.len()])
+                .expect("service accepts")
+        })
+        .collect();
+    for result in wait_all(handles) {
+        result.expect("serialized query runs");
+    }
+    assert!(serialized.plan_cache_stats().hits > 0);
+    assert_eq!(serialized.memory_in_use(), 0);
 }
 
 proptest! {

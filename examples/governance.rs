@@ -65,15 +65,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         result.metrics.degradations
     );
 
-    // 3. Cooperative cancellation: a query on a background thread stops at
-    //    its next cancellation point when the token fires.
-    let engine = Engine::new(EngineConfig::parallel(2).with_block_bytes(96));
-    let (token, handle) = engine.run_cancellable(wide_then_narrow(5_000)?);
-    token.cancel();
-    match handle.join().expect("query thread") {
+    // 3. Cooperative cancellation: a query submitted to a QueryService stops
+    //    at its next cancellation point once its handle is cancelled.
+    let service = QueryService::start(ServiceConfig {
+        workers: 2,
+        block_bytes: 96,
+        ..Default::default()
+    })?;
+    let handle = service.submit(wide_then_narrow(5_000)?)?;
+    handle.cancel();
+    match handle.wait() {
         Err(e @ EngineError::Cancelled { .. }) => println!("cancelled: {e}"),
-        other => println!("finished before the token was observed: {other:?}"),
+        other => println!("finished before the cancel was observed: {other:?}"),
     }
+    service.shutdown();
 
     // 4. Deadlines: the same mechanism, armed by the engine itself.
     let deadlined = Engine::new(

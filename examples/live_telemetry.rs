@@ -1,7 +1,7 @@
-//! Live telemetry demo: one [`QueryService`] with the always-on metrics hub,
-//! the HTTP introspection endpoint and the watchdog enabled, fed a burst of
-//! TPC-H SQL — then scraped like Prometheus would, queried for its live
-//! query table, and asked for an `EXPLAIN ANALYZE` of one statement.
+//! Live telemetry demo: one [`QueryService`] with the always-on metrics hub
+//! and the HTTP introspection endpoint enabled, fed a burst of TPC-H SQL —
+//! then scraped like Prometheus would, queried for its live query table, and
+//! asked for an `EXPLAIN ANALYZE` of one statement.
 //!
 //! ```text
 //! cargo run --release --example live_telemetry

@@ -37,8 +37,8 @@ fn main() {
         let plan = build_query(q, &db).expect("plan builds");
         let r = engine.execute(plan.clone()).expect("uot engine runs");
         let b = baseline.execute(&plan).expect("baseline runs");
-        // compare with float tolerance via string rounding of sorted rows
-        let agree = r.sorted_rows().len() == b.sorted_rows().len();
+        // Both engines sum exactly, so their sorted rows must be identical.
+        let agree = r.sorted_rows() == b.sorted_rows();
         println!(
             "{:<6} {:>6} {:>14.2} {:>14.2} {:>8}",
             q.label(),
@@ -47,7 +47,7 @@ fn main() {
             b.metrics.wall_time.as_secs_f64() * 1e3,
             agree
         );
-        assert!(agree, "{} row counts diverge", q.label());
+        assert!(agree, "{} rows differ from the baseline", q.label());
     }
     println!("\nall queries agree across the two execution models");
 }

@@ -33,7 +33,6 @@ pub mod prelude {
         ExecOptions, ExplainAnalyze, FaultKind, FaultPlan, FaultSite, FusionPolicy, HubCounter,
         HubHistogram, HubSnapshot, Injection, MetricsHub, PlanCacheOutcome, PlanError, QueryHandle,
         QueryId, QueryPlan, QueryResult, QueryService, ServiceConfig, Trace, TraceConfig, Uot,
-        WatchdogConfig,
     };
     pub use uot_storage::{
         date_from_ymd, BlockFormat, Catalog, DataType, Schema, Table, TableBuilder, Value,
