@@ -5,18 +5,19 @@
 //! Two sections:
 //!
 //! 1. **Workload** — TPC-H Q1/Q6/Q12, engine-level, serial, interleaved
-//!    A/B: every round runs each query once *without* a hub (the observer
-//!    stack's hub layer left empty) and once
-//!    *with* one shared hub installed via `EngineConfig::with_hub`
-//!    (counters + log-bucketed histograms updated on every scheduler
-//!    event). Interleaving makes the comparison robust against machine
+//!    A/B: every round runs each query once *without* a hub and once
+//!    *with* one shared hub installed via `EngineConfig::with_hub` (the
+//!    query's submission and outcome counted, and the finished attempt's
+//!    `QueryMetrics` merged into the counters and log-bucketed histograms
+//!    once). Interleaving makes the comparison robust against machine
 //!    drift; mean-of-best-3 per arm absorbs outliers. The mix-total delta
 //!    is asserted against the tolerance (`UOT_OVERHEAD_TOL`, default
 //!    1.0%).
 //! 2. **Dispatch stress** (informational, not asserted) — the
-//!    `sched_dispatch`-shaped worst case: thousands of tiny blocks so hub
-//!    updates are a maximal fraction of each work order. This bounds the
-//!    per-event cost in ns/work-order.
+//!    `sched_dispatch`-shaped worst case: thousands of tiny blocks, so the
+//!    fold's one service-time observation per work order is a maximal
+//!    fraction of each work order. This bounds the hub's cost in
+//!    ns/work-order.
 //!
 //! `--smoke` shrinks everything for CI. `--write` saves the report to
 //! `results/obs_live_overhead.txt`.
@@ -122,8 +123,8 @@ fn main() {
     ]);
     t.emit();
 
-    // Worst case: tiny blocks, so hub updates are a maximal fraction of
-    // every work order. Informational only.
+    // Worst case: tiny blocks, so the hub's per-work-order share of the
+    // fold is a maximal fraction of every work order. Informational only.
     let tiny = tiny_select_plan(if smoke { 500 } else { 4000 });
     let mut s = ReportTable::new(
         "Dispatch-stress bound (tiny blocks, ns/work order; informational)",
@@ -163,16 +164,18 @@ fn main() {
         let report = format!(
             "## Always-on MetricsHub overhead (engine, serial, interleaved A/B)\n\n\
              TPC-H SF {sf}, {rounds} interleaved rounds per arm, mean of best 3.\n\
-             \"off\" = no hub installed: the query observer's hub layer stays\n\
-             empty. \"on\" = EngineConfig::with_hub: the observer's hub layer\n\
-             accumulates counters and log-bucketed histograms locally and\n\
-             batch-flushes to the sharded hub every 64 events and on drop.\n\n{}\n\
+             \"off\" = no hub installed. \"on\" = EngineConfig::with_hub: the\n\
+             query's submission and outcome are counted, and each finished\n\
+             attempt's QueryMetrics is folded into the hub's counters and\n\
+             log-bucketed histograms in one merge; no scheduler event\n\
+             touches the hub.\n\n{}\n\
              Mix-total delta: {mix_delta:+.2}% (gate: <= {:.1}%).\n\n\
              Worst-case bound, tiny-block dispatch stress (informational):\n{}\n\
-             The stress rows overstate real cost: with 64-byte blocks the hub's\n\
-             few atomic adds are a visible share of a ~1 us work order, while on\n\
-             the TPC-H rows above each work order does orders of magnitude more\n\
-             real work and the hub disappears into noise.\n",
+             The stress rows bound the cost per work order: the fold adds one\n\
+             non-atomic service-time observation per work order against a ~1 us\n\
+             work order, so at this size the delta swings with run-to-run noise,\n\
+             while on the TPC-H rows above each work order does orders of\n\
+             magnitude more real work and the hub disappears into noise.\n",
             t.render(),
             tolerance(),
             s.render(),

@@ -99,10 +99,10 @@ pub struct EngineConfig {
     /// on their interior transfer edges. [`FusionPolicy::Auto`] (the
     /// default) asks the cost model per pipeline.
     pub fusion: FusionPolicy,
-    /// Always-on live metrics: when set, every execution streams its
-    /// scheduler events into this [`MetricsHub`] (counters + log-bucketed
-    /// histograms) in addition to the per-query [`QueryMetrics`]. `None`
-    /// (the default) leaves the query observer's hub layer empty.
+    /// Always-on live metrics: when set, every execution counts its
+    /// submission and outcome into this [`MetricsHub`], and each attempt
+    /// adds its finished [`QueryMetrics`] to it in one merge when it ends.
+    /// `None` (the default) feeds no hub.
     pub hub: Option<Arc<MetricsHub>>,
 }
 
@@ -182,7 +182,7 @@ impl EngineConfig {
     }
 
     /// Builder-style setter for the live metrics hub: every execution under
-    /// this config streams its scheduler events into `hub`.
+    /// this config adds its outcome and its attempts' metrics to `hub`.
     pub fn with_hub(mut self, hub: Arc<MetricsHub>) -> Self {
         self.hub = Some(hub);
         self

@@ -317,28 +317,20 @@ pub fn execute_fused(
     let in_rows = block.num_rows();
     let mut cur: Arc<StorageBlock> = block.clone();
     let mut out = Vec::new();
-    let mut drained = false;
     for (i, &op) in chain.ops.iter().enumerate() {
         let is_tail = i + 1 == chain.ops.len();
         match &ctx.plan.op(op).kind {
             OperatorKind::Select { .. } => match crate::ops::select::apply(ctx, op, &cur)? {
                 Some(next) => cur = next,
-                None => {
-                    drained = true;
-                    break;
-                }
+                None => break,
             },
             OperatorKind::Probe { .. } => match crate::ops::probe::apply(ctx, op, &cur)? {
                 Some(next) => cur = Arc::new(next),
-                None => {
-                    drained = true;
-                    break;
-                }
+                None => break,
             },
             OperatorKind::Aggregate { .. } => {
                 debug_assert!(is_tail, "an aggregate terminates its fused chain");
                 crate::ops::aggregate::execute_block(ctx, op, &cur)?;
-                drained = true;
                 break;
             }
             other => {
@@ -353,7 +345,6 @@ pub fn execute_fused(
             out = crate::ops::write_output(ctx, op, &cur)?;
         }
     }
-    let _ = drained;
     chain.stats.batches.fetch_add(1, Ordering::Relaxed);
     chain.stats.rows.fetch_add(in_rows, Ordering::Relaxed);
     chain

@@ -101,7 +101,6 @@ pub(crate) fn prepare(
             faults.cloned(),
             sink.clone(),
             tracker.clone(),
-            cfg.hub.clone(),
             live.clone(),
         ));
         pool.enable_spill(store);
@@ -139,7 +138,7 @@ pub(crate) fn prepare(
     let ctx = Arc::new(ctx.with_fusion(fusion));
     let mut observer = QueryObserver::new(&ctx.plan);
     if let Some(hub) = &cfg.hub {
-        observer = observer.with_hub(hub.clone(), tracker);
+        observer = observer.with_hub(hub.clone());
     }
     if let Some(sink) = &sink {
         observer = observer.with_trace(sink.clone());

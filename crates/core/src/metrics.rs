@@ -169,6 +169,8 @@ pub struct QueryMetrics {
     pub spill_events: usize,
     /// Cumulative tracked bytes moved out to the disk tier.
     pub spilled_bytes: usize,
+    /// Cumulative tracked bytes faulted back in from the disk tier.
+    pub restored_bytes: usize,
     /// Deepest grace-join re-partitioning recursion taken (0 = every
     /// partition fit on the first pass).
     pub respill_depth: usize,

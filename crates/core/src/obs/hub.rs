@@ -2,24 +2,24 @@
 //!
 //! [`TraceSink`](crate::trace::TraceSink) speaks only after a query finishes
 //! — it buffers events and folds them post-hoc. The [`MetricsHub`] is the
-//! complementary *live* surface: a set of sharded, lock-free counters and
-//! log-bucketed (HDR-style) histograms updated **online** from
-//! [`QueryObserver`](crate::obs::QueryObserver) and
-//! [`SpillObserver`](uot_storage::SpillObserver) events, cheap enough to
-//! leave on for every query. The `/metrics` endpoint and the adaptive-UoT
-//! roadmap both read the same snapshot.
+//! complementary running total across every query a service or engine runs:
+//! lock-free counters and log-bucketed (HDR-style) histograms, cheap enough
+//! to leave on for every query. It records nothing per event. The front end
+//! counts each query's submission, admission and outcome once, and each
+//! finished attempt adds its [`QueryMetrics`] in one bulk merge
+//! (`HubSnapshot::of_attempt` + [`MetricsHub::absorb`]). A `/metrics`
+//! scrape therefore counts an attempt's work when the attempt ends; in-flight
+//! progress is on `/queries`.
 //!
 //! ## Histogram bucketing
 //!
 //! Values 0..8 map to exact unit buckets; larger values map to one of four
 //! sub-buckets per power of two (two mantissa bits), so every bucket's width
 //! is at most 25% of its lower bound. 252 buckets cover the full `u64`
-//! range. Recording is three relaxed atomic adds on a shard picked by the
-//! calling thread's id; a snapshot folds the shards.
+//! range. Recording is three relaxed atomic adds.
 
+use crate::metrics::QueryMetrics;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use uot_storage::MemoryTracker;
 
 /// Monotonic event counters the hub maintains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,12 +112,6 @@ pub enum HubHistogram {
     AdmissionWaitUs,
     /// Work-order service time, microseconds.
     WorkOrderServiceUs,
-    /// Transfer-edge occupancy after each staging event, blocks.
-    EdgeOccupancyBlocks,
-    /// Pool-resident bytes sampled at each work-order completion.
-    PoolResidencyBytes,
-    /// Bytes per spill write.
-    SpillVolumeBytes,
 }
 
 /// Names and help strings, indexed by `HubHistogram as usize`.
@@ -131,20 +125,10 @@ pub(crate) const HISTOGRAMS: &[(&str, &str)] = &[
         "uot_hub_work_order_service_us",
         "Work-order service time (us)",
     ),
-    (
-        "uot_hub_edge_occupancy_blocks",
-        "Edge occupancy after staging (blocks)",
-    ),
-    (
-        "uot_hub_pool_residency_bytes",
-        "Pool-resident bytes at work-order completion",
-    ),
-    ("uot_hub_spill_volume_bytes", "Bytes per spill write"),
 ];
 
 const NUM_COUNTERS: usize = COUNTERS.len();
 const NUM_HISTOGRAMS: usize = HISTOGRAMS.len();
-const SHARDS: usize = 8;
 
 /// Total buckets: 8 exact unit buckets plus 4 sub-buckets for each of the 61
 /// octaves `2^3 ..= 2^63`.
@@ -174,79 +158,41 @@ pub fn bucket_bounds(i: usize) -> (u64, u64) {
     }
 }
 
-/// A hash of the calling thread's id — the key sharded recorders (the hub,
-/// [`TraceSink`](crate::trace::TraceSink)) pick a shard by. Computed once per
-/// thread and cached in a TLS cell, because `thread::current()` clones an
-/// `Arc` and hashing it on every event would dominate the cost of recording
-/// the event itself.
-pub(crate) fn thread_shard_key() -> usize {
-    thread_local! {
-        static SHARD_KEY: std::cell::Cell<usize> =
-            const { std::cell::Cell::new(usize::MAX) };
-    }
-    SHARD_KEY.with(|c| {
-        let v = c.get();
-        if v != usize::MAX {
-            return v;
-        }
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        std::thread::current().id().hash(&mut h);
-        let v = h.finish() as usize;
-        c.set(v);
-        v
-    })
-}
-
-/// One shard's histogram: relaxed atomic bucket counts plus count and sum.
+/// One live histogram: relaxed atomic bucket counts plus count and sum.
 #[derive(Debug)]
-struct ShardHistogram {
+struct AtomicHistogram {
     count: AtomicU64,
     sum: AtomicU64,
     buckets: Box<[AtomicU64]>,
 }
 
-impl ShardHistogram {
+impl AtomicHistogram {
     fn new() -> Self {
-        ShardHistogram {
+        AtomicHistogram {
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             buckets: (0..HIST_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
-    fn record(&self, v: u64) {
-        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        // Count last with Release so a snapshot that Acquire-loads the count
-        // sees at least that many bucket/sum updates.
-        self.count.fetch_add(1, Ordering::Release);
+    /// Add `n` observations totalling `sum`, whose buckets the caller has
+    /// already added. The count goes last with `Release`, so a snapshot that
+    /// `Acquire`-loads the count sees at least that many bucket/sum updates.
+    fn publish(&self, n: u64, sum: u64) {
+        self.sum.fetch_add(sum, Ordering::Relaxed);
+        self.count.fetch_add(n, Ordering::Release);
     }
 }
 
-#[derive(Debug)]
-struct HubShard {
-    counters: [AtomicU64; NUM_COUNTERS],
-    hists: Vec<ShardHistogram>,
-}
-
-impl HubShard {
-    fn new() -> Self {
-        HubShard {
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            hists: (0..NUM_HISTOGRAMS).map(|_| ShardHistogram::new()).collect(),
-        }
-    }
-}
-
-/// Sharded live metrics: counters plus log-bucketed histograms (module
-/// docs). One hub serves a whole [`QueryService`](crate::service::QueryService)
-/// — or a whole [`Engine`](crate::engine::Engine) when installed via
+/// Live metrics: counters plus log-bucketed histograms (module docs). One hub
+/// serves a whole [`QueryService`](crate::service::QueryService) — or a whole
+/// [`Engine`](crate::engine::Engine) when installed via
 /// [`EngineConfig::hub`](crate::engine::EngineConfig::hub) — across every
 /// query it runs.
 #[derive(Debug)]
 pub struct MetricsHub {
-    shards: Vec<HubShard>,
+    counters: [AtomicU64; NUM_COUNTERS],
+    hists: [AtomicHistogram; NUM_HISTOGRAMS],
 }
 
 impl Default for MetricsHub {
@@ -259,82 +205,78 @@ impl MetricsHub {
     /// An empty hub.
     pub fn new() -> Self {
         MetricsHub {
-            shards: (0..SHARDS).map(|_| HubShard::new()).collect(),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            hists: std::array::from_fn(|_| AtomicHistogram::new()),
         }
-    }
-
-    fn shard(&self) -> &HubShard {
-        &self.shards[thread_shard_key() % self.shards.len()]
     }
 
     /// Add `delta` to a counter.
     pub fn add(&self, c: HubCounter, delta: u64) {
-        self.shard().counters[c as usize].fetch_add(delta, Ordering::Relaxed);
+        self.counters[c as usize].fetch_add(delta, Ordering::Relaxed);
     }
 
     /// Record one observation into a histogram.
     pub fn record(&self, h: HubHistogram, v: u64) {
-        self.shard().hists[h as usize].record(v);
+        let h = &self.hists[h as usize];
+        h.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        h.publish(1, v);
     }
 
-    /// Bulk-merge locally accumulated deltas into the calling thread's
-    /// shard, draining them to zero. The batched path behind a query
-    /// observer's hub layer: one pass over the non-zero entries instead of an
-    /// atomic RMW per event. Keeps the snapshot ordering invariant — every
-    /// histogram's buckets and sum land before its count (`Release`), so a
-    /// concurrent [`snapshot`](Self::snapshot) never sees a count the
-    /// buckets can't cover.
-    pub fn absorb(&self, counters: &mut [u64; NUM_COUNTERS], hists: &mut [HistogramSnapshot]) {
-        let shard = self.shard();
-        for (local, shared) in counters.iter_mut().zip(shard.counters.iter()) {
-            if *local > 0 {
-                shared.fetch_add(*local, Ordering::Relaxed);
-                *local = 0;
+    /// Bulk-merge `delta` — one finished attempt's metrics, or another
+    /// hub's snapshot — in one pass over its non-zero entries instead of an
+    /// atomic add per event. Keeps the snapshot ordering
+    /// invariant: every histogram's buckets and sum land before its count
+    /// (`Release`), so a concurrent [`snapshot`](Self::snapshot) never sees
+    /// a count the buckets can't cover.
+    pub fn absorb(&self, delta: &HubSnapshot) {
+        for (&d, shared) in delta.counters.iter().zip(self.counters.iter()) {
+            if d > 0 {
+                shared.fetch_add(d, Ordering::Relaxed);
             }
         }
-        for (local, shared) in hists.iter_mut().zip(shard.hists.iter()) {
-            if local.count == 0 {
+        for (d, shared) in delta.hists.iter().zip(self.hists.iter()) {
+            if d.count == 0 {
                 continue;
             }
-            for (b, sb) in local.buckets.iter_mut().zip(shared.buckets.iter()) {
-                if *b > 0 {
-                    sb.fetch_add(*b, Ordering::Relaxed);
-                    *b = 0;
+            for (&b, sb) in d.buckets.iter().zip(shared.buckets.iter()) {
+                if b > 0 {
+                    sb.fetch_add(b, Ordering::Relaxed);
                 }
             }
-            shared.sum.fetch_add(local.sum, Ordering::Relaxed);
-            shared.count.fetch_add(local.count, Ordering::Release);
-            local.sum = 0;
-            local.count = 0;
+            shared.publish(d.count, d.sum);
         }
     }
 
-    /// Fold every shard into a point-in-time snapshot. Recording may
-    /// continue concurrently; the snapshot never loses or double-counts an
-    /// event that completed before the call, and never includes a partial
-    /// bucket increment without eventually including its count.
+    /// A point-in-time copy. Recording may continue concurrently; the
+    /// snapshot never loses or double-counts an update that completed before
+    /// the call, and never includes a partial bucket increment without
+    /// eventually including its count.
     pub fn snapshot(&self) -> HubSnapshot {
-        let mut counters = [0u64; NUM_COUNTERS];
-        let mut hists: Vec<HistogramSnapshot> = (0..NUM_HISTOGRAMS)
-            .map(|_| HistogramSnapshot::empty())
-            .collect();
-        for shard in &self.shards {
-            for (acc, c) in counters.iter_mut().zip(shard.counters.iter()) {
-                *acc += c.load(Ordering::Relaxed);
-            }
-            for (acc, h) in hists.iter_mut().zip(shard.hists.iter()) {
-                acc.count += h.count.load(Ordering::Acquire);
-                acc.sum += h.sum.load(Ordering::Relaxed);
-                for (b, sb) in acc.buckets.iter_mut().zip(h.buckets.iter()) {
-                    *b += sb.load(Ordering::Relaxed);
+        let counters = std::array::from_fn(|i| self.counters[i].load(Ordering::Relaxed));
+        let hists = self
+            .hists
+            .iter()
+            .map(|h| {
+                // Count first (Acquire): the buckets and sum read after it
+                // cover at least that many observations.
+                let count = h.count.load(Ordering::Acquire);
+                HistogramSnapshot {
+                    count,
+                    sum: h.sum.load(Ordering::Relaxed),
+                    buckets: h
+                        .buckets
+                        .iter()
+                        .map(|b| b.load(Ordering::Relaxed))
+                        .collect(),
                 }
-            }
-        }
+            })
+            .collect();
         HubSnapshot { counters, hists }
     }
 }
 
-/// A point-in-time fold of every [`MetricsHub`] shard.
+/// A point-in-time copy of a [`MetricsHub`], or the delta one finished
+/// attempt adds to it.
 #[derive(Debug, Clone)]
 pub struct HubSnapshot {
     counters: [u64; NUM_COUNTERS],
@@ -342,12 +284,48 @@ pub struct HubSnapshot {
 }
 
 impl HubSnapshot {
+    fn empty() -> Self {
+        HubSnapshot {
+            counters: [0; NUM_COUNTERS],
+            hists: (0..NUM_HISTOGRAMS)
+                .map(|_| HistogramSnapshot::empty())
+                .collect(),
+        }
+    }
+
+    /// The delta one finished attempt adds to the hub: its work-order,
+    /// production, transfer and spill totals, and one service-time
+    /// observation per executed work order.
+    pub(crate) fn of_attempt(m: &QueryMetrics) -> Self {
+        let mut s = HubSnapshot::empty();
+        let c = &mut s.counters;
+        for op in &m.ops {
+            c[HubCounter::WorkOrders as usize] += op.work_orders as u64;
+            c[HubCounter::BlocksProduced as usize] += op.produced_blocks as u64;
+            c[HubCounter::RowsProduced as usize] += op.produced_rows as u64;
+        }
+        for e in &m.edges {
+            c[HubCounter::Transfers as usize] += e.flushes as u64;
+            c[HubCounter::PartialTransfers as usize] += e.partial_flushes as u64;
+            c[HubCounter::TransferBlocks as usize] += e.blocks as u64;
+            c[HubCounter::TransferBytes as usize] += e.bytes as u64;
+        }
+        c[HubCounter::SpillEvents as usize] = m.spill_events as u64;
+        c[HubCounter::SpilledBytes as usize] = m.spilled_bytes as u64;
+        c[HubCounter::SpillRestoredBytes as usize] = m.restored_bytes as u64;
+        let service = &mut s.hists[HubHistogram::WorkOrderServiceUs as usize];
+        for d in m.ops.iter().flat_map(|op| &op.task_times) {
+            service.record(d.as_micros() as u64);
+        }
+        s
+    }
+
     /// The current value of `c`.
     pub fn counter(&self, c: HubCounter) -> u64 {
         self.counters[c as usize]
     }
 
-    /// The folded histogram for `h`.
+    /// The histogram for `h`.
     pub fn histogram(&self, h: HubHistogram) -> &HistogramSnapshot {
         &self.hists[h as usize]
     }
@@ -384,7 +362,7 @@ impl HubSnapshot {
     }
 }
 
-/// One folded log-bucketed histogram.
+/// One log-bucketed histogram's counts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Total observations.
@@ -414,8 +392,9 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Record one observation (serial reference path; the concurrent path
-    /// is [`MetricsHub::record`]).
+    /// Record one observation without atomics — the per-attempt fold and
+    /// the serial reference path; the concurrent path is
+    /// [`MetricsHub::record`].
     pub fn record(&mut self, v: u64) {
         self.buckets[bucket_index(v)] += 1;
         self.sum += v;
@@ -448,87 +427,6 @@ impl HistogramSnapshot {
             }
         }
         bucket_bounds(HIST_BUCKETS - 1).1 - 1
-    }
-}
-
-/// The hub layer of a [`QueryObserver`](crate::obs::QueryObserver): deltas
-/// for a [`MetricsHub`], accumulated online — no trace replay.
-///
-/// Events land in plain (non-atomic) local counters — the observer is owned
-/// by one scheduler loop — and are pushed to the shared hub every
-/// [`FLUSH_EVERY`] events and on drop. The batching keeps the hub's
-/// per-event cost off the dispatch hot path entirely; a `/metrics` scrape
-/// can lag the newest handful of events of an in-flight query by design.
-#[derive(Debug)]
-pub(crate) struct HubObserver {
-    hub: Arc<MetricsHub>,
-    /// The query's memory tracker, sampled for pool-residency observations.
-    tracker: Arc<MemoryTracker>,
-    /// Locally accumulated counter deltas, flushed in bulk.
-    local_counters: [u64; NUM_COUNTERS],
-    /// Locally accumulated histogram observations, flushed in bulk.
-    local_hists: Vec<HistogramSnapshot>,
-    /// Events since the last flush.
-    pending: u32,
-}
-
-/// Observer events accumulated locally between pushes to the shared hub.
-const FLUSH_EVERY: u32 = 64;
-
-impl HubObserver {
-    /// Deltas for `hub`; `tracker` is the query's own memory tracker.
-    pub(crate) fn new(hub: Arc<MetricsHub>, tracker: Arc<MemoryTracker>) -> Self {
-        HubObserver {
-            hub,
-            tracker,
-            local_counters: [0; NUM_COUNTERS],
-            local_hists: (0..NUM_HISTOGRAMS)
-                .map(|_| HistogramSnapshot::empty())
-                .collect(),
-            pending: 0,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn bump(&mut self, c: HubCounter, delta: u64) {
-        self.local_counters[c as usize] += delta;
-    }
-
-    #[inline]
-    pub(crate) fn note(&mut self, h: HubHistogram, v: u64) {
-        self.local_hists[h as usize].record(v);
-    }
-
-    /// Sample the query's pool-resident bytes.
-    #[inline]
-    pub(crate) fn sample_residency(&mut self) {
-        let bytes = self.tracker.current_bytes() as u64;
-        self.note(HubHistogram::PoolResidencyBytes, bytes);
-    }
-
-    /// Count one event; every [`FLUSH_EVERY`] events, push the deltas.
-    #[inline]
-    pub(crate) fn tick(&mut self) {
-        self.pending += 1;
-        if self.pending >= FLUSH_EVERY {
-            self.flush();
-        }
-    }
-
-    /// Push the locally accumulated deltas to the shared hub now.
-    fn flush(&mut self) {
-        if self.pending == 0 {
-            return;
-        }
-        self.pending = 0;
-        self.hub
-            .absorb(&mut self.local_counters, &mut self.local_hists);
-    }
-}
-
-impl Drop for HubObserver {
-    fn drop(&mut self) {
-        self.flush();
     }
 }
 
@@ -608,14 +506,14 @@ mod tests {
     fn merge_adds_bucketwise() {
         let a = MetricsHub::new();
         let b = MetricsHub::new();
-        a.record(HubHistogram::SpillVolumeBytes, 10);
-        b.record(HubHistogram::SpillVolumeBytes, 10);
-        b.record(HubHistogram::SpillVolumeBytes, 99);
+        a.record(HubHistogram::QueryLatencyUs, 10);
+        b.record(HubHistogram::QueryLatencyUs, 10);
+        b.record(HubHistogram::QueryLatencyUs, 99);
         b.add(HubCounter::SpillEvents, 2);
         let mut s = a.snapshot();
         s.merge(&b.snapshot());
         assert_eq!(s.counter(HubCounter::SpillEvents), 2);
-        let h = s.histogram(HubHistogram::SpillVolumeBytes);
+        let h = s.histogram(HubHistogram::QueryLatencyUs);
         assert_eq!(h.count, 3);
         assert_eq!(h.sum, 119);
         assert_eq!(h.buckets[bucket_index(10)], 2);

@@ -2,10 +2,11 @@
 //!
 //! * [`QueryObserver`] — the one observer every query runs under: it records
 //!   each scheduler event once into the query's metrics and, when
-//!   installed, the live hub, a [`TraceSink`](crate::trace::TraceSink) and
-//!   the service's live registry.
-//! * [`hub`] — the always-on [`MetricsHub`]: sharded counters and
-//!   log-bucketed histograms across every query a service or engine runs.
+//!   installed, a [`TraceSink`](crate::trace::TraceSink) and the service's
+//!   live registry; an installed hub gets the finished attempt's metrics.
+//! * [`hub`] — the always-on [`MetricsHub`]: counters and log-bucketed
+//!   histograms across every query a service or engine runs, a fold of
+//!   each finished attempt's metrics.
 //! * [`live`] / [`http`] — the live per-query registry and the HTTP
 //!   introspection endpoint (`/metrics`, `/queries`).
 //! * [`prometheus`] — Prometheus text exposition of a hub snapshot.

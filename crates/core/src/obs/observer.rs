@@ -1,13 +1,12 @@
 //! The one per-query scheduler observer.
 
-use crate::metrics::{EdgeMetrics, OperatorMetrics, TaskRecord};
-use crate::obs::hub::{HubCounter, HubHistogram, HubObserver, MetricsHub};
+use crate::metrics::{EdgeMetrics, OperatorMetrics, QueryMetrics, TaskRecord};
+use crate::obs::hub::{HubSnapshot, MetricsHub};
 use crate::obs::live::LiveQuery;
 use crate::plan::{OpId, QueryPlan};
 use crate::trace::{TraceEventKind, TraceSink};
 use crate::work_order::WorkOrder;
 use std::sync::Arc;
-use uot_storage::MemoryTracker;
 
 /// Records one query's scheduler events — dispatch, completion, block
 /// production, staging, flushes, operator completion — into every place
@@ -15,18 +14,19 @@ use uot_storage::MemoryTracker;
 ///
 /// The metrics layer is always on: it accumulates the per-operator, per-edge
 /// and per-task [`QueryMetrics`](crate::metrics::QueryMetrics) the paper's
-/// figures are made of. Three layers are optional: the live
-/// [`MetricsHub`] (batched, see [`QueryObserver::with_hub`]), a
-/// [`TraceSink`] and the service's live-registry record. Every query, at
-/// either front end, runs under this one type; an absent layer costs one
-/// branch per event. Each event's numbers are computed once, by the
-/// scheduler, and handed to every layer.
+/// figures are made of. Two layers are optional: a [`TraceSink`] and the
+/// service's live-registry record. Every query, at either front end, runs
+/// under this one type; an absent layer costs one branch per event. Each
+/// event's numbers are computed once, by the scheduler, and handed to every
+/// layer. The live [`MetricsHub`], when installed, sees no events: it adds
+/// the finished attempt's metrics once, when the scheduler tears the attempt
+/// down.
 #[derive(Debug)]
 pub struct QueryObserver {
     pub(crate) ops: Vec<OperatorMetrics>,
     pub(crate) edges: Vec<EdgeMetrics>,
     pub(crate) tasks: Vec<TaskRecord>,
-    hub: Option<HubObserver>,
+    hub: Option<Arc<MetricsHub>>,
     trace: Option<Arc<TraceSink>>,
     live: Option<Arc<LiveQuery>>,
 }
@@ -52,13 +52,10 @@ impl QueryObserver {
         }
     }
 
-    /// Also feed `hub`. Deltas accumulate locally and reach the shared hub
-    /// every few dozen events and when the observer drops, so a scrape can
-    /// lag an in-flight query by a handful of events. `tracker` is the
-    /// query's own memory tracker, sampled for pool residency at each
-    /// work-order completion.
-    pub fn with_hub(mut self, hub: Arc<MetricsHub>, tracker: Arc<MemoryTracker>) -> Self {
-        self.hub = Some(HubObserver::new(hub, tracker));
+    /// Also add the attempt's finished metrics to `hub` when it ends, so a
+    /// scrape counts an attempt's work once the attempt is over.
+    pub fn with_hub(mut self, hub: Arc<MetricsHub>) -> Self {
+        self.hub = Some(hub);
         self
     }
 
@@ -69,8 +66,7 @@ impl QueryObserver {
     }
 
     /// Also count dispatched and completed work orders into a live-registry
-    /// record. These updates are not batched: they are one relaxed add each,
-    /// and `/queries` reads them promptly.
+    /// record: one relaxed add each, which `/queries` reads promptly.
     pub fn with_live(mut self, live: Arc<LiveQuery>) -> Self {
         self.live = Some(live);
         self
@@ -101,12 +97,6 @@ impl QueryObserver {
         m.total_task_time += d;
         m.task_times.push(d);
         self.tasks.push(record);
-        if let Some(hub) = &mut self.hub {
-            hub.bump(HubCounter::WorkOrders, 1);
-            hub.note(HubHistogram::WorkOrderServiceUs, d.as_micros() as u64);
-            hub.sample_residency();
-            hub.tick();
-        }
         self.trace(TraceEventKind::WorkOrderFinished {
             seq,
             op: record.op,
@@ -125,11 +115,6 @@ impl QueryObserver {
         m.produced_blocks += blocks;
         m.produced_rows += rows;
         m.produced_bytes += bytes;
-        if let Some(hub) = &mut self.hub {
-            hub.bump(HubCounter::BlocksProduced, blocks as u64);
-            hub.bump(HubCounter::RowsProduced, rows as u64);
-            hub.tick();
-        }
         self.trace(TraceEventKind::BlocksProduced { op, blocks, rows });
     }
 
@@ -154,10 +139,6 @@ impl QueryObserver {
         e.stalls += 1;
         e.max_staged = e.max_staged.max(staged);
         e.sum_staged += staged;
-        if let Some(hub) = &mut self.hub {
-            hub.note(HubHistogram::EdgeOccupancyBlocks, staged as u64);
-            hub.tick();
-        }
         self.trace(TraceEventKind::EdgeStaged {
             producer,
             consumer,
@@ -190,19 +171,6 @@ impl QueryObserver {
         e.blocks += blocks;
         e.rows += rows;
         e.bytes += bytes;
-        if let Some(hub) = &mut self.hub {
-            hub.bump(
-                if partial {
-                    HubCounter::PartialTransfers
-                } else {
-                    HubCounter::Transfers
-                },
-                1,
-            );
-            hub.bump(HubCounter::TransferBlocks, blocks as u64);
-            hub.bump(HubCounter::TransferBytes, bytes as u64);
-            hub.tick();
-        }
         self.trace(TraceEventKind::TransferFlushed {
             producer,
             consumer,
@@ -216,11 +184,20 @@ impl QueryObserver {
     pub(crate) fn operator_finished(&mut self, op: OpId) {
         self.trace(TraceEventKind::OperatorFinished { op });
     }
+
+    /// The attempt is over and `metrics` are its final numbers: add them to
+    /// the hub, if one is installed, in one bulk merge.
+    pub(crate) fn attempt_finished(&self, metrics: &QueryMetrics) {
+        if let Some(hub) = &self.hub {
+            hub.absorb(&HubSnapshot::of_attempt(metrics));
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::hub::{bucket_index, HubCounter, HubHistogram};
     use crate::plan::{PlanBuilder, Source};
     use crate::work_order::WorkKind;
     use std::time::Duration;
@@ -260,7 +237,7 @@ mod tests {
         let hub = Arc::new(MetricsHub::new());
         let mut obs = QueryObserver::new(&plan)
             .with_trace(sink.clone())
-            .with_hub(hub.clone(), MemoryTracker::new());
+            .with_hub(hub.clone());
         let (wo, record) = finished(0, 7);
         obs.work_order_dispatched(&wo);
         obs.work_order_completed(wo.seq, record);
@@ -269,11 +246,10 @@ mod tests {
         assert_eq!(obs.ops[0].work_orders, 1);
         assert_eq!(obs.ops[0].task_times, vec![Duration::from_micros(20)]);
         assert_eq!((obs.edges[0].partial_flushes, obs.edges[0].bytes), (1, 512));
-        drop(obs); // flushes the hub's batched deltas
+        // The hub sees no events, only the finished attempt's fold.
         let snap = hub.snapshot();
-        assert_eq!(snap.counter(HubCounter::WorkOrders), 1);
-        assert_eq!(snap.counter(HubCounter::PartialTransfers), 1);
-        assert_eq!(snap.counter(HubCounter::TransferBytes), 512);
+        assert_eq!(snap.counter(HubCounter::WorkOrders), 0);
+        assert_eq!(snap.counter(HubCounter::TransferBytes), 0);
         let trace = sink.finish(vec![]);
         assert_eq!(trace.len(), 4);
         assert!(trace.events.iter().any(|e| matches!(
@@ -285,6 +261,53 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    #[test]
+    fn finished_attempt_folds_into_the_hub() {
+        let plan = plan();
+        let hub = Arc::new(MetricsHub::new());
+        let mut obs = QueryObserver::new(&plan).with_hub(hub.clone());
+        for seq in 0..3 {
+            let (_, mut record) = finished(0, seq);
+            record.end += Duration::from_micros(seq as u64);
+            obs.work_order_completed(seq, record);
+        }
+        obs.blocks_produced(0, 2, 10, 4096);
+        obs.blocks_produced(0, 1, 3, 2048);
+        obs.edge_staged(0, 1, 1, 4);
+        obs.transfer_flushed(0, 1, 4, 40, 8192, false);
+        obs.transfer_flushed(0, 1, 2, 10, 512, true);
+        let metrics = QueryMetrics {
+            ops: obs.ops.clone(),
+            edges: obs.edges.clone(),
+            spill_events: 3,
+            spilled_bytes: 3000,
+            restored_bytes: 1000,
+            ..Default::default()
+        };
+        obs.attempt_finished(&metrics);
+        let snap = hub.snapshot();
+        for (counter, expected) in [
+            (HubCounter::WorkOrders, 3),
+            (HubCounter::BlocksProduced, 3),
+            (HubCounter::RowsProduced, 13),
+            (HubCounter::Transfers, 1),
+            (HubCounter::PartialTransfers, 1),
+            (HubCounter::TransferBlocks, 6),
+            (HubCounter::TransferBytes, 8704),
+            (HubCounter::SpillEvents, 3),
+            (HubCounter::SpilledBytes, 3000),
+            (HubCounter::SpillRestoredBytes, 1000),
+            (HubCounter::QueriesCompleted, 0),
+        ] {
+            assert_eq!(snap.counter(counter), expected, "{counter:?}");
+        }
+        // One service-time observation per work order: 20, 21 and 22 us.
+        let service = snap.histogram(HubHistogram::WorkOrderServiceUs);
+        assert_eq!((service.count, service.sum), (3, 63));
+        assert_eq!(service.buckets[bucket_index(20)], 3);
+        assert_eq!(snap.histogram(HubHistogram::QueryLatencyUs).count, 0);
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //!   [`PlanTopology`] instead of rescanning operator definitions.
 //! * [`QueryObserver`] — receives each dispatch/completion/transfer event
 //!   once, with its sizes computed here, and records it into the
-//!   `QueryMetrics` the paper's figures are made of (plus the live hub and
-//!   trace sink when installed).
+//!   `QueryMetrics` the paper's figures are made of (plus the trace sink and
+//!   live record when installed); the live hub, when installed, adds the
+//!   finished metrics once, at the end of the attempt.
 //! * [`run_query`] — the one driver, parameterized over [`ExecMode`]:
 //!   inline execution for determinism, or a scheduler
 //!   (the calling thread) with a worker pool (Quickstep's two thread
@@ -169,7 +170,9 @@ impl SchedulerCore {
     /// paths (the error path discards the blocks and keeps the metrics as
     /// [`FailedQuery::partial_metrics`]); either way, every byte the query
     /// charged to the [`uot_storage::MemoryTracker`] is released so
-    /// `current_bytes()` returns to its pre-query value.
+    /// `current_bytes()` returns to its pre-query value. Every attempt at
+    /// either front end ends here, so this is where an installed hub adds
+    /// the attempt's metrics.
     pub(crate) fn into_results(
         mut self,
         wall_time: Duration,
@@ -215,8 +218,10 @@ impl SchedulerCore {
             staged_pipelines: self.ctx.fusion.staged_count(),
             spill_events: spill.spill_events,
             spilled_bytes: spill.spilled_bytes,
+            restored_bytes: spill.restored_bytes,
             respill_depth: spill.respill_depth,
         };
+        self.observer.attempt_finished(&metrics);
         self.release_resources();
         (self.result_blocks, metrics)
     }

@@ -6,10 +6,12 @@
 //! deterministic [`FaultPlan`] through the new `SpillWrite`/`SpillRead`
 //! sites and records `SpillOut`/`SpillIn` [`TraceEventKind`]s, so the chaos
 //! harness and the exporters see the second tier exactly like every other
-//! engine mechanism.
+//! engine mechanism. Spill counts are recorded once, by the store's own
+//! [`SpillStats`](uot_storage::SpillStats); they reach
+//! [`QueryMetrics`](crate::metrics::QueryMetrics) and, through its fold, the
+//! metrics hub when the attempt ends.
 
 use crate::fault::{FaultKind, FaultPlan, FaultSite};
-use crate::obs::hub::{HubCounter, HubHistogram, MetricsHub};
 use crate::obs::live::LiveQuery;
 use crate::trace::{TraceEventKind, TraceSink};
 use std::sync::Arc;
@@ -21,27 +23,24 @@ pub struct EngineSpillHook {
     faults: Option<Arc<FaultPlan>>,
     trace: Option<Arc<TraceSink>>,
     tracker: Arc<MemoryTracker>,
-    hub: Option<Arc<MetricsHub>>,
     live: Option<Arc<LiveQuery>>,
 }
 
 impl EngineSpillHook {
     /// Build the hook for one query execution. `tracker` is the query's
-    /// tracker (read for the `in_use` field of spill trace events); spill
-    /// I/O also updates `hub` counters/histograms and the query's `live`
-    /// registry entry as it happens, when given.
+    /// tracker (read for the `in_use` field of spill trace events); each
+    /// spill write also counts into the query's `live` registry entry as it
+    /// happens, when given.
     pub fn new(
         faults: Option<Arc<FaultPlan>>,
         trace: Option<Arc<TraceSink>>,
         tracker: Arc<MemoryTracker>,
-        hub: Option<Arc<MetricsHub>>,
         live: Option<Arc<LiveQuery>>,
     ) -> Arc<Self> {
         Arc::new(EngineSpillHook {
             faults,
             trace,
             tracker,
-            hub,
             live,
         })
     }
@@ -95,11 +94,6 @@ impl SpillObserver for EngineSpillHook {
                 in_use: self.tracker.current_bytes(),
             });
         }
-        if let Some(hub) = &self.hub {
-            hub.add(HubCounter::SpillEvents, 1);
-            hub.add(HubCounter::SpilledBytes, bytes as u64);
-            hub.record(HubHistogram::SpillVolumeBytes, bytes as u64);
-        }
         if let Some(live) = &self.live {
             live.on_spill();
         }
@@ -112,9 +106,6 @@ impl SpillObserver for EngineSpillHook {
                 bytes,
                 in_use: self.tracker.current_bytes(),
             });
-        }
-        if let Some(hub) = &self.hub {
-            hub.add(HubCounter::SpillRestoredBytes, bytes as u64);
         }
     }
 }
@@ -146,7 +137,6 @@ mod tests {
             Some(faults),
             Some(sink.clone()),
             tracker.clone(),
-            None,
             None,
         ));
 
@@ -199,7 +189,6 @@ mod tests {
             Some(faults),
             None,
             tracker.clone(),
-            None,
             None,
         ));
         let err = store.restore(h).unwrap_err();

@@ -241,6 +241,29 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 
 const SHARDS: usize = 8;
 
+/// A hash of the calling thread's id, which [`TraceSink`] picks a shard by.
+/// Computed once per thread and cached in a TLS cell, because
+/// `thread::current()` clones an `Arc` and hashing it on every event would
+/// dominate the cost of recording the event itself.
+fn thread_shard_key() -> usize {
+    thread_local! {
+        static SHARD_KEY: std::cell::Cell<usize> =
+            const { std::cell::Cell::new(usize::MAX) };
+    }
+    SHARD_KEY.with(|c| {
+        let v = c.get();
+        if v != usize::MAX {
+            return v;
+        }
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        std::thread::current().id().hash(&mut h);
+        let v = h.finish() as usize;
+        c.set(v);
+        v
+    })
+}
+
 /// A bounded, sharded event buffer shared by the scheduler thread and every
 /// worker.
 ///
@@ -291,7 +314,7 @@ impl TraceSink {
         if self.offered.fetch_add(1, Ordering::Relaxed) >= self.capacity {
             return;
         }
-        let shard = crate::obs::hub::thread_shard_key() % self.shards.len();
+        let shard = thread_shard_key() % self.shards.len();
         self.shards[shard].lock().push(TraceEvent { t, kind });
     }
 

@@ -235,7 +235,6 @@ proptest! {
             None,
             tracker.clone(),
             None,
-            None,
         ));
         pool.enable_spill(store.clone());
         // Table UoT + one hash-table shard: staging must outgrow the budget

@@ -1,19 +1,19 @@
 //! Property and concurrency tests for the always-on [`MetricsHub`].
 //!
-//! The hub shards its counters and histogram buckets by thread to keep the
-//! hot path contention-free; [`HubSnapshot`] folds the shards back together.
-//! These tests pin the contract that makes that sharding invisible:
+//! The hub is one set of atomic counters and histogram buckets that any
+//! thread may add to while a scraper takes [`HubSnapshot`]s. These tests pin
+//! the contract:
 //!
-//! 1. Recording any workload from any number of threads and then folding
-//!    yields exactly the same histogram (count, sum, every bucket) as a
-//!    serial [`HistogramSnapshot`] built with `record()` — the single-shard
+//! 1. Recording any workload from any number of threads and then taking a
+//!    snapshot yields exactly the same histogram (count, sum, every bucket)
+//!    as a serial [`HistogramSnapshot`] built with `record()` — the
 //!    reference implementation.
 //! 2. Snapshots taken *while* recorders are running never over-count and
 //!    are monotone: the hub may miss in-flight increments but it never
 //!    invents them, so a scraper always sees a consistent past.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use proptest::prelude::*;
 use uot_core::obs::hub::{bucket_bounds, bucket_index, HIST_BUCKETS};
@@ -33,9 +33,9 @@ fn observation() -> impl Strategy<Value = u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Sharded recording + fold == serial reference, exactly.
+    /// Concurrent recording + snapshot == serial reference, exactly.
     #[test]
-    fn sharded_histogram_matches_serial_reference(
+    fn concurrent_histogram_matches_serial_reference(
         values in proptest::collection::vec(observation(), 0..512),
         threads in 1usize..5,
     ) {
@@ -45,8 +45,8 @@ proptest! {
         }
 
         let hub = MetricsHub::new();
-        // Chunk the workload across real threads so the observations land in
-        // different shards (shard choice hashes the thread id).
+        // Chunk the workload across real threads so the observations race on
+        // the same atomics.
         std::thread::scope(|s| {
             for chunk in values.chunks(values.len().div_ceil(threads).max(1)) {
                 let hub = &hub;
@@ -65,10 +65,10 @@ proptest! {
         prop_assert_eq!(&folded.buckets[..], &reference.buckets[..]);
     }
 
-    /// Counter adds distribute over threads: the folded total is the serial
-    /// sum no matter how the deltas are interleaved.
+    /// Counter adds distribute over threads: the snapshot total is the
+    /// serial sum no matter how the deltas are interleaved.
     #[test]
-    fn sharded_counters_sum_exactly(
+    fn concurrent_counters_sum_exactly(
         deltas in proptest::collection::vec(0u64..(1 << 32), 0..256),
         threads in 1usize..5,
     ) {
@@ -87,9 +87,9 @@ proptest! {
         prop_assert_eq!(hub.snapshot().counter(HubCounter::TransferBytes), expected);
     }
 
-    /// Merging per-shard-style partial snapshots is associative with
-    /// recording: split a workload arbitrarily, record each part into its
-    /// own hub, merge the snapshots — same fold as one hub seeing it all.
+    /// Merging partial snapshots is associative with recording: split a
+    /// workload arbitrarily, record each part into its own hub, merge the
+    /// snapshots — same result as one hub seeing it all.
     #[test]
     fn snapshot_merge_matches_single_hub(
         values in proptest::collection::vec(observation(), 0..256),
@@ -99,10 +99,10 @@ proptest! {
         let whole = MetricsHub::new();
         let (a, b) = (MetricsHub::new(), MetricsHub::new());
         for (i, &v) in values.iter().enumerate() {
-            whole.record(HubHistogram::SpillVolumeBytes, v);
+            whole.record(HubHistogram::QueryLatencyUs, v);
             whole.add(HubCounter::SpillEvents, 1);
             let part = if i < cut { &a } else { &b };
-            part.record(HubHistogram::SpillVolumeBytes, v);
+            part.record(HubHistogram::QueryLatencyUs, v);
             part.add(HubCounter::SpillEvents, 1);
         }
         let mut merged = a.snapshot();
@@ -110,8 +110,8 @@ proptest! {
         let lone = whole.snapshot();
         prop_assert_eq!(merged.counter(HubCounter::SpillEvents), lone.counter(HubCounter::SpillEvents));
         let (m, l) = (
-            merged.histogram(HubHistogram::SpillVolumeBytes),
-            lone.histogram(HubHistogram::SpillVolumeBytes),
+            merged.histogram(HubHistogram::QueryLatencyUs),
+            lone.histogram(HubHistogram::QueryLatencyUs),
         );
         prop_assert_eq!(m.count, l.count);
         prop_assert_eq!(m.sum, l.sum);
@@ -138,8 +138,12 @@ proptest! {
 }
 
 /// Live scraping: snapshots racing with recorders never over-count, counts
-/// are monotone across successive snapshots, and the post-join fold is
+/// are monotone across successive snapshots, and the post-join snapshot is
 /// exact. This is the `/metrics` endpoint's consistency story.
+///
+/// Every recorder pauses halfway on a barrier the scraper joins, so at least
+/// one scrape lands while recording is under way however the threads are
+/// scheduled, and that scrape must read exactly the recorded half.
 #[test]
 fn concurrent_snapshots_are_monotone_and_final_fold_is_exact() {
     const RECORDERS: u64 = 4;
@@ -147,13 +151,21 @@ fn concurrent_snapshots_are_monotone_and_final_fold_is_exact() {
 
     let hub = Arc::new(MetricsHub::new());
     let done = Arc::new(AtomicBool::new(false));
+    // Recorders plus the scraper: `halfway` parks everyone at PER_THREAD / 2,
+    // `resume` lets the recorders go once the scraper has read the hub.
+    let halfway = Arc::new(Barrier::new(RECORDERS as usize + 1));
+    let resume = Arc::new(Barrier::new(RECORDERS as usize + 1));
 
     std::thread::scope(|s| {
         let mut workers = Vec::new();
         for _ in 0..RECORDERS {
-            let hub = hub.clone();
+            let (hub, halfway, resume) = (hub.clone(), halfway.clone(), resume.clone());
             workers.push(s.spawn(move || {
                 for i in 0..PER_THREAD {
+                    if i == PER_THREAD / 2 {
+                        halfway.wait();
+                        resume.wait();
+                    }
                     hub.add(HubCounter::WorkOrders, 1);
                     hub.record(HubHistogram::WorkOrderServiceUs, i % 4096);
                 }
@@ -162,11 +174,20 @@ fn concurrent_snapshots_are_monotone_and_final_fold_is_exact() {
 
         let scraper = {
             let (hub, done) = (hub.clone(), done.clone());
+            let (halfway, resume) = (halfway.clone(), resume.clone());
             s.spawn(move || {
                 let cap = RECORDERS * PER_THREAD;
-                let mut last_count = 0u64;
-                let mut last_counter = 0u64;
-                let mut scrapes = 0u64;
+                halfway.wait();
+                let snap = hub.snapshot();
+                // Release the recorders before asserting, so a failure here
+                // fails the test instead of parking them forever.
+                resume.wait();
+                let half = RECORDERS * PER_THREAD / 2;
+                let mut last_counter = snap.counter(HubCounter::WorkOrders);
+                let mut last_count = snap.histogram(HubHistogram::WorkOrderServiceUs).count;
+                assert_eq!(last_counter, half, "halfway counter");
+                assert_eq!(last_count, half, "halfway histogram count");
+                let mut scrapes = 1u64;
                 while !done.load(Ordering::Acquire) {
                     let snap = hub.snapshot();
                     let c = snap.counter(HubCounter::WorkOrders);
@@ -185,9 +206,10 @@ fn concurrent_snapshots_are_monotone_and_final_fold_is_exact() {
                         h.count
                     );
                     last_count = h.count;
-                    // Each shard publishes buckets before bumping `count`
-                    // and the fold reads `count` first, so the bucket total
-                    // can only ever run ahead of the count — never behind.
+                    // A recorder publishes buckets before bumping `count`
+                    // and the snapshot reads `count` first, so the bucket
+                    // total can only ever run ahead of the count — never
+                    // behind.
                     let staged: u64 = h.buckets.iter().sum();
                     assert!(
                         staged >= h.count,

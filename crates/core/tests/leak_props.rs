@@ -206,7 +206,6 @@ proptest! {
             None,
             tracker.clone(),
             None,
-            None,
         ));
         pool.enable_spill(store.clone());
         let spill_dir = store.dir().to_path_buf();

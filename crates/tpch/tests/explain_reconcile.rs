@@ -3,14 +3,15 @@
 //! two sources of truth about the same execution — the per-operator
 //! [`QueryMetrics`] aggregates and the structured trace — across TPC-H
 //! queries, execution modes and UoTs, and the query's live [`MetricsHub`]
-//! must hold the same totals as its metrics. Explain is a pure fold of
-//! plan + metrics, so any disagreement means double counting or dropped
+//! must hold the same totals as its metrics — spill counters included.
+//! Explain is a pure fold of plan + metrics and the hub a fold of the
+//! finished metrics, so any disagreement means double counting or dropped
 //! events somewhere in the scheduler's accounting.
 
 use std::sync::Arc;
 use uot_core::{
-    Engine, EngineConfig, ExecMode, HubCounter, MetricsHub, Source, TraceConfig, TraceEventKind,
-    Uot,
+    DegradePolicy, Engine, EngineConfig, ExecMode, HubCounter, HubHistogram, MetricsHub,
+    QueryResult, Source, TraceConfig, TraceEventKind, Uot,
 };
 use uot_storage::BlockFormat;
 use uot_tpch::{build_query, sql_text, QueryId, TpchConfig, TpchDb};
@@ -26,8 +27,8 @@ fn db() -> TpchDb {
 
 /// Cross-check one executed query: explain vs metrics (field-exact), explain
 /// vs trace (work-order counts), hub vs metrics (totals), and edge flow vs
-/// consumer input accounting.
-fn reconcile(db: &TpchDb, q: QueryId, cfg: EngineConfig, label: &str) {
+/// consumer input accounting. Returns the result for case-specific checks.
+fn reconcile(db: &TpchDb, q: QueryId, cfg: EngineConfig, label: &str) -> QueryResult {
     let plan = build_query(q, db).expect("plan builds");
     let hub = Arc::new(MetricsHub::new());
     let r = Engine::new(cfg.with_hub(hub.clone()))
@@ -86,7 +87,7 @@ fn reconcile(db: &TpchDb, q: QueryId, cfg: EngineConfig, label: &str) {
         "{label}: trace work-order total"
     );
 
-    // The hub, fed online by the same observer, holds the metrics' totals.
+    // The hub, which adds the finished attempt's metrics, holds their totals.
     let snap = hub.snapshot();
     let ops = |f: fn(&uot_core::OperatorMetrics) -> usize| m.ops.iter().map(f).sum::<usize>();
     let edges = |f: fn(&uot_core::EdgeMetrics) -> usize| m.edges.iter().map(f).sum::<usize>();
@@ -98,6 +99,9 @@ fn reconcile(db: &TpchDb, q: QueryId, cfg: EngineConfig, label: &str) {
         (HubCounter::PartialTransfers, edges(|e| e.partial_flushes)),
         (HubCounter::TransferBlocks, edges(|e| e.blocks)),
         (HubCounter::TransferBytes, edges(|e| e.bytes)),
+        (HubCounter::SpillEvents, m.spill_events),
+        (HubCounter::SpilledBytes, m.spilled_bytes),
+        (HubCounter::SpillRestoredBytes, m.restored_bytes),
     ] {
         assert_eq!(
             snap.counter(counter),
@@ -105,6 +109,20 @@ fn reconcile(db: &TpchDb, q: QueryId, cfg: EngineConfig, label: &str) {
             "{label}: hub {counter:?} vs metrics"
         );
     }
+    // One service-time observation per work order, in whole microseconds.
+    let service = snap.histogram(HubHistogram::WorkOrderServiceUs);
+    assert_eq!(
+        service.count,
+        ops(|o| o.work_orders) as u64,
+        "{label}: hub service-time count vs work orders"
+    );
+    let task_us: u64 = m
+        .ops
+        .iter()
+        .flat_map(|o| &o.task_times)
+        .map(|d| d.as_micros() as u64)
+        .sum();
+    assert_eq!(service.sum, task_us, "{label}: hub service-time sum");
 
     // Flow conservation: everything a consumer reports as input arrived
     // over the transfer edges that name it as their consumer. Operators
@@ -135,6 +153,7 @@ fn reconcile(db: &TpchDb, q: QueryId, cfg: EngineConfig, label: &str) {
         text.lines().count() > plan.len(),
         "{label}: render too short:\n{text}"
     );
+    r
 }
 
 #[test]
@@ -155,6 +174,27 @@ fn explain_reconciles_across_queries_modes_and_uots() {
             }
         }
     }
+}
+
+/// The spill tier's counters reach the hub through the same fold. At this
+/// budget Q3's first attempt spills (Q3 spills from 128 to 256 KiB here) and
+/// still succeeds, so the case is non-vacuous and has one attempt.
+#[test]
+fn spill_counters_reconcile_with_the_hub() {
+    let db = db();
+    let cfg = EngineConfig {
+        trace: Some(TraceConfig::default()),
+        ..EngineConfig::serial()
+    }
+    .with_block_bytes(8 * 1024)
+    .with_uot(Uot::Blocks(4))
+    .with_memory_budget(Some(192 * 1024))
+    .with_degrade(DegradePolicy::Spill);
+    let r = reconcile(&db, QueryId::Q3, cfg, "Q3/Serial/Spill");
+    let m = &r.metrics;
+    assert!(m.degradations.is_empty(), "the first attempt must succeed");
+    assert!(m.spill_events > 0, "the case must spill");
+    assert!(m.restored_bytes > 0, "spilled blocks are faulted back in");
 }
 
 /// The SQL front door: `EXPLAIN ANALYZE <stmt>` really runs the statement,
