@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the storage primitives whose costs the
 //! paper's dimensions rest on: block append and single-column scan in both
-//! formats, predicate evaluation, and bitmap iteration.
+//! formats, predicate evaluation (bitmap and selection vector), the bulk
+//! output copy, and bitmap iteration.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use uot_expr::{cmp, col, lit, CmpOp};
@@ -61,8 +62,31 @@ fn bench_predicate(c: &mut Criterion) {
         g.bench_function(fmt.label(), |bench| {
             bench.iter(|| black_box(p.eval(&b).unwrap().count_ones()))
         });
+        // The engine's form: refine a selection vector conjunct by conjunct.
+        let mut sel = Vec::with_capacity(b.num_rows());
+        g.bench_function(format!("{}_filter", fmt.label()), |bench| {
+            bench.iter(|| {
+                sel.clear();
+                sel.extend(0..b.num_rows());
+                p.filter(&b, &mut sel).unwrap();
+                black_box(sel.len())
+            })
+        });
     }
     g.finish();
+}
+
+fn bench_append_range(c: &mut Criterion) {
+    // Column → row is the common operator output copy: a virtual column
+    // block of results into a row-format temporary block.
+    let src = filled(BlockFormat::Column, 8192);
+    let mut dst = StorageBlock::new(src.schema().clone(), BlockFormat::Row, 1 << 22).unwrap();
+    c.bench_function("append_range_column_to_row_8k", |bench| {
+        bench.iter(|| {
+            dst.clear();
+            black_box(dst.append_range(&src, 0))
+        })
+    });
 }
 
 fn bench_bitmap(c: &mut Criterion) {
@@ -80,6 +104,7 @@ criterion_group!(
     bench_append,
     bench_column_scan,
     bench_predicate,
+    bench_append_range,
     bench_bitmap
 );
 criterion_main!(benches);

@@ -1,11 +1,13 @@
 //! Typed per-column output assembly.
 //!
 //! Join operators combine fields from two sources (probe block + hash-table
-//! payload), so they cannot use the block-to-block copy fast path directly.
-//! Instead they push typed values into one [`ColBuilder`] per output column
-//! and wrap the result as a virtual column block, which then flows through
-//! the regular [`OutputBuffer::write_rows`](crate::output::OutputBuffer)
-//! path. No `Value` boxing happens on this path.
+//! payload), so they cannot hand a single source block to the output
+//! buffer. Instead they push typed values into one [`ColBuilder`] per output
+//! column and wrap the result as a virtual column block, which the regular
+//! [`OutputBuffer::write_rows`](crate::output::OutputBuffer) path then copies
+//! into the output blocks with one bulk
+//! [`append_range`](uot_storage::StorageBlock::append_range) per block. No
+//! `Value` boxing happens on this path.
 
 use crate::hash_table::PayloadRef;
 use crate::Result;

@@ -1,15 +1,18 @@
 //! The select operator: filter + project on one block.
 //!
 //! This is the canonical *producer* of the paper's select → probe pair. A
-//! work order evaluates the predicate over its input block (vectorized, into
-//! a selection bitmap), gathers each projection for the selected rows, and
-//! appends the result to the operator's output buffer.
+//! work order refines a selection vector of surviving row indices, starting
+//! from every row of its input block: the predicate's conjuncts one by one
+//! ([`Predicate::filter`]), then the LIP Bloom filters. It gathers each
+//! projection for the surviving rows and appends the result to the
+//! operator's output buffer.
 
 use crate::error::EngineError;
 use crate::plan::OperatorKind;
-use crate::state::ExecContext;
+use crate::state::{ExecContext, Scratch};
 use crate::Result;
 use std::sync::Arc;
+use uot_expr::{Predicate, ScalarExpr};
 use uot_storage::{ColumnBlock, ColumnData, StorageBlock};
 
 /// Run one select work order (staged path). Returns completed output blocks.
@@ -30,7 +33,7 @@ pub fn execute(
 /// operator's output buffer; a fused pipeline pushes it straight into the
 /// next chain member. When every row survives and every projection is an
 /// identity column reference, the input block is passed through untouched
-/// (zero copy).
+/// (zero copy). The selection vector lives in a pooled [`Scratch`].
 pub(crate) fn apply(
     ctx: &ExecContext,
     op: usize,
@@ -50,47 +53,74 @@ pub(crate) fn apply(
             )))
         }
     };
-    let mut bitmap = predicate.eval(block).map_err(EngineError::from)?;
+    let mut scratch = ctx.take_scratch();
+    let out = select_rows(ctx, op, block, predicate, !lip.is_empty(), &mut scratch)
+        .and_then(|()| project(ctx, op, block, projections, &scratch.sel));
+    ctx.put_scratch(scratch);
+    out
+}
+
+/// Leave in `scratch.sel` the rows of `block` that pass the predicate and,
+/// when `lip` is set, every LIP Bloom filter.
+fn select_rows(
+    ctx: &ExecContext,
+    op: usize,
+    block: &StorageBlock,
+    predicate: &Predicate,
+    lip: bool,
+    scratch: &mut Scratch,
+) -> Result<()> {
+    let Scratch {
+        sel, rows, keys, ..
+    } = scratch;
+    sel.clear();
+    sel.extend(0..block.num_rows());
+    predicate.filter(block, sel).map_err(EngineError::from)?;
+    if !lip {
+        return Ok(());
+    }
     // LIP: consult downstream builds' Bloom filters and drop rows whose join
     // keys are definitely absent — before materializing or transferring them.
     // Filters sharing a key-column set are grouped at context build: the
     // surviving rows' keys are extracted and hashed once per group, and every
     // Bloom filter in the group probes the same hash vector.
-    if !lip.is_empty() {
-        let before = bitmap.count_ones();
-        let mut scratch = ctx.take_scratch();
-        for group in &ctx.lip_groups[op] {
-            let blooms: Vec<_> = group
-                .builds
-                .iter()
-                .filter_map(|&b| ctx.runtimes[b].bloom.as_deref())
-                .collect();
-            if blooms.is_empty() {
-                continue;
-            }
-            scratch.rows.clear();
-            scratch.rows.extend(bitmap.iter_ones().map(|r| r as u32));
-            group
-                .extractor
-                .extract_rows(block, &scratch.rows, &mut scratch.keys);
-            for (i, &row) in scratch.rows.iter().enumerate() {
-                let h = scratch.keys.hashes()[i];
-                if blooms.iter().any(|bl| !bl.may_contain_hash(h)) {
-                    bitmap.assign(row as usize, false);
-                }
-            }
+    let before = sel.len();
+    for group in &ctx.lip_groups[op] {
+        let blooms: Vec<_> = group
+            .builds
+            .iter()
+            .filter_map(|&b| ctx.runtimes[b].bloom.as_deref())
+            .collect();
+        if blooms.is_empty() {
+            continue;
         }
-        ctx.put_scratch(scratch);
-        let pruned = before - bitmap.count_ones();
-        ctx.runtimes[op]
-            .lip_pruned
-            .fetch_add(pruned, std::sync::atomic::Ordering::Relaxed);
+        rows.clear();
+        rows.extend(sel.iter().map(|&r| r as u32));
+        group.extractor.extract_rows(block, rows, keys);
+        let mut hashes = keys.hashes().iter();
+        sel.retain(|_| {
+            let h = *hashes.next().expect("one hash per surviving row");
+            blooms.iter().all(|bl| bl.may_contain_hash(h))
+        });
     }
-    let selected = bitmap.count_ones();
+    ctx.runtimes[op]
+        .lip_pruned
+        .fetch_add(before - sel.len(), std::sync::atomic::Ordering::Relaxed);
+    Ok(())
+}
+
+/// Gather every projection for the rows in `sel` into a virtual block.
+fn project(
+    ctx: &ExecContext,
+    op: usize,
+    block: &Arc<StorageBlock>,
+    projections: &[ScalarExpr],
+    sel: &[usize],
+) -> Result<Option<Arc<StorageBlock>>> {
+    let selected = sel.len();
     if selected == 0 {
         return Ok(None);
     }
-    let out_schema = ctx.plan.op(op).out_schema.clone();
     let all = selected == block.num_rows();
     // Identity fast path: a pure pass-through (all rows, bare column refs in
     // order, full width) reuses the input block instead of re-gathering it.
@@ -103,22 +133,18 @@ pub(crate) fn apply(
     {
         return Ok(Some(block.clone()));
     }
-    let rows: Vec<usize> = if all {
-        Vec::new() // not needed on the all-rows path
-    } else {
-        bitmap.iter_ones().collect()
-    };
     let cols: Vec<ColumnData> = projections
         .iter()
         .map(|p| {
             if all {
                 p.eval_all(block)
             } else {
-                p.eval_gather(block, &rows)
+                p.eval_gather(block, sel)
             }
         })
         .collect::<std::result::Result<_, _>>()
         .map_err(EngineError::from)?;
+    let out_schema = ctx.plan.op(op).out_schema.clone();
     let virt = StorageBlock::Column(ColumnBlock::from_columns(out_schema, cols, selected)?);
     Ok(Some(Arc::new(virt)))
 }

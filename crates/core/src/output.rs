@@ -61,41 +61,31 @@ impl OutputBuffer {
 
     /// Copy every row of `src` into checked-out blocks. Returns the blocks
     /// that became **full** during the copy; a trailing partial block is
-    /// retained internally. On a failed checkout mid-copy every block this
-    /// call holds is discarded, so the tracker does not leak bytes on error
-    /// paths (the query is failing; partial rows die with it).
+    /// retained internally. Each block is filled by one bulk
+    /// [`StorageBlock::append_range`] (a typed loop per column), and a full
+    /// block is swapped for a fresh checkout at once. On a failed checkout
+    /// mid-copy every block this call holds is discarded, so the tracker does
+    /// not leak bytes on error paths (the query is failing; partial rows die
+    /// with it).
     pub fn write_rows(&self, src: &StorageBlock, pool: &BlockPool) -> Result<Vec<StorageBlock>> {
         debug_assert_eq!(src.schema().len(), self.schema.len());
-        let cols: Vec<usize> = (0..self.schema.len()).collect();
         let mut completed = Vec::new();
         let n = src.num_rows();
         if n == 0 {
             return Ok(completed);
         }
-        let discard_held = |completed: Vec<StorageBlock>, cur: StorageBlock| {
-            for b in completed {
-                pool.discard(b);
-            }
-            pool.discard(cur);
-        };
         let mut cur = self.checkout(pool)?;
-        for row in 0..n {
-            if !cur.append_projected(src, row, &cols) {
-                match self.checkout(pool) {
-                    Ok(next) => completed.push(std::mem::replace(&mut cur, next)),
-                    Err(e) => {
-                        discard_held(completed, cur);
-                        return Err(e);
-                    }
-                }
-                let ok = cur.append_projected(src, row, &cols);
-                debug_assert!(ok, "fresh block rejected a row");
-            }
+        let mut row = 0;
+        while row < n {
+            row += cur.append_range(src, row);
             if cur.is_full() {
                 match self.checkout(pool) {
                     Ok(next) => completed.push(std::mem::replace(&mut cur, next)),
                     Err(e) => {
-                        discard_held(completed, cur);
+                        for b in completed {
+                            pool.discard(b);
+                        }
+                        pool.discard(cur);
                         return Err(e);
                     }
                 }

@@ -321,8 +321,11 @@ pub struct Scratch {
     pub matches: Vec<ProbeMatch>,
     /// Per-row existence flags (semi/anti joins).
     pub exists: Vec<bool>,
-    /// Selected row indices (semi/anti output, LIP survivors).
+    /// Selected row indices (semi/anti output, LIP key extraction).
     pub rows: Vec<u32>,
+    /// The select's selection vector: rows that passed the predicate and
+    /// the LIP filters so far.
+    pub sel: Vec<usize>,
     /// Per-row group ids (grouped aggregation).
     pub gids: Vec<u32>,
 }

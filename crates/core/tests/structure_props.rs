@@ -25,27 +25,67 @@ fn block_of(rows: &[(i32, i64)]) -> StorageBlock {
     b
 }
 
+/// One row of [`wide_schema`]: every column type the engine stores.
+type WideRow = (i32, i64, f64, i32, String);
+
+fn wide_schema() -> Arc<Schema> {
+    Schema::from_pairs(&[
+        ("k", DataType::Int32),
+        ("v", DataType::Int64),
+        ("x", DataType::Float64),
+        ("d", DataType::Date),
+        ("s", DataType::Char(6)),
+    ])
+}
+
+fn wide_block(rows: &[WideRow], format: BlockFormat) -> StorageBlock {
+    let mut b = StorageBlock::new(wide_schema(), format, 1 << 20).unwrap();
+    for (k, v, x, d, s) in rows {
+        b.append_row(&[
+            Value::I32(*k),
+            Value::I64(*v),
+            Value::F64(*x),
+            Value::Date(*d),
+            Value::Str(s.clone()),
+        ])
+        .unwrap();
+    }
+    b
+}
+
+fn arb_wide_row() -> impl Strategy<Value = WideRow> {
+    (
+        any::<i32>(),
+        any::<i64>(),
+        -1e12f64..1e12,
+        -30000i32..30000,
+        proptest::collection::vec(b'a'..=b'z', 0..=6)
+            .prop_map(|bytes| String::from_utf8(bytes).unwrap()),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn output_buffer_reblocks_losslessly(
         chunks in proptest::collection::vec(
-            proptest::collection::vec((any::<i32>(), any::<i64>()), 0..40),
+            proptest::collection::vec(arb_wide_row(), 0..40),
             0..8,
         ),
         rows_per_block in 1usize..9,
+        src_fmt in prop_oneof![Just(BlockFormat::Row), Just(BlockFormat::Column)],
         fmt in prop_oneof![Just(BlockFormat::Row), Just(BlockFormat::Column)],
     ) {
         let pool = BlockPool::new(MemoryTracker::new());
         let buf = OutputBuffer::new(
-            schema(),
+            wide_schema(),
             fmt,
-            schema().tuple_width() * rows_per_block,
+            wide_schema().tuple_width() * rows_per_block,
         );
         let mut out_blocks = Vec::new();
         for chunk in &chunks {
-            out_blocks.extend(buf.write_rows(&block_of(chunk), &pool).unwrap());
+            out_blocks.extend(buf.write_rows(&wide_block(chunk, src_fmt), &pool).unwrap());
         }
         out_blocks.extend(buf.flush());
         // Every block except possibly the last is exactly full, and the
@@ -53,12 +93,8 @@ proptest! {
         for b in out_blocks.iter().rev().skip(1) {
             prop_assert!(b.is_full());
         }
-        let got: Vec<(i32, i64)> = out_blocks
-            .iter()
-            .flat_map(|b| b.all_rows())
-            .map(|r| (r[0].as_i32(), r[1].as_i64()))
-            .collect();
-        let expect: Vec<(i32, i64)> = chunks.concat();
+        let got: Vec<Vec<Value>> = out_blocks.iter().flat_map(|b| b.all_rows()).collect();
+        let expect: Vec<Vec<Value>> = chunks.iter().flat_map(|c| wide_block(c, src_fmt).all_rows()).collect();
         prop_assert_eq!(got, expect);
     }
 

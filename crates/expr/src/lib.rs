@@ -4,9 +4,11 @@
 //! boolean predicates and aggregate functions.
 //!
 //! Evaluation is **vectorized** in the MonetDB/Vectorwise tradition the paper
-//! builds on: a predicate maps a whole storage block to a selection
-//! [`Bitmap`](uot_storage::Bitmap); a scalar expression maps the selected rows
-//! of a block to one typed [`ColumnData`](uot_storage::ColumnData) vector.
+//! builds on: a predicate refines a selection vector of a block's surviving
+//! rows (or maps the whole block to a selection
+//! [`Bitmap`](uot_storage::Bitmap)); a scalar expression maps the selected
+//! rows of a block to one typed [`ColumnData`](uot_storage::ColumnData)
+//! vector.
 //! Column-store blocks take slice-based fast paths; row-store blocks fall
 //! back to strided per-row reads, which is exactly the access-pattern
 //! difference the paper's storage-format experiments measure.

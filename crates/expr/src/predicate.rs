@@ -1,10 +1,15 @@
-//! Boolean predicates producing selection bitmaps.
+//! Boolean predicates over a block's rows.
 //!
-//! The select operator evaluates one [`Predicate`] per input block. Numeric
-//! and date comparisons between a column and a literal take a typed fast path
-//! on column-store blocks; everything else goes through generic vectorized
-//! evaluation. String predicates (`=`, `IN`, prefix match) compare against
-//! space-padded fixed-width values, matching the storage encoding.
+//! A predicate has two evaluators. [`Predicate::filter`] is the engine's:
+//! it refines a selection vector of surviving row indices, conjunct by
+//! conjunct, so a later conjunct only tests the rows an earlier one kept.
+//! [`Predicate::eval`] maps the whole block to a selection [`Bitmap`]; the
+//! operator-at-a-time baseline, `CASE` and `filter`'s fallback for `OR`,
+//! `NOT` and generic comparisons use it. Numeric and date comparisons between a column and a literal take
+//! a typed fast path on column-store blocks; everything else goes through
+//! generic vectorized evaluation. String predicates (`=`, `IN`, prefix and
+//! substring match) compare against space-padded fixed-width values,
+//! matching the storage encoding.
 
 use crate::error::ExprError;
 use crate::scalar::ScalarExpr;
@@ -38,6 +43,31 @@ impl CmpOp {
             CmpOp::Le => a <= b,
             CmpOp::Gt => a > b,
             CmpOp::Ge => a >= b,
+        }
+    }
+
+    /// The operator with its operands swapped: `a op b` ⇔ `b op.flipped() a`.
+    fn flipped(self) -> CmpOp {
+        match self {
+            CmpOp::Eq => CmpOp::Eq,
+            CmpOp::Ne => CmpOp::Ne,
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::Le => CmpOp::Ge,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::Ge => CmpOp::Le,
+        }
+    }
+
+    /// Keep the `sel` rows whose `xs` value satisfies `x op y`, with the
+    /// operator matched once outside the loop.
+    fn retain<T: PartialOrd + Copy>(self, xs: &[T], y: T, sel: &mut Vec<usize>) {
+        match self {
+            CmpOp::Eq => sel.retain(|&i| xs[i] == y),
+            CmpOp::Ne => sel.retain(|&i| xs[i] != y),
+            CmpOp::Lt => sel.retain(|&i| xs[i] < y),
+            CmpOp::Le => sel.retain(|&i| xs[i] <= y),
+            CmpOp::Gt => sel.retain(|&i| xs[i] > y),
+            CmpOp::Ge => sel.retain(|&i| xs[i] >= y),
         }
     }
 }
@@ -189,16 +219,59 @@ impl Predicate {
             Predicate::StrEq { col, value } => eval_str(block, *col, |bytes, width| {
                 str_eq_padded(bytes, value, width)
             }),
-            Predicate::StrStartsWith { col, prefix } => eval_str(block, *col, |bytes, _w| {
-                bytes.len() >= prefix.len() && &bytes[..prefix.len()] == prefix.as_bytes()
-            }),
-            Predicate::StrIn { col, values } => eval_str(block, *col, |bytes, width| {
-                values.iter().any(|v| str_eq_padded(bytes, v, width))
-            }),
-            Predicate::StrContains { col, needle } => eval_str(block, *col, |bytes, _w| {
-                !needle.is_empty() && bytes.windows(needle.len()).any(|w| w == needle.as_bytes())
-            }),
+            Predicate::StrStartsWith { col, prefix } => {
+                eval_str(block, *col, |bytes, _w| str_starts_with(bytes, prefix))
+            }
+            Predicate::StrIn { col, values } => {
+                eval_str(block, *col, |bytes, width| str_in(bytes, values, width))
+            }
+            Predicate::StrContains { col, needle } => {
+                eval_str(block, *col, |bytes, _w| str_contains(bytes, needle))
+            }
         }
+    }
+
+    /// Keep only the rows of `sel` that satisfy the predicate. `sel` holds
+    /// ascending row indices of `block` and stays ascending.
+    ///
+    /// `And` refines the same vector conjunct by conjunct and stops once it
+    /// is empty, the same short-circuit point as [`Self::eval`]. A
+    /// column-vs-literal comparison on a column-store block and the four
+    /// string predicates test only the rows in `sel`. Every other shape
+    /// (`Or`, `Not`, a generic comparison, a comparison on a row-store
+    /// block) evaluates the whole block with [`Self::eval`] and keeps the
+    /// rows its bitmap selects, so it fails exactly when `eval` would.
+    pub fn filter(&self, block: &StorageBlock, sel: &mut Vec<usize>) -> Result<()> {
+        match self {
+            Predicate::True => {}
+            Predicate::And(ps) => {
+                for p in ps {
+                    if sel.is_empty() {
+                        break;
+                    }
+                    p.filter(block, sel)?;
+                }
+            }
+            Predicate::Cmp { left, op, right }
+                if filter_cmp_literal(block, left, *op, right, sel) => {}
+            Predicate::Cmp { .. } | Predicate::Or(_) | Predicate::Not(_) => {
+                let bm = self.eval(block)?;
+                sel.retain(|&i| bm.get(i));
+            }
+            Predicate::StrEq { col, value } => filter_str(block, *col, sel, |bytes, width| {
+                str_eq_padded(bytes, value, width)
+            })?,
+            Predicate::StrStartsWith { col, prefix } => {
+                filter_str(block, *col, sel, |bytes, _w| str_starts_with(bytes, prefix))?
+            }
+            Predicate::StrIn { col, values } => filter_str(block, *col, sel, |bytes, width| {
+                str_in(bytes, values, width)
+            })?,
+            Predicate::StrContains { col, needle } => {
+                filter_str(block, *col, sel, |bytes, _w| str_contains(bytes, needle))?
+            }
+        }
+        Ok(())
     }
 
     /// Selectivity helper: fraction of rows selected in `block`.
@@ -220,11 +293,24 @@ fn str_eq_padded(bytes: &[u8], value: &str, width: usize) -> bool {
     bytes[..v.len()] == *v && bytes[v.len()..].iter().all(|&b| b == b' ')
 }
 
-fn eval_str(
-    block: &StorageBlock,
-    col: usize,
-    pred: impl Fn(&[u8], usize) -> bool,
-) -> Result<Bitmap> {
+#[inline]
+fn str_starts_with(bytes: &[u8], prefix: &str) -> bool {
+    bytes.len() >= prefix.len() && &bytes[..prefix.len()] == prefix.as_bytes()
+}
+
+#[inline]
+fn str_in(bytes: &[u8], values: &[String], width: usize) -> bool {
+    values.iter().any(|v| str_eq_padded(bytes, v, width))
+}
+
+#[inline]
+fn str_contains(bytes: &[u8], needle: &str) -> bool {
+    !needle.is_empty() && bytes.windows(needle.len()).any(|w| w == needle.as_bytes())
+}
+
+/// Width of `Char(n)` column `col`, or the error a string predicate on it
+/// reports.
+fn char_width(block: &StorageBlock, col: usize) -> Result<usize> {
     let schema = block.schema();
     if col >= schema.len() {
         return Err(ExprError::ColumnOutOfRange {
@@ -232,15 +318,38 @@ fn eval_str(
             len: schema.len(),
         });
     }
-    let width = match schema.dtype(col) {
-        DataType::Char(n) => n as usize,
-        other => {
-            return Err(ExprError::InvalidType {
-                context: "string predicate",
-                found: other.name(),
-            })
+    match schema.dtype(col) {
+        DataType::Char(n) => Ok(n as usize),
+        other => Err(ExprError::InvalidType {
+            context: "string predicate",
+            found: other.name(),
+        }),
+    }
+}
+
+fn filter_str(
+    block: &StorageBlock,
+    col: usize,
+    sel: &mut Vec<usize>,
+    pred: impl Fn(&[u8], usize) -> bool,
+) -> Result<()> {
+    let width = char_width(block, col)?;
+    match block.column_data(col) {
+        Some(data) => {
+            let (w, bytes) = data.as_char();
+            sel.retain(|&i| pred(&bytes[i * w..(i + 1) * w], w));
         }
-    };
+        None => sel.retain(|&i| pred(block.char_at(i, col), width)),
+    }
+    Ok(())
+}
+
+fn eval_str(
+    block: &StorageBlock,
+    col: usize,
+    pred: impl Fn(&[u8], usize) -> bool,
+) -> Result<Bitmap> {
+    let width = char_width(block, col)?;
     let n = block.num_rows();
     let mut bm = Bitmap::zeros(n);
     if let Some(ColumnData::Char { width: w, data }) = block.column_data(col) {
@@ -278,15 +387,7 @@ fn eval_cmp(
     // Mirrored fast path (literal on the left).
     if let (ScalarExpr::Literal(v), Some(c)) = (left, right.as_col()) {
         if let Some(col) = block.column_data(c) {
-            let flipped = match op {
-                CmpOp::Eq => CmpOp::Eq,
-                CmpOp::Ne => CmpOp::Ne,
-                CmpOp::Lt => CmpOp::Gt,
-                CmpOp::Le => CmpOp::Ge,
-                CmpOp::Gt => CmpOp::Lt,
-                CmpOp::Ge => CmpOp::Le,
-            };
-            if let Some(bm) = cmp_slice_literal(col, flipped, v, n) {
+            if let Some(bm) = cmp_slice_literal(col, op.flipped(), v, n) {
                 return Ok(bm);
             }
         }
@@ -295,6 +396,32 @@ fn eval_cmp(
     let l = left.eval_all(block)?;
     let r = right.eval_all(block)?;
     cmp_columns(&l, op, &r, n)
+}
+
+/// The selection-vector form of the `Col op Literal` fast path: on a
+/// column-store block whose column type matches the literal's, keep the
+/// `sel` rows that satisfy the comparison and return `true`. Returns `false`
+/// (leaving `sel` untouched) for every other shape.
+fn filter_cmp_literal(
+    block: &StorageBlock,
+    left: &ScalarExpr,
+    op: CmpOp,
+    right: &ScalarExpr,
+    sel: &mut Vec<usize>,
+) -> bool {
+    let (c, op, v) = match (left, right) {
+        (ScalarExpr::Col(c), ScalarExpr::Literal(v)) => (*c, op, v),
+        (ScalarExpr::Literal(v), ScalarExpr::Col(c)) => (*c, op.flipped(), v),
+        _ => return false,
+    };
+    match (block.column_data(c), v) {
+        (Some(ColumnData::I32(xs)), Value::I32(y)) => op.retain(xs, *y, sel),
+        (Some(ColumnData::I64(xs)), Value::I64(y)) => op.retain(xs, *y, sel),
+        (Some(ColumnData::F64(xs)), Value::F64(y)) => op.retain(xs, *y, sel),
+        (Some(ColumnData::Date(xs)), Value::Date(y)) => op.retain(xs, *y, sel),
+        _ => return false,
+    }
+    true
 }
 
 /// Compare a typed column slice against a literal. Returns `None` when the
@@ -440,8 +567,13 @@ mod tests {
         b
     }
 
+    /// The rows `p` selects, checked to agree between `eval` and `filter`.
     fn ones(p: &Predicate, b: &StorageBlock) -> Vec<usize> {
-        p.eval(b).unwrap().iter_ones().collect()
+        let from_eval: Vec<usize> = p.eval(b).unwrap().iter_ones().collect();
+        let mut sel: Vec<usize> = (0..b.num_rows()).collect();
+        p.filter(b, &mut sel).unwrap();
+        assert_eq!(sel, from_eval, "filter vs eval for {p:?}");
+        from_eval
     }
 
     #[test]
@@ -492,6 +624,28 @@ mod tests {
         let b = block(BlockFormat::Column);
         let p = cmp(col(0), CmpOp::Lt, lit(0i32)).and(cmp(col(0), CmpOp::Ge, lit(0i32)));
         assert!(ones(&p, &b).is_empty());
+    }
+
+    #[test]
+    fn filter_refines_a_subset() {
+        for fmt in [BlockFormat::Row, BlockFormat::Column] {
+            let b = block(fmt);
+            let p = cmp(col(0), CmpOp::Ge, lit(2i32)).and(Predicate::StrEq {
+                col: 3,
+                value: "A".into(),
+            });
+            let mut sel = vec![1, 2, 3, 4, 7, 8];
+            p.filter(&b, &mut sel).unwrap();
+            assert_eq!(sel, vec![2, 4, 8], "{fmt:?}");
+            // An emptied vector stops the conjunction before a failing arm.
+            let p = cmp(col(0), CmpOp::Lt, lit(0i32)).and(Predicate::StrEq {
+                col: 0,
+                value: "x".into(),
+            });
+            let mut sel = vec![0, 5];
+            p.filter(&b, &mut sel).unwrap();
+            assert!(sel.is_empty());
+        }
     }
 
     #[test]
@@ -616,6 +770,19 @@ mod tests {
             p.eval(&b),
             Err(ExprError::ColumnOutOfRange { .. })
         ));
+        // `filter` reports the same errors, for every shape above.
+        for p in [
+            cmp(col(3), CmpOp::Eq, lit(1i32)),
+            cmp(col(2), CmpOp::Eq, lit(100i32)),
+            Predicate::StrEq {
+                col: 0,
+                value: "x".into(),
+            },
+            p,
+        ] {
+            let mut sel: Vec<usize> = (0..b.num_rows()).collect();
+            assert_eq!(p.filter(&b, &mut sel).unwrap_err(), p.eval(&b).unwrap_err());
+        }
     }
 
     #[test]

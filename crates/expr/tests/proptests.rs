@@ -1,6 +1,7 @@
 //! Property tests for expression evaluation:
 //! * vectorized evaluation agrees with the row-at-a-time reference,
 //! * predicate bitmaps agree with per-row evaluation,
+//! * selection-vector filtering agrees with bitmap evaluation, errors too,
 //! * aggregate merge is order-insensitive (parallel partials are sound).
 
 use proptest::prelude::*;
@@ -22,6 +23,28 @@ fn block(rows: &[(i32, f64, i64, i32)], format: BlockFormat) -> StorageBlock {
     for &(a, bb, c, d) in rows {
         b.append_row(&[Value::I32(a), Value::F64(bb), Value::I64(c), Value::Date(d)])
             .unwrap();
+    }
+    b
+}
+
+/// Values of the `tag` column of [`tagged_block`], picked by `a mod 5`.
+const TAGS: [&str; 5] = ["A", "AB", "ABC", "B", ""];
+
+/// [`block`] plus a `Char(4)` column `tag` (column 4) for string predicates.
+fn tagged_block(rows: &[(i32, f64, i64, i32)], format: BlockFormat) -> StorageBlock {
+    let mut cols = schema().columns().to_vec();
+    cols.push(uot_storage::Column::new("tag", DataType::Char(4)));
+    let mut b = StorageBlock::new(Schema::new(cols), format, 1 << 20).unwrap();
+    for &(a, bb, c, d) in rows {
+        let tag = TAGS[a.rem_euclid(5) as usize];
+        b.append_row(&[
+            Value::I32(a),
+            Value::F64(bb),
+            Value::I64(c),
+            Value::Date(d),
+            Value::Str(tag.into()),
+        ])
+        .unwrap();
     }
     b
 }
@@ -57,16 +80,75 @@ fn arb_expr() -> impl Strategy<Value = ScalarExpr> {
     })
 }
 
-fn arb_pred() -> impl Strategy<Value = Predicate> {
-    let op = prop_oneof![
+fn arb_op() -> impl Strategy<Value = CmpOp> {
+    prop_oneof![
         Just(CmpOp::Eq),
         Just(CmpOp::Ne),
         Just(CmpOp::Lt),
         Just(CmpOp::Le),
         Just(CmpOp::Gt),
         Just(CmpOp::Ge),
+    ]
+}
+
+fn arb_pred() -> impl Strategy<Value = Predicate> {
+    let leaf = (arb_expr(), arb_op(), arb_expr()).prop_map(|(l, o, r)| cmp(l, o, r));
+    combine(leaf.boxed())
+}
+
+/// [`arb_pred`]'s leaves plus every shape `Predicate::filter` treats on its
+/// own, over [`tagged_block`]: a bare column against a literal of its own
+/// type on either side, string predicates on `tag`, and leaves that fail
+/// (a date against an integer, integer division by zero, string predicates
+/// on a numeric or missing column).
+fn arb_filter_pred() -> impl Strategy<Value = Predicate> {
+    let typed_literal =
+        (0usize..4, arb_op(), -60i32..60, any::<bool>()).prop_map(|(c, o, x, flip)| {
+            let v = match c {
+                0 => Value::I32(x),
+                1 => Value::F64(x as f64 + 0.5),
+                2 => Value::I64(x as i64 * 10),
+                _ => Value::Date(x * 80),
+            };
+            if flip {
+                cmp(lit(v), o, col(c))
+            } else {
+                cmp(col(c), o, lit(v))
+            }
+        });
+    let text = prop_oneof![
+        Just(""),
+        Just("A"),
+        Just("AB"),
+        Just("B"),
+        Just("BC"),
+        Just("ABCDE")
+    ]
+    .prop_map(String::from);
+    let string = prop_oneof![
+        text.clone()
+            .prop_map(|value| Predicate::StrEq { col: 4, value }),
+        text.clone()
+            .prop_map(|prefix| Predicate::StrStartsWith { col: 4, prefix }),
+        text.clone()
+            .prop_map(|needle| Predicate::StrContains { col: 4, needle }),
+        proptest::collection::vec(text, 0..3)
+            .prop_map(|values| Predicate::StrIn { col: 4, values }),
     ];
-    let leaf = (arb_expr(), op, arb_expr()).prop_map(|(l, o, r)| cmp(l, o, r));
+    let failing = prop_oneof![
+        arb_op().prop_map(|o| cmp(col(3), o, lit(7i32))),
+        arb_op().prop_map(|o| cmp(col(2).div(col(0)), o, lit(0i64))),
+        prop_oneof![Just(0usize), Just(9)].prop_map(|col| Predicate::StrEq {
+            col,
+            value: "A".into(),
+        }),
+    ];
+    let leaf = (arb_expr(), arb_op(), arb_expr()).prop_map(|(l, o, r)| cmp(l, o, r));
+    combine(prop_oneof![leaf, typed_literal, string, failing].boxed())
+}
+
+/// `And`/`Or`/`Not` trees over `leaf`.
+fn combine(leaf: BoxedStrategy<Predicate>) -> impl Strategy<Value = Predicate> {
     leaf.prop_recursive(2, 8, 2, |inner| {
         prop_oneof![
             (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
@@ -143,6 +225,49 @@ proptest! {
             bm_r.iter_ones().collect::<Vec<_>>(),
             bm_c.iter_ones().collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn filter_agrees_with_eval(
+        rows in arb_rows(),
+        pred in arb_filter_pred(),
+        keep in proptest::collection::vec(any::<bool>(), 60),
+        fmt in prop_oneof![Just(BlockFormat::Row), Just(BlockFormat::Column)],
+    ) {
+        let b = tagged_block(&rows, fmt);
+        let n = b.num_rows();
+        let eval = pred.eval(&b);
+        // From every row: the same verdict, and on success the same rows.
+        let mut sel: Vec<usize> = (0..n).collect();
+        let filtered = pred.filter(&b, &mut sel);
+        prop_assert_eq!(&filtered.err(), &eval.as_ref().err().cloned(), "{:?}", pred);
+        if let Ok(bm) = &eval {
+            prop_assert_eq!(&sel, &bm.iter_ones().collect::<Vec<_>>(), "{:?}", pred);
+        }
+        // From an ascending subset: the subset ∩ eval whenever both succeed.
+        let subset: Vec<usize> = (0..n).filter(|&i| keep[i]).collect();
+        let mut sel = subset.clone();
+        if let (Ok(()), Ok(bm)) = (pred.filter(&b, &mut sel), &eval) {
+            let expect: Vec<usize> = subset.into_iter().filter(|&i| bm.get(i)).collect();
+            prop_assert_eq!(sel, expect, "{:?}", pred);
+        }
+        // Boundaries: every column against a value it holds, every operator,
+        // literal on either side, so equal values always occur.
+        let pivot = keep.iter().position(|&k| k).unwrap_or(0) % n;
+        for c in 0..5 {
+            let v = b.value_at(pivot, c).unwrap();
+            for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+                for p in [cmp(col(c), op, lit(v.clone())), cmp(lit(v.clone()), op, col(c))] {
+                    let mut sel: Vec<usize> = (0..n).collect();
+                    match (p.filter(&b, &mut sel), p.eval(&b)) {
+                        (Ok(()), Ok(bm)) => {
+                            prop_assert_eq!(&sel, &bm.iter_ones().collect::<Vec<_>>(), "{:?}", p)
+                        }
+                        (f, e) => prop_assert_eq!(f.err(), e.err(), "{:?}", p),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,6 @@
 use crate::column_block::{ColumnBlock, ColumnData};
 use crate::row_block::RowBlock;
 use crate::schema::Schema;
-use crate::types::DataType;
 use crate::value::Value;
 use crate::Result;
 use std::sync::Arc;
@@ -196,64 +195,128 @@ impl StorageBlock {
             .collect()
     }
 
-    /// Append one projected row copied from `src` without constructing
-    /// [`Value`]s: destination column `j` receives source column `cols[j]`.
+    /// Append rows `start..` of `src` until this block is full or `src` runs
+    /// out, and return how many rows were appended.
     ///
-    /// Returns `false` (and appends nothing) when this block is full. The
-    /// destination schema must have exactly `cols.len()` columns whose types
-    /// match the projected source columns — enforced by `debug_assert`s since
-    /// this sits on operator hot paths.
-    pub fn append_projected(&mut self, src: &StorageBlock, src_row: usize, cols: &[usize]) -> bool {
-        if self.is_full() {
-            return false;
+    /// The copy is one typed loop per column, with the type and both formats
+    /// resolved once per call rather than per field: row → row is a single
+    /// byte copy, column → row writes each typed slice at the tuple stride,
+    /// row → column reads each column out of the tuples, and column → column
+    /// extends each column by one slice. The two schemas must have the same
+    /// column types in the same order (`Int32` and `Date` are
+    /// interchangeable); this sits on every operator's output path, so that
+    /// is only checked by `debug_assert`.
+    pub fn append_range(&mut self, src: &StorageBlock, start: usize) -> usize {
+        let k = (self.capacity_rows() - self.num_rows()).min(src.num_rows().saturating_sub(start));
+        if k == 0 {
+            return 0;
         }
-        debug_assert_eq!(self.schema().len(), cols.len());
-        match self {
-            StorageBlock::Row(dst) => {
-                for (j, &c) in cols.iter().enumerate() {
-                    match dst.schema().dtype(j) {
-                        DataType::Int32 | DataType::Date => {
-                            let v = match src.schema().dtype(c) {
-                                DataType::Int32 => src.i32_at(src_row, c),
-                                DataType::Date => src.date_at(src_row, c),
-                                other => unreachable!("projected {other} into 4-byte column"),
-                            };
-                            dst.raw_push_i32(v);
+        debug_assert!(
+            self.schema().len() == src.schema().len()
+                && (0..src.schema().len())
+                    .all(|c| self.schema().dtype(c).width() == src.schema().dtype(c).width()),
+            "append_range between mismatched schemas"
+        );
+        // Offsets come from `src`'s schema: the column types match, so the
+        // tuple layout does too, and `self` stays free to borrow mutably.
+        let layout = src.schema();
+        let w = layout.tuple_width();
+        match (self, src) {
+            (StorageBlock::Row(dst), StorageBlock::Row(s)) => {
+                dst.grow(k).copy_from_slice(s.tuples(start, k));
+            }
+            (StorageBlock::Row(dst), StorageBlock::Column(s)) => {
+                let out = dst.grow(k);
+                for c in 0..layout.len() {
+                    let off = layout.offset(c);
+                    let tuples = out.chunks_exact_mut(w);
+                    match s.column(c) {
+                        ColumnData::I32(v) | ColumnData::Date(v) => {
+                            for (t, x) in tuples.zip(&v[start..start + k]) {
+                                t[off..off + 4].copy_from_slice(&x.to_le_bytes());
+                            }
                         }
-                        DataType::Int64 => dst.raw_push_i64(src.i64_at(src_row, c)),
-                        DataType::Float64 => dst.raw_push_f64(src.f64_at(src_row, c)),
-                        DataType::Char(_) => dst.raw_push_char(src.char_at(src_row, c)),
+                        ColumnData::I64(v) => {
+                            for (t, x) in tuples.zip(&v[start..start + k]) {
+                                t[off..off + 8].copy_from_slice(&x.to_le_bytes());
+                            }
+                        }
+                        ColumnData::F64(v) => {
+                            for (t, x) in tuples.zip(&v[start..start + k]) {
+                                t[off..off + 8].copy_from_slice(&x.to_le_bytes());
+                            }
+                        }
+                        ColumnData::Char { width, data } => {
+                            let vals =
+                                data[start * width..(start + k) * width].chunks_exact(*width);
+                            for (t, x) in tuples.zip(vals) {
+                                t[off..off + width].copy_from_slice(x);
+                            }
+                        }
                     }
                 }
-                dst.finish_raw_row();
             }
-            StorageBlock::Column(dst) => {
-                for (j, &c) in cols.iter().enumerate() {
-                    match dst.schema().dtype(j) {
-                        DataType::Int32 | DataType::Date => {
-                            let v = match src.schema().dtype(c) {
-                                DataType::Int32 => src.i32_at(src_row, c),
-                                DataType::Date => src.date_at(src_row, c),
-                                other => unreachable!("projected {other} into 4-byte column"),
-                            };
-                            dst.raw_push_i32(j, v);
+            (StorageBlock::Column(dst), StorageBlock::Row(s)) => {
+                let bytes = s.tuples(start, k);
+                for (c, col) in dst.grow(k).iter_mut().enumerate() {
+                    let off = layout.offset(c);
+                    let tuples = bytes.chunks_exact(w);
+                    match col {
+                        ColumnData::I32(v) | ColumnData::Date(v) => {
+                            v.extend(tuples.map(|t| i32::from_le_bytes(field(t, off))))
                         }
-                        DataType::Int64 => dst.raw_push_i64(j, src.i64_at(src_row, c)),
-                        DataType::Float64 => dst.raw_push_f64(j, src.f64_at(src_row, c)),
-                        DataType::Char(_) => dst.raw_push_char(j, src.char_at(src_row, c)),
+                        ColumnData::I64(v) => {
+                            v.extend(tuples.map(|t| i64::from_le_bytes(field(t, off))))
+                        }
+                        ColumnData::F64(v) => {
+                            v.extend(tuples.map(|t| f64::from_le_bytes(field(t, off))))
+                        }
+                        ColumnData::Char { width, data } => {
+                            for t in tuples {
+                                data.extend_from_slice(&t[off..off + *width]);
+                            }
+                        }
                     }
                 }
-                dst.finish_raw_row();
+            }
+            (StorageBlock::Column(dst), StorageBlock::Column(s)) => {
+                for (c, col) in dst.grow(k).iter_mut().enumerate() {
+                    match (col, s.column(c)) {
+                        (
+                            ColumnData::I32(d) | ColumnData::Date(d),
+                            ColumnData::I32(v) | ColumnData::Date(v),
+                        ) => d.extend_from_slice(&v[start..start + k]),
+                        (ColumnData::I64(d), ColumnData::I64(v)) => {
+                            d.extend_from_slice(&v[start..start + k])
+                        }
+                        (ColumnData::F64(d), ColumnData::F64(v)) => {
+                            d.extend_from_slice(&v[start..start + k])
+                        }
+                        (ColumnData::Char { data: d, .. }, ColumnData::Char { width, data: v }) => {
+                            d.extend_from_slice(&v[start * width..(start + k) * width])
+                        }
+                        (d, v) => unreachable!("append_range from {v:?} into {d:?}"),
+                    }
+                }
             }
         }
-        true
+        k
     }
+}
+
+/// The `N` bytes of a tuple's field at offset `off`.
+#[inline]
+fn field<const N: usize>(tuple: &[u8], off: usize) -> [u8; N] {
+    tuple[off..off + N]
+        .try_into()
+        .expect("a slice of N bytes converts to [u8; N]")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::Schema;
+    use crate::types::DataType;
 
     fn schema() -> Arc<Schema> {
         Schema::from_pairs(&[
@@ -298,40 +361,44 @@ mod tests {
     }
 
     #[test]
-    fn append_projected_identity() {
+    fn append_range_identity() {
         for fmt in [BlockFormat::Row, BlockFormat::Column] {
             for dst_fmt in [BlockFormat::Row, BlockFormat::Column] {
                 let src = filled(fmt, 4);
                 let mut dst = StorageBlock::new(schema(), dst_fmt, 4096).unwrap();
-                for row in 0..4 {
-                    assert!(dst.append_projected(&src, row, &[0, 1, 2, 3, 4]));
-                }
+                assert_eq!(dst.append_range(&src, 0), 4);
                 assert_eq!(dst.all_rows(), src.all_rows(), "{fmt:?}->{dst_fmt:?}");
             }
         }
     }
 
     #[test]
-    fn append_projected_reorders_and_projects() {
-        let src = filled(BlockFormat::Column, 3);
-        let proj = src.schema().project(&[2, 0]);
-        let mut dst = StorageBlock::new(proj, BlockFormat::Row, 4096).unwrap();
-        assert!(dst.append_projected(&src, 1, &[2, 0]));
-        assert_eq!(
-            dst.row_values(0).unwrap(),
-            vec![Value::Str("t1".into()), Value::I32(1)]
-        );
+    fn append_range_starts_at_offset_and_continues() {
+        let src = filled(BlockFormat::Column, 5);
+        let mut dst = StorageBlock::new(schema(), BlockFormat::Row, 4096).unwrap();
+        assert_eq!(dst.append_range(&src, 3), 2);
+        assert_eq!(dst.append_range(&src, 1), 4);
+        assert_eq!(dst.append_range(&src, 5), 0);
+        let rows = src.all_rows();
+        let expect: Vec<_> = rows[3..].iter().chain(&rows[1..]).cloned().collect();
+        assert_eq!(dst.all_rows(), expect);
     }
 
     #[test]
-    fn append_projected_respects_capacity() {
-        let src = filled(BlockFormat::Row, 3);
+    fn append_range_respects_capacity() {
         let small = Schema::from_pairs(&[("k", DataType::Int32)]);
+        let mut src = StorageBlock::new(small.clone(), BlockFormat::Row, 4096).unwrap();
+        for i in 0..3 {
+            src.append_row(&[Value::I32(i)]).unwrap();
+        }
         let mut dst = StorageBlock::new(small, BlockFormat::Column, 8).unwrap(); // 2 rows
-        assert!(dst.append_projected(&src, 0, &[0]));
-        assert!(dst.append_projected(&src, 1, &[0]));
-        assert!(!dst.append_projected(&src, 2, &[0]));
-        assert_eq!(dst.num_rows(), 2);
+        assert_eq!(dst.append_range(&src, 0), 2);
+        assert!(dst.is_full());
+        assert_eq!(dst.append_range(&src, 2), 0);
+        assert_eq!(
+            dst.all_rows(),
+            vec![vec![Value::I32(0)], vec![Value::I32(1)]]
+        );
     }
 
     #[test]

@@ -314,8 +314,8 @@ impl ColumnBlock {
         self.columns[col].char_value(row)
     }
 
-    // ----- raw field-at-a-time append path (used by StorageBlock bulk copy;
-    // callers must push every column then call `finish_raw_row`) -----
+    // ----- raw field-at-a-time append path (used by spill decoding; callers
+    // must push every column then call `finish_raw_row`) -----
 
     #[inline]
     pub(crate) fn raw_push_i32(&mut self, col: usize, v: i32) {
@@ -356,6 +356,16 @@ impl ColumnBlock {
     #[inline]
     pub(crate) fn finish_raw_row(&mut self) {
         self.num_rows += 1;
+    }
+
+    /// Count `k` more rows and return the columns for the caller to extend
+    /// by exactly `k` values each (the bulk-copy path of
+    /// [`StorageBlock::append_range`](crate::StorageBlock::append_range)).
+    /// The caller checks capacity.
+    pub(crate) fn grow(&mut self, k: usize) -> &mut [ColumnData] {
+        debug_assert!(self.num_rows + k <= self.capacity_rows);
+        self.num_rows += k;
+        &mut self.columns
     }
 
     /// Read any field as a [`Value`] (slow path).

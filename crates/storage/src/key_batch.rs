@@ -263,8 +263,8 @@ impl KeyExtractor {
         }
     }
 
-    /// Extract keys and hashes for the selected `rows` of `block` (e.g. the
-    /// survivors of a selection bitmap) into `batch`.
+    /// Extract keys and hashes for the selected `rows` of `block` (e.g. a
+    /// select's surviving rows, for its LIP filters) into `batch`.
     pub fn extract_rows(&self, block: &StorageBlock, rows: &[u32], batch: &mut KeyBatch) {
         let n = rows.len();
         match &self.0 {

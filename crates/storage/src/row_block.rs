@@ -168,34 +168,23 @@ impl RowBlock {
         self.field(row, col)
     }
 
-    // ----- raw field-at-a-time append path (used by StorageBlock bulk copy;
-    // callers must push every column in schema order then call
-    // `finish_raw_row`) -----
-
+    /// Raw bytes of tuples `start..start + k`.
     #[inline]
-    pub(crate) fn raw_push_i32(&mut self, v: i32) {
-        self.data.extend_from_slice(&v.to_le_bytes());
+    pub(crate) fn tuples(&self, start: usize, k: usize) -> &[u8] {
+        let w = self.schema.tuple_width();
+        &self.data[start * w..(start + k) * w]
     }
 
-    #[inline]
-    pub(crate) fn raw_push_i64(&mut self, v: i64) {
-        self.data.extend_from_slice(&v.to_le_bytes());
-    }
-
-    #[inline]
-    pub(crate) fn raw_push_f64(&mut self, v: f64) {
-        self.data.extend_from_slice(&v.to_le_bytes());
-    }
-
-    #[inline]
-    pub(crate) fn raw_push_char(&mut self, padded: &[u8]) {
-        self.data.extend_from_slice(padded);
-    }
-
-    #[inline]
-    pub(crate) fn finish_raw_row(&mut self) {
-        self.num_rows += 1;
-        debug_assert_eq!(self.data.len(), self.num_rows * self.schema.tuple_width());
+    /// Grow the block by `k` tuples in one step and return their bytes for
+    /// the caller to fill (the bulk-copy path of
+    /// [`StorageBlock::append_range`](crate::StorageBlock::append_range)).
+    /// The caller checks capacity.
+    pub(crate) fn grow(&mut self, k: usize) -> &mut [u8] {
+        debug_assert!(self.num_rows + k <= self.capacity_rows);
+        let at = self.data.len();
+        self.data.resize(at + k * self.schema.tuple_width(), 0);
+        self.num_rows += k;
+        &mut self.data[at..]
     }
 
     /// Read any field as a [`Value`] (slow path, for result materialization

@@ -1,6 +1,7 @@
 //! Property-based tests for the storage layer invariants:
 //! * row/column blocks are interchangeable representations of the same rows,
 //! * blocks round-trip arbitrary values exactly,
+//! * `append_range` copies any tail of a block between any two formats,
 //! * the table builder partitions any row stream losslessly,
 //! * bitmaps behave like the reference `Vec<bool>` model.
 
@@ -92,11 +93,14 @@ proptest! {
     }
 
     #[test]
-    fn append_projected_preserves_rows(
-        (schema, rows) in arb_schema().prop_flat_map(|s| {
-            let rows = arb_rows(s.clone(), 30);
-            (Just(s), rows)
+    fn append_range_reproduces_the_tail(
+        (schema, rows, start) in arb_schema().prop_flat_map(|s| {
+            arb_rows(s.clone(), 30).prop_flat_map(move |rows| {
+                let n = rows.len();
+                (Just(s.clone()), Just(rows), 0..=n)
+            })
         }),
+        dst_tuples in 1usize..=8,
         src_fmt in prop_oneof![Just(BlockFormat::Row), Just(BlockFormat::Column)],
         dst_fmt in prop_oneof![Just(BlockFormat::Row), Just(BlockFormat::Column)],
     ) {
@@ -104,12 +108,22 @@ proptest! {
         for r in &rows {
             prop_assert!(src.append_row(r).unwrap());
         }
-        let cols: Vec<usize> = (0..schema.len()).collect();
-        let mut dst = StorageBlock::new(schema.clone(), dst_fmt, 1 << 20).unwrap();
-        for i in 0..src.num_rows() {
-            prop_assert!(dst.append_projected(&src, i, &cols));
+        // Small destinations: each call stops at the block's capacity, and
+        // the caller continues from where it stopped in a fresh block.
+        let block_bytes = schema.tuple_width() * dst_tuples;
+        let mut got = Vec::new();
+        let mut row = start;
+        while row < src.num_rows() {
+            let mut dst = StorageBlock::new(schema.clone(), dst_fmt, block_bytes).unwrap();
+            let k = dst.append_range(&src, row);
+            prop_assert_eq!(k, dst_tuples.min(src.num_rows() - row));
+            prop_assert_eq!(dst.num_rows(), k);
+            // Either the block is full or `src` is used up.
+            prop_assert_eq!(dst.append_range(&src, row + k), 0);
+            got.extend(dst.all_rows());
+            row += k;
         }
-        prop_assert_eq!(dst.all_rows(), src.all_rows());
+        prop_assert_eq!(&got[..], &src.all_rows()[start..]);
     }
 
     #[test]
