@@ -1,12 +1,18 @@
 //! Criterion micro-benchmarks of the join primitives: hash-table build and
-//! probe at two hash-table sizes (the Fig. 9/10 scalability contrast) and
-//! the aggregate update loop.
+//! probe at two hash-table sizes (the Fig. 9/10 scalability contrast), the
+//! aggregate update loop, and the blocking tail: a top-k sort finalize and
+//! per-group exact sums.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 use uot_core::hash_table::JoinHashTable;
-use uot_expr::{col, AggSpec};
-use uot_storage::{BlockFormat, DataType, HashKey, Schema, StorageBlock, Value};
+use uot_core::plan::{PlanBuilder, SortKey, Source};
+use uot_core::state::ExecContext;
+use uot_expr::{col, AggSpec, AggState};
+use uot_storage::{
+    BlockFormat, BlockPool, ColumnData, DataType, HashKey, MemoryTracker, Schema, StorageBlock,
+    TableBuilder, Value,
+};
 
 fn key_block(rows: i32, key_range: i32) -> StorageBlock {
     let s = Schema::from_pairs(&[("k", DataType::Int32), ("v", DataType::Float64)]);
@@ -63,5 +69,78 @@ fn bench_aggregate_update(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_build, bench_probe, bench_aggregate_update);
+/// The sort finalize over 8k collected rows (Int32, Char(16), Float64, in
+/// 32 KiB row blocks) keeping the top 100 by the string key descending,
+/// then the integer.
+fn bench_sort_top_k(c: &mut Criterion) {
+    let s = Schema::from_pairs(&[
+        ("k", DataType::Int32),
+        ("name", DataType::Char(16)),
+        ("v", DataType::Float64),
+    ]);
+    let mut tb = TableBuilder::new("t", s, BlockFormat::Row, 32 << 10);
+    for i in 0..8192i32 {
+        tb.append(&[
+            Value::I32(i % 97),
+            Value::Str(format!("cust#{:09}", (i * 7919) % 4099)),
+            Value::F64(i as f64 * 0.5),
+        ])
+        .unwrap();
+    }
+    let t = Arc::new(tb.finish());
+    let mut pb = PlanBuilder::new();
+    let op = pb
+        .sort(
+            Source::Table(t.clone()),
+            vec![SortKey::desc(1), SortKey::asc(0)],
+            Some(100),
+        )
+        .unwrap();
+    let plan = Arc::new(pb.build(op).unwrap());
+    c.bench_function("sort_top100_of_8k", |bench| {
+        bench.iter(|| {
+            // A fresh context per run (the finalize consumes its input);
+            // building one is small next to the sort.
+            let pool = BlockPool::new(MemoryTracker::new());
+            let ctx = ExecContext::new(plan.clone(), pool, BlockFormat::Row, 32 << 10, 4).unwrap();
+            ctx.runtimes[op]
+                .collected
+                .lock()
+                .extend(t.blocks().iter().cloned());
+            let done = uot_core::ops::sort::execute(&ctx, op).unwrap();
+            black_box((done, ctx.output(op).flush()))
+        })
+    });
+}
+
+/// One exact float sum per group for 30k groups: create the states, scatter
+/// 60k values into them by group id, and `finish` every group.
+fn bench_agg_groups(c: &mut Criterion) {
+    const GROUPS: u32 = 30_000;
+    let b = key_block(8192, 8192);
+    let spec = AggSpec::sum(col(1));
+    let init = spec.init_state(b.schema()).unwrap();
+    let gids: Vec<u32> = (0..2 * GROUPS).map(|i| i * 7919 % GROUPS).collect();
+    let vals = ColumnData::F64((0..2 * GROUPS).map(|i| i as f64 * 1.25 + 0.1).collect());
+    c.bench_function("agg_sum_30k_groups", |bench| {
+        bench.iter(|| {
+            let mut states: Vec<AggState> = (0..GROUPS).map(|_| init.clone()).collect();
+            AggState::update_scatter(&mut states, &gids, &vals).unwrap();
+            let mut acc = 0.0;
+            for st in &mut states {
+                acc += st.finish().as_f64();
+            }
+            black_box(acc)
+        })
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_build,
+    bench_probe,
+    bench_aggregate_update,
+    bench_sort_top_k,
+    bench_agg_groups
+);
 criterion_main!(benches);

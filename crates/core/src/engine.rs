@@ -232,7 +232,7 @@ impl QueryResult {
     /// results across UoTs, block sizes, formats and executors.
     pub fn sorted_rows(&self) -> Vec<Vec<Value>> {
         let mut rows = self.rows();
-        rows.sort_by(|a, b| crate::ops::aggregate::cmp_value_rows(a, b));
+        rows.sort_by(|a, b| cmp_value_rows(a, b));
         rows
     }
 
@@ -245,6 +245,19 @@ impl QueryResult {
         }
         self
     }
+}
+
+/// Total order over value rows, column by column (values that do not
+/// compare count as equal): the canonical order of
+/// [`QueryResult::sorted_rows`].
+pub(crate) fn cmp_value_rows(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
+    for (x, y) in a.iter().zip(b) {
+        let ord = x.partial_cmp(y).unwrap_or(std::cmp::Ordering::Equal);
+        if ord != std::cmp::Ordering::Equal {
+            return ord;
+        }
+    }
+    std::cmp::Ordering::Equal
 }
 
 /// The query engine: executes plans under an [`EngineConfig`].

@@ -6,17 +6,20 @@
 //! three passes: every distinct argument expression is evaluated once, one
 //! pass over the key hashes assigns dense group ids, and one scatter pass per
 //! aggregate updates the states by group id. The single finalize work order
-//! merges the pooled partials (at most one per concurrent work order) and
-//! emits the groups in group-value order. This is the standard
+//! merges the pooled partials (at most one per concurrent work order), sorts
+//! the group ids by the typed [`RowOrder`] over the group-value columns, and
+//! emits each group's values and final aggregates as typed columns through
+//! the operator's bulk output copy. This is the standard
 //! parallel-aggregation shape of block-based engines like Quickstep.
 
 use crate::error::EngineError;
+use crate::ops::row_order::{gather, RowOrder, RowRef};
 use crate::plan::OperatorKind;
 use crate::state::{AggPartial, ExecContext};
 use crate::Result;
 use std::sync::Arc;
 use uot_expr::{AggFunc, AggSpec, AggState, ScalarExpr};
-use uot_storage::{ColumnData, StorageBlock, Value};
+use uot_storage::{ColumnBlock, ColumnData, StorageBlock, Value};
 
 /// Fold one input block into a pooled partial.
 pub fn execute_block(
@@ -63,8 +66,7 @@ pub fn execute_block(
     }
 
     let pooled = ctx.runtimes[op].agg_partials.lock().pop();
-    let mut partial =
-        pooled.unwrap_or_else(|| AggPartial::new(group_by.len(), init_states(ctx, op, aggs)));
+    let mut partial = pooled.unwrap_or_else(|| new_partial(ctx, op, group_by, aggs));
     if group_by.is_empty() {
         // Scalar aggregation: a single implicit group.
         let gid = partial.scalar_group() as usize;
@@ -98,12 +100,16 @@ pub fn execute_block(
     Ok(Vec::new())
 }
 
-/// Each aggregate's initial state over operator `op`'s input.
-fn init_states(ctx: &ExecContext, op: usize, aggs: &[AggSpec]) -> Vec<AggState> {
+/// An empty partial for operator `op`: typed columns for the group-by
+/// values, and each aggregate's initial state over the operator's input.
+fn new_partial(ctx: &ExecContext, op: usize, group_by: &[usize], aggs: &[AggSpec]) -> AggPartial {
     let in_schema = ctx.plan.input_schema(op);
-    aggs.iter()
+    let types: Vec<_> = group_by.iter().map(|&c| in_schema.dtype(c)).collect();
+    let init = aggs
+        .iter()
         .map(|a| a.init_state(&in_schema).expect("validated by planner"))
-        .collect()
+        .collect();
+    AggPartial::new(&types, init)
 }
 
 /// Merge the pooled partials and emit the result blocks.
@@ -122,7 +128,7 @@ pub fn execute_finalize(ctx: &ExecContext, op: usize) -> Result<Vec<StorageBlock
     let largest = (0..partials.len()).max_by_key(|&i| partials[i].group_count());
     let mut merged = match largest {
         Some(i) => partials.swap_remove(i),
-        None => AggPartial::new(group_by.len(), init_states(ctx, op, aggs)),
+        None => new_partial(ctx, op, group_by, aggs),
     };
     for partial in partials {
         // Honor cancellation between partials.
@@ -133,18 +139,47 @@ pub fn execute_finalize(ctx: &ExecContext, op: usize) -> Result<Vec<StorageBlock
     if group_by.is_empty() {
         merged.scalar_group();
     }
-    crate::ops::emit_value_rows(ctx, op, merged.into_sorted_rows().into_iter())
+    let n = merged.group_count();
+    let (groups, mut states) = merged.into_parts();
+    let schema = &ctx.plan.op(op).out_schema;
+    let width = group_by.len();
+    // Groups in group-value order: sort the group ids over the group-by
+    // columns, then gather those columns in that order.
+    let mut refs: Vec<RowRef> = (0..n as u32).map(|g| (0, g)).collect();
+    let group_schema = schema.project(&(0..width).collect::<Vec<_>>());
+    let block = [Arc::new(StorageBlock::Column(ColumnBlock::from_columns(
+        group_schema.clone(),
+        groups,
+        n,
+    )?))];
+    let order = RowOrder::new(&block, &group_schema, &[]);
+    refs.sort_unstable_by(|a, b| order.cmp(*a, *b));
+    let mut cols = gather(&block, &refs, &group_schema);
+    // Each aggregate's final values, one typed column in the same order.
+    for (a, col_states) in states.iter_mut().enumerate() {
+        let mut col = ColumnData::with_capacity(schema.dtype(width + a), n);
+        for &(_, g) in &refs {
+            push_finished(&mut col, col_states[g as usize].finish())?;
+        }
+        cols.push(col);
+    }
+    let virt = StorageBlock::Column(ColumnBlock::from_columns(schema.clone(), cols, n)?);
+    crate::ops::write_output(ctx, op, &virt)
 }
 
-/// Total order over value rows (used for deterministic group output).
-pub(crate) fn cmp_value_rows(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
-    for (x, y) in a.iter().zip(b) {
-        let ord = x.partial_cmp(y).unwrap_or(std::cmp::Ordering::Equal);
-        if ord != std::cmp::Ordering::Equal {
-            return ord;
+/// Append an aggregate's final value to its output column.
+fn push_finished(col: &mut ColumnData, v: Value) -> Result<()> {
+    match (col, v) {
+        (ColumnData::I32(c), Value::I32(x)) | (ColumnData::Date(c), Value::Date(x)) => c.push(x),
+        (ColumnData::I64(c), Value::I64(x)) => c.push(x),
+        (ColumnData::F64(c), Value::F64(x)) => c.push(x),
+        (_, v) => {
+            return Err(EngineError::Internal(format!(
+                "aggregate value {v:?} does not match its output column"
+            )))
         }
     }
-    std::cmp::Ordering::Equal
+    Ok(())
 }
 
 #[cfg(test)]
@@ -473,5 +508,48 @@ mod tests {
         assert_eq!(rows.len(), 6);
         let total: i64 = rows.iter().map(|r| r[2].as_i64()).sum();
         assert_eq!(total, 12);
+    }
+
+    #[test]
+    fn groups_emit_in_date_int64_char_order() {
+        let s = Schema::from_pairs(&[
+            ("d", DataType::Date),
+            ("n", DataType::Int64),
+            ("s", DataType::Char(6)),
+            ("v", DataType::Float64),
+        ]);
+        let mut tb = TableBuilder::new("g", s, BlockFormat::Row, 256);
+        // "a " and "a" store the same padded bytes: one group, decoded "a".
+        let labels = ["b", "a ", "ab", "a", "ba", "", "zz"];
+        let mut rows = Vec::new();
+        for i in 0..300i64 {
+            let row = vec![
+                Value::Date(9000 + (i * 7 % 5) as i32),
+                Value::I64(i * 11 % 4 - 2),
+                Value::Str(labels[(i * 13 % 7) as usize].into()),
+                Value::F64(i as f64),
+            ];
+            tb.append(&row).unwrap();
+            rows.push(row);
+        }
+        let t = Arc::new(tb.finish());
+        assert!(t.num_blocks() > 1);
+        for group_by in [vec![0, 1, 2], vec![2, 0, 1], vec![1, 2], vec![2]] {
+            let width = group_by.len();
+            let got = run_agg(&t, group_by.clone(), vec![AggSpec::count_star()], &["n"]);
+            // Reference: the distinct decoded group tuples in value order.
+            let mut want: Vec<Vec<Value>> = t
+                .blocks()
+                .iter()
+                .flat_map(|b| b.all_rows())
+                .map(|r| group_by.iter().map(|&c| r[c].clone()).collect())
+                .collect();
+            want.sort_by(|a, b| crate::engine::cmp_value_rows(a, b));
+            want.dedup();
+            let keys: Vec<Vec<Value>> = got.iter().map(|r| r[..width].to_vec()).collect();
+            assert_eq!(keys, want, "group by {group_by:?}");
+            let total: i64 = got.iter().map(|r| r[width].as_i64()).sum();
+            assert_eq!(total, rows.len() as i64);
+        }
     }
 }

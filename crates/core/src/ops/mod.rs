@@ -13,6 +13,7 @@ pub mod grace;
 pub mod limit;
 pub mod nlj;
 pub mod probe;
+pub(crate) mod row_order;
 pub mod select;
 pub mod sort;
 
@@ -23,8 +24,7 @@ use crate::state::ExecContext;
 use crate::work_order::{WorkKind, WorkOrder};
 use crate::Result;
 use std::panic::AssertUnwindSafe;
-use std::sync::Arc;
-use uot_storage::{StorageBlock, StorageError, Value};
+use uot_storage::{StorageBlock, StorageError};
 
 /// Consult the context's [`FaultPlan`](crate::fault::FaultPlan) at `site`:
 /// no-op for the (default) empty plan; otherwise panic, fail, or stall as
@@ -234,65 +234,4 @@ fn trace_alloc(ctx: &ExecContext, op: usize, before: Option<usize>) {
             budget: ctx.pool.budget().unwrap_or(usize::MAX),
         });
     }
-}
-
-/// Append value rows (slow path: aggregate/sort results) to the operator's
-/// output buffer, returning completed blocks. On a failed checkout or
-/// append, every block this call holds is discarded so the tracker does not
-/// leak bytes on error paths.
-pub(crate) fn emit_value_rows(
-    ctx: &ExecContext,
-    op: usize,
-    rows: impl Iterator<Item = Vec<Value>>,
-) -> Result<Vec<StorageBlock>> {
-    apply_fault(ctx, FaultSite::PoolAlloc, op)?;
-    let before = traced_in_use(ctx);
-    let out = ctx.output(op);
-    let mut completed = Vec::new();
-    let mut cur: Option<StorageBlock> = None;
-    let result = (|| -> Result<()> {
-        for row in rows {
-            loop {
-                let block = match &mut cur {
-                    Some(b) => b,
-                    None => {
-                        cur = Some(out.checkout(&ctx.pool)?);
-                        cur.as_mut().expect("just set")
-                    }
-                };
-                if block.append_row(&row)? {
-                    if block.is_full() {
-                        completed.push(cur.take().expect("present"));
-                    }
-                    break;
-                }
-                // Block was full before the append: rotate it out.
-                completed.push(cur.take().expect("present"));
-            }
-        }
-        Ok(())
-    })();
-    match result {
-        Ok(()) => {
-            if let Some(b) = cur {
-                out.put_back(b, &ctx.pool);
-            }
-            trace_alloc(ctx, op, before);
-            Ok(completed)
-        }
-        Err(e) => {
-            for b in completed {
-                ctx.pool.discard(b);
-            }
-            if let Some(b) = cur {
-                ctx.pool.discard(b);
-            }
-            Err(e)
-        }
-    }
-}
-
-/// Decode `block` rows `rows` fully into values (sort/test helper).
-pub(crate) fn rows_to_values(block: &Arc<StorageBlock>) -> Vec<Vec<Value>> {
-    block.all_rows()
 }

@@ -1308,7 +1308,7 @@ mod tests {
 
     fn rows_of(blocks: &[Arc<StorageBlock>]) -> Vec<Vec<Value>> {
         let mut rows: Vec<Vec<Value>> = blocks.iter().flat_map(|b| b.all_rows()).collect();
-        rows.sort_by(|a, b| crate::ops::aggregate::cmp_value_rows(a, b));
+        rows.sort_by(|a, b| crate::engine::cmp_value_rows(a, b));
         rows
     }
 

@@ -11,6 +11,7 @@ use crate::cancel::CancellationToken;
 use crate::error::EngineError;
 use crate::fault::FaultPlan;
 use crate::hash_table::{JoinHashTable, ProbeMatch};
+use crate::ops::row_order::{push_field, push_value_of};
 use crate::output::OutputBuffer;
 use crate::plan::{OperatorKind, QueryPlan, Source};
 use crate::Result;
@@ -21,8 +22,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use uot_expr::AggState;
 use uot_storage::{
-    hash_key::hash_of, BlockFormat, BlockPool, HashKey, KeyBatch, KeyExtractor, SpilledHandle,
-    StorageBlock, Value,
+    hash_key::hash_of, BlockFormat, BlockPool, ColumnData, DataType, HashKey, KeyBatch,
+    KeyExtractor, SpilledHandle, StorageBlock,
 };
 
 /// One side (build or probe) of a grace hash join, partitioned by hash radix.
@@ -88,7 +89,8 @@ impl GraceJoinState {
 /// Slots are placed by the top bits of the key hash the [`KeyExtractor`]
 /// already computed, so a block's group ids cost one probe per row and no
 /// second hash; a group's key and group-by values are stored once, when the
-/// group is created. Partials are pooled per operator
+/// group is created, the values in one typed column per group-by column.
+/// Partials are pooled per operator
 /// ([`OpRuntime::agg_partials`]): a work order checks one out, folds its
 /// block in and returns it, so at most one partial exists per concurrent
 /// aggregate work order.
@@ -101,9 +103,9 @@ pub struct AggPartial {
     /// Per group: key hash and key.
     hashes: Vec<u64>,
     keys: Vec<HashKey>,
-    /// Group-by values, `width` per group, in group-id order.
-    group_vals: Vec<Value>,
-    width: usize,
+    /// Group-by values: one typed column per group-by column, indexed by
+    /// group id.
+    group_vals: Vec<ColumnData>,
     /// Per aggregate: one state per group.
     states: Vec<Vec<AggState>>,
     /// Per aggregate: the state a new group starts from.
@@ -113,16 +115,18 @@ pub struct AggPartial {
 impl AggPartial {
     const MIN_BITS: u32 = 4;
 
-    /// An empty partial over `width` group-by columns whose groups start
-    /// from the states `init` (one per aggregate).
-    pub fn new(width: usize, init: Vec<AggState>) -> Self {
+    /// An empty partial over group-by columns of types `group_types` whose
+    /// groups start from the states `init` (one per aggregate).
+    pub fn new(group_types: &[DataType], init: Vec<AggState>) -> Self {
         AggPartial {
             slots: vec![0; 1 << Self::MIN_BITS],
             bits: Self::MIN_BITS,
             hashes: Vec::new(),
             keys: Vec::new(),
-            group_vals: Vec::new(),
-            width,
+            group_vals: group_types
+                .iter()
+                .map(|&t| ColumnData::with_capacity(t, 0))
+                .collect(),
             states: init.iter().map(|_| Vec::new()).collect(),
             init,
         }
@@ -139,8 +143,8 @@ impl AggPartial {
     }
 
     /// Write into `gids` the group id of every key in `keys` (extracted from
-    /// the group-by columns `group_by` of `block`, `width` of them), creating
-    /// groups for unseen keys.
+    /// the group-by columns `group_by` of `block`), creating groups for
+    /// unseen keys.
     pub fn assign_gids(
         &mut self,
         keys: &KeyBatch,
@@ -148,18 +152,16 @@ impl AggPartial {
         group_by: &[usize],
         gids: &mut Vec<u32>,
     ) {
-        debug_assert_eq!(group_by.len(), self.width);
+        debug_assert_eq!(group_by.len(), self.group_vals.len());
         gids.clear();
         gids.reserve(keys.len());
         for (row, &hash) in keys.hashes().iter().enumerate() {
             let gid = match self.find(hash, |k| keys.key_eq(row, k)) {
                 Ok(gid) => gid,
                 Err(slot) => {
-                    self.group_vals.extend(
-                        group_by
-                            .iter()
-                            .map(|&c| block.value_at(row, c).expect("group-by column in bounds")),
-                    );
+                    for (col, &c) in self.group_vals.iter_mut().zip(group_by) {
+                        push_field(col, block, row, c);
+                    }
                     self.insert(slot, hash, keys.key_at(row))
                 }
             };
@@ -181,21 +183,20 @@ impl AggPartial {
     /// Fold `other` in: shared groups merge their states, the rest move over.
     pub fn merge(&mut self, other: AggPartial) {
         let mut other_states: Vec<_> = other.states.into_iter().map(Vec::into_iter).collect();
-        let mut other_vals = other.group_vals.into_iter();
-        for (hash, key) in other.hashes.into_iter().zip(other.keys) {
-            let vals = other_vals.by_ref().take(other.width);
+        for (g, (hash, key)) in other.hashes.into_iter().zip(other.keys).enumerate() {
             let states = other_states
                 .iter_mut()
                 .map(|col| col.next().expect("one state per group"));
             match self.find(hash, |k| *k == key) {
                 Ok(gid) => {
-                    vals.for_each(drop); // already stored here
                     for (col, st) in self.states.iter_mut().zip(states) {
                         col[gid as usize].merge(&st);
                     }
                 }
                 Err(slot) => {
-                    self.group_vals.extend(vals);
+                    for (col, src) in self.group_vals.iter_mut().zip(&other.group_vals) {
+                        push_value_of(col, src, g);
+                    }
                     for (col, st) in self.states.iter_mut().zip(states) {
                         col.push(st);
                     }
@@ -205,28 +206,10 @@ impl AggPartial {
         }
     }
 
-    /// One row per group — its group-by values then each aggregate's final
-    /// value — in group-value order. Consumes the partial: values move into
-    /// the rows and float sums round in place.
-    pub fn into_sorted_rows(self) -> Vec<Vec<Value>> {
-        let AggPartial {
-            keys,
-            group_vals,
-            mut states,
-            width,
-            ..
-        } = self;
-        let mut vals = group_vals.into_iter();
-        let mut rows: Vec<Vec<Value>> = (0..keys.len())
-            .map(|gid| {
-                let mut row = Vec::with_capacity(width + states.len());
-                row.extend(vals.by_ref().take(width));
-                row.extend(states.iter_mut().map(|col| col[gid].finish()));
-                row
-            })
-            .collect();
-        rows.sort_by(|a, b| crate::ops::aggregate::cmp_value_rows(&a[..width], &b[..width]));
-        rows
+    /// The group-by columns and the per-aggregate states, both indexed by
+    /// group id.
+    pub fn into_parts(self) -> (Vec<ColumnData>, Vec<Vec<AggState>>) {
+        (self.group_vals, self.states)
     }
 
     /// The group id of the key with `hash` for which `eq` holds, or the empty
@@ -689,7 +672,7 @@ impl ExecContext {
 mod tests {
     use super::*;
     use crate::plan::{PlanBuilder, Source};
-    use uot_storage::{DataType, MemoryTracker, Schema, Table, TableBuilder};
+    use uot_storage::{DataType, MemoryTracker, Schema, Table, TableBuilder, Value};
 
     fn table() -> Arc<Table> {
         let s = Schema::from_pairs(&[("k", DataType::Int32)]);

@@ -491,6 +491,13 @@ mod tests {
     }
 
     #[test]
+    fn state_stays_compact() {
+        // Every new group clones one initial state per aggregate; a float
+        // sum's full register lives out of line until it is needed.
+        assert!(std::mem::size_of::<AggState>() <= 128);
+    }
+
+    #[test]
     fn output_types() {
         let s = schema();
         assert_eq!(

@@ -17,6 +17,17 @@
 //! value bits each stored in `i64`. Each add splits the 53-bit significand
 //! across at most three limbs; limbs absorb signed contributions and are
 //! carry-normalized lazily, so the hot path is three integer adds.
+//!
+//! Most sums touch only a few of those limbs: a column of prices or
+//! quantities stays within a few binades. An accumulator therefore starts as
+//! a *window* of six limbs beginning at register limb `base`, placed by its
+//! first value, and keeps the 544-byte full register out of line until it
+//! needs it. It widens — exactly, by copying the window's limbs into the full
+//! register at `base` — when a value's three limbs fall outside the window's
+//! lower five, when carry normalization leaves a total that the window's
+//! top limb cannot hold as its sign, or when it merges with a window at
+//! another `base`. Both forms round with the same code, so the result does
+//! not depend on which form an accumulator ends in.
 
 /// Number of 32-bit limbs: ceil(2098 value bits / 32) = 66, plus 2 for carry
 /// headroom when many maximal values accumulate before normalization.
@@ -28,6 +39,15 @@ const LIMB_MASK: u64 = (1 << LIMB_BITS) - 1;
 /// than `2^32` per limb, so limb magnitude stays below `2^(32+28) = 2^60`,
 /// and merging two accumulators stays below `i64::MAX`.
 const NORM_INTERVAL: u32 = 1 << 28;
+/// Limbs in the compact window. Values land in the lower `WIN - 1`; the top
+/// limb only receives carries, so after normalization it carries the sign.
+const WIN: usize = 6;
+/// `base` of an accumulator that has seen no finite nonzero value. Like
+/// [`FULL`] it is far above every register limb, so the add fast path's one
+/// subtract-and-compare sends the value to the slow path.
+const UNSET: u32 = u32::MAX / 2;
+/// `base` of an accumulator that has widened to the full register.
+const FULL: u32 = UNSET + 1;
 
 /// An exact accumulator for `f64` addition.
 ///
@@ -37,11 +57,16 @@ const NORM_INTERVAL: u32 = 1 << 28;
 /// of one sign saturate, and opposing infinities yield NaN.
 #[derive(Debug, Clone)]
 pub struct ExactF64Sum {
-    limbs: [i64; LIMBS],
-    /// IEEE-propagated combination of non-finite inputs, if any.
-    non_finite: Option<f64>,
+    /// The window: `win[i]` is register limb `base + i`.
+    win: [i64; WIN],
+    /// Register limb of `win[0]`, or [`UNSET`] / [`FULL`].
+    base: u32,
     /// Adds since the last carry normalization.
     pending: u32,
+    /// The full register, present once widened (`base == FULL`).
+    full: Option<Box<[i64; LIMBS]>>,
+    /// IEEE-propagated combination of non-finite inputs, if any.
+    non_finite: Option<f64>,
 }
 
 impl Default for ExactF64Sum {
@@ -52,14 +77,10 @@ impl Default for ExactF64Sum {
 
 impl PartialEq for ExactF64Sum {
     fn eq(&self, other: &Self) -> bool {
-        // Compare the represented value, not the (normalization-dependent)
-        // limb contents.
-        let mut a = self.clone();
-        let mut b = other.clone();
-        a.normalize();
-        b.normalize();
-        a.limbs == b.limbs
-            && match (a.non_finite, b.non_finite) {
+        // Compare the represented value, not the (form- and
+        // normalization-dependent) limb contents.
+        self.register() == other.register()
+            && match (self.non_finite, other.non_finite) {
                 (None, None) => true,
                 (Some(x), Some(y)) => x.to_bits() == y.to_bits(),
                 _ => false,
@@ -71,50 +92,61 @@ impl ExactF64Sum {
     /// The empty sum (value `0.0`).
     pub fn new() -> Self {
         ExactF64Sum {
-            limbs: [0; LIMBS],
-            non_finite: None,
+            win: [0; WIN],
+            base: UNSET,
             pending: 0,
+            full: None,
+            non_finite: None,
         }
     }
 
     /// Add one value. Exact for all finite inputs.
     #[inline]
     pub fn add(&mut self, v: f64) {
-        if !v.is_finite() {
-            self.non_finite = Some(match self.non_finite {
-                None => v,
-                Some(prev) => prev + v,
-            });
-            return;
-        }
-        if v == 0.0 {
-            return;
-        }
         let bits = v.to_bits();
-        let negative = (bits >> 63) != 0;
-        let biased = ((bits >> 52) & 0x7ff) as i64;
-        let frac = bits & ((1u64 << 52) - 1);
-        // Significand and the register bit position of its least bit
-        // (position 0 carries weight 2^-1074).
-        let (sig, pos) = if biased == 0 {
-            (frac, 0i64)
-        } else {
-            (frac | (1 << 52), biased - 1)
-        };
+        let biased = (bits >> 52) & 0x7ff;
+        // One test sends zeros, subnormals and non-finite values aside;
+        // zeros add nothing.
+        if biased.wrapping_sub(1) >= 0x7fe {
+            if v != 0.0 {
+                self.add_special(v);
+            }
+            return;
+        }
+        // A normal value: its significand with the implicit bit, whose
+        // least bit sits at register position `biased - 1` (position 0
+        // carries weight 2^-1074).
+        self.add_significand(
+            bits & ((1 << 52) - 1) | (1 << 52),
+            biased - 1,
+            bits >> 63 != 0,
+        );
+    }
+
+    /// Add `sig` (at most 53 bits) with its least bit at register position
+    /// `pos`, negated when `negative`.
+    #[inline(always)]
+    fn add_significand(&mut self, sig: u64, pos: u64, negative: bool) {
         let limb = (pos >> 5) as usize;
-        let shift = (pos & 31) as u32;
-        let wide = (sig as u128) << shift; // at most 53 + 31 = 84 bits
+        let wide = (sig as u128) << (pos & 31); // at most 53 + 31 = 84 bits
         let c0 = (wide as u64 & LIMB_MASK) as i64;
         let c1 = ((wide >> LIMB_BITS) as u64 & LIMB_MASK) as i64;
         let c2 = ((wide >> (2 * LIMB_BITS)) as u64 & LIMB_MASK) as i64;
-        if negative {
-            self.limbs[limb] -= c0;
-            self.limbs[limb + 1] -= c1;
-            self.limbs[limb + 2] -= c2;
+        let off = (limb as u32).wrapping_sub(self.base) as usize;
+        if off < WIN - 3 {
+            if negative {
+                self.win[off] -= c0;
+                self.win[off + 1] -= c1;
+                self.win[off + 2] -= c2;
+            } else {
+                self.win[off] += c0;
+                self.win[off + 1] += c1;
+                self.win[off + 2] += c2;
+            }
+        } else if negative {
+            self.add_slow(limb, [-c0, -c1, -c2]);
         } else {
-            self.limbs[limb] += c0;
-            self.limbs[limb + 1] += c1;
-            self.limbs[limb + 2] += c2;
+            self.add_slow(limb, [c0, c1, c2]);
         }
         self.pending += 1;
         if self.pending >= NORM_INTERVAL {
@@ -122,7 +154,62 @@ impl ExactF64Sum {
         }
     }
 
-    /// Fold another accumulator in. Exact; order-invariant.
+    /// [`add`](Self::add) for subnormals and for non-finite values, which
+    /// short-circuit to IEEE semantics.
+    #[cold]
+    #[inline(never)]
+    fn add_special(&mut self, v: f64) {
+        if v.is_finite() {
+            // Subnormal: no implicit bit, least bit at position 0.
+            self.add_significand(v.to_bits() & ((1 << 52) - 1), 0, v.is_sign_negative());
+        } else {
+            self.non_finite = Some(match self.non_finite {
+                None => v,
+                Some(prev) => prev + v,
+            });
+        }
+    }
+
+    /// Add the three limb contributions `c` at register limb `limb` when the
+    /// window cannot take them: place the window on a first value, otherwise
+    /// add into the full register, widening first.
+    #[cold]
+    #[inline(never)]
+    fn add_slow(&mut self, limb: usize, c: [i64; 3]) {
+        let (limbs, at) = if self.base == UNSET {
+            // One limb of room below the first value, for smaller ones.
+            let base = limb.saturating_sub(1).min(LIMBS - WIN);
+            self.base = base as u32;
+            (&mut self.win[..], limb - base)
+        } else {
+            (&mut self.widen()[..], limb)
+        };
+        for (l, x) in limbs[at..at + 3].iter_mut().zip(c) {
+            *l += x;
+        }
+    }
+
+    /// The full register, widening the window into it first if needed. Exact
+    /// in any state: the window's limbs move to their register positions
+    /// unnormalized, and `pending` still bounds their magnitude.
+    fn widen(&mut self) -> &mut [i64; LIMBS] {
+        if self.base != FULL {
+            let mut full = Box::new([0i64; LIMBS]);
+            if self.base != UNSET {
+                let b = self.base as usize;
+                full[b..b + WIN].copy_from_slice(&self.win);
+            }
+            self.win = [0; WIN];
+            self.base = FULL;
+            self.full = Some(full);
+        }
+        self.full
+            .as_mut()
+            .expect("a full accumulator holds its register")
+    }
+
+    /// Fold another accumulator in. Exact; order-invariant. Two windows at
+    /// the same `base` add limb by limb; any other pair widens.
     pub fn merge(&mut self, other: &ExactF64Sum) {
         if let Some(nf) = other.non_finite {
             self.non_finite = Some(match self.non_finite {
@@ -130,42 +217,92 @@ impl ExactF64Sum {
                 Some(prev) => prev + nf,
             });
         }
+        if other.base == UNSET {
+            return;
+        }
         if self.pending.saturating_add(other.pending) >= NORM_INTERVAL {
             self.normalize();
         }
-        if other.pending >= NORM_INTERVAL / 2 {
-            let mut o = other.clone();
-            o.normalize();
-            for (a, b) in self.limbs.iter_mut().zip(&o.limbs) {
-                *a += b;
-            }
-            self.pending += 1;
+        let normalized;
+        let (o, pending) = if other.pending >= NORM_INTERVAL / 2 {
+            let mut n = other.clone();
+            n.normalize();
+            normalized = n;
+            (&normalized, 1)
         } else {
-            for (a, b) in self.limbs.iter_mut().zip(&other.limbs) {
+            (other, other.pending.max(1))
+        };
+        if self.base == UNSET {
+            self.win = o.win;
+            self.base = o.base;
+            self.full.clone_from(&o.full);
+        } else if self.base == o.base && o.base != FULL {
+            for (a, b) in self.win.iter_mut().zip(&o.win) {
                 *a += b;
             }
-            self.pending += other.pending.max(1);
+        } else {
+            let full = self.widen();
+            let (at, limbs) = match &o.full {
+                Some(f) => (0, &f[..]),
+                None => (o.base as usize, &o.win[..]),
+            };
+            for (a, b) in full[at..].iter_mut().zip(limbs) {
+                *a += b;
+            }
         }
+        self.pending += pending;
     }
 
     /// Carry-propagate so every limb is in `[0, 2^32)` (two's-complement at
-    /// the top for negative totals).
+    /// the top for negative totals). A window whose total no longer fits it
+    /// as a signed number widens. Out of line: `add` calls it once per
+    /// [`NORM_INTERVAL`] adds, and inlined there it crowds the registers of
+    /// the aggregate scatter loops.
+    #[inline(never)]
     fn normalize(&mut self) {
-        let mut carry: i64 = 0;
-        for l in &mut self.limbs {
-            let t = *l + carry;
-            let lo = t & LIMB_MASK as i64; // t mod 2^32, non-negative
-            carry = (t - lo) >> LIMB_BITS;
-            *l = lo;
-        }
-        // A leftover carry of -1 marks a negative total (two's complement
-        // wrap); fold it back so the sign check in `value` sees it.
-        if carry == -1 {
-            self.limbs[LIMBS - 1] += -1i64 << LIMB_BITS;
-        } else {
-            debug_assert!(carry == 0, "superaccumulator overflow");
-        }
         self.pending = 0;
+        match self.base {
+            UNSET => {}
+            FULL => {
+                let full = self.widen();
+                let carry = carry_limbs(&mut full[..]);
+                // A leftover carry of -1 marks a negative total (two's
+                // complement wrap); fold it back so the sign check in
+                // `finish` sees it.
+                if carry == -1 {
+                    full[LIMBS - 1] += -1i64 << LIMB_BITS;
+                } else {
+                    debug_assert!(carry == 0, "superaccumulator overflow");
+                }
+            }
+            _ => {
+                let mut w = self.win;
+                let carry = carry_limbs(&mut w);
+                let top = w[WIN - 1];
+                // The window keeps the total only when the final carry is
+                // the sign extension of its top limb.
+                match carry {
+                    0 if top < 1 << (LIMB_BITS - 1) => self.win = w,
+                    -1 if top >= 1 << (LIMB_BITS - 1) => {
+                        w[WIN - 1] = top - (1i64 << LIMB_BITS);
+                        self.win = w;
+                    }
+                    _ => {
+                        self.widen();
+                        self.normalize();
+                    }
+                }
+            }
+        }
+    }
+
+    /// The represented total as a carry-normalized full register (value
+    /// comparison).
+    fn register(&self) -> [i64; LIMBS] {
+        let mut s = self.clone();
+        s.widen();
+        s.normalize();
+        *s.widen()
     }
 
     /// The correctly rounded (nearest, ties to even) value of the sum.
@@ -181,72 +318,118 @@ impl ExactF64Sum {
             return nf;
         }
         self.normalize();
-        // Detect sign: after normalization all limbs are in [0, 2^32) except
-        // a possible negative top limb marking a negative total.
-        let negative = self.limbs[LIMBS - 1] < 0;
-        let mut mag: [u64; LIMBS] = [0; LIMBS];
-        if negative {
-            // Two's-complement negate to get the magnitude.
-            let mut carry: u64 = 1;
-            for (m, &l) in mag.iter_mut().zip(&self.limbs) {
-                let t = (!(l as u64) & LIMB_MASK) + carry;
-                *m = t & LIMB_MASK;
-                carry = t >> LIMB_BITS;
-            }
-        } else {
-            for (m, &l) in mag.iter_mut().zip(&self.limbs) {
-                *m = l as u64;
-            }
-        }
-        // Most significant set bit position (register coordinates).
-        let top = match (0..LIMBS).rev().find(|&i| mag[i] != 0) {
-            None => return 0.0,
-            Some(i) => i as i64 * 32 + (63 - mag[i].leading_zeros() as i64),
-        };
-        // Take the 53-bit window [lsb, top]; positions below 0 don't exist
-        // (the register's unit is exactly the smallest subnormal).
-        let lsb = (top - 52).max(0);
-        let mut mantissa = bits(&mag, lsb, top - lsb + 1);
-        // Round to nearest, ties to even.
-        if lsb > 0 && bits(&mag, lsb - 1, 1) == 1 {
-            let sticky = any_below(&mag, lsb - 1);
-            if sticky || (mantissa & 1) == 1 {
-                mantissa += 1;
+        match self.base {
+            UNSET => 0.0,
+            FULL => round(&self.widen()[..], 0),
+            base => {
+                // Two zero limbs below the window keep every bit the
+                // rounding reads inside the slice: a nonzero window's top
+                // bit is then at least 64 bits above the slice's start, so
+                // the mantissa's least bit is at least 12 above it. With
+                // fewer, the slice starts at register limb 0, as the full
+                // register does.
+                let pad = (base as usize).min(2);
+                let mut limbs = [0i64; WIN + 2];
+                limbs[pad..pad + WIN].copy_from_slice(&self.win);
+                round(&limbs[..pad + WIN], base as usize - pad)
             }
         }
-        let mut exp = lsb - 1074; // weight of the mantissa's LSB
-        if mantissa == (1 << 53) {
-            mantissa >>= 1;
-            exp += 1;
-        }
-        if exp > 971 {
-            // Beyond f64 range: the true sum overflows.
-            return if negative {
-                f64::NEG_INFINITY
-            } else {
-                f64::INFINITY
-            };
-        }
-        // mantissa * 2^exp, assembled exactly (both factors and the result
-        // are representable; split the scale to stay in normal range).
-        let m = mantissa as f64;
-        let v = if exp >= -1022 {
-            m * pow2(exp as i32)
-        } else {
-            (m * pow2((exp + 1022) as i32)) * pow2(-1022)
-        };
-        if negative {
-            -v
-        } else {
-            v
-        }
+    }
+
+    /// An empty accumulator that starts in the full register (the reference
+    /// form the window is tested against).
+    #[cfg(test)]
+    fn new_full() -> Self {
+        let mut s = Self::new();
+        s.widen();
+        s
     }
 }
 
-/// The `len` (1..=53) register bits starting at position `p`, read from the
+/// Carry-propagate `limbs` so each is in `[0, 2^32)`; returns the carry out
+/// of the top limb.
+fn carry_limbs(limbs: &mut [i64]) -> i64 {
+    let mut carry: i64 = 0;
+    for l in limbs {
+        let t = *l + carry;
+        let lo = t & LIMB_MASK as i64; // t mod 2^32, non-negative
+        carry = (t - lo) >> LIMB_BITS;
+        *l = lo;
+    }
+    carry
+}
+
+/// Round the normalized limbs `limbs`, whose first is register limb `base`,
+/// to the nearest double (ties to even). All limbs are in `[0, 2^32)` except
+/// a negative top limb, which marks a negative total.
+fn round(limbs: &[i64], base: usize) -> f64 {
+    let n = limbs.len();
+    let negative = limbs[n - 1] < 0;
+    let mut buf = [0u64; LIMBS];
+    let mag = &mut buf[..n];
+    if negative {
+        // Two's-complement negate to get the magnitude.
+        let mut carry: u64 = 1;
+        for (m, &l) in mag.iter_mut().zip(limbs) {
+            let t = (!(l as u64) & LIMB_MASK) + carry;
+            *m = t & LIMB_MASK;
+            carry = t >> LIMB_BITS;
+        }
+    } else {
+        for (m, &l) in mag.iter_mut().zip(limbs) {
+            *m = l as u64;
+        }
+    }
+    let mag = &*mag;
+    // Most significant set bit position (coordinates of `limbs`).
+    let top = match (0..n).rev().find(|&i| mag[i] != 0) {
+        None => return 0.0,
+        Some(i) => i as i64 * 32 + (63 - mag[i].leading_zeros() as i64),
+    };
+    // Take the 53-bit window [lsb, top]; positions below 0 don't exist
+    // (at `base` 0 the unit is exactly the smallest subnormal; otherwise
+    // the caller's padding keeps `top - 52` above 0).
+    let lsb = (top - 52).max(0);
+    let mut mantissa = bits(mag, lsb, top - lsb + 1);
+    // Round to nearest, ties to even.
+    if lsb > 0 && bits(mag, lsb - 1, 1) == 1 {
+        let sticky = any_below(mag, lsb - 1);
+        if sticky || (mantissa & 1) == 1 {
+            mantissa += 1;
+        }
+    }
+    let mut exp = lsb + 32 * base as i64 - 1074; // weight of the mantissa's LSB
+    if mantissa == (1 << 53) {
+        mantissa >>= 1;
+        exp += 1;
+    }
+    if exp > 971 {
+        // Beyond f64 range: the true sum overflows.
+        return if negative {
+            f64::NEG_INFINITY
+        } else {
+            f64::INFINITY
+        };
+    }
+    // mantissa * 2^exp, assembled exactly (both factors and the result
+    // are representable; split the scale to stay in normal range).
+    let m = mantissa as f64;
+    let v = if exp >= -1022 {
+        m * pow2(exp as i32)
+    } else {
+        (m * pow2((exp + 1022) as i32)) * pow2(-1022)
+    };
+    if negative {
+        -v
+    } else {
+        v
+    }
+}
+
+/// The `len` (1..=53) bits of `mag` starting at position `p`, read from the
 /// at most three limbs they span.
 #[inline]
-fn bits(mag: &[u64; LIMBS], p: i64, len: i64) -> u64 {
+fn bits(mag: &[u64], p: i64, len: i64) -> u64 {
     let limb = (p >> 5) as usize;
     let mut window: u128 = 0;
     for (k, &m) in mag[limb..].iter().take(3).enumerate() {
@@ -255,9 +438,9 @@ fn bits(mag: &[u64; LIMBS], p: i64, len: i64) -> u64 {
     (window >> (p & 31)) as u64 & ((1u64 << len) - 1)
 }
 
-/// Whether any register bit below position `p` is set.
+/// Whether any bit of `mag` below position `p` is set.
 #[inline]
-fn any_below(mag: &[u64; LIMBS], p: i64) -> bool {
+fn any_below(mag: &[u64], p: i64) -> bool {
     let limb = (p >> 5) as usize;
     mag[..limb].iter().any(|&m| m != 0) || mag[limb] & ((1u64 << (p & 31)) - 1) != 0
 }
@@ -459,5 +642,213 @@ mod tests {
         assert_eq!(a, b);
         b.add(1e-30);
         assert_ne!(a, b);
+    }
+
+    /// `vals` summed by a fresh accumulator and by one that starts in the
+    /// full register.
+    fn both(vals: &[f64]) -> (ExactF64Sum, ExactF64Sum) {
+        let (mut w, mut f) = (ExactF64Sum::new(), ExactF64Sum::new_full());
+        for &v in vals {
+            w.add(v);
+            f.add(v);
+        }
+        (w, f)
+    }
+
+    /// Assert both forms round `vals` to `expect` and report whether the
+    /// compact accumulator widened.
+    fn widened_summing(vals: &[f64], expect: f64) -> bool {
+        let (mut w, mut f) = both(vals);
+        assert_eq!(w, f);
+        assert_eq!(w.finish().to_bits(), expect.to_bits(), "window {vals:?}");
+        assert_eq!(f.finish().to_bits(), expect.to_bits(), "full {vals:?}");
+        w.base == FULL
+    }
+
+    #[test]
+    fn nearby_binades_stay_in_the_window() {
+        assert!(!widened_summing(&[1.0, 2.5, 1e6, 0.125, -3.0], 1e6 + 0.625));
+        assert!(!widened_summing(&[], 0.0));
+    }
+
+    #[test]
+    fn a_value_below_or_above_the_window_widens() {
+        assert!(widened_summing(&[1.0, 1e-300], 1.0));
+        assert!(widened_summing(&[1e-300, 1.0, -1.0], 1e-300));
+        assert!(widened_summing(&[1.0, 1e300], 1e300));
+        assert!(widened_summing(&[1.0, 1e300, -1e300, 2.0], 3.0));
+    }
+
+    #[test]
+    fn a_carry_out_of_the_top_limb_widens() {
+        // The window tops out about 2^60 above its largest value's limbs;
+        // doubling by self-merge (same base, limb-wise) carries past it.
+        let mut s = ExactF64Sum::new();
+        s.add(3.0);
+        s.add(1.0);
+        s.add(1.5e9); // limb above the first value's: still in the window
+        assert_ne!(s.base, FULL);
+        let mut f = ExactF64Sum::new_full();
+        f.merge(&s);
+        for _ in 0..100 {
+            s.merge(&s.clone());
+            f.merge(&f.clone());
+        }
+        assert_eq!(s.base, FULL, "the doubled total left the window");
+        let expect = (4.0 + 1.5e9) * 2f64.powi(100);
+        assert_eq!(s.value().to_bits(), expect.to_bits());
+        assert_eq!(f.value().to_bits(), expect.to_bits());
+        // Negative totals carry out the same way.
+        let mut n = ExactF64Sum::new();
+        n.add(-7.25);
+        for _ in 0..200 {
+            n.merge(&n.clone());
+        }
+        assert_eq!(n.base, FULL);
+        assert_eq!(n.value(), -7.25 * 2f64.powi(200));
+    }
+
+    #[test]
+    fn negative_total_inside_the_window() {
+        let big = 2f64.powi(40);
+        // Borrows run through every limb the values touch.
+        assert!(!widened_summing(&[big, -(big + 0.5)], -0.5));
+        let mid = 2f64.powi(20);
+        assert!(!widened_summing(&[0.25, -mid, 1.0, -3.0], -mid - 1.75));
+        let (mut w, _) = both(&[-1.0, -2.0]);
+        assert_eq!(w.finish(), -3.0);
+        assert!(w.win[WIN - 1] < 0, "sign held in the top limb");
+    }
+
+    #[test]
+    fn windows_at_different_bases_merge_by_widening() {
+        let (a, _) = both(&[1.0, 2.0]);
+        let (b, _) = both(&[1e-20, -3e-20]);
+        let (c, _) = both(&[3.0]);
+        assert_ne!(a.base, b.base);
+        assert_eq!(a.base, c.base);
+        let mut same = a.clone();
+        same.merge(&c);
+        assert_ne!(same.base, FULL, "equal bases add limb-wise");
+        assert_eq!(same.value(), 6.0);
+        let mut ab = a.clone();
+        ab.merge(&b);
+        let mut ba = b.clone();
+        ba.merge(&a);
+        assert_eq!(ab.base, FULL);
+        assert_eq!(ab, ba);
+        let (_, f) = both(&[1.0, 2.0, 1e-20, -3e-20]);
+        assert_eq!(ab.value().to_bits(), f.value().to_bits());
+        assert_eq!(ba.value().to_bits(), f.value().to_bits());
+        // Into and out of an empty accumulator.
+        let mut e = ExactF64Sum::new();
+        e.merge(&ab);
+        e.merge(&ExactF64Sum::new());
+        assert_eq!(e.value().to_bits(), f.value().to_bits());
+    }
+
+    #[test]
+    fn extreme_magnitudes_match_the_full_register() {
+        let tiny = f64::from_bits(1);
+        let sub = f64::from_bits(0x000f_ffff_ffff_ffff); // largest subnormal
+        assert!(!widened_summing(
+            &[f64::MAX, -f64::MAX / 2.0],
+            f64::MAX / 2.0
+        ));
+        widened_summing(&[f64::MAX, f64::MAX], f64::INFINITY);
+        widened_summing(&[-f64::MAX, -f64::MAX, f64::MAX], -f64::MAX);
+        assert!(!widened_summing(&[tiny, sub, -tiny], sub));
+        assert!(!widened_summing(&[sub, sub], 2.0 * sub));
+        widened_summing(&[tiny, f64::MAX, -f64::MAX], tiny);
+        widened_summing(
+            &[f64::MIN_POSITIVE, -tiny, 1e-310],
+            f64::MIN_POSITIVE - tiny + 1e-310,
+        );
+    }
+
+    #[test]
+    fn accumulator_stays_small() {
+        assert!(std::mem::size_of::<ExactF64Sum>() <= 80);
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Values clustered within a few binades of `center`, with rare
+        /// outliers anywhere in the finite range (subnormals included).
+        fn clustered() -> impl Strategy<Value = Vec<f64>> {
+            (-1000i32..1000).prop_flat_map(|center| {
+                let near =
+                    (any::<bool>(), 0u64..1 << 52, -6i32..6).prop_map(move |(neg, frac, d)| {
+                        let e = (center + d).clamp(-1074, 1023);
+                        let m = 1.0 + frac as f64 / (1u64 << 52) as f64;
+                        let v = m * 2f64.powi(e.max(-1022)) * 2f64.powi((e + 1022).min(0));
+                        if neg {
+                            -v
+                        } else {
+                            v
+                        }
+                    });
+                let outlier = any::<u64>()
+                    .prop_map(|b| f64::from_bits(b & !(0x7ffu64 << 52) | (b % 2047) << 52));
+                // One value in 40 is an outlier, one a zero.
+                let pick = (0u8..42, near, outlier).prop_map(|(k, n, o)| match k {
+                    0 => o,
+                    1 => 0.0,
+                    _ => n,
+                });
+                proptest::collection::vec(pick, 0..300)
+            })
+        }
+
+        proptest! {
+            #[test]
+            fn window_matches_the_full_register(
+                vals in clustered(),
+                chunks in proptest::collection::vec(1usize..40, 1..20),
+                fold_order in any::<u64>(),
+            ) {
+                let mut reference = ExactF64Sum::new_full();
+                for &v in &vals {
+                    reference.add(v);
+                }
+                let expect = reference.value().to_bits();
+                // One accumulator over everything.
+                let (mut whole, _) = both(&vals);
+                prop_assert_eq!(whole.finish().to_bits(), expect);
+                // Partials over random chunk shapes, merged in a random order
+                // into a random partial.
+                let mut parts = Vec::new();
+                let (mut i, mut c) = (0, 0);
+                while i < vals.len() {
+                    let n = chunks[c % chunks.len()].min(vals.len() - i);
+                    let mut p = ExactF64Sum::new();
+                    for &v in &vals[i..i + n] {
+                        p.add(v);
+                    }
+                    parts.push(p);
+                    i += n;
+                    c += 1;
+                }
+                let mut seed = fold_order | 1;
+                let mut total = ExactF64Sum::new();
+                while !parts.is_empty() {
+                    seed ^= seed << 13;
+                    seed ^= seed >> 7;
+                    seed ^= seed << 17;
+                    let p = parts.swap_remove(seed as usize % parts.len());
+                    if seed & 2 == 0 {
+                        total.merge(&p);
+                    } else {
+                        let mut p = p;
+                        p.merge(&total);
+                        total = p;
+                    }
+                }
+                prop_assert_eq!(total.value().to_bits(), expect);
+                prop_assert!(total == reference);
+            }
+        }
     }
 }

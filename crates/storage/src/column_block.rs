@@ -32,7 +32,8 @@ pub enum ColumnData {
 }
 
 impl ColumnData {
-    fn with_capacity(dtype: DataType, rows: usize) -> Self {
+    /// An empty column of type `dtype` with room for `rows` values.
+    pub fn with_capacity(dtype: DataType, rows: usize) -> Self {
         match dtype {
             DataType::Int32 => ColumnData::I32(Vec::with_capacity(rows)),
             DataType::Int64 => ColumnData::I64(Vec::with_capacity(rows)),
