@@ -8,12 +8,18 @@
 //! outputs. With `UOT_DISPATCH_BLOCKS` source blocks (default 10 000) the
 //! select→aggregate chain issues >2× that many work orders.
 //!
+//! One table holds serial, `Parallel(1)` and `Parallel(UOT_WORKERS)` rows.
+//! The modes run interleaved — every run executes each plan under each mode
+//! once before the next run starts — so drift on the machine lands on all of
+//! them alike. `Parallel(1)` does the serial CPU work on one worker thread:
+//! its gap to serial is the price of handing work orders to a pool.
+//!
 //! Env knobs: `UOT_DISPATCH_BLOCKS` (source blocks), `UOT_RUNS` (protocol
 //! runs, mean of best 3), `UOT_WORKERS` (parallel worker count).
 
 use std::sync::Arc;
 use std::time::Duration;
-use uot_bench::{mean_of_best, runs, workers, ReportTable};
+use uot_bench::{mean_of_best, runs, workers, PlatformInfo, ReportTable};
 use uot_core::{Engine, EngineConfig, ExecMode, PlanBuilder, QueryPlan, Source, Uot};
 use uot_expr::{AggSpec, Predicate};
 use uot_storage::{BlockFormat, DataType, Schema, TableBuilder, Value};
@@ -60,53 +66,73 @@ fn select_aggregate(table: Arc<uot_storage::Table>) -> QueryPlan {
     pb.build(agg).expect("plan builds")
 }
 
-fn measure(plan: &QueryPlan, mode: ExecMode) -> (Duration, u64) {
-    let cfg = EngineConfig {
-        mode,
-        ..EngineConfig::serial()
-    }
-    .with_block_bytes(BLOCK_BYTES)
-    .with_uot(Uot::LOW);
-    let engine = Engine::new(cfg);
-    let n = runs();
-    let mut times = Vec::with_capacity(n);
-    let mut wos = 0u64;
-    for _ in 0..n {
-        let r = engine.execute(plan.clone()).expect("bench query runs");
-        times.push(r.metrics.wall_time);
-        wos = r.metrics.ops.iter().map(|o| o.work_orders as u64).sum();
-    }
-    (mean_of_best(&mut times, 3), wos)
+fn engine(mode: ExecMode) -> Engine {
+    Engine::new(
+        EngineConfig {
+            mode,
+            ..EngineConfig::serial()
+        }
+        .with_block_bytes(BLOCK_BYTES)
+        .with_uot(Uot::LOW),
+    )
 }
 
 fn main() {
     let blocks = dispatch_blocks();
     let table = make_tiny_block_table(blocks);
-    let configs: Vec<(&str, QueryPlan)> = vec![
+    let plans: Vec<(&str, QueryPlan)> = vec![
         ("select-only", select_only(table.clone())),
         ("select->aggregate", select_aggregate(table)),
     ];
-    let modes: Vec<(String, ExecMode)> = vec![
-        ("serial".into(), ExecMode::Serial),
-        (
-            format!("parallel({})", workers()),
-            ExecMode::Parallel { workers: workers() },
-        ),
-    ];
+    let mut modes = vec![ExecMode::Serial, ExecMode::Parallel { workers: 1 }];
+    if workers() > 1 {
+        modes.push(ExecMode::Parallel { workers: workers() });
+    }
+    let engines: Vec<Engine> = modes.iter().map(|&m| engine(m)).collect();
+    let n = runs();
+    // times[plan][mode], one entry per run; work orders per plan.
+    let mut times = vec![vec![Vec::<Duration>::with_capacity(n); modes.len()]; plans.len()];
+    let mut wos = vec![0u64; plans.len()];
+    for _ in 0..n {
+        for (p, (_, plan)) in plans.iter().enumerate() {
+            for (m, engine) in engines.iter().enumerate() {
+                let r = engine.execute(plan.clone()).expect("bench query runs");
+                times[p][m].push(r.metrics.wall_time);
+                wos[p] = r.metrics.ops.iter().map(|o| o.work_orders as u64).sum();
+            }
+        }
+    }
 
+    println!(
+        "sched_dispatch: {blocks} tiny source blocks, {n} interleaved runs (mean of best 3), {} CPUs",
+        PlatformInfo::collect().cpus
+    );
     let mut t = ReportTable::new(
         format!("Scheduler dispatch overhead ({blocks} tiny source blocks)"),
-        &["plan", "mode", "work orders", "total ms", "ns / work order"],
+        &[
+            "plan",
+            "mode",
+            "work orders",
+            "total ms",
+            "ns / work order",
+            "x serial",
+        ],
     );
-    for (plan_name, plan) in &configs {
-        for (mode_name, mode) in &modes {
-            let (d, wos) = measure(plan, *mode);
+    for (p, (plan_name, _)) in plans.iter().enumerate() {
+        let serial = mean_of_best(&mut times[p][0], 3);
+        for (m, mode) in modes.iter().enumerate() {
+            let d = mean_of_best(&mut times[p][m], 3);
+            let mode_name = match mode {
+                ExecMode::Serial => "serial".to_string(),
+                ExecMode::Parallel { workers } => format!("parallel({workers})"),
+            };
             t.row(vec![
                 plan_name.to_string(),
-                mode_name.clone(),
-                wos.to_string(),
+                mode_name,
+                wos[p].to_string(),
                 format!("{:.2}", d.as_secs_f64() * 1e3),
-                format!("{:.1}", d.as_secs_f64() * 1e9 / wos.max(1) as f64),
+                format!("{:.1}", d.as_secs_f64() * 1e9 / wos[p].max(1) as f64),
+                format!("{:.2}", d.as_secs_f64() / serial.as_secs_f64()),
             ]);
         }
     }

@@ -206,20 +206,14 @@ impl QueryMetrics {
     /// Maximum number of concurrently executing work orders of `op` — the
     /// realized degree of parallelism (Section IV-C of the paper).
     pub fn max_dop(&self, op: OpId) -> usize {
-        // Sweep task start/end events.
-        let mut events: Vec<(Duration, i32)> = Vec::new();
-        for t in self.tasks.iter().filter(|t| t.op == op) {
-            events.push((t.start, 1));
-            events.push((t.end, -1));
-        }
-        events.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut cur = 0i32;
-        let mut max = 0i32;
-        for (_, d) in events {
-            cur += d;
-            max = max.max(cur);
-        }
-        max.max(0) as usize
+        max_overlap(self.tasks.iter().filter(|t| t.op == op))
+    }
+
+    /// Maximum number of work orders executing at once across the whole
+    /// query. A work order runs only between the start and end its worker
+    /// stamps, so this never exceeds [`QueryMetrics::workers`].
+    pub fn max_concurrency(&self) -> usize {
+        max_overlap(self.tasks.iter())
     }
 
     /// An ASCII schedule of work orders over time — the shape Fig. 2 of the
@@ -274,6 +268,24 @@ impl QueryMetrics {
     pub fn total_task_time(&self) -> Duration {
         self.ops.iter().map(|o| o.total_task_time).sum()
     }
+}
+
+/// The most intervals open at once: sweep start/end events, ends first on
+/// ties, so a task starting the instant another ends does not overlap it.
+fn max_overlap<'a>(tasks: impl Iterator<Item = &'a TaskRecord>) -> usize {
+    let mut events: Vec<(Duration, i32)> = Vec::new();
+    for t in tasks {
+        events.push((t.start, 1));
+        events.push((t.end, -1));
+    }
+    events.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+    let mut cur = 0i32;
+    let mut max = 0i32;
+    for (_, d) in events {
+        cur += d;
+        max = max.max(cur);
+    }
+    max.max(0) as usize
 }
 
 #[cfg(test)]

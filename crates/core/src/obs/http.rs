@@ -29,8 +29,8 @@ use std::time::{Duration, Instant};
 use uot_storage::MemoryTracker;
 
 /// Shared state the endpoint reads — everything is concurrently updated by
-/// the scheduler thread and read here without coordination beyond atomics
-/// and the registry's short mutex.
+/// the service's worker and service threads and read here without
+/// coordination beyond atomics and the registry's short mutex.
 #[derive(Debug)]
 pub struct ServerState {
     /// The service's metrics hub.

@@ -1,9 +1,9 @@
 //! Live per-query status: the registry behind `/queries`.
 //!
 //! Each admitted query gets a [`LiveQuery`] record of lock-free atomics,
-//! updated from the scheduler thread by
-//! [`QueryObserver`](crate::obs::QueryObserver) and read concurrently by
-//! the HTTP endpoint. Queued submissions appear as lightweight
+//! updated by [`QueryObserver`](crate::obs::QueryObserver) under the worker
+//! pool's dispatcher lock (whichever worker books a completion) and read
+//! concurrently by the HTTP endpoint. Queued submissions appear as lightweight
 //! [`QueuedEntry`]s so `/queries` shows the admission queue too.
 
 use crate::query_id::QueryId;
@@ -24,8 +24,8 @@ pub enum LiveState {
     Cancelling = 1,
 }
 
-/// Live status of one admitted query — all atomics, written from the
-/// scheduler thread, read from the HTTP thread.
+/// Live status of one admitted query — all atomics, written by the worker
+/// that holds the dispatcher lock, read from the HTTP thread.
 #[derive(Debug)]
 pub struct LiveQuery {
     /// Service-assigned query id.

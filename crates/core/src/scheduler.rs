@@ -25,12 +25,15 @@
 //!   live record when installed); the live hub, when installed, adds the
 //!   finished metrics once, at the end of the attempt.
 //! * [`run_query`] — the one driver, parameterized over [`ExecMode`]:
-//!   inline execution for determinism, or a scheduler
-//!   (the calling thread) with a worker pool (Quickstep's two thread
-//!   kinds). Its parallel loop — per-query in-flight bookkeeping,
-//!   round-robin dispatch, the worker body — is the one the query service
-//!   multiplexes its queries through. [`run`] is the convenience wrapper
-//!   with default metrics and a plain error.
+//!   inline execution for determinism, or a pool of workers that dispatch
+//!   their own work orders. Each worker books its finished work order and
+//!   takes the next one under one dispatcher lock, so no scheduler thread
+//!   sits between a completion and the next dispatch (Quickstep's separate
+//!   scheduler thread is an implementation choice, not part of the UoT
+//!   model). That pool — per-query in-flight bookkeeping, round-robin
+//!   dispatch, the worker body — is the one the query service multiplexes
+//!   its queries through. [`run`] is the convenience wrapper with default
+//!   metrics and a plain error.
 
 use crate::edge::{TransferAction, TransferEdge};
 use crate::error::EngineError;
@@ -45,9 +48,9 @@ use crate::topology::Dependent;
 use crate::uot::Uot;
 use crate::work_order::{WorkKind, WorkOrder};
 use crate::Result;
-use crossbeam::channel::{Receiver, Sender};
+use crossbeam::channel::RecvTimeoutError;
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 use uot_storage::{SpillSlot, StorageBlock};
 
@@ -56,7 +59,8 @@ use uot_storage::{SpillSlot, StorageBlock};
 pub enum ExecMode {
     /// One thread, deterministic work-order order. For tests and debugging.
     Serial,
-    /// Scheduler thread plus `workers` worker threads (the Quickstep model).
+    /// `workers` worker threads, each booking its completions and picking
+    /// its next work order itself under one dispatcher lock.
     Parallel {
         /// Number of worker threads.
         workers: usize,
@@ -141,7 +145,9 @@ struct OpState {
     /// The streamed producer has finished (base tables count as finished).
     producer_finished: bool,
     /// Blocks transferred but held because the op is not startable yet.
-    pending: VecDeque<Arc<StorageBlock>>,
+    /// Cold until then, so an intermediate one (never a base-table block,
+    /// which is not charged) is the pool's to evict under spill.
+    pending: VecDeque<Arc<SpillSlot>>,
     /// Work orders created and not yet completed.
     outstanding: usize,
     /// The finalize work order has been dispatched (agg/sort).
@@ -414,22 +420,11 @@ impl SchedulerCore {
     /// operator stays unfinished; teardown via [`Self::release_resources`]
     /// reclaims everything else.
     pub fn on_error(&mut self, wo: &WorkOrder) {
-        let bytes = match &wo.kind {
-            WorkKind::Stream { block } if self.plan().topology().stream_parent(wo.op).is_some() => {
-                block.allocated_bytes()
+        self.states[wo.op].outstanding -= 1;
+        if let WorkKind::Stream { block } = &wo.kind {
+            if self.plan().topology().stream_parent(wo.op).is_some() {
+                self.ctx.pool.tracker().free(block.allocated_bytes());
             }
-            _ => 0,
-        };
-        self.fail_in_flight(wo.op, bytes);
-    }
-
-    /// Like [`Self::on_error`] for a work order whose body was lost (e.g. a
-    /// worker died holding it); `input_bytes` is what its stream input block
-    /// had charged to the tracker (0 for base-table input).
-    pub fn fail_in_flight(&mut self, op: OpId, input_bytes: usize) {
-        self.states[op].outstanding -= 1;
-        if input_bytes > 0 {
-            self.ctx.pool.tracker().free(input_bytes);
         }
     }
 
@@ -546,7 +541,14 @@ impl SchedulerCore {
             return;
         }
         if self.chain_waits(op) > 0 {
-            self.states[op].pending.extend(blocks);
+            let producer = self.plan().topology().stream_parent(op);
+            for b in blocks {
+                let slot = SpillSlot::new(b, producer.unwrap_or(op));
+                if producer.is_some() {
+                    self.ctx.pool.register_victim(&slot);
+                }
+                self.states[op].pending.push_back(slot);
+            }
             return;
         }
         for b in blocks {
@@ -666,9 +668,8 @@ impl SchedulerCore {
                 // head — and release only once *every* member's waits clear.
                 let gate = self.ctx.fusion.head_of_member(op).unwrap_or(op);
                 if self.chain_waits(gate) == 0 {
-                    let pending: Vec<Arc<StorageBlock>> =
-                        std::mem::take(&mut self.states[gate].pending).into();
-                    for b in pending {
+                    let pending = std::mem::take(&mut self.states[gate].pending).into();
+                    for b in self.resolve_slots(pending)? {
                         self.push_stream_work(gate, b);
                     }
                 }
@@ -707,9 +708,10 @@ impl SchedulerCore {
         self.check_completion(consumer)
     }
 
-    /// Check the `transfer_flush` fault site. The scheduler thread has no
-    /// containment boundary, so an injected `Panic` here degrades to an
-    /// error rather than unwinding the whole driver. `producer` is the
+    /// Check the `transfer_flush` fault site. Booking a completion runs
+    /// under the dispatcher lock with no containment boundary, so an
+    /// injected `Panic` here degrades to an error rather than unwinding the
+    /// worker that books it. `producer` is the
     /// flushing operator, recorded as the fault's attribution in the trace.
     ///
     /// The error carries the same operator/query/occupancy attribution as a
@@ -773,15 +775,15 @@ impl SchedulerCore {
                 }
             }
         }
+        let store = self.ctx.pool.spill_store();
         for (id, st) in self.states.iter_mut().enumerate() {
             let pending = std::mem::take(&mut st.pending);
             if topo.stream_parent(id).is_some() {
-                for b in pending {
-                    tracker.free(b.allocated_bytes());
+                for slot in pending {
+                    slot.discard(&tracker, store.as_deref());
                 }
             }
         }
-        let store = self.ctx.pool.spill_store();
         for edge in &mut self.edges {
             // Staged slots hold operator outputs — always charged (resident)
             // or spilled (a temp file to delete); discard handles both.
@@ -902,12 +904,12 @@ pub fn run_query(
 
 /// Drive one query to completion on the calling thread.
 /// [`ExecMode::Serial`] executes each work order inline, in a deterministic
-/// order; [`ExecMode::Parallel`] runs the query service's dispatch loop for
-/// this one query, the calling thread scheduling for worker threads of its
-/// own (Quickstep's two thread kinds).
+/// order; [`ExecMode::Parallel`] admits the query to a [`WorkerPool`] of its
+/// own, whose workers book completions and pick work orders themselves, and
+/// waits for the query to finish or for its deadline to trip.
 pub(crate) fn drive(mut run: QueryRun) -> Outcome {
+    let ctx = run.core.ctx.clone();
     if run.core.mode == ExecMode::Serial {
-        let ctx = run.core.ctx.clone();
         loop {
             ctx.check_deadline();
             let Some(wo) = run.next_work_order() else {
@@ -918,45 +920,47 @@ pub(crate) fn drive(mut run: QueryRun) -> Outcome {
         return run.finish().1;
     }
     let workers = run.core.mode.workers();
-    let id = run.core.ctx.query;
-    let (jobs, job_rx) = crossbeam::channel::unbounded::<Job>();
-    let (done_tx, done_rx) = crossbeam::channel::unbounded::<Completion>();
-    let run = std::thread::scope(|scope| {
+    let pool = WorkerPool::new();
+    pool.admit(run);
+    let (done_tx, done_rx) = crossbeam::channel::unbounded::<()>();
+    std::thread::scope(|scope| {
         for worker in 0..workers {
-            let (job_rx, done_tx) = (job_rx.clone(), done_tx.clone());
-            scope.spawn(move || worker_loop(worker, &job_rx, |c| done_tx.send(c).is_ok()));
+            let (pool, done_tx) = (&pool, done_tx.clone());
+            scope.spawn(move || {
+                worker_loop(worker, pool, || {
+                    let _ = done_tx.send(());
+                })
+            });
         }
-        drop(done_tx); // the scheduler holds only the receiver
-        let mut dispatcher = Dispatcher::new(jobs, workers);
-        dispatcher.admit(run);
+        drop(done_tx); // the waiter holds only the receiver
         loop {
-            dispatcher.runs().for_each(|run| run.ctx().check_deadline());
-            dispatcher.dispatch();
-            if dispatcher.runs().all(|run| run.is_done()) {
-                break;
-            }
-            match done_rx.recv() {
-                Ok(c) => dispatcher.on_done(c),
-                // Every worker exited with work still in flight.
-                Err(_) => {
-                    if let Some(run) = dispatcher.get_mut(id) {
-                        run.abandon_in_flight();
+            let signal = match ctx.until_deadline() {
+                Some(left) => done_rx.recv_timeout(left),
+                None => done_rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            };
+            match signal {
+                // The query retired, or a worker panicked (it closed the
+                // pool; the scope re-raises the panic on join).
+                Ok(()) | Err(RecvTimeoutError::Disconnected) => break,
+                Err(RecvTimeoutError::Timeout) => {
+                    let dispatcher = pool.lock();
+                    ctx.check_deadline();
+                    if dispatcher.runs().all(QueryRun::is_done) {
+                        break;
                     }
-                    break;
                 }
             }
         }
-        // Dropping the dispatcher hangs up the job channel: the workers exit
-        // and the scope joins them before teardown.
-        dispatcher.remove(id)
+        pool.close();
     });
-    run.expect("a query stays admitted until its loop ends")
+    let run = pool.lock().take_done().pop();
+    run.expect("the waiter returns once its query is done")
         .finish()
         .1
 }
 
 /// A worker's report: one executed work order, timed on its query's clock.
-pub(crate) struct Completion {
+struct Completion {
     wo: WorkOrder,
     worker: usize,
     start: Duration,
@@ -981,35 +985,64 @@ impl Completion {
     }
 }
 
-/// Work handed to a worker: the owning query's context travels with the
-/// order, so one worker can execute for many queries back to back.
-pub(crate) type Job = (Arc<ExecContext>, WorkOrder);
-
-/// The body of every worker thread, standalone or in the query service:
-/// execute jobs until the job channel hangs up or `done` refuses a
-/// completion.
-pub(crate) fn worker_loop(
-    worker: usize,
-    jobs: &Receiver<Job>,
-    mut done: impl FnMut(Completion) -> bool,
-) {
-    while let Ok((ctx, wo)) = jobs.recv() {
-        if !done(Completion::execute(&ctx, wo, worker)) {
-            break;
+/// The body of every worker thread, standalone or in the query service.
+/// Each turn, under the dispatcher lock, the worker books its previous
+/// completion and takes the next work order round-robin; it runs that order
+/// outside the lock, and waits on the pool's condvar while nothing is
+/// ready. `finished` is called whenever a query retires: the worker booked
+/// its last in-flight completion, or found it done (cancelled, say) on a
+/// pick. Returns once the pool is closed. A panic here is a scheduler bug
+/// (work orders are contained): it closes the pool so no sibling waits
+/// forever, signals `finished` and resumes unwinding.
+pub(crate) fn worker_loop<M>(worker: usize, pool: &WorkerPool<M>, mut finished: impl FnMut()) {
+    let body = std::panic::AssertUnwindSafe(|| {
+        let mut done: Option<Completion> = None;
+        loop {
+            let mut d = pool.lock();
+            let (ctx, wo) = loop {
+                // Closed with a completion in hand only after a panic: the
+                // state it would be booked into is suspect.
+                if d.closed {
+                    return;
+                }
+                if let Some(c) = done.take() {
+                    if d.book(c) {
+                        finished();
+                    }
+                }
+                let (job, retired) = d.next_job();
+                if retired {
+                    finished();
+                }
+                if let Some(job) = job {
+                    break job;
+                }
+                d.idle += 1;
+                d = pool.ready.wait(d).unwrap_or_else(PoisonError::into_inner);
+                d.idle -= 1;
+            };
+            let wake = d.idle > 0 && d.runs().any(QueryRun::can_dispatch);
+            drop(d);
+            if wake {
+                pool.ready.notify_one();
+            }
+            done = Some(Completion::execute(&ctx, wo, worker));
         }
+    });
+    if let Err(panic) = std::panic::catch_unwind(body) {
+        pool.close();
+        finished();
+        std::panic::resume_unwind(panic);
     }
 }
 
-/// One query inside a dispatch loop: its scheduling core, the work orders it
-/// has out on workers and the first error it hit. The front end's own
+/// One query inside a dispatch loop: its scheduling core, the number of its
+/// work orders out on workers and the first error it hit. The front end's own
 /// per-query state rides along as `meta`.
 pub(crate) struct QueryRun<M = ()> {
     pub(crate) core: SchedulerCore,
     pub(crate) meta: M,
-    /// `(seq, op, bytes its stream input charged)` of each work order out on
-    /// a worker: enough to release resources and name operators even if the
-    /// work order itself is lost.
-    in_flight: Vec<(usize, OpId, usize)>,
+    in_flight: usize,
     completed: usize,
     first_error: Option<EngineError>,
 }
@@ -1019,7 +1052,7 @@ impl<M> QueryRun<M> {
         QueryRun {
             core,
             meta,
-            in_flight: Vec::new(),
+            in_flight: 0,
             completed: 0,
             first_error: None,
         }
@@ -1030,23 +1063,25 @@ impl<M> QueryRun<M> {
         &self.core.ctx
     }
 
-    /// The next work order to hand out, recorded as in flight. `None` when
-    /// nothing is ready, and for good once the query failed or was cancelled
-    /// (its in-flight completions still drain).
+    /// The query failed or was cancelled: nothing more dispatches, while
+    /// its in-flight completions still drain.
+    fn stopped(&self) -> bool {
+        self.first_error.is_some() || self.core.ctx.cancel.is_cancelled()
+    }
+
+    /// Whether a work order would be handed out now.
+    fn can_dispatch(&self) -> bool {
+        !self.stopped() && self.core.ready_len() > 0
+    }
+
+    /// The next work order to hand out, counted as in flight. `None` when
+    /// nothing is ready, and for good once the query stopped.
     fn next_work_order(&mut self) -> Option<WorkOrder> {
-        if self.first_error.is_some() || self.core.ctx.cancel.is_cancelled() {
+        if self.stopped() {
             return None;
         }
         let wo = self.core.next_work_order()?;
-        let charged = match &wo.kind {
-            WorkKind::Stream { block }
-                if self.core.plan().topology().stream_parent(wo.op).is_some() =>
-            {
-                block.allocated_bytes()
-            }
-            _ => 0,
-        };
-        self.in_flight.push((wo.seq, wo.op, charged));
+        self.in_flight += 1;
         Some(wo)
     }
 
@@ -1056,15 +1091,10 @@ impl<M> QueryRun<M> {
         }
     }
 
-    fn take_in_flight(&mut self, seq: usize) -> Option<(usize, OpId, usize)> {
-        let i = self.in_flight.iter().position(|&(s, ..)| s == seq)?;
-        Some(self.in_flight.swap_remove(i))
-    }
-
     /// Book a finished work order: route its output through the core, or
     /// record its error.
     fn on_done(&mut self, c: Completion) {
-        self.take_in_flight(c.wo.seq);
+        self.in_flight -= 1;
         match c.produced {
             Ok(produced) => {
                 self.completed += 1;
@@ -1085,45 +1115,11 @@ impl<M> QueryRun<M> {
         }
     }
 
-    /// A work order that never reached a worker: the pool hung up.
-    fn lost(&mut self, seq: usize) {
-        if let Some((_, op, charged)) = self.take_in_flight(seq) {
-            self.core.fail_in_flight(op, charged);
-        }
-        self.fail(EngineError::Internal(
-            "worker pool hung up unexpectedly".into(),
-        ));
-    }
-
-    /// Every worker exited with work still in flight: release what the
-    /// stranded work orders charged and name their operators.
-    fn abandon_in_flight(&mut self) {
-        let mut ops: Vec<String> = self
-            .in_flight
-            .iter()
-            .map(|&(_, op, _)| format!("op{} ({})", op, self.core.plan().op(op).name))
-            .collect();
-        ops.sort();
-        ops.dedup();
-        let detail = EngineError::Internal(format!(
-            "all workers exited early with {} work orders in flight on {}",
-            self.in_flight.len(),
-            ops.join(", "),
-        ));
-        for (_, op, bytes) in std::mem::take(&mut self.in_flight) {
-            self.core.fail_in_flight(op, bytes);
-        }
-        self.fail(detail);
-    }
-
     /// Nothing in flight and nothing more will dispatch: the query finished,
     /// failed, was cancelled or stalled.
     pub(crate) fn is_done(&self) -> bool {
-        self.in_flight.is_empty()
-            && (self.first_error.is_some()
-                || self.core.ctx.cancel.is_cancelled()
-                || self.core.all_finished()
-                || self.core.ready_len() == 0)
+        // A finished query has nothing queued, so `can_dispatch` covers it.
+        self.in_flight == 0 && !self.can_dispatch()
     }
 
     /// Tear down into the query's outcome and hand back the front end's
@@ -1163,90 +1159,132 @@ impl<M> QueryRun<M> {
     }
 }
 
-/// The parallel dispatch loop's state: the active queries, a round-robin
-/// ring over them and the free worker slots. The query service runs one over
-/// its shared pool; a standalone parallel run, one per query.
+/// The parallel dispatch state: the active queries, a round-robin ring over
+/// the ones that may still dispatch, and the workers waiting for work. It
+/// lives behind the [`WorkerPool`]'s lock, which every worker takes once per
+/// work order.
 pub(crate) struct Dispatcher<M> {
-    jobs: Sender<Job>,
-    free_slots: usize,
     ring: VecDeque<QueryId>,
     runs: HashMap<QueryId, QueryRun<M>>,
+    /// Workers waiting on the pool's condvar.
+    idle: usize,
+    closed: bool,
 }
 
 impl<M> Dispatcher<M> {
-    pub(crate) fn new(jobs: Sender<Job>, workers: usize) -> Self {
-        Dispatcher {
-            jobs,
-            free_slots: workers,
-            ring: VecDeque::new(),
-            runs: HashMap::new(),
-        }
-    }
-
     /// The active queries.
     pub(crate) fn runs(&self) -> impl Iterator<Item = &QueryRun<M>> {
         self.runs.values()
-    }
-
-    pub(crate) fn get_mut(&mut self, id: QueryId) -> Option<&mut QueryRun<M>> {
-        self.runs.get_mut(&id)
     }
 
     pub(crate) fn is_empty(&self) -> bool {
         self.runs.is_empty()
     }
 
-    /// Put a query on the ring.
-    pub(crate) fn admit(&mut self, run: QueryRun<M>) {
-        let id = run.core.ctx.query;
-        self.ring.push_back(id);
-        self.runs.insert(id, run);
+    /// Whether the pool was closed: its workers exit, or have exited.
+    pub(crate) fn is_closed(&self) -> bool {
+        self.closed
     }
 
-    /// Take a query off the ring.
-    pub(crate) fn remove(&mut self, id: QueryId) -> Option<QueryRun<M>> {
+    /// Take every query that is done (finished, failed, cancelled or
+    /// stalled, with nothing in flight) out of the dispatcher.
+    pub(crate) fn take_done(&mut self) -> Vec<QueryRun<M>> {
+        let done: Vec<QueryId> = self
+            .runs
+            .iter()
+            .filter(|(_, run)| run.is_done())
+            .map(|(&id, _)| id)
+            .collect();
+        self.ring.retain(|id| !done.contains(id));
+        done.iter().filter_map(|id| self.runs.remove(id)).collect()
+    }
+
+    /// Book a worker's completion on its query. True when this retired the
+    /// query: its last in-flight work order came back and nothing more will
+    /// dispatch, so it leaves the ring.
+    fn book(&mut self, c: Completion) -> bool {
+        let id = c.wo.query;
+        let Some(run) = self.runs.get_mut(&id) else {
+            return false;
+        };
+        run.on_done(c);
+        if !run.is_done() {
+            return false;
+        }
         self.ring.retain(|&x| x != id);
-        self.runs.remove(&id)
+        true
     }
 
-    /// Fill free worker slots round-robin: one work order per query per
-    /// pass, so every active query makes progress each turn.
-    pub(crate) fn dispatch(&mut self) {
-        while self.free_slots > 0 && !self.ring.is_empty() {
-            let mut dispatched_any = false;
-            for _ in 0..self.ring.len() {
-                if self.free_slots == 0 {
-                    break;
-                }
-                let id = self.ring.pop_front().expect("ring is non-empty");
+    /// The next work order round-robin, one per query per turn, checking
+    /// each visited query's deadline first. Queries found done on the way
+    /// leave the ring; the flag says whether any did.
+    fn next_job(&mut self) -> (Option<(Arc<ExecContext>, WorkOrder)>, bool) {
+        let mut retired = false;
+        for _ in 0..self.ring.len() {
+            let id = self.ring.pop_front().expect("ring is non-empty");
+            let run = self.runs.get_mut(&id).expect("ring ids are admitted");
+            run.ctx().check_deadline();
+            if let Some(wo) = run.next_work_order() {
                 self.ring.push_back(id);
-                let Some(run) = self.runs.get_mut(&id) else {
-                    continue;
-                };
-                let Some(wo) = run.next_work_order() else {
-                    continue;
-                };
-                let seq = wo.seq;
-                if self.jobs.send((run.core.ctx.clone(), wo)).is_err() {
-                    run.lost(seq);
-                    continue;
-                }
-                self.free_slots -= 1;
-                dispatched_any = true;
+                return (Some((run.ctx().clone(), wo)), retired);
             }
-            if !dispatched_any {
-                break;
+            if run.is_done() {
+                retired = true;
+            } else {
+                self.ring.push_back(id);
             }
+        }
+        (None, retired)
+    }
+}
+
+/// The parallel execution pool: a [`Dispatcher`] behind one lock, and a
+/// condvar its idle workers wait on. A standalone parallel run owns one per
+/// query; the query service shares one across its queries.
+pub(crate) struct WorkerPool<M> {
+    dispatcher: Mutex<Dispatcher<M>>,
+    ready: Condvar,
+}
+
+impl<M> WorkerPool<M> {
+    pub(crate) fn new() -> Self {
+        WorkerPool {
+            dispatcher: Mutex::new(Dispatcher {
+                ring: VecDeque::new(),
+                runs: HashMap::new(),
+                idle: 0,
+                closed: false,
+            }),
+            ready: Condvar::new(),
         }
     }
 
-    /// A worker reported back: free its slot and book the completion on its
-    /// query, which stays admitted until its in-flight work drains.
-    pub(crate) fn on_done(&mut self, c: Completion) {
-        self.free_slots += 1;
-        if let Some(run) = self.runs.get_mut(&c.wo.query) {
-            run.on_done(c);
+    /// Lock the dispatcher. A panic while it was held is a scheduler bug
+    /// that closes the pool: the guard is recovered rather than hang, and
+    /// every caller checks `closed` before it trusts the queries' state.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Dispatcher<M>> {
+        self.dispatcher
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Put a query on the ring and wake an idle worker for it.
+    pub(crate) fn admit(&self, run: QueryRun<M>) {
+        let mut d = self.lock();
+        let id = run.core.ctx.query;
+        d.ring.push_back(id);
+        d.runs.insert(id, run);
+        let wake = d.idle > 0;
+        drop(d);
+        if wake {
+            self.ready.notify_one();
         }
+    }
+
+    /// Close the pool: every worker returns at its next turn.
+    pub(crate) fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_all();
     }
 }
 
@@ -1705,6 +1743,146 @@ mod tests {
                 "parallel={parallel}: {err}"
             );
             assert_eq!(tracker.current_bytes(), 0, "parallel={parallel}");
+        }
+    }
+
+    #[test]
+    fn held_input_of_a_gated_probe_is_evictable() {
+        // Blocks transferred to a probe before its build finishes wait as
+        // pending input. They are cold, so under a spill tier the pool may
+        // evict them like staged blocks: a schedule that runs the probe side
+        // ahead of the build, as two workers can, then does not pin them
+        // against the budget. Driven by hand to force that order.
+        let tracker = MemoryTracker::new();
+        let pool = BlockPool::with_budget(tracker.clone(), usize::MAX);
+        let store = uot_storage::SpillStore::new(None, tracker.clone()).unwrap();
+        pool.enable_spill(store.clone());
+        let plan = Arc::new(select_probe_plan(Uot::Blocks(1)));
+        let ctx = Arc::new(ExecContext::new(plan, pool, BlockFormat::Row, 96, 8).unwrap());
+        let mut core = core_for(&ctx, Uot::LOW);
+        let complete = |core: &mut SchedulerCore, wo: &WorkOrder| {
+            let produced = execute_work_order(&ctx, wo).unwrap();
+            let record = TaskRecord {
+                op: wo.op,
+                worker: 0,
+                start: Duration::ZERO,
+                end: Duration::ZERO,
+            };
+            core.on_complete(wo, produced, record).unwrap();
+        };
+        // ops: 0 = build, 1 = select, 2 = probe.
+        let initial: Vec<WorkOrder> = std::iter::from_fn(|| core.next_work_order()).collect();
+        for wo in initial.iter().filter(|wo| wo.op == 1) {
+            complete(&mut core, wo);
+        }
+        let held = tracker.current_bytes();
+        assert!(held > 0 && !core.states[2].pending.is_empty());
+        // A budget the held blocks fill: a checkout must evict them, not fail.
+        ctx.pool.set_budget(Some(held));
+        let schema = Schema::from_pairs(&[("k", DataType::Int32)]);
+        let block = ctx
+            .pool
+            .checkout(&schema, BlockFormat::Row, 64)
+            .expect("held blocks are evictable");
+        assert!(store.stats().spill_events > 0);
+        ctx.pool.discard(block);
+        ctx.pool.set_budget(None);
+        // The build finishes: the held blocks fault back in for the probe.
+        for wo in initial.iter().filter(|wo| wo.op == 0) {
+            complete(&mut core, wo);
+        }
+        drive_by_hand(&mut core, &ctx);
+        assert!(core.all_finished());
+        let (blocks, _) = core.into_results(Duration::ZERO, 1);
+        assert_eq!(rows_of(&blocks).len(), 10);
+        assert_eq!(tracker.current_bytes(), 0, "teardown must drain");
+        assert_eq!(store.live_files(), 0, "every spilled block was restored");
+    }
+
+    #[test]
+    fn concurrency_never_exceeds_the_workers() {
+        // A work order counts as running only between the start and end its
+        // worker stamps, so the global overlap of task intervals is bounded
+        // by the pool, and a one-worker pool runs them strictly one by one.
+        for workers in [1, 2, 4] {
+            let ctx = ctx_for(select_probe_plan(Uot::Blocks(1)));
+            let (_, m) = run_parallel(ctx, workers).unwrap();
+            assert!(!m.tasks.is_empty());
+            let overlap = m.max_concurrency();
+            assert!(overlap <= workers, "{overlap} running on {workers} workers");
+            if workers == 1 {
+                // `tasks` is sorted by start.
+                for w in m.tasks.windows(2) {
+                    assert!(w[1].start >= w[0].end, "{:?} overlaps {:?}", w[0], w[1]);
+                }
+            }
+        }
+    }
+
+    /// A 400 x 400 nested-loops cross product (the plan of the service's
+    /// `cancel_stops_a_query_mid_run`): long enough that a deadline of a few
+    /// milliseconds lands mid-run.
+    fn cross_product_plan() -> QueryPlan {
+        let t = table("cross_t", 400, 8);
+        let mut pb = PlanBuilder::new();
+        let inner = pb
+            .filter(Source::Table(t.clone()), cmp(col(0), CmpOp::Ge, lit(0i32)))
+            .unwrap();
+        let j = pb
+            .nested_loops(Source::Table(t), inner, vec![], vec![0], vec![0])
+            .unwrap();
+        pb.build(j).unwrap()
+    }
+
+    #[test]
+    fn mid_query_deadline_cancels_parallel_runs() {
+        // The waiter of a parallel run sleeps until the query retires or its
+        // deadline passes; when the deadline fires it trips the token itself,
+        // also when no work order is in flight to notice. A deadline too short
+        // for any work order to finish first is doubled and retried, so a
+        // slow machine cannot turn the mid-run case into an expired-at-start
+        // one.
+        let cancelled_mid_run = |result: std::result::Result<usize, EngineError>| match result {
+            Err(EngineError::Cancelled {
+                completed_work_orders,
+                ..
+            }) => completed_work_orders > 0,
+            Err(other) => panic!("expected Cancelled, got {other}"),
+            Ok(rows) => panic!("query finished despite its deadline ({rows} rows)"),
+        };
+        for workers in [1, 2] {
+            let mut deadline = Duration::from_millis(2);
+            let mut hits = 0;
+            while hits < 2 {
+                assert!(
+                    deadline < Duration::from_secs(1),
+                    "no mid-run cancel on {workers}"
+                );
+                let ctx = ctx_for(cross_product_plan());
+                let ctx = Arc::new(
+                    Arc::try_unwrap(ctx)
+                        .unwrap_or_else(|_| panic!("sole owner"))
+                        .with_deadline(Some(deadline)),
+                );
+                let tracker = ctx.pool.tracker().clone();
+                let result = run(ctx, ExecMode::Parallel { workers });
+                assert_eq!(tracker.current_bytes(), 0, "teardown must drain");
+                // The same 96-byte temp blocks as `ctx_for`, so both runs
+                // last equally long.
+                let engine = crate::engine::Engine::new(
+                    crate::engine::EngineConfig::parallel(workers)
+                        .with_block_bytes(96)
+                        .with_deadline(Some(deadline)),
+                );
+                let through_engine = engine.execute(cross_product_plan());
+                if cancelled_mid_run(result.map(|(b, _)| b.len()))
+                    && cancelled_mid_run(through_engine.map(|r| r.num_rows()))
+                {
+                    hits += 1;
+                } else {
+                    deadline *= 2;
+                }
+            }
         }
     }
 

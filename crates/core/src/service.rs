@@ -4,12 +4,14 @@
 //! The [`Engine`](crate::engine::Engine) runs one query at a time on the
 //! caller's thread — the right shape for studying one query's UoT
 //! behaviour, the wrong shape for a server. [`QueryService`] is the
-//! long-lived form: a single scheduler thread multiplexes one
-//! `SchedulerCore` per admitted query over a shared pool of worker threads,
-//! and every dispatched work order, pool allocation, metric and trace event
-//! carries the query's [`QueryId`].
+//! long-lived form: one `SchedulerCore` per admitted query shares a pool of
+//! worker threads, and every dispatched work order, pool allocation, metric
+//! and trace event carries the query's [`QueryId`]. The workers dispatch
+//! their own work orders (booking each completion and taking the next order
+//! under one dispatcher lock); a service thread keeps admission, deadlines,
+//! the budget retry and teardown.
 //! Everything else about a query's life — its preparation, the budget-retry
-//! rule, teardown and the dispatch loop itself — is the code a standalone
+//! rule, teardown and the worker pool itself — is the code a standalone
 //! `Engine` run uses.
 //!
 //! Three mechanisms keep tenants honest:
@@ -47,7 +49,7 @@ use crate::obs::{
 };
 use crate::plan::QueryPlan;
 use crate::query_id::QueryId;
-use crate::scheduler::{worker_loop, Completion, Dispatcher, Job, QueryRun};
+use crate::scheduler::{worker_loop, QueryRun, WorkerPool};
 use crate::trace::{TraceSink, DEFAULT_TRACE_CAPACITY};
 use crate::uot::Uot;
 use crate::Result;
@@ -227,11 +229,13 @@ struct Submission {
     ticket: Ticket,
 }
 
-/// Everything the scheduler thread multiplexes over one channel — no
-/// `select!` needed: submissions, completions and shutdown arrive in order.
+/// Everything the service thread multiplexes over one channel — no
+/// `select!` needed: submissions, retirements and shutdown arrive in order.
 enum ToService {
     Submit(Box<Submission>),
-    Done(Box<Completion>),
+    /// A worker retired a query: it booked the query's last in-flight
+    /// completion, or found it done on a pick. The query awaits teardown.
+    Finished,
     Shutdown,
 }
 
@@ -243,7 +247,7 @@ enum ToService {
 #[derive(Debug)]
 pub struct QueryService {
     to_service: Sender<ToService>,
-    scheduler: Option<std::thread::JoinHandle<()>>,
+    service: Option<std::thread::JoinHandle<()>>,
     workers: Vec<std::thread::JoinHandle<()>>,
     next_id: AtomicU64,
     tracker: Arc<MemoryTracker>,
@@ -258,36 +262,36 @@ pub struct QueryService {
 }
 
 impl QueryService {
-    /// Start the service: one scheduler thread plus
-    /// [`ServiceConfig::workers`] worker threads.
+    /// Start the service: one service thread (admission, deadlines,
+    /// teardown) plus [`ServiceConfig::workers`] worker threads.
     pub fn start(config: ServiceConfig) -> Result<Self> {
         config.validate()?;
         let tracker = MemoryTracker::new();
         let hub = Arc::new(MetricsHub::new());
         let registry = Arc::new(LiveRegistry::new());
         let (to_service, service_rx) = crossbeam::channel::unbounded::<ToService>();
-        let (jobs, job_rx) = crossbeam::channel::unbounded::<Job>();
+        let pool = Arc::new(WorkerPool::new());
         let workers = (0..config.workers)
             .map(|worker| {
-                let (job_rx, done) = (job_rx.clone(), to_service.clone());
+                let (pool, done) = (pool.clone(), to_service.clone());
                 std::thread::spawn(move || {
-                    worker_loop(worker, &job_rx, |c| {
-                        done.send(ToService::Done(Box::new(c))).is_ok()
+                    worker_loop(worker, &pool, || {
+                        let _ = done.send(ToService::Finished);
                     })
                 })
             })
             .collect();
-        let loop_state = SchedulerLoop {
+        let loop_state = ServiceLoop {
             config: config.clone(),
             tracker: tracker.clone(),
-            queries: Dispatcher::new(jobs, config.workers),
+            pool,
             pending: VecDeque::new(),
             reserved: 0,
             draining: false,
             hub: hub.clone(),
             registry: registry.clone(),
         };
-        let scheduler = std::thread::spawn(move || loop_state.run(service_rx));
+        let service = std::thread::spawn(move || loop_state.run(service_rx));
         let http = match config.http_port {
             None => None,
             Some(port) => Some(
@@ -307,7 +311,7 @@ impl QueryService {
         };
         Ok(QueryService {
             to_service,
-            scheduler: Some(scheduler),
+            service: Some(service),
             workers,
             next_id: AtomicU64::new(1),
             tracker,
@@ -446,7 +450,7 @@ impl QueryService {
 
     fn shutdown_inner(&mut self) {
         let _ = self.to_service.send(ToService::Shutdown);
-        if let Some(h) = self.scheduler.take() {
+        if let Some(h) = self.service.take() {
             let _ = h.join();
         }
         for h in self.workers.drain(..) {
@@ -464,12 +468,12 @@ impl Drop for QueryService {
     }
 }
 
-/// The scheduler thread's event loop.
-struct SchedulerLoop {
+/// The service thread's event loop.
+struct ServiceLoop {
     config: ServiceConfig,
     tracker: Arc<MemoryTracker>,
-    /// Admitted queries, dispatched round-robin over the shared workers.
-    queries: Dispatcher<Ticket>,
+    /// Admitted queries, dispatched round-robin by the shared workers.
+    pool: Arc<WorkerPool<Ticket>>,
     /// FIFO admission queue (reservations that do not currently fit).
     pending: VecDeque<Box<Submission>>,
     /// Sum of active reservations, ≤ `config.memory_budget`.
@@ -481,15 +485,20 @@ struct SchedulerLoop {
     registry: Arc<LiveRegistry>,
 }
 
-impl SchedulerLoop {
+impl ServiceLoop {
     fn run(mut self, rx: Receiver<ToService>) {
         loop {
+            // A pool closed under the loop means a worker panicked and the
+            // queries' state is suspect: stop without finalizing any, so
+            // every handle still waiting sees `ServiceShutdown`.
+            if self.pool.lock().is_closed() {
+                self.draining = true;
+                self.admit_pending(); // draining: rejects everything queued
+                break;
+            }
             self.check_deadlines();
-            // Sweep before dispatching: finalizing a drained query may admit
-            // a queued one, whose first work orders dispatch this same turn.
             self.sweep_finished();
-            self.queries.dispatch();
-            if self.draining && self.queries.is_empty() {
+            if self.draining && self.pool.lock().is_empty() {
                 self.admit_pending(); // draining: rejects everything queued
                 break;
             }
@@ -506,24 +515,24 @@ impl SchedulerLoop {
             };
             match msg {
                 ToService::Submit(sub) => self.handle_submit(sub),
-                ToService::Done(c) => self.queries.on_done(*c),
+                ToService::Finished => {}
                 ToService::Shutdown => self.draining = true,
             }
         }
-        // The job channel hangs up with the dispatcher; idle workers exit.
     }
 
     /// Nearest deadline among active, not-yet-cancelled queries — the recv
     /// timeout that guarantees deadlines fire while the service is idle.
     fn next_deadline(&self) -> Option<Duration> {
-        self.queries
+        self.pool
+            .lock()
             .runs()
             .filter_map(|q| q.ctx().until_deadline())
             .min()
     }
 
     fn check_deadlines(&self) {
-        for q in self.queries.runs() {
+        for q in self.pool.lock().runs() {
             q.ctx().check_deadline();
             if q.ctx().cancel.is_cancelled() {
                 if let Some(live) = &q.meta.live {
@@ -621,23 +630,19 @@ impl SchedulerLoop {
                 }
                 ticket.sink = sink;
                 ticket.live = live;
-                self.queries.admit(QueryRun::new(core, ticket));
+                self.pool.admit(QueryRun::new(core, ticket));
             }
             Err(e) => self.release(ticket, Err(e)),
         }
     }
 
     /// Finalize every query whose in-flight work has drained and that is
-    /// finished, failed, cancelled or stalled.
+    /// finished, failed, cancelled or stalled — outside the dispatcher lock,
+    /// so teardown never stalls the workers.
     fn sweep_finished(&mut self) {
-        let done: Vec<QueryId> = self
-            .queries
-            .runs()
-            .filter(|q| q.is_done())
-            .map(|q| q.meta.id)
-            .collect();
-        for id in done {
-            self.finalize(id);
+        let done = self.pool.lock().take_done();
+        for run in done {
+            self.finalize(run);
         }
     }
 
@@ -648,10 +653,7 @@ impl SchedulerLoop {
     /// place, keeping its id, reservation, token and what is left of its
     /// deadline; any other outcome is delivered, the reservation released and
     /// queued admissions retried.
-    fn finalize(&mut self, id: QueryId) {
-        let Some(run) = self.queries.remove(id) else {
-            return;
-        };
+    fn finalize(&mut self, run: QueryRun<Ticket>) {
         let plan = run.ctx().plan.clone();
         let elapsed = run.ctx().elapsed();
         let (mut ticket, outcome) = run.finish();
@@ -698,6 +700,14 @@ impl SchedulerLoop {
         self.registry.remove(ticket.id);
         lifecycle::hub_finished(&self.hub, &outcome, ticket.submitted.elapsed());
         let _ = ticket.reply.send(outcome);
+    }
+}
+
+/// The loop exits on shutdown (or with the service thread's panic): closing
+/// the pool lets every worker return.
+impl Drop for ServiceLoop {
+    fn drop(&mut self) {
+        self.pool.close();
     }
 }
 

@@ -68,9 +68,10 @@ impl SpillObserver for EngineSpillHook {
                 std::thread::sleep(d);
                 Ok(())
             }
-            // Spill I/O runs on the scheduler thread as well as inside work
-            // orders, so a `Panic` here is not guaranteed to be contained by
-            // the work-order catch_unwind. Both failure kinds degrade to a
+            // Spill I/O runs while a worker books a completion under the
+            // dispatcher lock as well as inside work orders, so a `Panic`
+            // here is not guaranteed to be contained by the work-order
+            // catch_unwind. Both failure kinds degrade to a
             // clean error instead — the invariant under test is "a failed
             // spill surfaces as an attributed error, never a crash or leak".
             Some(kind @ (FaultKind::Panic | FaultKind::Error)) => {

@@ -1,10 +1,11 @@
 //! Shared runtime state for one executing query.
 //!
 //! Work orders run on worker threads and only touch this state plus their
-//! input block; all scheduling decisions stay in the scheduler thread. The
-//! state is therefore limited to thread-safe structures: output buffers,
-//! shared join hash tables, pooled aggregate partials, collected block lists
-//! (sort input / nested-loops inner side) and the limit counter.
+//! input block; scheduling decisions are made between work orders, under
+//! the dispatcher lock. The state is therefore limited to thread-safe
+//! structures: output buffers, shared join hash tables, pooled aggregate
+//! partials, collected block lists (sort input / nested-loops inner side)
+//! and the limit counter.
 
 use crate::bloom::BloomFilter;
 use crate::cancel::CancellationToken;

@@ -264,8 +264,9 @@ fn thread_shard_key() -> usize {
     })
 }
 
-/// A bounded, sharded event buffer shared by the scheduler thread and every
-/// worker.
+/// A bounded, sharded event buffer shared by every worker, whether it
+/// records from inside a work order or while booking one under the
+/// dispatcher lock.
 ///
 /// Recording takes one uncontended `parking_lot` lock on a shard picked by
 /// the calling thread's id, so concurrent workers rarely collide. The sink

@@ -274,3 +274,25 @@ fn lip_variants_agree_with_plain_plans() {
         assert!(sel.lip_pruned_rows > 0, "{} pruned nothing", q.label());
     }
 }
+
+#[test]
+fn parallel_concurrency_never_exceeds_the_workers() {
+    // A work order runs only between the start and end its worker stamps, so
+    // the global overlap of Q3's task intervals stays within the pool, and a
+    // one-worker pool runs its work orders strictly one after another.
+    let db = db();
+    for workers in [1, 2, 4] {
+        let plan = build_query(QueryId::Q3, &db).expect("plan builds");
+        let cfg = EngineConfig::parallel(workers).with_uot(Uot::LOW);
+        let m = Engine::new(cfg).execute(plan).expect("query runs").metrics;
+        assert!(m.tasks.len() > workers, "{} work orders", m.tasks.len());
+        let overlap = m.max_concurrency();
+        assert!(overlap <= workers, "{overlap} running on {workers} workers");
+        if workers == 1 {
+            // `tasks` is sorted by start.
+            for w in m.tasks.windows(2) {
+                assert!(w[1].start >= w[0].end, "{:?} overlaps {:?}", w[0], w[1]);
+            }
+        }
+    }
+}
