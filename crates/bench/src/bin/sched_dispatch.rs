@@ -8,11 +8,12 @@
 //! outputs. With `UOT_DISPATCH_BLOCKS` source blocks (default 10 000) the
 //! select→aggregate chain issues >2× that many work orders.
 //!
-//! One table holds serial, `Parallel(1)` and `Parallel(UOT_WORKERS)` rows.
-//! The modes run interleaved — every run executes each plan under each mode
-//! once before the next run starts — so drift on the machine lands on all of
-//! them alike. `Parallel(1)` does the serial CPU work on one worker thread:
-//! its gap to serial is the price of handing work orders to a pool.
+//! One table holds serial and `Parallel(UOT_WORKERS)` rows. The modes run
+//! interleaved — every run executes each plan under each mode once before
+//! the next run starts — so drift on the machine lands on both alike. Serial
+//! is the one-worker pool on the calling thread (`Parallel(1)` runs the same
+//! code), so the parallel row's gap to it is the price of a second worker
+//! contending for the dispatcher lock.
 //!
 //! Env knobs: `UOT_DISPATCH_BLOCKS` (source blocks), `UOT_RUNS` (protocol
 //! runs, mean of best 3), `UOT_WORKERS` (parallel worker count).
@@ -84,7 +85,7 @@ fn main() {
         ("select-only", select_only(table.clone())),
         ("select->aggregate", select_aggregate(table)),
     ];
-    let mut modes = vec![ExecMode::Serial, ExecMode::Parallel { workers: 1 }];
+    let mut modes = vec![ExecMode::Serial];
     if workers() > 1 {
         modes.push(ExecMode::Parallel { workers: workers() });
     }

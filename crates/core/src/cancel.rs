@@ -5,8 +5,8 @@
 //! blocks, so a tripped token stops the query at the next safe point — no
 //! thread is ever interrupted mid-block. Deadlines
 //! ([`ExecContext::deadline`](crate::state::ExecContext::deadline)) are
-//! implemented on top of the same flag: the driver trips its own token once
-//! the deadline elapses.
+//! implemented on top of the same flag: the first of those checks made past
+//! the deadline trips the token.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -90,7 +90,7 @@ pub(crate) fn prepare(
     let sink = cfg.trace.map(|tc| TraceSink::for_query(tc.capacity, query));
     // Progress and spill activity stream into the live record while the
     // service's HTTP endpoint reads it.
-    let live = service.map(|_| LiveQuery::new(query, budget, tracker.clone()));
+    let live = service.map(|_| LiveQuery::new(query, budget, tracker.clone(), token.clone()));
     // Spill only makes sense against a finite budget: with none the pool
     // never feels pressure. Evicted bytes come off the query's tracker, so
     // only resident bytes count toward a service's admission budget.

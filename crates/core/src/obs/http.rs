@@ -196,6 +196,7 @@ mod tests {
             QueryId::new(1),
             1 << 20,
             MemoryTracker::new(),
+            crate::cancel::CancellationToken::new(),
         ));
         Arc::new(ServerState {
             hub: Arc::new(MetricsHub::new()),

@@ -6,23 +6,14 @@
 //! concurrently by the HTTP endpoint. Queued submissions appear as lightweight
 //! [`QueuedEntry`]s so `/queries` shows the admission queue too.
 
+use crate::cancel::CancellationToken;
 use crate::query_id::QueryId;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use uot_storage::MemoryTracker;
-
-/// Lifecycle of a registry entry, rendered in the `/queries` state column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum LiveState {
-    /// Admitted and executing.
-    Running = 0,
-    /// Cancelled (explicitly or by deadline); draining in-flight work.
-    Cancelling = 1,
-}
 
 /// Live status of one admitted query — all atomics, written by the worker
 /// that holds the dispatcher lock, read from the HTTP thread.
@@ -36,7 +27,9 @@ pub struct LiveQuery {
     pub started: Instant,
     /// The query's own memory tracker (resident bytes).
     tracker: Arc<MemoryTracker>,
-    state: AtomicU8,
+    /// The query's cancellation token: once tripped (explicitly or by the
+    /// deadline) the query is draining, and `/queries` says `cancelling`.
+    token: CancellationToken,
     dispatched: AtomicUsize,
     completed: AtomicUsize,
     spill_events: AtomicUsize,
@@ -44,23 +37,22 @@ pub struct LiveQuery {
 
 impl LiveQuery {
     /// A fresh record for a query admitted now.
-    pub fn new(id: QueryId, reservation: usize, tracker: Arc<MemoryTracker>) -> Arc<Self> {
+    pub fn new(
+        id: QueryId,
+        reservation: usize,
+        tracker: Arc<MemoryTracker>,
+        token: CancellationToken,
+    ) -> Arc<Self> {
         Arc::new(LiveQuery {
             id,
             reservation,
             started: Instant::now(),
             tracker,
-            state: AtomicU8::new(LiveState::Running as u8),
+            token,
             dispatched: AtomicUsize::new(0),
             completed: AtomicUsize::new(0),
             spill_events: AtomicUsize::new(0),
         })
-    }
-
-    /// Mark the query as cancelling (deadline or explicit cancel).
-    pub fn set_cancelling(&self) {
-        self.state
-            .store(LiveState::Cancelling as u8, Ordering::Relaxed);
     }
 
     /// Work orders dispatched so far.
@@ -84,7 +76,7 @@ impl LiveQuery {
     }
 
     fn state_label(&self) -> &'static str {
-        if self.state.load(Ordering::Relaxed) == LiveState::Cancelling as u8 {
+        if self.token.is_cancelled() {
             "cancelling"
         } else {
             "running"
@@ -120,7 +112,7 @@ enum Entry {
     Running(Arc<LiveQuery>),
 }
 
-/// The service-wide registry of live queries, shared by the scheduler
+/// The service-wide registry of live queries, shared by the service
 /// thread (writes) and the HTTP endpoint (reads).
 #[derive(Debug, Default)]
 pub struct LiveRegistry {
@@ -251,7 +243,12 @@ mod tests {
     use super::*;
 
     fn live(id: u64) -> Arc<LiveQuery> {
-        LiveQuery::new(QueryId::new(id), 1 << 20, MemoryTracker::new())
+        LiveQuery::new(
+            QueryId::new(id),
+            1 << 20,
+            MemoryTracker::new(),
+            CancellationToken::new(),
+        )
     }
 
     #[test]
@@ -267,5 +264,24 @@ mod tests {
         assert!(table.contains("running"), "{table}");
         reg.remove(QueryId::new(2));
         assert_eq!(reg.counts(), (1, 0));
+    }
+
+    #[test]
+    fn a_cancelled_query_renders_cancelling() {
+        let reg = LiveRegistry::new();
+        let token = CancellationToken::new();
+        reg.admit(LiveQuery::new(
+            QueryId::new(1),
+            1 << 20,
+            MemoryTracker::new(),
+            token.clone(),
+        ));
+        let row = |table: String| table.lines().nth(1).unwrap_or_default().to_string();
+        let before = row(reg.render_table());
+        assert!(before.contains("running"), "{before}");
+        token.cancel();
+        let after = row(reg.render_table());
+        assert!(after.starts_with("q1 "), "{after}");
+        assert!(after.contains("cancelling"), "{after}");
     }
 }

@@ -24,16 +24,17 @@
 //!   `QueryMetrics` the paper's figures are made of (plus the trace sink and
 //!   live record when installed); the live hub, when installed, adds the
 //!   finished metrics once, at the end of the attempt.
-//! * [`run_query`] — the one driver, parameterized over [`ExecMode`]:
-//!   inline execution for determinism, or a pool of workers that dispatch
-//!   their own work orders. Each worker books its finished work order and
-//!   takes the next one under one dispatcher lock, so no scheduler thread
-//!   sits between a completion and the next dispatch (Quickstep's separate
-//!   scheduler thread is an implementation choice, not part of the UoT
-//!   model). That pool — per-query in-flight bookkeeping, round-robin
-//!   dispatch, the worker body — is the one the query service multiplexes
-//!   its queries through. [`run`] is the convenience wrapper with default
-//!   metrics and a plain error.
+//! * [`run_query`] — the one driver: a pool of [`ExecMode::workers`]
+//!   workers, the calling thread among them, that dispatch their own work
+//!   orders. Each worker books its finished work order and takes the next
+//!   one under one dispatcher lock, so no scheduler thread sits between a
+//!   completion and the next dispatch (Quickstep's separate scheduler thread
+//!   is an implementation choice, not part of the UoT model). A serial run
+//!   is the one-worker pool: no thread is spawned and the order is
+//!   deterministic. That pool — per-query in-flight bookkeeping,
+//!   round-robin dispatch, the worker body — is the one the query service
+//!   multiplexes its queries through. [`run`] is the convenience wrapper
+//!   with default metrics and a plain error.
 
 use crate::edge::{TransferAction, TransferEdge};
 use crate::error::EngineError;
@@ -48,28 +49,29 @@ use crate::topology::Dependent;
 use crate::uot::Uot;
 use crate::work_order::{WorkKind, WorkOrder};
 use crate::Result;
-use crossbeam::channel::RecvTimeoutError;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 use uot_storage::{SpillSlot, StorageBlock};
 
-/// How work orders are driven.
+/// How many workers drive a query's work orders. The calling thread is one
+/// of them, so a run spawns `workers() - 1` threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// One thread, deterministic work-order order. For tests and debugging.
+    /// One worker, the calling thread: a deterministic work-order order.
+    /// The same run as `Parallel { workers: 1 }`.
     Serial,
-    /// `workers` worker threads, each booking its completions and picking
-    /// its next work order itself under one dispatcher lock.
+    /// `workers` workers, each booking its completions and picking its next
+    /// work order itself under one dispatcher lock.
     Parallel {
-        /// Number of worker threads.
+        /// Number of workers, the calling thread included.
         workers: usize,
     },
 }
 
 impl ExecMode {
-    /// Worker-thread count this mode runs with (serial counts as one; a
-    /// parallel pool is clamped to at least one thread).
+    /// Worker count this mode runs with (serial counts as one; a parallel
+    /// pool is clamped to at least one worker).
     pub fn workers(self) -> usize {
         match self {
             ExecMode::Serial => 1,
@@ -879,11 +881,13 @@ pub fn run(
 pub(crate) type Outcome =
     std::result::Result<(Vec<Arc<StorageBlock>>, QueryMetrics), Box<FailedQuery>>;
 
-/// Drive a hand-built context's plan under `mode`, recording into
-/// `observer` — e.g. a [`QueryObserver`] with a trace sink installed. Edges
-/// without a UoT override run at [`Uot::LOW`]; the deadline, if any, is the
-/// context's own ([`ExecContext::with_deadline`]). `Engine` and
-/// `QueryService` drive the contexts they prepare through the same loop.
+/// Drive a hand-built context's plan on `mode.workers()` workers, the
+/// calling thread among them, recording into `observer` — e.g. a
+/// [`QueryObserver`] with a trace sink installed. Edges without a UoT
+/// override run at [`Uot::LOW`]; the deadline, if any, is the context's own
+/// ([`ExecContext::with_deadline`]) and is checked wherever cancellation is.
+/// `Engine` and `QueryService` drive the contexts they prepare through the
+/// same worker loop.
 ///
 /// On failure the partial metrics survive as [`FailedQuery::partial_metrics`]:
 /// after the first error, dispatch stops but every in-flight completion is
@@ -902,59 +906,26 @@ pub fn run_query(
     ))
 }
 
-/// Drive one query to completion on the calling thread.
-/// [`ExecMode::Serial`] executes each work order inline, in a deterministic
-/// order; [`ExecMode::Parallel`] admits the query to a [`WorkerPool`] of its
-/// own, whose workers book completions and pick work orders themselves, and
-/// waits for the query to finish or for its deadline to trip.
-pub(crate) fn drive(mut run: QueryRun) -> Outcome {
-    let ctx = run.core.ctx.clone();
-    if run.core.mode == ExecMode::Serial {
-        loop {
-            ctx.check_deadline();
-            let Some(wo) = run.next_work_order() else {
-                break;
-            };
-            run.on_done(Completion::execute(&ctx, wo, 0));
-        }
-        return run.finish().1;
-    }
+/// Drive one query to completion: admit it to a [`WorkerPool`] of its own,
+/// run worker 0 on the calling thread and spawn the other
+/// `mode.workers() - 1`. The pool closes itself when its query retires, so
+/// every worker returns. With one worker (serial) no thread is spawned and
+/// the work orders run in a deterministic order. A worker's panic closes
+/// the pool too; the scope re-raises it.
+pub(crate) fn drive(run: QueryRun) -> Outcome {
     let workers = run.core.mode.workers();
     let pool = WorkerPool::new();
     pool.admit(run);
-    let (done_tx, done_rx) = crossbeam::channel::unbounded::<()>();
+    let retired = |d: &mut Dispatcher<()>| d.closed = true;
     std::thread::scope(|scope| {
-        for worker in 0..workers {
-            let (pool, done_tx) = (&pool, done_tx.clone());
-            scope.spawn(move || {
-                worker_loop(worker, pool, || {
-                    let _ = done_tx.send(());
-                })
-            });
+        for worker in 1..workers {
+            let pool = &pool;
+            scope.spawn(move || worker_loop(worker, pool, retired));
         }
-        drop(done_tx); // the waiter holds only the receiver
-        loop {
-            let signal = match ctx.until_deadline() {
-                Some(left) => done_rx.recv_timeout(left),
-                None => done_rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-            };
-            match signal {
-                // The query retired, or a worker panicked (it closed the
-                // pool; the scope re-raises the panic on join).
-                Ok(()) | Err(RecvTimeoutError::Disconnected) => break,
-                Err(RecvTimeoutError::Timeout) => {
-                    let dispatcher = pool.lock();
-                    ctx.check_deadline();
-                    if dispatcher.runs().all(QueryRun::is_done) {
-                        break;
-                    }
-                }
-            }
-        }
-        pool.close();
+        worker_loop(0, &pool, retired);
     });
     let run = pool.lock().take_done().pop();
-    run.expect("the waiter returns once its query is done")
+    run.expect("the pool closes once its query is done")
         .finish()
         .1
 }
@@ -985,16 +956,21 @@ impl Completion {
     }
 }
 
-/// The body of every worker thread, standalone or in the query service.
+/// The body of every worker, standalone or in the query service.
 /// Each turn, under the dispatcher lock, the worker books its previous
 /// completion and takes the next work order round-robin; it runs that order
 /// outside the lock, and waits on the pool's condvar while nothing is
-/// ready. `finished` is called whenever a query retires: the worker booked
-/// its last in-flight completion, or found it done (cancelled, say) on a
-/// pick. Returns once the pool is closed. A panic here is a scheduler bug
-/// (work orders are contained): it closes the pool so no sibling waits
-/// forever, signals `finished` and resumes unwinding.
-pub(crate) fn worker_loop<M>(worker: usize, pool: &WorkerPool<M>, mut finished: impl FnMut()) {
+/// ready. `finished` is called, still under the lock, whenever a query
+/// retires: the worker booked its last in-flight completion, or found it
+/// done (cancelled, say) on a pick. Returns once the pool is closed, waking
+/// the other workers on its way out. A panic here is a scheduler bug (work
+/// orders are contained): it closes the pool so no sibling waits forever,
+/// signals `finished` and resumes unwinding.
+pub(crate) fn worker_loop<M>(
+    worker: usize,
+    pool: &WorkerPool<M>,
+    mut finished: impl FnMut(&mut Dispatcher<M>),
+) {
     let body = std::panic::AssertUnwindSafe(|| {
         let mut done: Option<Completion> = None;
         loop {
@@ -1003,19 +979,25 @@ pub(crate) fn worker_loop<M>(worker: usize, pool: &WorkerPool<M>, mut finished: 
                 // Closed with a completion in hand only after a panic: the
                 // state it would be booked into is suspect.
                 if d.closed {
+                    drop(d);
+                    pool.ready.notify_all();
                     return;
                 }
                 if let Some(c) = done.take() {
                     if d.book(c) {
-                        finished();
+                        finished(&mut d);
                     }
                 }
                 let (job, retired) = d.next_job();
                 if retired {
-                    finished();
+                    finished(&mut d);
                 }
                 if let Some(job) = job {
                     break job;
+                }
+                // A standalone pool closes once its query retired.
+                if d.closed {
+                    continue;
                 }
                 d.idle += 1;
                 d = pool.ready.wait(d).unwrap_or_else(PoisonError::into_inner);
@@ -1031,7 +1013,7 @@ pub(crate) fn worker_loop<M>(worker: usize, pool: &WorkerPool<M>, mut finished: 
     });
     if let Err(panic) = std::panic::catch_unwind(body) {
         pool.close();
-        finished();
+        finished(&mut pool.lock());
         std::panic::resume_unwind(panic);
     }
 }
@@ -1063,10 +1045,10 @@ impl<M> QueryRun<M> {
         &self.core.ctx
     }
 
-    /// The query failed or was cancelled: nothing more dispatches, while
-    /// its in-flight completions still drain.
+    /// The query failed, was cancelled or ran past its deadline: nothing
+    /// more dispatches, while its in-flight completions still drain.
     fn stopped(&self) -> bool {
-        self.first_error.is_some() || self.core.ctx.cancel.is_cancelled()
+        self.first_error.is_some() || self.core.ctx.is_cancelled()
     }
 
     /// Whether a work order would be handed out now.
@@ -1135,7 +1117,7 @@ impl<M> QueryRun<M> {
             ..
         } = self;
         let ctx = core.ctx.clone();
-        if first_error.is_none() && ctx.cancel.is_cancelled() {
+        if first_error.is_none() && ctx.is_cancelled() {
             // Placeholder counters, rewritten by `finalize_error`.
             first_error = Some(EngineError::Cancelled {
                 after: Duration::ZERO,
@@ -1159,7 +1141,7 @@ impl<M> QueryRun<M> {
     }
 }
 
-/// The parallel dispatch state: the active queries, a round-robin ring over
+/// The dispatch state: the active queries, a round-robin ring over
 /// the ones that may still dispatch, and the workers waiting for work. It
 /// lives behind the [`WorkerPool`]'s lock, which every worker takes once per
 /// work order.
@@ -1215,15 +1197,14 @@ impl<M> Dispatcher<M> {
         true
     }
 
-    /// The next work order round-robin, one per query per turn, checking
-    /// each visited query's deadline first. Queries found done on the way
-    /// leave the ring; the flag says whether any did.
+    /// The next work order round-robin, one per query per turn. Queries
+    /// found done on the way (a passed deadline counts as a cancel) leave
+    /// the ring; the flag says whether any did.
     fn next_job(&mut self) -> (Option<(Arc<ExecContext>, WorkOrder)>, bool) {
         let mut retired = false;
         for _ in 0..self.ring.len() {
             let id = self.ring.pop_front().expect("ring is non-empty");
             let run = self.runs.get_mut(&id).expect("ring ids are admitted");
-            run.ctx().check_deadline();
             if let Some(wo) = run.next_work_order() {
                 self.ring.push_back(id);
                 return (Some((run.ctx().clone(), wo)), retired);
@@ -1238,9 +1219,9 @@ impl<M> Dispatcher<M> {
     }
 }
 
-/// The parallel execution pool: a [`Dispatcher`] behind one lock, and a
-/// condvar its idle workers wait on. A standalone parallel run owns one per
-/// query; the query service shares one across its queries.
+/// The execution pool: a [`Dispatcher`] behind one lock, and a condvar its
+/// idle workers wait on. A standalone run owns one per query; the query
+/// service shares one across its queries.
 pub(crate) struct WorkerPool<M> {
     dispatcher: Mutex<Dispatcher<M>>,
     ready: Condvar,
@@ -1351,8 +1332,8 @@ mod tests {
     }
 
     // Thin shims over the one driver, keeping the test bodies readable:
-    // `run_serial` runs inline with `default_uot` on every edge without an
-    // override, `run_parallel` on a pool of `workers` threads.
+    // `run_serial` runs on the calling thread with `default_uot` on every
+    // edge without an override, `run_parallel` on a pool of `workers`.
 
     fn core_for(ctx: &Arc<ExecContext>, default_uot: Uot) -> SchedulerCore {
         let observer = QueryObserver::new(&ctx.plan);
@@ -1835,13 +1816,12 @@ mod tests {
     }
 
     #[test]
-    fn mid_query_deadline_cancels_parallel_runs() {
-        // The waiter of a parallel run sleeps until the query retires or its
-        // deadline passes; when the deadline fires it trips the token itself,
-        // also when no work order is in flight to notice. A deadline too short
-        // for any work order to finish first is doubled and retried, so a
-        // slow machine cannot turn the mid-run case into an expired-at-start
-        // one.
+    fn mid_query_deadline_cancels_every_mode() {
+        // A deadline is a condition of cancellation: the first check past it
+        // (between a work order's blocks, or at a pick) trips the token, in
+        // a serial run as in a pool. A deadline too short for any work order
+        // to finish first is doubled and retried, so a slow machine cannot
+        // turn the mid-run case into an expired-at-start one.
         let cancelled_mid_run = |result: std::result::Result<usize, EngineError>| match result {
             Err(EngineError::Cancelled {
                 completed_work_orders,
@@ -1850,13 +1830,17 @@ mod tests {
             Err(other) => panic!("expected Cancelled, got {other}"),
             Ok(rows) => panic!("query finished despite its deadline ({rows} rows)"),
         };
-        for workers in [1, 2] {
+        for mode in [
+            ExecMode::Serial,
+            ExecMode::Parallel { workers: 1 },
+            ExecMode::Parallel { workers: 2 },
+        ] {
             let mut deadline = Duration::from_millis(2);
             let mut hits = 0;
             while hits < 2 {
                 assert!(
                     deadline < Duration::from_secs(1),
-                    "no mid-run cancel on {workers}"
+                    "no mid-run cancel under {mode:?}"
                 );
                 let ctx = ctx_for(cross_product_plan());
                 let ctx = Arc::new(
@@ -1865,14 +1849,17 @@ mod tests {
                         .with_deadline(Some(deadline)),
                 );
                 let tracker = ctx.pool.tracker().clone();
-                let result = run(ctx, ExecMode::Parallel { workers });
+                let result = run(ctx, mode);
                 assert_eq!(tracker.current_bytes(), 0, "teardown must drain");
                 // The same 96-byte temp blocks as `ctx_for`, so both runs
                 // last equally long.
                 let engine = crate::engine::Engine::new(
-                    crate::engine::EngineConfig::parallel(workers)
-                        .with_block_bytes(96)
-                        .with_deadline(Some(deadline)),
+                    crate::engine::EngineConfig {
+                        mode,
+                        ..Default::default()
+                    }
+                    .with_block_bytes(96)
+                    .with_deadline(Some(deadline)),
                 );
                 let through_engine = engine.execute(cross_product_plan());
                 if cancelled_mid_run(result.map(|(b, _)| b.len()))

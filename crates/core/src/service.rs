@@ -8,11 +8,12 @@
 //! worker threads, and every dispatched work order, pool allocation, metric
 //! and trace event carries the query's [`QueryId`]. The workers dispatch
 //! their own work orders (booking each completion and taking the next order
-//! under one dispatcher lock); a service thread keeps admission, deadlines,
-//! the budget retry and teardown.
+//! under one dispatcher lock); a service thread keeps admission, the budget
+//! retry and teardown, and sleeps until a submission, a retired query or
+//! shutdown arrives.
 //! Everything else about a query's life — its preparation, the budget-retry
-//! rule, teardown and the worker pool itself — is the code a standalone
-//! `Engine` run uses.
+//! rule, teardown, its deadline (checked wherever cancellation is) and the
+//! worker pool and its loop — is the code a standalone `Engine` run uses.
 //!
 //! Three mechanisms keep tenants honest:
 //!
@@ -53,11 +54,11 @@ use crate::scheduler::{worker_loop, QueryRun, WorkerPool};
 use crate::trace::{TraceSink, DEFAULT_TRACE_CAPACITY};
 use crate::uot::Uot;
 use crate::Result;
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{Receiver, Sender};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use uot_sql::{CacheStats, PlanCache, PlanCacheOutcome};
 use uot_storage::{BlockFormat, Catalog, MemoryTracker};
 
@@ -262,7 +263,7 @@ pub struct QueryService {
 }
 
 impl QueryService {
-    /// Start the service: one service thread (admission, deadlines,
+    /// Start the service: one service thread (admission, budget retry,
     /// teardown) plus [`ServiceConfig::workers`] worker threads.
     pub fn start(config: ServiceConfig) -> Result<Self> {
         config.validate()?;
@@ -275,7 +276,7 @@ impl QueryService {
             .map(|worker| {
                 let (pool, done) = (pool.clone(), to_service.clone());
                 std::thread::spawn(move || {
-                    worker_loop(worker, &pool, || {
+                    worker_loop(worker, &pool, |_| {
                         let _ = done.send(ToService::Finished);
                     })
                 })
@@ -468,7 +469,10 @@ impl Drop for QueryService {
     }
 }
 
-/// The service thread's event loop.
+/// The service thread's event loop: it blocks on its channel and wakes for
+/// a submission, a retired query or shutdown. Deadlines need no wake-up: a
+/// query past its deadline is cancelled by its own next cancellation check
+/// and retires through a worker like any cancelled query.
 struct ServiceLoop {
     config: ServiceConfig,
     tracker: Arc<MemoryTracker>,
@@ -496,48 +500,18 @@ impl ServiceLoop {
                 self.admit_pending(); // draining: rejects everything queued
                 break;
             }
-            self.check_deadlines();
             self.sweep_finished();
             if self.draining && self.pool.lock().is_empty() {
                 self.admit_pending(); // draining: rejects everything queued
                 break;
             }
-            let msg = match self.next_deadline() {
-                None => match rx.recv() {
-                    Ok(m) => m,
-                    Err(_) => break,
-                },
-                Some(remaining) => match rx.recv_timeout(remaining) {
-                    Ok(m) => m,
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => break,
-                },
+            let Ok(msg) = rx.recv() else {
+                break;
             };
             match msg {
                 ToService::Submit(sub) => self.handle_submit(sub),
                 ToService::Finished => {}
                 ToService::Shutdown => self.draining = true,
-            }
-        }
-    }
-
-    /// Nearest deadline among active, not-yet-cancelled queries — the recv
-    /// timeout that guarantees deadlines fire while the service is idle.
-    fn next_deadline(&self) -> Option<Duration> {
-        self.pool
-            .lock()
-            .runs()
-            .filter_map(|q| q.ctx().until_deadline())
-            .min()
-    }
-
-    fn check_deadlines(&self) {
-        for q in self.pool.lock().runs() {
-            q.ctx().check_deadline();
-            if q.ctx().cancel.is_cancelled() {
-                if let Some(live) = &q.meta.live {
-                    live.set_cancelling();
-                }
             }
         }
     }
@@ -715,6 +689,7 @@ impl Drop for ServiceLoop {
 mod tests {
     use super::*;
     use crate::plan::{JoinType, PlanBuilder, Source};
+    use std::time::Duration;
     use uot_expr::{cmp, col, lit, AggSpec, CmpOp};
     use uot_storage::{DataType, Schema, Table, TableBuilder, Value};
 
@@ -853,10 +828,9 @@ mod tests {
         assert_eq!(svc.memory_in_use(), 0, "teardown must drain the victim");
     }
 
-    #[test]
-    fn cancel_stops_a_query_mid_run() {
-        // A 400x400 nested-loops cross product: long enough that the cancel
-        // below always lands before the join finishes.
+    /// A 400x400 nested-loops cross product: long enough that a cancel, or
+    /// a deadline of a few milliseconds, lands before the join finishes.
+    fn cross_product_plan() -> QueryPlan {
         let t = table("cancel_t", 400);
         let mut pb = PlanBuilder::new();
         let inner = pb
@@ -865,8 +839,13 @@ mod tests {
         let j = pb
             .nested_loops(Source::Table(t), inner, vec![], vec![0], vec![0])
             .unwrap();
+        pb.build(j).unwrap()
+    }
+
+    #[test]
+    fn cancel_stops_a_query_mid_run() {
         let svc = small_service(1);
-        let handle = svc.submit(pb.build(j).unwrap()).unwrap();
+        let handle = svc.submit(cross_product_plan()).unwrap();
         handle.cancel();
         match handle.wait() {
             Err(EngineError::Cancelled { after, .. }) => assert!(after > Duration::ZERO),
@@ -893,6 +872,49 @@ mod tests {
         assert!(matches!(e, EngineError::Cancelled { .. }), "{e}");
         assert_eq!(survivor.wait().unwrap().rows()[0][0], Value::I64(20));
         assert_eq!(svc.memory_in_use(), 0);
+    }
+
+    #[test]
+    fn mid_run_deadline_fires_while_a_sibling_completes() {
+        // No timer wakes the service for a deadline: the query's own
+        // cancellation checks trip its token once the deadline passes. A
+        // deadline too short for any work order to finish first is doubled
+        // and retried, so a slow machine cannot turn the mid-run case into
+        // an expired-at-start one.
+        let svc = QueryService::start(ServiceConfig {
+            workers: 2,
+            memory_budget: 64 << 20,
+            default_reservation: 8 << 20,
+            block_bytes: 96,
+            ..Default::default()
+        })
+        .unwrap();
+        let mut deadline = Duration::from_millis(2);
+        loop {
+            assert!(deadline < Duration::from_secs(1), "no mid-run cancel");
+            let doomed = svc
+                .submit_with(
+                    cross_product_plan(),
+                    ExecOptions::default().with_deadline(deadline),
+                )
+                .unwrap();
+            let sibling = svc.submit(join_agg_plan(200)).unwrap();
+            let outcome = doomed.wait();
+            assert_eq!(sibling.wait().unwrap().rows()[0][0], Value::I64(20));
+            assert_eq!(svc.memory_in_use(), 0, "teardown must drain");
+            match outcome {
+                Err(EngineError::Cancelled {
+                    completed_work_orders,
+                    ..
+                }) if completed_work_orders > 0 => break,
+                Err(EngineError::Cancelled { .. }) => deadline *= 2,
+                Err(other) => panic!("expected Cancelled, got {other}"),
+                Ok(r) => panic!(
+                    "query finished despite its deadline ({} rows)",
+                    r.num_rows()
+                ),
+            }
+        }
     }
 
     #[test]
@@ -1028,7 +1050,19 @@ mod tests {
             ..Default::default()
         })
         .unwrap();
-        let h1 = svc.submit(join_agg_plan(1000)).unwrap();
+        // h1's first work order sleeps, so h1 still holds the whole budget
+        // when the service handles h2's submission and the shutdown.
+        let slow_start = crate::fault::FaultPlan::new(vec![crate::fault::Injection {
+            site: crate::fault::FaultSite::WorkOrderExec,
+            kind: crate::fault::FaultKind::Delay(Duration::from_millis(300)),
+            nth: 1,
+        }]);
+        let h1 = svc
+            .submit_with(
+                join_agg_plan(1000),
+                ExecOptions::default().with_faults(Arc::new(slow_start)),
+            )
+            .unwrap();
         let h2 = svc.submit(join_agg_plan(50)).unwrap(); // queued behind h1
         drop(svc); // graceful: drains h1, rejects h2
         assert!(h1.wait().is_ok());

@@ -351,11 +351,11 @@ pub struct ExecContext {
     /// Pool of reusable [`Scratch`] buffers (≤ one per concurrent worker).
     scratch: Mutex<Vec<Scratch>>,
     /// Cooperative cancellation flag, checked between blocks by loop
-    /// operators and at every scheduler dispatch.
+    /// operators and at every scheduler dispatch (see [`Self::is_cancelled`]).
     pub cancel: CancellationToken,
     /// Optional wall-clock deadline from query start. Once it passes, the
-    /// driver cancels [`Self::cancel`] at its next dispatch and the query
-    /// yields [`EngineError::Cancelled`].
+    /// next cancellation check trips [`Self::cancel`] and the query yields
+    /// [`EngineError::Cancelled`].
     pub deadline: Option<Duration>,
     /// Fault-injection registry (empty outside chaos tests).
     pub faults: Arc<FaultPlan>,
@@ -596,7 +596,7 @@ impl ExecContext {
     /// only the driver knows the authoritative count and rewrites the error
     /// before surfacing it.
     pub fn check_cancelled(&self) -> Result<()> {
-        if self.cancel.is_cancelled() {
+        if self.is_cancelled() {
             Err(EngineError::Cancelled {
                 after: self.started.elapsed(),
                 completed_work_orders: 0,
@@ -611,17 +611,14 @@ impl ExecContext {
         self.started.elapsed()
     }
 
-    /// Cancel the query once its deadline has passed.
-    pub(crate) fn check_deadline(&self) {
+    /// Whether the query should stop: its token was tripped, or its
+    /// deadline has passed, which trips the token here. Every cancellation
+    /// check goes through this, so a deadline needs no timer.
+    pub(crate) fn is_cancelled(&self) -> bool {
         if self.deadline.is_some_and(|d| self.elapsed() >= d) {
             self.cancel.cancel();
         }
-    }
-
-    /// Time left before the deadline: `None` without one, or once cancelled.
-    pub(crate) fn until_deadline(&self) -> Option<Duration> {
-        let d = self.deadline.filter(|_| !self.cancel.is_cancelled())?;
-        Some(d.saturating_sub(self.elapsed()))
+        self.cancel.is_cancelled()
     }
 
     /// The compiled key extractor for operator `id` (panics when `id` has no
