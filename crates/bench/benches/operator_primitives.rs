@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of the join primitives: hash-table build and
 //! probe at two hash-table sizes (the Fig. 9/10 scalability contrast), the
-//! aggregate update loop, and the blocking tail: a top-k sort finalize and
-//! per-group exact sums.
+//! aggregate update loop, and the blocking tail: a top-k sort finalize,
+//! per-group exact sums and a partitioned aggregate finalize.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
@@ -114,7 +114,7 @@ fn bench_sort_top_k(c: &mut Criterion) {
 }
 
 /// One exact float sum per group for 30k groups: create the states, scatter
-/// 60k values into them by group id, and `finish` every group.
+/// 60k values into them by group id, and `finalize` every group.
 fn bench_agg_groups(c: &mut Criterion) {
     const GROUPS: u32 = 30_000;
     let b = key_block(8192, 8192);
@@ -127,10 +127,63 @@ fn bench_agg_groups(c: &mut Criterion) {
             let mut states: Vec<AggState> = (0..GROUPS).map(|_| init.clone()).collect();
             AggState::update_scatter(&mut states, &gids, &vals).unwrap();
             let mut acc = 0.0;
-            for st in &mut states {
-                acc += st.finish().as_f64();
+            for st in &states {
+                acc += st.finalize().as_f64();
             }
             black_box(acc)
+        })
+    });
+}
+
+/// Q18's aggregate shape at SF 0.05: `SUM(float)` over 75k `Int32` groups,
+/// one row per group, folded into two partials whose keys interleave (odd
+/// and even blocks, as two workers take a scan's blocks in turn), then
+/// finalized as two partitions run one after the other. Each run folds the
+/// partials afresh (the finalize consumes them); the fold is the same code
+/// on both sides of a finalize change.
+fn bench_agg_finalize(c: &mut Criterion) {
+    use uot_core::ops::aggregate::{execute_block, execute_finalize, freeze};
+    let s = Schema::from_pairs(&[("k", DataType::Int32), ("q", DataType::Float64)]);
+    let mut tb = TableBuilder::new("t", s, BlockFormat::Column, 16 << 10);
+    for k in 0..75_000i32 {
+        tb.append(&[Value::I32(k), Value::F64((k % 50) as f64 + 1.0)])
+            .unwrap();
+    }
+    let t = Arc::new(tb.finish());
+    let mut pb = PlanBuilder::new();
+    let op = pb
+        .aggregate(
+            Source::Table(t.clone()),
+            vec![0],
+            vec![AggSpec::sum(col(1))],
+            &["sum_q"],
+        )
+        .unwrap();
+    let plan = Arc::new(pb.build(op).unwrap());
+    c.bench_function("agg_finalize_75k_groups_two_partials", |bench| {
+        bench.iter(|| {
+            let pool = BlockPool::new(MemoryTracker::new());
+            let ctx =
+                ExecContext::new(plan.clone(), pool, BlockFormat::Column, 512 << 10, 4).unwrap();
+            let partials = &ctx.runtimes[op].agg_partials;
+            // Hold the first partial while the odd blocks fold, so they
+            // build a second one.
+            let blocks = t.blocks();
+            execute_block(&ctx, op, &blocks[0]).unwrap();
+            let first = partials.lock().pop().unwrap();
+            for b in blocks.iter().skip(1).step_by(2) {
+                execute_block(&ctx, op, b).unwrap();
+            }
+            partials.lock().push(first);
+            for b in blocks.iter().skip(2).step_by(2) {
+                execute_block(&ctx, op, b).unwrap();
+            }
+            let (frozen, parts) = freeze(&ctx, op, 2).unwrap();
+            let mut out = Vec::new();
+            for part in 0..parts {
+                out.extend(execute_finalize(&ctx, op, part, parts, &frozen).unwrap());
+            }
+            black_box((out, ctx.output(op).flush()))
         })
     });
 }
@@ -141,6 +194,7 @@ criterion_group!(
     bench_probe,
     bench_aggregate_update,
     bench_sort_top_k,
-    bench_agg_groups
+    bench_agg_groups,
+    bench_agg_finalize
 );
 criterion_main!(benches);

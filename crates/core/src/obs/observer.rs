@@ -218,7 +218,7 @@ mod tests {
         let wo = WorkOrder {
             query: crate::query_id::QueryId::SOLO,
             op,
-            kind: WorkKind::FinalizeAggregate,
+            kind: WorkKind::FinalizeSort,
             seq,
         };
         let record = TaskRecord {

@@ -181,9 +181,14 @@ pub fn execute_work_order(ctx: &ExecContext, wo: &WorkOrder) -> Result<Vec<Stora
         (OperatorKind::Aggregate { .. }, WorkKind::Stream { block }) => {
             aggregate::execute_block(ctx, wo.op, block)
         }
-        (OperatorKind::Aggregate { .. }, WorkKind::FinalizeAggregate) => {
-            aggregate::execute_finalize(ctx, wo.op)
-        }
+        (
+            OperatorKind::Aggregate { .. },
+            WorkKind::FinalizeAggregate {
+                part,
+                parts,
+                partials,
+            },
+        ) => aggregate::execute_finalize(ctx, wo.op, *part, *parts, partials),
         (OperatorKind::Sort { .. }, WorkKind::FinalizeSort) => sort::execute(ctx, wo.op),
         (OperatorKind::NestedLoops { .. }, WorkKind::Stream { block }) => {
             nlj::execute(ctx, wo.op, block)

@@ -1,12 +1,12 @@
 //! One typed row order and gather, shared by the blocking operators.
 //!
 //! Sort and the aggregate finalize both order rows that live in blocks — the
-//! sort's collected input, the aggregate's group-value columns — and emit
-//! them in that order. [`RowOrder`] compares two `(block, row)` references
-//! field by field with the column type matched per field, never decoding a
-//! row into `Value`s; [`gather`] copies the ordered rows into one typed
-//! column per output column, which the operator wraps as a virtual block
-//! for its bulk output copy.
+//! sort's collected input, the aggregate's group-value columns when they do
+//! not pack into an integer key — and emit them in that order. [`RowOrder`]
+//! compares two `(block, row)` references field by field with the column
+//! type matched per field, never decoding a row into `Value`s; [`gather`]
+//! copies the sort's ordered rows into one typed column per output column,
+//! which it wraps as a virtual block for its bulk output copy.
 
 use crate::plan::SortKey;
 use std::cmp::Ordering;
@@ -51,6 +51,13 @@ impl<'a> RowOrder<'a> {
     /// Compare rows `a` and `b`.
     #[inline]
     pub(crate) fn cmp(&self, a: RowRef, b: RowRef) -> Ordering {
+        self.cmp_fields(a, b).then_with(|| a.cmp(&b))
+    }
+
+    /// Compare rows `a` and `b` field by field only: rows equal in every
+    /// field compare equal.
+    #[inline]
+    pub(crate) fn cmp_fields(&self, a: RowRef, b: RowRef) -> Ordering {
         let (x, i) = (&*self.blocks[a.0 as usize], a.1 as usize);
         let (y, j) = (&*self.blocks[b.0 as usize], b.1 as usize);
         for &(c, ty, desc) in &self.fields {
@@ -68,7 +75,7 @@ impl<'a> RowOrder<'a> {
                 return if desc { ord.reverse() } else { ord };
             }
         }
-        a.cmp(&b)
+        Ordering::Equal
     }
 }
 
@@ -126,21 +133,5 @@ pub(crate) fn push_field(dst: &mut ColumnData, block: &StorageBlock, row: usize,
         ColumnData::F64(v) => v.push(block.f64_at(row, col)),
         ColumnData::Date(v) => v.push(block.date_at(row, col)),
         ColumnData::Char { data, .. } => data.extend_from_slice(block.char_at(row, col)),
-    }
-}
-
-/// Append value `row` of `src` to `dst`, a column of the same type.
-#[inline]
-pub(crate) fn push_value_of(dst: &mut ColumnData, src: &ColumnData, row: usize) {
-    match (dst, src) {
-        (ColumnData::I32(d), ColumnData::I32(s)) | (ColumnData::Date(d), ColumnData::Date(s)) => {
-            d.push(s[row])
-        }
-        (ColumnData::I64(d), ColumnData::I64(s)) => d.push(s[row]),
-        (ColumnData::F64(d), ColumnData::F64(s)) => d.push(s[row]),
-        (ColumnData::Char { data: d, .. }, ColumnData::Char { .. }) => {
-            d.extend_from_slice(src.char_value(row))
-        }
-        (d, s) => unreachable!("push_value_of from {s:?} into {d:?}"),
     }
 }

@@ -41,15 +41,14 @@ use crate::error::EngineError;
 use crate::fault::{FaultKind, FaultSite};
 use crate::metrics::{QueryMetrics, TaskRecord};
 use crate::obs::QueryObserver;
-use crate::ops::execute_work_order_contained;
+use crate::ops::{aggregate, execute_work_order_contained};
 use crate::plan::{OpId, OperatorKind, QueryPlan};
-use crate::query_id::QueryId;
 use crate::state::ExecContext;
 use crate::topology::Dependent;
 use crate::uot::Uot;
 use crate::work_order::{WorkKind, WorkOrder};
 use crate::Result;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 use uot_storage::{SpillSlot, StorageBlock};
@@ -591,22 +590,33 @@ impl SchedulerCore {
         ) || is_grace_probe;
         if needs_finalize && !self.states[op].finalize_dispatched {
             self.states[op].finalize_dispatched = true;
-            self.states[op].outstanding += 1;
-            let kind = if is_grace_probe {
-                WorkKind::FinalizeJoin
+            let kinds = if is_grace_probe {
+                vec![WorkKind::FinalizeJoin]
             } else if matches!(self.plan().op(op).kind, OperatorKind::Sort { .. }) {
-                WorkKind::FinalizeSort
+                vec![WorkKind::FinalizeSort]
             } else {
-                WorkKind::FinalizeAggregate
+                // Every stream work order has finished: the pooled partials
+                // are complete and can be shared by the partitions.
+                let (partials, parts) = aggregate::freeze(&self.ctx, op, self.mode.workers())?;
+                (0..parts)
+                    .map(|part| WorkKind::FinalizeAggregate {
+                        part,
+                        parts,
+                        partials: partials.clone(),
+                    })
+                    .collect()
             };
-            let wo = WorkOrder {
-                query: self.ctx.query,
-                op,
-                kind,
-                seq: self.seq,
-            };
-            self.seq += 1;
-            self.queue.push(wo);
+            for kind in kinds {
+                let wo = WorkOrder {
+                    query: self.ctx.query,
+                    op,
+                    kind,
+                    seq: self.seq,
+                };
+                self.seq += 1;
+                self.states[op].outstanding += 1;
+                self.queue.push(wo);
+            }
             return Ok(());
         }
         // Flush partially filled output blocks, route them, mark finished.
@@ -1141,13 +1151,18 @@ impl<M> QueryRun<M> {
     }
 }
 
-/// The dispatch state: the active queries, a round-robin ring over
-/// the ones that may still dispatch, and the workers waiting for work. It
-/// lives behind the [`WorkerPool`]'s lock, which every worker takes once per
-/// work order.
+/// The dispatch state: a round-robin ring of the queries that may still
+/// dispatch, the retired ones waiting to be taken, and the workers waiting
+/// for work. It lives behind the [`WorkerPool`]'s lock, which every worker
+/// takes once per work order. A pool holds few queries, so the ring holds
+/// the runs themselves and a booking finds its query by a scan.
 pub(crate) struct Dispatcher<M> {
-    ring: VecDeque<QueryId>,
-    runs: HashMap<QueryId, QueryRun<M>>,
+    ring: Vec<QueryRun<M>>,
+    /// The ring position the next pick starts at.
+    next: usize,
+    /// Queries done (finished, failed, cancelled or stalled, with nothing in
+    /// flight), until [`take_done`](Self::take_done).
+    retired: Vec<QueryRun<M>>,
     /// Workers waiting on the pool's condvar.
     idle: usize,
     closed: bool,
@@ -1156,11 +1171,11 @@ pub(crate) struct Dispatcher<M> {
 impl<M> Dispatcher<M> {
     /// The active queries.
     pub(crate) fn runs(&self) -> impl Iterator<Item = &QueryRun<M>> {
-        self.runs.values()
+        self.ring.iter().chain(&self.retired)
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.runs.is_empty()
+        self.ring.is_empty() && self.retired.is_empty()
     }
 
     /// Whether the pool was closed: its workers exit, or have exited.
@@ -1171,14 +1186,16 @@ impl<M> Dispatcher<M> {
     /// Take every query that is done (finished, failed, cancelled or
     /// stalled, with nothing in flight) out of the dispatcher.
     pub(crate) fn take_done(&mut self) -> Vec<QueryRun<M>> {
-        let done: Vec<QueryId> = self
-            .runs
-            .iter()
-            .filter(|(_, run)| run.is_done())
-            .map(|(&id, _)| id)
-            .collect();
-        self.ring.retain(|id| !done.contains(id));
-        done.iter().filter_map(|id| self.runs.remove(id)).collect()
+        let mut done = std::mem::take(&mut self.retired);
+        let mut i = 0;
+        while i < self.ring.len() {
+            if self.ring[i].is_done() {
+                done.push(self.ring.remove(i));
+            } else {
+                i += 1;
+            }
+        }
+        done
     }
 
     /// Book a worker's completion on its query. True when this retired the
@@ -1186,14 +1203,15 @@ impl<M> Dispatcher<M> {
     /// dispatch, so it leaves the ring.
     fn book(&mut self, c: Completion) -> bool {
         let id = c.wo.query;
-        let Some(run) = self.runs.get_mut(&id) else {
+        let Some(i) = self.ring.iter().position(|run| run.core.ctx.query == id) else {
             return false;
         };
+        let run = &mut self.ring[i];
         run.on_done(c);
         if !run.is_done() {
             return false;
         }
-        self.ring.retain(|&x| x != id);
+        self.retired.push(self.ring.remove(i));
         true
     }
 
@@ -1202,17 +1220,21 @@ impl<M> Dispatcher<M> {
     /// the ring; the flag says whether any did.
     fn next_job(&mut self) -> (Option<(Arc<ExecContext>, WorkOrder)>, bool) {
         let mut retired = false;
+        // Each turn offers one query a pick, or retires it.
         for _ in 0..self.ring.len() {
-            let id = self.ring.pop_front().expect("ring is non-empty");
-            let run = self.runs.get_mut(&id).expect("ring ids are admitted");
+            let i = self.next % self.ring.len();
+            let run = &mut self.ring[i];
             if let Some(wo) = run.next_work_order() {
-                self.ring.push_back(id);
+                self.next = i + 1;
                 return (Some((run.ctx().clone(), wo)), retired);
             }
             if run.is_done() {
                 retired = true;
+                self.retired.push(self.ring.remove(i));
+                // The next query slid into position `i`.
+                self.next = i;
             } else {
-                self.ring.push_back(id);
+                self.next = i + 1;
             }
         }
         (None, retired)
@@ -1231,8 +1253,9 @@ impl<M> WorkerPool<M> {
     pub(crate) fn new() -> Self {
         WorkerPool {
             dispatcher: Mutex::new(Dispatcher {
-                ring: VecDeque::new(),
-                runs: HashMap::new(),
+                ring: Vec::new(),
+                next: 0,
+                retired: Vec::new(),
                 idle: 0,
                 closed: false,
             }),
@@ -1252,9 +1275,7 @@ impl<M> WorkerPool<M> {
     /// Put a query on the ring and wake an idle worker for it.
     pub(crate) fn admit(&self, run: QueryRun<M>) {
         let mut d = self.lock();
-        let id = run.core.ctx.query;
-        d.ring.push_back(id);
-        d.runs.insert(id, run);
+        d.ring.push(run);
         let wake = d.idle > 0;
         drop(d);
         if wake {

@@ -801,8 +801,19 @@ mod tests {
         })
         .unwrap();
         // First admits; with a zero-depth queue the second must be rejected
-        // while the first still holds the whole budget.
-        let h1 = svc.submit(join_agg_plan(2000)).unwrap();
+        // while the first still holds the whole budget. h1's first work
+        // order sleeps, so h1 cannot finish before the service handles h2.
+        let slow_start = crate::fault::FaultPlan::new(vec![crate::fault::Injection {
+            site: crate::fault::FaultSite::WorkOrderExec,
+            kind: crate::fault::FaultKind::Delay(Duration::from_millis(300)),
+            nth: 1,
+        }]);
+        let h1 = svc
+            .submit_with(
+                join_agg_plan(2000),
+                ExecOptions::default().with_faults(Arc::new(slow_start)),
+            )
+            .unwrap();
         let h2 = svc.submit(join_agg_plan(50)).unwrap();
         let e2 = h2.wait().unwrap_err();
         assert!(matches!(e2, EngineError::AdmissionRejected { .. }), "{e2}");

@@ -12,7 +12,8 @@ use crate::cancel::CancellationToken;
 use crate::error::EngineError;
 use crate::fault::FaultPlan;
 use crate::hash_table::{JoinHashTable, ProbeMatch};
-use crate::ops::row_order::{push_field, push_value_of};
+use crate::ops::aggregate::GroupRun;
+use crate::ops::row_order::push_field;
 use crate::output::OutputBuffer;
 use crate::plan::{OperatorKind, QueryPlan, Source};
 use crate::Result;
@@ -23,8 +24,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use uot_expr::AggState;
 use uot_storage::{
-    hash_key::hash_of, BlockFormat, BlockPool, ColumnData, DataType, HashKey, KeyBatch,
-    KeyExtractor, SpilledHandle, StorageBlock,
+    hash_key::hash_of, BlockFormat, BlockPool, ColumnBlock, ColumnData, DataType, HashKey,
+    KeyBatch, KeyExtractor, Schema, SpilledHandle, StorageBlock,
 };
 
 /// One side (build or probe) of a grace hash join, partitioned by hash radix.
@@ -181,36 +182,20 @@ impl AggPartial {
         }
     }
 
-    /// Fold `other` in: shared groups merge their states, the rest move over.
-    pub fn merge(&mut self, other: AggPartial) {
-        let mut other_states: Vec<_> = other.states.into_iter().map(Vec::into_iter).collect();
-        for (g, (hash, key)) in other.hashes.into_iter().zip(other.keys).enumerate() {
-            let states = other_states
-                .iter_mut()
-                .map(|col| col.next().expect("one state per group"));
-            match self.find(hash, |k| *k == key) {
-                Ok(gid) => {
-                    for (col, st) in self.states.iter_mut().zip(states) {
-                        col[gid as usize].merge(&st);
-                    }
-                }
-                Err(slot) => {
-                    for (col, src) in self.group_vals.iter_mut().zip(&other.group_vals) {
-                        push_value_of(col, src, g);
-                    }
-                    for (col, st) in self.states.iter_mut().zip(states) {
-                        col.push(st);
-                    }
-                    self.place(slot, hash, key);
-                }
-            }
+    /// Freeze the partial once every stream work order of its aggregate has
+    /// finished: the slot array goes, and the group-by values become one
+    /// column block of schema `groups` (row = group id) that the finalize
+    /// partitions share read-only.
+    pub fn freeze(self, groups: Arc<Schema>) -> FrozenPartial {
+        let n = self.keys.len();
+        let block = ColumnBlock::from_columns(groups, self.group_vals, n)
+            .expect("group columns were created from the group-by types");
+        FrozenPartial {
+            groups: Arc::new(StorageBlock::Column(block)),
+            hashes: self.hashes,
+            keys: self.keys,
+            states: self.states,
         }
-    }
-
-    /// The group-by columns and the per-aggregate states, both indexed by
-    /// group id.
-    pub fn into_parts(self) -> (Vec<ColumnData>, Vec<Vec<AggState>>) {
-        (self.group_vals, self.states)
     }
 
     /// The group id of the key with `hash` for which `eq` holds, or the empty
@@ -240,12 +225,6 @@ impl AggPartial {
         for (col, st) in self.states.iter_mut().zip(&self.init) {
             col.push(st.clone());
         }
-        self.place(slot, hash, key)
-    }
-
-    /// Record a group's slot, hash and key once its values and states are
-    /// pushed.
-    fn place(&mut self, slot: usize, hash: u64, key: HashKey) -> u32 {
         let gid = u32::try_from(self.keys.len()).expect("fewer than 2^32 groups");
         self.slots[slot] = gid + 1;
         self.hashes.push(hash);
@@ -271,6 +250,21 @@ impl AggPartial {
     }
 }
 
+/// A pooled [`AggPartial`] once its aggregate's stream work is over:
+/// read-only, shared by the finalize partitions, each of which takes the
+/// groups whose hash falls in its range.
+#[derive(Debug)]
+pub struct FrozenPartial {
+    /// Group-by values, one column per group-by column; row = group id.
+    pub groups: Arc<StorageBlock>,
+    /// Per group: the key hash, which picks the group's partition.
+    pub hashes: Vec<u64>,
+    /// Per group: the key, equal for the same group in every partial.
+    pub keys: Vec<HashKey>,
+    /// Per aggregate: one state per group.
+    pub states: Vec<Vec<AggState>>,
+}
+
 /// Runtime state attached to one operator.
 #[derive(Debug)]
 pub struct OpRuntime {
@@ -284,8 +278,11 @@ pub struct OpRuntime {
     /// Rows dropped by LIP filters at this select (metrics).
     pub lip_pruned: std::sync::atomic::AtomicUsize,
     /// Pooled partial aggregates (only for `Aggregate`): checked out and
-    /// returned by each stream work order, merged by the finalize step.
+    /// returned by each stream work order, frozen for the finalize step.
     pub agg_partials: Mutex<Vec<AggPartial>>,
+    /// The ordered groups of each finished finalize partition, as
+    /// `(partition, run)`; the last partition to finish merges them.
+    pub agg_runs: Mutex<Vec<(usize, GroupRun)>>,
     /// Collected input blocks: the sort input, or the materialized inner
     /// side of a nested-loops join.
     pub collected: Mutex<Vec<Arc<StorageBlock>>>,
@@ -471,6 +468,7 @@ impl ExecContext {
                 bloom,
                 lip_pruned: std::sync::atomic::AtomicUsize::new(0),
                 agg_partials: Mutex::new(Vec::new()),
+                agg_runs: Mutex::new(Vec::new()),
                 collected: Mutex::new(Vec::new()),
                 limit_remaining,
             });

@@ -7,6 +7,7 @@
 
 use crate::plan::OpId;
 use crate::query_id::QueryId;
+use crate::state::FrozenPartial;
 use std::sync::Arc;
 use uot_storage::StorageBlock;
 
@@ -19,8 +20,19 @@ pub enum WorkKind {
         /// The input block.
         block: Arc<StorageBlock>,
     },
-    /// Merge aggregate partials and emit the result blocks.
-    FinalizeAggregate,
+    /// One partition of an aggregate's finalize: merge, order and finish the
+    /// groups of the frozen partials whose hash falls in partition `part` of
+    /// `parts`. The last partition to finish merges every partition's
+    /// ordered groups and emits the result blocks.
+    FinalizeAggregate {
+        /// This partition, in `0..parts`.
+        part: usize,
+        /// The operator's finalize partition count.
+        parts: usize,
+        /// The operator's pooled partials, frozen once its stream work was
+        /// over and shared by every partition.
+        partials: Arc<[FrozenPartial]>,
+    },
     /// Sort all collected input and emit the result blocks.
     FinalizeSort,
     /// Grace hash join: process the spilled build/probe partitions one at a
@@ -57,7 +69,9 @@ impl WorkOrder {
             WorkKind::Stream { block } => {
                 format!("{q}op{} stream({} rows)", self.op, block.num_rows())
             }
-            WorkKind::FinalizeAggregate => format!("{q}op{} finalize-agg", self.op),
+            WorkKind::FinalizeAggregate { part, parts, .. } => {
+                format!("{q}op{} finalize-agg {}/{parts}", self.op, part + 1)
+            }
             WorkKind::FinalizeSort => format!("{q}op{} finalize-sort", self.op),
             WorkKind::FinalizeJoin => format!("{q}op{} finalize-join", self.op),
         }
@@ -89,5 +103,22 @@ mod tests {
         };
         assert!(wo.describe().contains("finalize-sort"));
         assert!(wo.describe().starts_with("q2 "));
+    }
+
+    #[test]
+    fn describe_names_the_finalize_partition() {
+        let wo = |part, parts| WorkOrder {
+            query: QueryId::SOLO,
+            op: 4,
+            kind: WorkKind::FinalizeAggregate {
+                part,
+                parts,
+                partials: Arc::from(Vec::new()),
+            },
+            seq: 0,
+        };
+        assert_eq!(wo(0, 2).describe(), "op4 finalize-agg 1/2");
+        assert_eq!(wo(1, 2).describe(), "op4 finalize-agg 2/2");
+        assert_eq!(wo(0, 1).describe(), "op4 finalize-agg 1/1");
     }
 }

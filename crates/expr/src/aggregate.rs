@@ -389,22 +389,18 @@ impl AggState {
     /// Final value. Empty-input conventions: `SUM` → 0, `COUNT` → 0,
     /// `AVG` → 0.0, `MIN`/`MAX` → the type's zero (engine-level queries guard
     /// against empty groups; groups only exist once a row mapped to them).
+    /// Nothing is cloned: a float sum rounds from a copy of its window
+    /// ([`ExactF64Sum::value`]).
     pub fn finalize(&self) -> Value {
-        self.clone().finish()
-    }
-
-    /// [`finalize`](Self::finalize) without copying the state: float sums
-    /// round in place ([`ExactF64Sum::finish`]). The state keeps its value.
-    pub fn finish(&mut self) -> Value {
-        match &mut self.kind {
+        match &self.kind {
             StateKind::Count(c) => Value::I64(*c as i64),
             StateKind::SumI(s) => Value::I64(*s),
-            StateKind::SumF(s) => Value::F64(s.finish()),
+            StateKind::SumF(s) => Value::F64(s.value()),
             StateKind::Avg { sum, count } => {
                 if *count == 0 {
                     Value::F64(0.0)
                 } else {
-                    Value::F64(sum.finish() / *count as f64)
+                    Value::F64(sum.value() / *count as f64)
                 }
             }
             StateKind::ExtremeI { value, .. } => {
@@ -760,7 +756,7 @@ mod tests {
     }
 
     #[test]
-    fn finish_in_place_equals_finalize() {
+    fn finalize_rounds_float_sums_like_the_in_place_finish() {
         let s = scatter_schema();
         let cols = scatter_columns();
         for spec in scatter_specs(&s) {
@@ -768,10 +764,17 @@ mod tests {
                 let Ok(states) = gathered(&spec, &s, col) else {
                     continue;
                 };
-                for mut st in states {
+                for st in states {
                     let v = st.finalize();
-                    assert_eq!(st.finish(), v);
-                    assert_eq!(st.finalize(), v, "finish keeps the state's value");
+                    let in_place = match st.kind.clone() {
+                        StateKind::SumF(mut sum) => Value::F64(sum.finish()),
+                        StateKind::Avg { mut sum, count } if count > 0 => {
+                            Value::F64(sum.finish() / count as f64)
+                        }
+                        _ => v.clone(),
+                    };
+                    assert_eq!(v, in_place);
+                    assert_eq!(st.finalize(), v, "finalize keeps the state's value");
                 }
             }
         }

@@ -275,24 +275,13 @@ impl ExactF64Sum {
                     debug_assert!(carry == 0, "superaccumulator overflow");
                 }
             }
-            _ => {
-                let mut w = self.win;
-                let carry = carry_limbs(&mut w);
-                let top = w[WIN - 1];
-                // The window keeps the total only when the final carry is
-                // the sign extension of its top limb.
-                match carry {
-                    0 if top < 1 << (LIMB_BITS - 1) => self.win = w,
-                    -1 if top >= 1 << (LIMB_BITS - 1) => {
-                        w[WIN - 1] = top - (1i64 << LIMB_BITS);
-                        self.win = w;
-                    }
-                    _ => {
-                        self.widen();
-                        self.normalize();
-                    }
+            _ => match normalized_window(self.win) {
+                Some(w) => self.win = w,
+                None => {
+                    self.widen();
+                    self.normalize();
                 }
-            }
+            },
         }
     }
 
@@ -305,14 +294,25 @@ impl ExactF64Sum {
         *s.widen()
     }
 
-    /// The correctly rounded (nearest, ties to even) value of the sum.
+    /// The correctly rounded (nearest, ties to even) value of the sum. A
+    /// window is normalized in a copy of its limbs, so nothing but a widened
+    /// register (or a window whose total outgrew it) is cloned.
     pub fn value(&self) -> f64 {
-        self.clone().finish()
+        if let Some(nf) = self.non_finite {
+            return nf;
+        }
+        match self.base {
+            UNSET => 0.0,
+            FULL => self.clone().finish(),
+            base => match normalized_window(self.win) {
+                Some(w) => round_window(&w, base),
+                None => self.clone().finish(),
+            },
+        }
     }
 
-    /// [`value`](Self::value) without the copy: carry-normalizes the register
-    /// in place (the represented sum is unchanged, so the accumulator stays
-    /// usable) and rounds once.
+    /// [`value`](Self::value), carry-normalizing the register in place (the
+    /// represented sum is unchanged, so the accumulator stays usable).
     pub fn finish(&mut self) -> f64 {
         if let Some(nf) = self.non_finite {
             return nf;
@@ -321,18 +321,7 @@ impl ExactF64Sum {
         match self.base {
             UNSET => 0.0,
             FULL => round(&self.widen()[..], 0),
-            base => {
-                // Two zero limbs below the window keep every bit the
-                // rounding reads inside the slice: a nonzero window's top
-                // bit is then at least 64 bits above the slice's start, so
-                // the mantissa's least bit is at least 12 above it. With
-                // fewer, the slice starts at register limb 0, as the full
-                // register does.
-                let pad = (base as usize).min(2);
-                let mut limbs = [0i64; WIN + 2];
-                limbs[pad..pad + WIN].copy_from_slice(&self.win);
-                round(&limbs[..pad + WIN], base as usize - pad)
-            }
+            base => round_window(&self.win, base),
         }
     }
 
@@ -344,6 +333,35 @@ impl ExactF64Sum {
         s.widen();
         s
     }
+}
+
+/// The window `w` carry-normalized, or `None` when the total no longer fits
+/// it as a signed number: the window keeps the total only when the final
+/// carry is the sign extension of its top limb.
+fn normalized_window(mut w: [i64; WIN]) -> Option<[i64; WIN]> {
+    let carry = carry_limbs(&mut w);
+    let top = w[WIN - 1];
+    match carry {
+        0 if top < 1 << (LIMB_BITS - 1) => Some(w),
+        -1 if top >= 1 << (LIMB_BITS - 1) => {
+            w[WIN - 1] = top - (1i64 << LIMB_BITS);
+            Some(w)
+        }
+        _ => None,
+    }
+}
+
+/// Round a normalized window whose first limb is register limb `base`.
+fn round_window(win: &[i64; WIN], base: u32) -> f64 {
+    // Two zero limbs below the window keep every bit the rounding reads
+    // inside the slice: a nonzero window's top bit is then at least 64 bits
+    // above the slice's start, so the mantissa's least bit is at least 12
+    // above it. With fewer, the slice starts at register limb 0, as the full
+    // register does.
+    let pad = (base as usize).min(2);
+    let mut limbs = [0i64; WIN + 2];
+    limbs[pad..pad + WIN].copy_from_slice(win);
+    round(&limbs[..pad + WIN], base as usize - pad)
 }
 
 /// Carry-propagate `limbs` so each is in `[0, 2^32)`; returns the carry out
@@ -660,6 +678,11 @@ mod tests {
     fn widened_summing(vals: &[f64], expect: f64) -> bool {
         let (mut w, mut f) = both(vals);
         assert_eq!(w, f);
+        assert_eq!(
+            w.value().to_bits(),
+            expect.to_bits(),
+            "window value {vals:?}"
+        );
         assert_eq!(w.finish().to_bits(), expect.to_bits(), "window {vals:?}");
         assert_eq!(f.finish().to_bits(), expect.to_bits(), "full {vals:?}");
         w.base == FULL
@@ -816,6 +839,7 @@ mod tests {
                 let expect = reference.value().to_bits();
                 // One accumulator over everything.
                 let (mut whole, _) = both(&vals);
+                prop_assert_eq!(whole.value().to_bits(), expect);
                 prop_assert_eq!(whole.finish().to_bits(), expect);
                 // Partials over random chunk shapes, merged in a random order
                 // into a random partial.

@@ -14,8 +14,10 @@ use crate::types::DataType;
 use crate::Result;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// A compact, hashable encoding of one or more key columns of a row.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// A compact, hashable encoding of one or more key columns of a row. The
+/// derived order is a total order on the encoding (not on the decoded
+/// values): it only breaks ties between keys that compare equal otherwise.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum HashKey {
     /// Keys up to 16 encoded bytes, packed little-endian into a `u128`.
     /// The second field is the encoded length, to keep e.g. `Char(4)` keys
