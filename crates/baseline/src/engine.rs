@@ -3,7 +3,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use uot_core::hash_table::JoinHashTable;
 use uot_core::ops::builders::{into_virtual_block, make_builders};
 use uot_core::plan::{JoinType, OperatorKind, QueryPlan, SortKey, Source};
 use uot_core::{EngineError, Result};
@@ -56,17 +55,58 @@ fn cmp_rows(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
     std::cmp::Ordering::Equal
 }
 
+/// A build side: its materialized input and, per join key, the input rows
+/// holding it in input order. Deliberately independent of the engine's
+/// `JoinHashTable`, so the baseline stays an oracle for it.
+struct HashIndex {
+    input: Arc<StorageBlock>,
+    payload_cols: Vec<usize>,
+    rows: HashMap<HashKey, Vec<usize>>,
+}
+
+impl HashIndex {
+    fn build(input: Arc<StorageBlock>, key_cols: &[usize], payload_cols: &[usize]) -> Self {
+        let mut rows: HashMap<HashKey, Vec<usize>> = HashMap::new();
+        for row in 0..input.num_rows() {
+            rows.entry(HashKey::from_row(&input, row, key_cols))
+                .or_default()
+                .push(row);
+        }
+        HashIndex {
+            input,
+            payload_cols: payload_cols.to_vec(),
+            rows,
+        }
+    }
+
+    /// The build rows matching `key`.
+    fn matches(&self, key: &HashKey) -> &[usize] {
+        self.rows.get(key).map_or(&[], Vec::as_slice)
+    }
+
+    /// Payload bytes plus the row lists and key entries.
+    fn bytes(&self) -> usize {
+        let payload: usize = self
+            .payload_cols
+            .iter()
+            .map(|&c| self.input.schema().dtype(c).width())
+            .sum();
+        self.input.num_rows() * (payload + std::mem::size_of::<usize>())
+            + self.rows.len() * std::mem::size_of::<(HashKey, Vec<usize>)>()
+    }
+}
+
 /// What an executed operator leaves behind.
 enum Materialized {
     Table(Arc<StorageBlock>),
-    Hash(Arc<JoinHashTable>),
+    Hash(HashIndex),
 }
 
 impl Materialized {
     fn bytes(&self) -> usize {
         match self {
             Materialized::Table(b) => b.num_rows() * b.schema().tuple_width(),
-            Materialized::Hash(h) => h.memory_bytes(),
+            Materialized::Hash(h) => h.bytes(),
         }
     }
 
@@ -79,7 +119,7 @@ impl Materialized {
         }
     }
 
-    fn hash(&self) -> Result<&Arc<JoinHashTable>> {
+    fn hash(&self) -> Result<&HashIndex> {
         match self {
             Materialized::Hash(h) => Ok(h),
             Materialized::Table(_) => Err(EngineError::Internal(
@@ -111,7 +151,7 @@ impl BaselineEngine {
             let out = self.run_op(plan, id, &outputs)?;
             let rows = match &out {
                 Materialized::Table(b) => b.num_rows(),
-                Materialized::Hash(h) => h.len(),
+                Materialized::Hash(h) => h.input.num_rows(),
             };
             live_bytes += out.bytes();
             metrics.peak_bytes = metrics.peak_bytes.max(live_bytes);
@@ -218,9 +258,11 @@ impl BaselineEngine {
                 payload_cols,
             } => {
                 let input = self.materialize(plan, source, outputs)?;
-                let ht = JoinHashTable::new(op.out_schema.clone(), 1);
-                ht.insert_block(&input, key_cols, payload_cols)?;
-                Ok(Materialized::Hash(Arc::new(ht)))
+                Ok(Materialized::Hash(HashIndex::build(
+                    input,
+                    key_cols,
+                    payload_cols,
+                )))
             }
             OperatorKind::Probe {
                 probe,
@@ -234,32 +276,38 @@ impl BaselineEngine {
                 let ht = outputs[*build]
                     .as_ref()
                     .ok_or_else(|| EngineError::Internal("build not yet run".into()))?
-                    .hash()?
-                    .clone();
+                    .hash()?;
                 let mut builders = make_builders(&op.out_schema);
                 let n_probe = probe_out_cols.len();
                 for row in 0..input.num_rows() {
                     let key = HashKey::from_row(&input, row, probe_key_cols);
+                    let matches = ht.matches(&key);
                     match join {
                         JoinType::Inner => {
-                            ht.probe_key(&key, |payload| {
+                            // Newest build row first. Build output columns
+                            // index the payload: the build's `payload_cols`.
+                            for &b in matches.iter().rev() {
                                 for (j, &c) in probe_out_cols.iter().enumerate() {
                                     builders[j].push_from_block(&input, row, c);
                                 }
                                 for (j, &c) in build_out_cols.iter().enumerate() {
-                                    builders[n_probe + j].push_from_payload(payload, c);
+                                    builders[n_probe + j].push_from_block(
+                                        &ht.input,
+                                        b,
+                                        ht.payload_cols[c],
+                                    );
                                 }
-                            });
+                            }
                         }
                         JoinType::Semi => {
-                            if ht.contains_key(&key) {
+                            if !matches.is_empty() {
                                 for (j, &c) in probe_out_cols.iter().enumerate() {
                                     builders[j].push_from_block(&input, row, c);
                                 }
                             }
                         }
                         JoinType::Anti => {
-                            if !ht.contains_key(&key) {
+                            if matches.is_empty() {
                                 for (j, &c) in probe_out_cols.iter().enumerate() {
                                     builders[j].push_from_block(&input, row, c);
                                 }

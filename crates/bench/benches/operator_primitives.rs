@@ -1,12 +1,13 @@
-//! Criterion micro-benchmarks of the join primitives: hash-table build and
-//! probe at two hash-table sizes (the Fig. 9/10 scalability contrast), the
+//! Criterion micro-benchmarks of the join primitives: hash-table build (one
+//! block, and the two-phase operator build of Q7/Q9's orders side) and probe
+//! at two hash-table sizes (the Fig. 9/10 scalability contrast), the
 //! aggregate update loop, and the blocking tail: a top-k sort finalize,
 //! per-group exact sums and a partitioned aggregate finalize.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 use uot_core::hash_table::JoinHashTable;
-use uot_core::plan::{PlanBuilder, SortKey, Source};
+use uot_core::plan::{JoinType, PlanBuilder, SortKey, Source};
 use uot_core::state::ExecContext;
 use uot_expr::{col, AggSpec, AggState};
 use uot_storage::{
@@ -28,9 +29,53 @@ fn bench_build(c: &mut Criterion) {
     let b = key_block(8192, 8192);
     c.bench_function("hash_build_8k_rows", |bench| {
         bench.iter(|| {
-            let ht = JoinHashTable::new(b.schema().project(&[1]), 64);
+            let ht = JoinHashTable::new(b.schema().project(&[1]));
             ht.insert_block(&b, &[0], &[1]).unwrap();
             black_box(ht.len())
+        })
+    });
+}
+
+/// Q7/Q9's `build(orders)` shape at SF 0.05: 75k distinct `Int32` keys
+/// with an `Int32` payload arriving as two row-store blocks, written by two
+/// build work orders and linked by a finalize of two partitions run in turn.
+/// Each run starts from a fresh context (a table is linked once).
+fn bench_build_two_runs(c: &mut Criterion) {
+    use uot_core::ops::build;
+    let s = Schema::from_pairs(&[("k", DataType::Int32), ("v", DataType::Int32)]);
+    let mut tb = TableBuilder::new("orders", s.clone(), BlockFormat::Row, 37_500 * 8);
+    for k in 0..75_000i32 {
+        tb.append(&[Value::I32(k * 4 + 1), Value::I32(k % 1500)])
+            .unwrap();
+    }
+    let t = Arc::new(tb.finish());
+    assert_eq!(t.blocks().len(), 2);
+    let mut tb = TableBuilder::new("probe", s, BlockFormat::Row, 1 << 10);
+    tb.append(&[Value::I32(1), Value::I32(0)]).unwrap();
+    let mut pb = PlanBuilder::new();
+    let op = pb
+        .build_hash(Source::Table(t.clone()), vec![0], vec![1])
+        .unwrap();
+    let p = pb
+        .probe(
+            Source::Table(Arc::new(tb.finish())),
+            op,
+            vec![0],
+            vec![0],
+            vec![0],
+            JoinType::Inner,
+        )
+        .unwrap();
+    let plan = Arc::new(pb.build(p).unwrap());
+    c.bench_function("hash_build_75k_rows_two_runs", |bench| {
+        bench.iter(|| {
+            let pool = BlockPool::new(MemoryTracker::new());
+            let ctx = ExecContext::new(plan.clone(), pool, BlockFormat::Row, 512 << 10).unwrap();
+            for b in t.blocks() {
+                build::execute(&ctx, op, b).unwrap();
+            }
+            build::finalize_in_turn(&ctx, op, 2).unwrap();
+            black_box(ctx.hash_table(op).len())
         })
     });
 }
@@ -39,7 +84,7 @@ fn bench_probe(c: &mut Criterion) {
     let mut g = c.benchmark_group("hash_probe_8k_rows");
     for (label, table_rows) in [("small_ht", 1024i32), ("large_ht", 262_144)] {
         let build = key_block(table_rows, table_rows);
-        let ht = Arc::new(JoinHashTable::new(build.schema().project(&[1]), 64));
+        let ht = Arc::new(JoinHashTable::new(build.schema().project(&[1])));
         ht.insert_block(&build, &[0], &[1]).unwrap();
         let probe = key_block(8192, table_rows);
         g.bench_function(label, |bench| {
@@ -102,7 +147,7 @@ fn bench_sort_top_k(c: &mut Criterion) {
             // A fresh context per run (the finalize consumes its input);
             // building one is small next to the sort.
             let pool = BlockPool::new(MemoryTracker::new());
-            let ctx = ExecContext::new(plan.clone(), pool, BlockFormat::Row, 32 << 10, 4).unwrap();
+            let ctx = ExecContext::new(plan.clone(), pool, BlockFormat::Row, 32 << 10).unwrap();
             ctx.runtimes[op]
                 .collected
                 .lock()
@@ -163,8 +208,7 @@ fn bench_agg_finalize(c: &mut Criterion) {
     c.bench_function("agg_finalize_75k_groups_two_partials", |bench| {
         bench.iter(|| {
             let pool = BlockPool::new(MemoryTracker::new());
-            let ctx =
-                ExecContext::new(plan.clone(), pool, BlockFormat::Column, 512 << 10, 4).unwrap();
+            let ctx = ExecContext::new(plan.clone(), pool, BlockFormat::Column, 512 << 10).unwrap();
             let partials = &ctx.runtimes[op].agg_partials;
             // Hold the first partial while the odd blocks fold, so they
             // build a second one.
@@ -191,6 +235,7 @@ fn bench_agg_finalize(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_build,
+    bench_build_two_runs,
     bench_probe,
     bench_aggregate_update,
     bench_sort_top_k,

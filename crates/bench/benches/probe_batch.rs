@@ -61,10 +61,11 @@ fn join_ctx(key_cols: Vec<usize>, probe_format: BlockFormat) -> (ExecContext, us
         .unwrap();
     let plan: Arc<QueryPlan> = Arc::new(pb.build(p).unwrap());
     let pool = BlockPool::new(MemoryTracker::new());
-    let ctx = ExecContext::new(plan, pool, BlockFormat::Column, 1 << 22, 16).unwrap();
+    let ctx = ExecContext::new(plan, pool, BlockFormat::Column, 1 << 22).unwrap();
     for blk in dim.blocks() {
         build::execute(&ctx, b, &blk.clone()).unwrap();
     }
+    build::finalize_in_turn(&ctx, b, 1).unwrap();
     (ctx, p, fact)
 }
 

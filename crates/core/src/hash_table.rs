@@ -1,45 +1,63 @@
-//! The shared, non-partitioned join hash table.
+//! The shared, non-partitioned join hash table, built in two phases.
 //!
 //! Quickstep uses non-partitioned hash joins (the paper cites Blanas et al.):
-//! every build work order inserts into one shared table, every probe work
-//! order reads it. We shard the table into `2^k` independently locked
-//! segments so concurrent build work orders scale, and use read locks during
-//! the probe phase (the scheduler guarantees probes start only after the
-//! build completes).
+//! every probe work order of a join reads one table. We build that table in
+//! two phases, so no work order ever takes a lock on it:
 //!
-//! Each shard is an open-addressing table we own outright — `slots` is a
-//! linear-probed array of `(hash, key, chain head)` triples and duplicates
-//! hang off a per-shard `links` side array — rather than a `std::HashMap`.
-//! Owning the layout is what makes the batched probe possible: a
-//! [`ProbeSession`] takes every shard read lock once per work order, and
-//! [`ProbeSession::probe_batch`] runs the two-pass scheme from the vectorized
-//! join literature (pass 1 hashes the whole block and software-prefetches the
-//! home slot of a row a fixed distance ahead; pass 2 resolves matches into a
-//! flat [`ProbeMatch`] vector for gather-based output assembly).
+//! * **Stream.** Each build work order writes its block into a private
+//!   [`BuildRun`] ([`JoinHashTable::run`]): hashes, keys and the payload,
+//!   each array allocated once at the block's row count, with the rows
+//!   grouped by shard through a per-shard histogram.
+//! * **Finalize.** Once every run exists, [`JoinHashTable::link`] runs once
+//!   per finalize partition. Partition `p` of `P` owns a disjoint range of
+//!   the [`SHARDS`] shards; for each it counts the rows exactly, allocates
+//!   the bucket heads (at most 7/8 load) and the `next` chain once, copies
+//!   the shard's rows out of every run and links them, prefetching the head
+//!   of a row a fixed distance ahead. The last partition publishes the
+//!   shards; from then on the table is immutable.
 //!
-//! Shard selection uses the *top* hash bits and slot placement the *bottom*
-//! bits, so the two indices stay independent. All placement derives from
-//! [`uot_storage::hash_of`], which the batched key pipeline
+//! Probes read the frozen shards with no lock: a [`ProbeSession`] is a
+//! plain borrow, and [`ProbeSession::probe_batch`] runs the two-pass scheme
+//! from the vectorized join literature (pass 1 hashes the whole block and
+//! software-prefetches the bucket head of a row a fixed distance ahead;
+//! pass 2 resolves matches into a flat [`ProbeMatch`] vector for
+//! gather-based output assembly).
+//!
+//! Each shard is a chained table we own outright: `heads[b]` is the first
+//! row of bucket `b`, `next[r]` the row after `r` in its bucket, and keys
+//! and payload are row-aligned arrays, so a row index is all a match needs.
+//! Keys of at most 16 encoded bytes (every TPC-H join key) are stored packed
+//! as `u128`s and compare in one step; wider keys keep their hash alongside.
+//! Shard selection uses the *top* hash bits and bucket placement the
+//! *bottom* bits, so the two indices stay independent. All placement derives
+//! from [`uot_storage::hash_of`], which the batched key pipeline
 //! ([`uot_storage::KeyBatch`]) computes identically.
 //!
-//! Payload rows are stored as fixed-width encoded bytes in per-shard arenas —
-//! the same encoding as a row-store tuple — so a hash table's memory
-//! footprint is directly measurable, which the memory experiments
-//! (Section VI of the paper, `|H_i|`) rely on.
+//! Payload rows are stored as fixed-width encoded bytes — the same encoding
+//! as a row-store tuple — so a hash table's memory footprint is directly
+//! measurable, which the memory experiments (Section VI of the paper,
+//! `|H_i|`) rely on.
 
 use crate::Result;
-use parking_lot::{RwLock, RwLockReadGuard};
+use parking_lot::Mutex;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use uot_storage::{
     hash_of, DataType, HashKey, KeyBatch, KeyExtractor, MemoryTracker, Schema, StorageBlock,
 };
 
-/// Sentinel for "no slot / end of chain".
+/// Shards per table: the unit a finalize partition owns, so at most this
+/// many partitions link one table in parallel, and what keeps each link
+/// pass's bucket heads small enough to stay cached.
+pub const SHARDS: usize = 64;
+
+/// Sentinel for "no row / end of chain".
 const NIL: u32 = u32::MAX;
 
-/// How many rows ahead of the resolve cursor pass 1 prefetches. Far enough to
-/// cover DRAM latency at ~1 ns/row of resolve work, near enough to stay in L1.
+/// How many rows ahead of the cursor the link and probe loops prefetch a
+/// bucket head. Far enough to cover DRAM latency at ~1 ns/row of work, near
+/// enough to stay in L1.
 const PREFETCH_DIST: usize = 16;
 
 /// Prefetch the cache line holding `*p` into L1 (read intent). No-op on
@@ -59,6 +77,13 @@ fn prefetch_read<T>(p: *const T) {
     {
         let _ = p;
     }
+}
+
+/// Shard index from the *top* hash bits — bucket placement uses the bottom
+/// bits, so the two stay independent.
+#[inline(always)]
+fn shard_of(hash: u64) -> usize {
+    ((hash >> 48) as usize) & (SHARDS - 1)
 }
 
 /// A read-only view of one payload row stored in the table.
@@ -111,128 +136,214 @@ impl<'a> PayloadRef<'a> {
     }
 }
 
-/// One open-addressing slot: a distinct key plus the head of its duplicate
-/// chain in the shard's `links` array. `head == NIL` marks a vacant slot.
+/// Row-aligned keys of a run or a shard.
 #[derive(Debug, Clone)]
-struct Slot {
-    hash: u64,
-    head: u32,
-    key: HashKey,
+enum Keys {
+    /// Keys of at most 16 encoded bytes, packed, and their encoded width.
+    Packed(Vec<u128>, u8),
+    /// Wider keys.
+    Wide(Vec<HashKey>),
 }
 
-impl Slot {
-    fn vacant() -> Slot {
-        Slot {
-            hash: 0,
-            head: NIL,
-            key: HashKey::Fixed(0, 0),
+impl Keys {
+    /// Empty keys of the same kind, with room for `rows`.
+    fn with_capacity_like(&self, rows: usize) -> Keys {
+        match self {
+            Keys::Packed(_, width) => Keys::Packed(Vec::with_capacity(rows), *width),
+            Keys::Wide(_) => Keys::Wide(Vec::with_capacity(rows)),
+        }
+    }
+
+    /// Resident bytes, the heap part of wide keys included.
+    fn bytes(&self) -> usize {
+        match self {
+            Keys::Packed(k, _) => k.capacity() * std::mem::size_of::<u128>(),
+            Keys::Wide(k) => {
+                k.capacity() * std::mem::size_of::<HashKey>()
+                    + k.iter()
+                        .map(|k| match k {
+                            HashKey::Var(bytes) => bytes.len(),
+                            HashKey::Fixed(..) => 0,
+                        })
+                        .sum::<usize>()
+            }
         }
     }
 }
 
-/// One node of a duplicate chain: a payload row index and the next node.
-#[derive(Debug, Clone, Copy)]
-struct Link {
-    payload: u32,
-    next: u32,
+/// The probe side's keys, borrowed from a [`KeyBatch`] or a single key.
+enum ProbeKeys<'a> {
+    Packed(&'a [u128], u8),
+    Wide(&'a [HashKey]),
 }
 
-/// One lock-protected segment of the table.
-#[derive(Debug, Default)]
+impl<'a> ProbeKeys<'a> {
+    fn of_batch(batch: &'a KeyBatch) -> Self {
+        match batch.packed() {
+            Some((packed, width)) => ProbeKeys::Packed(packed, width),
+            // invariant: a batch is either packed or wide.
+            None => ProbeKeys::Wide(batch.wide().expect("a batch holds packed or wide keys")),
+        }
+    }
+
+    fn of_key(key: &'a HashKey) -> Self {
+        match key {
+            HashKey::Fixed(packed, width) => {
+                ProbeKeys::Packed(std::slice::from_ref(packed), *width)
+            }
+            HashKey::Var(_) => ProbeKeys::Wide(std::slice::from_ref(key)),
+        }
+    }
+}
+
+/// One build work order's block, written for the finalize to link: the
+/// rows grouped by shard, each array allocated once at the block's row
+/// count. Private to the work order that wrote it until the finalize.
+pub struct BuildRun {
+    /// Shard `s` holds rows `starts[s]..starts[s + 1]`.
+    starts: Vec<u32>,
+    hashes: Vec<u64>,
+    keys: Keys,
+    /// Encoded payload rows, back to back.
+    payload: Vec<u8>,
+}
+
+impl std::fmt::Debug for BuildRun {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BuildRun")
+            .field("rows", &self.rows())
+            .finish()
+    }
+}
+
+impl BuildRun {
+    /// Number of rows in the run.
+    pub fn rows(&self) -> usize {
+        self.hashes.len()
+    }
+
+    /// The rows of shard `s`.
+    fn shard_rows(&self, s: usize) -> Range<usize> {
+        self.starts[s] as usize..self.starts[s + 1] as usize
+    }
+}
+
+/// One shard of a linked table. Immutable once published.
+#[derive(Debug)]
 struct Shard {
-    /// Linear-probed slot array; length is always a power of two (or zero
-    /// before the first insert).
-    slots: Vec<Slot>,
-    /// Duplicate chains, newest first.
-    links: Vec<Link>,
-    /// Occupied slots (distinct keys), for the grow threshold.
-    occupied: usize,
-    /// Payload rows, encoded fixed-width back to back (row `i` occupies
-    /// `[i*w, (i+1)*w)` where `w` is the payload tuple width).
-    arena: Vec<u8>,
-    /// Payload rows inserted (tracked separately from the arena length so
-    /// zero-width payload schemas still index correctly).
-    rows: u32,
+    /// The first row of every bucket, or `NIL`; a power of two longer than
+    /// the row count.
+    heads: Vec<u32>,
+    /// Per row: the next row of its bucket, or `NIL`.
+    next: Vec<u32>,
+    /// Per row: the key hash, kept for wide keys only (packed keys compare
+    /// in one step).
+    hashes: Vec<u64>,
+    keys: Keys,
+    /// Encoded payload rows: row `r` occupies `[r*w, (r+1)*w)` where `w` is
+    /// the payload tuple width.
+    payload: Vec<u8>,
 }
 
 impl Shard {
-    /// Double (or initialize) the slot array and re-place every occupied slot.
-    fn grow(&mut self) {
-        let new_cap = (self.slots.len() * 2).max(8);
-        let old = std::mem::replace(&mut self.slots, vec![Slot::vacant(); new_cap]);
-        let mask = new_cap - 1;
-        for s in old {
-            if s.head == NIL {
-                continue;
+    /// Size shard `s` exactly from `runs`, copy its rows out of each run
+    /// and link them into their buckets.
+    fn link(runs: &[BuildRun], s: usize, width: usize) -> Shard {
+        let rows: usize = runs.iter().map(|r| r.shard_rows(s).len()).sum();
+        assert!(
+            rows < NIL as usize,
+            "a shard holds fewer than 2^32 - 1 rows"
+        );
+        // At most 7/8 load, and always at least one vacant head.
+        let buckets = (rows * 8 / 7 + 1).next_power_of_two();
+        let mask = buckets - 1;
+        let mut heads = vec![NIL; buckets];
+        let mut next = Vec::with_capacity(rows);
+        let mut keys = runs.first().map_or(Keys::Packed(Vec::new(), 0), |r| {
+            r.keys.with_capacity_like(rows)
+        });
+        let mut hashes = Vec::with_capacity(if matches!(keys, Keys::Wide(_)) {
+            rows
+        } else {
+            0
+        });
+        let mut payload = Vec::with_capacity(rows * width);
+        for run in runs {
+            let range = run.shard_rows(s);
+            let hs = &run.hashes[range.clone()];
+            let base = next.len();
+            for (j, &h) in hs.iter().enumerate() {
+                if let Some(&ahead) = hs.get(j + PREFETCH_DIST) {
+                    prefetch_read(&heads[ahead as usize & mask]);
+                }
+                let b = h as usize & mask;
+                next.push(heads[b]);
+                heads[b] = (base + j) as u32;
             }
-            let mut idx = (s.hash as usize) & mask;
-            while self.slots[idx].head != NIL {
-                idx = (idx + 1) & mask;
+            match (&mut keys, &run.keys) {
+                (Keys::Packed(dst, _), Keys::Packed(src, _)) => {
+                    dst.extend_from_slice(&src[range.clone()])
+                }
+                (Keys::Wide(dst), Keys::Wide(src)) => {
+                    dst.extend_from_slice(&src[range.clone()]);
+                    hashes.extend_from_slice(hs);
+                }
+                // invariant: one compiled extractor keys every run of a table.
+                _ => unreachable!("runs of one table share their key shape"),
             }
-            self.slots[idx] = s;
+            payload.extend_from_slice(&run.payload[range.start * width..range.end * width]);
+        }
+        Shard {
+            heads,
+            next,
+            hashes,
+            keys,
+            payload,
         }
     }
 
-    /// Insert one payload row under a key described by (`hash`, `eq`,
-    /// `make`): `eq` tests a stored key for equality, `make` materializes the
-    /// key only when a new slot is claimed.
-    fn insert_row(
-        &mut self,
-        hash: u64,
-        eq: impl Fn(&HashKey) -> bool,
-        make: impl FnOnce() -> HashKey,
-        payload: u32,
-    ) {
-        // Grow at 7/8 load so linear probes stay short.
-        if (self.occupied + 1) * 8 > self.slots.len() * 7 {
-            self.grow();
-        }
-        let mask = self.slots.len() - 1;
-        let mut idx = (hash as usize) & mask;
-        loop {
-            let s = &mut self.slots[idx];
-            if s.head == NIL {
-                let link = self.links.len() as u32;
-                self.links.push(Link { payload, next: NIL });
-                *s = Slot {
-                    hash,
-                    head: link,
-                    key: make(),
-                };
-                self.occupied += 1;
-                return;
-            }
-            if s.hash == hash && eq(&s.key) {
-                let link = self.links.len() as u32;
-                self.links.push(Link {
-                    payload,
-                    next: s.head,
-                });
-                s.head = link;
-                return;
-            }
-            idx = (idx + 1) & mask;
+    /// Whether row `r` holds probe key `i` of `keys`, whose hash is `hash`.
+    #[inline(always)]
+    fn holds(&self, r: usize, keys: &ProbeKeys<'_>, i: usize, hash: u64) -> bool {
+        match (&self.keys, keys) {
+            (Keys::Packed(k, w), ProbeKeys::Packed(p, pw)) => k[r] == p[i] && w == pw,
+            (Keys::Wide(k), ProbeKeys::Wide(p)) => self.hashes[r] == hash && k[r] == p[i],
+            _ => false,
         }
     }
 
-    /// Find the chain head for (`hash`, `eq`), or `NIL`.
+    /// The rows whose key is probe key `i` of `keys` (hash `hash`), by
+    /// walking its bucket's chain.
     #[inline]
-    fn find(&self, hash: u64, eq: impl Fn(&HashKey) -> bool) -> u32 {
-        if self.slots.is_empty() {
-            return NIL;
-        }
-        let mask = self.slots.len() - 1;
-        let mut idx = (hash as usize) & mask;
-        loop {
-            let s = &self.slots[idx];
-            if s.head == NIL {
-                return NIL;
+    fn matches<'s>(
+        &'s self,
+        keys: &'s ProbeKeys<'s>,
+        i: usize,
+        hash: u64,
+    ) -> impl Iterator<Item = u32> + 's {
+        let mut row = self.heads[hash as usize & (self.heads.len() - 1)];
+        std::iter::from_fn(move || {
+            while row != NIL {
+                let r = row;
+                row = self.next[r as usize];
+                if self.holds(r as usize, keys, i, hash) {
+                    return Some(r);
+                }
             }
-            if s.hash == hash && eq(&s.key) {
-                return s.head;
-            }
-            idx = (idx + 1) & mask;
-        }
+            None
+        })
+    }
+
+    #[inline(always)]
+    fn prefetch_head(&self, hash: u64) {
+        prefetch_read(&self.heads[hash as usize & (self.heads.len() - 1)]);
+    }
+
+    fn memory_bytes(&self) -> usize {
+        (self.heads.capacity() + self.next.capacity()) * std::mem::size_of::<u32>()
+            + self.hashes.capacity() * std::mem::size_of::<u64>()
+            + self.keys.bytes()
+            + self.payload.capacity()
     }
 }
 
@@ -244,28 +355,31 @@ pub struct ProbeMatch {
     pub probe_row: u32,
     /// Which shard holds the payload.
     pub shard: u32,
-    /// Payload row index within that shard's arena.
+    /// Payload row index within that shard.
     pub payload: u32,
 }
 
-/// A sharded, concurrently-buildable join hash table.
+/// A join hash table: written as [`BuildRun`]s, linked by finalize
+/// partitions, then read without locks.
 #[derive(Debug)]
 pub struct JoinHashTable {
     payload_schema: Arc<Schema>,
-    shards: Vec<RwLock<Shard>>,
-    entries: AtomicUsize,
+    /// Shards linked by finished finalize partitions, as `(partition,
+    /// shards)`, until the last partition publishes them all.
+    linked: Mutex<Vec<(usize, Vec<Shard>)>>,
+    /// The frozen shards, in shard order.
+    shards: OnceLock<Box<[Shard]>>,
     /// Bytes already reported to the memory tracker (see `sync_tracker`).
     tracked: AtomicUsize,
 }
 
 impl JoinHashTable {
-    /// Create a table with `shards` segments (rounded up to a power of two).
-    pub fn new(payload_schema: Arc<Schema>, shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
+    /// An empty table storing payload rows of `payload_schema`.
+    pub fn new(payload_schema: Arc<Schema>) -> Self {
         JoinHashTable {
             payload_schema,
-            shards: (0..n).map(|_| RwLock::new(Shard::default())).collect(),
-            entries: AtomicUsize::new(0),
+            linked: Mutex::new(Vec::new()),
+            shards: OnceLock::new(),
             tracked: AtomicUsize::new(0),
         }
     }
@@ -275,88 +389,91 @@ impl JoinHashTable {
         &self.payload_schema
     }
 
-    /// Number of payload rows inserted.
+    /// Number of payload rows linked (0 until the table is published).
     pub fn len(&self) -> usize {
-        self.entries.load(Ordering::Relaxed)
+        self.shards
+            .get()
+            .map_or(0, |shards| shards.iter().map(|s| s.next.len()).sum())
     }
 
-    /// True when nothing has been inserted.
+    /// True when no row is linked.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Shard index from the *top* hash bits — slot placement uses the bottom
-    /// bits, so the two stay independent.
-    #[inline]
-    fn shard_of(&self, hash: u64) -> usize {
-        ((hash >> 48) as usize) & (self.shards.len() - 1)
+    /// Whether the last finalize partition has published the table.
+    #[cfg(test)]
+    fn is_linked(&self) -> bool {
+        self.shards.get().is_some()
     }
 
-    /// Insert every key of `batch` (extracted from `block`), storing
-    /// `payload_cols` as the payload. Groups rows by shard so each shard's
-    /// write lock is taken at most once per call, instead of once per row.
-    pub fn insert_batch(&self, block: &StorageBlock, batch: &KeyBatch, payload_cols: &[usize]) {
-        let n = batch.len();
-        debug_assert_eq!(n, block.num_rows());
-        if n == 0 {
+    /// The stream phase: write every key of `batch` (extracted from
+    /// `block`) and the `payload_cols` of its row into a new run, the rows
+    /// grouped by shard. Touches nothing shared.
+    pub fn run(&self, block: &StorageBlock, batch: &KeyBatch, payload_cols: &[usize]) -> BuildRun {
+        let hashes = batch.hashes();
+        debug_assert_eq!(hashes.len(), block.num_rows());
+        // A counting sort by shard: the histogram, its prefix sums, then
+        // the source row of every position.
+        let mut starts = vec![0u32; SHARDS + 1];
+        for &h in hashes {
+            starts[shard_of(h) + 1] += 1;
+        }
+        for s in 0..SHARDS {
+            starts[s + 1] += starts[s];
+        }
+        let mut fill = starts[..SHARDS].to_vec();
+        let mut order = vec![0u32; hashes.len()];
+        for (i, &h) in hashes.iter().enumerate() {
+            let s = shard_of(h);
+            order[fill[s] as usize] = i as u32;
+            fill[s] += 1;
+        }
+        let keys = match ProbeKeys::of_batch(batch) {
+            ProbeKeys::Packed(packed, width) => {
+                Keys::Packed(order.iter().map(|&i| packed[i as usize]).collect(), width)
+            }
+            ProbeKeys::Wide(wide) => {
+                Keys::Wide(order.iter().map(|&i| wide[i as usize].clone()).collect())
+            }
+        };
+        BuildRun {
+            starts,
+            hashes: order.iter().map(|&i| hashes[i as usize]).collect(),
+            keys,
+            payload: encode_payload(block, &order, payload_cols, &self.payload_schema),
+        }
+    }
+
+    /// Finalize partition `part` of `parts`: link the shards it owns from
+    /// every run. The partition that links the last shards publishes the
+    /// table. Partitions run concurrently, each at most once.
+    pub fn link(&self, runs: &[BuildRun], part: usize, parts: usize) {
+        debug_assert!(part < parts);
+        let width = self.payload_schema.tuple_width();
+        let owned = part * SHARDS / parts..(part + 1) * SHARDS / parts;
+        let shards: Vec<Shard> = owned.map(|s| Shard::link(runs, s, width)).collect();
+        let mut linked = self.linked.lock();
+        linked.push((part, shards));
+        if linked.iter().map(|(_, s)| s.len()).sum::<usize>() < SHARDS {
             return;
         }
-        let hashes = batch.hashes();
-        if self.shards.len() == 1 {
-            let mut guard = self.shards[0].write();
-            for (i, &h) in hashes.iter().enumerate() {
-                self.insert_one(&mut guard, block, batch, i, h, payload_cols);
-            }
-        } else {
-            let mut by_shard: Vec<Vec<u32>> = vec![Vec::new(); self.shards.len()];
-            for (i, &h) in hashes.iter().enumerate() {
-                by_shard[self.shard_of(h)].push(i as u32);
-            }
-            for (s, rows) in by_shard.iter().enumerate() {
-                if rows.is_empty() {
-                    continue;
-                }
-                let mut guard = self.shards[s].write();
-                for &i in rows {
-                    let i = i as usize;
-                    self.insert_one(&mut guard, block, batch, i, hashes[i], payload_cols);
-                }
-            }
-        }
-        self.entries.fetch_add(n, Ordering::Relaxed);
+        linked.sort_unstable_by_key(|&(part, _)| part);
+        let all: Box<[Shard]> = linked.drain(..).flat_map(|(_, s)| s).collect();
+        // invariant: every shard belongs to exactly one partition, and each
+        // partition links once, so the table is published exactly once.
+        assert!(self.shards.set(all).is_ok(), "a table is linked once");
     }
 
-    #[inline]
-    fn insert_one(
-        &self,
-        shard: &mut Shard,
-        block: &StorageBlock,
-        batch: &KeyBatch,
-        row: usize,
-        hash: u64,
-        payload_cols: &[usize],
-    ) {
-        let payload = shard.rows;
-        shard.rows += 1;
-        encode_row(
-            &mut shard.arena,
-            block,
-            row,
-            payload_cols,
-            &self.payload_schema,
-        );
-        shard.insert_row(
-            hash,
-            |k| batch.key_eq(row, k),
-            || batch.key_at(row),
-            payload,
-        );
+    /// Link every shard on the calling thread: the one-shot finalize.
+    pub fn link_all(&self, runs: &[BuildRun]) {
+        self.link(runs, 0, 1);
     }
 
-    /// Insert every row of `block`, keyed by `key_cols`, storing
-    /// `payload_cols` as the payload. Called concurrently by build work
-    /// orders. (Scalar-API entry point: compiles a throwaway extractor; the
-    /// engine's build operator uses a precompiled one with `insert_batch`.)
+    /// Build the table from `block` alone on the calling thread, keyed by
+    /// `key_cols` with `payload_cols` as the payload: one run, then one
+    /// finalize. (Scalar-API entry point: compiles a throwaway extractor;
+    /// the engine's build operator uses a precompiled one with `run`.)
     pub fn insert_block(
         &self,
         block: &StorageBlock,
@@ -366,29 +483,35 @@ impl JoinHashTable {
         let extractor = KeyExtractor::compile(block.schema(), key_cols)?;
         let mut batch = KeyBatch::new();
         extractor.extract_block(block, &mut batch);
-        self.insert_batch(block, &batch, payload_cols);
+        self.link_all(&[self.run(block, &batch, payload_cols)]);
         Ok(())
     }
 
+    /// The published shards.
+    fn frozen(&self) -> &[Shard] {
+        // invariant: the scheduler starts a probe only once its build
+        // finished, and a build finishes after its last finalize partition.
+        self.shards
+            .get()
+            .expect("a table is probed only after its finalize")
+    }
+
     /// Visit every payload row matching `key`. Returns the number of matches.
-    ///
-    /// Matches within a key are visited newest-insertion-first (the duplicate
-    /// chain is prepend-ordered); callers that care about order sort.
+    /// Matches within a key come in no particular order; callers that care
+    /// sort.
     pub fn probe_key(&self, key: &HashKey, mut f: impl FnMut(PayloadRef<'_>)) -> usize {
+        let session = self.probe_session();
         let hash = hash_of(key);
-        let shard = self.shards[self.shard_of(hash)].read();
-        let w = self.payload_schema.tuple_width();
-        let mut link = shard.find(hash, |k| k == key);
+        let sh = shard_of(hash);
+        let keys = ProbeKeys::of_key(key);
         let mut n = 0;
-        while link != NIL {
-            let l = shard.links[link as usize];
-            let off = l.payload as usize * w;
-            f(PayloadRef {
-                schema: &self.payload_schema,
-                bytes: &shard.arena[off..off + w],
-            });
+        for payload in session.shards[sh].matches(&keys, 0, hash) {
+            f(session.payload(ProbeMatch {
+                probe_row: 0,
+                shard: sh as u32,
+                payload,
+            }));
             n += 1;
-            link = l.next;
         }
         n
     }
@@ -396,32 +519,28 @@ impl JoinHashTable {
     /// True if any payload row matches `key` (semi/anti joins).
     pub fn contains_key(&self, key: &HashKey) -> bool {
         let hash = hash_of(key);
-        self.shards[self.shard_of(hash)]
-            .read()
-            .find(hash, |k| k == key)
-            != NIL
+        let keys = ProbeKeys::of_key(key);
+        let found = self.frozen()[shard_of(hash)]
+            .matches(&keys, 0, hash)
+            .next()
+            .is_some();
+        found
     }
 
-    /// Open a batched probe session: acquires every shard's read lock once,
-    /// so per-row probes inside the session touch no locks at all.
+    /// Open a batched probe session over the published table.
     pub fn probe_session(&self) -> ProbeSession<'_> {
         ProbeSession {
-            table: self,
-            guards: self.shards.iter().map(|s| s.read()).collect(),
+            payload_schema: &self.payload_schema,
+            shards: self.frozen(),
         }
     }
 
-    /// Approximate resident bytes: payload arenas, slot arrays, and duplicate
-    /// chains. Mirrors the paper's `|H_i|` accounting.
+    /// Resident bytes: payload rows, keys, bucket heads and chains. Mirrors
+    /// the paper's `|H_i|` accounting; 0 until the table is published.
     pub fn memory_bytes(&self) -> usize {
-        let mut total = 0;
-        for s in &self.shards {
-            let s = s.read();
-            total += s.arena.capacity();
-            total += s.slots.capacity() * std::mem::size_of::<Slot>();
-            total += s.links.capacity() * std::mem::size_of::<Link>();
-        }
-        total
+        self.shards
+            .get()
+            .map_or(0, |shards| shards.iter().map(Shard::memory_bytes).sum())
     }
 
     /// Report memory growth since the last sync to `tracker` (called by the
@@ -442,16 +561,26 @@ impl JoinHashTable {
         let prev = self.tracked.swap(0, Ordering::Relaxed);
         tracker.free(prev);
     }
+
+    /// Bucket heads and rows of every published shard (sizing tests).
+    #[cfg(test)]
+    fn shard_sizes(&self) -> Vec<(usize, usize)> {
+        self.frozen()
+            .iter()
+            .map(|s| (s.heads.len(), s.next.len()))
+            .collect()
+    }
 }
 
-/// A per-work-order probe view holding every shard's read lock.
+/// A per-work-order probe view of a published table. It holds no lock:
+/// the table no longer changes.
 ///
 /// Probes run in two passes over a [`KeyBatch`]: the cursor at row `i`
-/// resolves matches while the home slot for row `i + PREFETCH_DIST` is being
-/// prefetched, hiding DRAM latency behind useful work.
+/// resolves matches while the bucket head for row `i + PREFETCH_DIST` is
+/// being prefetched, hiding DRAM latency behind useful work.
 pub struct ProbeSession<'a> {
-    table: &'a JoinHashTable,
-    guards: Vec<RwLockReadGuard<'a, Shard>>,
+    payload_schema: &'a Arc<Schema>,
+    shards: &'a [Shard],
 }
 
 impl ProbeSession<'_> {
@@ -459,90 +588,134 @@ impl ProbeSession<'_> {
     /// [`ProbeMatch`] per (probe row, matching payload row) pair to `out`
     /// in probe-row order.
     pub fn probe_batch(&self, batch: &KeyBatch, out: &mut Vec<ProbeMatch>) {
+        let keys = ProbeKeys::of_batch(batch);
         let hashes = batch.hashes();
-        let n = hashes.len();
-        for i in 0..n {
-            if i + PREFETCH_DIST < n {
-                self.prefetch_home(hashes[i + PREFETCH_DIST]);
+        for (i, &h) in hashes.iter().enumerate() {
+            if let Some(&ahead) = hashes.get(i + PREFETCH_DIST) {
+                self.shards[shard_of(ahead)].prefetch_head(ahead);
             }
-            let h = hashes[i];
-            let sh = self.table.shard_of(h);
-            let shard = &*self.guards[sh];
-            let mut link = shard.find(h, |k| batch.key_eq(i, k));
-            while link != NIL {
-                let l = shard.links[link as usize];
-                out.push(ProbeMatch {
-                    probe_row: i as u32,
-                    shard: sh as u32,
-                    payload: l.payload,
-                });
-                link = l.next;
-            }
+            let sh = shard_of(h);
+            out.extend(
+                self.shards[sh]
+                    .matches(&keys, i, h)
+                    .map(|payload| ProbeMatch {
+                        probe_row: i as u32,
+                        shard: sh as u32,
+                        payload,
+                    }),
+            );
         }
     }
 
     /// Existence-only variant for semi/anti joins: pushes one `bool` per key
     /// of `batch` onto `out`.
     pub fn contains_batch(&self, batch: &KeyBatch, out: &mut Vec<bool>) {
+        let keys = ProbeKeys::of_batch(batch);
         let hashes = batch.hashes();
-        let n = hashes.len();
-        out.reserve(n);
-        for i in 0..n {
-            if i + PREFETCH_DIST < n {
-                self.prefetch_home(hashes[i + PREFETCH_DIST]);
+        out.reserve(hashes.len());
+        for (i, &h) in hashes.iter().enumerate() {
+            if let Some(&ahead) = hashes.get(i + PREFETCH_DIST) {
+                self.shards[shard_of(ahead)].prefetch_head(ahead);
             }
-            let h = hashes[i];
-            let shard = &*self.guards[self.table.shard_of(h)];
-            out.push(shard.find(h, |k| batch.key_eq(i, k)) != NIL);
+            out.push(
+                self.shards[shard_of(h)]
+                    .matches(&keys, i, h)
+                    .next()
+                    .is_some(),
+            );
         }
     }
 
     /// The payload row a [`ProbeMatch`] refers to.
     #[inline]
     pub fn payload(&self, m: ProbeMatch) -> PayloadRef<'_> {
-        let shard = &*self.guards[m.shard as usize];
-        let w = self.table.payload_schema.tuple_width();
+        let w = self.payload_schema.tuple_width();
         let off = m.payload as usize * w;
         PayloadRef {
-            schema: &self.table.payload_schema,
-            bytes: &shard.arena[off..off + w],
+            schema: self.payload_schema,
+            bytes: &self.shards[m.shard as usize].payload[off..off + w],
         }
     }
 
     /// The payload schema (same as the owning table's).
     #[inline]
     pub fn payload_schema(&self) -> &Arc<Schema> {
-        &self.table.payload_schema
-    }
-
-    #[inline(always)]
-    fn prefetch_home(&self, hash: u64) {
-        let shard = &*self.guards[self.table.shard_of(hash)];
-        if !shard.slots.is_empty() {
-            let idx = (hash as usize) & (shard.slots.len() - 1);
-            prefetch_read(&shard.slots[idx]);
-        }
+        self.payload_schema
     }
 }
 
-/// Append the projected columns of `block[row]` to `arena` using the
-/// row-store fixed-width encoding of `payload_schema`.
-fn encode_row(
-    arena: &mut Vec<u8>,
-    block: &StorageBlock,
-    row: usize,
-    payload_cols: &[usize],
-    payload_schema: &Schema,
-) {
-    debug_assert_eq!(payload_cols.len(), payload_schema.len());
-    for (j, &c) in payload_cols.iter().enumerate() {
-        match payload_schema.dtype(j) {
-            DataType::Int32 => arena.extend_from_slice(&block.i32_at(row, c).to_le_bytes()),
-            DataType::Date => arena.extend_from_slice(&block.date_at(row, c).to_le_bytes()),
-            DataType::Int64 => arena.extend_from_slice(&block.i64_at(row, c).to_le_bytes()),
-            DataType::Float64 => arena.extend_from_slice(&block.f64_at(row, c).to_le_bytes()),
-            DataType::Char(_) => arena.extend_from_slice(block.char_at(row, c)),
+/// Encode the `cols` of `block`'s rows, in the row order `order`, with the
+/// row-store fixed-width encoding of `schema`: one typed loop per column.
+fn encode_payload(block: &StorageBlock, order: &[u32], cols: &[usize], schema: &Schema) -> Vec<u8> {
+    debug_assert_eq!(cols.len(), schema.len());
+    let w = schema.tuple_width();
+    let mut out = vec![0u8; order.len() * w];
+    if w == 0 {
+        return out;
+    }
+    for (j, &c) in cols.iter().enumerate() {
+        let off = schema.offset(j);
+        let data = block.column_data(c);
+        match schema.dtype(j) {
+            DataType::Int32 => match data {
+                Some(d) => {
+                    let vals = d.as_i32();
+                    put(&mut out, w, off, order, |r| vals[r].to_le_bytes())
+                }
+                None => put(&mut out, w, off, order, |r| {
+                    block.i32_at(r, c).to_le_bytes()
+                }),
+            },
+            DataType::Date => match data {
+                Some(d) => {
+                    let vals = d.as_date();
+                    put(&mut out, w, off, order, |r| vals[r].to_le_bytes())
+                }
+                None => put(&mut out, w, off, order, |r| {
+                    block.date_at(r, c).to_le_bytes()
+                }),
+            },
+            DataType::Int64 => match data {
+                Some(d) => {
+                    let vals = d.as_i64();
+                    put(&mut out, w, off, order, |r| vals[r].to_le_bytes())
+                }
+                None => put(&mut out, w, off, order, |r| {
+                    block.i64_at(r, c).to_le_bytes()
+                }),
+            },
+            DataType::Float64 => match data {
+                Some(d) => {
+                    let vals = d.as_f64();
+                    put(&mut out, w, off, order, |r| vals[r].to_le_bytes())
+                }
+                None => put(&mut out, w, off, order, |r| {
+                    block.f64_at(r, c).to_le_bytes()
+                }),
+            },
+            DataType::Char(n) => {
+                let n = n as usize;
+                for (dst, &r) in out.chunks_exact_mut(w).zip(order) {
+                    dst[off..off + n].copy_from_slice(block.char_at(r as usize, c));
+                }
+            }
         }
+    }
+    out
+}
+
+/// Write `get(r)` at byte `off` of every `w`-byte row of `out`, `r` running
+/// over `order`.
+#[inline(always)]
+fn put<const N: usize>(
+    out: &mut [u8],
+    w: usize,
+    off: usize,
+    order: &[u32],
+    get: impl Fn(usize) -> [u8; N],
+) {
+    for (dst, &r) in out.chunks_exact_mut(w).zip(order) {
+        dst[off..off + N].copy_from_slice(&get(r as usize));
     }
 }
 
@@ -570,8 +743,20 @@ mod tests {
     }
 
     fn table_for(block: &StorageBlock) -> JoinHashTable {
-        let payload = block.schema().project(&[1, 2]);
-        JoinHashTable::new(payload, 8)
+        JoinHashTable::new(block.schema().project(&[1, 2]))
+    }
+
+    /// Write one run per block of `blocks` keyed by column 0.
+    fn runs_of(ht: &JoinHashTable, blocks: &[StorageBlock], payload: &[usize]) -> Vec<BuildRun> {
+        let ex = KeyExtractor::compile(blocks[0].schema(), &[0]).unwrap();
+        let mut batch = KeyBatch::new();
+        blocks
+            .iter()
+            .map(|b| {
+                ex.extract_block(b, &mut batch);
+                ht.run(b, &batch, payload)
+            })
+            .collect()
     }
 
     #[test]
@@ -613,23 +798,92 @@ mod tests {
         ht.insert_block(&b, &[0], &[1, 2]).unwrap();
         assert!(ht.is_empty());
         assert_eq!(ht.probe_key(&HashKey::from_i32(0), |_| {}), 0);
+        // A build with no run at all links to an empty table too.
+        let ht = table_for(&b);
+        ht.link_all(&[]);
+        assert!(ht.is_linked() && ht.is_empty());
+        assert!(!ht.contains_key(&HashKey::from_i32(0)));
     }
 
     #[test]
     fn concurrent_build_is_complete() {
+        // Eight work orders write their runs concurrently, then three
+        // finalize partitions link them concurrently.
         let blocks: Vec<StorageBlock> = (0..8).map(|_| build_block(100)).collect();
-        let payload = blocks[0].schema().project(&[1, 2]);
-        let ht = Arc::new(JoinHashTable::new(payload, 16));
+        let ht = table_for(&blocks[0]);
+        let ex = KeyExtractor::compile(blocks[0].schema(), &[0]).unwrap();
+        let runs: Vec<BuildRun> = std::thread::scope(|s| {
+            let handles: Vec<_> = blocks
+                .iter()
+                .map(|b| {
+                    let (ht, ex) = (&ht, &ex);
+                    s.spawn(move || {
+                        let mut batch = KeyBatch::new();
+                        ex.extract_block(b, &mut batch);
+                        ht.run(b, &batch, &[1, 2])
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
         std::thread::scope(|s| {
-            for b in &blocks {
-                let ht = ht.clone();
-                s.spawn(move || ht.insert_block(b, &[0], &[1, 2]).unwrap());
+            for part in 0..3 {
+                let (ht, runs) = (&ht, &runs);
+                s.spawn(move || ht.link(runs, part, 3));
             }
         });
         assert_eq!(ht.len(), 800);
         // each key 0..3 appears 25 times per block * 8 blocks
         for k in 0..4 {
             assert_eq!(ht.probe_key(&HashKey::from_i32(k), |_| {}), 200);
+        }
+    }
+
+    #[test]
+    fn the_last_partition_publishes() {
+        let blocks = vec![build_block(50), build_block(30)];
+        let ht = table_for(&blocks[0]);
+        let runs = runs_of(&ht, &blocks, &[1, 2]);
+        assert_eq!(runs.iter().map(BuildRun::rows).sum::<usize>(), 80);
+        for part in [2, 0] {
+            ht.link(&runs, part, 3);
+            assert!(!ht.is_linked());
+            assert_eq!(ht.len(), 0);
+        }
+        ht.link(&runs, 1, 3);
+        assert!(ht.is_linked());
+        assert_eq!(ht.len(), 80);
+        // key 2 is rows 2, 6, .. of each block: 12 of 50 and 7 of 30
+        assert_eq!(ht.probe_key(&HashKey::from_i32(2), |_| {}), 19);
+    }
+
+    #[test]
+    fn every_shard_keeps_a_vacant_head_at_most_seven_eighths_load() {
+        let blocks: Vec<StorageBlock> = [0, 1, 7, 640, 1 << 12]
+            .into_iter()
+            .map(|n| {
+                let s = Schema::from_pairs(&[("k", DataType::Int32)]);
+                let mut b = StorageBlock::new(s, BlockFormat::Column, 1 << 16).unwrap();
+                for i in 0..n {
+                    b.append_row(&[Value::I32(i)]).unwrap();
+                }
+                b
+            })
+            .collect();
+        for b in &blocks {
+            let ht = JoinHashTable::new(b.schema().project(&[]));
+            ht.insert_block(b, &[0], &[]).unwrap();
+            let sizes = ht.shard_sizes();
+            assert_eq!(sizes.len(), SHARDS);
+            assert_eq!(
+                sizes.iter().map(|&(_, rows)| rows).sum::<usize>(),
+                b.num_rows()
+            );
+            for (heads, rows) in sizes {
+                assert!(heads.is_power_of_two());
+                assert!(heads > rows, "{rows} rows in {heads} heads");
+                assert!(rows * 8 <= heads * 7, "{rows} rows in {heads} heads");
+            }
         }
     }
 
@@ -643,7 +897,7 @@ mod tests {
         ht.insert_block(&b, &[0], &[1, 2]).unwrap();
         ht.sync_tracker(&t);
         assert!(t.current_bytes() > before);
-        assert!(ht.memory_bytes() >= 64 * (4 + 8)); // at least the payload arena
+        assert!(ht.memory_bytes() >= 64 * (4 + 8)); // at least the payload rows
         ht.release_tracker(&t);
         assert_eq!(t.current_bytes(), 0);
     }
@@ -651,7 +905,7 @@ mod tests {
     #[test]
     fn composite_keys() {
         let b = build_block(8);
-        let ht = JoinHashTable::new(b.schema().project(&[2]), 4);
+        let ht = JoinHashTable::new(b.schema().project(&[2]));
         // key on (k, name) — all distinct because name differs
         ht.insert_block(&b, &[0, 1], &[2]).unwrap();
         let key = HashKey::from_row(&b, 3, &[0, 1]);
@@ -661,12 +915,23 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_rounds_to_power_of_two() {
-        let b = build_block(1);
-        let ht = JoinHashTable::new(b.schema().project(&[0]), 5);
-        assert_eq!(ht.shards.len(), 8);
-        let ht = JoinHashTable::new(b.schema().project(&[0]), 0);
-        assert_eq!(ht.shards.len(), 1);
+    fn wide_keys() {
+        let s = Schema::from_pairs(&[("k", DataType::Char(20)), ("v", DataType::Int64)]);
+        let mut b = StorageBlock::new(s, BlockFormat::Row, 1 << 14).unwrap();
+        for i in 0..40i64 {
+            b.append_row(&[Value::Str(format!("wide-{:02}", i % 10)), Value::I64(i)])
+                .unwrap();
+        }
+        let ht = JoinHashTable::new(b.schema().project(&[1]));
+        ht.insert_block(&b, &[0], &[1]).unwrap();
+        let key = HashKey::from_row(&b, 3, &[0]);
+        assert!(matches!(key, HashKey::Var(_)));
+        let mut vals = vec![];
+        ht.probe_key(&key, |p| vals.push(p.i64_at(0)));
+        vals.sort_unstable();
+        assert_eq!(vals, vec![3, 13, 23, 33]);
+        // A packed key never equals a wide one.
+        assert!(!ht.contains_key(&HashKey::from_i64(3)));
     }
 
     #[test]
@@ -712,7 +977,7 @@ mod tests {
     #[test]
     fn zero_width_payload() {
         let b = build_block(30);
-        let ht = JoinHashTable::new(b.schema().project(&[]), 4);
+        let ht = JoinHashTable::new(b.schema().project(&[]));
         ht.insert_block(&b, &[0], &[]).unwrap();
         assert_eq!(ht.len(), 30);
         // 30 rows over keys 0..4: keys 0,1 appear 8 times, 2,3 appear 7.

@@ -37,10 +37,6 @@ pub(crate) struct Prepared {
     pub live: Option<Arc<LiveQuery>>,
 }
 
-/// Shards per join hash table (the lock granularity of concurrent builds;
-/// grace partitions build their per-partition tables with the same count).
-const HASH_TABLE_SHARDS: usize = 64;
-
 /// Catch configuration mistakes that would otherwise surface as confusing
 /// mid-query failures: a worker pool of zero threads, or temporary blocks too
 /// small to hold one output tuple of some operator.
@@ -105,16 +101,10 @@ pub(crate) fn prepare(
         ));
         pool.enable_spill(store);
     }
-    let mut ctx = ExecContext::new(
-        plan,
-        pool,
-        cfg.temp_format,
-        cfg.block_bytes,
-        HASH_TABLE_SHARDS,
-    )?
-    .with_query(query)
-    .with_cancellation(token.clone())
-    .with_deadline(cfg.deadline);
+    let mut ctx = ExecContext::new(plan, pool, cfg.temp_format, cfg.block_bytes)?
+        .with_query(query)
+        .with_cancellation(token.clone())
+        .with_deadline(cfg.deadline);
     if let Some(faults) = faults {
         ctx = ctx.with_faults(faults.clone());
     }

@@ -580,7 +580,7 @@ mod tests {
             .unwrap();
         let plan = Arc::new(pb.build(a).unwrap());
         let pool = BlockPool::new(MemoryTracker::new());
-        let ctx = ExecContext::new(plan, pool, BlockFormat::Row, 1 << 12, 4).unwrap();
+        let ctx = ExecContext::new(plan, pool, BlockFormat::Row, 1 << 12).unwrap();
         (ctx, a)
     }
 

@@ -1,29 +1,36 @@
-//! The build-hash operator: insert one block into the shared join hash table.
+//! The build-hash operator, in two phases.
+//!
+//! Each stream work order extracts and hashes its block's keys, feeds the
+//! Bloom filter, and writes the block into a private
+//! [`BuildRun`] on the operator's runtime state — no shared table is
+//! touched. Once every stream work order has finished, the scheduler
+//! [`freeze`]s the runs and dispatches `P = min(workers, rows /
+//! FINALIZE_FLOOR)` finalize work orders, at least one; each links the
+//! shards it owns ([`JoinHashTable::link`](crate::hash_table::JoinHashTable::link)),
+//! and the build finishes after the last.
 
 use crate::error::EngineError;
+use crate::hash_table::{BuildRun, SHARDS};
 use crate::plan::OperatorKind;
 use crate::state::ExecContext;
 use crate::Result;
 use std::sync::Arc;
 use uot_storage::StorageBlock;
 
-/// Run one build work order. Builds never emit blocks.
+/// Build rows per finalize partition, at least: a build splits its finalize
+/// into `min(workers, rows / FINALIZE_FLOOR)` partitions, at least one — so
+/// a small build keeps a single finalize work order.
+pub const FINALIZE_FLOOR: usize = 4096;
+
+/// Run one build stream work order. Builds never emit blocks.
 pub fn execute(
     ctx: &ExecContext,
     op: usize,
     block: &Arc<StorageBlock>,
 ) -> Result<Vec<StorageBlock>> {
-    let payload_cols = match &ctx.plan.op(op).kind {
-        OperatorKind::BuildHash { payload_cols, .. } => payload_cols,
-        other => {
-            return Err(EngineError::Internal(format!(
-                "build work order on {}",
-                other.kind_label()
-            )))
-        }
-    };
-    // Batched pipeline: extract + hash all keys once, insert shard-grouped,
-    // and feed the Bloom filter from the same hash vector.
+    let payload_cols = payload_cols(ctx, op)?;
+    // Batched pipeline: extract + hash all keys once, write the run, and
+    // feed the Bloom filter from the same hash vector.
     let mut scratch = ctx.take_scratch();
     ctx.key_extractor(op)
         .extract_block(block, &mut scratch.keys);
@@ -49,10 +56,59 @@ pub fn execute(
         res?;
         return Ok(Vec::new());
     }
-    ctx.hash_table(op)
-        .insert_batch(block, &scratch.keys, payload_cols);
+    let run = (!scratch.keys.is_empty())
+        .then(|| ctx.hash_table(op).run(block, &scratch.keys, payload_cols));
     ctx.put_scratch(scratch);
+    if let Some(run) = run {
+        ctx.runtimes[op].build_runs.lock().push(run);
+    }
     Ok(Vec::new())
+}
+
+fn payload_cols(ctx: &ExecContext, op: usize) -> Result<&[usize]> {
+    match &ctx.plan.op(op).kind {
+        OperatorKind::BuildHash { payload_cols, .. } => Ok(payload_cols),
+        other => Err(EngineError::Internal(format!(
+            "build work order on {}",
+            other.kind_label()
+        ))),
+    }
+}
+
+/// Take the runs of build `op` once every stream work order has finished,
+/// and split its finalize for `workers` workers: the runs, shared read-only
+/// by the partitions, and the partition count.
+pub fn freeze(ctx: &ExecContext, op: usize, workers: usize) -> (Arc<[BuildRun]>, usize) {
+    let runs = std::mem::take(&mut *ctx.runtimes[op].build_runs.lock());
+    let rows: usize = runs.iter().map(BuildRun::rows).sum();
+    let parts = workers.min(rows / FINALIZE_FLOOR).clamp(1, SHARDS);
+    (runs.into(), parts)
+}
+
+/// Finalize partition `part` of `parts` of build `op`: link the shards the
+/// partition owns from every run. The last partition publishes the table.
+pub fn execute_finalize(
+    ctx: &ExecContext,
+    op: usize,
+    part: usize,
+    parts: usize,
+    runs: &[BuildRun],
+) -> Result<Vec<StorageBlock>> {
+    payload_cols(ctx, op)?;
+    ctx.hash_table(op).link(runs, part, parts);
+    Ok(Vec::new())
+}
+
+/// Run build `op`'s finalize on the calling thread, split for `workers`
+/// workers with its partitions in turn — what the scheduler does once the
+/// build's stream work orders are over. For callers that drive build work
+/// orders by hand (unit tests, benches).
+pub fn finalize_in_turn(ctx: &ExecContext, op: usize, workers: usize) -> Result<()> {
+    let (runs, parts) = freeze(ctx, op, workers);
+    for part in 0..parts {
+        execute_finalize(ctx, op, part, parts, &runs)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -93,11 +149,12 @@ mod tests {
             .unwrap();
         let plan = Arc::new(pb.build(p).unwrap());
         let pool = BlockPool::new(MemoryTracker::new());
-        let ctx = ExecContext::new(plan, pool, BlockFormat::Row, 1 << 10, 4).unwrap();
+        let ctx = ExecContext::new(plan, pool, BlockFormat::Row, 1 << 10).unwrap();
         for blk in t.blocks() {
             let out = execute(&ctx, b, &blk.clone()).unwrap();
             assert!(out.is_empty());
         }
+        finalize_in_turn(&ctx, b, 1).unwrap();
         let ht = ctx.hash_table(b);
         assert_eq!(ht.len(), 50);
         // key 3 appears 5 times (3, 13, 23, 33, 43)

@@ -398,21 +398,22 @@ fn join_partition(
         return Ok(());
     }
 
-    // Build this partition's hash table and release the input blocks. One
-    // shard, not the engine's concurrent-build shard count: a partition is
-    // built and probed by this single work order, and the per-shard fixed
-    // overhead would otherwise dwarf a tight budget.
-    let ht = JoinHashTable::new(ctx.plan.op(g.build_op).out_schema.clone(), 1);
+    // Build this partition's hash table the way a build operator does, on
+    // this one work order: a run per block, releasing each input block as
+    // its run is written, then one finalize over every run.
+    let ht = JoinHashTable::new(ctx.plan.op(g.build_op).out_schema.clone());
     let tracker = ctx.pool.tracker();
     let mut scratch = ctx.take_scratch();
+    let mut runs = Vec::with_capacity(build_blocks.len());
     for b in build_blocks {
-        let b = Arc::new(b);
         ctx.key_extractor(g.build_op)
             .extract_block(&b, &mut scratch.keys);
-        ht.insert_batch(&b, &scratch.keys, payload_cols);
+        runs.push(ht.run(&b, &scratch.keys, payload_cols));
         tracker.free(b.allocated_bytes());
     }
     ctx.put_scratch(scratch);
+    ht.link_all(&runs);
+    drop(runs);
     ht.sync_tracker(tracker);
 
     // Stream the probe partition through it, one block at a time.

@@ -76,7 +76,7 @@ mod tests {
         let l = pb.limit(Source::Table(t.clone()), n).unwrap();
         let plan = Arc::new(pb.build(l).unwrap());
         let pool = BlockPool::new(MemoryTracker::new());
-        let ctx = ExecContext::new(plan, pool, BlockFormat::Row, 1 << 12, 4).unwrap();
+        let ctx = ExecContext::new(plan, pool, BlockFormat::Row, 1 << 12).unwrap();
         let mut rows = Vec::new();
         for b in t.blocks() {
             for out in execute(&ctx, l, &b.clone()).unwrap() {

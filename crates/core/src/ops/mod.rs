@@ -174,6 +174,9 @@ pub fn execute_work_order(ctx: &ExecContext, wo: &WorkOrder) -> Result<Vec<Stora
         (OperatorKind::BuildHash { .. }, WorkKind::Stream { block }) => {
             build::execute(ctx, wo.op, block)
         }
+        (OperatorKind::BuildHash { .. }, WorkKind::FinalizeBuild { part, parts, runs }) => {
+            build::execute_finalize(ctx, wo.op, *part, *parts, runs)
+        }
         (OperatorKind::Probe { .. }, WorkKind::Stream { block }) => {
             probe::execute(ctx, wo.op, block)
         }

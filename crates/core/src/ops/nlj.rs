@@ -140,7 +140,7 @@ mod tests {
             .unwrap();
         let plan = Arc::new(pb.build(j).unwrap());
         let pool = BlockPool::new(MemoryTracker::new());
-        let ctx = ExecContext::new(plan, pool, BlockFormat::Row, 1 << 12, 4).unwrap();
+        let ctx = ExecContext::new(plan, pool, BlockFormat::Row, 1 << 12).unwrap();
         // scheduler would materialize the inner side:
         ctx.runtimes[r]
             .collected

@@ -163,7 +163,6 @@ pub(crate) fn apply_with(
             }
         }
     }
-    drop(session);
     ctx.put_scratch(scratch);
     if builders.first().map(|b| b.is_empty()).unwrap_or(true) {
         return Ok(None);
@@ -274,7 +273,7 @@ mod tests {
             .unwrap();
         let plan = Arc::new(pb.build(p).unwrap());
         let pool = BlockPool::new(MemoryTracker::new());
-        let ctx = ExecContext::new(plan, pool, BlockFormat::Row, 1 << 10, 4).unwrap();
+        let ctx = ExecContext::new(plan, pool, BlockFormat::Row, 1 << 10).unwrap();
         (ctx, b, p, d, f)
     }
 
@@ -282,6 +281,7 @@ mod tests {
         for blk in d.blocks() {
             build::execute(ctx, b, &blk.clone()).unwrap();
         }
+        build::finalize_in_turn(ctx, b, 1).unwrap();
         let mut rows = Vec::new();
         for blk in f.blocks() {
             for out in execute(ctx, p, &blk.clone()).unwrap() {
@@ -327,8 +327,10 @@ mod tests {
 
     #[test]
     fn probe_against_empty_build() {
-        let (ctx, _b, p, _d, f) = setup(JoinType::Inner, vec![1]);
-        // Skip the build step entirely: table empty.
+        let (ctx, b, p, _d, f) = setup(JoinType::Inner, vec![1]);
+        // Skip the build's stream work entirely: the finalize links an
+        // empty table.
+        build::finalize_in_turn(&ctx, b, 1).unwrap();
         let out = execute(&ctx, p, &f.blocks()[0].clone()).unwrap();
         assert!(out.is_empty());
     }
@@ -362,7 +364,7 @@ mod tests {
             .unwrap();
         let plan = Arc::new(pb.build(p).unwrap());
         let pool = BlockPool::new(MemoryTracker::new());
-        let ctx = ExecContext::new(plan, pool, BlockFormat::Row, 1 << 10, 4).unwrap();
+        let ctx = ExecContext::new(plan, pool, BlockFormat::Row, 1 << 10).unwrap();
         let rows = run_probe(&ctx, b, p, &d, &f);
         assert_eq!(rows.len(), 3); // 7 matches thrice, 8 never
     }

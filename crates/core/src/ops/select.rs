@@ -187,7 +187,7 @@ mod tests {
             .unwrap();
         let plan = Arc::new(pb.build(s).unwrap());
         let pool = BlockPool::new(MemoryTracker::new());
-        let ctx = ExecContext::new(plan, pool, BlockFormat::Row, 1 << 12, 4).unwrap();
+        let ctx = ExecContext::new(plan, pool, BlockFormat::Row, 1 << 12).unwrap();
         let block = t.blocks()[0].clone();
         let mut out = Vec::new();
         for b in execute(&ctx, s, &block).unwrap() {
@@ -219,7 +219,7 @@ mod tests {
             .unwrap();
         let plan = Arc::new(pb.build(s).unwrap());
         let pool = BlockPool::new(MemoryTracker::new());
-        let ctx = ExecContext::new(plan, pool.clone(), BlockFormat::Row, 1 << 12, 4).unwrap();
+        let ctx = ExecContext::new(plan, pool.clone(), BlockFormat::Row, 1 << 12).unwrap();
         let completed = execute(&ctx, s, &t.blocks()[0].clone()).unwrap();
         assert!(completed.is_empty());
         assert!(ctx.output(s).flush().is_empty());
@@ -235,7 +235,7 @@ mod tests {
             .unwrap();
         let plan = Arc::new(pb.build(s).unwrap());
         let pool = BlockPool::new(MemoryTracker::new());
-        let ctx = ExecContext::new(plan, pool, BlockFormat::Column, 1 << 12, 4).unwrap();
+        let ctx = ExecContext::new(plan, pool, BlockFormat::Column, 1 << 12).unwrap();
         let mut rows = Vec::new();
         for b in execute(&ctx, s, &t.blocks()[0].clone()).unwrap() {
             rows.extend(b.all_rows());

@@ -87,7 +87,7 @@ mod tests {
         let s = pb.sort(Source::Table(t.clone()), keys, limit).unwrap();
         let plan = Arc::new(pb.build(s).unwrap());
         let pool = BlockPool::new(MemoryTracker::new());
-        let ctx = ExecContext::new(plan, pool, BlockFormat::Row, 1 << 12, 4).unwrap();
+        let ctx = ExecContext::new(plan, pool, BlockFormat::Row, 1 << 12).unwrap();
         // scheduler would do this routing:
         ctx.runtimes[s].collected.lock().extend(blocks);
         let mut rows = Vec::new();

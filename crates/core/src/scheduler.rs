@@ -41,7 +41,7 @@ use crate::error::EngineError;
 use crate::fault::{FaultKind, FaultSite};
 use crate::metrics::{QueryMetrics, TaskRecord};
 use crate::obs::QueryObserver;
-use crate::ops::{aggregate, execute_work_order_contained};
+use crate::ops::{aggregate, build, execute_work_order_contained};
 use crate::plan::{OpId, OperatorKind, QueryPlan};
 use crate::state::ExecContext;
 use crate::topology::Dependent;
@@ -582,42 +582,54 @@ impl SchedulerCore {
         {
             return Ok(());
         }
-        let is_grace_probe = matches!(self.plan().op(op).kind, OperatorKind::Probe { .. })
-            && self.ctx.grace.contains_key(&op);
-        let needs_finalize = matches!(
-            self.plan().op(op).kind,
-            OperatorKind::Aggregate { .. } | OperatorKind::Sort { .. }
-        ) || is_grace_probe;
-        if needs_finalize && !self.states[op].finalize_dispatched {
-            self.states[op].finalize_dispatched = true;
-            let kinds = if is_grace_probe {
-                vec![WorkKind::FinalizeJoin]
-            } else if matches!(self.plan().op(op).kind, OperatorKind::Sort { .. }) {
-                vec![WorkKind::FinalizeSort]
-            } else {
-                // Every stream work order has finished: the pooled partials
-                // are complete and can be shared by the partitions.
-                let (partials, parts) = aggregate::freeze(&self.ctx, op, self.mode.workers())?;
-                (0..parts)
-                    .map(|part| WorkKind::FinalizeAggregate {
-                        part,
-                        parts,
-                        partials: partials.clone(),
-                    })
-                    .collect()
+        if !self.states[op].finalize_dispatched {
+            // Every stream work order has finished: a build's runs and an
+            // aggregate's pooled partials are complete and can be shared by
+            // the finalize partitions. A grace join's build only partitioned
+            // its input; the grace probe's finalize builds and probes one
+            // table per partition.
+            let grace = self.ctx.grace.contains_key(&op);
+            let workers = self.mode.workers();
+            let kinds = match self.plan().op(op).kind {
+                OperatorKind::Probe { .. } if grace => vec![WorkKind::FinalizeJoin],
+                OperatorKind::Sort { .. } => vec![WorkKind::FinalizeSort],
+                OperatorKind::BuildHash { .. } if !grace => {
+                    let (runs, parts) = build::freeze(&self.ctx, op, workers);
+                    (0..parts)
+                        .map(|part| WorkKind::FinalizeBuild {
+                            part,
+                            parts,
+                            runs: runs.clone(),
+                        })
+                        .collect()
+                }
+                OperatorKind::Aggregate { .. } => {
+                    let (partials, parts) = aggregate::freeze(&self.ctx, op, workers)?;
+                    (0..parts)
+                        .map(|part| WorkKind::FinalizeAggregate {
+                            part,
+                            parts,
+                            partials: partials.clone(),
+                        })
+                        .collect()
+                }
+                _ => Vec::new(),
             };
-            for kind in kinds {
-                let wo = WorkOrder {
-                    query: self.ctx.query,
-                    op,
-                    kind,
-                    seq: self.seq,
-                };
-                self.seq += 1;
-                self.states[op].outstanding += 1;
-                self.queue.push(wo);
+            if !kinds.is_empty() {
+                self.states[op].finalize_dispatched = true;
+                for kind in kinds {
+                    let wo = WorkOrder {
+                        query: self.ctx.query,
+                        op,
+                        kind,
+                        seq: self.seq,
+                    };
+                    self.seq += 1;
+                    self.states[op].outstanding += 1;
+                    self.queue.push(wo);
+                }
+                return Ok(());
             }
-            return Ok(());
         }
         // Flush partially filled output blocks, route them, mark finished.
         if self.ctx.runtimes[op].output.is_some() {
@@ -1319,7 +1331,6 @@ mod tests {
                 // Small temp blocks (8 x 12-byte tuples) so producers emit
                 // multiple full blocks and UoT effects are visible.
                 96,
-                8,
             )
             .unwrap(),
         )
@@ -1556,9 +1567,10 @@ mod tests {
         let ctx = ctx_for(select_probe_plan(Uot::Blocks(1)));
         let (_, m) = run_serial(ctx, Uot::LOW).unwrap();
         // fact2: 100 rows, 8 per block -> 13 select work orders;
-        // dim2: 10 rows, 4 per block -> 3 build work orders.
+        // dim2: 10 rows, 4 per block -> 3 build stream work orders, and one
+        // finalize (10 rows are below the finalize floor).
         assert_eq!(m.ops[1].work_orders, 13);
-        assert_eq!(m.ops[0].work_orders, 3);
+        assert_eq!(m.ops[0].work_orders, 4);
         assert!(m.ops[2].work_orders >= 1);
         assert_eq!(
             m.tasks.len(),
@@ -1760,7 +1772,7 @@ mod tests {
         let store = uot_storage::SpillStore::new(None, tracker.clone()).unwrap();
         pool.enable_spill(store.clone());
         let plan = Arc::new(select_probe_plan(Uot::Blocks(1)));
-        let ctx = Arc::new(ExecContext::new(plan, pool, BlockFormat::Row, 96, 8).unwrap());
+        let ctx = Arc::new(ExecContext::new(plan, pool, BlockFormat::Row, 96).unwrap());
         let mut core = core_for(&ctx, Uot::LOW);
         let complete = |core: &mut SchedulerCore, wo: &WorkOrder| {
             let produced = execute_work_order(&ctx, wo).unwrap();

@@ -11,7 +11,7 @@ use crate::bloom::BloomFilter;
 use crate::cancel::CancellationToken;
 use crate::error::EngineError;
 use crate::fault::FaultPlan;
-use crate::hash_table::{JoinHashTable, ProbeMatch};
+use crate::hash_table::{BuildRun, JoinHashTable, ProbeMatch};
 use crate::ops::aggregate::GroupRun;
 use crate::ops::row_order::push_field;
 use crate::output::OutputBuffer;
@@ -77,7 +77,7 @@ pub struct GraceJoinState {
 impl GraceJoinState {
     /// Partition index for a 64-bit key hash. Uses bits 32.. so it stays
     /// disjoint from both the hash table's shard bits (top 16) and its
-    /// in-shard slot bits (bottom), making sub-partitioning on deeper bits
+    /// in-shard bucket bits (bottom), making sub-partitioning on deeper bits
     /// meaningful during recursive respill.
     pub fn partition_of(&self, hash: u64) -> usize {
         (hash >> 32) as usize & (self.nparts - 1)
@@ -272,6 +272,9 @@ pub struct OpRuntime {
     pub output: Option<OutputBuffer>,
     /// The hash table (only for `BuildHash`).
     pub hash_table: Option<Arc<JoinHashTable>>,
+    /// The runs written by the build's stream work orders (only for
+    /// `BuildHash`), taken for its finalize once they are all in.
+    pub build_runs: Mutex<Vec<BuildRun>>,
     /// LIP Bloom filter over the build keys — present only when some select
     /// references this build via a [`crate::plan::LipFilter`].
     pub bloom: Option<Arc<BloomFilter>>,
@@ -337,9 +340,6 @@ pub struct ExecContext {
     /// Capacity of temporary blocks in bytes (grace-join partition buffers
     /// check out blocks of this size).
     pub block_bytes: usize,
-    /// Shard count for join hash tables (grace partitions build their
-    /// per-partition tables with the same setting).
-    pub hash_table_shards: usize,
     /// Per-operator key extractor, compiled once at context build: build
     /// keys, probe keys, or group-by keys depending on the operator kind.
     extractors: Vec<Option<KeyExtractor>>,
@@ -381,7 +381,6 @@ impl ExecContext {
         pool: Arc<BlockPool>,
         temp_format: BlockFormat,
         block_bytes: usize,
-        hash_table_shards: usize,
     ) -> Result<Self> {
         // Which builds need a Bloom filter (referenced by some select's LIP
         // list), and a capacity estimate from the upstream base table.
@@ -442,10 +441,7 @@ impl ExecContext {
             let (output, hash_table) = match &op.kind {
                 OperatorKind::BuildHash { .. } => (
                     None,
-                    Some(Arc::new(JoinHashTable::new(
-                        op.out_schema.clone(),
-                        hash_table_shards,
-                    ))),
+                    Some(Arc::new(JoinHashTable::new(op.out_schema.clone()))),
                 ),
                 _ => (
                     Some(OutputBuffer::new(
@@ -465,6 +461,7 @@ impl ExecContext {
             runtimes.push(OpRuntime {
                 output,
                 hash_table,
+                build_runs: Mutex::new(Vec::new()),
                 bloom,
                 lip_pruned: std::sync::atomic::AtomicUsize::new(0),
                 agg_partials: Mutex::new(Vec::new()),
@@ -479,7 +476,6 @@ impl ExecContext {
             runtimes,
             temp_format,
             block_bytes,
-            hash_table_shards,
             extractors,
             lip_groups,
             scratch: Mutex::new(Vec::new()),
@@ -696,7 +692,7 @@ mod tests {
             .unwrap();
         let plan = Arc::new(pb.build(p).unwrap());
         let pool = BlockPool::new(MemoryTracker::new());
-        let ctx = ExecContext::new(plan, pool, BlockFormat::Row, 1024, 4).unwrap();
+        let ctx = ExecContext::new(plan, pool, BlockFormat::Row, 1024).unwrap();
         assert!(ctx.runtimes[b].hash_table.is_some());
         assert!(ctx.runtimes[b].output.is_none());
         assert!(ctx.runtimes[p].output.is_some());
@@ -713,7 +709,7 @@ mod tests {
         let l = pb.limit(Source::Table(t), 7).unwrap();
         let plan = Arc::new(pb.build(l).unwrap());
         let pool = BlockPool::new(MemoryTracker::new());
-        let ctx = ExecContext::new(plan, pool, BlockFormat::Row, 1024, 4).unwrap();
+        let ctx = ExecContext::new(plan, pool, BlockFormat::Row, 1024).unwrap();
         assert_eq!(
             ctx.runtimes[l]
                 .limit_remaining

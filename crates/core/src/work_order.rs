@@ -5,6 +5,7 @@
 //! (Section III of the paper). A [`WorkOrder`] pairs an operator with one
 //! input — a streamed block, or a finalize step for blocking operators.
 
+use crate::hash_table::BuildRun;
 use crate::plan::OpId;
 use crate::query_id::QueryId;
 use crate::state::FrozenPartial;
@@ -14,11 +15,24 @@ use uot_storage::StorageBlock;
 /// What a work order does.
 #[derive(Debug, Clone)]
 pub enum WorkKind {
-    /// Apply the operator's logic to one input block (select, build, probe,
-    /// aggregate-partial, nested-loops outer block, limit).
+    /// Apply the operator's logic to one input block (select, build run,
+    /// probe, aggregate-partial, nested-loops outer block, limit).
     Stream {
         /// The input block.
         block: Arc<StorageBlock>,
+    },
+    /// One partition of a (non-grace) build's finalize: size and link the
+    /// hash-table shards that partition `part` of `parts` owns, from every
+    /// run the build's stream work orders wrote. The last partition to
+    /// finish publishes the table, which probes then read without locks.
+    FinalizeBuild {
+        /// This partition, in `0..parts`.
+        part: usize,
+        /// The build's finalize partition count.
+        parts: usize,
+        /// The build's runs, taken once its stream work was over and shared
+        /// by every partition.
+        runs: Arc<[BuildRun]>,
     },
     /// One partition of an aggregate's finalize: merge, order and finish the
     /// groups of the frozen partials whose hash falls in partition `part` of
@@ -68,6 +82,9 @@ impl WorkOrder {
         match &self.kind {
             WorkKind::Stream { block } => {
                 format!("{q}op{} stream({} rows)", self.op, block.num_rows())
+            }
+            WorkKind::FinalizeBuild { part, parts, .. } => {
+                format!("{q}op{} finalize-build {}/{parts}", self.op, part + 1)
             }
             WorkKind::FinalizeAggregate { part, parts, .. } => {
                 format!("{q}op{} finalize-agg {}/{parts}", self.op, part + 1)
@@ -120,5 +137,22 @@ mod tests {
         assert_eq!(wo(0, 2).describe(), "op4 finalize-agg 1/2");
         assert_eq!(wo(1, 2).describe(), "op4 finalize-agg 2/2");
         assert_eq!(wo(0, 1).describe(), "op4 finalize-agg 1/1");
+    }
+
+    #[test]
+    fn describe_names_the_build_finalize_partition() {
+        let wo = |part, parts| WorkOrder {
+            query: QueryId::SOLO,
+            op: 2,
+            kind: WorkKind::FinalizeBuild {
+                part,
+                parts,
+                runs: Arc::from(Vec::new()),
+            },
+            seq: 0,
+        };
+        assert_eq!(wo(0, 2).describe(), "op2 finalize-build 1/2");
+        assert_eq!(wo(1, 2).describe(), "op2 finalize-build 2/2");
+        assert_eq!(wo(0, 1).describe(), "op2 finalize-build 1/1");
     }
 }

@@ -113,7 +113,7 @@ fn join_agg_plan(fact: Arc<Table>, dim: Arc<Table>, uot: Uot) -> QueryPlan {
 
 fn ctx_with(plan: QueryPlan, pool: Arc<BlockPool>, faults: Arc<FaultPlan>) -> Arc<ExecContext> {
     Arc::new(
-        ExecContext::new(Arc::new(plan), pool, BlockFormat::Row, 128, 4)
+        ExecContext::new(Arc::new(plan), pool, BlockFormat::Row, 128)
             .unwrap()
             .with_faults(faults),
     )
@@ -237,14 +237,12 @@ proptest! {
             None,
         ));
         pool.enable_spill(store.clone());
-        // Table UoT + one hash-table shard: staging must outgrow the budget
-        // (forcing evictions) without the per-shard fixed overhead eating it.
+        // Table UoT: staging must outgrow the budget (forcing evictions).
         let mut ctx = ExecContext::new(
             Arc::new(join_agg_plan(fact, dim, Uot::Table)),
             pool,
             BlockFormat::Row,
             96,
-            1,
         )
         .unwrap()
         .with_faults(faults);
@@ -352,7 +350,7 @@ proptest! {
         let sink = TraceSink::new(DEFAULT_TRACE_CAPACITY);
         let pool = BlockPool::new(MemoryTracker::new());
         let ctx = Arc::new(
-            ExecContext::new(Arc::new(plan), pool, BlockFormat::Row, 128, 4)
+            ExecContext::new(Arc::new(plan), pool, BlockFormat::Row, 128)
                 .unwrap()
                 .with_faults(faults)
                 .with_trace(sink.clone()),
@@ -473,7 +471,7 @@ fn fused_pipeline_panic_names_the_chain() {
     );
     assert_eq!(fusion.fused_count(), 1, "select->aggregate must fuse");
     let ctx = Arc::new(
-        ExecContext::new(plan, pool, BlockFormat::Row, 128, 4)
+        ExecContext::new(plan, pool, BlockFormat::Row, 128)
             .unwrap()
             .with_faults(faults)
             .with_fusion(fusion),

@@ -144,7 +144,7 @@ proptest! {
         let tracker = MemoryTracker::new();
         let pool = BlockPool::new(tracker.clone());
         let ctx = Arc::new(
-            ExecContext::new(Arc::new(plan), pool, fmt, block_bytes, 4).unwrap(),
+            ExecContext::new(Arc::new(plan), pool, fmt, block_bytes).unwrap(),
         );
         let mode = if parallel {
             ExecMode::Parallel { workers }
@@ -211,7 +211,7 @@ proptest! {
         let spill_dir = store.dir().to_path_buf();
 
         let plan = plan_of(0, fact, dim).with_uniform_uot(Uot::Table);
-        let mut ctx = ExecContext::new(Arc::new(plan), pool, BlockFormat::Row, 96, 1)
+        let mut ctx = ExecContext::new(Arc::new(plan), pool, BlockFormat::Row, 96)
             .unwrap()
             .with_faults(faults);
         ctx.plan_grace(budget);

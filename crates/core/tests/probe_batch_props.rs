@@ -142,7 +142,7 @@ fn join_plan(case: &JoinCase, join: JoinType) -> (QueryPlan, usize, usize) {
 /// implementation and return the sorted output rows.
 fn run_probe_path(plan: &Arc<QueryPlan>, b: usize, p: usize, scalar: bool) -> Vec<Vec<Value>> {
     let pool = BlockPool::new(MemoryTracker::new());
-    let ctx = ExecContext::new(plan.clone(), pool, BlockFormat::Row, 1 << 12, 4).unwrap();
+    let ctx = ExecContext::new(plan.clone(), pool, BlockFormat::Row, 1 << 12).unwrap();
     let (dim, fact) = match (
         plan.op(b).kind.stream_source(),
         plan.op(p).kind.stream_source(),
@@ -153,6 +153,7 @@ fn run_probe_path(plan: &Arc<QueryPlan>, b: usize, p: usize, scalar: bool) -> Ve
     for blk in dim.blocks() {
         build::execute(&ctx, b, &blk.clone()).unwrap();
     }
+    build::finalize_in_turn(&ctx, b, 1).unwrap();
     let mut rows = Vec::new();
     for blk in fact.blocks() {
         let out = if scalar {

@@ -10,7 +10,8 @@ use uot_core::bloom::BloomFilter;
 use uot_core::hash_table::JoinHashTable;
 use uot_core::output::OutputBuffer;
 use uot_storage::{
-    BlockFormat, BlockPool, DataType, HashKey, MemoryTracker, Schema, StorageBlock, Value,
+    BlockFormat, BlockPool, DataType, HashKey, KeyBatch, KeyExtractor, MemoryTracker, Schema,
+    StorageBlock, Value,
 };
 
 fn schema() -> Arc<Schema> {
@@ -102,16 +103,25 @@ proptest! {
     fn hash_table_agrees_with_multimap_model(
         rows in proptest::collection::vec((0i32..50, any::<i64>()), 0..300),
         probes in proptest::collection::vec(0i32..80, 0..100),
-        shards in 1usize..9,
+        parts in 1usize..5,
     ) {
-        let ht = JoinHashTable::new(schema().project(&[1]), shards);
+        let ht = JoinHashTable::new(schema().project(&[1]));
         let mut model: HashMap<i32, Vec<i64>> = HashMap::new();
-        // insert in several blocks to exercise the arena indexing
+        // one run per block, to exercise copying rows out of several runs
+        let extractor = KeyExtractor::compile(&schema(), &[0]).unwrap();
+        let mut batch = KeyBatch::new();
+        let mut runs = Vec::new();
         for chunk in rows.chunks(37) {
-            ht.insert_block(&block_of(chunk), &[0], &[1]).unwrap();
+            let block = block_of(chunk);
+            extractor.extract_block(&block, &mut batch);
+            runs.push(ht.run(&block, &batch, &[1]));
             for &(k, v) in chunk {
                 model.entry(k).or_default().push(v);
             }
+        }
+        // then a finalize of `parts` partitions, run in turn
+        for part in 0..parts {
+            ht.link(&runs, part, parts);
         }
         prop_assert_eq!(ht.len(), rows.len());
         for &p in &probes {

@@ -84,6 +84,26 @@ impl KeyBatch {
         }
     }
 
+    /// The packed keys and their encoded width, when the last pass was
+    /// fixed-width (keys of at most 16 encoded bytes).
+    #[inline]
+    pub fn packed(&self) -> Option<(&[u128], u8)> {
+        match &self.data {
+            KeyData::Fixed { packed, width } => Some((packed, *width)),
+            KeyData::Var(_) => None,
+        }
+    }
+
+    /// The materialized keys, when the last pass was wide (more than 16
+    /// encoded bytes).
+    #[inline]
+    pub fn wide(&self) -> Option<&[HashKey]> {
+        match &self.data {
+            KeyData::Var(keys) => Some(keys),
+            KeyData::Fixed { .. } => None,
+        }
+    }
+
     /// Materialize extracted key `i` as an owned [`HashKey`] (cheap for fixed
     /// keys, a clone for wide keys). Bit-identical to what
     /// [`HashKey::from_row`] produces for the same row.
