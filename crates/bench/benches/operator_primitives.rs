@@ -41,7 +41,7 @@ fn bench_build(c: &mut Criterion) {
 /// build work orders and linked by a finalize of two partitions run in turn.
 /// Each run starts from a fresh context (a table is linked once).
 fn bench_build_two_runs(c: &mut Criterion) {
-    use uot_core::ops::build;
+    use uot_core::ops::{build, finalize_in_turn};
     let s = Schema::from_pairs(&[("k", DataType::Int32), ("v", DataType::Int32)]);
     let mut tb = TableBuilder::new("orders", s.clone(), BlockFormat::Row, 37_500 * 8);
     for k in 0..75_000i32 {
@@ -74,7 +74,7 @@ fn bench_build_two_runs(c: &mut Criterion) {
             for b in t.blocks() {
                 build::execute(&ctx, op, b).unwrap();
             }
-            build::finalize_in_turn(&ctx, op, 2).unwrap();
+            finalize_in_turn(&ctx, op, 2).unwrap();
             black_box(ctx.hash_table(op).len())
         })
     });
@@ -152,7 +152,7 @@ fn bench_sort_top_k(c: &mut Criterion) {
                 .collected
                 .lock()
                 .extend(t.blocks().iter().cloned());
-            let done = uot_core::ops::sort::execute(&ctx, op).unwrap();
+            let done = uot_core::ops::finalize_in_turn(&ctx, op, 1).unwrap();
             black_box((done, ctx.output(op).flush()))
         })
     });
@@ -183,11 +183,11 @@ fn bench_agg_groups(c: &mut Criterion) {
 /// Q18's aggregate shape at SF 0.05: `SUM(float)` over 75k `Int32` groups,
 /// one row per group, folded into two partials whose keys interleave (odd
 /// and even blocks, as two workers take a scan's blocks in turn), then
-/// finalized as two partitions run one after the other. Each run folds the
-/// partials afresh (the finalize consumes them); the fold is the same code
-/// on both sides of a finalize change.
+/// finalized as two partitions run one after the other (last first). Each
+/// run folds the partials afresh (the finalize consumes them); the fold is
+/// the same code on both sides of a finalize change.
 fn bench_agg_finalize(c: &mut Criterion) {
-    use uot_core::ops::aggregate::{execute_block, execute_finalize, freeze};
+    use uot_core::ops::{aggregate::execute_block, finalize_in_turn};
     let s = Schema::from_pairs(&[("k", DataType::Int32), ("q", DataType::Float64)]);
     let mut tb = TableBuilder::new("t", s, BlockFormat::Column, 16 << 10);
     for k in 0..75_000i32 {
@@ -222,11 +222,7 @@ fn bench_agg_finalize(c: &mut Criterion) {
             for b in blocks.iter().skip(2).step_by(2) {
                 execute_block(&ctx, op, b).unwrap();
             }
-            let (frozen, parts) = freeze(&ctx, op, 2).unwrap();
-            let mut out = Vec::new();
-            for part in 0..parts {
-                out.extend(execute_finalize(&ctx, op, part, parts, &frozen).unwrap());
-            }
+            let out = finalize_in_turn(&ctx, op, 2).unwrap();
             black_box((out, ctx.output(op).flush()))
         })
     });

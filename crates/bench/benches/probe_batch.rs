@@ -9,7 +9,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
-use uot_core::ops::{build, probe};
+use uot_core::ops::{self, build, probe};
 use uot_core::state::ExecContext;
 use uot_core::{JoinType, PlanBuilder, QueryPlan, Source};
 use uot_storage::{
@@ -65,7 +65,7 @@ fn join_ctx(key_cols: Vec<usize>, probe_format: BlockFormat) -> (ExecContext, us
     for blk in dim.blocks() {
         build::execute(&ctx, b, &blk.clone()).unwrap();
     }
-    build::finalize_in_turn(&ctx, b, 1).unwrap();
+    ops::finalize_in_turn(&ctx, b, 1).unwrap();
     (ctx, p, fact)
 }
 

@@ -1,6 +1,8 @@
 //! Experiment output: aligned text tables, JSON dumps, platform info.
 
 use std::io::Write;
+use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 /// Escape a string for inclusion in a JSON document.
 fn json_escape(s: &str) -> String {
@@ -100,18 +102,33 @@ impl Table {
     }
 
     /// Print to stdout and, if the process got a CLI path argument, dump
-    /// JSON there too (appending when several tables are emitted). Arguments
-    /// that look like flags (`--smoke`) are not paths.
+    /// JSON there too (see [`Table::write_json`]). Arguments that look like
+    /// flags (`--smoke`) are not paths.
     pub fn emit(&self) {
         println!("{}", self.render());
         if let Some(path) = std::env::args().nth(1).filter(|a| !a.starts_with("--")) {
-            let json = self.to_json();
-            let mut f = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-                .expect("open JSON output file");
-            writeln!(f, "{json}").expect("write JSON output");
+            self.write_json(Path::new(&path));
+        }
+    }
+
+    /// Write the table's JSON document as one line of `path`. The first
+    /// write to a path in this process replaces whatever the file held, so
+    /// regenerating a result leaves no stale table behind; later writes
+    /// append, for binaries that emit several tables.
+    pub fn write_json(&self, path: &Path) {
+        static WRITTEN: Mutex<Vec<PathBuf>> = Mutex::new(Vec::new());
+        let mut written = WRITTEN.lock().unwrap_or_else(|e| e.into_inner());
+        let first = !written.iter().any(|p| p == path);
+        let mut f = std::fs::OpenOptions::new()
+            .create(true)
+            .write(true)
+            .truncate(first)
+            .append(!first)
+            .open(path)
+            .expect("open JSON output file");
+        writeln!(f, "{}", self.to_json()).expect("write JSON output");
+        if first {
+            written.push(path.to_path_buf());
         }
     }
 }
@@ -211,6 +228,20 @@ mod tests {
         assert!(j.contains("\"title\":\"j\""));
         assert!(j.contains("\"headers\":[\"a\"]"));
         assert!(j.contains("\"rows\":[[\"1\"]]"));
+    }
+
+    #[test]
+    fn first_write_replaces_a_stale_file_and_later_writes_append() {
+        let path = std::env::temp_dir().join(format!("uot-report-{}.json", std::process::id()));
+        std::fs::write(&path, "{\"title\":\"stale\"}\n").unwrap();
+        let (mut a, mut b) = (Table::new("a", &["x"]), Table::new("b", &["x"]));
+        a.row(vec!["1".into()]);
+        b.row(vec!["2".into()]);
+        a.write_json(&path);
+        b.write_json(&path);
+        let got = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(got, format!("{}\n{}\n", a.to_json(), b.to_json()));
     }
 
     #[test]

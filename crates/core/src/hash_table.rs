@@ -38,8 +38,8 @@
 //! measurable, which the memory experiments (Section VI of the paper,
 //! `|H_i|`) rely on.
 
+use crate::ops::PartResults;
 use crate::Result;
-use parking_lot::Mutex;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -364,9 +364,9 @@ pub struct ProbeMatch {
 #[derive(Debug)]
 pub struct JoinHashTable {
     payload_schema: Arc<Schema>,
-    /// Shards linked by finished finalize partitions, as `(partition,
-    /// shards)`, until the last partition publishes them all.
-    linked: Mutex<Vec<(usize, Vec<Shard>)>>,
+    /// Shards linked by finished finalize partitions, until the last
+    /// partition publishes them all.
+    linked: PartResults<Vec<Shard>>,
     /// The frozen shards, in shard order.
     shards: OnceLock<Box<[Shard]>>,
     /// Bytes already reported to the memory tracker (see `sync_tracker`).
@@ -378,7 +378,7 @@ impl JoinHashTable {
     pub fn new(payload_schema: Arc<Schema>) -> Self {
         JoinHashTable {
             payload_schema,
-            linked: Mutex::new(Vec::new()),
+            linked: PartResults::default(),
             shards: OnceLock::new(),
             tracked: AtomicUsize::new(0),
         }
@@ -453,16 +453,12 @@ impl JoinHashTable {
         let width = self.payload_schema.tuple_width();
         let owned = part * SHARDS / parts..(part + 1) * SHARDS / parts;
         let shards: Vec<Shard> = owned.map(|s| Shard::link(runs, s, width)).collect();
-        let mut linked = self.linked.lock();
-        linked.push((part, shards));
-        if linked.iter().map(|(_, s)| s.len()).sum::<usize>() < SHARDS {
-            return;
+        if let Some(linked) = self.linked.finish(part, parts, shards) {
+            let all: Box<[Shard]> = linked.into_iter().flatten().collect();
+            // invariant: every shard belongs to exactly one partition, and
+            // each partition links once, so the table is published once.
+            assert!(self.shards.set(all).is_ok(), "a table is linked once");
         }
-        linked.sort_unstable_by_key(|&(part, _)| part);
-        let all: Box<[Shard]> = linked.drain(..).flat_map(|(_, s)| s).collect();
-        // invariant: every shard belongs to exactly one partition, and each
-        // partition links once, so the table is published exactly once.
-        assert!(self.shards.set(all).is_ok(), "a table is linked once");
     }
 
     /// Link every shard on the calling thread: the one-shot finalize.

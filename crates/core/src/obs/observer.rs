@@ -218,7 +218,11 @@ mod tests {
         let wo = WorkOrder {
             query: crate::query_id::QueryId::SOLO,
             op,
-            kind: WorkKind::FinalizeSort,
+            kind: WorkKind::Finalize {
+                part: 0,
+                parts: 1,
+                input: crate::work_order::FinalizeInput::Sort,
+            },
             seq,
         };
         let record = TaskRecord {

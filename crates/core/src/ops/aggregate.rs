@@ -7,28 +7,33 @@
 //! pass over the key hashes assigns dense group ids, and one scatter pass per
 //! aggregate updates the states by group id.
 //!
-//! Once every stream work order has finished, the scheduler [`freeze`]s the
+//! Once every stream work order has finished, the scheduler freezes the
 //! pooled partials (at most one per concurrent work order) into a shared,
-//! read-only set and splits the finalize into `P` work orders, one per
-//! worker but at most one per [`FINALIZE_FLOOR`] groups. Partition `p` takes
-//! the groups whose stored hash maps to `p`, in every partial, and orders
-//! them by group value: by a normalized key — each integer or date value
-//! with its sign bit flipped, the fields concatenated big-endian into a
-//! `u64` or `u128` — when the group columns pack into 128 bits, and by the
-//! typed [`RowOrder`] with the stored key as tiebreak otherwise (`Char`
-//! columns, wider keys). A group in several partials then sits in one run of
-//! adjacent references; the partition merges each run's states and finishes
-//! them straight into typed output columns. The last partition to finish
-//! merges the `P` ordered runs into one group order and emits it once
-//! through the operator's bulk output copy. This is the standard
-//! parallel-aggregation shape of block-based engines like Quickstep.
+//! read-only set and splits the finalize into `P` partitions by key range
+//! (see [`ops`](crate::ops)). Groups order by a normalized key — each
+//! integer or date value with its sign bit flipped, the fields concatenated
+//! big-endian into a `u64` or `u128` — when the group columns pack into 128
+//! bits, and by the typed row order then the stored key otherwise (`Char`
+//! columns, wider keys). The freeze sorts a small fixed-stride sample of the
+//! groups in that order and takes `P − 1` of them as splitters. Partition
+//! `p` takes the groups of every partial between its two splitters and
+//! orders them; a group in several partials then sits in one run of
+//! adjacent references, whose states the partition merges and finishes
+//! straight into typed output columns. The ranges are in group order, so
+//! the last partition to finish emits every partition's groups in
+//! partition order through the operator's bulk output copy, with no merge.
+//! This is the standard parallel-aggregation shape of block-based engines
+//! like Quickstep.
 
 use crate::error::EngineError;
 use crate::ops::row_order::{RowOrder, RowRef};
 use crate::plan::OperatorKind;
 use crate::state::{AggPartial, ExecContext, FrozenPartial};
+use crate::work_order::FinalizeInput;
 use crate::Result;
 use std::cmp::Ordering;
+use std::ops::Bound::{Excluded, Included, Unbounded};
+use std::ops::RangeBounds;
 use std::sync::Arc;
 use uot_expr::{AggFunc, AggSpec, AggState, ScalarExpr};
 use uot_storage::{ColumnBlock, ColumnData, DataType, HashKey, Schema, StorageBlock, Value};
@@ -116,21 +121,29 @@ fn new_partial(ctx: &ExecContext, op: usize, group_by: &[usize], aggs: &[AggSpec
     AggPartial::new(&types, init)
 }
 
-/// Groups per finalize partition below which another partition costs more
-/// than it saves. An aggregate whose partials hold `n` groups in all (a group
-/// counted once per partial it is in) splits its finalize into
-/// `min(workers, n / FINALIZE_FLOOR)` partitions, at least one — so a scalar
-/// or small aggregate keeps a single finalize work order.
-pub const FINALIZE_FLOOR: usize = 4096;
+/// Groups sampled, at a fixed stride over every partial's groups, to pick
+/// the splitters of an aggregate's finalize partitions.
+const SPLITTER_SAMPLE: usize = 256;
+
+/// An aggregate's pooled partials, frozen once its stream work was over,
+/// and the splitters that give each finalize partition a key range.
+#[derive(Debug, Default)]
+pub struct FrozenGroups {
+    partials: Vec<FrozenPartial>,
+    /// `parts − 1` sampled groups in group order: partition `p` takes the
+    /// groups at or above splitter `p − 1` and below splitter `p`. Every
+    /// copy of one group compares alike, so it lands in one partition.
+    splitters: Vec<RowRef>,
+}
 
 /// Freeze the pooled partials of aggregate `op` once every stream work order
-/// has finished, and split its finalize for `workers` workers: the partials,
-/// shared read-only by the partitions, and the partition count.
-pub fn freeze(
+/// has finished, and split its finalize into the partitions `split` gives
+/// for its group count (a group counted once per partial it is in).
+pub(crate) fn freeze(
     ctx: &ExecContext,
     op: usize,
-    workers: usize,
-) -> Result<(Arc<[FrozenPartial]>, usize)> {
+    split: impl FnOnce(usize) -> usize,
+) -> Result<(FinalizeInput, usize)> {
     let (group_by, aggs) = spec(ctx, op)?;
     let mut partials = std::mem::take(&mut *ctx.runtimes[op].agg_partials.lock());
     // SQL semantics: a scalar aggregate over zero rows still yields one row.
@@ -139,84 +152,111 @@ pub fn freeze(
         empty.scalar_group();
         partials.push(empty);
     }
-    let groups: usize = partials.iter().map(AggPartial::group_count).sum();
-    let parts = workers.min(groups / FINALIZE_FLOOR).max(1);
+    let parts = split(partials.iter().map(AggPartial::group_count).sum());
     let schema = group_schema(ctx, op, group_by.len());
-    let frozen = partials
-        .into_iter()
+    let partials: Vec<FrozenPartial> = (partials.into_iter())
         .map(|p| p.freeze(schema.clone()))
         .collect();
-    Ok((frozen, parts))
+    let splitters = match parts {
+        1 => Vec::new(),
+        _ => splitters(&partials, &schema, parts),
+    };
+    let frozen = FrozenGroups {
+        partials,
+        splitters,
+    };
+    Ok((FinalizeInput::Aggregate(Arc::new(frozen)), parts))
+}
+
+/// `parts − 1` splitters for `partials`, whose group columns have schema
+/// `schema`: a fixed-stride sample of their groups, sorted in group order,
+/// cut at even steps. None when there is no group.
+fn splitters(partials: &[FrozenPartial], schema: &Schema, parts: usize) -> Vec<RowRef> {
+    let n: usize = partials.iter().map(|p| p.keys.len()).sum();
+    let stride = n.div_ceil(SPLITTER_SAMPLE).max(1);
+    let mut sample: Vec<RowRef> = all_groups(partials).step_by(stride).collect();
+    if packed_bits(schema).is_some() {
+        let cols = packed_columns(partials);
+        sample.sort_unstable_by_key(|&r| packed_key(&cols, r));
+    } else {
+        let blocks = group_blocks(partials);
+        let rows = RowGroups::new(&blocks, schema, partials);
+        sample.sort_unstable_by(|&a, &b| rows.cmp_group(a, b));
+    }
+    (1..parts)
+        .filter_map(|k| sample.get(k * sample.len() / parts).copied())
+        .collect()
 }
 
 /// Finalize partition `part` of `parts` of aggregate `op`: order the groups
-/// whose hash falls in the partition, merge each group's states across
-/// `partials` and finish them into typed columns. The last partition to
-/// finish merges every partition's ordered groups into one group order and
-/// emits them through the operator's bulk output copy.
-pub fn execute_finalize(
+/// in the partition's key range, merge each group's states across the
+/// partials and finish them into typed columns. The last partition to
+/// finish emits every partition's groups, in partition order, through the
+/// operator's bulk output copy.
+pub(crate) fn execute_finalize(
     ctx: &ExecContext,
     op: usize,
     part: usize,
     parts: usize,
-    partials: &[FrozenPartial],
+    frozen: &FrozenGroups,
 ) -> Result<Vec<StorageBlock>> {
     let (group_by, _) = spec(ctx, op)?;
     let schema = &ctx.plan.op(op).out_schema;
     let group_schema = group_schema(ctx, op, group_by.len());
-    let blocks: Vec<Arc<StorageBlock>> = partials.iter().map(|p| p.groups.clone()).collect();
-    let rows = RowGroups {
-        order: RowOrder::new(&blocks, &group_schema, &[]),
-        partials,
-    };
+    let partials = &frozen.partials[..];
+    // Partition `part`'s bounds: at or above the splitter before it, below
+    // its own. (With no group at all there are no splitters, and nothing to
+    // bound.)
+    let lo = part.checked_sub(1).and_then(|i| frozen.splitters.get(i));
+    let hi = frozen.splitters.get(part);
     let width = group_by.len();
-    let run = match packed_bits(&group_schema) {
-        Some(bits) if bits <= 64 => {
-            let entries = order_packed(partials, part, parts, |k| k as u64);
-            ctx.check_cancelled()?;
-            let (cols, _, keys) =
-                finish_runs(partials, &entries, |a, b| a.0 == b.0, schema, width)?;
-            GroupRun {
-                cols,
-                keys: RunKeys::Bits64(keys),
-            }
-        }
-        Some(_) => {
-            let entries = order_packed(partials, part, parts, |k| k);
-            ctx.check_cancelled()?;
-            let (cols, _, keys) =
-                finish_runs(partials, &entries, |a, b| a.0 == b.0, schema, width)?;
-            GroupRun {
-                cols,
-                keys: RunKeys::Bits128(keys),
+    let cols = match packed_bits(&group_schema) {
+        Some(bits) => {
+            let cols = packed_columns(partials);
+            let key = |r: RowRef| packed_key(&cols, r);
+            if bits <= 64 {
+                let entries = order_packed(partials, parts, (lo, hi), |r| key(r) as u64);
+                ctx.check_cancelled()?;
+                finish_runs(partials, &entries, |a, b| a.0 == b.0, schema, width)?
+            } else {
+                let entries = order_packed(partials, parts, (lo, hi), key);
+                ctx.check_cancelled()?;
+                finish_runs(partials, &entries, |a, b| a.0 == b.0, schema, width)?
             }
         }
         None => {
-            let mut entries: Vec<((), RowRef)> = in_partition(partials, part, parts)
-                .map(|r| ((), r))
-                .collect();
+            let blocks = group_blocks(partials);
+            let rows = RowGroups::new(&blocks, &group_schema, partials);
+            let within = |&((), r): &((), RowRef)| {
+                lo.is_none_or(|&l| rows.cmp_group(r, l).is_ge())
+                    && hi.is_none_or(|&h| rows.cmp_group(r, h).is_lt())
+            };
+            let all = all_groups(partials).map(|r| ((), r));
+            let mut entries = keep_in_range(all, parts, within);
             entries.sort_unstable_by(|a, b| rows.cmp(a.1, b.1));
             ctx.check_cancelled()?;
             let same = |a: &((), RowRef), b: &((), RowRef)| rows.key(a.1) == rows.key(b.1);
-            let (cols, firsts, _) = finish_runs(partials, &entries, same, schema, width)?;
-            GroupRun {
-                cols,
-                keys: RunKeys::Rows(firsts),
+            finish_runs(partials, &entries, same, schema, width)?
+        }
+    };
+    let Some(runs) = ctx.runtimes[op].agg_runs.finish(part, parts, cols) else {
+        return Ok(Vec::new());
+    };
+    let mut out = Vec::new();
+    for cols in runs {
+        let n = cols.first().map_or(0, ColumnData::len);
+        let written = ColumnBlock::from_columns(schema.clone(), cols, n)
+            .map_err(EngineError::from)
+            .and_then(|run| crate::ops::write_output(ctx, op, &StorageBlock::Column(run)));
+        match written {
+            Ok(blocks) => out.extend(blocks),
+            Err(e) => {
+                out.into_iter().for_each(|b| ctx.pool.discard(b));
+                return Err(e);
             }
         }
-    };
-    let runs = {
-        let mut done = ctx.runtimes[op].agg_runs.lock();
-        done.push((part, run));
-        if done.len() < parts {
-            return Ok(Vec::new());
-        }
-        std::mem::take(&mut *done)
-    };
-    let cols = merge_runs(runs, &rows, schema);
-    let n = cols.first().map_or(0, ColumnData::len);
-    let virt = StorageBlock::Column(ColumnBlock::from_columns(schema.clone(), cols, n)?);
-    crate::ops::write_output(ctx, op, &virt)
+    }
+    Ok(out)
 }
 
 /// The group-by columns and aggregates of aggregate `op`.
@@ -238,78 +278,49 @@ fn group_schema(ctx: &ExecContext, op: usize, width: usize) -> Arc<Schema> {
         .project(&(0..width).collect::<Vec<_>>())
 }
 
-/// The partition of `parts` a group with key hash `hash` belongs to: the
-/// hash's upper half scaled into `0..parts`.
-fn partition_of(hash: u64, parts: usize) -> usize {
-    (((hash >> 32) * parts as u64) >> 32) as usize
-}
-
-/// One finalize partition's groups in group order: the output columns
-/// (group values, then each aggregate's final value) and, per group, the key
-/// the final merge orders the partitions' groups by.
-#[derive(Debug)]
-pub struct GroupRun {
-    cols: Vec<ColumnData>,
-    keys: RunKeys,
-}
-
-/// Per group of a [`GroupRun`], what orders it among every partition's
-/// groups.
-#[derive(Debug)]
-enum RunKeys {
-    /// The packed normalized key (see [`packed_keys`]), up to 64 bits.
-    Bits64(Vec<u64>),
-    /// The packed normalized key, 65 to 128 bits.
-    Bits128(Vec<u128>),
-    /// The group's first `(partial, group id)`, ordered by [`RowGroups`].
-    Rows(Vec<RowRef>),
-}
-
-impl RunKeys {
-    fn bits64(&self) -> &[u64] {
-        match self {
-            RunKeys::Bits64(k) => k,
-            _ => unreachable!("every partition of an aggregate orders its groups alike"),
-        }
-    }
-
-    fn bits128(&self) -> &[u128] {
-        match self {
-            RunKeys::Bits128(k) => k,
-            _ => unreachable!("every partition of an aggregate orders its groups alike"),
-        }
-    }
-
-    fn rows(&self) -> &[RowRef] {
-        match self {
-            RunKeys::Rows(k) => k,
-            _ => unreachable!("every partition of an aggregate orders its groups alike"),
-        }
-    }
-}
-
 /// The order of groups whose values do not pack into a normalized key (a
 /// `Char` column, or more than 128 bits): the typed row order over the group
 /// values, then the stored key — so the same group from several partials
 /// sorts adjacent even where distinct keys decode alike (`Char` values that
-/// differ only in trailing whitespace) — then the reference, so a group's
-/// states merge in partial order.
+/// differ only in trailing whitespace) — then, within a partition, the
+/// reference, so a group's states merge in partial order.
 struct RowGroups<'a> {
     order: RowOrder<'a>,
     partials: &'a [FrozenPartial],
 }
 
-impl RowGroups<'_> {
+impl<'a> RowGroups<'a> {
+    fn new(
+        blocks: &'a [Arc<StorageBlock>],
+        schema: &Schema,
+        partials: &'a [FrozenPartial],
+    ) -> Self {
+        RowGroups {
+            order: RowOrder::new(blocks, schema, &[]),
+            partials,
+        }
+    }
+
     fn key(&self, (p, g): RowRef) -> &HashKey {
         &self.partials[p as usize].keys[g as usize]
     }
 
-    fn cmp(&self, a: RowRef, b: RowRef) -> Ordering {
+    /// The group order, with no reference tiebreak: every copy of one group
+    /// compares equal, which keeps a group on one side of each splitter.
+    fn cmp_group(&self, a: RowRef, b: RowRef) -> Ordering {
         self.order
             .cmp_fields(a, b)
             .then_with(|| self.key(a).cmp(self.key(b)))
-            .then(a.cmp(&b))
     }
+
+    fn cmp(&self, a: RowRef, b: RowRef) -> Ordering {
+        self.cmp_group(a, b).then(a.cmp(&b))
+    }
+}
+
+/// The group-value blocks of `partials`, in partial order.
+fn group_blocks(partials: &[FrozenPartial]) -> Vec<Arc<StorageBlock>> {
+    partials.iter().map(|p| p.groups.clone()).collect()
 }
 
 /// Bits of the normalized key over group columns of `schema`, or `None` when
@@ -326,46 +337,61 @@ fn packed_bits(schema: &Schema) -> Option<u32> {
     (bits <= 128).then_some(bits)
 }
 
-/// The `(partial, group id)` of every group of `partials` whose hash falls
-/// in partition `part` of `parts`, partial by partial.
-fn in_partition(
-    partials: &[FrozenPartial],
-    part: usize,
-    parts: usize,
-) -> impl Iterator<Item = RowRef> + '_ {
-    partials.iter().enumerate().flat_map(move |(p, partial)| {
-        (partial.hashes.iter().enumerate())
-            .filter(move |&(_, &h)| partition_of(h, parts) == part)
-            .map(move |(g, _)| (p as u32, g as u32))
-    })
+/// Every group of `partials` as `(partial, group id)`, partial by partial.
+fn all_groups(partials: &[FrozenPartial]) -> impl Iterator<Item = RowRef> + '_ {
+    (partials.iter().enumerate())
+        .flat_map(|(p, partial)| (0..partial.keys.len() as u32).map(move |g| (p as u32, g)))
 }
 
-/// The normalized key of group `g` of group columns `cols`: each value
-/// mapped to the unsigned integer of its width that orders alike (its sign
-/// bit flipped), the fields concatenated big-endian. Integer order is then
-/// group-value order, and distinct groups get distinct keys.
-fn packed_key(cols: &[&ColumnData], g: usize) -> u128 {
-    cols.iter().fold(0, |k, col| match col {
+/// The entries of `all` in a partition's key range (`within`), or all of
+/// them when the finalize has one partition, which then does no per-group
+/// check.
+fn keep_in_range<T>(
+    all: impl Iterator<Item = T>,
+    parts: usize,
+    within: impl FnMut(&T) -> bool,
+) -> Vec<T> {
+    match parts {
+        1 => all.collect(),
+        _ => all.filter(within).collect(),
+    }
+}
+
+/// The group-value columns of each partial, for [`packed_key`].
+fn packed_columns(partials: &[FrozenPartial]) -> Vec<Vec<&ColumnData>> {
+    partials
+        .iter()
+        .map(|p| group_columns(p).collect())
+        .collect()
+}
+
+/// The normalized key of group `(p, g)` of the partials' group columns
+/// `cols`: each value mapped to the unsigned integer of its width that
+/// orders alike (its sign bit flipped), the fields concatenated big-endian.
+/// Integer order is then group-value order, and distinct groups get
+/// distinct keys.
+fn packed_key(cols: &[Vec<&ColumnData>], (p, g): RowRef) -> u128 {
+    let g = g as usize;
+    cols[p as usize].iter().fold(0, |k, col| match col {
         ColumnData::I32(v) | ColumnData::Date(v) => k << 32 | u128::from(v[g] as u32 ^ 1 << 31),
         ColumnData::I64(v) => k << 64 | u128::from(v[g] as u64 ^ 1 << 63),
         other => unreachable!("packed group key over {other:?}"),
     })
 }
 
-/// Partition `part` of `parts`' groups with their normalized keys, narrowed
-/// to `K`, in key order.
+/// The groups at or above `lo` and below `hi` (every group for a finalize
+/// of one of `parts`) with their normalized keys, narrowed to `K` by `key`,
+/// in key order.
 fn order_packed<K: Ord + Copy>(
     partials: &[FrozenPartial],
-    part: usize,
     parts: usize,
-    narrow: impl Fn(u128) -> K,
+    (lo, hi): (Option<&RowRef>, Option<&RowRef>),
+    key: impl Fn(RowRef) -> K,
 ) -> Vec<(K, RowRef)> {
-    let cols: Vec<Vec<&ColumnData>> = (partials.iter())
-        .map(|p| group_columns(p).collect())
-        .collect();
-    let mut entries: Vec<(K, RowRef)> = in_partition(partials, part, parts)
-        .map(|(p, g)| (narrow(packed_key(&cols[p as usize], g as usize)), (p, g)))
-        .collect();
+    let lo = lo.map_or(Unbounded, |&r| Included(key(r)));
+    let hi = hi.map_or(Unbounded, |&r| Excluded(key(r)));
+    let all = all_groups(partials).map(|r| (key(r), r));
+    let mut entries = keep_in_range(all, parts, |(k, _)| (lo, hi).contains(k));
     // The stable sort adapts to presorted runs: each partial lists its
     // groups in first-seen order, which is key order wherever the input is
     // clustered by key, so there it mostly merges runs.
@@ -383,27 +409,26 @@ fn group_columns(partial: &FrozenPartial) -> impl Iterator<Item = &ColumnData> {
 /// the key that ordered it — run by run: a run is one group's references,
 /// one per partial it is in, and `same` holds between adjacent entries of
 /// one run. Each run's states are merged (the first cloned, the rest merged
-/// in; a one-member run is not cloned) and finalized into typed columns. Returns the output columns (group
-/// values from each run's first reference, then the aggregates), and each
-/// group's first reference and key.
+/// in; a one-member run is not cloned) and finalized into typed columns.
+/// Returns the output columns: group values from each run's first
+/// reference, then the aggregates.
 fn finish_runs<K: Copy>(
     partials: &[FrozenPartial],
     entries: &[(K, RowRef)],
     same: impl Fn(&(K, RowRef), &(K, RowRef)) -> bool,
     schema: &Schema,
     width: usize,
-) -> Result<(Vec<ColumnData>, Vec<RowRef>, Vec<K>)> {
+) -> Result<Vec<ColumnData>> {
     let mut aggs: Vec<ColumnData> = (width..schema.len())
         .map(|c| ColumnData::with_capacity(schema.dtype(c), entries.len()))
         .collect();
     let mut firsts = Vec::with_capacity(entries.len());
-    let mut keys = Vec::with_capacity(entries.len());
     let mut start = 0;
     while start < entries.len() {
         let end = (start + 1..entries.len())
             .find(|&i| !same(&entries[i - 1], &entries[i]))
             .unwrap_or(entries.len());
-        let (key, first) = entries[start];
+        let first = entries[start].1;
         for (a, col) in aggs.iter_mut().enumerate() {
             let state = |(p, g): RowRef| &partials[p as usize].states[a][g as usize];
             let value = match &entries[start + 1..end] {
@@ -419,7 +444,6 @@ fn finish_runs<K: Copy>(
             push_finished(col, value)?;
         }
         firsts.push(first);
-        keys.push(key);
         start = end;
     }
     let mut cols: Vec<ColumnData> = (0..width)
@@ -435,50 +459,7 @@ fn finish_runs<K: Copy>(
         })
         .collect();
     cols.extend(aggs);
-    Ok((cols, firsts, keys))
-}
-
-/// Merge every partition's ordered groups into one group order: one column
-/// per output column. Partitions hold disjoint groups, so this is a merge of
-/// the runs by their keys.
-fn merge_runs(
-    mut runs: Vec<(usize, GroupRun)>,
-    rows: &RowGroups,
-    schema: &Schema,
-) -> Vec<ColumnData> {
-    runs.sort_unstable_by_key(|&(part, _)| part);
-    let mut runs: Vec<GroupRun> = runs.into_iter().map(|(_, run)| run).collect();
-    if runs.len() == 1 {
-        return runs.pop().expect("one run").cols;
-    }
-    let order = match &runs[0].keys {
-        RunKeys::Bits64(_) => merge_order(&runs, RunKeys::bits64, u64::cmp),
-        RunKeys::Bits128(_) => merge_order(&runs, RunKeys::bits128, u128::cmp),
-        RunKeys::Rows(_) => merge_order(&runs, RunKeys::rows, |&a, &b| rows.cmp(a, b)),
-    };
-    (0..schema.len())
-        .map(|c| {
-            let srcs: Vec<&ColumnData> = runs.iter().map(|r| &r.cols[c]).collect();
-            gather_columns(schema.dtype(c), &srcs, &order)
-        })
-        .collect()
-}
-
-/// Every `(run, group)` of `runs` in the order of their keys (`keys` of
-/// each run, ordered by `cmp`). Each run is sorted already, so the
-/// run-adaptive stable sort merges them in linear passes.
-fn merge_order<'a, K: Copy + 'a>(
-    runs: &'a [GroupRun],
-    keys: impl Fn(&'a RunKeys) -> &'a [K],
-    cmp: impl Fn(&K, &K) -> Ordering,
-) -> Vec<(u32, u32)> {
-    let mut all: Vec<(K, u32, u32)> = (runs.iter().enumerate())
-        .flat_map(|(r, run)| {
-            (keys(&run.keys).iter().enumerate()).map(move |(i, &k)| (k, r as u32, i as u32))
-        })
-        .collect();
-    all.sort_by(|a, b| cmp(&a.0, &b.0));
-    all.into_iter().map(|(_, r, i)| (r, i)).collect()
+    Ok(cols)
 }
 
 /// One column of type `dtype` holding row `i` of `srcs[r]`, for every
@@ -553,19 +534,15 @@ mod tests {
         Arc::new(tb.finish())
     }
 
-    /// Freeze aggregate `op`'s pooled partials, run its finalize as `parts`
-    /// partitions — last first, so the merge cannot lean on partition order
-    /// — and flush: the emitted rows.
+    /// Run aggregate `op`'s finalize as `parts` partitions, last first,
+    /// and flush: the emitted rows.
     fn finalize_rows(ctx: &ExecContext, op: usize, parts: usize) -> Vec<Vec<Value>> {
-        let (partials, _) = freeze(ctx, op, 1).unwrap();
-        let mut rows = Vec::new();
-        for part in (0..parts).rev() {
-            for b in execute_finalize(ctx, op, part, parts, &partials).unwrap() {
-                rows.extend(b.all_rows());
-            }
-        }
-        rows.extend(ctx.output(op).flush().iter().flat_map(|b| b.all_rows()));
-        rows
+        let done = crate::ops::finalize_parts_in_turn(ctx, op, parts).unwrap();
+        let flushed = ctx.output(op).flush();
+        done.iter()
+            .chain(&flushed)
+            .flat_map(|b| b.all_rows())
+            .collect()
     }
 
     fn agg_ctx(
@@ -817,7 +794,7 @@ mod tests {
 
             let rows = finalize_rows(&ctx, a, parts);
             assert!(pool.lock().is_empty(), "finalize consumes the pool");
-            assert!(ctx.runtimes[a].agg_runs.lock().is_empty());
+            assert!(ctx.runtimes[a].agg_runs.is_empty());
             assert_eq!(rows.len(), groups);
             assert_eq!(
                 rows, serial,

@@ -3,24 +3,20 @@
 //! Each stream work order extracts and hashes its block's keys, feeds the
 //! Bloom filter, and writes the block into a private
 //! [`BuildRun`] on the operator's runtime state — no shared table is
-//! touched. Once every stream work order has finished, the scheduler
-//! [`freeze`]s the runs and dispatches `P = min(workers, rows /
-//! FINALIZE_FLOOR)` finalize work orders, at least one; each links the
-//! shards it owns ([`JoinHashTable::link`](crate::hash_table::JoinHashTable::link)),
-//! and the build finishes after the last.
+//! touched. Once every stream work order has finished, the build's
+//! partitioned finalize (see [`ops`](crate::ops)) takes the runs, and each
+//! finalize partition links the shards it owns
+//! ([`JoinHashTable::link`](crate::hash_table::JoinHashTable::link)); the
+//! last one publishes the table, and the build finishes after it.
 
 use crate::error::EngineError;
-use crate::hash_table::{BuildRun, SHARDS};
+use crate::hash_table::BuildRun;
 use crate::plan::OperatorKind;
 use crate::state::ExecContext;
+use crate::work_order::FinalizeInput;
 use crate::Result;
 use std::sync::Arc;
 use uot_storage::StorageBlock;
-
-/// Build rows per finalize partition, at least: a build splits its finalize
-/// into `min(workers, rows / FINALIZE_FLOOR)` partitions, at least one — so
-/// a small build keeps a single finalize work order.
-pub const FINALIZE_FLOOR: usize = 4096;
 
 /// Run one build stream work order. Builds never emit blocks.
 pub fn execute(
@@ -76,18 +72,20 @@ fn payload_cols(ctx: &ExecContext, op: usize) -> Result<&[usize]> {
 }
 
 /// Take the runs of build `op` once every stream work order has finished,
-/// and split its finalize for `workers` workers: the runs, shared read-only
-/// by the partitions, and the partition count.
-pub fn freeze(ctx: &ExecContext, op: usize, workers: usize) -> (Arc<[BuildRun]>, usize) {
+/// and split its finalize into the partitions `split` gives for its rows.
+pub(crate) fn freeze(
+    ctx: &ExecContext,
+    op: usize,
+    split: impl FnOnce(usize) -> usize,
+) -> (FinalizeInput, usize) {
     let runs = std::mem::take(&mut *ctx.runtimes[op].build_runs.lock());
-    let rows: usize = runs.iter().map(BuildRun::rows).sum();
-    let parts = workers.min(rows / FINALIZE_FLOOR).clamp(1, SHARDS);
-    (runs.into(), parts)
+    let parts = split(runs.iter().map(BuildRun::rows).sum());
+    (FinalizeInput::Build(runs.into()), parts)
 }
 
 /// Finalize partition `part` of `parts` of build `op`: link the shards the
 /// partition owns from every run. The last partition publishes the table.
-pub fn execute_finalize(
+pub(crate) fn execute_finalize(
     ctx: &ExecContext,
     op: usize,
     part: usize,
@@ -97,18 +95,6 @@ pub fn execute_finalize(
     payload_cols(ctx, op)?;
     ctx.hash_table(op).link(runs, part, parts);
     Ok(Vec::new())
-}
-
-/// Run build `op`'s finalize on the calling thread, split for `workers`
-/// workers with its partitions in turn — what the scheduler does once the
-/// build's stream work orders are over. For callers that drive build work
-/// orders by hand (unit tests, benches).
-pub fn finalize_in_turn(ctx: &ExecContext, op: usize, workers: usize) -> Result<()> {
-    let (runs, parts) = freeze(ctx, op, workers);
-    for part in 0..parts {
-        execute_finalize(ctx, op, part, parts, &runs)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -154,7 +140,7 @@ mod tests {
             let out = execute(&ctx, b, &blk.clone()).unwrap();
             assert!(out.is_empty());
         }
-        finalize_in_turn(&ctx, b, 1).unwrap();
+        crate::ops::finalize_in_turn(&ctx, b, 1).unwrap();
         let ht = ctx.hash_table(b);
         assert_eq!(ht.len(), 50);
         // key 3 appears 5 times (3, 13, 23, 33, 43)

@@ -7,7 +7,7 @@
 //! routed into per-partition buffers, with full buffers spilled to the disk
 //! tier immediately, so each side's resident footprint is bounded by
 //! `nparts × block_bytes`. Once both inputs are fully partitioned the
-//! scheduler dispatches one `FinalizeJoin` work order, handled by
+//! scheduler dispatches one `finalize-join 1/1` work order, handled by
 //! [`finalize`]: partitions are joined one at a time — restore the build
 //! partition, build a small hash table, stream the probe partition through
 //! it — and a partition whose build side still exceeds the budget is split
@@ -169,8 +169,8 @@ fn append_row(
     }
 }
 
-/// The `FinalizeJoin` work order: join every partition pair, returning the
-/// completed output blocks. On any error everything still held — queued
+/// The `finalize-join 1/1` work order: join every partition pair, returning
+/// the completed output blocks. On any error everything still held — queued
 /// partitions, restored blocks, produced output — is released first, so the
 /// tracker drains and no temp file outlives the query.
 pub fn finalize(ctx: &ExecContext, op: usize) -> Result<Vec<StorageBlock>> {

@@ -5,6 +5,13 @@
 //! **completed** output blocks the work order produced (partially filled
 //! blocks stay in the operator's [`OutputBuffer`](crate::output::OutputBuffer)
 //! for the next work order, per the paper's block-pool discipline).
+//!
+//! A blocking operator (build, aggregate, sort, grace join) ends in one
+//! partitioned finalize, decided here for all of them: once its stream work
+//! orders are over, `plan_finalize` takes the input they left and splits
+//! the finalize into partitions, and each [`WorkKind::Finalize`] work order
+//! runs one; a [`PartResults`] hands the last partition to finish every
+//! partition's result.
 
 pub mod aggregate;
 pub mod build;
@@ -19,10 +26,12 @@ pub mod sort;
 
 use crate::error::EngineError;
 use crate::fault::{FaultKind, FaultSite};
+use crate::hash_table::SHARDS;
 use crate::plan::OperatorKind;
 use crate::state::ExecContext;
-use crate::work_order::{WorkKind, WorkOrder};
+use crate::work_order::{FinalizeInput, WorkKind, WorkOrder};
 use crate::Result;
+use parking_lot::Mutex;
 use std::panic::AssertUnwindSafe;
 use uot_storage::{StorageBlock, StorageError};
 
@@ -174,35 +183,151 @@ pub fn execute_work_order(ctx: &ExecContext, wo: &WorkOrder) -> Result<Vec<Stora
         (OperatorKind::BuildHash { .. }, WorkKind::Stream { block }) => {
             build::execute(ctx, wo.op, block)
         }
-        (OperatorKind::BuildHash { .. }, WorkKind::FinalizeBuild { part, parts, runs }) => {
-            build::execute_finalize(ctx, wo.op, *part, *parts, runs)
-        }
         (OperatorKind::Probe { .. }, WorkKind::Stream { block }) => {
             probe::execute(ctx, wo.op, block)
         }
-        (OperatorKind::Probe { .. }, WorkKind::FinalizeJoin) => grace::finalize(ctx, wo.op),
         (OperatorKind::Aggregate { .. }, WorkKind::Stream { block }) => {
             aggregate::execute_block(ctx, wo.op, block)
         }
-        (
-            OperatorKind::Aggregate { .. },
-            WorkKind::FinalizeAggregate {
-                part,
-                parts,
-                partials,
-            },
-        ) => aggregate::execute_finalize(ctx, wo.op, *part, *parts, partials),
-        (OperatorKind::Sort { .. }, WorkKind::FinalizeSort) => sort::execute(ctx, wo.op),
         (OperatorKind::NestedLoops { .. }, WorkKind::Stream { block }) => {
             nlj::execute(ctx, wo.op, block)
         }
         (OperatorKind::Limit { .. }, WorkKind::Stream { block }) => {
             limit::execute(ctx, wo.op, block)
         }
+        (_, WorkKind::Finalize { part, parts, input }) => {
+            execute_finalize(ctx, wo.op, *part, *parts, input)
+        }
         (kind, work) => Err(EngineError::Internal(format!(
             "work order {work:?} does not match operator kind {}",
             kind.kind_label()
         ))),
+    }
+}
+
+/// Input rows (a build's) or groups (an aggregate's, a group counted once
+/// per partial it is in) per finalize partition, at least: below it another
+/// partition costs more than it saves. A finalize over `n` of them splits
+/// into `min(workers, n / FINALIZE_FLOOR)` partitions, at least one (and a
+/// build's into at most [`SHARDS`]), so a small build, a scalar or small
+/// aggregate, a sort and a grace join keep one finalize work order.
+pub const FINALIZE_FLOOR: usize = 4096;
+
+/// Once every stream work order of `op` has finished: take the input its
+/// finalize partitions share, and split the finalize for `workers` workers.
+/// `None` when `op` has no finalize.
+pub(crate) fn plan_finalize(
+    ctx: &ExecContext,
+    op: usize,
+    workers: usize,
+) -> Result<Option<(FinalizeInput, usize)>> {
+    plan_split(ctx, op, |n| workers.min(n / FINALIZE_FLOOR).max(1))
+}
+
+/// [`plan_finalize`] with the partition count `split` gives for the input
+/// size.
+fn plan_split(
+    ctx: &ExecContext,
+    op: usize,
+    split: impl FnOnce(usize) -> usize,
+) -> Result<Option<(FinalizeInput, usize)>> {
+    // A grace join's build only partitioned its input; the grace probe's
+    // finalize builds and probes one table per partition.
+    let grace = ctx.grace.contains_key(&op);
+    Ok(Some(match ctx.plan.op(op).kind {
+        OperatorKind::BuildHash { .. } if !grace => {
+            build::freeze(ctx, op, |rows| split(rows).min(SHARDS))
+        }
+        OperatorKind::Aggregate { .. } => aggregate::freeze(ctx, op, split)?,
+        OperatorKind::Sort { .. } => (FinalizeInput::Sort, 1),
+        OperatorKind::Probe { .. } if grace => (FinalizeInput::GraceJoin, 1),
+        _ => return Ok(None),
+    }))
+}
+
+/// Run finalize partition `part` of `parts` of operator `op`.
+fn execute_finalize(
+    ctx: &ExecContext,
+    op: usize,
+    part: usize,
+    parts: usize,
+    input: &FinalizeInput,
+) -> Result<Vec<StorageBlock>> {
+    match input {
+        FinalizeInput::Build(runs) => build::execute_finalize(ctx, op, part, parts, runs),
+        FinalizeInput::Aggregate(groups) => {
+            aggregate::execute_finalize(ctx, op, part, parts, groups)
+        }
+        FinalizeInput::Sort => sort::execute(ctx, op),
+        FinalizeInput::GraceJoin => grace::finalize(ctx, op),
+    }
+}
+
+/// Run `op`'s finalize on the calling thread, split as for `workers`
+/// workers, once its stream work orders are over — what the scheduler
+/// does, for callers that drive work orders by hand (unit tests, benches).
+/// The partitions run last first, so the result cannot lean on finishing in
+/// partition order. Returns the completed blocks they emitted.
+pub fn finalize_in_turn(ctx: &ExecContext, op: usize, workers: usize) -> Result<Vec<StorageBlock>> {
+    in_turn(ctx, op, plan_finalize(ctx, op, workers)?)
+}
+
+/// [`finalize_in_turn`] split into `parts` partitions whatever the input
+/// size, so small inputs exercise every partition count.
+#[cfg(test)]
+pub(crate) fn finalize_parts_in_turn(
+    ctx: &ExecContext,
+    op: usize,
+    parts: usize,
+) -> Result<Vec<StorageBlock>> {
+    in_turn(ctx, op, plan_split(ctx, op, |_| parts)?)
+}
+
+fn in_turn(
+    ctx: &ExecContext,
+    op: usize,
+    plan: Option<(FinalizeInput, usize)>,
+) -> Result<Vec<StorageBlock>> {
+    let mut out = Vec::new();
+    if let Some((input, parts)) = plan {
+        for part in (0..parts).rev() {
+            out.extend(execute_finalize(ctx, op, part, parts, &input)?);
+        }
+    }
+    Ok(out)
+}
+
+/// The results of a finalize's partitions, held until the last one
+/// finishes: that partition publishes them all.
+#[derive(Debug)]
+pub struct PartResults<T>(Mutex<Vec<(usize, T)>>);
+
+impl<T> Default for PartResults<T> {
+    fn default() -> Self {
+        PartResults(Mutex::new(Vec::new()))
+    }
+}
+
+impl<T> PartResults<T> {
+    /// Record `result`, partition `part`'s of `parts`. The call that records
+    /// the last one gets every result in partition order; the others get
+    /// `None`. Each partition records once.
+    pub fn finish(&self, part: usize, parts: usize, result: T) -> Option<Vec<T>> {
+        let mut all = {
+            let mut done = self.0.lock();
+            done.push((part, result));
+            if done.len() < parts {
+                return None;
+            }
+            std::mem::take(&mut *done)
+        };
+        all.sort_unstable_by_key(|&(part, _)| part);
+        Some(all.into_iter().map(|(_, result)| result).collect())
+    }
+
+    /// Whether no partition's result is held.
+    pub fn is_empty(&self) -> bool {
+        self.0.lock().is_empty()
     }
 }
 

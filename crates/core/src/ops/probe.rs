@@ -281,7 +281,7 @@ mod tests {
         for blk in d.blocks() {
             build::execute(ctx, b, &blk.clone()).unwrap();
         }
-        build::finalize_in_turn(ctx, b, 1).unwrap();
+        crate::ops::finalize_in_turn(ctx, b, 1).unwrap();
         let mut rows = Vec::new();
         for blk in f.blocks() {
             for out in execute(ctx, p, &blk.clone()).unwrap() {
@@ -330,7 +330,7 @@ mod tests {
         let (ctx, b, p, _d, f) = setup(JoinType::Inner, vec![1]);
         // Skip the build's stream work entirely: the finalize links an
         // empty table.
-        build::finalize_in_turn(&ctx, b, 1).unwrap();
+        crate::ops::finalize_in_turn(&ctx, b, 1).unwrap();
         let out = execute(&ctx, p, &f.blocks()[0].clone()).unwrap();
         assert!(out.is_empty());
     }

@@ -41,7 +41,7 @@ use crate::error::EngineError;
 use crate::fault::{FaultKind, FaultSite};
 use crate::metrics::{QueryMetrics, TaskRecord};
 use crate::obs::QueryObserver;
-use crate::ops::{aggregate, build, execute_work_order_contained};
+use crate::ops::{self, execute_work_order_contained};
 use crate::plan::{OpId, OperatorKind, QueryPlan};
 use crate::state::ExecContext;
 use crate::topology::Dependent;
@@ -151,7 +151,8 @@ struct OpState {
     pending: VecDeque<Arc<SpillSlot>>,
     /// Work orders created and not yet completed.
     outstanding: usize,
-    /// The finalize work order has been dispatched (agg/sort).
+    /// The finalize work orders have been dispatched (build, aggregate,
+    /// sort, grace join).
     finalize_dispatched: bool,
     /// This operator is completely done.
     finished: bool,
@@ -583,45 +584,17 @@ impl SchedulerCore {
             return Ok(());
         }
         if !self.states[op].finalize_dispatched {
-            // Every stream work order has finished: a build's runs and an
-            // aggregate's pooled partials are complete and can be shared by
-            // the finalize partitions. A grace join's build only partitioned
-            // its input; the grace probe's finalize builds and probes one
-            // table per partition.
-            let grace = self.ctx.grace.contains_key(&op);
+            // Every stream work order has finished, so the input the
+            // finalize partitions share is complete.
             let workers = self.mode.workers();
-            let kinds = match self.plan().op(op).kind {
-                OperatorKind::Probe { .. } if grace => vec![WorkKind::FinalizeJoin],
-                OperatorKind::Sort { .. } => vec![WorkKind::FinalizeSort],
-                OperatorKind::BuildHash { .. } if !grace => {
-                    let (runs, parts) = build::freeze(&self.ctx, op, workers);
-                    (0..parts)
-                        .map(|part| WorkKind::FinalizeBuild {
-                            part,
-                            parts,
-                            runs: runs.clone(),
-                        })
-                        .collect()
-                }
-                OperatorKind::Aggregate { .. } => {
-                    let (partials, parts) = aggregate::freeze(&self.ctx, op, workers)?;
-                    (0..parts)
-                        .map(|part| WorkKind::FinalizeAggregate {
-                            part,
-                            parts,
-                            partials: partials.clone(),
-                        })
-                        .collect()
-                }
-                _ => Vec::new(),
-            };
-            if !kinds.is_empty() {
+            if let Some((input, parts)) = ops::plan_finalize(&self.ctx, op, workers)? {
                 self.states[op].finalize_dispatched = true;
-                for kind in kinds {
+                for part in 0..parts {
+                    let input = input.clone();
                     let wo = WorkOrder {
                         query: self.ctx.query,
                         op,
-                        kind,
+                        kind: WorkKind::Finalize { part, parts, input },
                         seq: self.seq,
                     };
                     self.seq += 1;

@@ -12,8 +12,8 @@ use crate::cancel::CancellationToken;
 use crate::error::EngineError;
 use crate::fault::FaultPlan;
 use crate::hash_table::{BuildRun, JoinHashTable, ProbeMatch};
-use crate::ops::aggregate::GroupRun;
 use crate::ops::row_order::push_field;
+use crate::ops::PartResults;
 use crate::output::OutputBuffer;
 use crate::plan::{OperatorKind, QueryPlan, Source};
 use crate::Result;
@@ -58,7 +58,7 @@ impl GraceSide {
 /// probe operator id — when [`ExecContext::plan_grace`] decided the build
 /// side will not fit the memory budget. The build and probe operators then
 /// partition their inputs into [`GraceSide`]s instead of building/probing a
-/// monolithic hash table, and a `FinalizeJoin` work order joins the
+/// monolithic hash table, and one finalize work order joins the
 /// partitions one at a time.
 #[derive(Debug)]
 pub struct GraceJoinState {
@@ -192,7 +192,6 @@ impl AggPartial {
             .expect("group columns were created from the group-by types");
         FrozenPartial {
             groups: Arc::new(StorageBlock::Column(block)),
-            hashes: self.hashes,
             keys: self.keys,
             states: self.states,
         }
@@ -252,13 +251,11 @@ impl AggPartial {
 
 /// A pooled [`AggPartial`] once its aggregate's stream work is over:
 /// read-only, shared by the finalize partitions, each of which takes the
-/// groups whose hash falls in its range.
+/// groups in its key range.
 #[derive(Debug)]
 pub struct FrozenPartial {
     /// Group-by values, one column per group-by column; row = group id.
     pub groups: Arc<StorageBlock>,
-    /// Per group: the key hash, which picks the group's partition.
-    pub hashes: Vec<u64>,
     /// Per group: the key, equal for the same group in every partial.
     pub keys: Vec<HashKey>,
     /// Per aggregate: one state per group.
@@ -283,9 +280,9 @@ pub struct OpRuntime {
     /// Pooled partial aggregates (only for `Aggregate`): checked out and
     /// returned by each stream work order, frozen for the finalize step.
     pub agg_partials: Mutex<Vec<AggPartial>>,
-    /// The ordered groups of each finished finalize partition, as
-    /// `(partition, run)`; the last partition to finish merges them.
-    pub agg_runs: Mutex<Vec<(usize, GroupRun)>>,
+    /// The finished output columns of each finalize partition, held until
+    /// the last partition emits them all.
+    pub agg_runs: PartResults<Vec<ColumnData>>,
     /// Collected input blocks: the sort input, or the materialized inner
     /// side of a nested-loops join.
     pub collected: Mutex<Vec<Arc<StorageBlock>>>,
@@ -465,7 +462,7 @@ impl ExecContext {
                 bloom,
                 lip_pruned: std::sync::atomic::AtomicUsize::new(0),
                 agg_partials: Mutex::new(Vec::new()),
-                agg_runs: Mutex::new(Vec::new()),
+                agg_runs: PartResults::default(),
                 collected: Mutex::new(Vec::new()),
                 limit_remaining,
             });

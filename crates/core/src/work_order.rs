@@ -6,9 +6,9 @@
 //! input — a streamed block, or a finalize step for blocking operators.
 
 use crate::hash_table::BuildRun;
+use crate::ops::aggregate::FrozenGroups;
 use crate::plan::OpId;
 use crate::query_id::QueryId;
-use crate::state::FrozenPartial;
 use std::sync::Arc;
 use uot_storage::StorageBlock;
 
@@ -21,37 +21,47 @@ pub enum WorkKind {
         /// The input block.
         block: Arc<StorageBlock>,
     },
-    /// One partition of a (non-grace) build's finalize: size and link the
-    /// hash-table shards that partition `part` of `parts` owns, from every
-    /// run the build's stream work orders wrote. The last partition to
-    /// finish publishes the table, which probes then read without locks.
-    FinalizeBuild {
-        /// This partition, in `0..parts`.
-        part: usize,
-        /// The build's finalize partition count.
-        parts: usize,
-        /// The build's runs, taken once its stream work was over and shared
-        /// by every partition.
-        runs: Arc<[BuildRun]>,
-    },
-    /// One partition of an aggregate's finalize: merge, order and finish the
-    /// groups of the frozen partials whose hash falls in partition `part` of
-    /// `parts`. The last partition to finish merges every partition's
-    /// ordered groups and emits the result blocks.
-    FinalizeAggregate {
+    /// One partition of a blocking operator's finalize, dispatched once
+    /// every stream work order of the operator has finished (see the
+    /// [`ops`](crate::ops) module). A build links the hash-table shards
+    /// partition `part` owns, an aggregate finishes the groups in the
+    /// partition's key range, and a sort or a grace join runs whole as the
+    /// one partition of one. The last partition to finish publishes the
+    /// operator's result.
+    Finalize {
         /// This partition, in `0..parts`.
         part: usize,
         /// The operator's finalize partition count.
         parts: usize,
-        /// The operator's pooled partials, frozen once its stream work was
-        /// over and shared by every partition.
-        partials: Arc<[FrozenPartial]>,
+        /// What the partitions share.
+        input: FinalizeInput,
     },
-    /// Sort all collected input and emit the result blocks.
-    FinalizeSort,
-    /// Grace hash join: process the spilled build/probe partitions one at a
-    /// time and emit the joined result blocks.
-    FinalizeJoin,
+}
+
+/// The input a finalize's partitions share, taken once the operator's
+/// stream work was over.
+#[derive(Debug, Clone)]
+pub enum FinalizeInput {
+    /// A build's runs.
+    Build(Arc<[BuildRun]>),
+    /// An aggregate's frozen partials and its partitions' key ranges.
+    Aggregate(Arc<FrozenGroups>),
+    /// A sort, whose collected blocks are on its runtime state.
+    Sort,
+    /// A grace join's probe, whose partitions are in its grace state.
+    GraceJoin,
+}
+
+impl FinalizeInput {
+    /// The operator label a finalize work order's description carries.
+    fn label(&self) -> &'static str {
+        match self {
+            FinalizeInput::Build(_) => "build",
+            FinalizeInput::Aggregate(_) => "agg",
+            FinalizeInput::Sort => "sort",
+            FinalizeInput::GraceJoin => "join",
+        }
+    }
 }
 
 /// One schedulable unit of work.
@@ -83,14 +93,10 @@ impl WorkOrder {
             WorkKind::Stream { block } => {
                 format!("{q}op{} stream({} rows)", self.op, block.num_rows())
             }
-            WorkKind::FinalizeBuild { part, parts, .. } => {
-                format!("{q}op{} finalize-build {}/{parts}", self.op, part + 1)
+            WorkKind::Finalize { part, parts, input } => {
+                let kind = input.label();
+                format!("{q}op{} finalize-{kind} {}/{parts}", self.op, part + 1)
             }
-            WorkKind::FinalizeAggregate { part, parts, .. } => {
-                format!("{q}op{} finalize-agg {}/{parts}", self.op, part + 1)
-            }
-            WorkKind::FinalizeSort => format!("{q}op{} finalize-sort", self.op),
-            WorkKind::FinalizeJoin => format!("{q}op{} finalize-join", self.op),
         }
     }
 }
@@ -115,7 +121,11 @@ mod tests {
         let wo = WorkOrder {
             query: QueryId::new(2),
             op: 1,
-            kind: WorkKind::FinalizeSort,
+            kind: WorkKind::Finalize {
+                part: 0,
+                parts: 1,
+                input: FinalizeInput::Sort,
+            },
             seq: 1,
         };
         assert!(wo.describe().contains("finalize-sort"));
@@ -124,35 +134,23 @@ mod tests {
 
     #[test]
     fn describe_names_the_finalize_partition() {
-        let wo = |part, parts| WorkOrder {
+        let wo = |part, parts, input| WorkOrder {
             query: QueryId::SOLO,
             op: 4,
-            kind: WorkKind::FinalizeAggregate {
-                part,
-                parts,
-                partials: Arc::from(Vec::new()),
-            },
+            kind: WorkKind::Finalize { part, parts, input },
             seq: 0,
         };
-        assert_eq!(wo(0, 2).describe(), "op4 finalize-agg 1/2");
-        assert_eq!(wo(1, 2).describe(), "op4 finalize-agg 2/2");
-        assert_eq!(wo(0, 1).describe(), "op4 finalize-agg 1/1");
-    }
-
-    #[test]
-    fn describe_names_the_build_finalize_partition() {
-        let wo = |part, parts| WorkOrder {
-            query: QueryId::SOLO,
-            op: 2,
-            kind: WorkKind::FinalizeBuild {
-                part,
-                parts,
-                runs: Arc::from(Vec::new()),
-            },
-            seq: 0,
-        };
-        assert_eq!(wo(0, 2).describe(), "op2 finalize-build 1/2");
-        assert_eq!(wo(1, 2).describe(), "op2 finalize-build 2/2");
-        assert_eq!(wo(0, 1).describe(), "op2 finalize-build 1/1");
+        let agg = || FinalizeInput::Aggregate(Arc::new(FrozenGroups::default()));
+        assert_eq!(wo(0, 2, agg()).describe(), "op4 finalize-agg 1/2");
+        assert_eq!(wo(1, 2, agg()).describe(), "op4 finalize-agg 2/2");
+        assert_eq!(wo(0, 1, agg()).describe(), "op4 finalize-agg 1/1");
+        let build = || FinalizeInput::Build(Arc::from(Vec::new()));
+        assert_eq!(wo(0, 2, build()).describe(), "op4 finalize-build 1/2");
+        assert_eq!(wo(1, 2, build()).describe(), "op4 finalize-build 2/2");
+        assert_eq!(wo(0, 1, build()).describe(), "op4 finalize-build 1/1");
+        let sort = wo(0, 1, FinalizeInput::Sort).describe();
+        assert_eq!(sort, "op4 finalize-sort 1/1");
+        let join = wo(0, 1, FinalizeInput::GraceJoin).describe();
+        assert_eq!(join, "op4 finalize-join 1/1");
     }
 }

@@ -3,25 +3,27 @@
 //! baseline's order.
 //!
 //! The finalize splits into one partition per worker once the partials hold
-//! enough groups ([`FINALIZE_FLOOR`] per partition), orders each partition's
+//! enough groups ([`FINALIZE_FLOOR`] per partition), each taking one key
+//! range cut by splitters sampled from the groups. A partition orders its
 //! groups by a normalized integer key when every group column is an integer
 //! or date that fit 128 bits together (by the typed row order otherwise),
-//! merges each group's states across the partials, and merges the
-//! partitions' ordered runs into one group order. The tables here are random
+//! merges each group's states across the partials, and the partitions'
+//! groups are emitted in partition order. The tables here are random
 //! and their rows arrive in no key order, so nothing rests on the input
 //! being clustered. The cases cover each group-key shape: 32-, 64-, 96- and
 //! 128-bit packed keys, wider integer keys, `Char` keys (with values that
 //! differ only in trailing spaces, which pad to the same group), negative
-//! values and the `i32`/`i64` extremes, a scalar aggregate, and group counts
-//! below and above the floor. Each case runs serial and on 2 and 3 workers,
-//! with fusion always and never.
+//! values and the `i32`/`i64` extremes, a scalar aggregate, group counts
+//! below and above the floor, and groups crowded into a narrow key band
+//! beside the extremes, where the sampled key ranges come out uneven. Each
+//! case runs serial and on 2 and 3 workers, with fusion always and never.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 use std::sync::Arc;
 use uot_baseline::BaselineEngine;
-use uot_core::ops::aggregate::FINALIZE_FLOOR;
+use uot_core::ops::FINALIZE_FLOOR;
 use uot_core::{Engine, EngineConfig, FusionPolicy, PlanBuilder, QueryPlan, Source};
 use uot_expr::{cmp, col, lit, AggSpec, CmpOp};
 use uot_storage::{BlockFormat, DataType, Schema, Table, TableBuilder, Value};
@@ -152,7 +154,15 @@ fn plan(t: &Arc<Table>, width: usize) -> QueryPlan {
 /// Run `types`' case through every mode and compare with the baseline.
 fn check(name: &str, seed: u64, types: &[DataType], groups: usize, rows: usize) {
     let t = random_table(seed, types, groups, rows);
-    let plan = plan(&t, types.len());
+    check_table(name, &t, types.len(), groups);
+}
+
+/// Run the aggregate over the first `width` columns of `t`, which hold
+/// `groups` distinct tuples, through every mode and compare with the
+/// baseline.
+fn check_table(name: &str, t: &Arc<Table>, width: usize, groups: usize) {
+    let types: Vec<DataType> = (0..width).map(|c| t.schema().dtype(c)).collect();
+    let plan = plan(t, width);
     let agg = plan.sink();
     let want = BaselineEngine::new().execute(&plan).unwrap().rows();
     assert_eq!(
@@ -245,4 +255,63 @@ fn keys_wider_than_128_bits_and_char_keys_take_the_row_order() {
 fn scalar_aggregates_keep_one_finalize() {
     check("scalar", 17, &[], 1, 2000);
     check("scalar over one row", 18, &[], 1, 1);
+}
+
+/// A table whose group values crowd into a narrow band of the key space:
+/// `groups − 2` of them take consecutive `Int32` values from 1,000 (with
+/// `chars`, 8 consecutive values, each with distinct `Char(6)` labels),
+/// plus one group at `i32::MIN` and one at `i32::MAX`. Each group appears
+/// four times or more, most rows in the band's first 64 groups, all
+/// shuffled, so every group sits in every partial of a parallel run.
+fn skewed_table(seed: u64, chars: bool, groups: usize) -> Arc<Table> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let tuple = |g: usize| -> Vec<Value> {
+        let int = match g {
+            0 => i32::MIN,
+            1 => i32::MAX,
+            g if chars => 1000 + (g % 8) as i32,
+            g => 1000 + g as i32,
+        };
+        let mut t = vec![Value::I32(int)];
+        if chars {
+            t.push(Value::Str(format!("{:06}", g / 8)));
+        }
+        t
+    };
+    let mut pairs = vec![("g0", DataType::Int32)];
+    if chars {
+        pairs.push(("g1", DataType::Char(6)));
+    }
+    pairs.extend([("v", DataType::Float64), ("q", DataType::Int32)]);
+    let mut tb = TableBuilder::new(
+        "skewed",
+        Schema::from_pairs(&pairs),
+        BlockFormat::Column,
+        BLOCK_BYTES,
+    );
+    let mut picks: Vec<usize> = (0..4 * groups)
+        .map(|i| i % groups)
+        .chain((0..4 * groups).map(|_| rng.gen_range(0..64)))
+        .collect();
+    for i in (1..picks.len()).rev() {
+        picks.swap(i, rng.gen_range(0..=i));
+    }
+    for g in picks {
+        let mut row = tuple(g);
+        row.push(Value::F64(rng.gen_range(-1e6..1e6)));
+        row.push(Value::I32(rng.gen_range(-1000..1000)));
+        tb.append(&row).unwrap();
+    }
+    Arc::new(tb.finish())
+}
+
+#[test]
+fn skewed_keys_split_by_sampled_ranges() {
+    check_table("skewed int32", &skewed_table(19, false, LARGE), 1, LARGE);
+    check_table(
+        "skewed int32+char",
+        &skewed_table(20, true, LARGE),
+        2,
+        LARGE,
+    );
 }

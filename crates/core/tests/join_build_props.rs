@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use uot_baseline::BaselineEngine;
-use uot_core::ops::build::FINALIZE_FLOOR;
+use uot_core::ops::FINALIZE_FLOOR;
 use uot_core::{Engine, EngineConfig, FusionPolicy, JoinType, PlanBuilder, QueryPlan, Source, Uot};
 use uot_expr::{cmp, col, lit, CmpOp};
 use uot_storage::{BlockFormat, DataType, Schema, Table, TableBuilder, Value};

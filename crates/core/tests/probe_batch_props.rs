@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use uot_core::ops::{build, probe};
+use uot_core::ops::{self, build, probe};
 use uot_core::state::ExecContext;
 use uot_core::{Engine, EngineConfig, JoinType, PlanBuilder, QueryPlan, Source, Uot};
 use uot_storage::{
@@ -153,7 +153,7 @@ fn run_probe_path(plan: &Arc<QueryPlan>, b: usize, p: usize, scalar: bool) -> Ve
     for blk in dim.blocks() {
         build::execute(&ctx, b, &blk.clone()).unwrap();
     }
-    build::finalize_in_turn(&ctx, b, 1).unwrap();
+    ops::finalize_in_turn(&ctx, b, 1).unwrap();
     let mut rows = Vec::new();
     for blk in fact.blocks() {
         let out = if scalar {
