@@ -1,29 +1,44 @@
 //! TPC-H under a starvation budget: the graceful-degradation contract.
 //!
-//! Runs the mixed TPC-H workload three ways through one [`QueryService`]
-//! configuration axis — a comfortable reservation (the reference), a tight
-//! reservation with `DegradePolicy::Off`, and the same tight reservation
-//! with `DegradePolicy::Spill` — and asserts the contract both ways:
+//! Runs the mixed TPC-H workload through one [`QueryService`] configuration
+//! axis — a comfortable reservation (the reference), then, at each tight
+//! reservation, `DegradePolicy::Off` and `DegradePolicy::Spill` at the
+//! table UoT (operator-at-a-time: every intermediate is held whole) and
+//! `DegradePolicy::Spill` at the low UoT (one block per transfer, so the
+//! held intermediates are mostly blocks queued for a worker) — and asserts
+//! the contract at each point:
 //!
-//! 1. With spill, **every** query completes and its sorted result rows are
-//!    byte-identical to the comfortable-reservation reference.
+//! 1. With spill, at both UoTs, **every** query completes and its sorted
+//!    result rows are byte-identical to the comfortable-reservation
+//!    reference.
 //! 2. Without spill, at least one query fails with a fully attributed
-//!    `BudgetExceeded` at the same tight reservation — proving the budget
-//!    really is below the working set and the disk tier is what saved run 1.
-//! 3. At least one spill run actually touched the disk tier
-//!    (`spill_events > 0`), and every service drains its tracker to 0.
+//!    `BudgetExceeded` at the same tight reservation at the table UoT —
+//!    proving the budget really is below the working set and the disk tier
+//!    is what saved the spill run. Each such error shows the check that
+//!    refused it: `in_use + requested` exceeds the query's budget, or the
+//!    global figures the global one. At the low UoT the staged mix fits
+//!    these reservations without spill, so that leg proves byte-identity
+//!    under eviction and grace partitioning, not tightness.
+//! 3. Each spill run touched the disk tier (`spill_events > 0` at each
+//!    UoT on its own), and every service drains its tracker to 0.
+//!
+//! Every run is staged (`FusionPolicy::Never`), as spill runs always are.
 //!
 //! ```text
 //! cargo run --release -p uot-bench --bin tpch_spill [-- --smoke]
 //! ```
 //!
-//! Knobs: `UOT_SF`, `UOT_WORKERS`, and `UOT_SPILL_RESERVATION` (tight
-//! per-query reservation in bytes; scaled defaults below). CI runs this in
-//! the spill job across a `CHAOS_SEED` matrix alongside the chaos suites.
+//! `--smoke` runs at SF 0.005 and checks two tight reservations, 448 KiB and
+//! the measured floor, 416 KiB; a full run checks 448 KiB scaled by SF. Knobs: `UOT_SF`,
+//! `UOT_WORKERS`, and `UOT_SPILL_RESERVATION` (one tight per-query
+//! reservation in bytes, replacing the pinned points). CI runs this in the
+//! spill job across a `CHAOS_SEED` matrix alongside the chaos suites.
 
 use std::time::{Duration, Instant};
 use uot_bench::{ms, workers, ReportTable};
-use uot_core::{DegradePolicy, EngineError, ExecOptions, QueryService, ServiceConfig, Uot};
+use uot_core::{
+    DegradePolicy, EngineError, ExecOptions, FusionPolicy, QueryService, ServiceConfig, Uot,
+};
 use uot_storage::{BlockFormat, Value};
 use uot_tpch::{sql_text, QueryId as TpchQuery, TpchConfig, TpchDb};
 
@@ -54,6 +69,9 @@ fn drive(db: &TpchDb, uot: Uot, reservation: usize, degrade: DegradePolicy) -> V
         memory_budget: 256 << 20,
         default_reservation: reservation,
         degrade,
+        // Staged, like every spill run (a fused loop materializes nothing
+        // to evict), so the Off run holds what the Spill run holds.
+        fusion: FusionPolicy::Never,
         catalog: db.catalog().clone(),
         ..Default::default()
     })
@@ -98,21 +116,26 @@ fn main() {
             .and_then(|s| s.parse().ok())
             .unwrap_or(0.02)
     };
-    // The tight reservation must sit in the degradation band: above the
-    // non-evictable floor (in-flight blocks, hash-table shards, output
-    // partials) so spill can complete, below the mix's working set so the
+    // A tight reservation must sit in the degradation band: above the
+    // non-evictable floor (blocks running on workers, hash tables, output
+    // partials, a build's uncharged runs and a grace join's open partition
+    // buffers) so spill can complete, below the mix's working set so the
     // no-spill run provably fails. The band is not monotone — a *larger*
     // reservation can fail where a smaller one passes, because the grace
-    // arming threshold (est > budget/2) moves with it — so the default is a
-    // pinned, tested point per SF rather than a formula; override to explore.
-    let tight = std::env::var("UOT_SPILL_RESERVATION")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| ((sf / 0.005) as usize).max(1) * (448 << 10));
+    // arming threshold (est > budget/2) moves with it — so the points are
+    // pinned and tested per SF rather than a formula; override to explore.
+    // The smoke run sweeps down to the measured floor: at 384 KiB a grace
+    // join's open partition buffers (16 of them) leave no room.
+    let scale = ((sf / 0.005) as usize).max(1);
+    let kib: &[usize] = if smoke { &[448, 416] } else { &[448] };
+    let points: Vec<usize> = match std::env::var("UOT_SPILL_RESERVATION") {
+        Ok(r) => vec![r.parse().expect("UOT_SPILL_RESERVATION is a byte count")],
+        Err(_) => kib.iter().map(|k| scale * (k << 10)).collect(),
+    };
     println!(
-        "tpch spill: SF {sf}, {} workers, tight reservation {} KiB{}",
+        "tpch spill: SF {sf}, {} workers, tight reservations {:?} KiB{}",
         workers(),
-        tight >> 10,
+        points.iter().map(|p| p >> 10).collect::<Vec<_>>(),
         if smoke { " [smoke]" } else { "" }
     );
     let db = TpchDb::generate(
@@ -120,25 +143,38 @@ fn main() {
             .with_block_bytes(32 * 1024)
             .with_format(BlockFormat::Column),
     );
-
     let reference = drive(&db, Uot::LOW, 16 << 20, DegradePolicy::Off);
-    let strict = drive(&db, Uot::LOW, tight, DegradePolicy::Off);
-    let spill = drive(&db, Uot::LOW, tight, DegradePolicy::Spill);
+    for tight in points {
+        check_contract(&db, &reference, tight);
+    }
+}
+
+/// Run the mix at the `tight` reservation — without spill and with it at
+/// the table UoT, with it at the low UoT — and assert the contract against
+/// the comfortable-reservation `reference`.
+fn check_contract(db: &TpchDb, reference: &[Run], tight: usize) {
+    let strict = drive(db, Uot::Table, tight, DegradePolicy::Off);
+    let spill_table = drive(db, Uot::Table, tight, DegradePolicy::Spill);
+    let spill_low = drive(db, Uot::LOW, tight, DegradePolicy::Spill);
 
     let mut table = ReportTable::new(
-        "TPC-H under a starvation budget: Off fails, Spill completes identically",
+        format!(
+            "TPC-H under a starvation budget ({} KiB): Off fails, Spill completes identically",
+            tight >> 10
+        ),
         &[
             "query",
             "ref ms",
-            "tight+Off",
-            "tight+Spill ms",
-            "spill events",
-            "spilled B",
+            "table+Off",
+            "table+Spill ms",
+            "table spills",
+            "low+Spill ms",
+            "low spills",
             "identical",
         ],
     );
     let mut strict_failures = 0usize;
-    let mut total_spill_events = 0usize;
+    let mut spill_events = [0usize; 2];
     for (i, q) in MIX.iter().enumerate() {
         let reference_rows = reference[i]
             .rows
@@ -146,7 +182,24 @@ fn main() {
             .unwrap_or_else(|e| panic!("{} reference run failed: {e}", q.label()));
         let strict_outcome = match &strict[i].rows {
             Ok(_) => "ok".to_string(),
-            Err(EngineError::BudgetExceeded { op, .. }) => {
+            Err(
+                e @ EngineError::BudgetExceeded {
+                    op,
+                    requested,
+                    in_use,
+                    budget,
+                    global_in_use,
+                    global_budget,
+                    ..
+                },
+            ) => {
+                // The error shows the check that refused: that level was
+                // full for the bytes requested.
+                assert!(
+                    in_use + requested > *budget || global_in_use + requested > *global_budget,
+                    "{}: a budget error below its budget: {e}",
+                    q.label()
+                );
                 strict_failures += 1;
                 format!("budget@{op}")
             }
@@ -155,26 +208,33 @@ fn main() {
                 q.label()
             ),
         };
-        let spilled_rows = spill[i].rows.as_ref().unwrap_or_else(|e| {
-            panic!(
-                "{} must complete under DegradePolicy::Spill: {e}",
+        for (leg, (uot, spill)) in [("table", &spill_table[i]), ("low", &spill_low[i])]
+            .into_iter()
+            .enumerate()
+        {
+            let rows = spill.rows.as_ref().unwrap_or_else(|e| {
+                panic!(
+                    "{} must complete under DegradePolicy::Spill at {} KiB, {uot} UoT: {e}",
+                    q.label(),
+                    tight >> 10
+                )
+            });
+            assert!(
+                rows == reference_rows,
+                "{}: spilled run at the {uot} UoT diverged from the reference result",
                 q.label()
-            )
-        });
-        let identical = spilled_rows == reference_rows;
-        assert!(
-            identical,
-            "{}: spilled run diverged from the reference result",
-            q.label()
-        );
-        total_spill_events += spill[i].spill_events;
+            );
+            spill_events[leg] += spill.spill_events;
+        }
+        let spills = |r: &Run| format!("{} ({} B)", r.spill_events, r.spilled_bytes);
         table.row(vec![
             q.label(),
             ms(reference[i].latency),
             strict_outcome,
-            ms(spill[i].latency),
-            spill[i].spill_events.to_string(),
-            spill[i].spilled_bytes.to_string(),
+            ms(spill_table[i].latency),
+            spills(&spill_table[i]),
+            ms(spill_low[i].latency),
+            spills(&spill_low[i]),
             "yes".to_string(),
         ]);
     }
@@ -185,14 +245,17 @@ fn main() {
         "no query failed at the tight reservation without spill — the budget \
          is not below the working set; lower UOT_SPILL_RESERVATION"
     );
+    let [table_events, low_events] = spill_events;
     assert!(
-        total_spill_events > 0,
-        "no spill activity at the tight reservation — raise SF or lower \
-         UOT_SPILL_RESERVATION"
+        table_events > 0 && low_events > 0,
+        "no spill activity at the tight reservation ({table_events} at the table UoT, \
+         {low_events} at the low UoT) — raise SF or lower UOT_SPILL_RESERVATION"
     );
     println!(
-        "contract holds: {strict_failures}/{} queries fail without spill; all {} complete \
-         byte-identically with it ({total_spill_events} spill events)",
+        "contract holds at {} KiB: {strict_failures}/{} queries fail without spill; all {} \
+         complete byte-identically with it at both UoTs ({table_events} spill events at the \
+         table UoT, {low_events} at the low UoT)",
+        tight >> 10,
         MIX.len(),
         MIX.len()
     );

@@ -45,8 +45,8 @@ pub enum EdgeDest {
 /// Stream edges stage blocks wrapped in [`SpillSlot`]s: while a block sits
 /// below the UoT threshold it is *cold* — the only live reference is the
 /// slot's — and the block pool may evict it to the disk spill tier under
-/// memory pressure. The scheduler resolves slots back into blocks (faulting
-/// spilled ones in) at transfer time.
+/// memory pressure. A transfer hands the slots on to the consumer's work
+/// orders, and the worker that runs one faults its block back in.
 #[derive(Debug)]
 pub enum TransferAction {
     /// Append to the query result set.

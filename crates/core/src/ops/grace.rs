@@ -25,7 +25,7 @@ use crate::Result;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use uot_storage::{Schema, SpillStore, SpilledHandle, StorageBlock, StorageError};
+use uot_storage::{Schema, SpillSlot, SpillStore, SpilledHandle, StorageBlock, StorageError};
 
 /// Recursion bound for re-partitioning a partition that still does not fit.
 /// Past this depth the partition is built anyway: with the level-0 fan-out
@@ -37,11 +37,13 @@ const MAX_RESPILL_DEPTH: usize = 2;
 /// 32; respill level `d` splits on bit `40 + 8·d`).
 const RESPILL_SHIFT_BASE: usize = 40;
 
-/// One block of a partition: resident in memory (tracker-charged) or spilled
-/// to the disk tier (a temp file).
+/// One block of a partition: resident in memory (tracker-charged), spilled
+/// to the disk tier (a temp file), or parked in a slot the pool may move
+/// between the two.
 enum PartBlock {
     Mem(StorageBlock),
     Disk(SpilledHandle),
+    Slot(Arc<SpillSlot>),
 }
 
 impl PartBlock {
@@ -51,15 +53,22 @@ impl PartBlock {
         match self {
             PartBlock::Mem(b) => Ok(b),
             PartBlock::Disk(h) => store.restore(h).map_err(EngineError::from),
+            PartBlock::Slot(s) => {
+                Ok(Arc::try_unwrap(s.take(Some(store))?)
+                    .expect("a parked block has no other owner"))
+            }
         }
     }
+}
 
-    /// Release the block without using it: pool-discard resident blocks,
-    /// delete spilled files.
-    fn discard(self, ctx: &ExecContext, store: &SpillStore) {
-        match self {
+/// Release blocks without using them: pool-discard resident blocks, delete
+/// spilled files.
+fn discard_all(ctx: &ExecContext, store: &SpillStore, blocks: impl IntoIterator<Item = PartBlock>) {
+    for block in blocks {
+        match block {
             PartBlock::Mem(b) => ctx.pool.discard(b),
             PartBlock::Disk(h) => store.discard(h),
+            PartBlock::Slot(s) => s.discard(ctx.pool.tracker(), Some(store)),
         }
     }
 }
@@ -78,10 +87,7 @@ pub(crate) fn partition_stream(
     tag: usize,
     schema: &Arc<Schema>,
 ) -> Result<()> {
-    let store = ctx
-        .pool
-        .spill_store()
-        .ok_or_else(|| EngineError::Internal("grace join without a spill store".into()))?;
+    let store = spill_store(ctx)?;
     // The other side of the join, for checkout pressure relief: its open
     // buffers are cold once this side is streaming (build and probe phases
     // are serialized by the scheduler) and can be spilled to make room.
@@ -100,14 +106,38 @@ pub(crate) fn partition_stream(
 }
 
 /// Spill every open (partially filled) partition buffer of `side` to the
-/// disk tier, releasing its tracked bytes.
+/// disk tier, releasing its tracked bytes. A buffer that fails to spill
+/// stays open, so teardown still finds and releases it.
 fn spill_open(store: &SpillStore, side: &mut GraceSide, tag: usize) -> Result<()> {
     for p in 0..side.open.len() {
-        if let Some(b) = side.open[p].take() {
-            side.spilled[p].push(store.spill_block(&b, tag)?);
+        if let Some(b) = &side.open[p] {
+            side.spilled[p].push(store.spill_block(b, tag)?);
+            side.open[p] = None;
         }
     }
     Ok(())
+}
+
+/// A grace build whose stream work is over: its open partition buffers are
+/// cold until the probe's finalize joins them, so they become the pool's
+/// eviction victims rather than pin up to `nparts` blocks while the probe
+/// side streams. Nothing is written unless a checkout needs the room.
+pub(crate) fn park_build(ctx: &ExecContext, op: usize) {
+    let mut side = ctx.grace[&op].build.lock();
+    let side = &mut *side;
+    for (open, parked) in side.open.iter_mut().zip(&mut side.parked) {
+        if let Some(b) = open.take() {
+            let slot = SpillSlot::new(Arc::new(b), op);
+            ctx.pool.register_victim(&slot);
+            *parked = Some(slot);
+        }
+    }
+}
+
+fn spill_store(ctx: &ExecContext) -> Result<Arc<SpillStore>> {
+    ctx.pool
+        .spill_store()
+        .ok_or_else(|| EngineError::Internal("grace join without a spill store".into()))
 }
 
 /// Check out a fresh partition buffer. A budget refusal is not terminal
@@ -156,16 +186,16 @@ fn append_row(
             side.open[p] = Some(checkout_part(ctx, store, side, other, tag, schema)?);
         }
         let b = side.open[p].as_mut().expect("just set");
-        if b.append_row(row)? {
-            if b.is_full() {
-                let full = side.open[p].take().expect("present");
-                side.spilled[p].push(store.spill_block(&full, tag)?);
-            }
+        let appended = b.append_row(row)?;
+        // Spill a full buffer (full before the append fit, too: then retry
+        // on a fresh block). One that fails to spill stays open.
+        if !appended || b.is_full() {
+            side.spilled[p].push(store.spill_block(b, tag)?);
+            side.open[p] = None;
+        }
+        if appended {
             return Ok(());
         }
-        // Full before the append fit: spill it and retry on a fresh block.
-        let full = side.open[p].take().expect("present");
-        side.spilled[p].push(store.spill_block(&full, tag)?);
     }
 }
 
@@ -179,10 +209,7 @@ pub fn finalize(ctx: &ExecContext, op: usize) -> Result<Vec<StorageBlock>> {
         .get(&op)
         .expect("finalize-join dispatched only for grace probes")
         .clone();
-    let store = ctx
-        .pool
-        .spill_store()
-        .ok_or_else(|| EngineError::Internal("grace join without a spill store".into()))?;
+    let store = spill_store(ctx)?;
     let payload_cols = match &ctx.plan.op(g.build_op).kind {
         OperatorKind::BuildHash { payload_cols, .. } => payload_cols.clone(),
         other => {
@@ -201,18 +228,22 @@ pub fn finalize(ctx: &ExecContext, op: usize) -> Result<Vec<StorageBlock>> {
     {
         let mut bs = g.build.lock();
         let mut ps = g.probe.lock();
-        // Under a budget, park every leftover open buffer on disk first:
-        // queued partitions would otherwise hold up to `2 × nparts` resident
-        // blocks for the whole finalize — a baseline that can exceed the
-        // budget on its own and starve every per-partition checkout. (On a
-        // failed spill the sides keep their state; scheduler teardown
-        // releases it.)
+        // Under a budget, park every leftover open or parked buffer on disk
+        // first: queued partitions would otherwise hold up to `2 × nparts`
+        // resident blocks for the whole finalize — a baseline that can
+        // exceed the budget on its own and starve every per-partition
+        // checkout. (On a failed spill the sides keep their state; scheduler
+        // teardown releases it.)
         if budget != usize::MAX {
             spill_open(&store, &mut bs, g.build_op)?;
             spill_open(&store, &mut ps, op)?;
+            for slot in bs.parked.iter().flatten() {
+                slot.try_evict(&store)?;
+            }
         }
         for p in 0..g.nparts {
             let mut b: Vec<PartBlock> = bs.spilled[p].drain(..).map(PartBlock::Disk).collect();
+            b.extend(bs.parked[p].take().map(PartBlock::Slot));
             if let Some(blk) = bs.open[p].take() {
                 b.push(PartBlock::Mem(blk));
             }
@@ -234,20 +265,10 @@ pub fn finalize(ctx: &ExecContext, op: usize) -> Result<Vec<StorageBlock>> {
                 work: &mut Vec<(usize, Vec<PartBlock>, Vec<PartBlock>)>,
                 out: &mut Vec<StorageBlock>,
                 out_disk: &mut Vec<SpilledHandle>| {
-        for (_, b, p) in work.drain(..) {
-            for x in b {
-                x.discard(ctx, &store);
-            }
-            for x in p {
-                x.discard(ctx, &store);
-            }
-        }
-        for b in out.drain(..) {
-            ctx.pool.discard(b);
-        }
-        for h in out_disk.drain(..) {
-            store.discard(h);
-        }
+        let queued = work.drain(..).flat_map(|(_, b, p)| b.into_iter().chain(p));
+        discard_all(ctx, &store, queued);
+        discard_all(ctx, &store, out.drain(..).map(PartBlock::Mem));
+        discard_all(ctx, &store, out_disk.drain(..).map(PartBlock::Disk));
         e
     };
     while let Some((depth, build, probe)) = work.pop() {
@@ -278,12 +299,8 @@ pub fn finalize(ctx: &ExecContext, op: usize) -> Result<Vec<StorageBlock>> {
         match store.restore(h) {
             Ok(b) => out.push(b),
             Err(e) => {
-                for rest in parked {
-                    store.discard(rest);
-                }
-                for b in out.drain(..) {
-                    ctx.pool.discard(b);
-                }
+                discard_all(ctx, &store, parked.map(PartBlock::Disk));
+                discard_all(ctx, &store, out.drain(..).map(PartBlock::Mem));
                 return Err(e.into());
             }
         }
@@ -337,12 +354,7 @@ fn join_partition(
     work: &mut Vec<(usize, Vec<PartBlock>, Vec<PartBlock>)>,
 ) -> Result<()> {
     if let Err(e) = ctx.check_cancelled() {
-        for x in build {
-            x.discard(ctx, store);
-        }
-        for x in probe {
-            x.discard(ctx, store);
-        }
+        discard_all(ctx, store, build.into_iter().chain(probe));
         return Err(e);
     }
 
@@ -353,15 +365,8 @@ fn join_partition(
         match pb.into_mem(store) {
             Ok(b) => build_blocks.push(b),
             Err(e) => {
-                for b in build_blocks {
-                    ctx.pool.discard(b);
-                }
-                for x in build_iter {
-                    x.discard(ctx, store);
-                }
-                for x in probe {
-                    x.discard(ctx, store);
-                }
+                let restored = build_blocks.into_iter().map(PartBlock::Mem);
+                discard_all(ctx, store, restored.chain(build_iter).chain(probe));
                 return Err(e);
             }
         }
@@ -378,18 +383,14 @@ fn join_partition(
         let (b0, b1) = match split(ctx, store, g.build_op, build_schema, build_parts, shift) {
             Ok(v) => v,
             Err(e) => {
-                for x in probe {
-                    x.discard(ctx, store);
-                }
+                discard_all(ctx, store, probe);
                 return Err(e);
             }
         };
         let (p0, p1) = match split(ctx, store, op, probe_schema, probe, shift) {
             Ok(v) => v,
             Err(e) => {
-                for x in b0.into_iter().chain(b1) {
-                    x.discard(ctx, store);
-                }
+                discard_all(ctx, store, b0.into_iter().chain(b1));
                 return Err(e);
             }
         };
@@ -423,9 +424,7 @@ fn join_partition(
             Ok(b) => Arc::new(b),
             Err(e) => {
                 ht.release_tracker(tracker);
-                for x in probe_iter {
-                    x.discard(ctx, store);
-                }
+                discard_all(ctx, store, probe_iter);
                 return Err(e);
             }
         };
@@ -447,9 +446,7 @@ fn join_partition(
         };
         if let Err(e) = relieved {
             ht.release_tracker(tracker);
-            for x in probe_iter {
-                x.discard(ctx, store);
-            }
+            discard_all(ctx, store, probe_iter);
             return Err(e);
         }
     }
@@ -475,35 +472,40 @@ fn split(
     let mut done: [Vec<PartBlock>; 2] = [Vec::new(), Vec::new()];
     let mut scratch = ctx.take_scratch();
     let tracker = ctx.pool.tracker().clone();
-    let mut run = || -> Result<()> {
-        while let Some(pb) = input.pop_front() {
-            let block = Arc::new(pb.into_mem(store)?);
-            ctx.key_extractor(key_op)
-                .extract_block(&block, &mut scratch.keys);
-            let rows = block.all_rows();
-            for (row, h) in rows.iter().zip(scratch.keys.hashes()) {
-                let half = ((h >> shift) & 1) as usize;
-                loop {
-                    if open[half].is_none() {
-                        open[half] = Some(ctx.pool.checkout(
-                            schema,
-                            ctx.temp_format,
-                            ctx.block_bytes,
-                        )?);
-                    }
-                    let b = open[half].as_mut().expect("just set");
-                    if b.append_row(row)? {
-                        if b.is_full() {
-                            let full = open[half].take().expect("present");
-                            done[half].push(PartBlock::Disk(store.spill_block(&full, key_op)?));
-                        }
-                        break;
-                    }
-                    let full = open[half].take().expect("present");
-                    done[half].push(PartBlock::Disk(store.spill_block(&full, key_op)?));
+    let mut route = |block: &StorageBlock| -> Result<()> {
+        ctx.key_extractor(key_op)
+            .extract_block(block, &mut scratch.keys);
+        let rows = block.all_rows();
+        for (row, h) in rows.iter().zip(scratch.keys.hashes()) {
+            let half = ((h >> shift) & 1) as usize;
+            loop {
+                if open[half].is_none() {
+                    open[half] = Some(ctx.pool.checkout(
+                        schema,
+                        ctx.temp_format,
+                        ctx.block_bytes,
+                    )?);
+                }
+                let b = open[half].as_mut().expect("just set");
+                let appended = b.append_row(row)?;
+                if !appended || b.is_full() {
+                    done[half].push(PartBlock::Disk(store.spill_block(b, key_op)?));
+                    open[half] = None;
+                }
+                if appended {
+                    break;
                 }
             }
+        }
+        Ok(())
+    };
+    let mut run = || -> Result<()> {
+        while let Some(pb) = input.pop_front() {
+            let block = pb.into_mem(store)?;
+            // The input block dies here, whether its rows routed or not.
+            let routed = route(&block);
             tracker.free(block.allocated_bytes());
+            routed?;
         }
         Ok(())
     };
@@ -513,26 +515,17 @@ fn split(
         Ok(()) => {
             let [o0, o1] = open;
             let [mut d0, mut d1] = done;
-            if let Some(b) = o0 {
-                d0.push(PartBlock::Mem(b));
-            }
-            if let Some(b) = o1 {
-                d1.push(PartBlock::Mem(b));
-            }
+            d0.extend(o0.map(PartBlock::Mem));
+            d1.extend(o1.map(PartBlock::Mem));
             Ok((d0, d1))
         }
         Err(e) => {
-            for b in open.into_iter().flatten() {
-                ctx.pool.discard(b);
-            }
-            for half in done {
-                for x in half {
-                    x.discard(ctx, store);
-                }
-            }
-            for x in input {
-                x.discard(ctx, store);
-            }
+            let open = open.into_iter().flatten().map(PartBlock::Mem);
+            discard_all(
+                ctx,
+                store,
+                open.chain(done.into_iter().flatten()).chain(input),
+            );
             Err(e)
         }
     }

@@ -4,7 +4,10 @@
 //! dispatches on the operator kind and the work kind and returns the
 //! **completed** output blocks the work order produced (partially filled
 //! blocks stay in the operator's [`OutputBuffer`](crate::output::OutputBuffer)
-//! for the next work order, per the paper's block-pool discipline).
+//! for the next work order, per the paper's block-pool discipline). A
+//! stream work order's block waits in its spill slot until then: the worker
+//! takes it out, faulting it in if the pool evicted it, and releases its
+//! bytes when the work order ends.
 //!
 //! A blocking operator (build, aggregate, sort, grace join) ends in one
 //! partitioned finalize, decided here for all of them: once its stream work
@@ -33,6 +36,7 @@ use crate::work_order::{FinalizeInput, WorkKind, WorkOrder};
 use crate::Result;
 use parking_lot::Mutex;
 use std::panic::AssertUnwindSafe;
+use std::sync::Arc;
 use uot_storage::{StorageBlock, StorageError};
 
 /// Consult the context's [`FaultPlan`](crate::fault::FaultPlan) at `site`:
@@ -40,26 +44,22 @@ use uot_storage::{StorageBlock, StorageError};
 /// scheduled. Injected panics carry an "injected" marker in their payload so
 /// chaos tests can tell them from genuine bugs.
 pub(crate) fn apply_fault(ctx: &ExecContext, site: FaultSite, op: usize) -> Result<()> {
-    match ctx.faults.check(site) {
-        None => Ok(()),
-        Some(kind @ FaultKind::Panic) => {
-            ctx.trace_event(|| crate::trace::TraceEventKind::FaultInjected { site, kind, op });
-            panic!("injected fault at {site:?}")
-        }
+    let Some(kind) = ctx.faults.check(site) else {
+        return Ok(());
+    };
+    ctx.trace_event(|| crate::trace::TraceEventKind::FaultInjected { site, kind, op });
+    match kind {
+        FaultKind::Panic => panic!("injected fault at {site:?}"),
         // An injected error models an allocation failure; zeroed fields mark
         // it as synthetic.
-        Some(kind @ FaultKind::Error) => {
-            ctx.trace_event(|| crate::trace::TraceEventKind::FaultInjected { site, kind, op });
-            Err(EngineError::Storage(StorageError::BudgetExceeded {
-                requested: 0,
-                in_use: 0,
-                budget: 0,
-                global_in_use: 0,
-                global_budget: 0,
-            }))
-        }
-        Some(kind @ FaultKind::Delay(d)) => {
-            ctx.trace_event(|| crate::trace::TraceEventKind::FaultInjected { site, kind, op });
+        FaultKind::Error => Err(EngineError::Storage(StorageError::BudgetExceeded {
+            requested: 0,
+            in_use: 0,
+            budget: 0,
+            global_in_use: 0,
+            global_budget: 0,
+        })),
+        FaultKind::Delay(d) => {
             std::thread::sleep(d);
             Ok(())
         }
@@ -103,26 +103,14 @@ pub fn execute_work_order_contained(
             })
         }
     };
-    match &result {
-        Err(EngineError::WorkOrderPanic { .. }) => {
-            ctx.trace_event(|| crate::trace::TraceEventKind::WorkOrderPanicked {
-                seq: wo.seq,
-                op: wo.op,
-            });
-        }
-        Err(EngineError::Cancelled { .. }) => {
-            ctx.trace_event(|| crate::trace::TraceEventKind::WorkOrderCancelled {
-                seq: wo.seq,
-                op: wo.op,
-            });
-        }
-        Err(_) => {
-            ctx.trace_event(|| crate::trace::TraceEventKind::WorkOrderFailed {
-                seq: wo.seq,
-                op: wo.op,
-            });
-        }
-        Ok(_) => {}
+    if let Err(e) = &result {
+        use crate::trace::TraceEventKind as K;
+        let (seq, op) = (wo.seq, wo.op);
+        ctx.trace_event(|| match e {
+            EngineError::WorkOrderPanic { .. } => K::WorkOrderPanicked { seq, op },
+            EngineError::Cancelled { .. } => K::WorkOrderCancelled { seq, op },
+            _ => K::WorkOrderFailed { seq, op },
+        });
     }
     result
 }
@@ -164,42 +152,80 @@ fn attach_op_context(
     }
 }
 
-/// Execute one work order, returning the completed blocks it emitted.
+/// Execute one work order, returning the completed blocks it emitted. A
+/// stream work order first takes its block out of its slot, restoring it
+/// if it was evicted; a failed restore is the work order's error.
 pub fn execute_work_order(ctx: &ExecContext, wo: &WorkOrder) -> Result<Vec<StorageBlock>> {
-    ctx.check_cancelled()?;
-    apply_fault(ctx, FaultSite::WorkOrderExec, wo.op)?;
-    // A stream work order on a fused-chain head pushes its block through the
-    // whole chain in one loop; the staged per-operator path is bypassed.
-    if let WorkKind::Stream { block } = &wo.kind {
-        if let Some(chain) = ctx.fusion.chain_for_head(wo.op) {
-            return crate::fusion::execute_fused(ctx, chain, block);
+    match &wo.kind {
+        WorkKind::Stream { slot } => {
+            let store = ctx.pool.spill_store();
+            // A cancelled query drops its block unread, evicted or not.
+            if let Err(e) = ctx.check_cancelled() {
+                if ctx.plan.topology().stream_parent(wo.op).is_some() {
+                    slot.discard(ctx.pool.tracker(), store.as_deref());
+                }
+                return Err(e);
+            }
+            // From here on the block dies with the `Input` guard.
+            let block = slot.take(store.as_deref())?;
+            let input = Input {
+                ctx,
+                op: wo.op,
+                block,
+            };
+            apply_fault(ctx, FaultSite::WorkOrderExec, wo.op)?;
+            execute_stream(ctx, wo.op, &input.block)
         }
-    }
-    let op = ctx.plan.op(wo.op);
-    match (&op.kind, &wo.kind) {
-        (OperatorKind::Select { .. }, WorkKind::Stream { block }) => {
-            select::execute(ctx, wo.op, block)
-        }
-        (OperatorKind::BuildHash { .. }, WorkKind::Stream { block }) => {
-            build::execute(ctx, wo.op, block)
-        }
-        (OperatorKind::Probe { .. }, WorkKind::Stream { block }) => {
-            probe::execute(ctx, wo.op, block)
-        }
-        (OperatorKind::Aggregate { .. }, WorkKind::Stream { block }) => {
-            aggregate::execute_block(ctx, wo.op, block)
-        }
-        (OperatorKind::NestedLoops { .. }, WorkKind::Stream { block }) => {
-            nlj::execute(ctx, wo.op, block)
-        }
-        (OperatorKind::Limit { .. }, WorkKind::Stream { block }) => {
-            limit::execute(ctx, wo.op, block)
-        }
-        (_, WorkKind::Finalize { part, parts, input }) => {
+        WorkKind::Finalize { part, parts, input } => {
+            ctx.check_cancelled()?;
+            apply_fault(ctx, FaultSite::WorkOrderExec, wo.op)?;
             execute_finalize(ctx, wo.op, *part, *parts, input)
         }
-        (kind, work) => Err(EngineError::Internal(format!(
-            "work order {work:?} does not match operator kind {}",
+    }
+}
+
+/// A stream work order's input block, out of its slot while the work order
+/// runs. An intermediate block dies with its work order, so dropping this
+/// releases its bytes whether the operator succeeded, failed or panicked.
+/// Base-table blocks were never charged.
+struct Input<'a> {
+    ctx: &'a ExecContext,
+    op: usize,
+    block: Arc<StorageBlock>,
+}
+
+impl Drop for Input<'_> {
+    fn drop(&mut self) {
+        let ctx = self.ctx;
+        if ctx.plan.topology().stream_parent(self.op).is_some() {
+            let (bytes, tracker) = (self.block.allocated_bytes(), ctx.pool.tracker());
+            tracker.free(bytes);
+            let in_use = tracker.current_bytes();
+            ctx.trace_event(|| crate::trace::TraceEventKind::PoolFree { bytes, in_use });
+        }
+    }
+}
+
+/// Apply operator `op`'s logic to one input block. On a fused-chain head the
+/// block is pushed through the whole chain in one loop; the staged
+/// per-operator path is bypassed.
+fn execute_stream(
+    ctx: &ExecContext,
+    op: usize,
+    block: &Arc<StorageBlock>,
+) -> Result<Vec<StorageBlock>> {
+    if let Some(chain) = ctx.fusion.chain_for_head(op) {
+        return crate::fusion::execute_fused(ctx, chain, block);
+    }
+    match &ctx.plan.op(op).kind {
+        OperatorKind::Select { .. } => select::execute(ctx, op, block),
+        OperatorKind::BuildHash { .. } => build::execute(ctx, op, block),
+        OperatorKind::Probe { .. } => probe::execute(ctx, op, block),
+        OperatorKind::Aggregate { .. } => aggregate::execute_block(ctx, op, block),
+        OperatorKind::NestedLoops { .. } => nlj::execute(ctx, op, block),
+        OperatorKind::Limit { .. } => limit::execute(ctx, op, block),
+        kind => Err(EngineError::Internal(format!(
+            "a {} operator has no stream work orders",
             kind.kind_label()
         ))),
     }
@@ -215,7 +241,8 @@ pub const FINALIZE_FLOOR: usize = 4096;
 
 /// Once every stream work order of `op` has finished: take the input its
 /// finalize partitions share, and split the finalize for `workers` workers.
-/// `None` when `op` has no finalize.
+/// `None` when `op` has no finalize (a grace build's is its probe's; its
+/// partition buffers park as eviction victims here).
 pub(crate) fn plan_finalize(
     ctx: &ExecContext,
     op: usize,
@@ -237,6 +264,10 @@ fn plan_split(
     Ok(Some(match ctx.plan.op(op).kind {
         OperatorKind::BuildHash { .. } if !grace => {
             build::freeze(ctx, op, |rows| split(rows).min(SHARDS))
+        }
+        OperatorKind::BuildHash { .. } => {
+            grace::park_build(ctx, op);
+            return Ok(None);
         }
         OperatorKind::Aggregate { .. } => aggregate::freeze(ctx, op, split)?,
         OperatorKind::Sort { .. } => (FinalizeInput::Sort, 1),

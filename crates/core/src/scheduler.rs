@@ -7,6 +7,11 @@
 //! into consumer work orders (or collected, for blocking consumers). When a
 //! producer finishes, any partially accumulated UoT flushes (Section III-B).
 //!
+//! A transferred block that has not run yet is still a held intermediate:
+//! it keeps one form, an `Arc<SpillSlot>`, from staging until a worker runs
+//! the stream work order it feeds. The slot is the pool's to evict while
+//! staged and while queued, and the worker faults it back in at dispatch.
+//!
 //! Figure 2 of the paper falls directly out of this mechanism: with
 //! `Uot::Blocks(1)` producer and consumer work orders interleave; with
 //! `Uot::Table` the schedule degenerates to operator-at-a-time.
@@ -16,7 +21,9 @@
 //! * `SchedulerCore` — the synchronous state machine: per-operator state,
 //!   transfer edges, and an indexed `ReadyQueue` that picks the next work
 //!   order in O(log #ops) without scanning (per-operator FIFOs plus an
-//!   ordered index of dispatchable operators). Topology questions ("who
+//!   ordered index of dispatchable operators; work for an operator that
+//!   waits on a scheduling dependency queues but is not dispatchable until
+//!   the dependency finishes). Topology questions ("who
 //!   depends on this operator?") are answered by the plan's precomputed
 //!   [`PlanTopology`] instead of rescanning operator definitions.
 //! * [`QueryObserver`] — receives each dispatch/completion/transfer event
@@ -80,7 +87,10 @@ impl ExecMode {
 }
 
 /// Indexed dispatch: per-operator FIFO queues plus an ordered set of
-/// operators that currently have queued work.
+/// operators that currently have dispatchable work. An operator whose chain
+/// still waits on a scheduling dependency (a build, an NLJ's inner side, a
+/// LIP filter source) is *gated*: its work queues in its FIFO but is not
+/// dispatchable, nor counted in `len`, until the scheduler opens it.
 ///
 /// Policy (identical to the historical full-scan implementation): among
 /// operators with queued work, pick the **critical** ones first (blocking
@@ -91,17 +101,22 @@ impl ExecMode {
 #[derive(Debug)]
 struct ReadyQueue {
     per_op: Vec<VecDeque<WorkOrder>>,
-    /// `(critical, op)` for every op with queued work.
+    /// `(critical, op)` for every open op with queued work.
     dispatchable: BTreeSet<(bool, OpId)>,
     critical: Vec<bool>,
+    gated: Vec<bool>,
+    /// Work orders queued for open operators.
     len: usize,
 }
 
 impl ReadyQueue {
+    /// A queue with every operator open; the scheduler gates its waiting
+    /// operators before queuing any work.
     fn new(critical: Vec<bool>) -> Self {
         ReadyQueue {
             per_op: (0..critical.len()).map(|_| VecDeque::new()).collect(),
             dispatchable: BTreeSet::new(),
+            gated: vec![false; critical.len()],
             critical,
             len: 0,
         }
@@ -110,8 +125,18 @@ impl ReadyQueue {
     fn push(&mut self, wo: WorkOrder) {
         let op = wo.op;
         self.per_op[op].push_back(wo);
-        self.len += 1;
-        self.dispatchable.insert((self.critical[op], op));
+        if !self.gated[op] {
+            self.len += 1;
+            self.dispatchable.insert((self.critical[op], op));
+        }
+    }
+
+    /// Make a gated operator's queued work dispatchable, in FIFO order.
+    fn open(&mut self, op: OpId) {
+        if std::mem::take(&mut self.gated[op]) && !self.per_op[op].is_empty() {
+            self.len += self.per_op[op].len();
+            self.dispatchable.insert((self.critical[op], op));
+        }
     }
 
     fn pop(&mut self) -> Option<WorkOrder> {
@@ -126,6 +151,11 @@ impl ReadyQueue {
 
     fn len(&self) -> usize {
         self.len
+    }
+
+    /// Work orders queued for `op`, dispatchable or not.
+    fn queued(&self, op: OpId) -> usize {
+        self.per_op[op].len()
     }
 
     /// Remove and return every queued work order (teardown path).
@@ -145,11 +175,8 @@ struct OpState {
     waiting_on: usize,
     /// The streamed producer has finished (base tables count as finished).
     producer_finished: bool,
-    /// Blocks transferred but held because the op is not startable yet.
-    /// Cold until then, so an intermediate one (never a base-table block,
-    /// which is not charged) is the pool's to evict under spill.
-    pending: VecDeque<Arc<SpillSlot>>,
-    /// Work orders created and not yet completed.
+    /// Work orders created and not yet completed, queued ones included
+    /// (gated or not).
     outstanding: usize,
     /// The finalize work orders have been dispatched (build, aggregate,
     /// sort, grace join).
@@ -280,10 +307,14 @@ impl SchedulerCore {
             seq: 0,
             unfinished: n,
         };
-        // Feed base-table blocks.
+        core.queue.gated = (0..n).map(|id| core.chain_waits(id) > 0).collect();
+        // Feed base-table blocks. Their slots are resident (and shared with
+        // the table, so never evicted): nothing faults in.
         for id in 0..n {
             if let crate::plan::Source::Table(t) = plan.op(id).kind.stream_source() {
-                core.transfer_in(id, t.blocks().to_vec(), t.num_rows(), t.allocated_bytes());
+                let slots = t.blocks().iter().map(|b| SpillSlot::new(b.clone(), id));
+                core.transfer_in(None, id, slots.collect())
+                    .expect("base-table blocks are resident");
             }
         }
         // Operators with no input at all may already be completable.
@@ -306,7 +337,8 @@ impl SchedulerCore {
         self.unfinished == 0
     }
 
-    /// Number of work orders waiting in the ready queues.
+    /// Number of dispatchable work orders (gated operators' queued work
+    /// does not count: a query with only that left has stalled).
     pub fn ready_len(&self) -> usize {
         self.queue.len()
     }
@@ -341,12 +373,12 @@ impl SchedulerCore {
                 continue;
             }
             parts.push(format!(
-                "op{} ({}): waiting_on={} staged={} pending={} outstanding={}{}",
+                "op{} ({}): waiting_on={} staged={} queued={} outstanding={}{}",
                 id,
                 self.plan().op(id).name,
                 st.waiting_on,
                 self.staged_into(id),
-                st.pending.len(),
+                self.queue.queued(id),
                 st.outstanding,
                 if st.producer_finished {
                     ""
@@ -390,22 +422,8 @@ impl SchedulerCore {
         produced: Vec<StorageBlock>,
         record: TaskRecord,
     ) -> Result<()> {
+        // The worker already released a consumed intermediate input block.
         self.states[wo.op].outstanding -= 1;
-        // A consumed intermediate block dies here (each block feeds exactly
-        // one stream work order): release its bytes so `peak_temp_bytes`
-        // reflects what is actually live. Base-table blocks were never
-        // charged to the tracker and stay untouched.
-        if let WorkKind::Stream { block } = &wo.kind {
-            if self.plan().topology().stream_parent(wo.op).is_some() {
-                let bytes = block.allocated_bytes();
-                self.ctx.pool.tracker().free(bytes);
-                self.ctx
-                    .trace_event(|| crate::trace::TraceEventKind::PoolFree {
-                        bytes,
-                        in_use: self.ctx.pool.tracker().current_bytes(),
-                    });
-            }
-        }
         self.observer.work_order_completed(wo.seq, record);
         // A fused chain's output leaves from its *tail*: the blocks skip every
         // interior edge and land directly on the tail's outgoing edge.
@@ -417,28 +435,15 @@ impl SchedulerCore {
         self.check_completion(wo.op)
     }
 
-    /// Handle a *failed* (or cancelled) work order: release the bytes
-    /// charged to its input block, without routing any output. The
-    /// operator stays unfinished; teardown via [`Self::release_resources`]
-    /// reclaims everything else.
-    pub fn on_error(&mut self, wo: &WorkOrder) {
-        self.states[wo.op].outstanding -= 1;
-        if let WorkKind::Stream { block } = &wo.kind {
-            if self.plan().topology().stream_parent(wo.op).is_some() {
-                self.ctx.pool.tracker().free(block.allocated_bytes());
-            }
-        }
-    }
-
     /// Route blocks produced by `producer` along its transfer edge: straight
     /// to the result set (sink), parked at the producer (NLJ materialization
-    /// bypass), or staged against the consumer edge's UoT threshold.
-    ///
-    /// Fallible: staged slots may have been evicted to the spill tier, and
-    /// faulting them back in at transfer time can hit a disk error (or an
-    /// injected `SpillRead` fault).
+    /// bypass), or staged against the consumer edge's UoT threshold. Every
+    /// slot a stream edge stages is offered to the pool as an eviction
+    /// victim once, and stays one until a worker takes its block. Fallible
+    /// only on a sort's bulk input, which faults in here.
     fn route_output(&mut self, producer: OpId, produced: Vec<StorageBlock>) -> Result<()> {
-        if produced.is_empty() {
+        let fresh = produced.len();
+        if fresh == 0 {
             return Ok(());
         }
         self.observer.blocks_produced(
@@ -449,13 +454,11 @@ impl SchedulerCore {
         );
         let blocks: Vec<Arc<StorageBlock>> = produced.into_iter().map(Arc::new).collect();
         match self.edges[producer].stage(blocks, producer) {
-            TransferAction::Hold(fresh) => {
-                // Newly staged slots are cold until the edge flushes: offer
-                // them to the pool as eviction victims, then report the new
-                // occupancy for UoT-occupancy timelines.
-                for slot in &fresh {
+            TransferAction::Hold(held) => {
+                for slot in &held {
                     self.ctx.pool.register_victim(slot);
                 }
+                // Report the new occupancy for UoT-occupancy timelines.
                 let edge = &self.edges[producer];
                 if let Some(consumer) = edge.consumer() {
                     self.observer.edge_staged(
@@ -468,9 +471,13 @@ impl SchedulerCore {
             }
             TransferAction::Emit(blocks) => self.result_blocks.extend(blocks),
             TransferAction::Transfer(slots) => {
+                // This call's slots are the tail; the others were offered
+                // when they were held.
+                for slot in &slots[slots.len() - fresh..] {
+                    self.ctx.pool.register_victim(slot);
+                }
                 let consumer = self.edges[producer].consumer().expect("stream edge");
-                let blocks = self.resolve_slots(slots)?;
-                self.deliver(producer, consumer, blocks, false);
+                self.transfer_in(Some((producer, false)), consumer, slots)?;
             }
             TransferAction::Materialize(blocks) => {
                 // The NLJ reads the inner relation from its producing
@@ -484,90 +491,64 @@ impl SchedulerCore {
         Ok(())
     }
 
-    /// Turn staged slots back into blocks, faulting spilled ones in. On
-    /// failure, every block already resolved and every slot not yet resolved
-    /// is released so teardown accounting stays exact.
-    fn resolve_slots(&self, slots: Vec<Arc<SpillSlot>>) -> Result<Vec<Arc<StorageBlock>>> {
-        let store = self.ctx.pool.spill_store();
-        let tracker = self.ctx.pool.tracker();
-        let mut blocks = Vec::with_capacity(slots.len());
-        let mut iter = slots.into_iter();
-        while let Some(slot) = iter.next() {
-            match slot.take(store.as_deref()) {
-                Ok(b) => blocks.push(b),
-                Err(e) => {
-                    for b in &blocks {
-                        tracker.free(b.allocated_bytes());
-                    }
-                    for rest in iter {
-                        rest.discard(tracker, store.as_deref());
-                    }
-                    return Err(e.into());
-                }
-            }
-        }
-        Ok(blocks)
-    }
-
-    /// Move a flushed set over `producer`'s edge into `consumer`, observed
-    /// once with its actual sizes.
-    fn deliver(
+    /// Deliver transferred slots to `op`: collected for sorts, otherwise one
+    /// stream work order per slot, queued behind the operator's gate if it
+    /// is not startable yet. A transfer over an edge (`from` names its
+    /// producer and whether it is a partial flush) is observed once, with
+    /// sizes read from the slots (an evicted slot keeps both).
+    fn transfer_in(
         &mut self,
-        producer: OpId,
-        consumer: OpId,
-        blocks: Vec<Arc<StorageBlock>>,
-        partial: bool,
-    ) {
-        let rows = blocks.iter().map(|b| b.num_rows()).sum();
-        let bytes = blocks.iter().map(|b| b.allocated_bytes()).sum();
-        self.observer
-            .transfer_flushed(producer, consumer, blocks.len(), rows, bytes, partial);
-        self.transfer_in(consumer, blocks, rows, bytes);
-    }
-
-    /// Deliver transferred blocks (`rows` rows, `bytes` allocated bytes in
-    /// all) to `op`: collected for sorts, queued for non-startable
-    /// operators, otherwise one stream work order per block.
-    fn transfer_in(&mut self, op: OpId, blocks: Vec<Arc<StorageBlock>>, rows: usize, bytes: usize) {
-        if blocks.is_empty() {
-            return;
+        from: Option<(OpId, bool)>,
+        op: OpId,
+        slots: Vec<Arc<SpillSlot>>,
+    ) -> Result<()> {
+        if slots.is_empty() {
+            return Ok(());
         }
-        self.observer.blocks_transferred(op, blocks.len(), rows);
-        if matches!(self.plan().op(op).kind, OperatorKind::Sort { .. }) {
-            // Sort input parks in bulk; intermediate (tracked) blocks are
-            // charged to the incoming edge until the sort finishes.
-            if let Some(parent) = self.plan().topology().stream_parent(op) {
-                self.edges[parent].add_collected(bytes);
+        let rows = slots.iter().map(|s| s.rows()).sum();
+        if let Some((producer, partial)) = from {
+            let bytes = slots.iter().map(|s| s.bytes()).sum();
+            self.observer
+                .transfer_flushed(producer, op, slots.len(), rows, bytes, partial);
+        }
+        self.observer.blocks_transferred(op, slots.len(), rows);
+        if !matches!(self.plan().op(op).kind, OperatorKind::Sort { .. }) {
+            for slot in slots {
+                self.push(op, WorkKind::Stream { slot });
             }
-            self.ctx.runtimes[op].collected.lock().extend(blocks);
-            return;
+            return Ok(());
         }
-        if self.chain_waits(op) > 0 {
-            let producer = self.plan().topology().stream_parent(op);
-            for b in blocks {
-                let slot = SpillSlot::new(b, producer.unwrap_or(op));
-                if producer.is_some() {
-                    self.ctx.pool.register_victim(&slot);
+        // Sort input parks in bulk, so it faults in here; an intermediate
+        // block is charged to the incoming edge until the sort finishes.
+        let parent = self.plan().topology().stream_parent(op);
+        let store = self.ctx.pool.spill_store();
+        let mut slots = slots.into_iter();
+        while let Some(slot) = slots.next() {
+            let block = slot.take(store.as_deref()).inspect_err(|_| {
+                for rest in slots.by_ref() {
+                    rest.discard(self.ctx.pool.tracker(), store.as_deref());
                 }
-                self.states[op].pending.push_back(slot);
+            })?;
+            if let Some(parent) = parent {
+                self.edges[parent].add_collected(block.allocated_bytes());
             }
-            return;
+            self.ctx.runtimes[op].collected.lock().push(block);
         }
-        for b in blocks {
-            self.push_stream_work(op, b);
-        }
+        Ok(())
     }
 
-    fn push_stream_work(&mut self, op: OpId, block: Arc<StorageBlock>) {
-        let wo = WorkOrder {
-            query: self.ctx.query,
-            op,
-            kind: WorkKind::Stream { block },
-            seq: self.seq,
-        };
+    /// Queue a work order of `op`.
+    fn push(&mut self, op: OpId, kind: WorkKind) {
+        let seq = self.seq;
         self.seq += 1;
         self.states[op].outstanding += 1;
-        self.queue.push(wo);
+        let query = self.ctx.query;
+        self.queue.push(WorkOrder {
+            query,
+            op,
+            kind,
+            seq,
+        });
     }
 
     /// Decide whether `op` can finish (or needs its finalize step), and
@@ -577,7 +558,6 @@ impl SchedulerCore {
         if st.finished
             || st.waiting_on > 0
             || !st.producer_finished
-            || !st.pending.is_empty()
             || st.outstanding > 0
             || self.staged_into(op) > 0
         {
@@ -591,15 +571,7 @@ impl SchedulerCore {
                 self.states[op].finalize_dispatched = true;
                 for part in 0..parts {
                     let input = input.clone();
-                    let wo = WorkOrder {
-                        query: self.ctx.query,
-                        op,
-                        kind: WorkKind::Finalize { part, parts, input },
-                        seq: self.seq,
-                    };
-                    self.seq += 1;
-                    self.states[op].outstanding += 1;
-                    self.queue.push(wo);
+                    self.push(op, WorkKind::Finalize { part, parts, input });
                 }
                 return Ok(());
             }
@@ -660,15 +632,12 @@ impl SchedulerCore {
         for Dependent { op, multiplicity } in dependents {
             self.states[op].waiting_on = self.states[op].waiting_on.saturating_sub(multiplicity);
             if self.states[op].waiting_on == 0 {
-                // Blocks gated on this dependency are parked at `op` itself
-                // or, when `op` sits inside a fused chain, at the chain's
-                // head — and release only once *every* member's waits clear.
+                // Work gated on this dependency queues at `op` itself or,
+                // when `op` sits inside a fused chain, at the chain's head —
+                // and opens only once *every* member's waits clear.
                 let gate = self.ctx.fusion.head_of_member(op).unwrap_or(op);
                 if self.chain_waits(gate) == 0 {
-                    let pending = std::mem::take(&mut self.states[gate].pending).into();
-                    for b in self.resolve_slots(pending)? {
-                        self.push_stream_work(gate, b);
-                    }
+                    self.queue.open(gate);
                 }
                 self.check_completion(op)?;
             }
@@ -690,12 +659,11 @@ impl SchedulerCore {
                 }
                 return Err(e);
             }
-            let blocks = self.resolve_slots(staged)?;
             // Observed *after* the fault site ran: the event carries the
             // block count/bytes that actually moved (a delayed flush still
             // transfers everything; an erroring one never reaches here), not
             // the pre-fault staging level.
-            self.deliver(producer, consumer, blocks, true);
+            self.transfer_in(Some((producer, true)), consumer, staged)?;
         }
 
         // Stream edge: mark the consumer's producer done.
@@ -708,31 +676,30 @@ impl SchedulerCore {
     /// Check the `transfer_flush` fault site. Booking a completion runs
     /// under the dispatcher lock with no containment boundary, so an
     /// injected `Panic` here degrades to an error rather than unwinding the
-    /// worker that books it. `producer` is the
-    /// flushing operator, recorded as the fault's attribution in the trace.
+    /// worker that books it. `op` is the flushing operator, recorded as the
+    /// fault's attribution in the trace.
     ///
     /// The error carries the same operator/query/occupancy attribution as a
     /// budget trip on the operator allocation path (`requested: 0` is the
     /// injected-fault convention — no real allocation was asked for), so
     /// callers and diagnostics never need to special-case where a budget
     /// failure surfaced.
-    fn transfer_fault(&self, producer: OpId) -> Result<()> {
-        match self.ctx.faults.check(FaultSite::TransferFlush) {
-            None => Ok(()),
-            Some(kind @ (FaultKind::Panic | FaultKind::Error)) => {
-                self.ctx
-                    .trace_event(|| crate::trace::TraceEventKind::FaultInjected {
-                        site: FaultSite::TransferFlush,
-                        kind,
-                        op: producer,
-                    });
+    fn transfer_fault(&self, op: OpId) -> Result<()> {
+        let site = FaultSite::TransferFlush;
+        let Some(kind) = self.ctx.faults.check(site) else {
+            return Ok(());
+        };
+        self.ctx
+            .trace_event(|| crate::trace::TraceEventKind::FaultInjected { site, kind, op });
+        match kind {
+            FaultKind::Panic | FaultKind::Error => {
                 let tracker = self.ctx.pool.tracker();
                 let in_use = tracker.current_bytes();
                 let budget = self.ctx.pool.budget().unwrap_or(0);
                 let (global_in_use, global_budget) =
                     tracker.parent_usage().unwrap_or((in_use, budget));
                 Err(EngineError::BudgetExceeded {
-                    op: self.plan().op(producer).name.clone(),
+                    op: self.plan().op(op).name.clone(),
                     query: self.ctx.query,
                     requested: 0,
                     in_use,
@@ -741,13 +708,7 @@ impl SchedulerCore {
                     global_budget,
                 })
             }
-            Some(kind @ FaultKind::Delay(d)) => {
-                self.ctx
-                    .trace_event(|| crate::trace::TraceEventKind::FaultInjected {
-                        site: FaultSite::TransferFlush,
-                        kind,
-                        op: producer,
-                    });
+            FaultKind::Delay(d) => {
                 std::thread::sleep(d);
                 Ok(())
             }
@@ -755,7 +716,7 @@ impl SchedulerCore {
     }
 
     /// Release every byte the query still holds against the memory tracker:
-    /// queued and pending work, staged transfers, parked bulk input, output
+    /// queued work (gated or not), staged transfers, parked bulk input, output
     /// partials, hash tables, result blocks (whose ownership passes to the
     /// caller) and the pool's free lists. After this, `current_bytes()` is
     /// back at its pre-query value on both success and error paths.
@@ -763,20 +724,12 @@ impl SchedulerCore {
         let plan = self.ctx.plan.clone();
         let topo = plan.topology();
         let tracker = self.ctx.pool.tracker().clone();
-        // Queued work orders never ran: their stream inputs were charged at
-        // checkout (base-table blocks never are).
-        for wo in self.queue.drain() {
-            if let WorkKind::Stream { block } = &wo.kind {
-                if topo.stream_parent(wo.op).is_some() {
-                    tracker.free(block.allocated_bytes());
-                }
-            }
-        }
+        // Queued work orders never ran: their intermediate inputs are
+        // charged (resident) or spilled (base-table blocks never are).
         let store = self.ctx.pool.spill_store();
-        for (id, st) in self.states.iter_mut().enumerate() {
-            let pending = std::mem::take(&mut st.pending);
-            if topo.stream_parent(id).is_some() {
-                for slot in pending {
+        for wo in self.queue.drain() {
+            if let WorkKind::Stream { slot } = &wo.kind {
+                if topo.stream_parent(wo.op).is_some() {
                     slot.discard(&tracker, store.as_deref());
                 }
             }
@@ -795,7 +748,8 @@ impl SchedulerCore {
         }
         // Grace-join partitions that never reached (or only partially
         // reached) the finalize step: open buffers are pool blocks, spilled
-        // runs are temp files. Each state is keyed twice (build + probe op);
+        // runs are temp files, parked buffers are slots holding either. Each
+        // state is keyed twice (build + probe op);
         // tear it down once, from the probe key.
         for (key, grace) in &self.ctx.grace {
             if *key != grace.probe_op {
@@ -814,6 +768,9 @@ impl SchedulerCore {
                             store.discard(h);
                         }
                     }
+                }
+                for slot in side.parked.iter_mut().filter_map(Option::take) {
+                    slot.discard(&tracker, store.as_deref());
                 }
             }
         }
@@ -1086,7 +1043,9 @@ impl<M> QueryRun<M> {
                 }
             }
             Err(e) => {
-                self.core.on_error(&c.wo);
+                // The worker released the input; the operator stays
+                // unfinished and teardown reclaims everything else.
+                self.core.states[c.wo.op].outstanding -= 1;
                 self.fail(e);
             }
         }
@@ -1574,7 +1533,9 @@ mod tests {
         WorkOrder {
             query: crate::query_id::QueryId::SOLO,
             op,
-            kind: WorkKind::Stream { block: Arc::new(b) },
+            kind: WorkKind::Stream {
+                slot: SpillSlot::new(Arc::new(b), op),
+            },
             seq,
         }
     }
@@ -1594,6 +1555,27 @@ mod tests {
             .collect();
         assert_eq!(order, vec![(0, 2), (2, 1), (2, 3), (1, 0)]);
         assert_eq!(q.len(), 0);
+    }
+
+    #[test]
+    fn gated_work_queues_until_its_operator_opens() {
+        // op 1 is gated: its work orders queue but neither count nor pop.
+        let mut q = ReadyQueue::new(vec![false, false]);
+        q.gated[1] = true;
+        q.push(stream_wo(1, 0));
+        q.push(stream_wo(0, 1));
+        q.push(stream_wo(1, 2));
+        assert_eq!((q.len(), q.queued(1)), (1, 2));
+        assert_eq!(q.pop().map(|wo| wo.seq), Some(1));
+        assert!(q.pop().is_none());
+        q.open(1);
+        q.open(1);
+        assert_eq!(q.len(), 2);
+        let order: Vec<usize> = std::iter::from_fn(|| q.pop()).map(|wo| wo.seq).collect();
+        assert_eq!(order, vec![0, 2]);
+        // Once open, new work is dispatchable at once.
+        q.push(stream_wo(1, 3));
+        assert_eq!(q.len(), 1);
     }
 
     /// Drive `core` by hand on the calling thread; returns the number of
@@ -1733,38 +1715,52 @@ mod tests {
         }
     }
 
-    #[test]
-    fn held_input_of_a_gated_probe_is_evictable() {
-        // Blocks transferred to a probe before its build finishes wait as
-        // pending input. They are cold, so under a spill tier the pool may
-        // evict them like staged blocks: a schedule that runs the probe side
-        // ahead of the build, as two workers can, then does not pin them
-        // against the budget. Driven by hand to force that order.
+    /// A pool under `budget` with a spill tier whose I/O goes through
+    /// `faults`, and a context for `select_probe_plan` at UoT 1 over it.
+    fn spill_ctx(
+        faults: crate::fault::FaultPlan,
+    ) -> (
+        Arc<ExecContext>,
+        Arc<MemoryTracker>,
+        Arc<uot_storage::SpillStore>,
+    ) {
+        let faults = Arc::new(faults);
         let tracker = MemoryTracker::new();
         let pool = BlockPool::with_budget(tracker.clone(), usize::MAX);
         let store = uot_storage::SpillStore::new(None, tracker.clone()).unwrap();
+        store.set_observer(crate::spill::EngineSpillHook::new(
+            Some(faults.clone()),
+            None,
+            tracker.clone(),
+            None,
+        ));
         pool.enable_spill(store.clone());
         let plan = Arc::new(select_probe_plan(Uot::Blocks(1)));
-        let ctx = Arc::new(ExecContext::new(plan, pool, BlockFormat::Row, 96).unwrap());
-        let mut core = core_for(&ctx, Uot::LOW);
-        let complete = |core: &mut SchedulerCore, wo: &WorkOrder| {
-            let produced = execute_work_order(&ctx, wo).unwrap();
-            let record = TaskRecord {
-                op: wo.op,
-                worker: 0,
-                start: Duration::ZERO,
-                end: Duration::ZERO,
-            };
-            core.on_complete(wo, produced, record).unwrap();
+        let ctx = ExecContext::new(plan, pool, BlockFormat::Row, 96)
+            .unwrap()
+            .with_faults(faults);
+        (Arc::new(ctx), tracker, store)
+    }
+
+    fn complete(core: &mut SchedulerCore, ctx: &ExecContext, wo: &WorkOrder) {
+        book(core, wo, execute_work_order(ctx, wo).unwrap());
+    }
+
+    fn book(core: &mut SchedulerCore, wo: &WorkOrder, produced: Vec<StorageBlock>) {
+        let record = TaskRecord {
+            op: wo.op,
+            worker: 0,
+            start: Duration::ZERO,
+            end: Duration::ZERO,
         };
-        // ops: 0 = build, 1 = select, 2 = probe.
-        let initial: Vec<WorkOrder> = std::iter::from_fn(|| core.next_work_order()).collect();
-        for wo in initial.iter().filter(|wo| wo.op == 1) {
-            complete(&mut core, wo);
-        }
-        let held = tracker.current_bytes();
-        assert!(held > 0 && !core.states[2].pending.is_empty());
-        // A budget the held blocks fill: a checkout must evict them, not fail.
+        core.on_complete(wo, produced, record).unwrap();
+    }
+
+    /// Fill the budget with what the query holds, then check a block out:
+    /// the checkout must evict held blocks rather than fail.
+    fn checkout_at_the_held_bytes(ctx: &ExecContext, store: &uot_storage::SpillStore) {
+        let held = ctx.pool.tracker().current_bytes();
+        assert!(held > 0);
         ctx.pool.set_budget(Some(held));
         let schema = Schema::from_pairs(&[("k", DataType::Int32)]);
         let block = ctx
@@ -1774,9 +1770,51 @@ mod tests {
         assert!(store.stats().spill_events > 0);
         ctx.pool.discard(block);
         ctx.pool.set_budget(None);
-        // The build finishes: the held blocks fault back in for the probe.
+    }
+
+    /// Run the build (op 0) to completion and every select (op 1), but no
+    /// probe (op 2): the probe is startable, and the select's output waits
+    /// in its queue as dispatchable work orders.
+    fn queue_probe_input(core: &mut SchedulerCore, ctx: &ExecContext) {
+        let initial: Vec<WorkOrder> = std::iter::from_fn(|| core.next_work_order()).collect();
         for wo in initial.iter().filter(|wo| wo.op == 0) {
-            complete(&mut core, wo);
+            complete(core, ctx, wo);
+        }
+        let finalize = core.next_work_order().expect("the build's finalize");
+        assert_eq!(finalize.op, 0);
+        complete(core, ctx, &finalize);
+        for wo in initial.iter().filter(|wo| wo.op == 1) {
+            complete(core, ctx, wo);
+        }
+        assert!(core.queue.queued(2) > 0);
+        assert_eq!(core.ready_len(), core.queue.queued(2));
+    }
+
+    #[test]
+    fn gated_probe_input_spills_while_queued() {
+        // Blocks transferred to a probe before its build finishes queue
+        // behind the probe's gate. They are cold, so under a spill tier the
+        // pool may evict them like staged blocks: a schedule that runs the
+        // probe side ahead of the build, as two workers can, then does not
+        // pin them against the budget. Driven by hand to force that order.
+        let (ctx, tracker, store) = spill_ctx(crate::fault::FaultPlan::empty());
+        let mut core = core_for(&ctx, Uot::LOW);
+        // ops: 0 = build, 1 = select, 2 = probe.
+        let initial: Vec<WorkOrder> = std::iter::from_fn(|| core.next_work_order()).collect();
+        for wo in initial.iter().filter(|wo| wo.op == 1) {
+            complete(&mut core, &ctx, wo);
+        }
+        // Queued, but not dispatchable while the build runs.
+        assert!(core.queue.queued(2) > 0);
+        assert_eq!(core.ready_len(), 0);
+        assert!(core
+            .stall_report()
+            .contains(&format!("queued={}", core.queue.queued(2))));
+        checkout_at_the_held_bytes(&ctx, &store);
+        // The build finishes: the probe opens, and its workers fault the
+        // evicted blocks back in.
+        for wo in initial.iter().filter(|wo| wo.op == 0) {
+            complete(&mut core, &ctx, wo);
         }
         drive_by_hand(&mut core, &ctx);
         assert!(core.all_finished());
@@ -1784,6 +1822,94 @@ mod tests {
         assert_eq!(rows_of(&blocks).len(), 10);
         assert_eq!(tracker.current_bytes(), 0, "teardown must drain");
         assert_eq!(store.live_files(), 0, "every spilled block was restored");
+    }
+
+    #[test]
+    fn queued_input_of_a_startable_probe_spills() {
+        // Work orders queued for an operator that may run, but has not been
+        // dispatched yet, hold their blocks in spill slots too: a checkout
+        // under a budget the held bytes fill evicts them, and the workers
+        // that run them later fault them back in.
+        let (ctx, tracker, store) = spill_ctx(crate::fault::FaultPlan::empty());
+        let mut core = core_for(&ctx, Uot::LOW);
+        queue_probe_input(&mut core, &ctx);
+        let queued = core.queue.queued(2);
+        checkout_at_the_held_bytes(&ctx, &store);
+        assert_eq!(drive_by_hand(&mut core, &ctx), queued);
+        assert!(core.all_finished());
+        let (blocks, _) = core.into_results(Duration::ZERO, 1);
+        let reference = run_serial(ctx_for(select_probe_plan(Uot::Blocks(1))), Uot::LOW);
+        assert_eq!(rows_of(&blocks), rows_of(&reference.unwrap().0));
+        assert_eq!(tracker.current_bytes(), 0, "teardown must drain");
+        assert_eq!(store.live_files(), 0, "every spilled block was restored");
+    }
+
+    #[test]
+    fn failed_spill_read_of_a_queued_block_fails_its_work_order() {
+        // The newest queued probe block is the one its operator reaches
+        // last, so it is the one evicted; its fault-in, on the worker that
+        // runs it, hits an injected read failure. The probe's work order
+        // fails with it and the trace names the probe; teardown drains
+        // everything.
+        let read_fault = crate::fault::FaultPlan::new(vec![crate::fault::Injection {
+            site: FaultSite::SpillRead,
+            kind: FaultKind::Error,
+            nth: 1,
+        }]);
+        let (ctx, tracker, store) = spill_ctx(read_fault);
+        let sink = crate::trace::TraceSink::new(1 << 12);
+        let ctx = Arc::new(
+            Arc::try_unwrap(ctx)
+                .unwrap_or_else(|_| panic!("sole owner"))
+                .with_trace(sink.clone()),
+        );
+        let mut core = core_for(&ctx, Uot::LOW);
+        queue_probe_input(&mut core, &ctx);
+        checkout_at_the_held_bytes(&ctx, &store);
+        let (wo, err) = loop {
+            let wo = core
+                .next_work_order()
+                .expect("the evicted block's work order");
+            assert_eq!(wo.op, 2);
+            match execute_work_order_contained(&ctx, &wo) {
+                Ok(produced) => book(&mut core, &wo, produced),
+                Err(e) => break (wo, e),
+            }
+        };
+        assert_eq!(core.ready_len(), 0, "the last queued block was evicted");
+        assert!(
+            err.to_string().contains("injected fault at SpillRead"),
+            "{err}"
+        );
+        core.states[2].outstanding -= 1;
+        drop(core.into_results(Duration::ZERO, 1));
+        use crate::trace::TraceEventKind as K;
+        let trace = sink.finish(vec![]);
+        let failed =
+            trace.count(|k| matches!(k, K::WorkOrderFailed { op: 2, seq } if *seq == wo.seq));
+        assert_eq!(failed, 1, "the probe's work order is the one that failed");
+        assert_eq!(tracker.current_bytes(), 0, "teardown must drain");
+        assert_eq!(store.live_files(), 0, "no temp file survives");
+    }
+
+    #[test]
+    fn cancelled_work_drops_a_spilled_block_unread() {
+        // A work order of a cancelled query frees its block where it is:
+        // an evicted one is deleted from disk, not read back to be freed.
+        let (ctx, tracker, store) = spill_ctx(crate::fault::FaultPlan::empty());
+        let mut core = core_for(&ctx, Uot::LOW);
+        queue_probe_input(&mut core, &ctx);
+        checkout_at_the_held_bytes(&ctx, &store);
+        ctx.cancel.cancel();
+        while let Some(wo) = core.next_work_order() {
+            let err = execute_work_order_contained(&ctx, &wo).unwrap_err();
+            assert!(matches!(err, EngineError::Cancelled { .. }), "{err}");
+            core.states[wo.op].outstanding -= 1;
+        }
+        drop(core.into_results(Duration::ZERO, 1));
+        assert_eq!(store.stats().restored_bytes, 0, "nothing was read back");
+        assert_eq!(tracker.current_bytes(), 0, "teardown must drain");
+        assert_eq!(store.live_files(), 0, "no temp file survives");
     }
 
     #[test]

@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 use uot_expr::AggState;
 use uot_storage::{
     hash_key::hash_of, BlockFormat, BlockPool, ColumnBlock, ColumnData, DataType, HashKey,
-    KeyBatch, KeyExtractor, Schema, SpilledHandle, StorageBlock,
+    KeyBatch, KeyExtractor, Schema, SpillSlot, SpilledHandle, StorageBlock,
 };
 
 /// One side (build or probe) of a grace hash join, partitioned by hash radix.
@@ -40,6 +40,9 @@ pub struct GraceSide {
     pub open: Vec<Option<StorageBlock>>,
     /// Per-partition spilled full blocks.
     pub spilled: Vec<Vec<SpilledHandle>>,
+    /// A finished build's open blocks, parked as the pool's eviction
+    /// victims until the finalize joins them.
+    pub parked: Vec<Option<Arc<SpillSlot>>>,
 }
 
 impl GraceSide {
@@ -48,6 +51,7 @@ impl GraceSide {
         GraceSide {
             open: (0..nparts).map(|_| None).collect(),
             spilled: (0..nparts).map(|_| Vec::new()).collect(),
+            parked: (0..nparts).map(|_| None).collect(),
         }
     }
 }

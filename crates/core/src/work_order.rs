@@ -4,13 +4,17 @@
 //! relational operator logic that needs to be executed on a specified input"
 //! (Section III of the paper). A [`WorkOrder`] pairs an operator with one
 //! input — a streamed block, or a finalize step for blocking operators.
+//!
+//! A streamed block stays in the [`SpillSlot`] it was staged in until a
+//! worker runs its work order: a transferred block that has not run yet is
+//! still a held intermediate, and the block pool may evict it like one.
 
 use crate::hash_table::BuildRun;
 use crate::ops::aggregate::FrozenGroups;
 use crate::plan::OpId;
 use crate::query_id::QueryId;
 use std::sync::Arc;
-use uot_storage::StorageBlock;
+use uot_storage::SpillSlot;
 
 /// What a work order does.
 #[derive(Debug, Clone)]
@@ -18,8 +22,9 @@ pub enum WorkKind {
     /// Apply the operator's logic to one input block (select, build run,
     /// probe, aggregate-partial, nested-loops outer block, limit).
     Stream {
-        /// The input block.
-        block: Arc<StorageBlock>,
+        /// The input block, resident or evicted until the executing worker
+        /// takes it (faulting it back in if it was evicted).
+        slot: Arc<SpillSlot>,
     },
     /// One partition of a blocking operator's finalize, dispatched once
     /// every stream work order of the operator has finished (see the
@@ -90,8 +95,8 @@ impl WorkOrder {
             format!("{} ", self.query)
         };
         match &self.kind {
-            WorkKind::Stream { block } => {
-                format!("{q}op{} stream({} rows)", self.op, block.num_rows())
+            WorkKind::Stream { slot } => {
+                format!("{q}op{} stream({} rows)", self.op, slot.rows())
             }
             WorkKind::Finalize { part, parts, input } => {
                 let kind = input.label();
@@ -104,7 +109,7 @@ impl WorkOrder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uot_storage::{BlockFormat, DataType, Schema, Value};
+    use uot_storage::{BlockFormat, DataType, Schema, StorageBlock, Value};
 
     #[test]
     fn describe_mentions_shape() {
@@ -114,7 +119,9 @@ mod tests {
         let wo = WorkOrder {
             query: QueryId::SOLO,
             op: 3,
-            kind: WorkKind::Stream { block: Arc::new(b) },
+            kind: WorkKind::Stream {
+                slot: SpillSlot::new(Arc::new(b), 0),
+            },
             seq: 0,
         };
         assert_eq!(wo.describe(), "op3 stream(1 rows)");

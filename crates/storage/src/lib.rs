@@ -42,7 +42,7 @@ pub use column_block::{ColumnBlock, ColumnData};
 pub use error::StorageError;
 pub use hash_key::{fx_mix, hash_fixed, hash_of, hash_var, FxBuildHasher, FxHasher, HashKey};
 pub use key_batch::{KeyBatch, KeyExtractor};
-pub use pool::{BlockPool, MemoryTracker, PoolStats};
+pub use pool::{BlockPool, MemoryTracker, PoolStats, Refusal};
 pub use row_block::RowBlock;
 pub use schema::{Column, Schema};
 pub use spill::{SpillIo, SpillObserver, SpillSlot, SpillStats, SpillStore, SpilledHandle};

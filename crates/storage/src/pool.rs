@@ -66,29 +66,34 @@ impl MemoryTracker {
     /// Record an allocation of `bytes` only if the resulting total stays
     /// within `limit` — and, for a parented tracker, within the parent's
     /// budget as well. Each check-and-charge is a single atomic update, so
-    /// concurrent allocators can never jointly overshoot either limit.
-    /// Returns whether the allocation was charged.
-    pub fn try_alloc(&self, bytes: usize, limit: usize) -> bool {
+    /// concurrent allocators can never jointly overshoot either limit. A
+    /// refusal says which level refused and the occupancy it refused at, so
+    /// an error built from it shows what the check saw, not what a later
+    /// read finds after other threads moved the counter.
+    pub fn try_alloc(&self, bytes: usize, limit: usize) -> std::result::Result<(), Refusal> {
         if let Some((parent, parent_budget)) = &self.parent {
-            if !parent.try_alloc(bytes, *parent_budget) {
-                return false;
-            }
+            parent.try_alloc(bytes, *parent_budget).map_err(
+                |(Refusal::Local(in_use) | Refusal::Parent(in_use))| Refusal::Parent(in_use),
+            )?;
         }
-        let charged = self
+        match self
             .current
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
                 cur.checked_add(bytes).filter(|&next| next <= limit)
-            })
-            .is_ok();
-        if charged {
-            self.total_allocated.fetch_add(bytes, Ordering::Relaxed);
-            let cur = self.current.load(Ordering::Relaxed);
-            self.peak.fetch_max(cur, Ordering::Relaxed);
-        } else if let Some((parent, _)) = &self.parent {
-            // Back out the speculative parent charge.
-            parent.free(bytes);
+            }) {
+            Ok(prev) => {
+                self.total_allocated.fetch_add(bytes, Ordering::Relaxed);
+                self.peak.fetch_max(prev + bytes, Ordering::Relaxed);
+                Ok(())
+            }
+            Err(in_use) => {
+                // Back out the speculative parent charge.
+                if let Some((parent, _)) = &self.parent {
+                    parent.free(bytes);
+                }
+                Err(Refusal::Local(in_use))
+            }
         }
-        charged
     }
 
     /// Record a release of `bytes`.
@@ -129,6 +134,17 @@ impl MemoryTracker {
     }
 }
 
+/// Why [`MemoryTracker::try_alloc`] refused a charge: the level whose limit
+/// it would have crossed, with that level's bytes in use when it refused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refusal {
+    /// The tracker's own limit (a query's budget).
+    Local(usize),
+    /// The parent's budget (the process-wide pool a query's share is carved
+    /// from).
+    Parent(usize),
+}
+
 /// Key identifying a free-list: blocks are only reusable for the same
 /// (schema, format, size) combination because column blocks hold typed
 /// vectors.
@@ -163,8 +179,9 @@ pub struct BlockPool {
     /// Optional disk tier. With a store installed, a checkout that would
     /// exceed the budget evicts cold registered victims instead of failing.
     spill: Mutex<Option<Arc<SpillStore>>>,
-    /// Eviction candidates, coldest first (registration order). Slots that
-    /// were meanwhile taken or spilled are skipped and dropped lazily.
+    /// Eviction candidates in registration order; the newest is evicted
+    /// first. Slots that were meanwhile taken or spilled are dropped when
+    /// they reach either end.
     victims: Mutex<VecDeque<Arc<SpillSlot>>>,
 }
 
@@ -214,15 +231,25 @@ impl BlockPool {
     }
 
     /// Offer a staged block as an eviction candidate. No-op without a spill
-    /// tier. Registration order is the eviction order (coldest first).
+    /// tier. Consumers take blocks in about the order they were staged, so
+    /// the newest victim is the one needed last and is evicted first. Slots
+    /// already taken are dropped from both ends here, so a query that never
+    /// meets pressure does not keep one entry per block it ever staged.
     pub fn register_victim(&self, slot: &Arc<SpillSlot>) {
         if self.spill.lock().is_some() {
-            self.victims.lock().push_back(slot.clone());
+            let mut victims = self.victims.lock();
+            while victims.front().is_some_and(|s| s.is_taken()) {
+                victims.pop_front();
+            }
+            while victims.back().is_some_and(|s| s.is_taken()) {
+                victims.pop_back();
+            }
+            victims.push_back(slot.clone());
         }
     }
 
     /// Release RAM by draining idle free-list blocks, then evicting the
-    /// coldest spillable victim. Returns the bytes released (`0` = nothing
+    /// newest spillable victim. Returns the bytes released (`0` = nothing
     /// left to reclaim). Errors only on a spill-I/O failure.
     fn reclaim_some(&self, store: &SpillStore) -> Result<usize> {
         let freed = self.drain_free_lists();
@@ -230,7 +257,7 @@ impl BlockPool {
             return Ok(freed);
         }
         loop {
-            let slot = match self.victims.lock().pop_front() {
+            let slot = match self.victims.lock().pop_back() {
                 Some(s) => s,
                 None => return Ok(0),
             };
@@ -291,7 +318,7 @@ impl BlockPool {
         let b = StorageBlock::new(schema.clone(), format, capacity_bytes)?;
         let bytes = b.allocated_bytes();
         let budget = self.budget.load(Ordering::Relaxed);
-        while !self.tracker.try_alloc(bytes, budget) {
+        while let Err(refusal) = self.tracker.try_alloc(bytes, budget) {
             // Second tier: push cold staged blocks out to disk and retry.
             // Each round either releases bytes or proves nothing is left to
             // reclaim, so the loop terminates.
@@ -301,10 +328,15 @@ impl BlockPool {
                 }
             }
             // `b` was never charged; dropping it here leaves accounting
-            // untouched, so a failed checkout is side-effect free.
-            let in_use = self.tracker.current_bytes();
-            let (global_in_use, global_budget) =
-                self.tracker.parent_usage().unwrap_or((in_use, budget));
+            // untouched, so a failed checkout is side-effect free. The
+            // refusing level reports the occupancy it refused at; the other
+            // level's is read now.
+            let parent = self.tracker.parent_usage();
+            let (in_use, global_in_use) = match refusal {
+                Refusal::Local(refused) => (refused, parent.map_or(refused, |(global, _)| global)),
+                Refusal::Parent(refused) => (self.tracker.current_bytes(), refused),
+            };
+            let global_budget = parent.map_or(budget, |(_, global_budget)| global_budget);
             return Err(crate::error::StorageError::BudgetExceeded {
                 requested: bytes,
                 in_use,
@@ -552,9 +584,9 @@ mod tests {
     #[test]
     fn try_alloc_is_exact_at_the_limit() {
         let t = MemoryTracker::new();
-        assert!(t.try_alloc(60, 100));
-        assert!(t.try_alloc(40, 100)); // exactly at the limit is allowed
-        assert!(!t.try_alloc(1, 100)); // one past is not
+        assert!(t.try_alloc(60, 100).is_ok());
+        assert!(t.try_alloc(40, 100).is_ok()); // exactly at the limit is allowed
+        assert_eq!(t.try_alloc(1, 100), Err(Refusal::Local(100))); // one past is not
         assert_eq!(t.current_bytes(), 100);
         assert_eq!(t.peak_bytes(), 100);
         assert_eq!(t.total_allocated_bytes(), 100); // failed charge not counted
@@ -572,7 +604,7 @@ mod tests {
                 let granted = &granted;
                 scope.spawn(move || {
                     for _ in 0..100 {
-                        if t.try_alloc(7, 301) {
+                        if t.try_alloc(7, 301).is_ok() {
                             granted.fetch_add(7, Ordering::Relaxed);
                         }
                     }
@@ -604,12 +636,12 @@ mod tests {
         let global = MemoryTracker::new();
         let a = MemoryTracker::with_parent(global.clone(), 300);
         let b = MemoryTracker::with_parent(global.clone(), 300);
-        assert!(a.try_alloc(200, usize::MAX));
+        assert!(a.try_alloc(200, usize::MAX).is_ok());
         // b alone is under its own (unlimited) local limit, but the parent
         // budget is shared: 200 + 200 > 300.
-        assert!(!b.try_alloc(200, usize::MAX));
+        assert_eq!(b.try_alloc(200, usize::MAX), Err(Refusal::Parent(200)));
         assert_eq!(global.current_bytes(), 200); // failed charge backed out
-        assert!(b.try_alloc(100, usize::MAX));
+        assert!(b.try_alloc(100, usize::MAX).is_ok());
         assert_eq!(global.current_bytes(), 300);
     }
 
@@ -617,9 +649,72 @@ mod tests {
     fn child_local_limit_failure_backs_out_parent_charge() {
         let global = MemoryTracker::new();
         let child = MemoryTracker::with_parent(global.clone(), usize::MAX);
-        assert!(!child.try_alloc(100, 50)); // local limit refuses
+        assert_eq!(child.try_alloc(100, 50), Err(Refusal::Local(0))); // local limit refuses
         assert_eq!(child.current_bytes(), 0);
         assert_eq!(global.current_bytes(), 0);
+    }
+
+    /// A budget error shows a refused check: the level that refused was
+    /// full for the bytes requested.
+    fn assert_over_budget(err: crate::StorageError) {
+        match err {
+            crate::StorageError::BudgetExceeded {
+                requested,
+                in_use,
+                budget,
+                global_in_use,
+                global_budget,
+            } => assert!(
+                in_use + requested > budget || global_in_use + requested > global_budget,
+                "{err:?}"
+            ),
+            other => panic!("expected BudgetExceeded, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn budget_error_reports_the_occupancy_the_check_refused_at() {
+        // Local refusal.
+        let t = MemoryTracker::new();
+        let p = BlockPool::with_budget(t.clone(), 6000);
+        let held = p.checkout(&schema(), BlockFormat::Row, 4096).unwrap();
+        assert_over_budget(p.checkout(&schema(), BlockFormat::Row, 4096).unwrap_err());
+        p.discard(held);
+        // Parent refusal: a sibling holds most of the shared budget.
+        let global = MemoryTracker::new();
+        global.alloc(6000);
+        let child = MemoryTracker::with_parent(global.clone(), 8192);
+        let p = BlockPool::with_budget(child, usize::MAX);
+        assert_over_budget(p.checkout(&schema(), BlockFormat::Row, 4096).unwrap_err());
+        global.free(6000);
+        // Other threads free between a refusal and its error: the error
+        // still shows what the refused check saw.
+        for parented in [false, true] {
+            let global = MemoryTracker::new();
+            let (tracker, budget) = if parented {
+                (
+                    MemoryTracker::with_parent(global.clone(), 3 * 1024),
+                    usize::MAX,
+                )
+            } else {
+                (global.clone(), 3 * 1024)
+            };
+            let p = BlockPool::with_budget(tracker, budget);
+            p.set_reuse_enabled(false);
+            std::thread::scope(|scope| {
+                for _ in 0..4 {
+                    scope.spawn(|| {
+                        for _ in 0..2000 {
+                            match p.checkout(&schema(), BlockFormat::Row, 1024) {
+                                Ok(b) => p.discard(b),
+                                Err(e) => assert_over_budget(e),
+                            }
+                        }
+                    });
+                }
+            });
+            assert_eq!(global.current_bytes(), 0);
+        }
     }
 
     #[test]
@@ -689,6 +784,35 @@ mod tests {
         t.free(back.allocated_bytes());
         p.discard(b);
         assert_eq!(t.current_bytes(), 0);
+    }
+
+    #[test]
+    fn spill_evicts_the_newest_victim_and_prunes_taken_ones() {
+        let t = MemoryTracker::new();
+        let p = BlockPool::with_budget(t.clone(), 6144);
+        let store = crate::spill::SpillStore::new(None, t.clone()).unwrap();
+        p.enable_spill(store.clone());
+        p.set_reuse_enabled(false);
+        let slot = || {
+            let b = Arc::new(p.checkout(&schema(), BlockFormat::Row, 2048).unwrap());
+            let s = crate::spill::SpillSlot::new(b, 1);
+            p.register_victim(&s);
+            s
+        };
+        let (first, second) = (slot(), slot());
+        // The first is consumed: the next registration drops it.
+        t.free(first.take(None).unwrap().allocated_bytes());
+        let third = slot();
+        assert_eq!(p.victims.lock().len(), 2);
+        // Pressure evicts the newest, the block its consumer reaches last.
+        let b = p.checkout(&schema(), BlockFormat::Row, 4096).unwrap();
+        assert!(third.is_spilled() && !second.is_spilled());
+        for s in [second, third] {
+            t.free(s.take(Some(&store)).unwrap().allocated_bytes());
+        }
+        p.discard(b);
+        assert_eq!(t.current_bytes(), 0);
+        assert_eq!(store.live_files(), 0);
     }
 
     #[test]

@@ -10,10 +10,13 @@
 //!
 //! Two kinds of state live in the second tier:
 //!
-//! * **Eviction victims** — staged transfer-edge blocks wrapped in a
-//!   [`SpillSlot`]. The pool evicts the coldest registered slot when an
-//!   allocation would exceed the budget ([`BlockPool::checkout`]
-//!   (crate::BlockPool::checkout) retries after each eviction).
+//! * **Eviction victims** — transferred blocks wrapped in a [`SpillSlot`],
+//!   from staging until a worker takes the block to run the work order
+//!   that consumes it, and a finished grace build's open partition blocks.
+//!   The pool evicts the newest registered slot, the one its consumer
+//!   reaches last, when an allocation would exceed the budget
+//!   ([`BlockPool::checkout`](crate::BlockPool::checkout) retries after
+//!   each eviction).
 //! * **Grace-join partitions** — the engine spills build/probe partition
 //!   blocks eagerly through [`SpillStore::spill_block`] and restores them
 //!   one partition at a time.
@@ -325,6 +328,15 @@ impl SpillSlot {
         }
     }
 
+    /// The block's allocated bytes, resident or spilled (`0` once taken).
+    pub fn bytes(&self) -> usize {
+        match &*self.state.lock() {
+            SlotState::Resident(b) => b.allocated_bytes(),
+            SlotState::Spilled(h) => h.tracked_bytes(),
+            SlotState::Taken => 0,
+        }
+    }
+
     /// Tracked bytes currently held in RAM by this slot.
     pub fn resident_bytes(&self) -> usize {
         match &*self.state.lock() {
@@ -336,6 +348,11 @@ impl SpillSlot {
     /// Is the block currently on the disk tier?
     pub fn is_spilled(&self) -> bool {
         matches!(&*self.state.lock(), SlotState::Spilled(_))
+    }
+
+    /// Has the block been claimed (or discarded)?
+    pub(crate) fn is_taken(&self) -> bool {
+        matches!(&*self.state.lock(), SlotState::Taken)
     }
 
     /// Claim the block, faulting it back in from `store` if it was evicted.
@@ -376,7 +393,7 @@ impl SpillSlot {
     /// bytes released — `0` when the slot is not evictable (already spilled,
     /// taken, or its block is shared). Errors only on spill I/O failure, in
     /// which case the slot is left resident and untouched.
-    pub(crate) fn try_evict(&self, store: &SpillStore) -> Result<usize> {
+    pub fn try_evict(&self, store: &SpillStore) -> Result<usize> {
         let mut state = self.state.lock();
         let block = match &*state {
             SlotState::Resident(b) if Arc::strong_count(b) == 1 => b.clone(),
@@ -655,13 +672,15 @@ mod tests {
         assert!(slot.is_spilled());
         assert_eq!(slot.resident_bytes(), 0);
         assert_eq!(slot.rows(), 5, "rows visible while spilled");
+        assert_eq!(slot.bytes(), bytes, "bytes visible while spilled");
         assert_eq!(t.current_bytes(), 0);
         // Second eviction attempt is a no-op.
         assert_eq!(slot.try_evict(&store).unwrap(), 0);
 
         let back = slot.take(Some(&store)).unwrap();
         assert_eq!(back.all_rows(), expected);
-        assert_eq!(t.current_bytes(), bytes);
+        assert_eq!(back.allocated_bytes(), bytes);
+        assert_eq!((t.current_bytes(), slot.bytes()), (bytes, 0));
         assert!(slot.take(Some(&store)).is_err(), "taken exactly once");
         t.free(bytes);
     }
