@@ -1,8 +1,10 @@
 //! Criterion micro-benchmarks of the join primitives: hash-table build (one
 //! block, and the two-phase operator build of Q7/Q9's orders side) and probe
 //! at two hash-table sizes (the Fig. 9/10 scalability contrast), the
-//! aggregate update loop, and the blocking tail: a top-k sort finalize,
-//! per-group exact sums and a partitioned aggregate finalize.
+//! aggregate update loop, the blocking tail (a top-k sort finalize,
+//! per-group exact sums and a partitioned aggregate finalize), and the
+//! spill tier: a grace join's partitioning and one block's spill round
+//! trip.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
@@ -11,8 +13,8 @@ use uot_core::plan::{JoinType, PlanBuilder, SortKey, Source};
 use uot_core::state::ExecContext;
 use uot_expr::{col, AggSpec, AggState};
 use uot_storage::{
-    BlockFormat, BlockPool, ColumnData, DataType, HashKey, MemoryTracker, Schema, StorageBlock,
-    TableBuilder, Value,
+    BlockFormat, BlockPool, ColumnData, DataType, HashKey, MemoryTracker, Schema, SpillStore,
+    StorageBlock, TableBuilder, Value,
 };
 
 fn key_block(rows: i32, key_range: i32) -> StorageBlock {
@@ -228,6 +230,107 @@ fn bench_agg_finalize(c: &mut Criterion) {
     });
 }
 
+/// A grace build's stream work: sixteen 32 KiB row blocks (a Q3-like
+/// `Int32` key with `Int64`, `Date` and `Float64` payload) routed into 16
+/// partitions of 32 KiB row buffers, each full buffer spilled. Each run
+/// starts from a fresh context and spill store, under a budget that arms
+/// the grace join with 16 partitions and holds all their open buffers.
+fn bench_grace_partition(c: &mut Criterion) {
+    use uot_core::ops::build;
+    let s = Schema::from_pairs(&[
+        ("k", DataType::Int32),
+        ("v", DataType::Int64),
+        ("d", DataType::Date),
+        ("f", DataType::Float64),
+    ]);
+    let mut tb = TableBuilder::new("orders", s.clone(), BlockFormat::Row, 32 << 10);
+    for i in 0..64 * 1365i32 {
+        tb.append(&[
+            Value::I32(i.wrapping_mul(7919)),
+            Value::I64(i as i64),
+            Value::Date(9000 + i % 2000),
+            Value::F64(i as f64 * 0.25),
+        ])
+        .unwrap();
+    }
+    let t = Arc::new(tb.finish());
+    let mut tb = TableBuilder::new("probe", s, BlockFormat::Row, 1 << 10);
+    tb.append(&[
+        Value::I32(1),
+        Value::I64(0),
+        Value::Date(0),
+        Value::F64(0.0),
+    ])
+    .unwrap();
+    let mut pb = PlanBuilder::new();
+    let op = pb
+        .build_hash(Source::Table(t.clone()), vec![0], vec![1, 2, 3])
+        .unwrap();
+    let p = pb
+        .probe(
+            Source::Table(Arc::new(tb.finish())),
+            op,
+            vec![0],
+            vec![0],
+            vec![0],
+            JoinType::Inner,
+        )
+        .unwrap();
+    let plan = Arc::new(pb.build(p).unwrap());
+    // `plan_grace` estimates twice the base table's bytes and picks 16
+    // partitions for a budget between a quarter and half of that.
+    let budget = 2 * t.num_rows() * t.schema().tuple_width() / 3;
+    c.bench_function("grace_partition_32k_block_16_parts", |bench| {
+        bench.iter(|| {
+            let tracker = MemoryTracker::new();
+            let pool = BlockPool::with_budget(tracker.clone(), budget);
+            pool.enable_spill(SpillStore::new(None, tracker));
+            let mut ctx = ExecContext::new(plan.clone(), pool, BlockFormat::Row, 32 << 10).unwrap();
+            ctx.plan_grace(budget);
+            assert_eq!(ctx.grace[&op].nparts, 16);
+            for b in &t.blocks()[..16] {
+                build::execute(&ctx, op, b).unwrap();
+            }
+            black_box(ctx.pool.spill_store().unwrap().stats().spill_events)
+        })
+    });
+}
+
+/// One full 32 KiB row block (the service's temp format) spilled and
+/// restored through one store, whose file grows by an extent per run.
+fn bench_spill_roundtrip(c: &mut Criterion) {
+    let s = Schema::from_pairs(&[
+        ("k", DataType::Int32),
+        ("name", DataType::Char(16)),
+        ("d", DataType::Date),
+        ("f", DataType::Float64),
+    ]);
+    let mut block = StorageBlock::new(s, BlockFormat::Row, 32 << 10).unwrap();
+    let mut i = 0;
+    while !block.is_full() {
+        block
+            .append_row(&[
+                Value::I32(i),
+                Value::Str(format!("cust#{i:09}")),
+                Value::Date(9000 + i % 2000),
+                Value::F64(i as f64 * 0.5),
+            ])
+            .unwrap();
+        i += 1;
+    }
+    c.bench_function("spill_roundtrip_32k_block", |bench| {
+        let tracker = MemoryTracker::new();
+        let store = SpillStore::new(None, tracker.clone());
+        bench.iter(|| {
+            tracker.alloc(block.allocated_bytes());
+            let handle = store.spill_block(&block, 0).unwrap();
+            let back = store.restore(handle).unwrap();
+            tracker.free(back.allocated_bytes());
+            black_box(back.num_rows())
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_build,
@@ -236,6 +339,8 @@ criterion_group!(
     bench_aggregate_update,
     bench_sort_top_k,
     bench_agg_groups,
-    bench_agg_finalize
+    bench_agg_finalize,
+    bench_grace_partition,
+    bench_spill_roundtrip
 );
 criterion_main!(benches);

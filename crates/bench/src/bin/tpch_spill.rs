@@ -56,6 +56,7 @@ struct Run {
     latency: Duration,
     spill_events: usize,
     spilled_bytes: usize,
+    spill_file_bytes: usize,
 }
 
 /// Submit every query in the mix serially against a fresh service with the
@@ -85,15 +86,19 @@ fn drive(db: &TpchDb, uot: Uot, reservation: usize, degrade: DegradePolicy) -> V
                 .expect("service accepts")
                 .wait();
             let latency = t0.elapsed();
-            let (spill_events, spilled_bytes) = outcome
+            let (spill_events, spilled_bytes, spill_file_bytes) = outcome
                 .as_ref()
-                .map(|r| (r.metrics.spill_events, r.metrics.spilled_bytes))
-                .unwrap_or((0, 0));
+                .map(|r| {
+                    let m = &r.metrics;
+                    (m.spill_events, m.spilled_bytes, m.spill_file_bytes)
+                })
+                .unwrap_or((0, 0, 0));
             Run {
                 rows: outcome.map(|r| r.sorted_rows()),
                 latency,
                 spill_events,
                 spilled_bytes,
+                spill_file_bytes,
             }
         })
         .collect();
@@ -175,6 +180,7 @@ fn check_contract(db: &TpchDb, reference: &[Run], tight: usize) {
     );
     let mut strict_failures = 0usize;
     let mut spill_events = [0usize; 2];
+    let mut largest_file = 0usize;
     for (i, q) in MIX.iter().enumerate() {
         let reference_rows = reference[i]
             .rows
@@ -225,6 +231,7 @@ fn check_contract(db: &TpchDb, reference: &[Run], tight: usize) {
                 q.label()
             );
             spill_events[leg] += spill.spill_events;
+            largest_file = largest_file.max(spill.spill_file_bytes);
         }
         let spills = |r: &Run| format!("{} ({} B)", r.spill_events, r.spilled_bytes);
         table.row(vec![
@@ -254,9 +261,10 @@ fn check_contract(db: &TpchDb, reference: &[Run], tight: usize) {
     println!(
         "contract holds at {} KiB: {strict_failures}/{} queries fail without spill; all {} \
          complete byte-identically with it at both UoTs ({table_events} spill events at the \
-         table UoT, {low_events} at the low UoT)",
+         table UoT, {low_events} at the low UoT; largest spill file {} KiB)",
         tight >> 10,
         MIX.len(),
-        MIX.len()
+        MIX.len(),
+        largest_file.div_ceil(1 << 10)
     );
 }

@@ -37,8 +37,8 @@ pub enum DegradePolicy {
     /// fusion off, at either front end; the degradation is recorded in
     /// [`QueryMetrics::degradations`].
     LowerUot,
-    /// Arm the disk spill tier: cold staged edge blocks evict to temp files
-    /// under pressure (faulting back in at transfer time), joins whose build
+    /// Arm the disk spill tier: cold staged edge blocks evict to the query's
+    /// spill file under pressure (faulting back in at transfer time), joins whose build
     /// side is estimated past the budget run as grace/partitioned hash joins,
     /// and fusion is disabled so every edge stays evictable. If the budget
     /// still trips, fall back to one [`DegradePolicy::LowerUot`]-style retry

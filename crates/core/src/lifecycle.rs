@@ -92,7 +92,7 @@ pub(crate) fn prepare(
     // only resident bytes count toward a service's admission budget.
     let spill = cfg.degrade == DegradePolicy::Spill && cfg.memory_budget.is_some();
     if spill {
-        let store = uot_storage::SpillStore::new(None, tracker.clone())?;
+        let store = uot_storage::SpillStore::new(None, tracker.clone());
         store.set_observer(crate::spill::EngineSpillHook::new(
             faults.cloned(),
             sink.clone(),

@@ -174,6 +174,10 @@ pub struct QueryMetrics {
     /// Deepest grace-join re-partitioning recursion taken (0 = every
     /// partition fit on the first pass).
     pub respill_depth: usize,
+    /// Length the query's append-only spill file reached (0 when nothing
+    /// spilled). Freed extents are not reused, so this is the disk the
+    /// query held at its end, at most `spilled_bytes`.
+    pub spill_file_bytes: usize,
 }
 
 impl QueryMetrics {

@@ -3,22 +3,30 @@
 //! When [`ExecContext::plan_grace`](crate::state::ExecContext::plan_grace)
 //! decides a join's build side will not fit the memory budget, the build and
 //! probe operators stop building/probing a monolithic hash table. Instead
-//! their stream work orders call [`partition_stream`]: rows are hashed and
-//! routed into per-partition buffers, with full buffers spilled to the disk
-//! tier immediately, so each side's resident footprint is bounded by
-//! `nparts × block_bytes`. Once both inputs are fully partitioned the
+//! their stream work orders call [`partition_stream`], a typed scatter: the
+//! block's row indices are grouped by partition with a counting sort over
+//! the key hashes the caller already computed, and each partition's rows are
+//! gathered, column by column, into a virtual block outside any lock. Only
+//! then does the work order take its side's lock, to copy each virtual block
+//! into that partition's open buffer with one bulk
+//! [`append_range`](uot_storage::StorageBlock::append_range) and to spill
+//! each buffer that fills to the query's spill file. Rows keep their input
+//! order within a partition, and each side's resident footprint is bounded
+//! by `nparts × block_bytes`. Once both inputs are fully partitioned the
 //! scheduler dispatches one `finalize-join 1/1` work order, handled by
 //! [`finalize`]: partitions are joined one at a time — restore the build
 //! partition, build a small hash table, stream the probe partition through
 //! it — and a partition whose build side still exceeds the budget is split
-//! again on deeper hash bits (bounded recursion; past the bound it is built
-//! anyway, trading a bounded overshoot for completion).
+//! again on a deeper hash bit by the same scatter (bounded recursion; past
+//! the bound it is built anyway, trading a bounded overshoot for
+//! completion).
 //!
 //! Hash-partitioning is total: every row's key lands in exactly one
 //! partition, so inner, semi and anti joins all stay correct per-partition.
 
 use crate::error::EngineError;
 use crate::hash_table::JoinHashTable;
+use crate::ops::builders::{gather_block_column, into_virtual_block, make_builders};
 use crate::plan::OperatorKind;
 use crate::state::{ExecContext, GraceJoinState, GraceSide};
 use crate::Result;
@@ -38,8 +46,8 @@ const MAX_RESPILL_DEPTH: usize = 2;
 const RESPILL_SHIFT_BASE: usize = 40;
 
 /// One block of a partition: resident in memory (tracker-charged), spilled
-/// to the disk tier (a temp file), or parked in a slot the pool may move
-/// between the two.
+/// to the disk tier (an extent of the spill file), or parked in a slot the
+/// pool may move between the two.
 enum PartBlock {
     Mem(StorageBlock),
     Disk(SpilledHandle),
@@ -61,8 +69,8 @@ impl PartBlock {
     }
 }
 
-/// Release blocks without using them: pool-discard resident blocks, delete
-/// spilled files.
+/// Release blocks without using them: pool-discard resident blocks, retire
+/// spilled ones.
 fn discard_all(ctx: &ExecContext, store: &SpillStore, blocks: impl IntoIterator<Item = PartBlock>) {
     for block in blocks {
         match block {
@@ -73,11 +81,82 @@ fn discard_all(ctx: &ExecContext, store: &SpillStore, blocks: impl IntoIterator<
     }
 }
 
+/// Scatter `block`'s rows into `buckets` typed virtual blocks of `schema`:
+/// bucket `b` holds, in input order, the rows whose hash `bucket_of` maps
+/// to `b` (`None` when there are none). A counting sort groups the row
+/// indices, and each bucket's rows are gathered one typed column at a time.
+fn scatter(
+    block: &StorageBlock,
+    schema: &Arc<Schema>,
+    hashes: &[u64],
+    buckets: usize,
+    bucket_of: impl Fn(u64) -> usize,
+) -> Result<Vec<Option<StorageBlock>>> {
+    debug_assert_eq!(hashes.len(), block.num_rows());
+    let ids: Vec<u32> = hashes.iter().map(|&h| bucket_of(h) as u32).collect();
+    // `starts[b]..starts[b + 1]` is bucket `b`'s range of `order`.
+    let mut starts = vec![0usize; buckets + 1];
+    for &b in &ids {
+        starts[b as usize + 1] += 1;
+    }
+    for b in 0..buckets {
+        starts[b + 1] += starts[b];
+    }
+    let mut next = starts.clone();
+    let mut order = vec![0u32; ids.len()];
+    for (row, &b) in ids.iter().enumerate() {
+        order[next[b as usize]] = row as u32;
+        next[b as usize] += 1;
+    }
+    (0..buckets)
+        .map(|b| {
+            let rows = &order[starts[b]..starts[b + 1]];
+            if rows.is_empty() {
+                return Ok(None);
+            }
+            let mut builders = make_builders(schema);
+            for (c, builder) in builders.iter_mut().enumerate() {
+                gather_block_column(builder, block, c, rows.iter().map(|&r| r as usize));
+            }
+            into_virtual_block(schema.clone(), builders).map(Some)
+        })
+        .collect()
+}
+
+/// Append every row of `rows` to partition `p`'s open buffer, checking out
+/// a fresh buffer with `checkout` whenever none is open and spilling each
+/// one that fills. On error the partially filled state stays in the side —
+/// its owner releases it.
+fn append_part(
+    store: &SpillStore,
+    side: &mut GraceSide,
+    p: usize,
+    rows: &StorageBlock,
+    tag: usize,
+    mut checkout: impl FnMut(&mut GraceSide) -> Result<StorageBlock>,
+) -> Result<()> {
+    let mut start = 0;
+    while start < rows.num_rows() {
+        if side.open[p].is_none() {
+            side.open[p] = Some(checkout(side)?);
+        }
+        let b = side.open[p].as_mut().expect("just set");
+        start += b.append_range(rows, start);
+        // A buffer that fails to spill stays open.
+        if b.is_full() {
+            side.spilled[p].push(store.spill_block(b, tag)?);
+            side.open[p] = None;
+        }
+    }
+    Ok(())
+}
+
 /// Route one input block's rows into a grace side's partitions. Called from
 /// build and probe *stream* work orders (under grace, neither touches the
 /// shared hash table). `hashes` are the block's key hashes, already computed
 /// by the caller (which also feeds the Bloom filter from them); `tag` is the
-/// partitioning operator, for spill-event attribution.
+/// partitioning operator, for spill-event attribution. The scatter runs
+/// before the side's lock is taken; under it, only bulk appends and spills.
 pub(crate) fn partition_stream(
     ctx: &ExecContext,
     g: &GraceJoinState,
@@ -96,11 +175,14 @@ pub(crate) fn partition_stream(
     } else {
         &g.build
     };
-    let rows = block.all_rows();
+    let parts = scatter(block, schema, hashes, g.nparts, |h| g.partition_of(h))?;
     let mut side = side.lock();
-    for (row, hash) in rows.iter().zip(hashes) {
-        let p = g.partition_of(*hash);
-        append_row(ctx, &store, &mut side, other, p, row, tag, schema)?;
+    for (p, rows) in parts.iter().enumerate() {
+        if let Some(rows) = rows {
+            append_part(&store, &mut side, p, rows, tag, |side| {
+                checkout_part(ctx, &store, side, other, tag, schema)
+            })?;
+        }
     }
     Ok(())
 }
@@ -167,42 +249,10 @@ fn checkout_part(
         .map_err(Into::into)
 }
 
-/// Append one row to partition `p`, spilling the open buffer when it fills.
-/// On error the partially filled state stays in the side — scheduler
-/// teardown releases it.
-#[allow(clippy::too_many_arguments)]
-fn append_row(
-    ctx: &ExecContext,
-    store: &SpillStore,
-    side: &mut GraceSide,
-    other: &Mutex<GraceSide>,
-    p: usize,
-    row: &[uot_storage::Value],
-    tag: usize,
-    schema: &Arc<Schema>,
-) -> Result<()> {
-    loop {
-        if side.open[p].is_none() {
-            side.open[p] = Some(checkout_part(ctx, store, side, other, tag, schema)?);
-        }
-        let b = side.open[p].as_mut().expect("just set");
-        let appended = b.append_row(row)?;
-        // Spill a full buffer (full before the append fit, too: then retry
-        // on a fresh block). One that fails to spill stays open.
-        if !appended || b.is_full() {
-            side.spilled[p].push(store.spill_block(b, tag)?);
-            side.open[p] = None;
-        }
-        if appended {
-            return Ok(());
-        }
-    }
-}
-
 /// The `finalize-join 1/1` work order: join every partition pair, returning
 /// the completed output blocks. On any error everything still held — queued
 /// partitions, restored blocks, produced output — is released first, so the
-/// tracker drains and no temp file outlives the query.
+/// tracker drains and no spilled block outlives the query.
 pub fn finalize(ctx: &ExecContext, op: usize) -> Result<Vec<StorageBlock>> {
     let g = ctx
         .grace
@@ -454,11 +504,11 @@ fn join_partition(
     Ok(())
 }
 
-/// Split one side of a partition in two on hash bit `shift`, spilling full
-/// output blocks. The key operator `key_op`'s extractor re-hashes the rows
-/// (partition files hold that operator's input schema). Consumes `input`;
-/// on error every block still held — input, open buffers, finished halves —
-/// is released.
+/// Split one side of a partition in two on hash bit `shift`, with the same
+/// typed scatter as [`partition_stream`], spilling full output blocks. The
+/// key operator `key_op`'s extractor re-hashes the rows (partition blocks
+/// hold that operator's input schema). Consumes `input`; on error every
+/// block still held — input, open buffers, finished halves — is released.
 fn split(
     ctx: &ExecContext,
     store: &Arc<SpillStore>,
@@ -468,33 +518,22 @@ fn split(
     shift: usize,
 ) -> Result<(Vec<PartBlock>, Vec<PartBlock>)> {
     let mut input = VecDeque::from(input);
-    let mut open: [Option<StorageBlock>; 2] = [None, None];
-    let mut done: [Vec<PartBlock>; 2] = [Vec::new(), Vec::new()];
+    let mut halves = GraceSide::with_parts(2);
     let mut scratch = ctx.take_scratch();
     let tracker = ctx.pool.tracker().clone();
-    let mut route = |block: &StorageBlock| -> Result<()> {
+    let mut route = |block: &StorageBlock, halves: &mut GraceSide| -> Result<()> {
         ctx.key_extractor(key_op)
             .extract_block(block, &mut scratch.keys);
-        let rows = block.all_rows();
-        for (row, h) in rows.iter().zip(scratch.keys.hashes()) {
-            let half = ((h >> shift) & 1) as usize;
-            loop {
-                if open[half].is_none() {
-                    open[half] = Some(ctx.pool.checkout(
-                        schema,
-                        ctx.temp_format,
-                        ctx.block_bytes,
-                    )?);
-                }
-                let b = open[half].as_mut().expect("just set");
-                let appended = b.append_row(row)?;
-                if !appended || b.is_full() {
-                    done[half].push(PartBlock::Disk(store.spill_block(b, key_op)?));
-                    open[half] = None;
-                }
-                if appended {
-                    break;
-                }
+        let parts = scatter(block, schema, scratch.keys.hashes(), 2, |h| {
+            ((h >> shift) & 1) as usize
+        })?;
+        for (half, rows) in parts.iter().enumerate() {
+            if let Some(rows) = rows {
+                append_part(store, halves, half, rows, key_op, |_| {
+                    Ok(ctx
+                        .pool
+                        .checkout(schema, ctx.temp_format, ctx.block_bytes)?)
+                })?;
             }
         }
         Ok(())
@@ -503,7 +542,7 @@ fn split(
         while let Some(pb) = input.pop_front() {
             let block = pb.into_mem(store)?;
             // The input block dies here, whether its rows routed or not.
-            let routed = route(&block);
+            let routed = route(&block, &mut halves);
             tracker.free(block.allocated_bytes());
             routed?;
         }
@@ -511,21 +550,17 @@ fn split(
     };
     let result = run();
     ctx.put_scratch(scratch);
+    // Each half: its spilled blocks in order, then its open buffer.
+    let [h0, h1] = [0, 1].map(|half| {
+        let spilled = halves.spilled[half].drain(..).map(PartBlock::Disk);
+        let mut blocks: Vec<PartBlock> = spilled.collect();
+        blocks.extend(halves.open[half].take().map(PartBlock::Mem));
+        blocks
+    });
     match result {
-        Ok(()) => {
-            let [o0, o1] = open;
-            let [mut d0, mut d1] = done;
-            d0.extend(o0.map(PartBlock::Mem));
-            d1.extend(o1.map(PartBlock::Mem));
-            Ok((d0, d1))
-        }
+        Ok(()) => Ok((h0, h1)),
         Err(e) => {
-            let open = open.into_iter().flatten().map(PartBlock::Mem);
-            discard_all(
-                ctx,
-                store,
-                open.chain(done.into_iter().flatten()).chain(input),
-            );
+            discard_all(ctx, store, h0.into_iter().chain(h1).chain(input));
             Err(e)
         }
     }

@@ -255,6 +255,7 @@ impl SchedulerCore {
             spilled_bytes: spill.spilled_bytes,
             restored_bytes: spill.restored_bytes,
             respill_depth: spill.respill_depth,
+            spill_file_bytes: spill.file_bytes,
         };
         self.observer.attempt_finished(&metrics);
         self.release_resources();
@@ -736,7 +737,7 @@ impl SchedulerCore {
         }
         for edge in &mut self.edges {
             // Staged slots hold operator outputs — always charged (resident)
-            // or spilled (a temp file to delete); discard handles both.
+            // or spilled (an extent to retire); discard handles both.
             for slot in edge.flush() {
                 slot.discard(&tracker, store.as_deref());
             }
@@ -748,7 +749,8 @@ impl SchedulerCore {
         }
         // Grace-join partitions that never reached (or only partially
         // reached) the finalize step: open buffers are pool blocks, spilled
-        // runs are temp files, parked buffers are slots holding either. Each
+        // runs are spill-file extents, parked buffers are slots holding
+        // either. Each
         // state is keyed twice (build + probe op);
         // tear it down once, from the probe key.
         for (key, grace) in &self.ctx.grace {
@@ -1727,7 +1729,7 @@ mod tests {
         let faults = Arc::new(faults);
         let tracker = MemoryTracker::new();
         let pool = BlockPool::with_budget(tracker.clone(), usize::MAX);
-        let store = uot_storage::SpillStore::new(None, tracker.clone()).unwrap();
+        let store = uot_storage::SpillStore::new(None, tracker.clone());
         store.set_observer(crate::spill::EngineSpillHook::new(
             Some(faults.clone()),
             None,
@@ -1889,7 +1891,7 @@ mod tests {
             trace.count(|k| matches!(k, K::WorkOrderFailed { op: 2, seq } if *seq == wo.seq));
         assert_eq!(failed, 1, "the probe's work order is the one that failed");
         assert_eq!(tracker.current_bytes(), 0, "teardown must drain");
-        assert_eq!(store.live_files(), 0, "no temp file survives");
+        assert_eq!(store.live_files(), 0, "no spilled block survives");
     }
 
     #[test]
@@ -1909,7 +1911,7 @@ mod tests {
         drop(core.into_results(Duration::ZERO, 1));
         assert_eq!(store.stats().restored_bytes, 0, "nothing was read back");
         assert_eq!(tracker.current_bytes(), 0, "teardown must drain");
-        assert_eq!(store.live_files(), 0, "no temp file survives");
+        assert_eq!(store.live_files(), 0, "no spilled block survives");
     }
 
     #[test]

@@ -133,7 +133,7 @@ mod tests {
             kind: FaultKind::Error,
             nth: 2,
         }]));
-        let store = SpillStore::new(None, tracker.clone()).unwrap();
+        let store = SpillStore::new(None, tracker.clone());
         store.set_observer(EngineSpillHook::new(
             Some(faults),
             Some(sink.clone()),
@@ -182,7 +182,7 @@ mod tests {
             kind: FaultKind::Panic,
             nth: 1,
         }]));
-        let store = SpillStore::new(None, tracker.clone()).unwrap();
+        let store = SpillStore::new(None, tracker.clone());
         let b = block();
         tracker.alloc(b.allocated_bytes());
         let h = store.spill_block(&b, 0).unwrap();

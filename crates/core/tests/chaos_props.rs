@@ -205,7 +205,7 @@ proptest! {
     /// injected `SpillWrite`/`SpillRead` faults (the serializer failing, a
     /// spilled block failing to fault back in) surface as clean errors of
     /// the expected shapes — never a hang, an abort, a leaked tracker byte
-    /// or an orphaned temp file. Grace-join partitioning is exercised too:
+    /// or an orphaned spilled block. Grace-join partitioning is exercised too:
     /// `plan_grace` arms for dim sides whose estimate crosses the budget.
     #[test]
     fn spill_fault_schedules_never_hang_or_leak(
@@ -229,7 +229,7 @@ proptest! {
 
         let tracker = MemoryTracker::new();
         let pool = BlockPool::with_budget(tracker.clone(), budget);
-        let store = uot_storage::SpillStore::new(None, tracker.clone()).unwrap();
+        let store = uot_storage::SpillStore::new(None, tracker.clone());
         store.set_observer(uot_core::spill::EngineSpillHook::new(
             Some(faults.clone()),
             None,

@@ -16,13 +16,21 @@
 //! anti joins with none, at build sizes below and above the floor. Each
 //! case runs serial and on 2 and 3 workers, with fusion always and never, at
 //! a UoT of one block and of the whole table.
+//!
+//! The `grace_spill_*` leg runs every key shape and join type again under
+//! `DegradePolicy::Spill`, with row and column temporaries, serial and on 2
+//! workers, at two budgets: one that arms a grace join, and one so small
+//! that the hot key's partition must be split again (respilled).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use uot_baseline::BaselineEngine;
 use uot_core::ops::FINALIZE_FLOOR;
-use uot_core::{Engine, EngineConfig, FusionPolicy, JoinType, PlanBuilder, QueryPlan, Source, Uot};
+use uot_core::{
+    DegradePolicy, Engine, EngineConfig, FusionPolicy, JoinType, PlanBuilder, QueryPlan, Source,
+    Uot,
+};
 use uot_expr::{cmp, col, lit, CmpOp};
 use uot_storage::{BlockFormat, DataType, Schema, Table, TableBuilder, Value};
 
@@ -154,18 +162,32 @@ fn plan(build: &Arc<Table>, probe: &Arc<Table>, width: usize, j: Join) -> (Query
     (pb.build(p).unwrap(), b)
 }
 
-/// Join a random build of `rows` rows over `distinct` key tuples of `types`
-/// with a probe of `probe_rows` rows, in every mode, against the baseline.
-fn check(
-    name: &str,
+/// A random build of `rows` rows over `distinct` key tuples of `types`
+/// (keys, then `v: Int64`, `q: Int32`) and a probe of `probe_rows` rows
+/// (keys, then `id: Int32`). Drawn key tuples may repeat, which makes the
+/// extremes and short strings heavy keys; with `unique`, the repeats are
+/// dropped, so only the hot key is heavy.
+fn tables(
     seed: u64,
     types: &[DataType],
     rows: usize,
     distinct: usize,
     probe_rows: usize,
-) {
+    unique: bool,
+) -> (Arc<Table>, Arc<Table>) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let pool = key_pool(&mut rng, types, distinct);
+    let mut pool = key_pool(&mut rng, types, distinct);
+    if unique {
+        let mut seen: Vec<Vec<Value>> = Vec::with_capacity(pool.len());
+        pool.retain(|k| {
+            let new = !seen.contains(k);
+            if new {
+                seen.push(k.clone());
+            }
+            new
+        });
+    }
+    let distinct = pool.len();
     // One hot key takes a tenth of the build; the rest spread at random.
     let build_keys: Vec<Vec<Value>> = (0..rows)
         .map(|_| {
@@ -202,6 +224,20 @@ fn check(
         &[("id", DataType::Int32)],
         &mut rng,
     );
+    (build, probe)
+}
+
+/// Join a random build of `rows` rows over `distinct` key tuples of `types`
+/// with a probe of `probe_rows` rows, in every mode, against the baseline.
+fn check(
+    name: &str,
+    seed: u64,
+    types: &[DataType],
+    rows: usize,
+    distinct: usize,
+    probe_rows: usize,
+) {
+    let (build, probe) = tables(seed, types, rows, distinct, probe_rows, false);
     assert!(build.blocks().len() > 1, "{name}: the build spans blocks");
     for j in JOINS {
         let (plan, b) = plan(&build, &probe, types.len(), j);
@@ -284,4 +320,97 @@ fn keys_wider_than_16_bytes() {
         200,
     );
     check("char(20) large", 11, &[Char(20)], LARGE, LARGE / 4, 400);
+}
+
+/// Block size of the grace leg: small, so every partition spans blocks and
+/// its open buffers fit the respill leg's budget.
+const GRACE_BLOCK_BYTES: usize = 256;
+/// Build rows of the grace leg: enough that the hot key's partition (a
+/// tenth of the build) outgrows half of the respill leg's budget.
+const GRACE_ROWS: usize = 8_000;
+const GRACE_PROBE_ROWS: usize = 150;
+
+/// Join a random build of `GRACE_ROWS` rows over distinct key tuples of
+/// `types` (about four rows each, plus the hot key) with a probe of
+/// `GRACE_PROBE_ROWS` rows as a grace join, against the baseline: at a
+/// budget that arms the grace join, and at one that forces a respill. The
+/// join's result is held in memory, so it is kept small next to the
+/// budgets.
+fn check_grace(name: &str, seed: u64, types: &[DataType]) {
+    let (build, probe) = tables(
+        seed,
+        types,
+        GRACE_ROWS,
+        GRACE_ROWS / 4,
+        GRACE_PROBE_ROWS,
+        true,
+    );
+    // `plan_grace` estimates the build at twice its base table's bytes and
+    // arms a grace join above half the budget, with as many partitions
+    // (up to 64) as keep one within a quarter of it. At a tenth of the
+    // estimate that is 64 partitions, and the hot key's partition is more
+    // than half the budget, so the finalize splits it again.
+    let est = 2 * GRACE_ROWS * build.schema().tuple_width().max(8);
+    let legs = [("grace", est, false), ("respill", est / 10, true)];
+    for j in JOINS {
+        let (plan, _) = plan(&build, &probe, types.len(), j);
+        let want = BaselineEngine::new().execute(&plan).unwrap().sorted_rows();
+        for (leg, budget, respill) in legs {
+            for temp_format in [BlockFormat::Row, BlockFormat::Column] {
+                for workers in [1, 2] {
+                    let config = match workers {
+                        1 => EngineConfig::serial(),
+                        w => EngineConfig::parallel(w),
+                    };
+                    let config = EngineConfig {
+                        temp_format,
+                        ..config
+                            .with_block_bytes(GRACE_BLOCK_BYTES)
+                            .with_memory_budget(Some(budget))
+                            .with_degrade(DegradePolicy::Spill)
+                    };
+                    let mode = format!(
+                        "{name}: {j:?}, {leg} leg ({budget} B), {temp_format:?}, {workers} workers"
+                    );
+                    let got = Engine::new(config)
+                        .execute(plan.clone())
+                        .unwrap_or_else(|e| panic!("{mode}: {e}"));
+                    assert!(
+                        got.sorted_rows() == want,
+                        "{mode}: rows differ from the baseline"
+                    );
+                    let m = &got.metrics;
+                    assert!(m.degradations.is_empty(), "{mode}: no UoT retry");
+                    assert!(m.spill_events > 0, "{mode}: the partitions spilled");
+                    if respill {
+                        assert!(m.respill_depth >= 1, "{mode}: a partition was split again");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn grace_spill_integer_keys() {
+    use DataType::*;
+    check_grace("int32", 21, &[Int32]);
+    check_grace("int64", 22, &[Int64]);
+    check_grace("date", 23, &[Date]);
+}
+
+#[test]
+fn grace_spill_char_and_composite_keys() {
+    use DataType::*;
+    check_grace("char", 24, &[Char(6)]);
+    check_grace("int32+date", 25, &[Int32, Date]);
+    check_grace("int64+int32", 26, &[Int64, Int32]);
+    check_grace("char+int32", 27, &[Char(3), Int32]);
+}
+
+#[test]
+fn grace_spill_keys_wider_than_16_bytes() {
+    use DataType::*;
+    check_grace("int64+int64+int32", 28, &[Int64, Int64, Int32]);
+    check_grace("char(20)", 29, &[Char(20)]);
 }

@@ -167,7 +167,7 @@ proptest! {
     /// Spill-tier teardown: with the disk tier armed under a tight budget,
     /// every exit path — success, cancellation, deadline, a contained panic,
     /// an injected spill-write or spill-read failure — leaves the tracker at
-    /// zero, no live spill files, and the temp directory itself deleted.
+    /// zero, no live spilled blocks, and the spill directory itself deleted.
     #[test]
     fn spill_teardown_deletes_temp_files_and_drains_tracker(
         fact in arb_table("spill_leak_fact", 50),
@@ -200,7 +200,7 @@ proptest! {
 
         let tracker = MemoryTracker::new();
         let pool = BlockPool::with_budget(tracker.clone(), budget);
-        let store = SpillStore::new(None, tracker.clone()).unwrap();
+        let store = SpillStore::new(None, tracker.clone());
         store.set_observer(uot_core::spill::EngineSpillHook::new(
             Some(faults.clone()),
             None,

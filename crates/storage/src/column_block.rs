@@ -315,53 +315,10 @@ impl ColumnBlock {
         self.columns[col].char_value(row)
     }
 
-    // ----- raw field-at-a-time append path (used by spill decoding; callers
-    // must push every column then call `finish_raw_row`) -----
-
-    #[inline]
-    pub(crate) fn raw_push_i32(&mut self, col: usize, v: i32) {
-        match &mut self.columns[col] {
-            ColumnData::I32(c) => c.push(v),
-            ColumnData::Date(c) => c.push(v),
-            _ => unreachable!("raw_push_i32 on non-i32 column"),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn raw_push_i64(&mut self, col: usize, v: i64) {
-        match &mut self.columns[col] {
-            ColumnData::I64(c) => c.push(v),
-            _ => unreachable!("raw_push_i64 on non-i64 column"),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn raw_push_f64(&mut self, col: usize, v: f64) {
-        match &mut self.columns[col] {
-            ColumnData::F64(c) => c.push(v),
-            _ => unreachable!("raw_push_f64 on non-f64 column"),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn raw_push_char(&mut self, col: usize, padded: &[u8]) {
-        match &mut self.columns[col] {
-            ColumnData::Char { data, width } => {
-                debug_assert_eq!(padded.len(), *width);
-                data.extend_from_slice(padded);
-            }
-            _ => unreachable!("raw_push_char on non-char column"),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn finish_raw_row(&mut self) {
-        self.num_rows += 1;
-    }
-
     /// Count `k` more rows and return the columns for the caller to extend
     /// by exactly `k` values each (the bulk-copy path of
-    /// [`StorageBlock::append_range`](crate::StorageBlock::append_range)).
+    /// [`StorageBlock::append_range`](crate::StorageBlock::append_range) and
+    /// of spill decoding).
     /// The caller checks capacity.
     pub(crate) fn grow(&mut self, k: usize) -> &mut [ColumnData] {
         debug_assert!(self.num_rows + k <= self.capacity_rows);

@@ -745,7 +745,7 @@ mod tests {
     fn checkout_under_pressure_drains_free_lists_first() {
         let t = MemoryTracker::new();
         let p = BlockPool::with_budget(t.clone(), 4096);
-        let store = crate::spill::SpillStore::new(None, t.clone()).unwrap();
+        let store = crate::spill::SpillStore::new(None, t.clone());
         p.enable_spill(store);
         // Fill the budget with idle returned blocks...
         let blocks: Vec<_> = (0..2)
@@ -767,7 +767,7 @@ mod tests {
     fn checkout_under_pressure_evicts_registered_victims() {
         let t = MemoryTracker::new();
         let p = BlockPool::with_budget(t.clone(), 4096);
-        let store = crate::spill::SpillStore::new(None, t.clone()).unwrap();
+        let store = crate::spill::SpillStore::new(None, t.clone());
         p.enable_spill(store.clone());
         p.set_reuse_enabled(false); // keep the free lists out of the picture
         let staged = Arc::new(p.checkout(&schema(), BlockFormat::Row, 2048).unwrap());
@@ -790,7 +790,7 @@ mod tests {
     fn spill_evicts_the_newest_victim_and_prunes_taken_ones() {
         let t = MemoryTracker::new();
         let p = BlockPool::with_budget(t.clone(), 6144);
-        let store = crate::spill::SpillStore::new(None, t.clone()).unwrap();
+        let store = crate::spill::SpillStore::new(None, t.clone());
         p.enable_spill(store.clone());
         p.set_reuse_enabled(false);
         let slot = || {

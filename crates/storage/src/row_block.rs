@@ -177,7 +177,8 @@ impl RowBlock {
 
     /// Grow the block by `k` tuples in one step and return their bytes for
     /// the caller to fill (the bulk-copy path of
-    /// [`StorageBlock::append_range`](crate::StorageBlock::append_range)).
+    /// [`StorageBlock::append_range`](crate::StorageBlock::append_range) and
+    /// of spill decoding).
     /// The caller checks capacity.
     pub(crate) fn grow(&mut self, k: usize) -> &mut [u8] {
         debug_assert!(self.num_rows + k <= self.capacity_rows);

@@ -2,11 +2,10 @@
 //!
 //! A [`SpillStore`] turns a terminal `BudgetExceeded` into graceful
 //! degradation: when the RAM tier is full, cold blocks are serialized to
-//! per-query temp files (fixed-width row encoding, the same layout a
-//! [`RowBlock`](crate::RowBlock) tuple uses) and their bytes are released
-//! from the [`MemoryTracker`]; a later read faults the block back in and
-//! re-charges exactly the bytes it releases on consumption, so the "tracker
-//! drains to zero" teardown invariant is unchanged.
+//! the query's spill file and their bytes are released from the
+//! [`MemoryTracker`]; a later read faults the block back in and re-charges
+//! exactly the bytes it releases on consumption, so the "tracker drains to
+//! zero" teardown invariant is unchanged.
 //!
 //! Two kinds of state live in the second tier:
 //!
@@ -21,28 +20,36 @@
 //!   blocks eagerly through [`SpillStore::spill_block`] and restores them
 //!   one partition at a time.
 //!
-//! The store owns a unique directory under the OS temp dir (or a caller
-//! override); dropping the store removes the directory, so no teardown path
-//! can leak temp files. All I/O is observable through a [`SpillObserver`] —
-//! the engine installs an adapter that injects deterministic faults
-//! (chaos tests) and records `SpillOut`/`SpillIn` trace events.
+//! Each store has one append-only file, `spill.bin`, in a unique directory
+//! under the OS temp dir (or a caller override). Both are created by the
+//! first spill, so a query that never spills touches no file system. A
+//! spill reserves the next extent of the file with one atomic add and
+//! writes it with a positioned write; a restore is one positioned read, and
+//! neither a restore nor a discard calls the file system again. Freed
+//! extents are not reused, so the file grows to at most the query's
+//! cumulative [`SpillStats::spilled_bytes`]. Dropping the store removes the
+//! directory, so no teardown path can leak temp files. All I/O is
+//! observable through a [`SpillObserver`] — the engine installs an adapter
+//! that injects deterministic faults (chaos tests) and records
+//! `SpillOut`/`SpillIn` trace events.
 
 use crate::block::{BlockFormat, StorageBlock};
+use crate::column_block::ColumnData;
 use crate::error::StorageError;
 use crate::pool::MemoryTracker;
 use crate::schema::Schema;
-use crate::types::DataType;
 use crate::Result;
 use parking_lot::Mutex;
-use std::collections::HashSet;
+use std::fs::File;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Which direction a spill I/O goes — fault-injection sites key off this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpillIo {
-    /// Serializing a block out to a temp file.
+    /// Serializing a block out to the spill file.
     Write,
     /// Faulting a spilled block back in.
     Read,
@@ -79,13 +86,18 @@ pub struct SpillStats {
     /// Deepest grace-join re-partitioning recursion observed (0 = no
     /// partition ever had to be split again).
     pub respill_depth: usize,
+    /// Length of the spill file: every extent reserved so far, restored or
+    /// not. At most `spilled_bytes` (an extent holds only the rows in use).
+    pub file_bytes: usize,
 }
 
 /// Descriptor of one spilled block: everything needed to rebuild it, minus
-/// the tuple bytes, which live in the store's temp file `id`.
-#[derive(Debug, Clone)]
+/// its encoded rows, which are the `len` bytes at `offset` in the store's
+/// spill file. A handle is consumed by exactly one restore or discard.
+#[derive(Debug)]
 pub struct SpilledHandle {
-    id: usize,
+    offset: u64,
+    len: usize,
     schema: Arc<Schema>,
     format: BlockFormat,
     capacity_bytes: usize,
@@ -112,12 +124,17 @@ impl SpilledHandle {
 pub struct SpillStore {
     dir: PathBuf,
     tracker: Arc<MemoryTracker>,
-    next_id: AtomicUsize,
+    /// The spill file, opened by the first spill (`opening` serializes that).
+    file: OnceLock<File>,
+    opening: Mutex<()>,
+    /// End of the file: the next spill's extent starts here.
+    end: AtomicUsize,
+    /// Blocks written and not yet restored or discarded.
+    live: AtomicUsize,
     spill_events: AtomicUsize,
     spilled_bytes: AtomicUsize,
     restored_bytes: AtomicUsize,
     respill_depth: AtomicUsize,
-    live: Mutex<HashSet<usize>>,
     observer: Mutex<Option<Arc<dyn SpillObserver>>>,
 }
 
@@ -130,9 +147,10 @@ impl std::fmt::Debug for dyn SpillObserver {
 static STORE_COUNTER: AtomicUsize = AtomicUsize::new(0);
 
 impl SpillStore {
-    /// Create a store with a unique directory under `base` (the OS temp dir
-    /// when `None`), metering restores through `tracker`.
-    pub fn new(base: Option<&Path>, tracker: Arc<MemoryTracker>) -> Result<Arc<Self>> {
+    /// Create a store whose directory will be a unique one under `base`
+    /// (the OS temp dir when `None`), metering restores through `tracker`.
+    /// Nothing is created on disk until the first spill.
+    pub fn new(base: Option<&Path>, tracker: Arc<MemoryTracker>) -> Arc<Self> {
         let base = base
             .map(Path::to_path_buf)
             .unwrap_or_else(std::env::temp_dir);
@@ -141,21 +159,19 @@ impl SpillStore {
             std::process::id(),
             STORE_COUNTER.fetch_add(1, Ordering::Relaxed)
         );
-        let dir = base.join(unique);
-        std::fs::create_dir_all(&dir).map_err(|e| StorageError::SpillIo {
-            detail: format!("creating spill dir {}: {e}", dir.display()),
-        })?;
-        Ok(Arc::new(SpillStore {
-            dir,
+        Arc::new(SpillStore {
+            dir: base.join(unique),
             tracker,
-            next_id: AtomicUsize::new(0),
+            file: OnceLock::new(),
+            opening: Mutex::new(()),
+            end: AtomicUsize::new(0),
+            live: AtomicUsize::new(0),
             spill_events: AtomicUsize::new(0),
             spilled_bytes: AtomicUsize::new(0),
             restored_bytes: AtomicUsize::new(0),
             respill_depth: AtomicUsize::new(0),
-            live: Mutex::new(HashSet::new()),
             observer: Mutex::new(None),
-        }))
+        })
     }
 
     /// Install the observation/fault hook (the engine's adapter).
@@ -163,7 +179,8 @@ impl SpillStore {
         *self.observer.lock() = Some(observer);
     }
 
-    /// The directory holding this store's temp files.
+    /// The directory that holds (or, before the first spill, will hold)
+    /// this store's spill file.
     pub fn dir(&self) -> &Path {
         &self.dir
     }
@@ -175,12 +192,14 @@ impl SpillStore {
             spilled_bytes: self.spilled_bytes.load(Ordering::Relaxed),
             restored_bytes: self.restored_bytes.load(Ordering::Relaxed),
             respill_depth: self.respill_depth.load(Ordering::Relaxed),
+            file_bytes: self.end.load(Ordering::Relaxed),
         }
     }
 
-    /// Number of spilled blocks currently on disk (leak tests).
+    /// Number of spilled blocks currently on disk: written, and not yet
+    /// restored or discarded (leak tests).
     pub fn live_files(&self) -> usize {
-        self.live.lock().len()
+        self.live.load(Ordering::Relaxed)
     }
 
     /// Record that a grace join re-partitioned at recursion `depth`.
@@ -188,11 +207,34 @@ impl SpillStore {
         self.respill_depth.fetch_max(depth, Ordering::Relaxed);
     }
 
-    fn path_of(&self, id: usize) -> PathBuf {
-        self.dir.join(format!("{id}.blk"))
+    /// The spill file, creating the directory and the file on first use.
+    fn file(&self) -> Result<&File> {
+        if let Some(f) = self.file.get() {
+            return Ok(f);
+        }
+        let _opening = self.opening.lock();
+        if let Some(f) = self.file.get() {
+            return Ok(f);
+        }
+        let io = |what: &str, path: &Path, e: std::io::Error| StorageError::SpillIo {
+            detail: format!("{what} {}: {e}", path.display()),
+        };
+        std::fs::create_dir_all(&self.dir).map_err(|e| io("creating spill dir", &self.dir, e))?;
+        let path = self.dir.join("spill.bin");
+        let file = File::options()
+            .read(true)
+            .write(true)
+            .create_new(true)
+            .open(&path)
+            .map_err(|e| {
+                let _ = std::fs::remove_dir(&self.dir);
+                io("creating", &path, e)
+            })?;
+        Ok(self.file.get_or_init(|| file))
     }
 
-    /// Serialize `block` to a temp file and release its tracked bytes.
+    /// Serialize `block` to the next extent of the spill file and release
+    /// its tracked bytes.
     ///
     /// On any failure the tracker is untouched and the block stays usable —
     /// a failed spill is side-effect free, like a failed checkout.
@@ -204,12 +246,18 @@ impl SpillStore {
         }
         let mut buf = Vec::with_capacity(block.num_rows() * block.schema().tuple_width());
         encode_block(block, &mut buf);
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let path = self.path_of(id);
-        std::fs::write(&path, &buf).map_err(|e| StorageError::SpillIo {
-            detail: format!("writing {}: {e}", path.display()),
-        })?;
-        self.live.lock().insert(id);
+        let file = self.file()?;
+        // Relaxed: the add only has to hand out disjoint extents; a handle
+        // reaches the thread that restores it through the locks that pass it.
+        let offset = self.end.fetch_add(buf.len(), Ordering::Relaxed) as u64;
+        file.write_all_at(&buf, offset)
+            .map_err(|e| StorageError::SpillIo {
+                detail: format!(
+                    "writing {} bytes at {offset} of the spill file: {e}",
+                    buf.len()
+                ),
+            })?;
+        self.live.fetch_add(1, Ordering::Relaxed);
         let tracked_bytes = block.allocated_bytes();
         self.spill_events.fetch_add(1, Ordering::Relaxed);
         self.spilled_bytes
@@ -219,7 +267,8 @@ impl SpillStore {
             o.spilled(tag, tracked_bytes);
         }
         Ok(SpilledHandle {
-            id,
+            offset,
+            len: buf.len(),
             schema: block.schema().clone(),
             format: block.format(),
             capacity_bytes: block.allocated_bytes(),
@@ -229,27 +278,32 @@ impl SpillStore {
         })
     }
 
-    /// Fault a spilled block back in, re-charging its tracked bytes, and
-    /// delete its temp file. The handle is consumed either way — on error the
-    /// file is still removed (the data is unrecoverable; keeping the file
-    /// would leak it).
+    /// Fault a spilled block back in, re-charging its tracked bytes. The
+    /// handle is consumed either way: on error the data is unrecoverable,
+    /// and its extent is abandoned like every other freed one.
     pub fn restore(&self, handle: SpilledHandle) -> Result<StorageBlock> {
-        let path = self.path_of(handle.id);
-        let result = self.restore_inner(&handle, &path);
-        let _ = std::fs::remove_file(&path);
-        self.live.lock().remove(&handle.id);
+        let result = self.restore_inner(&handle);
+        self.live.fetch_sub(1, Ordering::Relaxed);
         result
     }
 
-    fn restore_inner(&self, handle: &SpilledHandle, path: &Path) -> Result<StorageBlock> {
+    fn restore_inner(&self, handle: &SpilledHandle) -> Result<StorageBlock> {
         let observer = self.observer.lock().clone();
         if let Some(o) = &observer {
             o.before_io(SpillIo::Read, handle.tag)
                 .map_err(|detail| StorageError::SpillIo { detail })?;
         }
-        let bytes = std::fs::read(path).map_err(|e| StorageError::SpillIo {
-            detail: format!("reading {}: {e}", path.display()),
+        let file = self.file.get().ok_or_else(|| StorageError::SpillIo {
+            detail: "restoring from a store that never spilled".into(),
         })?;
+        let mut bytes = vec![0u8; handle.len];
+        file.read_exact_at(&mut bytes, handle.offset)
+            .map_err(|e| StorageError::SpillIo {
+                detail: format!(
+                    "reading {} bytes at {} of the spill file: {e}",
+                    handle.len, handle.offset
+                ),
+            })?;
         let block = decode_block(
             handle.schema.clone(),
             handle.format,
@@ -270,18 +324,19 @@ impl SpillStore {
         Ok(block)
     }
 
-    /// Delete a spilled block without restoring it (query teardown). Its
+    /// Drop a spilled block without restoring it (query teardown). Its
     /// tracked bytes were already released at spill time, so accounting is
-    /// untouched.
-    pub fn discard(&self, handle: SpilledHandle) {
-        let _ = std::fs::remove_file(self.path_of(handle.id));
-        self.live.lock().remove(&handle.id);
+    /// untouched, and its extent is simply abandoned.
+    pub fn discard(&self, _handle: SpilledHandle) {
+        self.live.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
 impl Drop for SpillStore {
     fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.dir);
+        if self.file.get().is_some() {
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
     }
 }
 
@@ -374,7 +429,7 @@ impl SpillSlot {
     }
 
     /// Drop the block without consuming it, releasing tracked bytes of a
-    /// resident block from `tracker` and deleting a spilled one's temp file
+    /// resident block from `tracker` and retiring a spilled one's extent
     /// (query teardown). Idempotent.
     pub fn discard(&self, tracker: &MemoryTracker, store: Option<&SpillStore>) {
         let mut state = self.state.lock();
@@ -408,36 +463,46 @@ impl SpillSlot {
     }
 }
 
-/// Serialize every row of `block` as fixed-width tuples (the row-store
-/// encoding), appending to `out`. Char columns are copied as raw padded
-/// bytes — never through [`Value`](crate::Value), which trims padding.
+/// Serialize every row of `block`, appending to `out`: a row block as its
+/// tuples with one copy, a column block column after column, one typed
+/// slice each. Char columns are copied as raw padded bytes — never through
+/// [`Value`](crate::Value), which trims padding. Either way the encoding is
+/// `num_rows × tuple_width` bytes.
 fn encode_block(block: &StorageBlock, out: &mut Vec<u8>) {
     match block {
-        StorageBlock::Row(b) => {
-            for row in 0..b.num_rows() {
-                out.extend_from_slice(b.tuple_bytes(row));
-            }
-        }
+        StorageBlock::Row(b) => out.extend_from_slice(b.tuples(0, b.num_rows())),
         StorageBlock::Column(b) => {
-            let schema = b.schema().clone();
-            for row in 0..b.num_rows() {
-                for col in 0..schema.len() {
-                    match schema.dtype(col) {
-                        DataType::Int32 => out.extend_from_slice(&b.i32_at(row, col).to_le_bytes()),
-                        DataType::Date => out.extend_from_slice(&b.date_at(row, col).to_le_bytes()),
-                        DataType::Int64 => out.extend_from_slice(&b.i64_at(row, col).to_le_bytes()),
-                        DataType::Float64 => {
-                            out.extend_from_slice(&b.f64_at(row, col).to_le_bytes())
-                        }
-                        DataType::Char(_) => out.extend_from_slice(b.char_at(row, col)),
-                    }
+            for c in 0..b.schema().len() {
+                match b.column(c) {
+                    ColumnData::I32(v) | ColumnData::Date(v) => put(out, v, |x| x.to_le_bytes()),
+                    ColumnData::I64(v) => put(out, v, |x| x.to_le_bytes()),
+                    ColumnData::F64(v) => put(out, v, |x| x.to_le_bytes()),
+                    ColumnData::Char { data, .. } => out.extend_from_slice(data),
                 }
             }
         }
     }
 }
 
-/// Rebuild a block from its fixed-width tuple encoding.
+/// Append `values` to `out` as `N`-byte little-endian encodings.
+fn put<T: Copy, const N: usize>(out: &mut Vec<u8>, values: &[T], encode: impl Fn(T) -> [u8; N]) {
+    let at = out.len();
+    out.resize(at + values.len() * N, 0);
+    for (dst, &x) in out[at..].chunks_exact_mut(N).zip(values) {
+        dst.copy_from_slice(&encode(x));
+    }
+}
+
+/// Append the `N`-byte little-endian values in `bytes` to `dst`.
+fn get<T, const N: usize>(dst: &mut Vec<T>, bytes: &[u8], decode: impl Fn([u8; N]) -> T) {
+    dst.extend(
+        bytes
+            .chunks_exact(N)
+            .map(|c| decode(c.try_into().expect("chunks_exact yields N-byte chunks"))),
+    );
+}
+
+/// Rebuild a block from [`encode_block`]'s encoding of its `rows` rows.
 fn decode_block(
     schema: Arc<Schema>,
     format: BlockFormat,
@@ -449,7 +514,7 @@ fn decode_block(
     if bytes.len() != rows * w {
         return Err(StorageError::SpillIo {
             detail: format!(
-                "spill file holds {} bytes, expected {} ({} rows of {} bytes)",
+                "spill extent holds {} bytes, expected {} ({} rows of {} bytes)",
                 bytes.len(),
                 rows * w,
                 rows,
@@ -458,35 +523,27 @@ fn decode_block(
         });
     }
     let mut block = StorageBlock::new(schema.clone(), format, capacity_bytes)?;
-    for row in 0..rows {
-        let tuple = &bytes[row * w..(row + 1) * w];
-        match &mut block {
-            StorageBlock::Row(b) => {
-                b.append_tuple_bytes(tuple);
-            }
-            StorageBlock::Column(b) => {
-                for col in 0..schema.len() {
-                    let off = schema.offset(col);
-                    match schema.dtype(col) {
-                        DataType::Int32 | DataType::Date => {
-                            let v = i32::from_le_bytes(tuple[off..off + 4].try_into().unwrap());
-                            match schema.dtype(col) {
-                                DataType::Date => b.raw_push_i32(col, v),
-                                _ => b.raw_push_i32(col, v),
-                            }
-                        }
-                        DataType::Int64 => b.raw_push_i64(
-                            col,
-                            i64::from_le_bytes(tuple[off..off + 8].try_into().unwrap()),
-                        ),
-                        DataType::Float64 => b.raw_push_f64(
-                            col,
-                            f64::from_le_bytes(tuple[off..off + 8].try_into().unwrap()),
-                        ),
-                        DataType::Char(n) => b.raw_push_char(col, &tuple[off..off + n as usize]),
-                    }
+    if rows > block.capacity_rows() {
+        return Err(StorageError::SpillIo {
+            detail: format!(
+                "spill extent holds {rows} rows, more than the block's {}",
+                block.capacity_rows()
+            ),
+        });
+    }
+    match &mut block {
+        StorageBlock::Row(b) => b.grow(rows).copy_from_slice(bytes),
+        StorageBlock::Column(b) => {
+            let mut rest = bytes;
+            for (c, col) in b.grow(rows).iter_mut().enumerate() {
+                let (seg, tail) = rest.split_at(rows * schema.dtype(c).width());
+                rest = tail;
+                match col {
+                    ColumnData::I32(v) | ColumnData::Date(v) => get(v, seg, i32::from_le_bytes),
+                    ColumnData::I64(v) => get(v, seg, i64::from_le_bytes),
+                    ColumnData::F64(v) => get(v, seg, f64::from_le_bytes),
+                    ColumnData::Char { data, .. } => data.extend_from_slice(seg),
                 }
-                b.finish_raw_row();
             }
         }
     }
@@ -496,6 +553,7 @@ fn decode_block(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::DataType;
     use crate::value::Value;
 
     fn schema() -> Arc<Schema> {
@@ -523,42 +581,120 @@ mod tests {
         b
     }
 
+    /// Spill `block` and restore it, checking the rows, the padded `Char`
+    /// bytes, the format, the capacity and the tracker on the way.
+    fn round_trip(store: &SpillStore, t: &MemoryTracker, block: StorageBlock) {
+        let bytes = block.allocated_bytes();
+        t.alloc(bytes); // simulate the pool charge
+        let expected = block.all_rows();
+        let chars: Vec<Vec<u8>> = (0..block.num_rows())
+            .map(|r| block.char_at(r, 2).to_vec())
+            .collect();
+        let (format, capacity) = (block.format(), block.capacity_rows());
+        let live = store.live_files();
+
+        let handle = store.spill_block(&block, 3).unwrap();
+        assert_eq!(t.current_bytes(), 0, "spill releases the charge");
+        assert_eq!(store.live_files(), live + 1);
+        drop(block);
+
+        let back = store.restore(handle).unwrap();
+        assert_eq!(t.current_bytes(), bytes, "restore re-charges");
+        assert_eq!(back.all_rows(), expected, "{format:?}");
+        for (r, raw) in chars.iter().enumerate() {
+            assert_eq!(back.char_at(r, 2), &raw[..], "{format:?} row {r}");
+        }
+        assert_eq!((back.format(), back.capacity_rows()), (format, capacity));
+        assert_eq!(store.live_files(), live, "restore retires the block");
+        t.free(bytes);
+    }
+
     #[test]
     fn spill_and_restore_round_trips_both_formats() {
+        let t = MemoryTracker::new();
+        let store = SpillStore::new(None, t.clone());
         for format in [BlockFormat::Row, BlockFormat::Column] {
-            let t = MemoryTracker::new();
-            let store = SpillStore::new(None, t.clone()).unwrap();
-            let block = filled(format, 9);
-            let bytes = block.allocated_bytes();
-            t.alloc(bytes); // simulate the pool charge
-            let expected = block.all_rows();
-
-            let handle = store.spill_block(&block, 3).unwrap();
-            assert_eq!(t.current_bytes(), 0, "spill releases the charge");
-            assert_eq!(store.live_files(), 1);
-            drop(block);
-
-            let back = store.restore(handle).unwrap();
-            assert_eq!(t.current_bytes(), bytes, "restore re-charges");
-            assert_eq!(back.all_rows(), expected, "{format:?}");
-            assert_eq!(back.format(), format);
-            assert_eq!(store.live_files(), 0, "restore deletes the file");
-            t.free(bytes);
+            round_trip(&store, &t, filled(format, 9));
+            round_trip(&store, &t, filled(format, 0));
+            let cap = filled(format, 0).capacity_rows() as i32;
+            let full = filled(format, cap);
+            assert!(full.is_full());
+            round_trip(&store, &t, full);
         }
+        assert_eq!(store.stats().spill_events, 6);
     }
 
     #[test]
     fn char_padding_survives_the_round_trip() {
         // "t1" in Char(4) is stored as "t1  "; a Value round-trip would trim.
         let t = MemoryTracker::new();
-        let store = SpillStore::new(None, t.clone()).unwrap();
-        let block = filled(BlockFormat::Column, 2);
-        t.alloc(block.allocated_bytes());
-        let raw: Vec<u8> = block.char_at(1, 2).to_vec();
-        assert_eq!(&raw, b"t1  ");
-        let handle = store.spill_block(&block, 0).unwrap();
-        let back = store.restore(handle).unwrap();
-        assert_eq!(back.char_at(1, 2), b"t1  ");
+        let store = SpillStore::new(None, t.clone());
+        for format in [BlockFormat::Row, BlockFormat::Column] {
+            let block = filled(format, 2);
+            t.alloc(block.allocated_bytes());
+            assert_eq!(block.char_at(1, 2), b"t1  ");
+            let handle = store.spill_block(&block, 0).unwrap();
+            let back = store.restore(handle).unwrap();
+            assert_eq!(back.char_at(1, 2), b"t1  ", "{format:?}");
+            t.free(back.allocated_bytes());
+        }
+    }
+
+    #[test]
+    fn a_virtual_column_block_round_trips() {
+        // Output assembled from typed columns: capacity is exactly its rows.
+        let t = MemoryTracker::new();
+        let store = SpillStore::new(None, t.clone());
+        let src = filled(BlockFormat::Column, 5);
+        let cols = (0..5)
+            .map(|c| match &src {
+                StorageBlock::Column(b) => b.column(c).clone(),
+                StorageBlock::Row(_) => unreachable!(),
+            })
+            .collect();
+        let virt = crate::ColumnBlock::from_columns(schema(), cols, 5).unwrap();
+        round_trip(&store, &t, StorageBlock::Column(virt));
+    }
+
+    #[test]
+    fn one_file_per_store_grows_by_extents() {
+        let t = MemoryTracker::new();
+        let store = SpillStore::new(None, t.clone());
+        let w = schema().tuple_width();
+        let (a, b) = (filled(BlockFormat::Row, 4), filled(BlockFormat::Column, 7));
+        t.alloc(a.allocated_bytes() + b.allocated_bytes());
+        let ha = store.spill_block(&a, 0).unwrap();
+        let hb = store.spill_block(&b, 0).unwrap();
+        let entries: Vec<_> = std::fs::read_dir(store.dir()).unwrap().collect();
+        assert_eq!(entries.len(), 1, "one spill file per store");
+        let len = std::fs::metadata(store.dir().join("spill.bin"))
+            .unwrap()
+            .len();
+        assert_eq!(len as usize, 11 * w, "extents hold the rows in use");
+        let s = store.stats();
+        assert_eq!(s.file_bytes, 11 * w);
+        assert!(s.file_bytes <= s.spilled_bytes);
+        // Restoring out of order reads the right extent; freed extents are
+        // not reused, so the file only grows.
+        assert_eq!(store.restore(hb).unwrap().all_rows(), b.all_rows());
+        store.discard(ha);
+        let c = filled(BlockFormat::Row, 2);
+        t.alloc(c.allocated_bytes());
+        let hc = store.spill_block(&c, 0).unwrap();
+        assert_eq!(store.stats().file_bytes, 13 * w);
+        assert_eq!(store.restore(hc).unwrap().all_rows(), c.all_rows());
+        assert_eq!(store.live_files(), 0);
+    }
+
+    #[test]
+    fn a_store_that_never_spills_creates_nothing() {
+        let t = MemoryTracker::new();
+        let store = SpillStore::new(None, t.clone());
+        let dir = store.dir().to_path_buf();
+        assert!(!dir.exists(), "no directory before the first spill");
+        assert_eq!(store.stats(), SpillStats::default());
+        drop(store);
+        assert!(!dir.exists(), "and none after the store drops");
     }
 
     #[test]
@@ -566,7 +702,7 @@ mod tests {
         let t = MemoryTracker::new();
         let dir;
         {
-            let store = SpillStore::new(None, t.clone()).unwrap();
+            let store = SpillStore::new(None, t.clone());
             dir = store.dir().to_path_buf();
             let b1 = filled(BlockFormat::Row, 4);
             let b2 = filled(BlockFormat::Column, 4);
@@ -592,7 +728,7 @@ mod tests {
     #[test]
     fn discard_deletes_without_recharging() {
         let t = MemoryTracker::new();
-        let store = SpillStore::new(None, t.clone()).unwrap();
+        let store = SpillStore::new(None, t.clone());
         let block = filled(BlockFormat::Row, 3);
         t.alloc(block.allocated_bytes());
         let handle = store.spill_block(&block, 0).unwrap();
@@ -615,7 +751,7 @@ mod tests {
     #[test]
     fn failed_spill_is_side_effect_free() {
         let t = MemoryTracker::new();
-        let store = SpillStore::new(None, t.clone()).unwrap();
+        let store = SpillStore::new(None, t.clone());
         store.set_observer(Arc::new(FailWrites));
         let block = filled(BlockFormat::Row, 3);
         t.alloc(block.allocated_bytes());
@@ -625,7 +761,11 @@ mod tests {
         assert!(err.to_string().contains("injected write failure"));
         assert_eq!(t.current_bytes(), before, "tracker untouched");
         assert_eq!(store.live_files(), 0);
-        assert_eq!(store.stats().spill_events, 0);
+        assert_eq!(store.stats(), SpillStats::default());
+        assert!(
+            !store.dir().exists(),
+            "an injected failure reserves nothing"
+        );
         t.free(before);
     }
 
@@ -640,23 +780,27 @@ mod tests {
     }
 
     #[test]
-    fn failed_restore_still_cleans_the_file() {
+    fn failed_restore_still_retires_the_block() {
         let t = MemoryTracker::new();
-        let store = SpillStore::new(None, t.clone()).unwrap();
+        let store = SpillStore::new(None, t.clone());
         let block = filled(BlockFormat::Row, 3);
         t.alloc(block.allocated_bytes());
         let handle = store.spill_block(&block, 0).unwrap();
         store.set_observer(Arc::new(FailReads));
         let err = store.restore(handle).unwrap_err();
         assert!(matches!(err, StorageError::SpillIo { .. }));
-        assert_eq!(store.live_files(), 0, "file removed even on failure");
+        assert_eq!(
+            store.live_files(),
+            0,
+            "the block is retired even on failure"
+        );
         assert_eq!(t.current_bytes(), 0, "failed restore charges nothing");
     }
 
     #[test]
     fn slot_lifecycle_resident_evict_take() {
         let t = MemoryTracker::new();
-        let store = SpillStore::new(None, t.clone()).unwrap();
+        let store = SpillStore::new(None, t.clone());
         let block = filled(BlockFormat::Column, 5);
         let bytes = block.allocated_bytes();
         t.alloc(bytes);
@@ -688,7 +832,7 @@ mod tests {
     #[test]
     fn shared_blocks_are_not_evictable() {
         let t = MemoryTracker::new();
-        let store = SpillStore::new(None, t.clone()).unwrap();
+        let store = SpillStore::new(None, t.clone());
         let block = Arc::new(filled(BlockFormat::Row, 2));
         let extra_ref = block.clone();
         let slot = SpillSlot::new(block, 0);
@@ -700,7 +844,7 @@ mod tests {
     #[test]
     fn slot_discard_handles_both_tiers() {
         let t = MemoryTracker::new();
-        let store = SpillStore::new(None, t.clone()).unwrap();
+        let store = SpillStore::new(None, t.clone());
         // Resident slot: discard frees tracked bytes.
         let b = filled(BlockFormat::Row, 2);
         let bytes = b.allocated_bytes();
