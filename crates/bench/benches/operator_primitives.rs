@@ -155,7 +155,7 @@ fn bench_sort_top_k(c: &mut Criterion) {
                 .lock()
                 .extend(t.blocks().iter().cloned());
             let done = uot_core::ops::finalize_in_turn(&ctx, op, 1).unwrap();
-            black_box((done, ctx.output(op).flush()))
+            black_box((done, ctx.output(op).flush(&ctx.pool)))
         })
     });
 }
@@ -225,7 +225,7 @@ fn bench_agg_finalize(c: &mut Criterion) {
                 execute_block(&ctx, op, b).unwrap();
             }
             let out = finalize_in_turn(&ctx, op, 2).unwrap();
-            black_box((out, ctx.output(op).flush()))
+            black_box((out, ctx.output(op).flush(&ctx.pool)))
         })
     });
 }

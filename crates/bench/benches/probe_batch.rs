@@ -79,11 +79,11 @@ fn bench_probe_paths(c: &mut Criterion) {
                     let mut out = 0usize;
                     for blk in fact.blocks() {
                         for b in probe::execute_scalar(&ctx, p, &blk.clone()).unwrap() {
-                            out += b.num_rows();
+                            out += b.rows();
                         }
                     }
-                    for b in ctx.output(p).flush() {
-                        out += b.num_rows();
+                    for b in ctx.output(p).flush(&ctx.pool) {
+                        out += b.rows();
                     }
                     black_box(out)
                 })
@@ -93,11 +93,11 @@ fn bench_probe_paths(c: &mut Criterion) {
                     let mut out = 0usize;
                     for blk in fact.blocks() {
                         for b in probe::execute(&ctx, p, &blk.clone()).unwrap() {
-                            out += b.num_rows();
+                            out += b.rows();
                         }
                     }
-                    for b in ctx.output(p).flush() {
-                        out += b.num_rows();
+                    for b in ctx.output(p).flush(&ctx.pool) {
+                        out += b.rows();
                     }
                     black_box(out)
                 })

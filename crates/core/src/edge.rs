@@ -17,6 +17,11 @@
 //!   cannot start before this producer finishes, so the UoT is immaterial:
 //!   blocks bypass staging and park at the producer for bulk consumption.
 //!
+//! Blocks arrive already in their [`SpillSlot`]s: the operator's
+//! [`OutputBuffer`](crate::output::OutputBuffer) sealed each one when it
+//! completed and offered it to the pool as an eviction victim then. An
+//! edge only moves slots; it wraps and registers nothing.
+//!
 //! The edge also owns the **collected-bytes accounting**: blocks parked for
 //! bulk consumption (a sort's input, an NLJ's materialized inner side) are
 //! charged to the edge and released in one step when the consumer finishes,
@@ -27,7 +32,7 @@ use crate::plan::OpId;
 use crate::query_id::QueryId;
 use crate::uot::Uot;
 use std::sync::Arc;
-use uot_storage::{SpillSlot, StorageBlock};
+use uot_storage::SpillSlot;
 
 /// Where an operator's output goes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,23 +47,22 @@ pub enum EdgeDest {
 
 /// What the scheduler should do with freshly produced blocks.
 ///
-/// Stream edges stage blocks wrapped in [`SpillSlot`]s: while a block sits
-/// below the UoT threshold it is *cold* — the only live reference is the
-/// slot's — and the block pool may evict it to the disk spill tier under
-/// memory pressure. A transfer hands the slots on to the consumer's work
-/// orders, and the worker that runs one faults its block back in.
+/// While a stream edge's slot sits below the UoT threshold its block is
+/// *cold* — the only live reference is the slot's — and the block pool may
+/// evict it to the disk spill tier under memory pressure. A transfer hands
+/// the slots on to the consumer's work orders, and the worker that runs one
+/// faults its block back in.
 #[derive(Debug)]
 pub enum TransferAction {
-    /// Append to the query result set.
-    Emit(Vec<Arc<StorageBlock>>),
+    /// Append these slots' blocks to the query result set.
+    Emit(Vec<Arc<SpillSlot>>),
     /// The UoT threshold was reached: transfer these slots to the consumer.
     Transfer(Vec<Arc<SpillSlot>>),
-    /// Still accumulating below the threshold. Carries the slots staged by
-    /// *this* call so the scheduler can register them as eviction victims.
-    Hold(Vec<Arc<SpillSlot>>),
-    /// Materialization edge: park these blocks at the producer for the
-    /// consuming join.
-    Materialize(Vec<Arc<StorageBlock>>),
+    /// Still accumulating below the threshold.
+    Hold,
+    /// Materialization edge: park these slots' blocks at the producer for
+    /// the consuming join.
+    Materialize(Vec<Arc<SpillSlot>>),
 }
 
 /// The outgoing data edge of one operator.
@@ -67,8 +71,8 @@ pub struct TransferEdge {
     dest: EdgeDest,
     /// Accumulation threshold in blocks (`usize::MAX` for [`Uot::Table`]).
     threshold: usize,
-    /// Blocks staged on this edge, below the threshold — each wrapped in a
-    /// [`SpillSlot`] so the pool's second tier can evict cold ones.
+    /// Blocks staged on this edge, below the threshold, in the slots the
+    /// pool's second tier may evict them from.
     staged: Vec<Arc<SpillSlot>>,
     /// Bytes of tracked blocks parked for bulk consumption downstream of
     /// this edge; released when the consumer finishes.
@@ -148,23 +152,20 @@ impl TransferEdge {
         self.threshold
     }
 
-    /// Stage freshly produced blocks and decide what to do with them. `tag`
-    /// identifies the producing operator; spill trace events carry it.
-    pub fn stage(&mut self, blocks: Vec<Arc<StorageBlock>>, tag: usize) -> TransferAction {
-        if blocks.is_empty() {
-            return TransferAction::Hold(Vec::new());
+    /// Stage freshly produced slots and decide what to do with them.
+    pub fn stage(&mut self, slots: Vec<Arc<SpillSlot>>) -> TransferAction {
+        if slots.is_empty() {
+            return TransferAction::Hold;
         }
         match self.dest {
-            EdgeDest::Sink => TransferAction::Emit(blocks),
-            EdgeDest::Materialize(_) => TransferAction::Materialize(blocks),
+            EdgeDest::Sink => TransferAction::Emit(slots),
+            EdgeDest::Materialize(_) => TransferAction::Materialize(slots),
             EdgeDest::Stream(_) => {
-                let fresh: Vec<Arc<SpillSlot>> =
-                    blocks.into_iter().map(|b| SpillSlot::new(b, tag)).collect();
-                self.staged.extend(fresh.iter().cloned());
+                self.staged.extend(slots);
                 if self.staged.len() >= self.threshold {
                     TransferAction::Transfer(std::mem::take(&mut self.staged))
                 } else {
-                    TransferAction::Hold(fresh)
+                    TransferAction::Hold
                 }
             }
         }
@@ -190,30 +191,24 @@ impl TransferEdge {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uot_storage::{BlockFormat, DataType, Schema, Value};
+    use uot_storage::{BlockFormat, DataType, Schema, StorageBlock, Value};
 
-    fn block(rows: i32) -> Arc<StorageBlock> {
+    fn slot(rows: i32) -> Arc<SpillSlot> {
         let s = Schema::from_pairs(&[("k", DataType::Int32)]);
         let mut b = StorageBlock::new(s, BlockFormat::Row, 256).unwrap();
         for i in 0..rows {
             b.append_row(&[Value::I32(i)]).unwrap();
         }
-        Arc::new(b)
+        SpillSlot::new(Arc::new(b), 0)
     }
 
     #[test]
     fn threshold_accumulates_then_transfers() {
         let mut e = TransferEdge::stream(7, Uot::Blocks(3));
-        assert!(matches!(
-            e.stage(vec![block(1)], 0),
-            TransferAction::Hold(_)
-        ));
-        assert!(matches!(
-            e.stage(vec![block(1)], 0),
-            TransferAction::Hold(_)
-        ));
+        assert!(matches!(e.stage(vec![slot(1)]), TransferAction::Hold));
+        assert!(matches!(e.stage(vec![slot(1)]), TransferAction::Hold));
         assert_eq!(e.staged_len(), 2);
-        match e.stage(vec![block(1)], 0) {
+        match e.stage(vec![slot(1)]) {
             TransferAction::Transfer(slots) => assert_eq!(slots.len(), 3),
             other => panic!("expected transfer, got {other:?}"),
         }
@@ -223,7 +218,7 @@ mod tests {
     #[test]
     fn oversized_batch_transfers_at_once() {
         let mut e = TransferEdge::stream(1, Uot::Blocks(2));
-        match e.stage(vec![block(1), block(1), block(1)], 0) {
+        match e.stage(vec![slot(1), slot(1), slot(1)]) {
             TransferAction::Transfer(slots) => assert_eq!(slots.len(), 3),
             other => panic!("expected transfer, got {other:?}"),
         }
@@ -233,10 +228,7 @@ mod tests {
     fn table_uot_holds_until_flush() {
         let mut e = TransferEdge::stream(2, Uot::Table);
         for _ in 0..50 {
-            assert!(matches!(
-                e.stage(vec![block(1)], 0),
-                TransferAction::Hold(_)
-            ));
+            assert!(matches!(e.stage(vec![slot(1)]), TransferAction::Hold));
         }
         assert_eq!(e.staged_len(), 50);
         let flushed = e.flush();
@@ -247,12 +239,11 @@ mod tests {
     #[test]
     fn partial_flush_on_producer_finish() {
         let mut e = TransferEdge::stream(2, Uot::Blocks(4));
-        match e.stage(vec![block(1), block(1)], 0) {
-            TransferAction::Hold(fresh) => {
-                assert_eq!(fresh.len(), 2, "hold reports the newly staged slots")
-            }
-            other => panic!("expected hold, got {other:?}"),
-        }
+        assert!(matches!(
+            e.stage(vec![slot(1), slot(1)]),
+            TransferAction::Hold
+        ));
+        assert_eq!(e.staged_len(), 2);
         let flushed = e.flush();
         assert_eq!(flushed.len(), 2, "partial accumulation must flush");
         assert!(e.flush().is_empty(), "second flush is empty");
@@ -261,8 +252,8 @@ mod tests {
     #[test]
     fn materialization_edge_bypasses_staging() {
         let mut e = TransferEdge::materialize(4);
-        match e.stage(vec![block(1), block(1)], 0) {
-            TransferAction::Materialize(blocks) => assert_eq!(blocks.len(), 2),
+        match e.stage(vec![slot(1), slot(1)]) {
+            TransferAction::Materialize(slots) => assert_eq!(slots.len(), 2),
             other => panic!("expected materialize, got {other:?}"),
         }
         assert_eq!(e.staged_len(), 0, "bypass edges never stage");
@@ -273,8 +264,8 @@ mod tests {
     #[test]
     fn sink_edge_emits_immediately() {
         let mut e = TransferEdge::sink();
-        match e.stage(vec![block(2)], 0) {
-            TransferAction::Emit(blocks) => assert_eq!(blocks.len(), 1),
+        match e.stage(vec![slot(2)]) {
+            TransferAction::Emit(slots) => assert_eq!(slots.len(), 1),
             other => panic!("expected emit, got {other:?}"),
         }
         assert_eq!(e.consumer(), None);
@@ -283,10 +274,7 @@ mod tests {
     #[test]
     fn empty_batch_is_a_noop() {
         let mut e = TransferEdge::stream(0, Uot::Blocks(1));
-        match e.stage(Vec::new(), 0) {
-            TransferAction::Hold(fresh) => assert!(fresh.is_empty()),
-            other => panic!("expected hold, got {other:?}"),
-        }
+        assert!(matches!(e.stage(Vec::new()), TransferAction::Hold));
         assert_eq!(e.staged_len(), 0);
     }
 
@@ -310,7 +298,7 @@ mod tests {
     fn blocks_zero_behaves_like_one() {
         let mut e = TransferEdge::stream(1, Uot::Blocks(0));
         assert!(matches!(
-            e.stage(vec![block(1)], 0),
+            e.stage(vec![slot(1)]),
             TransferAction::Transfer(_)
         ));
     }
@@ -318,10 +306,7 @@ mod tests {
     #[test]
     fn staged_slots_resolve_back_to_their_blocks() {
         let mut e = TransferEdge::stream(1, Uot::Blocks(2));
-        assert!(matches!(
-            e.stage(vec![block(3)], 9),
-            TransferAction::Hold(_)
-        ));
+        assert!(matches!(e.stage(vec![slot(3)]), TransferAction::Hold));
         let slots = e.flush();
         assert_eq!(slots.len(), 1);
         let b = slots[0].take(None).unwrap();

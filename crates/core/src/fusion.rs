@@ -22,6 +22,7 @@
 //! unconditionally under [`FusionPolicy::Always`] / [`FusionPolicy::Never`].
 
 use crate::error::EngineError;
+use crate::output::Produced;
 use crate::plan::{OpId, OperatorKind, QueryPlan, Source};
 use crate::state::ExecContext;
 use crate::uot::Uot;
@@ -312,7 +313,7 @@ pub fn execute_fused(
     ctx: &ExecContext,
     chain: &FusedChain,
     block: &Arc<StorageBlock>,
-) -> Result<Vec<StorageBlock>> {
+) -> Result<Produced> {
     let t0 = Instant::now();
     let in_rows = block.num_rows();
     let mut cur: Arc<StorageBlock> = block.clone();

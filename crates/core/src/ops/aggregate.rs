@@ -27,6 +27,7 @@
 
 use crate::error::EngineError;
 use crate::ops::row_order::{RowOrder, RowRef};
+use crate::output::Produced;
 use crate::plan::OperatorKind;
 use crate::state::{AggPartial, ExecContext, FrozenPartial};
 use crate::work_order::FinalizeInput;
@@ -39,11 +40,7 @@ use uot_expr::{AggFunc, AggSpec, AggState, ScalarExpr};
 use uot_storage::{ColumnBlock, ColumnData, DataType, HashKey, Schema, StorageBlock, Value};
 
 /// Fold one input block into a pooled partial.
-pub fn execute_block(
-    ctx: &ExecContext,
-    op: usize,
-    block: &Arc<StorageBlock>,
-) -> Result<Vec<StorageBlock>> {
+pub fn execute_block(ctx: &ExecContext, op: usize, block: &Arc<StorageBlock>) -> Result<Produced> {
     let (group_by, aggs) = spec(ctx, op)?;
     let n = block.num_rows();
     if n == 0 {
@@ -199,7 +196,7 @@ pub(crate) fn execute_finalize(
     part: usize,
     parts: usize,
     frozen: &FrozenGroups,
-) -> Result<Vec<StorageBlock>> {
+) -> Result<Produced> {
     let (group_by, _) = spec(ctx, op)?;
     let schema = &ctx.plan.op(op).out_schema;
     let group_schema = group_schema(ctx, op, group_by.len());
@@ -251,7 +248,10 @@ pub(crate) fn execute_finalize(
         match written {
             Ok(blocks) => out.extend(blocks),
             Err(e) => {
-                out.into_iter().for_each(|b| ctx.pool.discard(b));
+                let store = ctx.pool.spill_store();
+                for slot in out {
+                    slot.discard(ctx.pool.tracker(), store.as_deref());
+                }
                 return Err(e);
             }
         }
@@ -537,12 +537,10 @@ mod tests {
     /// Run aggregate `op`'s finalize as `parts` partitions, last first,
     /// and flush: the emitted rows.
     fn finalize_rows(ctx: &ExecContext, op: usize, parts: usize) -> Vec<Vec<Value>> {
-        let done = crate::ops::finalize_parts_in_turn(ctx, op, parts).unwrap();
-        let flushed = ctx.output(op).flush();
-        done.iter()
-            .chain(&flushed)
-            .flat_map(|b| b.all_rows())
-            .collect()
+        let mut done = crate::ops::finalize_parts_in_turn(ctx, op, parts).unwrap();
+        done.extend(ctx.output(op).flush(&ctx.pool));
+        let blocks = crate::output::into_blocks(done, &ctx.pool).unwrap();
+        blocks.iter().flat_map(|b| b.all_rows()).collect()
     }
 
     fn agg_ctx(

@@ -11,6 +11,7 @@
 
 use crate::error::EngineError;
 use crate::hash_table::BuildRun;
+use crate::output::Produced;
 use crate::plan::OperatorKind;
 use crate::state::ExecContext;
 use crate::work_order::FinalizeInput;
@@ -19,11 +20,7 @@ use std::sync::Arc;
 use uot_storage::StorageBlock;
 
 /// Run one build stream work order. Builds never emit blocks.
-pub fn execute(
-    ctx: &ExecContext,
-    op: usize,
-    block: &Arc<StorageBlock>,
-) -> Result<Vec<StorageBlock>> {
+pub fn execute(ctx: &ExecContext, op: usize, block: &Arc<StorageBlock>) -> Result<Produced> {
     let payload_cols = payload_cols(ctx, op)?;
     // Batched pipeline: extract + hash all keys once, write the run, and
     // feed the Bloom filter from the same hash vector.
@@ -91,7 +88,7 @@ pub(crate) fn execute_finalize(
     part: usize,
     parts: usize,
     runs: &[BuildRun],
-) -> Result<Vec<StorageBlock>> {
+) -> Result<Produced> {
     payload_cols(ctx, op)?;
     ctx.hash_table(op).link(runs, part, parts);
     Ok(Vec::new())

@@ -21,12 +21,23 @@
 //! the bound it is built anyway, trading a bounded overshoot for
 //! completion).
 //!
+//! The join's output leaves through the probe's
+//! [`OutputBuffer`](crate::output::OutputBuffer) like any operator's: each
+//! block is a slot, and an eviction victim, from the moment it fills. So a
+//! skewed partition whose output outgrows the budget while its table is
+//! resident evicts its own earlier output to make room, and the finalize
+//! returns the slots as they are, resident or on disk, for their consumer
+//! to fault in. Only the input side parks on its own: a finished build's
+//! open buffers ([`park_build`]) and, at finalize start, both sides' open
+//! buffers.
+//!
 //! Hash-partitioning is total: every row's key lands in exactly one
 //! partition, so inner, semi and anti joins all stay correct per-partition.
 
 use crate::error::EngineError;
 use crate::hash_table::JoinHashTable;
 use crate::ops::builders::{gather_block_column, into_virtual_block, make_builders};
+use crate::output::Produced;
 use crate::plan::OperatorKind;
 use crate::state::{ExecContext, GraceJoinState, GraceSide};
 use crate::Result;
@@ -250,10 +261,11 @@ fn checkout_part(
 }
 
 /// The `finalize-join 1/1` work order: join every partition pair, returning
-/// the completed output blocks. On any error everything still held — queued
-/// partitions, restored blocks, produced output — is released first, so the
-/// tracker drains and no spilled block outlives the query.
-pub fn finalize(ctx: &ExecContext, op: usize) -> Result<Vec<StorageBlock>> {
+/// the completed output blocks in their slots, like every finalize. On any
+/// error everything still held — queued partitions, restored blocks,
+/// produced output — is released first, so the tracker drains and no
+/// spilled block outlives the query.
+pub fn finalize(ctx: &ExecContext, op: usize) -> Result<Produced> {
     let g = ctx
         .grace
         .get(&op)
@@ -308,17 +320,13 @@ pub fn finalize(ctx: &ExecContext, op: usize) -> Result<Vec<StorageBlock>> {
         }
     }
 
-    let mut out: Vec<StorageBlock> = Vec::new();
-    // Output blocks parked on disk under pressure, restored at return.
-    let mut out_disk: Vec<SpilledHandle> = Vec::new();
+    let mut out: Produced = Vec::new();
     let fail = |e: EngineError,
                 work: &mut Vec<(usize, Vec<PartBlock>, Vec<PartBlock>)>,
-                out: &mut Vec<StorageBlock>,
-                out_disk: &mut Vec<SpilledHandle>| {
+                out: &mut Produced| {
         let queued = work.drain(..).flat_map(|(_, b, p)| b.into_iter().chain(p));
         discard_all(ctx, &store, queued);
-        discard_all(ctx, &store, out.drain(..).map(PartBlock::Mem));
-        discard_all(ctx, &store, out_disk.drain(..).map(PartBlock::Disk));
+        discard_all(ctx, &store, out.drain(..).map(PartBlock::Slot));
         e
     };
     while let Some((depth, build, probe)) = work.pop() {
@@ -335,52 +343,12 @@ pub fn finalize(ctx: &ExecContext, op: usize) -> Result<Vec<StorageBlock>> {
             &build_schema,
             &probe_schema,
             &mut out,
-            &mut out_disk,
             &mut work,
         ) {
-            return Err(fail(e, &mut work, &mut out, &mut out_disk));
-        }
-    }
-    // Restore parked output. The charge is unconditional (the storage tier's
-    // documented transient-overshoot path): these blocks leave the operator
-    // as its result either way, and downstream consumption drains them.
-    let mut parked = out_disk.into_iter();
-    while let Some(h) = parked.next() {
-        match store.restore(h) {
-            Ok(b) => out.push(b),
-            Err(e) => {
-                discard_all(ctx, &store, parked.map(PartBlock::Disk));
-                discard_all(ctx, &store, out.drain(..).map(PartBlock::Mem));
-                return Err(e.into());
-            }
+            return Err(fail(e, &mut work, &mut out));
         }
     }
     Ok(out)
-}
-
-/// Park accumulated output on disk while tracked bytes sit above a quarter
-/// of the budget, leaving headroom for the next checkout or hash table. A
-/// failed spill is side-effect free: the block goes back into `out` and the
-/// error is returned for the caller's cleanup path.
-fn park_out(
-    ctx: &ExecContext,
-    store: &Arc<SpillStore>,
-    op: usize,
-    budget: usize,
-    out: &mut Vec<StorageBlock>,
-    out_disk: &mut Vec<SpilledHandle>,
-) -> Result<()> {
-    while budget != usize::MAX && ctx.pool.tracker().current_bytes() > budget / 4 {
-        let Some(b) = out.pop() else { break };
-        match store.spill_block(&b, op) {
-            Ok(h) => out_disk.push(h),
-            Err(e) => {
-                out.push(b);
-                return Err(e.into());
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Join one partition pair: restore the build side, build a hash table (or
@@ -399,8 +367,7 @@ fn join_partition(
     payload_cols: &[usize],
     build_schema: &Arc<Schema>,
     probe_schema: &Arc<Schema>,
-    out: &mut Vec<StorageBlock>,
-    out_disk: &mut Vec<SpilledHandle>,
+    out: &mut Produced,
     work: &mut Vec<(usize, Vec<PartBlock>, Vec<PartBlock>)>,
 ) -> Result<()> {
     if let Err(e) = ctx.check_cancelled() {
@@ -484,20 +451,13 @@ fn join_partition(
         });
         tracker.free(block.allocated_bytes());
         drop(block);
-        // Park output as it is produced, not just between partitions: a
-        // skewed partition can emit more result bytes than the budget while
-        // its hash table is still resident.
-        let relieved = match produced {
-            Ok(blocks) => {
-                out.extend(blocks);
-                park_out(ctx, store, op, budget, out, out_disk)
+        match produced {
+            Ok(slots) => out.extend(slots),
+            Err(e) => {
+                ht.release_tracker(tracker);
+                discard_all(ctx, store, probe_iter);
+                return Err(e);
             }
-            Err(e) => Err(e),
-        };
-        if let Err(e) = relieved {
-            ht.release_tracker(tracker);
-            discard_all(ctx, store, probe_iter);
-            return Err(e);
         }
     }
     ht.release_tracker(tracker);

@@ -5,6 +5,7 @@
 //! in any parallel engine without an ORDER BY under the LIMIT).
 
 use crate::error::EngineError;
+use crate::output::Produced;
 use crate::plan::OperatorKind;
 use crate::state::ExecContext;
 use crate::Result;
@@ -13,11 +14,7 @@ use std::sync::Arc;
 use uot_storage::{ColumnBlock, ColumnData, StorageBlock};
 
 /// Run one limit work order.
-pub fn execute(
-    ctx: &ExecContext,
-    op: usize,
-    block: &Arc<StorageBlock>,
-) -> Result<Vec<StorageBlock>> {
+pub fn execute(ctx: &ExecContext, op: usize, block: &Arc<StorageBlock>) -> Result<Produced> {
     if !matches!(&ctx.plan.op(op).kind, OperatorKind::Limit { .. }) {
         return Err(EngineError::Internal(
             "limit work order on non-limit".into(),
@@ -56,6 +53,7 @@ pub fn execute(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::output::into_blocks;
     use crate::plan::{PlanBuilder, Source};
     use uot_storage::{
         BlockFormat, BlockPool, DataType, MemoryTracker, Schema, Table, TableBuilder, Value,
@@ -79,11 +77,11 @@ mod tests {
         let ctx = ExecContext::new(plan, pool, BlockFormat::Row, 1 << 12).unwrap();
         let mut rows = Vec::new();
         for b in t.blocks() {
-            for out in execute(&ctx, l, &b.clone()).unwrap() {
+            for out in into_blocks(execute(&ctx, l, &b.clone()).unwrap(), &ctx.pool).unwrap() {
                 rows.extend(out.all_rows());
             }
         }
-        for out in ctx.output(l).flush() {
+        for out in into_blocks(ctx.output(l).flush(&ctx.pool), &ctx.pool).unwrap() {
             rows.extend(out.all_rows());
         }
         rows

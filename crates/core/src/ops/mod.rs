@@ -2,9 +2,10 @@
 //!
 //! [`execute_work_order`] is the single entry point workers call; it
 //! dispatches on the operator kind and the work kind and returns the
-//! **completed** output blocks the work order produced (partially filled
-//! blocks stay in the operator's [`OutputBuffer`](crate::output::OutputBuffer)
-//! for the next work order, per the paper's block-pool discipline). A
+//! **completed** output blocks the work order produced, each already in its
+//! spill slot (partially filled blocks stay in the operator's
+//! [`OutputBuffer`](crate::output::OutputBuffer) for the next work order,
+//! per the paper's block-pool discipline). A
 //! stream work order's block waits in its spill slot until then: the worker
 //! takes it out, faulting it in if the pool evicted it, and releases its
 //! bytes when the work order ends.
@@ -30,6 +31,7 @@ pub mod sort;
 use crate::error::EngineError;
 use crate::fault::{FaultKind, FaultSite};
 use crate::hash_table::SHARDS;
+use crate::output::Produced;
 use crate::plan::OperatorKind;
 use crate::state::ExecContext;
 use crate::work_order::{FinalizeInput, WorkKind, WorkOrder};
@@ -72,10 +74,7 @@ pub(crate) fn apply_fault(ctx: &ExecContext, site: FaultSite, op: usize) -> Resu
 /// into [`EngineError::BudgetExceeded`] naming the operator that hit the
 /// wall. Both drivers call this, so worker threads and the process always
 /// survive a failing work order.
-pub fn execute_work_order_contained(
-    ctx: &ExecContext,
-    wo: &WorkOrder,
-) -> Result<Vec<StorageBlock>> {
+pub fn execute_work_order_contained(ctx: &ExecContext, wo: &WorkOrder) -> Result<Produced> {
     // `ExecContext` is shared behind `Arc` and every interior-mutable piece
     // of it is lock- or atomic-guarded (parking_lot locks do not poison), so
     // observing state after a contained panic is safe: at worst a partial's
@@ -127,11 +126,7 @@ fn panic_payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Name the responsible operator on errors that need it (budget failures).
-fn attach_op_context(
-    ctx: &ExecContext,
-    op: usize,
-    result: Result<Vec<StorageBlock>>,
-) -> Result<Vec<StorageBlock>> {
+fn attach_op_context(ctx: &ExecContext, op: usize, result: Result<Produced>) -> Result<Produced> {
     match result {
         Err(EngineError::Storage(StorageError::BudgetExceeded {
             requested,
@@ -155,7 +150,7 @@ fn attach_op_context(
 /// Execute one work order, returning the completed blocks it emitted. A
 /// stream work order first takes its block out of its slot, restoring it
 /// if it was evicted; a failed restore is the work order's error.
-pub fn execute_work_order(ctx: &ExecContext, wo: &WorkOrder) -> Result<Vec<StorageBlock>> {
+pub fn execute_work_order(ctx: &ExecContext, wo: &WorkOrder) -> Result<Produced> {
     match &wo.kind {
         WorkKind::Stream { slot } => {
             let store = ctx.pool.spill_store();
@@ -209,11 +204,7 @@ impl Drop for Input<'_> {
 /// Apply operator `op`'s logic to one input block. On a fused-chain head the
 /// block is pushed through the whole chain in one loop; the staged
 /// per-operator path is bypassed.
-fn execute_stream(
-    ctx: &ExecContext,
-    op: usize,
-    block: &Arc<StorageBlock>,
-) -> Result<Vec<StorageBlock>> {
+fn execute_stream(ctx: &ExecContext, op: usize, block: &Arc<StorageBlock>) -> Result<Produced> {
     if let Some(chain) = ctx.fusion.chain_for_head(op) {
         return crate::fusion::execute_fused(ctx, chain, block);
     }
@@ -283,7 +274,7 @@ fn execute_finalize(
     part: usize,
     parts: usize,
     input: &FinalizeInput,
-) -> Result<Vec<StorageBlock>> {
+) -> Result<Produced> {
     match input {
         FinalizeInput::Build(runs) => build::execute_finalize(ctx, op, part, parts, runs),
         FinalizeInput::Aggregate(groups) => {
@@ -299,7 +290,7 @@ fn execute_finalize(
 /// does, for callers that drive work orders by hand (unit tests, benches).
 /// The partitions run last first, so the result cannot lean on finishing in
 /// partition order. Returns the completed blocks they emitted.
-pub fn finalize_in_turn(ctx: &ExecContext, op: usize, workers: usize) -> Result<Vec<StorageBlock>> {
+pub fn finalize_in_turn(ctx: &ExecContext, op: usize, workers: usize) -> Result<Produced> {
     in_turn(ctx, op, plan_finalize(ctx, op, workers)?)
 }
 
@@ -310,15 +301,11 @@ pub(crate) fn finalize_parts_in_turn(
     ctx: &ExecContext,
     op: usize,
     parts: usize,
-) -> Result<Vec<StorageBlock>> {
+) -> Result<Produced> {
     in_turn(ctx, op, plan_split(ctx, op, |_| parts)?)
 }
 
-fn in_turn(
-    ctx: &ExecContext,
-    op: usize,
-    plan: Option<(FinalizeInput, usize)>,
-) -> Result<Vec<StorageBlock>> {
+fn in_turn(ctx: &ExecContext, op: usize, plan: Option<(FinalizeInput, usize)>) -> Result<Produced> {
     let mut out = Vec::new();
     if let Some((input, parts)) = plan {
         for part in (0..parts).rev() {
@@ -364,12 +351,9 @@ impl<T> PartResults<T> {
 
 /// Route an operator's materialized output through its
 /// [`OutputBuffer`](crate::output::OutputBuffer) — the single choke point
-/// for fresh output allocations, where `pool_alloc` faults inject.
-pub(crate) fn write_output(
-    ctx: &ExecContext,
-    op: usize,
-    virt: &StorageBlock,
-) -> Result<Vec<StorageBlock>> {
+/// for fresh output allocations, where `pool_alloc` faults inject. Returns
+/// the blocks that completed, sealed in their slots.
+pub(crate) fn write_output(ctx: &ExecContext, op: usize, virt: &StorageBlock) -> Result<Produced> {
     apply_fault(ctx, FaultSite::PoolAlloc, op)?;
     let before = traced_in_use(ctx);
     let out = ctx.output(op).write_rows(virt, &ctx.pool)?;

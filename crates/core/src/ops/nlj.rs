@@ -8,6 +8,7 @@
 
 use crate::error::EngineError;
 use crate::ops::builders::{into_virtual_block, make_builders};
+use crate::output::Produced;
 use crate::plan::OperatorKind;
 use crate::state::ExecContext;
 use crate::Result;
@@ -16,11 +17,7 @@ use uot_expr::CmpOp;
 use uot_storage::{DataType, StorageBlock};
 
 /// Run one nested-loops work order over an outer block.
-pub fn execute(
-    ctx: &ExecContext,
-    op: usize,
-    block: &Arc<StorageBlock>,
-) -> Result<Vec<StorageBlock>> {
+pub fn execute(ctx: &ExecContext, op: usize, block: &Arc<StorageBlock>) -> Result<Produced> {
     let (right, conds, left_out, right_out) = match &ctx.plan.op(op).kind {
         OperatorKind::NestedLoops {
             right,
@@ -113,6 +110,7 @@ fn field_cmp(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::output::into_blocks;
     use crate::plan::{PlanBuilder, Source};
     use uot_expr::Predicate;
     use uot_storage::{
@@ -148,11 +146,11 @@ mod tests {
             .extend(rt.blocks().iter().cloned());
         let mut rows = Vec::new();
         for lb in lt.blocks() {
-            for b in execute(&ctx, j, &lb.clone()).unwrap() {
+            for b in into_blocks(execute(&ctx, j, &lb.clone()).unwrap(), &ctx.pool).unwrap() {
                 rows.extend(b.all_rows());
             }
         }
-        for b in ctx.output(j).flush() {
+        for b in into_blocks(ctx.output(j).flush(&ctx.pool), &ctx.pool).unwrap() {
             rows.extend(b.all_rows());
         }
         let mut pairs: Vec<(i32, i32)> = rows

@@ -17,6 +17,7 @@ use crate::error::EngineError;
 use crate::ops::builders::{
     gather_block_column, gather_payload_column, into_virtual_block, make_builders,
 };
+use crate::output::Produced;
 use crate::plan::{JoinType, OperatorKind};
 use crate::state::ExecContext;
 use crate::Result;
@@ -56,11 +57,7 @@ fn probe_spec<'a>(ctx: &'a ExecContext, op: usize) -> Result<ProbeSpec<'a>> {
 
 /// Run one probe work order (staged batched path). Returns completed output
 /// blocks.
-pub fn execute(
-    ctx: &ExecContext,
-    op: usize,
-    block: &Arc<StorageBlock>,
-) -> Result<Vec<StorageBlock>> {
+pub fn execute(ctx: &ExecContext, op: usize, block: &Arc<StorageBlock>) -> Result<Produced> {
     // Under a grace join probe rows are only partitioned here; the actual
     // probing happens partition-by-partition in the finalize-join work order.
     if let Some(g) = ctx.grace.get(&op) {
@@ -174,11 +171,7 @@ pub(crate) fn apply_with(
 /// path). Kept for the batched-vs-scalar property tests and the `probe_batch`
 /// microbenchmark baseline; must produce the same multiset of rows as
 /// [`execute`].
-pub fn execute_scalar(
-    ctx: &ExecContext,
-    op: usize,
-    block: &Arc<StorageBlock>,
-) -> Result<Vec<StorageBlock>> {
+pub fn execute_scalar(ctx: &ExecContext, op: usize, block: &Arc<StorageBlock>) -> Result<Produced> {
     let spec = probe_spec(ctx, op)?;
     let ht = ctx.hash_table(spec.build);
     let out_schema = ctx.plan.op(op).out_schema.clone();
@@ -226,6 +219,7 @@ pub fn execute_scalar(
 mod tests {
     use super::*;
     use crate::ops::build;
+    use crate::output::into_blocks;
     use crate::plan::{PlanBuilder, Source};
     use uot_storage::{
         BlockFormat, BlockPool, DataType, MemoryTracker, Schema, Table, TableBuilder, Value,
@@ -284,11 +278,11 @@ mod tests {
         crate::ops::finalize_in_turn(ctx, b, 1).unwrap();
         let mut rows = Vec::new();
         for blk in f.blocks() {
-            for out in execute(ctx, p, &blk.clone()).unwrap() {
+            for out in into_blocks(execute(ctx, p, &blk.clone()).unwrap(), &ctx.pool).unwrap() {
                 rows.extend(out.all_rows());
             }
         }
-        for out in ctx.output(p).flush() {
+        for out in into_blocks(ctx.output(p).flush(&ctx.pool), &ctx.pool).unwrap() {
             rows.extend(out.all_rows());
         }
         rows

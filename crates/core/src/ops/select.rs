@@ -8,6 +8,7 @@
 //! operator's output buffer.
 
 use crate::error::EngineError;
+use crate::output::Produced;
 use crate::plan::OperatorKind;
 use crate::state::{ExecContext, Scratch};
 use crate::Result;
@@ -16,11 +17,7 @@ use uot_expr::{Predicate, ScalarExpr};
 use uot_storage::{ColumnBlock, ColumnData, StorageBlock};
 
 /// Run one select work order (staged path). Returns completed output blocks.
-pub fn execute(
-    ctx: &ExecContext,
-    op: usize,
-    block: &Arc<StorageBlock>,
-) -> Result<Vec<StorageBlock>> {
+pub fn execute(ctx: &ExecContext, op: usize, block: &Arc<StorageBlock>) -> Result<Produced> {
     match apply(ctx, op, block)? {
         None => Ok(Vec::new()),
         Some(virt) => crate::ops::write_output(ctx, op, &virt),
@@ -152,6 +149,7 @@ fn project(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::output::into_blocks;
     use crate::plan::{PlanBuilder, Source};
     use crate::state::ExecContext;
     use std::sync::Arc;
@@ -190,10 +188,10 @@ mod tests {
         let ctx = ExecContext::new(plan, pool, BlockFormat::Row, 1 << 12).unwrap();
         let block = t.blocks()[0].clone();
         let mut out = Vec::new();
-        for b in execute(&ctx, s, &block).unwrap() {
+        for b in into_blocks(execute(&ctx, s, &block).unwrap(), &ctx.pool).unwrap() {
             out.extend(b.all_rows());
         }
-        for b in ctx.output(s).flush() {
+        for b in into_blocks(ctx.output(s).flush(&ctx.pool), &ctx.pool).unwrap() {
             out.extend(b.all_rows());
         }
         out
@@ -222,7 +220,7 @@ mod tests {
         let ctx = ExecContext::new(plan, pool.clone(), BlockFormat::Row, 1 << 12).unwrap();
         let completed = execute(&ctx, s, &t.blocks()[0].clone()).unwrap();
         assert!(completed.is_empty());
-        assert!(ctx.output(s).flush().is_empty());
+        assert!(ctx.output(s).flush(&ctx.pool).is_empty());
         assert_eq!(pool.stats().created, 0);
     }
 
@@ -237,10 +235,11 @@ mod tests {
         let pool = BlockPool::new(MemoryTracker::new());
         let ctx = ExecContext::new(plan, pool, BlockFormat::Column, 1 << 12).unwrap();
         let mut rows = Vec::new();
-        for b in execute(&ctx, s, &t.blocks()[0].clone()).unwrap() {
+        for b in into_blocks(execute(&ctx, s, &t.blocks()[0].clone()).unwrap(), &ctx.pool).unwrap()
+        {
             rows.extend(b.all_rows());
         }
-        for b in ctx.output(s).flush() {
+        for b in into_blocks(ctx.output(s).flush(&ctx.pool), &ctx.pool).unwrap() {
             rows.extend(b.all_rows());
         }
         assert_eq!(rows.len(), t.blocks()[0].num_rows());

@@ -9,13 +9,14 @@
 
 use crate::error::EngineError;
 use crate::ops::row_order::{gather, RowOrder, RowRef};
+use crate::output::Produced;
 use crate::plan::OperatorKind;
 use crate::state::ExecContext;
 use crate::Result;
 use uot_storage::{ColumnBlock, StorageBlock};
 
 /// Run the sort finalize work order.
-pub fn execute(ctx: &ExecContext, op: usize) -> Result<Vec<StorageBlock>> {
+pub fn execute(ctx: &ExecContext, op: usize) -> Result<Produced> {
     let (keys, limit) = match &ctx.plan.op(op).kind {
         OperatorKind::Sort { keys, limit, .. } => (keys, *limit),
         other => {
@@ -56,6 +57,7 @@ pub fn execute(ctx: &ExecContext, op: usize) -> Result<Vec<StorageBlock>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::output::into_blocks;
     use crate::plan::{PlanBuilder, SortKey, Source};
     use std::cmp::Ordering;
     use std::sync::Arc;
@@ -91,10 +93,10 @@ mod tests {
         // scheduler would do this routing:
         ctx.runtimes[s].collected.lock().extend(blocks);
         let mut rows = Vec::new();
-        for b in execute(&ctx, s).unwrap() {
+        for b in into_blocks(execute(&ctx, s).unwrap(), &ctx.pool).unwrap() {
             rows.extend(b.all_rows());
         }
-        for b in ctx.output(s).flush() {
+        for b in into_blocks(ctx.output(s).flush(&ctx.pool), &ctx.pool).unwrap() {
             rows.extend(b.all_rows());
         }
         rows

@@ -7,10 +7,11 @@
 //! into consumer work orders (or collected, for blocking consumers). When a
 //! producer finishes, any partially accumulated UoT flushes (Section III-B).
 //!
-//! A transferred block that has not run yet is still a held intermediate:
-//! it keeps one form, an `Arc<SpillSlot>`, from staging until a worker runs
-//! the stream work order it feeds. The slot is the pool's to evict while
-//! staged and while queued, and the worker faults it back in at dispatch.
+//! A produced block that has not run yet is a held intermediate: it keeps
+//! one form, an `Arc<SpillSlot>`, from the moment its producer completes it
+//! until a worker runs the stream work order it feeds. The slot is the
+//! pool's to evict while its producer still runs, while staged and while
+//! queued, and the worker faults it back in at dispatch.
 //!
 //! Figure 2 of the paper falls directly out of this mechanism: with
 //! `Uot::Blocks(1)` producer and consumer work orders interleave; with
@@ -49,6 +50,7 @@ use crate::fault::{FaultKind, FaultSite};
 use crate::metrics::{QueryMetrics, TaskRecord};
 use crate::obs::QueryObserver;
 use crate::ops::{self, execute_work_order_contained};
+use crate::output::{into_blocks, Produced};
 use crate::plan::{OpId, OperatorKind, QueryPlan};
 use crate::state::ExecContext;
 use crate::topology::Dependent;
@@ -420,7 +422,7 @@ impl SchedulerCore {
     pub fn on_complete(
         &mut self,
         wo: &WorkOrder,
-        produced: Vec<StorageBlock>,
+        produced: Produced,
         record: TaskRecord,
     ) -> Result<()> {
         // The worker already released a consumed intermediate input block.
@@ -438,27 +440,23 @@ impl SchedulerCore {
 
     /// Route blocks produced by `producer` along its transfer edge: straight
     /// to the result set (sink), parked at the producer (NLJ materialization
-    /// bypass), or staged against the consumer edge's UoT threshold. Every
-    /// slot a stream edge stages is offered to the pool as an eviction
-    /// victim once, and stays one until a worker takes its block. Fallible
-    /// only on a sort's bulk input, which faults in here.
-    fn route_output(&mut self, producer: OpId, produced: Vec<StorageBlock>) -> Result<()> {
-        let fresh = produced.len();
-        if fresh == 0 {
+    /// bypass), or staged against the consumer edge's UoT threshold. The
+    /// blocks arrive sealed in their slots, already eviction victims. Bulk
+    /// consumers — the result set, a materialized inner side, a sort's
+    /// input — take their blocks out here, faulting in any the pool evicted
+    /// (only under memory pressure); that fault-in is the one way this fails.
+    fn route_output(&mut self, producer: OpId, produced: Produced) -> Result<()> {
+        if produced.is_empty() {
             return Ok(());
         }
         self.observer.blocks_produced(
             producer,
             produced.len(),
-            produced.iter().map(|b| b.num_rows()).sum(),
-            produced.iter().map(|b| b.allocated_bytes()).sum(),
+            produced.iter().map(|s| s.rows()).sum(),
+            produced.iter().map(|s| s.bytes()).sum(),
         );
-        let blocks: Vec<Arc<StorageBlock>> = produced.into_iter().map(Arc::new).collect();
-        match self.edges[producer].stage(blocks, producer) {
-            TransferAction::Hold(held) => {
-                for slot in &held {
-                    self.ctx.pool.register_victim(slot);
-                }
+        match self.edges[producer].stage(produced) {
+            TransferAction::Hold => {
                 // Report the new occupancy for UoT-occupancy timelines.
                 let edge = &self.edges[producer];
                 if let Some(consumer) = edge.consumer() {
@@ -470,20 +468,19 @@ impl SchedulerCore {
                     );
                 }
             }
-            TransferAction::Emit(blocks) => self.result_blocks.extend(blocks),
+            TransferAction::Emit(slots) => {
+                let blocks = into_blocks(slots, &self.ctx.pool)?;
+                self.result_blocks.extend(blocks);
+            }
             TransferAction::Transfer(slots) => {
-                // This call's slots are the tail; the others were offered
-                // when they were held.
-                for slot in &slots[slots.len() - fresh..] {
-                    self.ctx.pool.register_victim(slot);
-                }
                 let consumer = self.edges[producer].consumer().expect("stream edge");
                 self.transfer_in(Some((producer, false)), consumer, slots)?;
             }
-            TransferAction::Materialize(blocks) => {
+            TransferAction::Materialize(slots) => {
                 // The NLJ reads the inner relation from its producing
                 // operator's `collected` list; the bytes are charged to the
                 // edge and released when the join finishes.
+                let blocks = into_blocks(slots, &self.ctx.pool)?;
                 self.edges[producer]
                     .add_collected(blocks.iter().map(|b| b.allocated_bytes()).sum::<usize>());
                 self.ctx.runtimes[producer].collected.lock().extend(blocks);
@@ -521,20 +518,12 @@ impl SchedulerCore {
         }
         // Sort input parks in bulk, so it faults in here; an intermediate
         // block is charged to the incoming edge until the sort finishes.
-        let parent = self.plan().topology().stream_parent(op);
-        let store = self.ctx.pool.spill_store();
-        let mut slots = slots.into_iter();
-        while let Some(slot) = slots.next() {
-            let block = slot.take(store.as_deref()).inspect_err(|_| {
-                for rest in slots.by_ref() {
-                    rest.discard(self.ctx.pool.tracker(), store.as_deref());
-                }
-            })?;
-            if let Some(parent) = parent {
-                self.edges[parent].add_collected(block.allocated_bytes());
-            }
-            self.ctx.runtimes[op].collected.lock().push(block);
+        let blocks = into_blocks(slots, &self.ctx.pool)?;
+        if let Some(parent) = self.plan().topology().stream_parent(op) {
+            let bytes = blocks.iter().map(|b| b.allocated_bytes()).sum::<usize>();
+            self.edges[parent].add_collected(bytes);
         }
+        self.ctx.runtimes[op].collected.lock().extend(blocks);
         Ok(())
     }
 
@@ -579,7 +568,7 @@ impl SchedulerCore {
         }
         // Flush partially filled output blocks, route them, mark finished.
         if self.ctx.runtimes[op].output.is_some() {
-            let flushed = self.ctx.output(op).flush();
+            let flushed = self.ctx.output(op).flush(&self.ctx.pool);
             self.route_output(op, flushed)?;
         }
         // A finished build's hash table now has its final size: fold it into
@@ -778,8 +767,8 @@ impl SchedulerCore {
         }
         for rt in &self.ctx.runtimes {
             if let Some(out) = &rt.output {
-                for b in out.flush() {
-                    self.ctx.pool.discard(b);
+                for slot in out.flush(&self.ctx.pool) {
+                    slot.discard(&tracker, store.as_deref());
                 }
             }
             if let Some(ht) = &rt.hash_table {
@@ -890,7 +879,7 @@ struct Completion {
     worker: usize,
     start: Duration,
     end: Duration,
-    produced: Result<Vec<StorageBlock>>,
+    produced: Result<Produced>,
 }
 
 impl Completion {
@@ -1748,7 +1737,7 @@ mod tests {
         book(core, wo, execute_work_order(ctx, wo).unwrap());
     }
 
-    fn book(core: &mut SchedulerCore, wo: &WorkOrder, produced: Vec<StorageBlock>) {
+    fn book(core: &mut SchedulerCore, wo: &WorkOrder, produced: Produced) {
         let record = TaskRecord {
             op: wo.op,
             worker: 0,

@@ -446,6 +446,7 @@ impl ExecContext {
                 ),
                 _ => (
                     Some(OutputBuffer::new(
+                        id,
                         op.out_schema.clone(),
                         temp_format,
                         block_bytes,

@@ -5,9 +5,11 @@
 //! (Section III of the paper). A [`WorkOrder`] pairs an operator with one
 //! input — a streamed block, or a finalize step for blocking operators.
 //!
-//! A streamed block stays in the [`SpillSlot`] it was staged in until a
-//! worker runs its work order: a transferred block that has not run yet is
-//! still a held intermediate, and the block pool may evict it like one.
+//! A streamed block stays in the [`SpillSlot`] its producer sealed it in
+//! until a worker runs its work order: a transferred block that has not run
+//! yet is still a held intermediate, and the block pool may evict it like
+//! one. A work order's own output leaves it the same way, as
+//! [`Produced`](crate::output::Produced) slots.
 
 use crate::hash_table::BuildRun;
 use crate::ops::aggregate::FrozenGroups;

@@ -31,7 +31,7 @@ use uot_core::{
     DegradePolicy, Engine, EngineConfig, FusionPolicy, JoinType, PlanBuilder, QueryPlan, Source,
     Uot,
 };
-use uot_expr::{cmp, col, lit, CmpOp};
+use uot_expr::{cmp, col, lit, AggSpec, CmpOp};
 use uot_storage::{BlockFormat, DataType, Schema, Table, TableBuilder, Value};
 
 const BLOCK_BYTES: usize = 4 << 10;
@@ -128,9 +128,17 @@ const JOINS: [Join; 4] = [
 ];
 
 /// `select(build) → build_hash`, `select(probe) → probe`. Both selects keep
-/// every row; they give the UoT an edge to act on and fusion a chain.
-/// Returns the plan and the build's operator id.
-fn plan(build: &Arc<Table>, probe: &Arc<Table>, width: usize, j: Join) -> (QueryPlan, usize) {
+/// every row; they give the UoT an edge to act on and fusion a chain. With
+/// `count`, `COUNT(*) GROUP BY id` runs over the join, so the join streams
+/// into it instead of being the sink. Returns the plan and the build's
+/// operator id.
+fn plan(
+    build: &Arc<Table>,
+    probe: &Arc<Table>,
+    width: usize,
+    j: Join,
+    count: bool,
+) -> (QueryPlan, usize) {
     let keys: Vec<usize> = (0..width).collect();
     let (v, q) = (width, width + 1);
     let mut pb = PlanBuilder::new();
@@ -159,14 +167,22 @@ fn plan(build: &Arc<Table>, probe: &Arc<Table>, width: usize, j: Join) -> (Query
     let p = pb
         .probe(Source::Op(sp), b, keys, out, build_out, j.join)
         .unwrap();
-    (pb.build(p).unwrap(), b)
+    if !count {
+        return (pb.build(p).unwrap(), b);
+    }
+    let id = vec![width];
+    let n = pb
+        .aggregate(Source::Op(p), id, vec![AggSpec::count_star()], &["n"])
+        .unwrap();
+    (pb.build(n).unwrap(), b)
 }
 
 /// A random build of `rows` rows over `distinct` key tuples of `types`
 /// (keys, then `v: Int64`, `q: Int32`) and a probe of `probe_rows` rows
-/// (keys, then `id: Int32`). Drawn key tuples may repeat, which makes the
-/// extremes and short strings heavy keys; with `unique`, the repeats are
-/// dropped, so only the hot key is heavy.
+/// (keys, then `id: Int32`), followed by `skew_probes` more on the key
+/// drawn most often after the hot one. Drawn key tuples may repeat, which
+/// makes the extremes and short strings heavy keys; with `unique`, the
+/// repeats are dropped, so only the hot key is heavy.
 fn tables(
     seed: u64,
     types: &[DataType],
@@ -174,6 +190,7 @@ fn tables(
     distinct: usize,
     probe_rows: usize,
     unique: bool,
+    skew_probes: usize,
 ) -> (Arc<Table>, Arc<Table>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut pool = key_pool(&mut rng, types, distinct);
@@ -189,6 +206,7 @@ fn tables(
     }
     let distinct = pool.len();
     // One hot key takes a tenth of the build; the rest spread at random.
+    let mut drawn = vec![0usize; distinct];
     let build_keys: Vec<Vec<Value>> = (0..rows)
         .map(|_| {
             let i = if rng.gen_bool(0.1) {
@@ -196,12 +214,13 @@ fn tables(
             } else {
                 rng.gen_range(0..distinct)
             };
+            drawn[i] += 1;
             pool[i].clone()
         })
         .collect();
     // Probe keys: mostly build keys other than the hot one, some fresh ones.
     let fresh = key_pool(&mut rng, types, probe_rows);
-    let probe_keys: Vec<Vec<Value>> = (0..probe_rows)
+    let mut probe_keys: Vec<Vec<Value>> = (0..probe_rows)
         .map(|i| {
             if rng.gen_bool(0.75) {
                 pool[rng.gen_range(1..distinct)].clone()
@@ -210,6 +229,8 @@ fn tables(
             }
         })
         .collect();
+    let warm = (1..distinct).max_by_key(|&i| drawn[i]).unwrap_or(0);
+    probe_keys.extend(std::iter::repeat_n(pool[warm].clone(), skew_probes));
     let build = table(
         "build",
         types,
@@ -237,10 +258,10 @@ fn check(
     distinct: usize,
     probe_rows: usize,
 ) {
-    let (build, probe) = tables(seed, types, rows, distinct, probe_rows, false);
+    let (build, probe) = tables(seed, types, rows, distinct, probe_rows, false, 0);
     assert!(build.blocks().len() > 1, "{name}: the build spans blocks");
     for j in JOINS {
-        let (plan, b) = plan(&build, &probe, types.len(), j);
+        let (plan, b) = plan(&build, &probe, types.len(), j, false);
         let want = BaselineEngine::new().execute(&plan).unwrap().sorted_rows();
         if matches!(j.join, JoinType::Inner) {
             assert!(!want.is_empty(), "{name}: {j:?} joins some rows");
@@ -329,33 +350,44 @@ const GRACE_BLOCK_BYTES: usize = 256;
 /// tenth of the build) outgrows half of the respill leg's budget.
 const GRACE_ROWS: usize = 8_000;
 const GRACE_PROBE_ROWS: usize = 150;
+/// Probe rows of the output leg on the build's most drawn key after the hot
+/// one (about a dozen build rows): their partition's inner join emits
+/// 22,000–35,000 rows, two to three times the leg's budget, while its table
+/// is resident, yet no one probe block's output comes near the budget.
+const GRACE_SKEW_PROBES: usize = 2_000;
 
 /// Join a random build of `GRACE_ROWS` rows over distinct key tuples of
 /// `types` (about four rows each, plus the hot key) with a probe of
 /// `GRACE_PROBE_ROWS` rows as a grace join, against the baseline: at a
 /// budget that arms the grace join, and at one that forces a respill. The
-/// join's result is held in memory, so it is kept small next to the
-/// budgets.
+/// join's result is held in memory there, so it is kept small next to the
+/// budgets. The output leg adds `GRACE_SKEW_PROBES` probe rows on one key
+/// and counts the join's rows per probe row: at the budget that arms the
+/// grace join, that skewed partition's table fits, its output does not, and
+/// only the count's small result stays in memory.
 fn check_grace(name: &str, seed: u64, types: &[DataType]) {
-    let (build, probe) = tables(
-        seed,
-        types,
-        GRACE_ROWS,
-        GRACE_ROWS / 4,
-        GRACE_PROBE_ROWS,
-        true,
-    );
+    let rows = |hot| {
+        let (g, d, p) = (GRACE_ROWS, GRACE_ROWS / 4, GRACE_PROBE_ROWS);
+        tables(seed, types, g, d, p, true, hot)
+    };
+    let (build, probe) = rows(0);
+    let (_, skewed) = rows(GRACE_SKEW_PROBES);
     // `plan_grace` estimates the build at twice its base table's bytes and
     // arms a grace join above half the budget, with as many partitions
     // (up to 64) as keep one within a quarter of it. At a tenth of the
     // estimate that is 64 partitions, and the hot key's partition is more
     // than half the budget, so the finalize splits it again.
     let est = 2 * GRACE_ROWS * build.schema().tuple_width().max(8);
-    let legs = [("grace", est, false), ("respill", est / 10, true)];
+    // (leg, budget, probe table, count over the join, respill expected)
+    let legs = [
+        ("grace", est, &probe, false, false),
+        ("respill", est / 10, &probe, false, true),
+        ("output", est, &skewed, true, false),
+    ];
     for j in JOINS {
-        let (plan, _) = plan(&build, &probe, types.len(), j);
-        let want = BaselineEngine::new().execute(&plan).unwrap().sorted_rows();
-        for (leg, budget, respill) in legs {
+        for (leg, budget, probe, count, respill) in legs {
+            let (plan, _) = plan(&build, probe, types.len(), j, count);
+            let want = BaselineEngine::new().execute(&plan).unwrap().sorted_rows();
             for temp_format in [BlockFormat::Row, BlockFormat::Column] {
                 for workers in [1, 2] {
                     let config = match workers {
@@ -384,6 +416,10 @@ fn check_grace(name: &str, seed: u64, types: &[DataType]) {
                     assert!(m.spill_events > 0, "{mode}: the partitions spilled");
                     if respill {
                         assert!(m.respill_depth >= 1, "{mode}: a partition was split again");
+                    }
+                    if count && j.payload {
+                        let probe = m.ops.iter().find(|o| o.kind == "probe").unwrap();
+                        assert!(probe.produced_bytes > budget, "{mode}: output over budget");
                     }
                 }
             }

@@ -12,6 +12,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use uot_core::ops::{self, build, probe};
+use uot_core::output::into_blocks;
 use uot_core::state::ExecContext;
 use uot_core::{Engine, EngineConfig, JoinType, PlanBuilder, QueryPlan, Source, Uot};
 use uot_storage::{
@@ -161,11 +162,11 @@ fn run_probe_path(plan: &Arc<QueryPlan>, b: usize, p: usize, scalar: bool) -> Ve
         } else {
             probe::execute(&ctx, p, &blk.clone()).unwrap()
         };
-        for o in out {
+        for o in into_blocks(out, &ctx.pool).unwrap() {
             rows.extend(o.all_rows());
         }
     }
-    for o in ctx.output(p).flush() {
+    for o in into_blocks(ctx.output(p).flush(&ctx.pool), &ctx.pool).unwrap() {
         rows.extend(o.all_rows());
     }
     rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));

@@ -8,7 +8,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use uot_core::bloom::BloomFilter;
 use uot_core::hash_table::JoinHashTable;
-use uot_core::output::OutputBuffer;
+use uot_core::output::{into_blocks, OutputBuffer};
 use uot_storage::{
     BlockFormat, BlockPool, DataType, HashKey, KeyBatch, KeyExtractor, MemoryTracker, Schema,
     StorageBlock, Value,
@@ -80,15 +80,17 @@ proptest! {
     ) {
         let pool = BlockPool::new(MemoryTracker::new());
         let buf = OutputBuffer::new(
+            0,
             wide_schema(),
             fmt,
             wide_schema().tuple_width() * rows_per_block,
         );
-        let mut out_blocks = Vec::new();
+        let mut slots = Vec::new();
         for chunk in &chunks {
-            out_blocks.extend(buf.write_rows(&wide_block(chunk, src_fmt), &pool).unwrap());
+            slots.extend(buf.write_rows(&wide_block(chunk, src_fmt), &pool).unwrap());
         }
-        out_blocks.extend(buf.flush());
+        slots.extend(buf.flush(&pool));
+        let out_blocks = into_blocks(slots, &pool).unwrap();
         // Every block except possibly the last is exactly full, and the
         // concatenation equals the input concatenation.
         for b in out_blocks.iter().rev().skip(1) {

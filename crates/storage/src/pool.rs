@@ -230,11 +230,12 @@ impl BlockPool {
         self.spill.lock().clone()
     }
 
-    /// Offer a staged block as an eviction candidate. No-op without a spill
-    /// tier. Consumers take blocks in about the order they were staged, so
-    /// the newest victim is the one needed last and is evicted first. Slots
-    /// already taken are dropped from both ends here, so a query that never
-    /// meets pressure does not keep one entry per block it ever staged.
+    /// Offer a produced block as an eviction candidate. No-op without a
+    /// spill tier. Consumers take blocks in about the order they were
+    /// produced, so the newest victim is the one needed last and is evicted
+    /// first. Slots already taken are dropped from both ends here, so a
+    /// query that never meets pressure does not keep one entry per block it
+    /// ever produced.
     pub fn register_victim(&self, slot: &Arc<SpillSlot>) {
         if self.spill.lock().is_some() {
             let mut victims = self.victims.lock();
@@ -246,6 +247,12 @@ impl BlockPool {
             }
             victims.push_back(slot.clone());
         }
+    }
+
+    /// Registered eviction candidates not pruned yet (taken slots leave the
+    /// list lazily, at its ends).
+    pub fn victims(&self) -> usize {
+        self.victims.lock().len()
     }
 
     /// Release RAM by draining idle free-list blocks, then evicting the

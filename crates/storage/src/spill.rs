@@ -9,9 +9,10 @@
 //!
 //! Two kinds of state live in the second tier:
 //!
-//! * **Eviction victims** — transferred blocks wrapped in a [`SpillSlot`],
-//!   from staging until a worker takes the block to run the work order
-//!   that consumes it, and a finished grace build's open partition blocks.
+//! * **Eviction victims** — intermediate blocks wrapped in a [`SpillSlot`],
+//!   from the moment their producer completes them until a worker takes
+//!   the block to run the work order that consumes it, and a finished
+//!   grace build's open partition blocks.
 //!   The pool evicts the newest registered slot, the one its consumer
 //!   reaches last, when an allocation would exceed the budget
 //!   ([`BlockPool::checkout`](crate::BlockPool::checkout) retries after
