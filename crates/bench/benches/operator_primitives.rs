@@ -2,16 +2,17 @@
 //! block, and the two-phase operator build of Q7/Q9's orders side) and probe
 //! at two hash-table sizes (the Fig. 9/10 scalability contrast), the
 //! aggregate update loop, the blocking tail (a top-k sort finalize,
-//! per-group exact sums and a partitioned aggregate finalize), and the
+//! per-group exact sums and a partitioned aggregate finalize), the
 //! spill tier: a grace join's partitioning and one block's spill round
-//! trip.
+//! trip, and the select and aggregate input: predicate filters over TPC-H
+//! lineitem and a Q19-shaped row block, and Q1's aggregate arguments.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 use uot_core::hash_table::JoinHashTable;
 use uot_core::plan::{JoinType, PlanBuilder, SortKey, Source};
 use uot_core::state::ExecContext;
-use uot_expr::{col, AggSpec, AggState};
+use uot_expr::{cmp, col, lit, AggSpec, AggState, CmpOp, Predicate, ScalarExpr};
 use uot_storage::{
     BlockFormat, BlockPool, ColumnData, DataType, HashKey, MemoryTracker, Schema, SpillStore,
     StorageBlock, TableBuilder, Value,
@@ -331,6 +332,197 @@ fn bench_spill_roundtrip(c: &mut Criterion) {
     });
 }
 
+/// SF 0.02 lineitem in 32 KiB blocks of `format`.
+fn lineitem(format: BlockFormat) -> Arc<uot_storage::Table> {
+    let config = uot_tpch::TpchConfig::scale(0.02)
+        .with_block_bytes(32 << 10)
+        .with_format(format);
+    uot_tpch::TpchDb::generate(config).lineitem()
+}
+
+/// Rows of `blocks` that `pred` keeps, filtering each block from all rows.
+fn filter_blocks(pred: &Predicate, blocks: &[Arc<StorageBlock>], sel: &mut Vec<usize>) -> usize {
+    let mut kept = 0;
+    for b in blocks {
+        sel.clear();
+        sel.extend(0..b.num_rows());
+        pred.filter(b, sel).unwrap();
+        kept += sel.len();
+    }
+    kept
+}
+
+/// Q12's five conjuncts (a `Char(10)` `IN`, two date-column comparisons, a
+/// date range) and a `Char(10)` `IN` alone, over SF 0.02 lineitem in 32 KiB
+/// column blocks.
+fn bench_filter_lineitem(c: &mut Criterion) {
+    use uot_storage::date_from_ymd;
+    use uot_tpch::schema::li;
+    let t = lineitem(BlockFormat::Column);
+    let str_in = Predicate::StrIn {
+        col: li::SHIPMODE,
+        values: vec!["MAIL".into(), "SHIP".into()],
+    };
+    let q12 = str_in
+        .clone()
+        .and(cmp(col(li::COMMITDATE), CmpOp::Lt, col(li::RECEIPTDATE)))
+        .and(cmp(col(li::SHIPDATE), CmpOp::Lt, col(li::COMMITDATE)))
+        .and(uot_expr::between_half_open(
+            col(li::RECEIPTDATE),
+            Value::Date(date_from_ymd(1994, 1, 1)),
+            Value::Date(date_from_ymd(1995, 1, 1)),
+        ));
+    let mut sel = Vec::new();
+    for (name, pred) in [
+        ("filter_q12_lineitem", q12),
+        ("filter_str_in_char10", str_in),
+    ] {
+        c.bench_function(name, |bench| {
+            bench.iter(|| black_box(filter_blocks(&pred, t.blocks(), &mut sel)))
+        });
+    }
+}
+
+/// Q19's post-join disjunction, as the SQL binder types it (`p_size`
+/// against `Int64` literals), over one 4,096-row row-store block of
+/// `(l_quantity, p_brand, p_container, p_size)`.
+fn bench_filter_or_row_block(c: &mut Criterion) {
+    let s = Schema::from_pairs(&[
+        ("l_quantity", DataType::Float64),
+        ("p_brand", DataType::Char(10)),
+        ("p_container", DataType::Char(10)),
+        ("p_size", DataType::Int32),
+    ]);
+    let containers = [
+        "SM CASE",
+        "SM BOX",
+        "MED BAG",
+        "MED BOX",
+        "LG CASE",
+        "LG PKG",
+        "JUMBO JAR",
+        "WRAP BAG",
+    ];
+    let mut b = StorageBlock::new(s, BlockFormat::Row, 4096 * 32).unwrap();
+    for i in 0..4096u32 {
+        let h = i.wrapping_mul(2_654_435_761);
+        b.append_row(&[
+            Value::F64(f64::from(h % 50 + 1)),
+            Value::Str(format!("Brand#{}{}", (h >> 8) % 5 + 1, (h >> 12) % 5 + 1)),
+            Value::Str(containers[(h >> 16) as usize % containers.len()].into()),
+            Value::I32(((h >> 20) % 50 + 1) as i32),
+        ])
+        .unwrap();
+    }
+    let arm = |brand: &str, cont: [&str; 4], qty: (f64, f64), size: i64| {
+        Predicate::And(vec![
+            Predicate::StrEq {
+                col: 1,
+                value: brand.into(),
+            },
+            Predicate::StrIn {
+                col: 2,
+                values: cont.iter().map(|c| c.to_string()).collect(),
+            },
+            cmp(col(0), CmpOp::Ge, lit(qty.0)),
+            cmp(col(0), CmpOp::Le, lit(qty.1)),
+            cmp(col(3), CmpOp::Ge, lit(1i64)),
+            cmp(col(3), CmpOp::Le, lit(size)),
+        ])
+    };
+    let q19 = Predicate::Or(vec![
+        arm(
+            "Brand#12",
+            ["SM CASE", "SM BOX", "SM PACK", "SM PKG"],
+            (1.0, 11.0),
+            5,
+        ),
+        arm(
+            "Brand#23",
+            ["MED BAG", "MED BOX", "MED PKG", "MED PACK"],
+            (10.0, 20.0),
+            10,
+        ),
+        arm(
+            "Brand#34",
+            ["LG CASE", "LG BOX", "LG PACK", "LG PKG"],
+            (20.0, 30.0),
+            15,
+        ),
+    ]);
+    let blocks = [Arc::new(b)];
+    let mut sel = Vec::new();
+    c.bench_function("filter_or_row_block", |bench| {
+        bench.iter(|| black_box(filter_blocks(&q19, &blocks, &mut sel)))
+    });
+}
+
+/// Q1's aggregate input, over every row of SF 0.02 lineitem in 32 KiB
+/// column blocks (the fused input's format) and row blocks (the staged
+/// temps'). `agg_args_q1` evaluates the five distinct argument expressions
+/// one by one to owned columns; `agg_fold_q1` folds each block into the
+/// Q1 aggregate's partial the way a stream work order does (arguments,
+/// group keys, group ids, scatter).
+fn bench_agg_q1(c: &mut Criterion) {
+    use uot_core::ops::aggregate::execute_block;
+    use uot_tpch::schema::li;
+    let price = || col(li::EXTENDEDPRICE);
+    let disc_price = || price().mul(lit(1.0).sub(col(li::DISCOUNT)));
+    let args: Vec<ScalarExpr> = vec![
+        col(li::QUANTITY),
+        price(),
+        disc_price(),
+        disc_price().mul(lit(1.0).add(col(li::TAX))),
+        col(li::DISCOUNT),
+    ];
+    for (suffix, format) in [("", BlockFormat::Column), ("_row", BlockFormat::Row)] {
+        let t = lineitem(format);
+        c.bench_function(format!("agg_args_q1{suffix}"), |bench| {
+            bench.iter(|| {
+                let mut n = 0;
+                for b in t.blocks() {
+                    for e in &args {
+                        n += e.eval_all(b).unwrap().len();
+                    }
+                }
+                black_box(n)
+            })
+        });
+        let mut pb = PlanBuilder::new();
+        let aggs = vec![
+            AggSpec::sum(args[0].clone()),
+            AggSpec::sum(args[1].clone()),
+            AggSpec::sum(args[2].clone()),
+            AggSpec::sum(args[3].clone()),
+            AggSpec::avg(args[0].clone()),
+            AggSpec::avg(args[1].clone()),
+            AggSpec::avg(args[4].clone()),
+            AggSpec::count_star(),
+        ];
+        let names = ["a", "b", "c", "d", "e", "f", "g", "h"];
+        let op = pb
+            .aggregate(
+                Source::Table(t.clone()),
+                vec![li::RETURNFLAG, li::LINESTATUS],
+                aggs,
+                &names,
+            )
+            .unwrap();
+        let plan = Arc::new(pb.build(op).unwrap());
+        c.bench_function(format!("agg_fold_q1{suffix}"), |bench| {
+            bench.iter(|| {
+                let pool = BlockPool::new(MemoryTracker::new());
+                let ctx = ExecContext::new(plan.clone(), pool, format, 32 << 10).unwrap();
+                for b in t.blocks() {
+                    execute_block(&ctx, op, b).unwrap();
+                }
+                let partials = ctx.runtimes[op].agg_partials.lock().len();
+                black_box(partials)
+            })
+        });
+    }
+}
+
 criterion_group!(
     benches,
     bench_build,
@@ -341,6 +533,9 @@ criterion_group!(
     bench_agg_groups,
     bench_agg_finalize,
     bench_grace_partition,
-    bench_spill_roundtrip
+    bench_spill_roundtrip,
+    bench_filter_lineitem,
+    bench_filter_or_row_block,
+    bench_agg_q1
 );
 criterion_main!(benches);

@@ -3,9 +3,11 @@
 //! Each stream work order checks a partial out of the operator's pool (or
 //! creates one), folds its block in column-at-a-time and returns it — no
 //! synchronization on the hot path beyond the checkout. A block is folded in
-//! three passes: every distinct argument expression is evaluated once, one
-//! pass over the key hashes assigns dense group ids, and one scatter pass per
-//! aggregate updates the states by group id.
+//! three passes: the argument expressions are evaluated by one
+//! [`Evaluator`], which computes every distinct subtree once and borrows a
+//! column block's slices for bare columns, one pass over the key hashes
+//! assigns dense group ids, and one scatter pass per aggregate updates the
+//! states by group id.
 //!
 //! Once every stream work order has finished, the scheduler freezes the
 //! pooled partials (at most one per concurrent work order) into a shared,
@@ -36,7 +38,7 @@ use std::cmp::Ordering;
 use std::ops::Bound::{Excluded, Included, Unbounded};
 use std::ops::RangeBounds;
 use std::sync::Arc;
-use uot_expr::{AggFunc, AggSpec, AggState, ScalarExpr};
+use uot_expr::{AggFunc, AggSpec, AggState, Evaluator, Rows};
 use uot_storage::{ColumnBlock, ColumnData, DataType, HashKey, Schema, StorageBlock, Value};
 
 /// Fold one input block into a pooled partial.
@@ -47,22 +49,16 @@ pub fn execute_block(ctx: &ExecContext, op: usize, block: &Arc<StorageBlock>) ->
         return Ok(Vec::new());
     }
 
-    // Evaluate each distinct argument expression once over the whole block
-    // (Q1's seven aggregate arguments are five distinct expressions).
-    let mut exprs: Vec<&ScalarExpr> = Vec::new();
-    let mut cols: Vec<ColumnData> = Vec::new();
+    // Evaluate each argument once over the whole block, sharing equal
+    // subtrees: Q1's seven aggregate arguments are five distinct
+    // expressions, and `price * (1 - disc)` is computed once for two of
+    // them. Bare columns borrow a column block's slices.
+    let mut args = Evaluator::new(block, Rows::All);
     let mut arg_of: Vec<Option<usize>> = Vec::with_capacity(aggs.len());
     for spec in aggs {
         arg_of.push(match (spec.func, &spec.arg) {
             (AggFunc::CountStar, _) => None,
-            (_, Some(e)) => Some(match exprs.iter().position(|x| *x == e) {
-                Some(i) => i,
-                None => {
-                    cols.push(e.eval_all(block)?);
-                    exprs.push(e);
-                    cols.len() - 1
-                }
-            }),
+            (_, Some(e)) => Some(args.eval(e)?),
             (_, None) => {
                 return Err(EngineError::Internal(
                     "non-COUNT(*) aggregate without argument".into(),
@@ -80,7 +76,7 @@ pub fn execute_block(ctx: &ExecContext, op: usize, block: &Arc<StorageBlock>) ->
             let state = &mut partial.states_mut(i)[gid];
             match arg {
                 None => state.update_count(n),
-                Some(c) => state.update_column(&cols[*c])?,
+                Some(c) => state.update_column(&args.get(*c).column(n))?,
             }
         }
     } else {
@@ -97,7 +93,9 @@ pub fn execute_block(ctx: &ExecContext, op: usize, block: &Arc<StorageBlock>) ->
                     AggState::count_scatter(partial.states_mut(i), gids);
                     Ok(())
                 }
-                Some(c) => AggState::update_scatter(partial.states_mut(i), gids, &cols[*c]),
+                Some(c) => {
+                    AggState::update_scatter(partial.states_mut(i), gids, &args.get(*c).column(n))
+                }
             });
         ctx.put_scratch(scratch);
         updated?;

@@ -2,10 +2,13 @@
 //!
 //! This is the canonical *producer* of the paper's select → probe pair. A
 //! work order refines a selection vector of surviving row indices, starting
-//! from every row of its input block: the predicate's conjuncts one by one
-//! ([`Predicate::filter`]), then the LIP Bloom filters. It gathers each
-//! projection for the surviving rows and appends the result to the
-//! operator's output buffer.
+//! from every row of its input block: the predicate ([`Predicate::filter`],
+//! one typed kernel per predicate shape, reading a column block's slices or
+//! a row block's fields in place, so a post-join select over staged row
+//! temps costs no more decoding than a scan), then the LIP Bloom filters.
+//! It gathers each projection for the surviving rows (a typed gather per
+//! column; arithmetic matched once per vector) and appends the result to
+//! the operator's output buffer.
 
 use crate::error::EngineError;
 use crate::output::Produced;

@@ -116,3 +116,55 @@ fn service_submit_sql_rejects_bad_statements_eagerly() {
     assert_eq!(r.rows().len(), 500);
     service.shutdown();
 }
+
+/// A `part`-like table whose `p_name` column (`Char(24)`) holds 40 names,
+/// eight of them containing "green".
+fn names(format: BlockFormat) -> Arc<Catalog> {
+    let c = Catalog::new();
+    let s = Schema::from_pairs(&[
+        ("p_partkey", DataType::Int32),
+        ("p_name", DataType::Char(24)),
+    ]);
+    let mut tb = TableBuilder::new("part", s, format, 512);
+    let colors = ["forest green", "ivory", "lime", "navy blush", "dark"];
+    for i in 0..40 {
+        let name = format!("{} {i}", colors[i as usize % colors.len()]);
+        tb.append(&[Value::I32(i), Value::Str(name)]).unwrap();
+    }
+    c.register(tb.finish()).unwrap();
+    c
+}
+
+#[test]
+fn like_with_an_empty_substring_matches_every_row() {
+    for format in [BlockFormat::Row, BlockFormat::Column] {
+        let catalog = names(format);
+        let rows = catalog.get("part").unwrap().num_rows();
+        let engine = Engine::new(EngineConfig::serial()).with_catalog(catalog.clone());
+        for (pattern, want) in [
+            ("'%%'", rows),
+            ("'%%%'", rows),
+            ("'%'", rows),
+            ("'%green%'", 8),
+        ] {
+            for (negated, want) in [("", want), ("NOT ", rows - want)] {
+                let sql =
+                    format!("SELECT COUNT(*) AS n FROM part WHERE p_name {negated}LIKE {pattern}");
+                // The engine filters with selection vectors; the baseline
+                // evaluates bitmaps. Both must count the same rows.
+                let got = engine.execute_sql(&sql).unwrap().rows();
+                let plan = uot_core::sql::compile(&sql, &catalog).unwrap();
+                let base = uot_baseline::BaselineEngine::new()
+                    .execute(&plan)
+                    .unwrap()
+                    .rows();
+                assert_eq!(
+                    got,
+                    vec![vec![Value::I64(want as i64)]],
+                    "{sql} ({format:?})"
+                );
+                assert_eq!(base, got, "{sql} ({format:?})");
+            }
+        }
+    }
+}

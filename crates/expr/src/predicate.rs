@@ -1,19 +1,32 @@
 //! Boolean predicates over a block's rows.
 //!
 //! A predicate has two evaluators. [`Predicate::filter`] is the engine's:
-//! it refines a selection vector of surviving row indices, conjunct by
-//! conjunct, so a later conjunct only tests the rows an earlier one kept.
-//! [`Predicate::eval`] maps the whole block to a selection [`Bitmap`]; the
-//! operator-at-a-time baseline, `CASE` and `filter`'s fallback for `OR`,
-//! `NOT` and generic comparisons use it. Numeric and date comparisons between a column and a literal take
-//! a typed fast path on column-store blocks; everything else goes through
-//! generic vectorized evaluation. String predicates (`=`, `IN`, prefix and
-//! substring match) compare against space-padded fixed-width values,
-//! matching the storage encoding.
+//! it refines a selection vector of ascending row indices with a typed
+//! kernel for every predicate shape, on both block formats.
+//! [`Predicate::eval`] maps the whole block to a selection [`Bitmap`] with
+//! generic vectorized code; the operator-at-a-time baseline and `CASE` use
+//! it, and it is the independent reference `filter` is tested against.
+//!
+//! Every `filter` kernel ends in one branch-free compaction (`sel[k] = i;
+//! k += pass`) with the operator matched once outside the loop; a leading
+//! run of passing rows is only read. A column against a literal, and two
+//! columns of one type, compare in place: a column block's typed slice, or
+//! a row block's field read at its tuple stride. Any other comparison
+//! evaluates its two sides over the rows in `sel` only and compares them
+//! in their common numeric domain, with `eval`'s type errors. `And`
+//! refines one vector conjunct by conjunct, `Or` filters a copy of `sel`
+//! per disjunct and merges the survivors as an ascending union, and `Not`
+//! subtracts its operand's survivors from `sel`. String predicates (`=`,
+//! `IN`, prefix and substring match) compare against literals padded to
+//! the column width once, matching the storage encoding, at a known width:
+//! up to 16 bytes as one monomorphized array, wider with an 8-byte word
+//! prefilter and then the tail. A substring match scans for the needle's
+//! first byte before comparing.
 
 use crate::error::ExprError;
-use crate::scalar::ScalarExpr;
+use crate::scalar::{gather_from, Fixed, Rows, ScalarExpr, Strided, Ty, Vals};
 use crate::Result;
+use std::borrow::Cow;
 use uot_storage::{Bitmap, ColumnData, DataType, StorageBlock, Value};
 
 /// Comparison operators.
@@ -55,19 +68,6 @@ impl CmpOp {
             CmpOp::Le => CmpOp::Ge,
             CmpOp::Gt => CmpOp::Lt,
             CmpOp::Ge => CmpOp::Le,
-        }
-    }
-
-    /// Keep the `sel` rows whose `xs` value satisfies `x op y`, with the
-    /// operator matched once outside the loop.
-    fn retain<T: PartialOrd + Copy>(self, xs: &[T], y: T, sel: &mut Vec<usize>) {
-        match self {
-            CmpOp::Eq => sel.retain(|&i| xs[i] == y),
-            CmpOp::Ne => sel.retain(|&i| xs[i] != y),
-            CmpOp::Lt => sel.retain(|&i| xs[i] < y),
-            CmpOp::Le => sel.retain(|&i| xs[i] <= y),
-            CmpOp::Gt => sel.retain(|&i| xs[i] > y),
-            CmpOp::Ge => sel.retain(|&i| xs[i] >= y),
         }
     }
 }
@@ -234,13 +234,14 @@ impl Predicate {
     /// Keep only the rows of `sel` that satisfy the predicate. `sel` holds
     /// ascending row indices of `block` and stays ascending.
     ///
-    /// `And` refines the same vector conjunct by conjunct and stops once it
-    /// is empty, the same short-circuit point as [`Self::eval`]. A
-    /// column-vs-literal comparison on a column-store block and the four
-    /// string predicates test only the rows in `sel`. Every other shape
-    /// (`Or`, `Not`, a generic comparison, a comparison on a row-store
-    /// block) evaluates the whole block with [`Self::eval`] and keeps the
-    /// rows its bitmap selects, so it fails exactly when `eval` would.
+    /// Wherever [`Self::eval`] succeeds, `filter` succeeds from any
+    /// ascending `sel` and keeps the rows of `sel` that `eval` selects. It
+    /// fails only where `eval` does, and from every row with `eval`'s
+    /// error; the one difference is that a conjunction tests only the rows
+    /// that reach it, so one under an `Or` or `Not` that a narrowed `sel`
+    /// reaches can stop before a failing conjunct that `eval` tests over
+    /// the whole block. `And` stops once `sel` is empty, the same
+    /// short-circuit point as `eval` from every row.
     pub fn filter(&self, block: &StorageBlock, sel: &mut Vec<usize>) -> Result<()> {
         match self {
             Predicate::True => {}
@@ -252,23 +253,46 @@ impl Predicate {
                     p.filter(block, sel)?;
                 }
             }
-            Predicate::Cmp { left, op, right }
-                if filter_cmp_literal(block, left, *op, right, sel) => {}
-            Predicate::Cmp { .. } | Predicate::Or(_) | Predicate::Not(_) => {
-                let bm = self.eval(block)?;
-                sel.retain(|&i| bm.get(i));
+            Predicate::Or(ps) => {
+                let from = std::mem::take(sel);
+                let (mut hit, mut merged) = (Vec::new(), Vec::new());
+                for p in ps {
+                    hit.clear();
+                    hit.extend_from_slice(&from);
+                    p.filter(block, &mut hit)?;
+                    union_into(sel, &hit, &mut merged);
+                }
             }
-            Predicate::StrEq { col, value } => filter_str(block, *col, sel, |bytes, width| {
-                str_eq_padded(bytes, value, width)
-            })?,
+            Predicate::Not(p) => {
+                let mut hit = sel.clone();
+                p.filter(block, &mut hit)?;
+                // `hit` is an ascending subset of `sel`: drop its rows.
+                let mut h = 0;
+                compact(sel, |_, i| {
+                    let drop = hit.get(h) == Some(&i);
+                    h += usize::from(drop);
+                    !drop
+                });
+            }
+            Predicate::Cmp { left, op, right } => filter_cmp(block, left, *op, right, sel)?,
+            Predicate::StrEq { col, value } => {
+                let c = Chars::of(block, *col)?;
+                keep_prefix(c, c.width, &c.fitting([value]), sel);
+            }
+            Predicate::StrIn { col, values } => {
+                let c = Chars::of(block, *col)?;
+                keep_prefix(c, c.width, &c.fitting(values), sel);
+            }
             Predicate::StrStartsWith { col, prefix } => {
-                filter_str(block, *col, sel, |bytes, _w| str_starts_with(bytes, prefix))?
+                let c = Chars::of(block, *col)?;
+                match prefix.len() {
+                    0 => {}
+                    n if n > c.width => sel.clear(),
+                    n => keep_prefix(c, n, &[prefix.as_bytes()], sel),
+                }
             }
-            Predicate::StrIn { col, values } => filter_str(block, *col, sel, |bytes, width| {
-                str_in(bytes, values, width)
-            })?,
             Predicate::StrContains { col, needle } => {
-                filter_str(block, *col, sel, |bytes, _w| str_contains(bytes, needle))?
+                keep_contains(Chars::of(block, *col)?, needle.as_bytes(), sel)
             }
         }
         Ok(())
@@ -305,7 +329,7 @@ fn str_in(bytes: &[u8], values: &[String], width: usize) -> bool {
 
 #[inline]
 fn str_contains(bytes: &[u8], needle: &str) -> bool {
-    !needle.is_empty() && bytes.windows(needle.len()).any(|w| w == needle.as_bytes())
+    needle.is_empty() || bytes.windows(needle.len()).any(|w| w == needle.as_bytes())
 }
 
 /// Width of `Char(n)` column `col`, or the error a string predicate on it
@@ -325,23 +349,6 @@ fn char_width(block: &StorageBlock, col: usize) -> Result<usize> {
             found: other.name(),
         }),
     }
-}
-
-fn filter_str(
-    block: &StorageBlock,
-    col: usize,
-    sel: &mut Vec<usize>,
-    pred: impl Fn(&[u8], usize) -> bool,
-) -> Result<()> {
-    let width = char_width(block, col)?;
-    match block.column_data(col) {
-        Some(data) => {
-            let (w, bytes) = data.as_char();
-            sel.retain(|&i| pred(&bytes[i * w..(i + 1) * w], w));
-        }
-        None => sel.retain(|&i| pred(block.char_at(i, col), width)),
-    }
-    Ok(())
 }
 
 fn eval_str(
@@ -396,32 +403,6 @@ fn eval_cmp(
     let l = left.eval_all(block)?;
     let r = right.eval_all(block)?;
     cmp_columns(&l, op, &r, n)
-}
-
-/// The selection-vector form of the `Col op Literal` fast path: on a
-/// column-store block whose column type matches the literal's, keep the
-/// `sel` rows that satisfy the comparison and return `true`. Returns `false`
-/// (leaving `sel` untouched) for every other shape.
-fn filter_cmp_literal(
-    block: &StorageBlock,
-    left: &ScalarExpr,
-    op: CmpOp,
-    right: &ScalarExpr,
-    sel: &mut Vec<usize>,
-) -> bool {
-    let (c, op, v) = match (left, right) {
-        (ScalarExpr::Col(c), ScalarExpr::Literal(v)) => (*c, op, v),
-        (ScalarExpr::Literal(v), ScalarExpr::Col(c)) => (*c, op.flipped(), v),
-        _ => return false,
-    };
-    match (block.column_data(c), v) {
-        (Some(ColumnData::I32(xs)), Value::I32(y)) => op.retain(xs, *y, sel),
-        (Some(ColumnData::I64(xs)), Value::I64(y)) => op.retain(xs, *y, sel),
-        (Some(ColumnData::F64(xs)), Value::F64(y)) => op.retain(xs, *y, sel),
-        (Some(ColumnData::Date(xs)), Value::Date(y)) => op.retain(xs, *y, sel),
-        _ => return false,
-    }
-    true
 }
 
 /// Compare a typed column slice against a literal. Returns `None` when the
@@ -537,6 +518,475 @@ fn to_f64(c: &ColumnData) -> Vec<f64> {
         ColumnData::F64(v) => v.clone(),
         _ => unreachable!("checked by caller"),
     }
+}
+
+/// Keep the `sel` rows that `pass(position, row)` accepts, in order: one
+/// store per row and no branch on the outcome (`sel[k] = i; k += pass`).
+/// A leading run of passing rows is only read, so a conjunct every row
+/// passes costs no stores. `pass` sees each row once, in order.
+#[inline]
+fn compact(sel: &mut Vec<usize>, mut pass: impl FnMut(usize, usize) -> bool) {
+    let n = sel.len();
+    let mut j = 0;
+    while j < n && pass(j, sel[j]) {
+        j += 1;
+    }
+    let mut k = j;
+    for j in (j + 1).min(n)..n {
+        let i = sel[j];
+        sel[k] = i;
+        k += usize::from(pass(j, i));
+    }
+    sel.truncate(k);
+}
+
+/// Keep the `sel` rows where `a op b`, with the operator matched once. The
+/// sides read at the row index, or at the position in `sel` when `POS`.
+#[inline]
+fn keep_cmp<T: PartialOrd, const POS: bool>(
+    op: CmpOp,
+    sel: &mut Vec<usize>,
+    a: impl Fn(usize) -> T,
+    b: impl Fn(usize) -> T,
+) {
+    let at = |j: usize, i: usize| if POS { j } else { i };
+    match op {
+        CmpOp::Eq => compact(sel, |j, i| a(at(j, i)) == b(at(j, i))),
+        CmpOp::Ne => compact(sel, |j, i| a(at(j, i)) != b(at(j, i))),
+        CmpOp::Lt => compact(sel, |j, i| a(at(j, i)) < b(at(j, i))),
+        CmpOp::Le => compact(sel, |j, i| a(at(j, i)) <= b(at(j, i))),
+        CmpOp::Gt => compact(sel, |j, i| a(at(j, i)) > b(at(j, i))),
+        CmpOp::Ge => compact(sel, |j, i| a(at(j, i)) >= b(at(j, i))),
+    }
+}
+
+/// `acc ∪ hit` into `acc`, both ascending and without duplicates.
+fn union_into(acc: &mut Vec<usize>, hit: &[usize], merged: &mut Vec<usize>) {
+    if acc.is_empty() {
+        acc.extend_from_slice(hit);
+        return;
+    }
+    merged.clear();
+    merged.reserve(acc.len() + hit.len());
+    let (mut a, mut b) = (0, 0);
+    while a < acc.len() && b < hit.len() {
+        let (x, y) = (acc[a], hit[b]);
+        merged.push(x.min(y));
+        a += usize::from(x <= y);
+        b += usize::from(y <= x);
+    }
+    merged.extend_from_slice(&acc[a..]);
+    merged.extend_from_slice(&hit[b..]);
+    std::mem::swap(acc, merged);
+}
+
+/// The domain a comparison compares in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Domain {
+    /// `Int32` against `Int32`, or `Date` against `Date`.
+    I32,
+    /// Integers, one of them `Int64`.
+    I64,
+    /// Any side a float.
+    F64,
+}
+
+/// The domain `l op r` compares in, or the error `eval` reports for the
+/// pair: a string side, or a date against a number.
+fn domain(l: Ty, r: Ty) -> Result<Domain> {
+    match (l, r) {
+        (Ty::Date, Ty::Date) | (Ty::Int32, Ty::Int32) => Ok(Domain::I32),
+        (Ty::Char, _) | (_, Ty::Char) => Err(ExprError::InvalidType {
+            context: "numeric comparison",
+            found: "Char".into(),
+        }),
+        (Ty::Date, _) | (_, Ty::Date) => Err(ExprError::Incompatible {
+            left: l.name().into(),
+            right: r.name().into(),
+            context: "comparison",
+        }),
+        (Ty::Float64, _) | (_, Ty::Float64) => Ok(Domain::F64),
+        _ => Ok(Domain::I64),
+    }
+}
+
+/// Bind `$get` to a closure reading column `$c` of `$block` as `$t` at a
+/// row index — a column block's typed slice, or a row block's field at its
+/// tuple stride — and evaluate `$body`.
+macro_rules! with_col {
+    ($block:expr, $c:expr, $t:ty, |$get:ident| $body:expr) => {
+        match $block {
+            StorageBlock::Column(b) => {
+                let v: &[$t] = <$t as Fixed>::slice(b.column($c));
+                let $get = |i: usize| v[i];
+                $body
+            }
+            StorageBlock::Row(b) => {
+                let f = Strided::of(b, $c);
+                let $get = |i: usize| f.read::<$t>(i);
+                $body
+            }
+        }
+    };
+}
+
+/// [`with_col!`] for two columns of one type.
+macro_rules! with_cols {
+    ($block:expr, $a:expr, $b:expr, $t:ty, |$ga:ident, $gb:ident| $body:expr) => {
+        match $block {
+            StorageBlock::Column(blk) => {
+                let x: &[$t] = <$t as Fixed>::slice(blk.column($a));
+                let y: &[$t] = <$t as Fixed>::slice(blk.column($b));
+                let ($ga, $gb) = (|i: usize| x[i], |i: usize| y[i]);
+                $body
+            }
+            StorageBlock::Row(blk) => {
+                let (fa, fb) = (Strided::of(blk, $a), Strided::of(blk, $b));
+                let ($ga, $gb) = (|i: usize| fa.read::<$t>(i), |i: usize| fb.read::<$t>(i));
+                $body
+            }
+        }
+    };
+}
+
+/// Keep the `sel` rows where `left op right`. A column against a literal,
+/// and two columns of one type, compare in place; every other shape
+/// evaluates its sides over `sel` and compares by position. A side that
+/// divides is evaluated over the whole block, as `eval` does, so a zero
+/// divisor fails alike whichever rows reach the comparison.
+fn filter_cmp(
+    block: &StorageBlock,
+    left: &ScalarExpr,
+    op: CmpOp,
+    right: &ScalarExpr,
+    sel: &mut Vec<usize>,
+) -> Result<()> {
+    let schema = block.schema();
+    match (left, right) {
+        (ScalarExpr::Col(c), ScalarExpr::Literal(v)) => {
+            let t = Ty::of_col(schema, *c)?;
+            let d = domain(t, Ty::of_type(v.data_type()))?;
+            keep_col_lit(block, *c, t, d, op, v, sel);
+            return Ok(());
+        }
+        (ScalarExpr::Literal(v), ScalarExpr::Col(c)) => {
+            let t = Ty::of_col(schema, *c)?;
+            let d = domain(Ty::of_type(v.data_type()), t)?;
+            keep_col_lit(block, *c, t, d, op.flipped(), v, sel);
+            return Ok(());
+        }
+        (ScalarExpr::Col(a), ScalarExpr::Col(b)) => {
+            let (ta, tb) = (Ty::of_col(schema, *a)?, Ty::of_col(schema, *b)?);
+            domain(ta, tb)?;
+            if ta == tb {
+                let (a, b) = (*a, *b);
+                match ta {
+                    Ty::Int32 | Ty::Date => {
+                        with_cols!(block, a, b, i32, |x, y| keep_cmp::<_, false>(op, sel, x, y))
+                    }
+                    Ty::Int64 => {
+                        with_cols!(block, a, b, i64, |x, y| keep_cmp::<_, false>(op, sel, x, y))
+                    }
+                    Ty::Float64 => {
+                        with_cols!(block, a, b, f64, |x, y| keep_cmp::<_, false>(op, sel, x, y))
+                    }
+                    Ty::Char => unreachable!("a string comparison fails its domain"),
+                }
+                return Ok(());
+            }
+        }
+        _ => {}
+    }
+    let whole = left.divides() || right.divides();
+    let rows = if whole { Rows::All } else { Rows::Sel(sel) };
+    let l = left.vals(block, rows)?;
+    let r = right.vals(block, rows)?;
+    let d = domain(Ty::of_vals(&l), Ty::of_vals(&r))?;
+    let (l, r) = if whole {
+        (at_rows(l, sel), at_rows(r, sel))
+    } else {
+        (l, r)
+    };
+    match d {
+        Domain::I32 => keep_lanes(op, sel, Lane::i32(&l), Lane::i32(&r)),
+        Domain::I64 => keep_lanes(op, sel, Lane::i64(&l), Lane::i64(&r)),
+        Domain::F64 => keep_lanes(op, sel, Lane::f64(&l), Lane::f64(&r)),
+    }
+    Ok(())
+}
+
+/// Keep the `sel` rows where column `c` (of type `t`) `op v`, comparing in
+/// domain `d`: the literal is converted once, the column read in place.
+fn keep_col_lit(
+    block: &StorageBlock,
+    c: usize,
+    t: Ty,
+    d: Domain,
+    op: CmpOp,
+    v: &Value,
+    sel: &mut Vec<usize>,
+) {
+    match (d, t) {
+        (Domain::I32, _) => {
+            let y = match v {
+                Value::I32(y) | Value::Date(y) => *y,
+                _ => unreachable!("the I32 domain holds Int32 and Date only"),
+            };
+            with_col!(block, c, i32, |x| keep_cmp::<_, false>(op, sel, x, |_| y))
+        }
+        (Domain::I64, Ty::Int32) => {
+            let y = lit_i64(v);
+            with_col!(block, c, i32, |x| keep_cmp::<_, false>(
+                op,
+                sel,
+                |i| i64::from(x(i)),
+                |_| y
+            ))
+        }
+        (Domain::I64, _) => {
+            let y = lit_i64(v);
+            with_col!(block, c, i64, |x| keep_cmp::<_, false>(op, sel, x, |_| y))
+        }
+        (Domain::F64, Ty::Int32) => {
+            let y = lit_f64(v);
+            with_col!(block, c, i32, |x| keep_cmp::<_, false>(
+                op,
+                sel,
+                |i| f64::from(x(i)),
+                |_| y
+            ))
+        }
+        (Domain::F64, Ty::Int64) => {
+            let y = lit_f64(v);
+            with_col!(block, c, i64, |x| keep_cmp::<_, false>(
+                op,
+                sel,
+                |i| x(i) as f64,
+                |_| y
+            ))
+        }
+        (Domain::F64, _) => {
+            let y = lit_f64(v);
+            with_col!(block, c, f64, |x| keep_cmp::<_, false>(op, sel, x, |_| y))
+        }
+    }
+}
+
+fn lit_i64(v: &Value) -> i64 {
+    match v {
+        Value::I32(y) => i64::from(*y),
+        Value::I64(y) => *y,
+        _ => unreachable!("the I64 domain holds integers only"),
+    }
+}
+
+fn lit_f64(v: &Value) -> f64 {
+    match v {
+        Value::I32(y) => f64::from(*y),
+        Value::I64(y) => *y as f64,
+        Value::F64(y) => *y,
+        _ => unreachable!("the F64 domain holds numbers only"),
+    }
+}
+
+/// Values evaluated over every row of the block, narrowed to the rows in
+/// `sel`, by position.
+fn at_rows<'b>(v: Vals<'b>, sel: &[usize]) -> Vals<'b> {
+    match v {
+        Vals::Column(c) => Vals::Column(Cow::Owned(gather_from(&c, sel))),
+        scalar => scalar,
+    }
+}
+
+/// One side of a generic comparison in its domain: one value per position
+/// in `sel`, or one value for all.
+enum Lane<'v, T: Clone> {
+    Slice(Cow<'v, [T]>),
+    Splat(T),
+}
+
+impl<'v> Lane<'v, i32> {
+    fn i32(v: &'v Vals<'_>) -> Self {
+        match v {
+            Vals::Column(c) => Lane::Slice(Cow::Borrowed(<i32 as Fixed>::slice(c))),
+            Vals::Scalar(Value::I32(x) | Value::Date(x)) => Lane::Splat(*x),
+            Vals::Scalar(_) => unreachable!("the I32 domain holds Int32 and Date only"),
+        }
+    }
+}
+
+impl<'v> Lane<'v, i64> {
+    fn i64(v: &'v Vals<'_>) -> Self {
+        match v {
+            Vals::Column(c) => match c.as_ref() {
+                ColumnData::I32(x) => Lane::Slice(x.iter().map(|&x| i64::from(x)).collect()),
+                ColumnData::I64(x) => Lane::Slice(Cow::Borrowed(x)),
+                _ => unreachable!("the I64 domain holds integers only"),
+            },
+            Vals::Scalar(x) => Lane::Splat(lit_i64(x)),
+        }
+    }
+}
+
+impl<'v> Lane<'v, f64> {
+    fn f64(v: &'v Vals<'_>) -> Self {
+        match v {
+            Vals::Column(c) => match c.as_ref() {
+                ColumnData::I32(x) => Lane::Slice(x.iter().map(|&x| f64::from(x)).collect()),
+                ColumnData::I64(x) => Lane::Slice(x.iter().map(|&x| x as f64).collect()),
+                ColumnData::F64(x) => Lane::Slice(Cow::Borrowed(x)),
+                _ => unreachable!("the F64 domain holds numbers only"),
+            },
+            Vals::Scalar(x) => Lane::Splat(lit_f64(x)),
+        }
+    }
+}
+
+/// Keep the `sel` rows where `a op b`, both sides read by position.
+fn keep_lanes<T: PartialOrd + Copy>(op: CmpOp, sel: &mut Vec<usize>, a: Lane<T>, b: Lane<T>) {
+    match (&a, &b) {
+        (Lane::Slice(x), Lane::Slice(y)) => keep_cmp::<_, true>(op, sel, |j| x[j], |j| y[j]),
+        (Lane::Slice(x), Lane::Splat(y)) => keep_cmp::<_, true>(op, sel, |j| x[j], |_| *y),
+        (Lane::Splat(x), Lane::Slice(y)) => keep_cmp::<_, true>(op, sel, |_| *x, |j| y[j]),
+        (Lane::Splat(x), Lane::Splat(y)) => keep_cmp::<_, true>(op, sel, |_| *x, |_| *y),
+    }
+}
+
+/// A `Char(width)` column read in place: the field of row `i` is
+/// `bytes[i * stride + off..][..width]`, in either block format.
+#[derive(Clone, Copy)]
+struct Chars<'b> {
+    bytes: &'b [u8],
+    stride: usize,
+    off: usize,
+    width: usize,
+}
+
+impl<'b> Chars<'b> {
+    /// Column `col` of `block`, or the error a string predicate on it
+    /// reports.
+    fn of(block: &'b StorageBlock, col: usize) -> Result<Self> {
+        let width = char_width(block, col)?;
+        Ok(match block {
+            StorageBlock::Column(b) => Chars {
+                bytes: b.column(col).as_char().1,
+                stride: width,
+                off: 0,
+                width,
+            },
+            StorageBlock::Row(b) => {
+                let f = Strided::of(b, col);
+                Chars {
+                    bytes: f.bytes,
+                    stride: f.stride,
+                    off: f.off,
+                    width,
+                }
+            }
+        })
+    }
+
+    /// The first `len` bytes of row `i`'s field.
+    #[inline]
+    fn head(self, i: usize, len: usize) -> &'b [u8] {
+        &self.bytes[i * self.stride + self.off..][..len]
+    }
+
+    /// The values that fit the column width; a longer one matches no row.
+    fn fitting<'v, S: AsRef<str> + 'v>(
+        self,
+        values: impl IntoIterator<Item = &'v S>,
+    ) -> Vec<&'v [u8]> {
+        values
+            .into_iter()
+            .map(|v| v.as_ref().as_bytes())
+            .filter(|v| v.len() <= self.width)
+            .collect()
+    }
+}
+
+/// `p` space-padded to `len` bytes, as the storage encodes it.
+fn pad(p: &[u8], len: usize) -> Vec<u8> {
+    let mut out = p.to_vec();
+    out.resize(len, b' ');
+    out
+}
+
+/// Keep the `sel` rows whose field's first `len` bytes equal one of
+/// `pats`, each padded with spaces to `len` bytes once. Lengths up to 16
+/// compare as one monomorphized `[u8; len]`; longer ones compare an 8-byte
+/// word first, then the tail. Several patterns are tested without a
+/// branch per pattern.
+fn keep_prefix(c: Chars, len: usize, pats: &[&[u8]], sel: &mut Vec<usize>) {
+    macro_rules! by_len {
+        ($($n:literal)*) => {
+            match len {
+                0 => {}
+                $($n => keep_fixed::<$n>(c, pats, sel),)*
+                _ => keep_wide(c, len, pats, sel),
+            }
+        };
+    }
+    if pats.is_empty() {
+        sel.clear();
+        return;
+    }
+    by_len!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16)
+}
+
+fn keep_fixed<const L: usize>(c: Chars, pats: &[&[u8]], sel: &mut Vec<usize>) {
+    let field = |i: usize| -> [u8; L] { c.head(i, L).try_into().expect("L bytes") };
+    let pad = |p: &[u8]| {
+        let mut a = [b' '; L];
+        a[..p.len()].copy_from_slice(p);
+        a
+    };
+    match pats {
+        [p] => {
+            let p = pad(p);
+            compact(sel, |_, i| field(i) == p)
+        }
+        ps => {
+            let ps: Vec<[u8; L]> = ps.iter().map(|p| pad(p)).collect();
+            compact(sel, |_, i| {
+                let f = field(i);
+                ps.iter().fold(false, |hit, p| hit | (f == *p))
+            })
+        }
+    }
+}
+
+fn keep_wide(c: Chars, len: usize, pats: &[&[u8]], sel: &mut Vec<usize>) {
+    let word = |b: &[u8]| u64::from_ne_bytes(b[..8].try_into().expect("8 bytes"));
+    let pats: Vec<Vec<u8>> = pats.iter().map(|p| pad(p, len)).collect();
+    let pats: Vec<(u64, &[u8])> = pats.iter().map(|p| (word(p), &p[8..])).collect();
+    compact(sel, |_, i| {
+        let f = c.head(i, len);
+        let w = word(f);
+        pats.iter()
+            .fold(false, |hit, &(pw, tail)| hit | (pw == w && f[8..] == *tail))
+    });
+}
+
+/// Keep the `sel` rows whose field contains `needle` (SQL `LIKE
+/// '%needle%'`): scan for the needle's first byte, then compare the rest.
+/// An empty needle matches every row.
+fn keep_contains(c: Chars, needle: &[u8], sel: &mut Vec<usize>) {
+    let Some((&first, rest)) = needle.split_first() else {
+        return;
+    };
+    if needle.len() > c.width {
+        sel.clear();
+        return;
+    }
+    let starts = c.width - needle.len() + 1;
+    compact(sel, |_, i| {
+        let f = c.head(i, c.width);
+        f[..starts]
+            .iter()
+            .enumerate()
+            .any(|(p, &b)| b == first && f[p + 1..p + needle.len()] == *rest)
+    });
 }
 
 #[cfg(test)]
@@ -690,12 +1140,12 @@ mod tests {
                 needle: "green".into(),
             };
             assert_eq!(ones(&p, &b), vec![0, 1]);
-            // empty needle matches nothing (degenerate LIKE '%%' is excluded)
+            // an empty needle (SQL `LIKE '%%'`) matches every row
             let p = Predicate::StrContains {
                 col: 0,
                 needle: String::new(),
             };
-            assert!(ones(&p, &b).is_empty());
+            assert_eq!(ones(&p, &b), vec![0, 1, 2, 3]);
             // longer than the column width
             let p = Predicate::StrContains {
                 col: 0,

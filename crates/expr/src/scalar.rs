@@ -1,15 +1,27 @@
 //! Scalar expressions over storage blocks.
 //!
-//! A [`ScalarExpr`] is evaluated against a block, producing one typed
-//! [`ColumnData`] vector for the requested rows. TPC-H's arithmetic — e.g.
+//! A [`ScalarExpr`] is evaluated against a block for some of its rows
+//! ([`Rows`]), producing one typed vector. TPC-H's arithmetic — e.g.
 //! `l_extendedprice * (1 - l_discount)` — is covered by column references,
 //! literals and the four binary operators with the usual numeric promotion
 //! (any float operand promotes the expression to `Float64`; integer-only
 //! expressions stay `Int64`).
+//!
+//! Evaluation works over borrowed slices. An [`Evaluator`] keeps the values
+//! ([`Vals`]) of every subtree it has evaluated over one block's rows: a
+//! bare column over every row of a column block borrows the block's typed
+//! slice, a column of a row block is gathered once, reading its field at
+//! the tuple stride, a literal stays one scalar, and a `Bin` node matches
+//! its operator once per vector and runs one typed loop over its operands
+//! (arithmetic over literals folds to a scalar). Equal subtrees are
+//! evaluated once. [`ScalarExpr::eval_all`] and [`ScalarExpr::eval_gather`]
+//! are the owned forms, and [`ScalarExpr::eval_row`] is the per-row
+//! reference they are tested against.
 
 use crate::error::ExprError;
 use crate::Result;
-use uot_storage::{ColumnData, DataType, Schema, StorageBlock, Value};
+use std::borrow::Cow;
+use uot_storage::{ColumnData, DataType, RowBlock, Schema, StorageBlock, Value};
 
 /// Binary arithmetic operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -309,132 +321,438 @@ impl ScalarExpr {
     /// Evaluate the expression for the given `rows` of `block`, producing a
     /// [`ColumnData`] of `rows.len()` values.
     pub fn eval_gather(&self, block: &StorageBlock, rows: &[usize]) -> Result<ColumnData> {
-        match self {
-            ScalarExpr::Col(i) => gather_column(block, *i, rows),
-            ScalarExpr::Literal(v) => broadcast(v, rows.len()),
-            ScalarExpr::Bin { op, left, right } => {
-                let l = left.eval_numeric(block, rows)?;
-                let r = right.eval_numeric(block, rows)?;
-                combine(*op, l, r)
-            }
-            ScalarExpr::Year(e) => year_of(e.eval_gather(block, rows)?),
-            ScalarExpr::Case { when, then, els } => {
-                let bm = when.eval(block)?;
-                let mask: Vec<bool> = rows.iter().map(|&r| bm.get(r)).collect();
-                let t = then.eval_gather(block, rows)?;
-                let e = els.eval_gather(block, rows)?;
-                merge_case(&mask, t, e)
-            }
-        }
+        self.eval_owned(block, Rows::Sel(rows))
     }
 
     /// Evaluate over **all** rows of the block.
     pub fn eval_all(&self, block: &StorageBlock) -> Result<ColumnData> {
+        self.eval_owned(block, Rows::All)
+    }
+
+    /// The values of this expression over `rows` of `block`, borrowed from
+    /// the block where they can be.
+    pub fn vals<'b>(&'b self, block: &'b StorageBlock, rows: Rows<'_>) -> Result<Vals<'b>> {
+        let mut ev = Evaluator::new(block, rows);
+        let slot = ev.eval(self)?;
+        Ok(ev.into_vals(slot))
+    }
+
+    fn eval_owned(&self, block: &StorageBlock, rows: Rows<'_>) -> Result<ColumnData> {
+        let mut ev = Evaluator::new(block, rows);
+        let slot = ev.eval(self)?;
+        let n = ev.num_rows();
+        Ok(ev.into_vals(slot).into_column(n))
+    }
+
+    /// True when a division sits anywhere in the expression, so that its
+    /// evaluation can fail on the values it reads, not only on their types.
+    pub(crate) fn divides(&self) -> bool {
         match self {
-            ScalarExpr::Col(i) => gather_all(block, *i),
-            ScalarExpr::Literal(v) => broadcast(v, block.num_rows()),
+            ScalarExpr::Col(_) | ScalarExpr::Literal(_) => false,
             ScalarExpr::Bin { op, left, right } => {
-                let l = left.eval_numeric_all(block)?;
-                let r = right.eval_numeric_all(block)?;
-                combine(*op, l, r)
+                *op == BinOp::Div || left.divides() || right.divides()
             }
-            ScalarExpr::Year(e) => year_of(e.eval_all(block)?),
-            ScalarExpr::Case { when, then, els } => {
-                let bm = when.eval(block)?;
-                let mask: Vec<bool> = (0..block.num_rows()).map(|r| bm.get(r)).collect();
-                let t = then.eval_all(block)?;
-                let e = els.eval_all(block)?;
-                merge_case(&mask, t, e)
-            }
+            ScalarExpr::Year(e) => e.divides(),
+            ScalarExpr::Case { then, els, .. } => then.divides() || els.divides(),
+        }
+    }
+}
+
+/// The rows of a block an evaluation covers.
+#[derive(Debug, Clone, Copy)]
+pub enum Rows<'s> {
+    /// Every row, in order.
+    All,
+    /// The listed rows, in the listed order.
+    Sel(&'s [usize]),
+}
+
+/// An expression's values over the rows of one evaluation.
+#[derive(Debug, Clone)]
+pub enum Vals<'b> {
+    /// One value per row: borrowed from a column block for a bare column
+    /// over all its rows, computed otherwise.
+    Column(Cow<'b, ColumnData>),
+    /// One value for every row: a literal, or arithmetic over literals.
+    Scalar(Value),
+}
+
+impl Vals<'_> {
+    /// The values as one column of `n` rows (a scalar is broadcast).
+    pub fn column(&self, n: usize) -> Cow<'_, ColumnData> {
+        match self {
+            Vals::Column(c) => Cow::Borrowed(c),
+            Vals::Scalar(v) => Cow::Owned(broadcast(v, n)),
         }
     }
 
-    fn eval_numeric(&self, block: &StorageBlock, rows: &[usize]) -> Result<NumVec> {
-        NumVec::from_column(self.eval_gather(block, rows)?)
+    /// The values as an owned column of `n` rows.
+    pub fn into_column(self, n: usize) -> ColumnData {
+        match self {
+            Vals::Column(c) => c.into_owned(),
+            Vals::Scalar(v) => broadcast(&v, n),
+        }
     }
 
-    fn eval_numeric_all(&self, block: &StorageBlock) -> Result<NumVec> {
-        NumVec::from_column(self.eval_all(block)?)
+    /// The name type errors report for these values.
+    pub(crate) fn type_name(&self) -> &'static str {
+        Ty::of_vals(self).name()
     }
 }
 
-/// Numeric intermediate used inside arithmetic.
-enum NumVec {
-    I(Vec<i64>),
-    F(Vec<f64>),
+/// A value's type class, as type errors name it (`Char` without a width).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Ty {
+    Int32,
+    Int64,
+    Float64,
+    Date,
+    Char,
 }
 
-impl NumVec {
-    fn from_column(c: ColumnData) -> Result<NumVec> {
-        Ok(match c {
-            ColumnData::I32(v) => NumVec::I(v.into_iter().map(i64::from).collect()),
-            ColumnData::I64(v) => NumVec::I(v),
-            ColumnData::F64(v) => NumVec::F(v),
-            ColumnData::Date(_) => {
-                return Err(ExprError::InvalidType {
-                    context: "arithmetic",
-                    found: "Date".into(),
-                })
+impl Ty {
+    pub(crate) fn of_type(t: DataType) -> Ty {
+        match t {
+            DataType::Int32 => Ty::Int32,
+            DataType::Int64 => Ty::Int64,
+            DataType::Float64 => Ty::Float64,
+            DataType::Date => Ty::Date,
+            DataType::Char(_) => Ty::Char,
+        }
+    }
+
+    pub(crate) fn of_vals(v: &Vals<'_>) -> Ty {
+        match v {
+            Vals::Column(c) => match c.as_ref() {
+                ColumnData::I32(_) => Ty::Int32,
+                ColumnData::I64(_) => Ty::Int64,
+                ColumnData::F64(_) => Ty::Float64,
+                ColumnData::Date(_) => Ty::Date,
+                ColumnData::Char { .. } => Ty::Char,
+            },
+            Vals::Scalar(v) => Ty::of_type(v.data_type()),
+        }
+    }
+
+    /// The type of column `c` of `schema`, or the error for a column that
+    /// is not there.
+    pub(crate) fn of_col(schema: &Schema, c: usize) -> Result<Ty> {
+        if c >= schema.len() {
+            return Err(ExprError::ColumnOutOfRange {
+                index: c,
+                len: schema.len(),
+            });
+        }
+        Ok(Ty::of_type(schema.dtype(c)))
+    }
+
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Ty::Int32 => "Int32",
+            Ty::Int64 => "Int64",
+            Ty::Float64 => "Float64",
+            Ty::Date => "Date",
+            Ty::Char => "Char",
+        }
+    }
+}
+
+/// Evaluates expressions over the same rows of one block, each distinct
+/// subtree once: a later expression that contains an evaluated one (Q1's
+/// `price * (1 - disc) * (1 + tax)` after `price * (1 - disc)`) reuses its
+/// vector, and a column of a row block is gathered once however often it
+/// is read.
+pub struct Evaluator<'b, 's> {
+    block: &'b StorageBlock,
+    rows: Rows<'s>,
+    n: usize,
+    done: Vec<(&'b ScalarExpr, Vals<'b>)>,
+}
+
+impl<'b, 's> Evaluator<'b, 's> {
+    /// An evaluator over `rows` of `block`, with nothing evaluated yet.
+    pub fn new(block: &'b StorageBlock, rows: Rows<'s>) -> Self {
+        let n = match rows {
+            Rows::All => block.num_rows(),
+            Rows::Sel(r) => r.len(),
+        };
+        Evaluator {
+            block,
+            rows,
+            n,
+            done: Vec::new(),
+        }
+    }
+
+    /// The number of values each evaluated column holds.
+    pub fn num_rows(&self) -> usize {
+        self.n
+    }
+
+    /// Evaluate `e`, or find an equal subtree evaluated before, and return
+    /// the slot that holds its values. Errors are [`ScalarExpr::eval_all`]'s:
+    /// a side of a `Bin` is type checked before the next side is evaluated.
+    pub fn eval(&mut self, e: &'b ScalarExpr) -> Result<usize> {
+        if let Some(slot) = self.done.iter().position(|(x, _)| same(x, e)) {
+            return Ok(slot);
+        }
+        let vals = match e {
+            ScalarExpr::Col(i) => Vals::Column(self.column(*i)?),
+            ScalarExpr::Literal(v) => Vals::Scalar(v.clone()),
+            ScalarExpr::Bin { op, left, right } => {
+                let l = self.eval(left)?;
+                operand(self.get(l))?;
+                let r = self.eval(right)?;
+                arith(*op, operand(self.get(l))?, operand(self.get(r))?, self.n)?
             }
-            ColumnData::Char { .. } => {
-                return Err(ExprError::InvalidType {
-                    context: "arithmetic",
-                    found: "Char".into(),
-                })
+            ScalarExpr::Year(x) => {
+                let s = self.eval(x)?;
+                year(self.get(s))?
             }
+            ScalarExpr::Case { when, then, els } => {
+                let bm = when.eval(self.block)?;
+                let mask: Vec<bool> = match self.rows {
+                    Rows::All => (0..self.n).map(|r| bm.get(r)).collect(),
+                    Rows::Sel(rows) => rows.iter().map(|&r| bm.get(r)).collect(),
+                };
+                let t = self.eval(then)?;
+                let f = self.eval(els)?;
+                let (t, f) = (self.get(t).column(self.n), self.get(f).column(self.n));
+                Vals::Column(Cow::Owned(merge_case(
+                    &mask,
+                    t.into_owned(),
+                    f.into_owned(),
+                )?))
+            }
+        };
+        self.done.push((e, vals));
+        Ok(self.done.len() - 1)
+    }
+
+    /// The values in `slot`.
+    pub fn get(&self, slot: usize) -> &Vals<'b> {
+        &self.done[slot].1
+    }
+
+    /// Give up the evaluator for the values in `slot`.
+    pub fn into_vals(mut self, slot: usize) -> Vals<'b> {
+        self.done.swap_remove(slot).1
+    }
+
+    /// Column `i` over the evaluation's rows: the block's own slice when
+    /// that is every row of a column block, one typed gather otherwise.
+    fn column(&self, i: usize) -> Result<Cow<'b, ColumnData>> {
+        Ty::of_col(self.block.schema(), i)?;
+        Ok(match (self.rows, self.block) {
+            (Rows::All, StorageBlock::Column(b)) => Cow::Borrowed(b.column(i)),
+            (Rows::All, _) => Cow::Owned(gather_at(self.block, i, 0..self.n)),
+            (Rows::Sel(rows), _) => Cow::Owned(gather_at(self.block, i, rows.iter().copied())),
         })
     }
 }
 
-fn combine(op: BinOp, l: NumVec, r: NumVec) -> Result<ColumnData> {
-    Ok(match (l, r) {
-        (NumVec::I(a), NumVec::I(b)) => {
-            let mut out = Vec::with_capacity(a.len());
-            for (x, y) in a.into_iter().zip(b) {
-                out.push(op.apply_i64(x, y)?);
-            }
-            ColumnData::I64(out)
-        }
-        (NumVec::F(a), NumVec::F(b)) => ColumnData::F64(
-            a.into_iter()
-                .zip(b)
-                .map(|(x, y)| op.apply_f64(x, y))
-                .collect(),
-        ),
-        (NumVec::I(a), NumVec::F(b)) => ColumnData::F64(
-            a.into_iter()
-                .zip(b)
-                .map(|(x, y)| op.apply_f64(x as f64, y))
-                .collect(),
-        ),
-        (NumVec::F(a), NumVec::I(b)) => ColumnData::F64(
-            a.into_iter()
-                .zip(b)
-                .map(|(x, y)| op.apply_f64(x, y as f64))
-                .collect(),
-        ),
+/// Equality of two subtrees that makes them evaluate to the same bits
+/// (float literals compare by bits, so `0.0` and `-0.0` stay apart).
+fn same(a: &ScalarExpr, b: &ScalarExpr) -> bool {
+    use ScalarExpr::*;
+    match (a, b) {
+        (Col(x), Col(y)) => x == y,
+        (Literal(Value::F64(x)), Literal(Value::F64(y))) => x.to_bits() == y.to_bits(),
+        (Literal(x), Literal(y)) => x == y,
+        (
+            Bin {
+                op: o,
+                left: l,
+                right: r,
+            },
+            Bin {
+                op: p,
+                left: m,
+                right: s,
+            },
+        ) => o == p && same(l, m) && same(r, s),
+        (Year(x), Year(y)) => same(x, y),
+        (
+            Case {
+                when: w,
+                then: t,
+                els: e,
+            },
+            Case {
+                when: v,
+                then: u,
+                els: f,
+            },
+        ) => w == v && same(t, u) && same(e, f),
+        _ => false,
+    }
+}
+
+/// One numeric operand of a `Bin`: a vector, or one value for every row.
+#[derive(Clone, Copy)]
+enum Operand<'v> {
+    I32(&'v [i32]),
+    I64(&'v [i64]),
+    F64(&'v [f64]),
+    Int(i64),
+    Float(f64),
+}
+
+impl Operand<'_> {
+    fn is_float(self) -> bool {
+        matches!(self, Operand::F64(_) | Operand::Float(_))
+    }
+}
+
+/// `v` as an arithmetic operand, or the error a date or string reports.
+fn operand<'v>(v: &'v Vals<'_>) -> Result<Operand<'v>> {
+    let num = match v {
+        Vals::Column(c) => match c.as_ref() {
+            ColumnData::I32(x) => Some(Operand::I32(x)),
+            ColumnData::I64(x) => Some(Operand::I64(x)),
+            ColumnData::F64(x) => Some(Operand::F64(x)),
+            ColumnData::Date(_) | ColumnData::Char { .. } => None,
+        },
+        Vals::Scalar(Value::I32(x)) => Some(Operand::Int(i64::from(*x))),
+        Vals::Scalar(Value::I64(x)) => Some(Operand::Int(*x)),
+        Vals::Scalar(Value::F64(x)) => Some(Operand::Float(*x)),
+        Vals::Scalar(_) => None,
+    };
+    num.ok_or_else(|| ExprError::InvalidType {
+        context: "arithmetic",
+        found: v.type_name().into(),
     })
 }
 
-/// Map a `Date` column to its calendar years.
-fn year_of(c: ColumnData) -> Result<ColumnData> {
-    match c {
-        ColumnData::Date(v) => Ok(ColumnData::I32(
-            v.into_iter()
-                .map(|d| uot_storage::date_to_ymd(d).0)
-                .collect(),
-        )),
-        other => Err(ExprError::InvalidType {
-            context: "YEAR",
-            found: match other {
-                ColumnData::I32(_) => "Int32".into(),
-                ColumnData::I64(_) => "Int64".into(),
-                ColumnData::F64(_) => "Float64".into(),
-                ColumnData::Char { .. } => "Char".into(),
-                ColumnData::Date(_) => unreachable!(),
-            },
-        }),
+/// Bind `$it` to operand `$o` as an iterator of `f64` over `$n` rows and
+/// evaluate `$body`, once per operand shape.
+macro_rules! float_lane {
+    ($o:expr, $n:expr, $it:ident => $body:expr) => {
+        match $o {
+            Operand::I32(v) => {
+                let $it = v.iter().map(|&x| f64::from(x));
+                $body
+            }
+            Operand::I64(v) => {
+                let $it = v.iter().map(|&x| x as f64);
+                $body
+            }
+            Operand::F64(v) => {
+                let $it = v.iter().copied();
+                $body
+            }
+            Operand::Int(c) => {
+                let $it = std::iter::repeat_n(c as f64, $n);
+                $body
+            }
+            Operand::Float(c) => {
+                let $it = std::iter::repeat_n(c, $n);
+                $body
+            }
+        }
+    };
+}
+
+/// [`float_lane`] for the integer domain: every operand is an integer.
+macro_rules! int_lane {
+    ($o:expr, $n:expr, $it:ident => $body:expr) => {
+        match $o {
+            Operand::I32(v) => {
+                let $it = v.iter().map(|&x| i64::from(x));
+                $body
+            }
+            Operand::I64(v) => {
+                let $it = v.iter().copied();
+                $body
+            }
+            Operand::Int(c) => {
+                let $it = std::iter::repeat_n(c, $n);
+                $body
+            }
+            Operand::F64(_) | Operand::Float(_) => {
+                unreachable!("a float operand makes the domain f64")
+            }
+        }
+    };
+}
+
+/// `l op r` over `n` rows: `Float64` when either side is a float, `Int64`
+/// otherwise, one scalar when both sides are. The operator is matched once
+/// per vector.
+fn arith(op: BinOp, l: Operand, r: Operand, n: usize) -> Result<Vals<'static>> {
+    let float = l.is_float() || r.is_float();
+    Ok(match (l, r) {
+        (Operand::Int(a), Operand::Int(b)) => {
+            // Over no rows nothing is divided, so nothing fails.
+            Vals::Scalar(Value::I64(if n == 0 { 0 } else { op.apply_i64(a, b)? }))
+        }
+        (Operand::Int(_) | Operand::Float(_), Operand::Int(_) | Operand::Float(_)) => {
+            let f = |o| match o {
+                Operand::Int(x) => x as f64,
+                Operand::Float(x) => x,
+                _ => unreachable!("matched as scalars"),
+            };
+            Vals::Scalar(Value::F64(op.apply_f64(f(l), f(r))))
+        }
+        _ if float => Vals::Column(Cow::Owned(ColumnData::F64(float_lane!(l, n, a => {
+            float_lane!(r, n, b => float_loop(op, a, b))
+        })))),
+        _ => {
+            let zero = match r {
+                Operand::I32(v) => v.contains(&0),
+                Operand::I64(v) => v.contains(&0),
+                Operand::Int(c) => c == 0 && n > 0,
+                Operand::F64(_) | Operand::Float(_) => false,
+            };
+            if op == BinOp::Div && zero {
+                op.apply_i64(0, 0)?;
+            }
+            Vals::Column(Cow::Owned(ColumnData::I64(int_lane!(l, n, a => {
+                int_lane!(r, n, b => int_loop(op, a, b))
+            }))))
+        }
+    })
+}
+
+fn float_loop(op: BinOp, a: impl Iterator<Item = f64>, b: impl Iterator<Item = f64>) -> Vec<f64> {
+    let ab = a.zip(b);
+    match op {
+        BinOp::Add => ab.map(|(x, y)| x + y).collect(),
+        BinOp::Sub => ab.map(|(x, y)| x - y).collect(),
+        BinOp::Mul => ab.map(|(x, y)| x * y).collect(),
+        BinOp::Div => ab.map(|(x, y)| x / y).collect(),
     }
+}
+
+/// Wrapping integer arithmetic; the caller has ruled out a zero divisor.
+fn int_loop(op: BinOp, a: impl Iterator<Item = i64>, b: impl Iterator<Item = i64>) -> Vec<i64> {
+    let ab = a.zip(b);
+    match op {
+        BinOp::Add => ab.map(|(x, y)| x.wrapping_add(y)).collect(),
+        BinOp::Sub => ab.map(|(x, y)| x.wrapping_sub(y)).collect(),
+        BinOp::Mul => ab.map(|(x, y)| x.wrapping_mul(y)).collect(),
+        BinOp::Div => ab.map(|(x, y)| x.wrapping_div(y)).collect(),
+    }
+}
+
+/// The calendar years of dates `v`.
+fn year(v: &Vals<'_>) -> Result<Vals<'static>> {
+    let y = |d: i32| uot_storage::date_to_ymd(d).0;
+    match v {
+        Vals::Column(c) => {
+            if let ColumnData::Date(d) = c.as_ref() {
+                return Ok(Vals::Column(Cow::Owned(ColumnData::I32(
+                    d.iter().map(|&x| y(x)).collect(),
+                ))));
+            }
+        }
+        Vals::Scalar(Value::Date(d)) => return Ok(Vals::Scalar(Value::I32(y(*d)))),
+        Vals::Scalar(_) => {}
+    }
+    Err(ExprError::InvalidType {
+        context: "YEAR",
+        found: v.type_name().into(),
+    })
 }
 
 /// Per-row branch selection for CASE: `mask[i] ? then[i] : else[i]`.
@@ -514,77 +832,140 @@ fn to_i64_vec(c: ColumnData) -> Vec<i64> {
     }
 }
 
-fn broadcast(v: &Value, n: usize) -> Result<ColumnData> {
-    Ok(match v {
+fn broadcast(v: &Value, n: usize) -> ColumnData {
+    match v {
         Value::I32(x) => ColumnData::I32(vec![*x; n]),
         Value::I64(x) => ColumnData::I64(vec![*x; n]),
         Value::F64(x) => ColumnData::F64(vec![*x; n]),
         Value::Date(x) => ColumnData::Date(vec![*x; n]),
-        Value::Str(s) => {
-            let width = s.len();
-            let mut data = Vec::with_capacity(width * n);
-            for _ in 0..n {
-                data.extend_from_slice(s.as_bytes());
-            }
-            ColumnData::Char { width, data }
-        }
-    })
+        Value::Str(s) => ColumnData::Char {
+            width: s.len(),
+            data: s.as_bytes().repeat(n),
+        },
+    }
 }
 
-/// Gather column `i` of `block` at `rows` into a fresh [`ColumnData`].
-pub fn gather_column(block: &StorageBlock, i: usize, rows: &[usize]) -> Result<ColumnData> {
-    if i >= block.schema().len() {
-        return Err(ExprError::ColumnOutOfRange {
-            index: i,
-            len: block.schema().len(),
-        });
-    }
-    // Column-store fast path: gather from the typed slice.
-    if let Some(col) = block.column_data(i) {
-        return Ok(match col {
-            ColumnData::I32(v) => ColumnData::I32(rows.iter().map(|&r| v[r]).collect()),
-            ColumnData::I64(v) => ColumnData::I64(rows.iter().map(|&r| v[r]).collect()),
-            ColumnData::F64(v) => ColumnData::F64(rows.iter().map(|&r| v[r]).collect()),
-            ColumnData::Date(v) => ColumnData::Date(rows.iter().map(|&r| v[r]).collect()),
-            ColumnData::Char { width, data } => {
-                let mut out = Vec::with_capacity(width * rows.len());
-                for &r in rows {
-                    out.extend_from_slice(&data[r * width..(r + 1) * width]);
-                }
-                ColumnData::Char {
-                    width: *width,
-                    data: out,
-                }
-            }
-        });
-    }
-    // Row-store path: strided reads.
-    Ok(match block.schema().dtype(i) {
-        DataType::Int32 => ColumnData::I32(rows.iter().map(|&r| block.i32_at(r, i)).collect()),
-        DataType::Int64 => ColumnData::I64(rows.iter().map(|&r| block.i64_at(r, i)).collect()),
-        DataType::Float64 => ColumnData::F64(rows.iter().map(|&r| block.f64_at(r, i)).collect()),
-        DataType::Date => ColumnData::Date(rows.iter().map(|&r| block.date_at(r, i)).collect()),
-        DataType::Char(n) => {
-            let width = n as usize;
-            let mut data = Vec::with_capacity(width * rows.len());
-            for &r in rows {
-                data.extend_from_slice(block.char_at(r, i));
-            }
-            ColumnData::Char { width, data }
-        }
-    })
+/// A fixed-width numeric field type, read from a column block's typed
+/// slice or from a row block's little-endian field bytes.
+pub(crate) trait Fixed: Copy {
+    /// Bytes per value.
+    const WIDTH: usize;
+    /// Decode one value from exactly [`Self::WIDTH`] bytes.
+    fn read(bytes: &[u8]) -> Self;
+    /// The typed slice of a column of this type.
+    fn slice(c: &ColumnData) -> &[Self];
 }
 
-/// Gather the given `rows` out of an already-materialized column vector.
-pub fn gather_from(data: &ColumnData, rows: &[usize]) -> ColumnData {
+impl Fixed for i32 {
+    const WIDTH: usize = 4;
+    #[inline]
+    fn read(bytes: &[u8]) -> Self {
+        i32::from_le_bytes(bytes.try_into().expect("4 bytes"))
+    }
+    #[inline]
+    fn slice(c: &ColumnData) -> &[Self] {
+        match c {
+            ColumnData::I32(v) | ColumnData::Date(v) => v,
+            _ => unreachable!("not an Int32 or Date column"),
+        }
+    }
+}
+
+impl Fixed for i64 {
+    const WIDTH: usize = 8;
+    #[inline]
+    fn read(bytes: &[u8]) -> Self {
+        i64::from_le_bytes(bytes.try_into().expect("8 bytes"))
+    }
+    #[inline]
+    fn slice(c: &ColumnData) -> &[Self] {
+        c.as_i64()
+    }
+}
+
+impl Fixed for f64 {
+    const WIDTH: usize = 8;
+    #[inline]
+    fn read(bytes: &[u8]) -> Self {
+        f64::from_le_bytes(bytes.try_into().expect("8 bytes"))
+    }
+    #[inline]
+    fn slice(c: &ColumnData) -> &[Self] {
+        c.as_f64()
+    }
+}
+
+/// One field of a row block read in place: field `col` of tuple `i` is at
+/// `i * stride + off` of the block's tuple bytes.
+#[derive(Clone, Copy)]
+pub(crate) struct Strided<'b> {
+    pub(crate) bytes: &'b [u8],
+    pub(crate) stride: usize,
+    pub(crate) off: usize,
+}
+
+impl<'b> Strided<'b> {
+    /// Field `col` of `block`.
+    pub(crate) fn of(block: &'b RowBlock, col: usize) -> Self {
+        let schema = block.schema();
+        Strided {
+            bytes: block.tuples(0, block.num_rows()),
+            stride: schema.tuple_width(),
+            off: schema.offset(col),
+        }
+    }
+
+    /// The `width` bytes of the field in tuple `row`.
+    #[inline]
+    pub(crate) fn at(self, row: usize, width: usize) -> &'b [u8] {
+        &self.bytes[row * self.stride + self.off..][..width]
+    }
+
+    /// The field in tuple `row`, decoded.
+    #[inline]
+    pub(crate) fn read<T: Fixed>(self, row: usize) -> T {
+        T::read(self.at(row, T::WIDTH))
+    }
+}
+
+/// Column `i` of `block` at `rows`, typed: a column block's slice indexed,
+/// a row block's field read at its stride. The caller checks `i`.
+fn gather_at(
+    block: &StorageBlock,
+    i: usize,
+    rows: impl ExactSizeIterator<Item = usize>,
+) -> ColumnData {
+    match block {
+        StorageBlock::Column(b) => gather_from_iter(b.column(i), rows),
+        StorageBlock::Row(b) => {
+            let f = Strided::of(b, i);
+            match b.schema().dtype(i) {
+                DataType::Int32 => ColumnData::I32(rows.map(|r| f.read(r)).collect()),
+                DataType::Int64 => ColumnData::I64(rows.map(|r| f.read(r)).collect()),
+                DataType::Float64 => ColumnData::F64(rows.map(|r| f.read(r)).collect()),
+                DataType::Date => ColumnData::Date(rows.map(|r| f.read(r)).collect()),
+                DataType::Char(n) => {
+                    let width = n as usize;
+                    let mut data = Vec::with_capacity(width * rows.len());
+                    for r in rows {
+                        data.extend_from_slice(f.at(r, width));
+                    }
+                    ColumnData::Char { width, data }
+                }
+            }
+        }
+    }
+}
+
+fn gather_from_iter(data: &ColumnData, rows: impl ExactSizeIterator<Item = usize>) -> ColumnData {
     match data {
-        ColumnData::I32(v) => ColumnData::I32(rows.iter().map(|&r| v[r]).collect()),
-        ColumnData::I64(v) => ColumnData::I64(rows.iter().map(|&r| v[r]).collect()),
-        ColumnData::F64(v) => ColumnData::F64(rows.iter().map(|&r| v[r]).collect()),
-        ColumnData::Date(v) => ColumnData::Date(rows.iter().map(|&r| v[r]).collect()),
+        ColumnData::I32(v) => ColumnData::I32(rows.map(|r| v[r]).collect()),
+        ColumnData::I64(v) => ColumnData::I64(rows.map(|r| v[r]).collect()),
+        ColumnData::F64(v) => ColumnData::F64(rows.map(|r| v[r]).collect()),
+        ColumnData::Date(v) => ColumnData::Date(rows.map(|r| v[r]).collect()),
         ColumnData::Char { width, data } => {
             let mut out = Vec::with_capacity(width * rows.len());
-            for &r in rows {
+            for r in rows {
                 out.extend_from_slice(&data[r * width..(r + 1) * width]);
             }
             ColumnData::Char {
@@ -595,19 +976,25 @@ pub fn gather_from(data: &ColumnData, rows: &[usize]) -> ColumnData {
     }
 }
 
-/// Gather all rows of column `i` (clones the column for column blocks).
-pub fn gather_all(block: &StorageBlock, i: usize) -> Result<ColumnData> {
+/// Gather column `i` of `block` at `rows` into a fresh [`ColumnData`].
+pub fn gather_column(block: &StorageBlock, i: usize, rows: &[usize]) -> Result<ColumnData> {
     if i >= block.schema().len() {
         return Err(ExprError::ColumnOutOfRange {
             index: i,
             len: block.schema().len(),
         });
     }
-    if let Some(col) = block.column_data(i) {
-        return Ok(col.clone());
-    }
-    let rows: Vec<usize> = (0..block.num_rows()).collect();
-    gather_column(block, i, &rows)
+    Ok(gather_at(block, i, rows.iter().copied()))
+}
+
+/// Gather the given `rows` out of an already-materialized column vector.
+pub fn gather_from(data: &ColumnData, rows: &[usize]) -> ColumnData {
+    gather_from_iter(data, rows.iter().copied())
+}
+
+/// Gather all rows of column `i` (clones the column for column blocks).
+pub fn gather_all(block: &StorageBlock, i: usize) -> Result<ColumnData> {
+    Ok(col(i).vals(block, Rows::All)?.into_column(block.num_rows()))
 }
 
 #[cfg(test)]

@@ -168,9 +168,11 @@ impl RowBlock {
         self.field(row, col)
     }
 
-    /// Raw bytes of tuples `start..start + k`.
+    /// Raw bytes of tuples `start..start + k`. Field `col` of tuple `i` sits
+    /// at `i * schema.tuple_width() + schema.offset(col)` of `tuples(0, n)`,
+    /// which is how typed kernels read a column in place.
     #[inline]
-    pub(crate) fn tuples(&self, start: usize, k: usize) -> &[u8] {
+    pub fn tuples(&self, start: usize, k: usize) -> &[u8] {
         let w = self.schema.tuple_width();
         &self.data[start * w..(start + k) * w]
     }
